@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DegreeCapExceeded, NotReal, NotSymplectic, SpaceMismatch
 from .spacetime import LatticeSpacetime
-from .dynamics import Solution, solution_from_vec, symplectic_matrix
+from .dynamics import Solution, symplectic_matrix
 
 PRUNE_TOL = 1e-15
 
@@ -211,10 +211,6 @@ def field(phi: Solution) -> AlgebraElement:
         {(i,): complex(c) for i, c in enumerate(vec) if abs(c) > PRUNE_TOL})
 
 
-def field_from_vec(spacetime: LatticeSpacetime, vec: np.ndarray) -> AlgebraElement:
-    return field(solution_from_vec(spacetime, vec))
-
-
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
@@ -271,6 +267,23 @@ def substitute_affine(a: AlgebraElement,
     return AlgebraElement(a.spacetime, out)
 
 
+def derivation(a: AlgebraElement, cols: list[list[tuple[int, complex]]],
+               consts: np.ndarray | None = None) -> AlgebraElement:
+    """Derivation extending e_i -> sum_j cols[i][j] e_j + consts[i], one slot
+    at a time: the tangent at t = 0 of substitute_affine by exp(tX) and
+    t * consts; a derivation of the CCR product when X is in sp(sigma)."""
+    out: dict[MultiIndex, complex] = {}
+    for idx, coeff in a.terms.items():
+        for pos, i in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            if consts is not None and consts[i] != 0.0:
+                out[rest] = out.get(rest, 0.0) + coeff * consts[i]
+            for j, w in cols[i]:
+                key = tuple(sorted(rest + (j,)))
+                out[key] = out.get(key, 0.0) + coeff * w
+    return AlgebraElement(a.spacetime, out)
+
+
 class LiftedMap:
     """Algebra endomorphism induced by a symplectic, conjugation-commuting
     linear map of the solution space (degree-wise functorial action)."""
@@ -299,10 +312,6 @@ class LiftedMap:
 def lift(spacetime: LatticeSpacetime, matrix: np.ndarray) -> LiftedMap:
     """Functorial lift of a linear symplectic map to the algebra."""
     return LiftedMap(spacetime, matrix)
-
-
-def compose_maps(f: Callable, g: Callable) -> Callable:
-    return lambda a: f(g(a))
 
 
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:

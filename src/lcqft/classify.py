@@ -64,12 +64,6 @@ def _coords_to_matrix(g: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
     return X.transpose(0, 2, 1, 3).reshape(C * N, C * N)
 
 
-def _matrix_to_coords(X: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
-    C, N = _channel_count(st), st.n_sites
-    Xb = X.reshape(C, N, C, N)
-    return Xb[:, :, :, 0].transpose(0, 2, 1)  # g[a, b, m] = X[(a, m), (b, 0)]
-
-
 def _evolution_commutator_operator(st: LatticeSpacetime) -> np.ndarray:
     """Matrix of g -> coords([X(g), U]) on block-circulant coordinates.
 
@@ -110,12 +104,16 @@ class CommutantBasis:
         return self.matrices.shape[0]
 
 
-@lru_cache(maxsize=16)
-def build_commutant_basis(spacetime: LatticeSpacetime) -> CommutantBasis:
-    """Dense nullspace of the evolution commutator inside the shift commutant."""
+def check_budget(spacetime: LatticeSpacetime):
     if spacetime.n_sites > BUDGET_SITES or spacetime.n_species > BUDGET_SPECIES:
         raise BudgetExceeded(
             f"need n_sites <= {BUDGET_SITES} and |nu| <= {BUDGET_SPECIES}")
+
+
+@lru_cache(maxsize=16)
+def build_commutant_basis(spacetime: LatticeSpacetime) -> CommutantBasis:
+    """Dense nullspace of the evolution commutator inside the shift commutant."""
+    check_budget(spacetime)
     C, N = _channel_count(spacetime), spacetime.n_sites
     L = _evolution_commutator_operator(spacetime)
     basis, _, _ = nullspace(L, rel_tol=1e-10)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     lcqft verify SUITE --spectrum 1:2 --sites 8 [--steps 16 --dt 0.5
-          --seed 0 --tolerance KEY=VAL --jobs 2 --out report.json]
+          --seed 0 --tolerance KEY=VAL --out report.json]
     lcqft classify --spectrum 1:2,2:3 --sites 8 [--quantized/--classical
           --seed 0 --out report.json]
 
@@ -16,7 +16,7 @@ from . import serialize
 from .classify import classify
 from .errors import ConfigParse, LcqftError
 from .spacetime import LatticeSpacetime, MassSpectrum
-from .suites import RunConfig, SUITE_NAMES, run_suite
+from .suites import DEFAULT_TOLERANCES, RunConfig, SUITE_NAMES, run_suite
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(verify)
     verify.add_argument("--tolerance", action="append", default=[],
                         metavar="KEY=VAL", help="override a named tolerance")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="parallel suites bound")
 
     cls = sub.add_parser("classify",
                          help="classify endomorphism directions of the "
@@ -97,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             config = RunConfig(
                 spectrum=args.spectrum, n_sites=args.sites, n_steps=args.steps,
                 dt=args.dt, seed=args.seed, suite=args.suite,
-                tolerances=_parse_tolerances(args.tolerance), jobs=args.jobs)
+                tolerances=_parse_tolerances(args.tolerance))
             report = run_suite(config)
             _emit(report, args.out)
             _summary(report, args.out)
@@ -114,6 +112,12 @@ def main(argv: list[str] | None = None) -> int:
             ok = report["match"]
             print(f"dimension={report['dimension']} expected={report['expected']} "
                   f"match={ok}", file=sys.stderr)
+            limit = DEFAULT_TOLERANCES["classify.soundness"]
+            for key, value in sorted(report["residuals"].items()):
+                if key.startswith("soundness_") and not value <= limit:
+                    print(f"{key}: residual {value:.3e} exceeds {limit:.1e}",
+                          file=sys.stderr)
+                    ok = False
             return 0 if ok else 1
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -83,21 +83,18 @@ class MassNotInSpectrum(LcqftError):
     """Requested mass sector does not exist."""
 
 
-# -- classifier ----------------------------------------------------------------
-
-class BudgetExceeded(LcqftError):
-    """Problem size exceeds the dense linear algebra budget."""
-
-
-class InsufficientSamples(LcqftError):
-    """Constraint rank has not plateaued; more sample solutions needed."""
-
-
 # -- CLI -----------------------------------------------------------------------
 
 class ConfigParse(LcqftError):
     """Invalid CLI configuration."""
 
 
-class SuiteFailure(LcqftError):
-    """A verification suite reported failing residuals."""
+# -- classifier ----------------------------------------------------------------
+
+class BudgetExceeded(ConfigParse):
+    """Problem size exceeds the dense linear algebra budget (a configuration
+    error: the CLI exits 2)."""
+
+
+class InsufficientSamples(LcqftError):
+    """Constraint rank has not plateaued; more sample solutions needed."""

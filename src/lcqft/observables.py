@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, check_degree_cap, field, max_coeff_diff, zero
+from .algebra import (AlgebraElement, _sparse_columns, check_degree_cap,
+                      derivation, field, max_coeff_diff, zero)
+from .classify import expected_so_generators
 from .dynamics import ScalarData, embed_scalar, require_charge_zero
 from .errors import MassNotInSpectrum, NoMasslessSpecies
-from .gauge import QuantumAction, ell_basis_values, random_gauge
+from .gauge import GaugeElement, QuantumAction, ell_basis_values
 from .spacetime import LatticeSpacetime
 
 
@@ -82,38 +84,36 @@ def affine_derivative(a: AlgebraElement, direction: int) -> AlgebraElement:
     """d/dlambda of zeta(1, lambda e_j^*) a at lambda = 0.
 
     The shift substitutes e_i -> e_i + lambda <e_j^*, e_i> 1 in every slot,
-    so the linear coefficient contracts one slot at a time with the shift
-    functional (polynomial-coefficient extraction in the shift parameter).
+    so its tangent is the derivation with no linear part and the shift
+    functional as constants.
     """
     st = a.spacetime
     if st.spectrum.massless_count == 0:
         raise NoMasslessSpecies("affine directions need nu(0) > 0")
     e_j = np.zeros(st.spectrum.massless_count)
     e_j[direction] = 1.0
-    lam = ell_basis_values(e_j, st)
-    out: dict[tuple[int, ...], complex] = {}
-    for idx, c in a.terms.items():
-        for pos in range(len(idx)):
-            weight = lam[idx[pos]]
-            if weight == 0.0:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            out[rest] = out.get(rest, 0.0) + c * weight
-    return AlgebraElement(st, out)
+    return derivation(a, [()] * st.data_dim, ell_basis_values(e_j, st))
 
 
-def invariant_projection_check(a: AlgebraElement,
-                               rng: np.random.Generator,
-                               samples: int = 20,
-                               degree_cap: int = 4,
+def invariant_projection_check(a: AlgebraElement, degree_cap: int = 4,
                                tol: float = 1e-10) -> tuple[bool, float]:
-    """True iff a is fixed by sampled rotations and annihilated by every
-    affine derivative; returns the worst residual either way."""
+    """True iff a is fixed by the whole gauge group O(nu) x| R^{nu(0)*}:
+    every in-block rotation generator and every affine shift derivative
+    annihilates a, and one reflection per mass block fixes it (one in all
+    blocks at once would miss 2^(blocks - 1) components). Returns the worst
+    residual either way."""
     check_degree_cap(a, degree_cap)
     st = a.spacetime
+    entries = st.spectrum.entries
     residual = 0.0
-    for _ in range(samples):
-        g = random_gauge(rng, st.spectrum, with_ell=False)
+    for gen in expected_so_generators(st):
+        residual = max(residual,
+                       derivation(a, _sparse_columns(gen)).max_abs())
+    for b in range(len(entries)):
+        blocks = [np.eye(k) for _, k in entries]
+        blocks[b][0, 0] = -1.0
+        g = GaugeElement(st.spectrum, tuple(blocks),
+                         np.zeros(st.spectrum.massless_count))
         residual = max(residual, max_coeff_diff(QuantumAction(g, st)(a), a))
     for j in range(st.spectrum.massless_count):
         residual = max(residual, affine_derivative(a, j).max_abs())

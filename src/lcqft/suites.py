@@ -12,7 +12,6 @@ roundoff-floor residuals agree within the band of
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import gauge as gg
 from . import kinematics as kin
 from . import observables as obs
 from . import states as stt
-from .classify import classify
+from .classify import check_budget, classify
 from .errors import ConfigParse, LcqftError
 from .spacetime import LatticeSpacetime, MassSpectrum, domain_of_dependence, translation
 
@@ -52,6 +51,18 @@ DEFAULT_TOLERANCES = {
     "classify.soundness": 1e-8,
 }
 
+# A random perturbation fills PERT_ROWS slices from slice PERT_FIRST or later;
+# a gauge-suite diamond has its base on slice DIAMOND_SLICE or later and
+# spans DIAMOND_LENGTH to n_sites - 2 sites.
+PERT_FIRST, PERT_ROWS = 3, 3
+DIAMOND_SLICE, DIAMOND_LENGTH = 3, 3
+
+# the smallest (n_sites, n_steps) on which each suite's draws fit
+MIN_LATTICE = {
+    "rce": (0, PERT_FIRST + PERT_ROWS - 1),
+    "gauge": (DIAMOND_LENGTH + 2, DIAMOND_SLICE),
+}
+
 
 @dataclass
 class RunConfig:
@@ -62,7 +73,6 @@ class RunConfig:
     seed: int = 0
     suite: str = "all"
     tolerances: dict = dc_field(default_factory=dict)
-    jobs: int = 1
 
     def tol(self, key: str) -> float:
         if key in self.tolerances:
@@ -75,6 +85,21 @@ class RunConfig:
                                     MassSpectrum.parse(self.spectrum))
         except LcqftError as exc:
             raise ConfigParse(str(exc)) from exc
+
+    def check(self, names: list[str]):
+        """Raise ConfigParse unless every named suite can run as configured."""
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigParse(f"unknown tolerance {', '.join(unknown)}")
+        st = self.spacetime()
+        for name in names:
+            sites, steps = MIN_LATTICE.get(name, (0, 0))
+            if st.n_sites < sites:
+                raise ConfigParse(f"suite {name} needs n_sites >= {sites}")
+            if st.n_steps < steps:
+                raise ConfigParse(f"suite {name} needs n_steps >= {steps}")
+        if "classify" in names:
+            check_budget(st)
 
 
 class Recorder:
@@ -130,11 +155,12 @@ def _random_perturbation(rng, st: LatticeSpacetime, kind: str = "mass",
                          scale: float = 0.4) -> dyn.Perturbation:
     T1, N = st.n_slices, st.n_sites
     v = np.zeros((T1, N))
-    t0 = 3 + int(rng.integers(0, max(1, st.n_steps - 8)))
+    t0 = PERT_FIRST + int(rng.integers(0, max(1, st.n_steps - 8)))
     width = int(rng.integers(2, max(3, N // 2)))
     x0 = int(rng.integers(0, N))
     cols = [(x0 + j) % N for j in range(width)]
-    v[t0:t0 + 3][:, cols] = scale * rng.standard_normal((3, width))
+    v[t0:t0 + PERT_ROWS][:, cols] = \
+        scale * rng.standard_normal((PERT_ROWS, width))
     v[0] = 0.0
     v[-1] = 0.0
     return dyn.Perturbation(st, v, kind=kind)
@@ -256,8 +282,8 @@ def gauge_suite(config: RunConfig) -> dict:
     # kinematic diamond subalgebras are mapped into themselves
     worst = 0.0
     for d in range(5):
-        base_slice = 3 + int(rng.integers(0, max(1, st.n_steps - 6)))
-        length = int(rng.integers(3, st.n_sites - 1))
+        base_slice = DIAMOND_SLICE + int(rng.integers(0, max(1, st.n_steps - 6)))
+        length = int(rng.integers(DIAMOND_LENGTH, st.n_sites - 1))
         start = int(rng.integers(0, st.n_sites))
         region = domain_of_dependence(base_slice, start, length, st)
         basis = kin.region_solution_basis(region)
@@ -458,13 +484,13 @@ def observables_suite(config: RunConfig) -> dict:
             psi = _random_charge_zero_scalar(rng, st, mass == 0.0)
             gen = obs.bilinear_generator(st, mass, phi, psi)
             generators.append(gen)
-            _, residual = obs.invariant_projection_check(gen, rng, samples=10)
+            _, residual = obs.invariant_projection_check(gen)
             worst = max(worst, residual)
     # closure: products of generators stay invariant
     for _ in range(5):
         i, j = rng.integers(0, len(generators), size=2)
         _, residual = obs.invariant_projection_check(
-            generators[i] * generators[j], rng, samples=5)
+            generators[i] * generators[j])
         worst = max(worst, residual)
     rec.below("bilinear_invariance", worst, config.tol("observables.invariance"))
 
@@ -478,7 +504,7 @@ def observables_suite(config: RunConfig) -> dict:
             psi = _random_charge_zero_scalar(rng, st, m2 == 0.0)
             mixed = alg.field(dyn.embed_scalar(phi, s1)) \
                 * alg.field(dyn.embed_scalar(psi, s2))
-            _, residual = obs.invariant_projection_check(mixed, rng, samples=10)
+            _, residual = obs.invariant_projection_check(mixed)
             worst_mix = min(worst_mix, residual)
         rec.above("mass_mixing_residual", worst_mix,
                   config.tol("observables.mixing_min"))
@@ -574,15 +600,9 @@ def run_suite(config: RunConfig) -> dict:
         raise ConfigParse(
             f"unknown suite {config.suite!r}; choose from "
             f"{', '.join(SUITE_NAMES)} or all")
-    config.spacetime()  # validate early: raises ConfigParse on bad input
+    config.check(names)  # before any suite runs
 
-    results = []
-    if config.jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(SUITE_FUNCS[n], config) for n in names]
-            results = [f.result() for f in futures]
-    else:
-        results = [SUITE_FUNCS[n](config) for n in names]
+    results = [SUITE_FUNCS[n](config) for n in names]
 
     status = "pass" if all(r["status"] == "pass" for r in results) else "fail"
     return {

@@ -248,6 +248,60 @@ class TestLift:
             alg.lift(massive_spacetime, M)
 
 
+class TestDerivation:
+    def test_rotation_generator_is_tangent_of_gauge_action(
+            self, massive_spacetime, rng):
+        # the derivation by the so(2) generator of "1:2" against the central
+        # difference of zeta on explicit rotation blocks exp(+-t A)
+        from lcqft import classify as clf
+        from lcqft import gauge as gg
+        st_ = massive_spacetime
+        gen = clf.species_rotation_generator(st_, 0, 1)
+        a = alg.random_element(rng, st_, 3, 8)
+        deriv = alg.derivation(a, alg._sparse_columns(gen))
+
+        def rotated(t):
+            R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            g = gg.GaugeElement(st_.spectrum, (R,), np.zeros(0))
+            return gg.QuantumAction(g, st_)(a)
+
+        t = 1e-4
+        central = (1.0 / (2 * t)) * (rotated(t) - rotated(-t))
+        scale = deriv.max_abs()
+        assert scale > 0.1
+        assert alg.max_coeff_diff(deriv, central) < 1e-7 * scale
+
+    @pytest.mark.parametrize("spec, shift", [("1:2", False), ("0:1,1:2", True)])
+    def test_leibniz_rule(self, spec, shift, rng):
+        # a symplectic generator (plus, with nu(0) > 0, the shift functional)
+        # acts as a derivation of the CCR product
+        from lcqft import classify as clf
+        from lcqft import gauge as gg
+        st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spec))
+        s1 = st_.n_species - 2
+        cols = alg._sparse_columns(
+            clf.species_rotation_generator(st_, s1, s1 + 1))
+        consts = gg.ell_basis_values(np.array([1.5]), st_) if shift else None
+        worst = 0.0
+        for _ in range(10):
+            a = alg.random_element(rng, st_, 2, 4)
+            b = alg.random_element(rng, st_, 2, 4)
+            lhs = alg.derivation(a * b, cols, consts)
+            rhs = alg.derivation(a, cols, consts) * b \
+                + a * alg.derivation(b, cols, consts)
+            worst = max(worst, alg.max_coeff_diff(lhs, rhs))
+        assert worst < 1e-12
+
+    def test_constants_contract_one_slot(self, mixed_spacetime):
+        # e_i e_i e_j -> 2 c_i e_i e_j + c_j e_i e_i
+        st_ = mixed_spacetime
+        consts = np.zeros(st_.data_dim)
+        consts[0], consts[3] = 2.0, -1.0
+        a = alg.monomial(st_, (0, 0, 3), 1.0)
+        deriv = alg.derivation(a, [()] * st_.data_dim, consts)
+        assert deriv.terms == {(0, 3): 4.0 + 0j, (0, 0): -1.0 + 0j}
+
+
 class TestCentreAtLowDegree:
     def test_nondegenerate_space_has_trivial_centre(self, massive_spacetime,
                                                     rng):

@@ -1,11 +1,13 @@
 """CLI: exit codes, report schema, determinism."""
 import copy
 import json
+import os
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lcqft import serialize
+from lcqft import cli, serialize, suites
 from lcqft.cli import main
 from lcqft.suites import (DEFAULT_TOLERANCES, GOLDEN_CONFIGS, RunConfig,
                           run_suite)
@@ -143,13 +145,6 @@ class TestRunSuite:
         report = run_suite(config)
         assert report["status"] == "fail"
 
-    def test_parallel_jobs_same_result(self):
-        base = RunConfig(spectrum="1:2", suite="all", seed=2)
-        par = RunConfig(spectrum="1:2", suite="all", seed=2, jobs=3)
-        r1 = serialize.dumps(serialize.strip_timings(run_suite(base)))
-        r2 = serialize.dumps(serialize.strip_timings(run_suite(par)))
-        assert r1 == r2
-
     def test_unknown_suite_rejected(self):
         from lcqft.errors import ConfigParse
         with pytest.raises(ConfigParse):
@@ -189,3 +184,49 @@ class TestCliProcess:
     def test_mass_collision_is_config_error(self, capsys):
         assert main(["verify", "ccr", "--spectrum", "0:1,1:1",
                      "--sites", "24"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relation=0"],
+        ["classify", "--spectrum", "1:2", "--sites", "32"],
+        ["verify", "all", "--spectrum", "1:2", "--sites", "32"],
+        ["verify", "classify", "--spectrum", "1:2,2:3,3:1", "--sites", "8"],
+        ["verify", "rce", "--spectrum", "1:2", "--steps", "1"],
+        ["verify", "gauge", "--spectrum", "1:2", "--sites", "4", "--steps", "4"],
+        ["verify", "gauge", "--spectrum", "1:2", "--steps", "2"],
+    ])
+    def test_config_error_before_any_suite(self, argv, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("a suite ran on a rejected configuration")
+
+        monkeypatch.setattr(suites, "SUITE_FUNCS",
+                            {name: never for name in suites.SUITE_FUNCS})
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+
+    @pytest.mark.parametrize("soundness, code", [(1e-6, 1), (1e-12, 0)])
+    def test_classify_exit_code_honours_soundness(self, soundness, code,
+                                                  monkeypatch, tmp_path,
+                                                  capsys):
+        def matched_but_unsound(spacetime, quantized, seed):
+            return {"dimension": 1, "expected": 1, "match": True,
+                    "residuals": {"soundness_sigma": soundness,
+                                  "soundness_null_energy": 0.0,
+                                  "soundness_rce_commute": 0.0}}
+
+        monkeypatch.setattr(cli, "classify", matched_but_unsound)
+        out = tmp_path / "classify.json"
+        assert main(["classify", "--spectrum", "1:2",
+                     "--out", str(out)]) == code
+
+
+@pytest.mark.parametrize("suite", ["rce", "gauge"])
+@settings(max_examples=12)
+@given(sites=st.integers(4, 7), steps=st.integers(1, 7),
+       seed=st.integers(0, 3))
+def test_small_lattices_keep_exit_code_contract(suite, sites, steps, seed):
+    # 0 pass, 1 suite failure, 2 configuration error; never a raw exception
+    code = main(["verify", suite, "--spectrum", "1:2", "--sites", str(sites),
+                 "--steps", str(steps), "--seed", str(seed),
+                 "--out", os.devnull])
+    assert code in (0, 1, 2)

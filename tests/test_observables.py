@@ -122,38 +122,86 @@ class TestBilinearGenerator:
         chi = _charge_zero_scalar(rng, mixed_spacetime, True)
         g1 = obs.bilinear_generator(mixed_spacetime, 1.0, phi, psi)
         g2 = obs.bilinear_generator(mixed_spacetime, 0.0, chi, chi)
-        ok, residual = obs.invariant_projection_check(
-            g1 * g2, rng, samples=10)
+        ok, residual = obs.invariant_projection_check(g1 * g2)
         assert ok, residual
-        ok, residual = obs.invariant_projection_check(
-            (g1 * g1).star(), rng, samples=5)
+        ok, residual = obs.invariant_projection_check((g1 * g1).star())
         assert ok, residual
 
 
 class TestInvariantProjectionCheck:
-    def test_unit_invariant(self, mixed_spacetime, rng):
-        ok, residual = obs.invariant_projection_check(
-            alg.one(mixed_spacetime), rng, samples=5)
+    def test_unit_invariant(self, mixed_spacetime):
+        ok, residual = obs.invariant_projection_check(alg.one(mixed_spacetime))
         assert ok and residual == 0.0
 
-    def test_theta_field_fails_affine(self, mixed_spacetime, rng):
+    def test_theta_field_fails_affine(self, mixed_spacetime):
         # Phi(theta x e_1): massless, not charge zero: the affine derivative
         # is nonzero (the lambda-linear coefficient survives)
         sub = obs.ChargeZeroSubspace.build(mixed_spacetime)
         el = alg.field(dyn.embed_scalar(sub.theta, 0))
-        ok, residual = obs.invariant_projection_check(el, rng, samples=5)
+        ok, residual = obs.invariant_projection_check(el)
         assert not ok
         deriv = obs.affine_derivative(el, 0)
         assert deriv.max_abs() > 0.5  # = sigma(theta, 1) = 1 up to sign
+        # its square is even under every reflection and the massless block
+        # has no rotations: only the shift derivative rejects it
+        ok, residual = obs.invariant_projection_check(el * el)
+        assert not ok and residual > 0.1
+
+    def test_single_species_bilinear_fails_rotation(self, massive_spacetime,
+                                                    rng):
+        # Phi(phi e_0) Phi(psi e_0) is even under every reflection; only the
+        # so(2) generator sees that it is not summed over the block
+        phi = _charge_zero_scalar(rng, massive_spacetime, False)
+        psi = _charge_zero_scalar(rng, massive_spacetime, False)
+        el = alg.field(dyn.embed_scalar(phi, 0)) \
+            * alg.field(dyn.embed_scalar(psi, 0))
+        ok, residual = obs.invariant_projection_check(el)
+        assert not ok and residual > 1e-3
 
     def test_mass_mixing_fails(self, mixed_spacetime, rng):
         phi = _charge_zero_scalar(rng, mixed_spacetime, True)
         psi = _charge_zero_scalar(rng, mixed_spacetime, False)
         mixed = alg.field(dyn.embed_scalar(phi, 0)) \
             * alg.field(dyn.embed_scalar(psi, 1))
-        ok, residual = obs.invariant_projection_check(mixed, rng, samples=10)
+        ok, residual = obs.invariant_projection_check(mixed)
         assert not ok
         assert residual > 1e-3
+
+    def test_species_antisymmetric_bilinear_needs_the_reflection(
+            self, massive_spacetime, rng):
+        # Phi(phi e_0) Phi(psi e_1) - Phi(phi e_1) Phi(psi e_0) is the
+        # determinant of the species pair: SO(2) fixes it exactly, the
+        # reflection flips its sign
+        from lcqft import classify as clf
+        st = massive_spacetime
+        phi = _charge_zero_scalar(rng, st, False)
+        psi = _charge_zero_scalar(rng, st, False)
+
+        def f(h, s):
+            return alg.field(dyn.embed_scalar(h, s))
+
+        det = f(phi, 0) * f(psi, 1) - f(phi, 1) * f(psi, 0)
+        gen = clf.species_rotation_generator(st, 0, 1)
+        assert alg.derivation(det, alg._sparse_columns(gen)).terms == {}
+        ok, residual = obs.invariant_projection_check(det)
+        assert not ok
+        assert residual == pytest.approx(2 * det.max_abs())
+
+    def test_each_mass_block_reflected_on_its_own(self, rng):
+        # on "1:1,2:1" the group is {+-1} x {+-1} with no rotations: the
+        # mixed bilinear is fixed by (-1, -1) but not by (-1, 1)
+        from lcqft.spacetime import LatticeSpacetime, MassSpectrum
+        st = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:1,2:1"))
+        phi = _charge_zero_scalar(rng, st, False)
+        psi = _charge_zero_scalar(rng, st, False)
+        mixed = alg.field(dyn.embed_scalar(phi, 0)) \
+            * alg.field(dyn.embed_scalar(psi, 1))
+        both = gg.GaugeElement(st.spectrum, (-np.eye(1), -np.eye(1)),
+                               np.zeros(0))
+        assert alg.max_coeff_diff(gg.quantum_action(both, mixed), mixed) == 0.0
+        ok, residual = obs.invariant_projection_check(mixed)
+        assert not ok
+        assert residual == pytest.approx(2 * mixed.max_abs())
 
 
 class TestCentralElements:
@@ -234,7 +282,7 @@ class TestMultiComponentRegions:
 
         phi, psi = scalar_in(comp1), scalar_in(comp2)
         gen = obs.bilinear_generator(st, 1.0, phi, psi)
-        ok, residual = obs.invariant_projection_check(gen, rng, samples=10)
+        ok, residual = obs.invariant_projection_check(gen)
         assert ok, residual
         supports = [comp1.sites(N), comp2.sites(N)]
         cross = not any(
@@ -259,8 +307,8 @@ class TestExport:
 
 
 class TestDegreeCap:
-    def test_invariance_check_degree_cap(self, mixed_spacetime, rng):
+    def test_invariance_check_degree_cap(self, mixed_spacetime):
         from lcqft.errors import DegreeCapExceeded
         big = alg.monomial(mixed_spacetime, (0, 1, 2, 3, 4))
         with pytest.raises(DegreeCapExceeded):
-            obs.invariant_projection_check(big, rng, samples=1)
+            obs.invariant_projection_check(big)
