@@ -31,7 +31,6 @@ import numpy as np
 from ._linalg import expm_taylor, nullspace, orthonormal_columns, principal_angles
 from .dynamics import (
     Perturbation,
-    Solution,
     evolve_data,
     null_derivatives,
     one_step_matrix,
@@ -49,6 +48,12 @@ ANGLE_TOL = 1e-9
 
 
 # -- commutant ---------------------------------------------------------------------
+#
+# A shift-commuting map is block circulant, X[(a, x), (b, x')] = g[a, b, x - x']
+# over the C = 2|nu| channels (q then p, species-major), so it is stored as its
+# coordinates g of shape (C, C, N) and applied as a circular convolution over
+# sites. The Frobenius product of two such maps is N times the dot product of
+# their coordinates.
 
 def _channel_count(st: LatticeSpacetime) -> int:
     return 2 * st.n_species
@@ -60,8 +65,27 @@ def _coords_to_matrix(g: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
     C, N = _channel_count(st), st.n_sites
     x = np.arange(N)
     offset = (x[:, None] - x[None, :]) % N
-    X = g[:, :, offset]               # (C, C, N, N)
+    X = np.reshape(g, (C, C, N))[:, :, offset]      # (C, C, N, N)
     return X.transpose(0, 2, 1, 3).reshape(C * N, C * N)
+
+
+def site_fft(coords: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
+    """Real site-FFT (n, C, C, N//2 + 1) of coordinate rows: the Fourier
+    multipliers of the block-circulant maps."""
+    C, N = _channel_count(st), st.n_sites
+    return np.fft.rfft(np.reshape(coords, (-1, C, C, N)), axis=-1)
+
+
+def apply_coords(g_hat: np.ndarray, vecs: np.ndarray, st: LatticeSpacetime
+                 ) -> np.ndarray:
+    """X(g) @ v for each map, given by its site-FFT (`site_fft`), and each
+    data vector v of vecs (..., dim): the circular convolution
+    sum_b sum_x' g[a, b, x - x'] v[b, x']. Returns (..., n, dim)."""
+    C, N = _channel_count(st), st.n_sites
+    v_hat = np.fft.rfft(np.reshape(vecs, (-1, C, N)), axis=-1)
+    out = np.fft.irfft(np.einsum("nabk,tbk->tnak", g_hat, v_hat, optimize=True),
+                       n=N, axis=-1)
+    return out.reshape(*np.shape(vecs)[:-1], g_hat.shape[0], C * N)
 
 
 def _evolution_commutator_operator(st: LatticeSpacetime) -> np.ndarray:
@@ -96,12 +120,11 @@ class CommutantBasis:
     """Real basis of {G : [G, shift] = 0, [G, one-step evolution] = 0}."""
 
     spacetime: LatticeSpacetime
-    matrices: np.ndarray          # (n_c, dim, dim)
     coords: np.ndarray            # (n_c, C*C*N) orthonormal rows
 
     @property
     def dimension(self) -> int:
-        return self.matrices.shape[0]
+        return self.coords.shape[0]
 
 
 def check_budget(spacetime: LatticeSpacetime):
@@ -114,14 +137,9 @@ def check_budget(spacetime: LatticeSpacetime):
 def build_commutant_basis(spacetime: LatticeSpacetime) -> CommutantBasis:
     """Dense nullspace of the evolution commutator inside the shift commutant."""
     check_budget(spacetime)
-    C, N = _channel_count(spacetime), spacetime.n_sites
-    L = _evolution_commutator_operator(spacetime)
-    basis, _, _ = nullspace(L, rel_tol=1e-10)
-    mats = np.stack([
-        _coords_to_matrix(basis[:, i].reshape(C, C, N), spacetime)
-        for i in range(basis.shape[1])
-    ]) if basis.shape[1] else np.zeros((0, C * N, C * N))
-    return CommutantBasis(spacetime, mats, basis.T)
+    basis, _, _ = nullspace(_evolution_commutator_operator(spacetime),
+                            rel_tol=1e-10)
+    return CommutantBasis(spacetime, basis.T.copy())
 
 
 def expected_commutant_dimension(spacetime: LatticeSpacetime) -> int:
@@ -133,66 +151,55 @@ def expected_commutant_dimension(spacetime: LatticeSpacetime) -> int:
 
 # -- zero-mode quarantine -------------------------------------------------------------
 
-def _massless_zero_mode_projector(st: LatticeSpacetime) -> np.ndarray:
-    """Projector onto the massless spatial zero mode (both channels)."""
-    S, N = st.n_species, st.n_sites
-    dim = st.data_dim
-    P = np.zeros((dim, dim))
+def _massless_channels(st: LatticeSpacetime) -> np.ndarray:
+    """Channel indices (q and p) of the massless species."""
     if st.spectrum.massless_count == 0:
-        return P
+        return np.zeros(0, dtype=int)
     block = st.spectrum.block_slice(0.0)
-    J = np.full((N, N), 1.0 / N)
-    for s in range(block.start, block.stop):
-        for chan in (0, 1):
-            base = chan * S * N + s * N
-            P[base: base + N, base: base + N] = J
-    return P
+    s = np.arange(block.start, block.stop)
+    return np.concatenate([s, s + st.n_species])
+
+
+def _zero_mode_part(coords: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
+    """Coordinates of P X P, with P the projector onto the massless spatial
+    zero mode: the site mean of each massless x massless channel entry,
+    at every offset, and zero elsewhere."""
+    C, N = _channel_count(st), st.n_sites
+    g = np.reshape(coords, (-1, C, C, N))
+    z = _massless_channels(st)
+    out = np.zeros_like(g)
+    zz = (slice(None), z[:, None], z[None, :])
+    out[zz] = g[zz].mean(axis=-1, keepdims=True)
+    return out.reshape(np.shape(coords))
 
 
 def split_zero_mode(basis: CommutantBasis):
     """Split the commutant into massless-zero-mode-supported directions and
-    their orthogonal complement (the active directions that constraints see)."""
+    their orthogonal complement (the active directions that constraints see).
+
+    Both are coordinate rows scaled by 1/sqrt(N), so that their maps are
+    orthonormal in the Frobenius product."""
     st = basis.spacetime
-    P = _massless_zero_mode_projector(st)
-    if st.spectrum.massless_count == 0:
-        quarantined = np.zeros_like(basis.matrices)
-    else:
-        quarantined = P[None] @ basis.matrices @ P[None]
-    active = basis.matrices - quarantined
-    n, dim, _ = basis.matrices.shape
-    q_basis = orthonormal_columns(quarantined.reshape(n, dim * dim).T)
-    a_basis = orthonormal_columns(active.reshape(n, dim * dim).T)
-    q_mats = np.stack([v.reshape(dim, dim) for v in q_basis.T]) \
-        if q_basis.shape[1] else np.zeros((0, dim, dim))
-    a_mats = np.stack([v.reshape(dim, dim) for v in a_basis.T]) \
-        if a_basis.shape[1] else np.zeros((0, dim, dim))
-    return a_mats, q_mats
+    scale = 1.0 / np.sqrt(st.n_sites)
+    if st.spectrum.massless_count == 0:   # rows already orthonormal
+        return scale * basis.coords, basis.coords[:0]
+    quarantined = _zero_mode_part(basis.coords, st)
+    active = orthonormal_columns((basis.coords - quarantined).T).T
+    return scale * active, scale * orthonormal_columns(quarantined.T).T
 
 
-def project_out_massless_zero_mode(vec: np.ndarray, st: LatticeSpacetime
+def project_out_massless_zero_mode(vecs: np.ndarray, st: LatticeSpacetime
                                    ) -> np.ndarray:
-    P = _massless_zero_mode_projector(st)
-    return vec - P @ vec
+    """Data vectors (..., dim) with the site mean of every massless channel
+    removed."""
+    C, N = _channel_count(st), st.n_sites
+    v = np.array(vecs, dtype=float).reshape(-1, C, N)
+    z = _massless_channels(st)
+    v[:, z] -= v[:, z].mean(axis=-1, keepdims=True)
+    return v.reshape(np.shape(vecs))
 
 
 # -- constraint assembly ---------------------------------------------------------------
-
-@dataclass(eq=False)
-class ConstraintSystem:
-    """Linear system for commutant coefficients from polarized null-energy
-    preservation at sampled lattice points."""
-
-    spacetime: LatticeSpacetime
-    generators: np.ndarray        # (n_act, dim, dim) active commutant matrices
-    rows: np.ndarray              # (n_rows, n_act)
-    nullity_history: list[int]
-
-    def add_rows(self, rows: np.ndarray):
-        self.rows = np.concatenate([self.rows, rows], axis=0)
-
-    def nullspace(self, rel_tol: float = RANK_REL_TOL):
-        return nullspace(self.rows, rel_tol)
-
 
 def default_sample_points(st: LatticeSpacetime) -> list[tuple[int, int, int]]:
     """(t, x, sign) triples covering one spatial period in time and a spread
@@ -202,10 +209,13 @@ def default_sample_points(st: LatticeSpacetime) -> list[tuple[int, int, int]]:
     return [(t, x, s) for t in ts for x in xs for s in (+1, -1)]
 
 
-def constraint_rows_for_solution(generators: np.ndarray, phi_vec: np.ndarray,
+def constraint_rows_for_solution(g_hat: np.ndarray, phi_vec: np.ndarray,
                                  st: LatticeSpacetime,
                                  points: list[tuple[int, int, int]]) -> np.ndarray:
-    """One row per sampled point: <D phi, D (G phi)>(t, x) for each generator."""
+    """One row per sampled point: <D phi, D (G phi)>(t, x) for each generator
+    G, given by the site-FFT of its coordinates (`site_fft`). Each G commutes
+    with the one-step evolution, so (G phi)(t) = G (phi(t)) and only phi is
+    evolved."""
     S, N = st.n_species, st.n_sites
     half = S * N
     t_max = max(t for t, _, _ in points)
@@ -218,12 +228,11 @@ def constraint_rows_for_solution(generators: np.ndarray, phi_vec: np.ndarray,
     qt, pt = evolve_data(q0, p0, st, 0, t_max, trajectory=True)
     dp_base, dm_base = null_derivatives(qt, pt)
 
-    g_vecs = generators @ phi_vec                      # (n_act, dim)
-    qg, pg = unpack(g_vecs)
-    qgt, pgt = evolve_data(qg, pg, st, 0, t_max, trajectory=True)
-    dp_g, dm_g = null_derivatives(qgt, pgt)            # (T1, n_act, S, N)
+    data = np.concatenate([qt.real, pt.real], axis=1).reshape(len(qt), -1)
+    qg, pg = unpack(apply_coords(g_hat, data, st))     # (T1, n_act, S, N)
+    dp_g, dm_g = null_derivatives(qg, pg)
 
-    rows = np.empty((len(points), generators.shape[0]))
+    rows = np.empty((len(points), g_hat.shape[0]))
     for r, (t, x, sign) in enumerate(points):
         base = (dp_base if sign > 0 else dm_base)[t, :, x]
         gen = (dp_g if sign > 0 else dm_g)[t, :, :, x]
@@ -231,58 +240,44 @@ def constraint_rows_for_solution(generators: np.ndarray, phi_vec: np.ndarray,
     return rows
 
 
-def linearized_set_constraints(basis_matrices: np.ndarray,
-                               samples: list[tuple[Solution, int, int, int]],
-                               st: LatticeSpacetime) -> ConstraintSystem:
-    """Assemble the constraint system from explicit (solution, t, x, sign)
-    samples; classify itself uses the batched per-solution path."""
-    by_sol: dict[int, tuple[Solution, list]] = {}
-    for sol, t, x, sign in samples:
-        key = id(sol)
-        by_sol.setdefault(key, (sol, []))[1].append((t, x, sign))
-    all_rows = []
-    for sol, pts in by_sol.values():
-        all_rows.append(constraint_rows_for_solution(
-            basis_matrices, sol.vec().real, st, pts))
-    rows = np.concatenate(all_rows, axis=0) if all_rows else \
-        np.zeros((0, basis_matrices.shape[0]))
-    return ConstraintSystem(st, basis_matrices, rows, [])
-
-
 def canonical_sample_vectors(st: LatticeSpacetime) -> np.ndarray:
     """All canonical basis data vectors, massless zero mode projected out."""
-    dim = st.data_dim
-    vecs = np.eye(dim)
-    return np.stack([project_out_massless_zero_mode(v, st) for v in vecs])
+    return project_out_massless_zero_mode(np.eye(st.data_dim), st)
 
 
 # -- expected generators -----------------------------------------------------------------
 
+def species_rotation_coords(st: LatticeSpacetime, s1: int, s2: int
+                            ) -> np.ndarray:
+    """Coordinates (C, C, N) of the in-block antisymmetric generator
+    e_{s2 s1} - e_{s1 s2}, acting identically on both channels at every
+    site (offset 0)."""
+    S, C, N = st.n_species, _channel_count(st), st.n_sites
+    g = np.zeros((C, C, N))
+    for chan in (0, S):
+        g[chan + s2, chan + s1, 0] = 1.0
+        g[chan + s1, chan + s2, 0] = -1.0
+    return g
+
+
 def species_rotation_generator(st: LatticeSpacetime, s1: int, s2: int
                                ) -> np.ndarray:
-    """In-block antisymmetric generator e_{s2 s1} - e_{s1 s2}, acting
-    identically on both channels at every site."""
-    S, N = st.n_species, st.n_sites
-    A = np.zeros((S, S))
-    A[s2, s1] = 1.0
-    A[s1, s2] = -1.0
-    block = np.kron(A, np.eye(N))
-    dim = st.data_dim
-    out = np.zeros((dim, dim))
-    half = dim // 2
-    out[:half, :half] = block
-    out[half:, half:] = block
-    return out
+    return _coords_to_matrix(species_rotation_coords(st, s1, s2), st)
+
+
+def expected_so_coords(st: LatticeSpacetime) -> np.ndarray:
+    """Coordinate rows (n_so, C*C*N) of the in-block rotation generators."""
+    C, N = _channel_count(st), st.n_sites
+    return np.array([species_rotation_coords(st, s1, s2).ravel()
+                     for _, block in st.spectrum.block_slices()
+                     for s1 in range(block.start, block.stop)
+                     for s2 in range(s1 + 1, block.stop)]).reshape(-1, C * C * N)
 
 
 def expected_so_generators(st: LatticeSpacetime) -> np.ndarray:
-    gens = []
-    for _, block in st.spectrum.block_slices():
-        for s1 in range(block.start, block.stop):
-            for s2 in range(s1 + 1, block.stop):
-                gens.append(species_rotation_generator(st, s1, s2))
     dim = st.data_dim
-    return np.stack(gens) if gens else np.zeros((0, dim, dim))
+    return np.array([_coords_to_matrix(g, st) for g in expected_so_coords(st)]
+                    ).reshape(-1, dim, dim)
 
 
 def expected_so_dimension(st: LatticeSpacetime) -> int:
@@ -327,23 +322,20 @@ def generator_soundness(st: LatticeSpacetime, generator: np.ndarray,
 
 
 def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float:
-    """Direct check that representative reflections (det = -1 blocks) preserve
-    the pointwise null energy: covers the disconnected component of the group."""
+    """Direct check that one reflection per mass block (`block_reflections`)
+    preserves the pointwise null energy: with the rotations they reach every
+    component of the group."""
     from .dynamics import null_energy_grid
-    from .gauge import GaugeElement, classical_action
+    from .gauge import block_reflections, classical_action
 
-    blocks = []
-    for _, k in st.spectrum.entries:
-        R = np.eye(k)
-        R[0, 0] = -1.0
-        blocks.append(R)
-    g = GaugeElement(st.spectrum, tuple(blocks),
-                     np.zeros(st.spectrum.massless_count))
+    reflections = block_reflections(st.spectrum)
     res = 0.0
     for _ in range(3):
         phi = solution_from_vec(st, rng.standard_normal(st.data_dim))
-        res = max(res, float(np.max(np.abs(
-            null_energy_grid(classical_action(g, phi)) - null_energy_grid(phi)))))
+        base = null_energy_grid(phi)
+        for g in reflections:
+            res = max(res, float(np.max(np.abs(
+                null_energy_grid(classical_action(g, phi)) - base))))
     return res
 
 
@@ -361,26 +353,25 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
     commutant = build_commutant_basis(st)
     active, quarantined = split_zero_mode(commutant)
     n_act = active.shape[0]
+    g_hat = site_fft(active, st)
     points = sample_points if sample_points is not None \
         else default_sample_points(st)
 
-    # canonical batch (deterministic), then independent random batches
-    rows = [constraint_rows_for_solution(active, v, st, points)
-            for v in canonical_sample_vectors(st)]
-    system = ConstraintSystem(st, active, np.concatenate(rows, axis=0), [])
-    null_basis, rank0, cond = system.nullspace()
-    system.nullity_history.append(n_act - rank0)
+    # canonical batch (deterministic), then independent random batches; the
+    # stacked rows are kept as their QR triangle, which has the same
+    # singular values and right singular vectors
+    R = np.zeros((0, n_act))
+    hist = []
+    for batch in range(1 + random_batches):
+        vecs = canonical_sample_vectors(st) if batch == 0 else [
+            project_out_massless_zero_mode(rng.standard_normal(st.data_dim), st)
+            for _ in range(batch_size)]
+        R = np.linalg.qr(np.vstack(
+            [R] + [constraint_rows_for_solution(g_hat, v, st, points)
+                   for v in vecs]), mode="r")
+        null_basis, rank, cond = nullspace(R, RANK_REL_TOL)
+        hist.append(n_act - rank)
 
-    for _ in range(random_batches):
-        batch = [project_out_massless_zero_mode(
-            rng.standard_normal(st.data_dim), st) for _ in range(batch_size)]
-        new_rows = [constraint_rows_for_solution(active, v, st, points)
-                    for v in batch]
-        system.add_rows(np.concatenate(new_rows, axis=0))
-        null_basis, rank, cond = system.nullspace()
-        system.nullity_history.append(n_act - rank)
-
-    hist = system.nullity_history
     if len(hist) >= 3 and not (hist[-1] == hist[-2] == hist[-3]):
         raise InsufficientSamples(
             f"nullspace not plateaued: history {hist}")
@@ -388,20 +379,13 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
     dimension = hist[-1]
     expected = expected_so_dimension(st)
 
-    # expected generators, active parts, in coefficient coordinates
-    so_gens = expected_so_generators(st)
-    P = _massless_zero_mode_projector(st)
-    flat_active = active.reshape(n_act, -1)
-    rep_residual = 0.0
-    if so_gens.shape[0]:
-        so_active = so_gens - P[None] @ so_gens @ P[None]
-        # coefficients of so_active over the (orthonormal) active basis
-        so_coeffs = so_active.reshape(so_active.shape[0], -1) @ flat_active.T
-        recon = so_coeffs @ flat_active
-        rep_residual = float(np.max(np.abs(
-            recon - so_active.reshape(so_active.shape[0], -1))))
-    else:
-        so_coeffs = np.zeros((0, n_act))
+    # active parts of the expected generators, as coefficients over the
+    # Frobenius-orthonormal active basis (<X(g), X(h)> = N g . h)
+    so_coords = expected_so_coords(st)
+    so_active = so_coords - _zero_mode_part(so_coords, st)
+    so_coeffs = st.n_sites * so_active @ active.T
+    rep_residual = float(np.max(np.abs(so_coeffs @ active - so_active))) \
+        if so_coords.shape[0] else 0.0
 
     angles = principal_angles(
         orthonormal_columns(null_basis) if null_basis.size else null_basis,
@@ -412,16 +396,13 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
     # reported generators: on a match, the canonical completion by full
     # in-block rotations (the active nullspace fixes the combination); on a
     # mismatch, the raw active directions are reported as findings.
-    generators = []
-    soundness = {"sigma": 0.0, "null_energy": 0.0, "rce_commute": 0.0}
     if match and dimension:
         combos = np.linalg.lstsq(so_coeffs.T, null_basis, rcond=None)[0]
-        for i in range(dimension):
-            gen = np.tensordot(combos[:, i], so_gens, axes=(0, 0))
-            generators.append(gen)
-    elif dimension:
-        for i in range(dimension):
-            generators.append(np.tensordot(null_basis[:, i], active, axes=(0, 0)))
+        gen_coords = combos.T @ so_coords
+    else:
+        gen_coords = null_basis.T @ active
+    generators = [_coords_to_matrix(g, st) for g in gen_coords]
+    soundness = {"sigma": 0.0, "null_energy": 0.0, "rce_commute": 0.0}
     for gen in generators:
         res = generator_soundness(st, gen, rng)
         for key in soundness:

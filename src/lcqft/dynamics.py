@@ -194,6 +194,10 @@ class Perturbation:
         return np.array(sorted(idx), dtype=int)
 
 
+# the shortest time extent (in steps) on which a test function is accepted
+TEST_FUNCTION_MIN_STEPS = 4
+
+
 @dataclass(frozen=True, eq=False)
 class TestFunction:
     """Spacetime-smearing function, compactly supported in slices [1, T-2]."""
@@ -207,7 +211,7 @@ class TestFunction:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (S, T1, N):
             raise SupportViolation(f"values must have shape ({S}, {T1}, {N})")
-        if self.spacetime.n_steps < 4:
+        if self.spacetime.n_steps < TEST_FUNCTION_MIN_STEPS:
             raise SupportViolation("time extent too short for a test function")
         bad = np.any(vals[:, 0] != 0) or np.any(vals[:, -2:] != 0)
         if bad:

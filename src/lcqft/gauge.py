@@ -108,6 +108,20 @@ def group_inverse(g: GaugeElement) -> GaugeElement:
     return GaugeElement(g.spectrum, blocks, ell)
 
 
+def block_reflections(spectrum: MassSpectrum) -> list[GaugeElement]:
+    """One reflection per mass block: diag(-1, 1, ..., 1) in that block, the
+    identity in the others, no shift. With the in-block rotations they
+    generate O(nu); a single reflection in all blocks at once reaches only
+    one of the 2^B - 1 non-identity components for B blocks."""
+    out = []
+    for b in range(len(spectrum.entries)):
+        blocks = [np.eye(k) for _, k in spectrum.entries]
+        blocks[b][0, 0] = -1.0
+        out.append(GaugeElement(spectrum, tuple(blocks),
+                                np.zeros(spectrum.massless_count)))
+    return out
+
+
 def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum,
                  with_ell: bool = True, ell_scale: float = 1.0) -> GaugeElement:
     """Orthogonalized Gaussian blocks with balanced determinant signs."""

@@ -19,7 +19,7 @@ from .algebra import (AlgebraElement, _sparse_columns, check_degree_cap,
 from .classify import expected_so_generators
 from .dynamics import ScalarData, embed_scalar, require_charge_zero
 from .errors import MassNotInSpectrum, NoMasslessSpecies
-from .gauge import GaugeElement, QuantumAction, ell_basis_values
+from .gauge import QuantumAction, block_reflections, ell_basis_values
 from .spacetime import LatticeSpacetime
 
 
@@ -99,21 +99,16 @@ def invariant_projection_check(a: AlgebraElement, degree_cap: int = 4,
                                tol: float = 1e-10) -> tuple[bool, float]:
     """True iff a is fixed by the whole gauge group O(nu) x| R^{nu(0)*}:
     every in-block rotation generator and every affine shift derivative
-    annihilates a, and one reflection per mass block fixes it (one in all
-    blocks at once would miss 2^(blocks - 1) components). Returns the worst
-    residual either way."""
+    annihilates a, and one reflection per mass block
+    (`gauge.block_reflections`) fixes it. Returns the worst residual either
+    way."""
     check_degree_cap(a, degree_cap)
     st = a.spacetime
-    entries = st.spectrum.entries
     residual = 0.0
     for gen in expected_so_generators(st):
         residual = max(residual,
                        derivation(a, _sparse_columns(gen)).max_abs())
-    for b in range(len(entries)):
-        blocks = [np.eye(k) for _, k in entries]
-        blocks[b][0, 0] = -1.0
-        g = GaugeElement(st.spectrum, tuple(blocks),
-                         np.zeros(st.spectrum.massless_count))
+    for g in block_reflections(st.spectrum):
         residual = max(residual, max_coeff_diff(QuantumAction(g, st)(a), a))
     for j in range(st.spectrum.massless_count):
         residual = max(residual, affine_derivative(a, j).max_abs())

@@ -130,7 +130,19 @@ class LatticeSpacetime:
             raise LcqftError("n_steps must be >= 1")
         if not (0 < self.dt <= 0.9):
             raise LcqftError("dt must lie in (0, 0.9] (explicit stepper margin)")
+        self._check_elliptic()
         self._check_mode_separation()
+
+    def _check_elliptic(self):
+        # The explicit stepper keeps a mode bounded only while
+        # dt^2 w^2 < 4, with w^2 = m^2 + 4 sin^2(pi k / N); the heaviest
+        # mass at the highest lattice momentum k = floor(N/2) is the worst.
+        n, m = self.n_sites, max(self.spectrum.masses)
+        w2 = m * m + 4.0 * math.sin(math.pi * (n // 2) / n) ** 2
+        if self.dt * self.dt * w2 >= 4.0:
+            raise LcqftError(
+                f"mode of mass {m} is not elliptic at dt={self.dt} "
+                f"(dt^2 w^2 = {self.dt * self.dt * w2:.3g} >= 4)")
 
     def _check_mode_separation(self):
         # Distinct continuum masses must stay spectrally distinct on the

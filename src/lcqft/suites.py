@@ -57,10 +57,12 @@ DEFAULT_TOLERANCES = {
 PERT_FIRST, PERT_ROWS = 3, 3
 DIAMOND_SLICE, DIAMOND_LENGTH = 3, 3
 
-# the smallest (n_sites, n_steps) on which each suite's draws fit
+# the smallest (n_sites, n_steps) on which each suite's draws fit; the gauge
+# suite also smears fields with test functions
 MIN_LATTICE = {
     "rce": (0, PERT_FIRST + PERT_ROWS - 1),
-    "gauge": (DIAMOND_LENGTH + 2, DIAMOND_SLICE),
+    "gauge": (DIAMOND_LENGTH + 2,
+              max(DIAMOND_SLICE, dyn.TEST_FUNCTION_MIN_STEPS)),
 }
 
 

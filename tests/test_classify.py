@@ -14,6 +14,24 @@ def _st(spec, n=8, steps=16):
     return LatticeSpacetime(n, steps, 0.5, MassSpectrum.parse(spec))
 
 
+def _dense_basis(st):
+    """The commutant basis as flattened dense matrices, one row each."""
+    return np.array([clf._coords_to_matrix(g, st).ravel()
+                     for g in clf.build_commutant_basis(st).coords])
+
+
+def _orthonormal_rows(mat, tol=1e-10):
+    _, s, vt = np.linalg.svd(mat, full_matrices=False)
+    return vt[: int(np.sum(s > tol * s[0]))] if s.size and s[0] > 0 \
+        else mat[:0]
+
+
+def _max_sine(a_rows, b_rows):
+    """Largest principal-angle sine between two orthonormal row spans."""
+    resid = b_rows - (b_rows @ a_rows.T) @ a_rows
+    return float(np.linalg.norm(resid, 2)) if resid.size else 0.0
+
+
 class TestCommutant:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -42,14 +60,13 @@ class TestCommutant:
         U = dyn.one_step_matrix(st)
         P = dyn.shift_matrix(st)
         for i in range(0, basis.dimension, 7):
-            G = basis.matrices[i]
+            G = clf._coords_to_matrix(basis.coords[i], st)
             assert np.max(np.abs(G @ U - U @ G)) < 1e-10
             assert np.max(np.abs(G @ P - P @ G)) < 1e-12
 
     def test_contains_identity_and_mode_rotations(self):
         st = _st("1:1")
-        basis = clf.build_commutant_basis(st)
-        flat = basis.matrices.reshape(basis.dimension, -1)
+        flat = _dense_basis(st)
         dim = st.data_dim
 
         def in_span(M):
@@ -63,8 +80,7 @@ class TestCommutant:
 
     def test_so_generators_are_members(self):
         st = _st("1:2,2:3")
-        basis = clf.build_commutant_basis(st)
-        flat = basis.matrices.reshape(basis.dimension, -1)
+        flat = _dense_basis(st)
         for G in clf.expected_so_generators(st):
             v = G.ravel()
             coeff, *_ = np.linalg.lstsq(flat.T, v, rcond=None)
@@ -75,21 +91,24 @@ class TestCommutant:
 class TestConstraints:
     def test_so_rows_vanish(self, rng):
         st = _st("1:2")
-        gens = clf.expected_so_generators(st)
-        points = clf.default_sample_points(st)
+        g_hat = clf.site_fft(clf.expected_so_coords(st), st)
+        points = clf.default_sample_points(st) + [(0, 1, +1), (3, 4, -1)]
         for _ in range(5):
-            vec = rng.standard_normal(st.data_dim)
-            rows = clf.constraint_rows_for_solution(gens, vec, st, points)
+            vec = dyn.random_solution(rng, st, complex_data=False).vec().real
+            rows = clf.constraint_rows_for_solution(g_hat, vec, st, points)
+            assert rows.shape == (len(points), 1)
             assert np.max(np.abs(rows)) < 1e-12
 
     def test_symmetric_species_matrix_violates(self, rng):
         # the trace direction (identity on one block) scales the energy
         st = _st("1:2")
-        dim = st.data_dim
-        gens = np.eye(dim)[None, :, :]
-        vec = rng.standard_normal(dim)
+        C, N = 2 * st.n_species, st.n_sites
+        g = np.zeros((C, C, N))
+        g[np.arange(C), np.arange(C), 0] = 1.0
+        assert np.array_equal(clf._coords_to_matrix(g, st), np.eye(st.data_dim))
+        vec = rng.standard_normal(st.data_dim)
         rows = clf.constraint_rows_for_solution(
-            gens, vec, st, clf.default_sample_points(st))
+            clf.site_fft(g, st), vec, st, clf.default_sample_points(st))
         assert np.max(np.abs(rows)) > 1e-2
 
     def test_mode_dependent_rotation_violates(self, rng):
@@ -98,31 +117,110 @@ class TestConstraints:
         st = _st("1:1")
         N, dt = st.n_sites, st.dt
         k = 2
-        x = np.arange(N)
-        proj = np.cos(2 * np.pi * k * (x[:, None] - x[None, :]) / N) * 2 / N
+        proj = np.cos(2 * np.pi * k * np.arange(N) / N) * 2 / N  # by offset
         w2 = 1.0 + 4 * np.sin(np.pi * k / N) ** 2
         s = np.sqrt(dt * dt * w2 * (1 - dt * dt * w2 / 4))
-        G = np.zeros((st.data_dim, st.data_dim))
-        half = st.data_dim // 2
-        G[:half, half:] = (dt / s) * proj
-        G[half:, :half] = -(s / dt) * proj
+        g = np.zeros((2, 2, N))
+        g[0, 1] = (dt / s) * proj
+        g[1, 0] = -(s / dt) * proj
+        G = clf._coords_to_matrix(g, st)
         U = dyn.one_step_matrix(st)
         assert np.max(np.abs(G @ U - U @ G)) < 1e-12  # genuinely in commutant
         vec = rng.standard_normal(st.data_dim)
         rows = clf.constraint_rows_for_solution(
-            G[None], vec, st, clf.default_sample_points(st))
+            clf.site_fft(g, st), vec, st, clf.default_sample_points(st))
         assert np.max(np.abs(rows)) > 1e-3
 
-    def test_spec_level_operation(self, rng):
-        st = _st("1:2")
-        gens = clf.expected_so_generators(st)
-        sols = [dyn.random_solution(rng, st, complex_data=False)
-                for _ in range(3)]
-        samples = [(sol, t, x, sign) for sol in sols
-                   for (t, x, sign) in [(0, 1, +1), (3, 4, -1)]]
-        system = clf.linearized_set_constraints(gens, samples, st)
-        assert system.rows.shape == (6, gens.shape[0])
-        assert np.max(np.abs(system.rows)) < 1e-12
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2"])
+    def test_rows_match_evolved_generator_images(self, spec, rng):
+        # rows come from G applied to each slice of the evolved phi; for a
+        # commutant element that equals evolving the dense image G phi
+        st = _st(spec)
+        S, N, half = st.n_species, st.n_sites, st.data_dim // 2
+        active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
+        coords = active[::5]
+        points = clf.default_sample_points(st)
+        t_max = max(t for t, _, _ in points)
+        vec = clf.project_out_massless_zero_mode(
+            rng.standard_normal(st.data_dim), st)
+        rows = clf.constraint_rows_for_solution(
+            clf.site_fft(coords, st), vec, st, points)
+
+        def null_derivs(v):
+            q, p = dyn.evolve_data(v[:half].reshape(S, N), v[half:].reshape(S, N),
+                                   st, 0, t_max, trajectory=True)
+            return dyn.null_derivatives(q, p)
+
+        base = null_derivs(vec)
+        for j, g in enumerate(coords):
+            image = null_derivs(clf._coords_to_matrix(g, st) @ vec)
+            want = []
+            for t, x, sign in points:
+                d = 0 if sign > 0 else 1          # (D_plus, D_minus)
+                want.append(np.real(image[d][t, :, x] @ base[d][t, :, x]))
+            assert np.max(np.abs(rows[:, j] - want)) < 1e-12
+
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
+    def test_applying_coordinates_matches_dense(self, spec, rng):
+        st = _st(spec)
+        coords = rng.standard_normal((3, (2 * st.n_species) ** 2 * st.n_sites))
+        vec = rng.standard_normal(st.data_dim)
+        applied = clf.apply_coords(clf.site_fft(coords, st), vec, st)
+        for g, out in zip(coords, applied):
+            dense = clf._coords_to_matrix(g, st) @ vec
+            assert np.max(np.abs(out - dense)) < 1e-13 * max(
+                1.0, np.max(np.abs(dense)))
+
+
+class TestZeroModeSplit:
+    @staticmethod
+    def _dense_projector(st):
+        """Projector onto the spatial zero mode of each massless channel."""
+        S, N = st.n_species, st.n_sites
+        block = st.spectrum.block_slice(0.0)
+        P = np.zeros((st.data_dim, st.data_dim))
+        for s in range(block.start, block.stop):
+            for base in (s * N, S * N + s * N):
+                P[base:base + N, base:base + N] = 1.0 / N
+        return P
+
+    @pytest.mark.parametrize("spec", ["0:1,1:2", "0:2"])
+    def test_matches_dense_projection(self, spec):
+        st = _st(spec)
+        P = self._dense_projector(st)
+        basis = clf.build_commutant_basis(st)
+        mats = [clf._coords_to_matrix(g, st) for g in basis.coords]
+        dense_q = _orthonormal_rows(np.array([(P @ M @ P).ravel() for M in mats]))
+        dense_a = _orthonormal_rows(
+            np.array([(M - P @ M @ P).ravel() for M in mats]))
+
+        active, quarantined = clf.split_zero_mode(basis)
+        act = np.array([clf._coords_to_matrix(g, st).ravel() for g in active])
+        quar = np.array([clf._coords_to_matrix(g, st).ravel()
+                         for g in quarantined])
+        nu0 = st.spectrum.massless_count
+        assert len(quar) == len(dense_q) == 2 * nu0 * nu0
+        assert len(act) == len(dense_a) == len(mats) - 2 * nu0 * nu0
+        # each map has unit Frobenius norm, and the maps are orthonormal
+        assert np.max(np.abs(act @ act.T - np.eye(len(act)))) < 1e-12
+        assert np.max(np.abs(quar @ quar.T - np.eye(len(quar)))) < 1e-12
+        assert _max_sine(dense_a, act) < 1e-12
+        assert _max_sine(dense_q, quar) < 1e-12
+
+    def test_massive_spectrum_quarantines_nothing(self):
+        st = _st("1:2,2:3")
+        active, quarantined = clf.split_zero_mode(clf.build_commutant_basis(st))
+        assert quarantined.shape[0] == 0
+        assert active.shape[0] == clf.expected_commutant_dimension(st)
+
+    def test_sample_vectors_lose_the_zero_mode(self, rng):
+        st = _st("0:1,1:2")
+        P = self._dense_projector(st)
+        vecs = rng.standard_normal((4, st.data_dim))
+        projected = clf.project_out_massless_zero_mode(vecs, st)
+        assert np.max(np.abs(projected - (vecs - vecs @ P))) < 1e-14
+        assert np.max(np.abs(clf.canonical_sample_vectors(st)
+                             - (np.eye(st.data_dim) - P))) < 1e-15
 
 
 class TestClassify:
@@ -147,6 +245,22 @@ class TestClassify:
         assert res["soundness_null_energy"] < 1e-9
         assert res["soundness_rce_commute"] < 1e-8
         assert res["reflection_null_energy"] < 1e-12
+        assert res["so_representation"] < 1e-12
+
+    def test_reflection_residual_reflects_each_block(self, monkeypatch):
+        # every block reflection is applied to each of the three solutions
+        from lcqft import gauge as gg
+        st = _st("1:2,2:3")
+        seen = []
+        real_action = gg.classical_action
+
+        def counting(g, phi):
+            seen.append(tuple(round(float(np.linalg.det(R))) for R in g.blocks))
+            return real_action(g, phi)
+
+        monkeypatch.setattr(gg, "classical_action", counting)
+        assert clf.reflection_residual(st, np.random.default_rng(0)) < 1e-12
+        assert sorted(seen) == sorted([(-1, 1), (1, -1)] * 3)
 
     def test_generators_exponentiate_to_block_rotations(self):
         report = clf.classify(_st("1:2"), seed=0)
@@ -169,6 +283,7 @@ class TestClassify:
         assert report["zero_mode_dimension"] == 2  # 2 nu(0)^2
         assert report["match"] is True
         assert report["dimension"] == 1
+        assert report["residuals"]["so_representation"] < 1e-12
         assert any("quarantined" in line for line in report["findings"])
         report2 = clf.classify(_st("0:2"), seed=0, quantized=True)
         assert report2["zero_mode_dimension"] == 8

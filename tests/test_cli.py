@@ -193,6 +193,9 @@ class TestCliProcess:
         ["verify", "rce", "--spectrum", "1:2", "--steps", "1"],
         ["verify", "gauge", "--spectrum", "1:2", "--sites", "4", "--steps", "4"],
         ["verify", "gauge", "--spectrum", "1:2", "--steps", "2"],
+        ["verify", "gauge", "--spectrum", "1:2", "--sites", "8", "--steps", "3"],
+        ["verify", "all", "--spectrum", "5:1", "--sites", "8"],
+        ["classify", "--spectrum", "5:1", "--sites", "8"],
     ])
     def test_config_error_before_any_suite(self, argv, monkeypatch, capsys):
         def never(config):

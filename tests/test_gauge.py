@@ -71,6 +71,21 @@ class TestGroupLaw:
         with pytest.raises(SpectrumMismatch):
             gg.group_compose(g, h)
 
+    @pytest.mark.parametrize("spec", ["1:1", "1:3", "0:1,1:2", "1:2,2:3,3:1"])
+    def test_block_reflections(self, spec):
+        # one element per mass block, det = -1 in exactly that block and the
+        # identity in the others, with no shift
+        spectrum = MassSpectrum.parse(spec)
+        reflections = gg.block_reflections(spectrum)
+        assert len(reflections) == len(spectrum.entries)
+        for b, g in enumerate(reflections):
+            dets = [round(float(np.linalg.det(R))) for R in g.blocks]
+            assert dets == [-1 if i == b else 1 for i in range(len(dets))]
+            for i, (R, (_, k)) in enumerate(zip(g.blocks, spectrum.entries)):
+                if i != b:
+                    assert np.array_equal(R, np.eye(k))
+            assert not np.any(g.ell)
+
     def test_determinant_components_sampled(self, rng):
         spec = MassSpectrum.parse("1:3")
         dets = {round(float(np.linalg.det(gg.random_gauge(rng, spec).blocks[0])))

@@ -59,6 +59,31 @@ class TestLatticeSpacetime:
         with pytest.raises(LcqftError):
             LatticeSpacetime(8, 8, 0.95, MassSpectrum.parse("1:1"))
 
+    def test_non_elliptic_rejected(self):
+        # dt^2 (m^2 + 4 sin^2(pi floor(N/2) / N)) must stay below 4: at dt=0.9
+        # a unit mass fails on N=6 (w^2 = 5) but passes on N=5 (w^2 = 4.62)
+        with pytest.raises(LcqftError, match="not elliptic"):
+            LatticeSpacetime(6, 8, 0.9, MassSpectrum.parse("1:1"))
+        LatticeSpacetime(5, 8, 0.9, MassSpectrum.parse("1:1"))
+        with pytest.raises(LcqftError, match="not elliptic"):
+            _st("0:1,5:1")
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 9])
+    def test_elliptic_iff_every_mode_frequency_exists(self, n):
+        import numpy as np
+        from lcqft.states import mode_frequencies
+        for dt in (0.5, 0.7, 0.9):
+            for mass in (0.0, 0.5, 1.0, 2.0, 3.5):
+                w2 = mass ** 2 + 4 * np.sin(np.pi * np.arange(n) / n) ** 2
+                stable = bool(np.all(dt * dt * w2 < 4.0))
+                spec = MassSpectrum.parse(f"{mass}:1")
+                if not stable:
+                    with pytest.raises(LcqftError):
+                        LatticeSpacetime(n, 8, dt, spec)
+                    continue
+                st_ = LatticeSpacetime(n, 8, dt, spec)
+                assert np.all(np.isfinite(mode_frequencies(st_, mass)))
+
     def test_mass_collision_detected(self):
         # massless kappa^2 = 1 at k = N/6 collides with massive m=1 at k=0
         with pytest.raises(MassCollision):

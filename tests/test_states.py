@@ -43,11 +43,14 @@ class TestKernel:
         # deviation of the kernel under time translation is confined to the
         # massless zero-mode coordinates (the free particle has no invariant
         # Gaussian); everything else is exactly invariant
-        from lcqft.classify import _massless_zero_mode_projector
-        vac = stt.vacuum_state(mixed_spacetime)
+        st_ = mixed_spacetime
+        S, N = st_.n_species, st_.n_sites
+        vac = stt.vacuum_state(st_)
         W = vac.two_point
-        P = _massless_zero_mode_projector(mixed_spacetime)
-        Q = np.eye(mixed_spacetime.data_dim) - P
+        P = np.zeros((st_.data_dim, st_.data_dim))
+        for base in (0, S * N):   # species 0 is the massless one, q and p
+            P[base:base + N, base:base + N] = 1.0 / N
+        Q = np.eye(st_.data_dim) - P
         for dt_ in (1, 3):
             T = solution_map(translation(mixed_spacetime, dt_, 0))
             dev = T.T @ W @ T - W
@@ -74,9 +77,13 @@ class TestKernel:
     def test_unstable_mode_rejected(self):
         from lcqft.spacetime import LatticeSpacetime, MassSpectrum
         from lcqft.errors import LcqftError
-        st_ = LatticeSpacetime(8, 8, 0.9, MassSpectrum.parse("4.5:1"))
         with pytest.raises(LcqftError):
-            stt.vacuum_state(st_)
+            stt.vacuum_state(
+                LatticeSpacetime(8, 8, 0.9, MassSpectrum.parse("4.5:1")))
+        # the frequency guard holds on its own for any mass it is given
+        st_ = LatticeSpacetime(8, 8, 0.9, MassSpectrum.parse("0.5:1"))
+        with pytest.raises(LcqftError, match="not elliptic"):
+            stt.mode_frequencies(st_, 4.5)
 
 
 class TestEvaluate:
