@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import serialize
-from .classify import classify
+from .classify import CHECKED_RESIDUALS, classify
 from .errors import ConfigParse, LcqftError
 from .spacetime import LatticeSpacetime, MassSpectrum
 from .suites import DEFAULT_TOLERANCES, RunConfig, SUITE_NAMES, run_suite
@@ -113,8 +113,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"dimension={report['dimension']} expected={report['expected']} "
                   f"match={ok}", file=sys.stderr)
             limit = DEFAULT_TOLERANCES["classify.soundness"]
-            for key, value in sorted(report["residuals"].items()):
-                if key.startswith("soundness_") and not value <= limit:
+            for key in CHECKED_RESIDUALS:
+                value = report["residuals"][key]
+                if not value <= limit:
                     print(f"{key}: residual {value:.3e} exceeds {limit:.1e}",
                           file=sys.stderr)
                     ok = False

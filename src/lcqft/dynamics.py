@@ -25,8 +25,6 @@ from .errors import (
 )
 from .spacetime import LatticeSpacetime
 
-RICHARDSON_STEPS = (1e-2, 5e-3, 2.5e-3)
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=complex)
@@ -482,24 +480,26 @@ def rce_matrix(pert: Perturbation) -> np.ndarray:
 
 
 def rce_derivative(pert: Perturbation, a: Solution, b: Solution) -> complex:
-    """d/ds sigma(rce[s v] a, b) at s=0.
+    """d/ds sigma(rce[s v] a, b) at s=0, exactly.
 
-    Central differences over the step sequence (1e-2, 5e-3, 2.5e-3) with two
-    levels of Richardson extrapolation. The resulting pairing is bilinear,
-    symmetric under exchange of a and b (the derivative map is symplectically
+    The force is linear in v, so the derivative of the perturbed stepper along
+    a's free trajectory is the free stepper driven from zero data by the
+    source _accel(q_a(t), v_t) - _accel(q_a(t), None); that tangent is brought
+    back to t=0 freely and paired with b. The pairing is bilinear, symmetric
+    under exchange of a and b (the derivative map is symplectically
     skew-adjoint), and weakly defines the derivative of the evolution family.
     """
     _same_spacetime(a, b)
-
-    def f(s):
-        return symplectic_form(relative_cauchy_evolution(a, pert.scaled(s)), b)
-
-    centrals = []
-    for s in RICHARDSON_STEPS:
-        centrals.append((f(s) - f(-s)) / (2 * s))
-    r1 = (4 * centrals[1] - centrals[0]) / 3
-    r2 = (4 * centrals[2] - centrals[1]) / 3
-    return (16 * r2 - r1) / 15
+    st = a.spacetime
+    T = st.n_steps
+    q_a, _ = evolve_data(a.q, a.p, st, 0, T, trajectory=True)
+    v = pert.v[:, None, :]
+    source = (_accel(q_a, st, v, pert.kind)
+              - _accel(q_a, st, None, pert.kind)).transpose(1, 0, 2)
+    zero = np.zeros_like(a.q)
+    q, p = evolve_data(zero, zero, st, 0, T, source=source)
+    q, p = evolve_data(q, p, st, T, 0)
+    return symplectic_form(Solution(st, q, p), b)
 
 
 # -- scalar (single-species) data for sector constructions -------------------------

@@ -3,14 +3,21 @@
 Everything here recomputes expected values by a route different from the
 production code: brute-force enumeration for causal structure, separate
 retarded/advanced source integration for the propagator, textbook mode
-matrices for the stepper, ordered Wick reduction for state evaluation, and a
-dense two-sided commutant intersection at tiny sizes.
+matrices for the stepper, a Richardson finite difference for the derivative
+of relative Cauchy evolution, ordered Wick reduction for state evaluation, a
+dense SVD nullspace of the evolution commutator for the classifier's
+commutant, and a dense two-sided commutant intersection at tiny sizes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from lcqft.dynamics import evolve_data
+from lcqft.dynamics import (
+    evolve_data,
+    one_step_matrix,
+    relative_cauchy_evolution,
+    symplectic_form,
+)
 from lcqft.spacetime import LatticeSpacetime
 
 
@@ -89,6 +96,20 @@ def advanced_solution_at_zero(f_values: np.ndarray, st: LatticeSpacetime):
     return q, p
 
 
+def richardson_rce_derivative(pert, a, b) -> complex:
+    """d/ds sigma(rce[s v] a, b) at s=0 by central differences over the steps
+    (1e-2, 5e-3, 2.5e-3) with two levels of Richardson extrapolation: full
+    relative Cauchy evolutions of the scaled perturbation, no tangent
+    dynamics."""
+    def f(s):
+        return symplectic_form(relative_cauchy_evolution(a, pert.scaled(s)), b)
+
+    centrals = [(f(s) - f(-s)) / (2 * s) for s in (1e-2, 5e-3, 2.5e-3)]
+    r1 = (4 * centrals[1] - centrals[0]) / 3
+    r2 = (4 * centrals[2] - centrals[1]) / 3
+    return (16 * r2 - r1) / 15
+
+
 # -- quasifree evaluation ---------------------------------------------------------------
 
 def ordered_wick(indices: tuple[int, ...], W: np.ndarray) -> complex:
@@ -158,3 +179,33 @@ def dense_commutant_dimension(shift: np.ndarray, onestep: np.ndarray,
     s = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(s > tol * s[0]))
     return d * d - rank
+
+
+def dense_evolution_commutant(st: LatticeSpacetime, rel_tol: float = 1e-10
+                              ) -> np.ndarray:
+    """Orthonormal block-circulant coordinate rows (n, C*C*N) of the maps
+    commuting with the one-step evolution U, as the SVD nullspace of the dense
+    operator g -> coords([X(g), U]) over all C x C x N coordinates.
+
+    For a parametrization element E_cc' (x) P^j the commutator's coordinates
+    are assembled from row and column slices of U, so the operator is built by
+    indexing alone. Cost O(C^6 N^3): tiny and moderate sizes only."""
+    C, N = 2 * st.n_species, st.n_sites
+    U = one_step_matrix(st)
+    n_p = C * C * N
+    L = np.zeros((n_p, n_p))
+    m = np.arange(N)
+    for c in range(C):
+        for cp in range(C):
+            for j in range(N):
+                col = (c * C + cp) * N + j
+                g = np.zeros((C, C, N))
+                # (X U) coords: delta_{a,c} U[(c', (m-j) mod N), (b, 0)]
+                rows = cp * N + (m - j) % N
+                g[c, :, :] += U[rows][:, np.arange(C) * N].T
+                # -(U X) coords: -delta_{b,c'} U[(a, m), (c, j)]
+                ucol = U[:, c * N + j].reshape(C, N)
+                g[:, cp, :] -= ucol
+                L[:, col] = g.ravel()
+    _, s, vt = np.linalg.svd(L)
+    return vt[int(np.sum(s > rel_tol * s[0])):]

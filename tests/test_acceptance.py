@@ -9,7 +9,7 @@ import pathlib
 import time
 
 from lcqft import serialize
-from lcqft.classify import classify
+from lcqft.classify import CHECKED_RESIDUALS, classify
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 from lcqft.suites import DEFAULT_TOLERANCES, RunConfig, run_suite
 
@@ -77,6 +77,8 @@ def test_criterion_3_rce_suite():
                  f"skew={suite['residuals']['derivative_skew_adjoint']:.2e} "
                  f"runtime={elapsed:.1f}s")
     assert suite["status"] == "pass", suite["findings"]
+    assert suite["thresholds"]["ell_deviation_mass_kind"] \
+        == DEFAULT_TOLERANCES["rce.ell_invariance"]
     assert elapsed < 30.0
 
 
@@ -92,8 +94,7 @@ def test_criterion_4_classification():
         for seed in range(5):
             report = classify(st, quantized=True, seed=seed)
             dims.add(report["dimension"])
-            for key in ("soundness_sigma", "soundness_null_energy",
-                        "soundness_rce_commute"):
+            for key in CHECKED_RESIDUALS:
                 worst_soundness = max(worst_soundness,
                                       report["residuals"][key])
             ok = ok and report["match"]

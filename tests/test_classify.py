@@ -7,7 +7,7 @@ from lcqft import dynamics as dyn
 from lcqft.errors import BudgetExceeded
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 
-from oracles import dense_commutant_dimension
+from oracles import dense_commutant_dimension, dense_evolution_commutant
 
 
 def _st(spec, n=8, steps=16):
@@ -46,13 +46,27 @@ class TestCommutant:
             assert basis.dimension == clf.expected_commutant_dimension(st)
 
     def test_dense_intersection_oracle_tiny(self):
-        # the production (block-circulant + dense evolution nullspace) result
-        # agrees with the literal two-sided dense commutant intersection
-        st = _st("1:1", n=4, steps=8)
-        production = clf.build_commutant_basis(st).dimension
-        oracle = dense_commutant_dimension(dyn.shift_matrix(st),
-                                           dyn.one_step_matrix(st))
-        assert production == oracle == 2 * 4 * 1
+        # the closed-form result agrees with the literal two-sided dense
+        # commutant intersection
+        for spec, expected in (("1:1", 8), ("0:2", 32), ("1:1,2:1", 16)):
+            st = _st(spec, n=4, steps=8)
+            production = clf.build_commutant_basis(st).dimension
+            oracle = dense_commutant_dimension(dyn.shift_matrix(st),
+                                               dyn.one_step_matrix(st))
+            assert production == oracle == expected, spec
+
+    @pytest.mark.parametrize("spec,n", [("1:2", 8), ("0:1,1:2", 8),
+                                        ("1:2,2:3", 8), ("1:2,2:3", 16)])
+    def test_matches_dense_evolution_nullspace(self, spec, n):
+        # the closed form spans the SVD nullspace of the dense evolution
+        # commutator on block-circulant coordinates: all principal angles 0
+        st = _st(spec, n=n)
+        closed = clf.build_commutant_basis(st).coords
+        dense = dense_evolution_commutant(st)
+        assert closed.shape == dense.shape
+        assert np.max(np.abs(closed @ closed.T - np.eye(len(closed)))) < 1e-13
+        assert _max_sine(closed, dense) < 1e-12
+        assert _max_sine(dense, closed) < 1e-12
 
     def test_elements_commute(self, rng):
         st = _st("1:2")

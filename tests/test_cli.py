@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcqft import cli, serialize, suites
+from lcqft.classify import CHECKED_RESIDUALS
 from lcqft.cli import main
 from lcqft.suites import (DEFAULT_TOLERANCES, GOLDEN_CONFIGS, RunConfig,
                           run_suite)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports" / "golden"
+
+# classify report residuals that the suite and the CLI must hold to
+# `classify.soundness`, spelled out so that dropping one from
+# `classify.CHECKED_RESIDUALS` fails a test
+CLASSIFY_CHECKS = ["soundness_sigma", "soundness_null_energy",
+                   "soundness_rce_commute", "reflection_null_energy",
+                   "so_representation"]
 
 
 class TestSerializer:
@@ -213,14 +221,56 @@ class TestCliProcess:
                                                   capsys):
         def matched_but_unsound(spacetime, quantized, seed):
             return {"dimension": 1, "expected": 1, "match": True,
-                    "residuals": {"soundness_sigma": soundness,
-                                  "soundness_null_energy": 0.0,
-                                  "soundness_rce_commute": 0.0}}
+                    "residuals": {**dict.fromkeys(CHECKED_RESIDUALS, 0.0),
+                                  "soundness_sigma": soundness}}
 
         monkeypatch.setattr(cli, "classify", matched_but_unsound)
         out = tmp_path / "classify.json"
         assert main(["classify", "--spectrum", "1:2",
                      "--out", str(out)]) == code
+
+    @staticmethod
+    def _matched_report(bad_key):
+        residuals = dict.fromkeys(CHECKED_RESIDUALS, 0.0)
+        residuals[bad_key] = 1e-6
+        return {"dimension": 1, "expected": 1, "match": True,
+                "zero_mode_dimension": 0, "commutant_dimension": 32,
+                "residuals": residuals, "findings": []}
+
+    @pytest.mark.parametrize("key", CLASSIFY_CHECKS)
+    def test_classify_exit_code_checks_each_residual(self, key, monkeypatch,
+                                                     tmp_path, capsys):
+        monkeypatch.setattr(cli, "classify",
+                            lambda spacetime, quantized, seed:
+                            self._matched_report(key))
+        out = tmp_path / "classify.json"
+        assert main(["classify", "--spectrum", "1:2",
+                     "--out", str(out)]) == 1
+        assert f"{key}: residual 1.000e-06 exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", CLASSIFY_CHECKS)
+    def test_classify_suite_checks_each_residual(self, key, monkeypatch):
+        monkeypatch.setattr(suites, "classify",
+                            lambda st, quantized, seed: self._matched_report(key))
+        result = suites.classify_suite(RunConfig(spectrum="1:2",
+                                                 suite="classify"))
+        assert result["status"] == "fail"
+        assert result["thresholds"][key] == DEFAULT_TOLERANCES["classify.soundness"]
+        assert result["findings"] == [
+            f"{key}: residual 1.000e-06 exceeds 1.0e-08"]
+
+
+def test_rce_suite_checks_the_mass_kind_deviation(monkeypatch):
+    # ell_deviation_mass_kind must lie above its threshold: a relative Cauchy
+    # evolution that moved nothing would keep the charge and fail only there
+    monkeypatch.setattr(suites.dyn, "relative_cauchy_evolution",
+                        lambda sol, pert: sol)
+    result = suites.rce_suite(RunConfig(spectrum="0:1,1:2", suite="rce"))
+    assert result["status"] == "fail"
+    assert result["thresholds"]["ell_deviation_mass_kind"] \
+        == DEFAULT_TOLERANCES["rce.ell_invariance"]
+    assert result["findings"][1:] == [
+        "ell_deviation_mass_kind: value 0.000e+00 not above 1.0e-09"]
 
 
 @pytest.mark.parametrize("suite", ["rce", "gauge"])

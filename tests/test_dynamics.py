@@ -9,7 +9,8 @@ from lcqft.errors import OutOfRange, SpacetimeMismatch, SupportViolation
 from lcqft.gauge import classical_action, random_gauge
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum, cauchy_extension
 
-from oracles import advanced_solution_at_zero, mode_matrix
+from oracles import (advanced_solution_at_zero, mode_matrix,
+                     richardson_rce_derivative)
 
 
 class TestStep:
@@ -300,17 +301,37 @@ class TestRceDerivative:
         assert abs(dyn.rce_derivative(pert, a, a.conjugate())) > 1e-3
 
     def test_local_density_identity(self, mixed_spacetime, rng):
-        # frozen resolution of the density question: the pairing equals
-        # dt * sum_{t,x} v(t,x) q_a(t,x) q_b(t,x) on free trajectories
-        pert = _perturbation(rng, mixed_spacetime)
-        for _ in range(3):
-            a = dyn.random_solution(rng, mixed_spacetime)
-            b = dyn.random_solution(rng, mixed_spacetime)
-            qa, _ = dyn.trajectory(a)
-            qb, _ = dyn.trajectory(b)
-            expected = mixed_spacetime.dt * np.sum(
-                pert.v[:, None, :] * qa * qb)
-            assert abs(dyn.rce_derivative(pert, a, b) - expected) < 1e-8
+        # frozen resolution of the density question: on free trajectories the
+        # pairing equals dt * sum_{t,x} v(t,x) D q_a(t,x) D q_b(t,x), with D
+        # the identity for the mass coupling and the forward site difference
+        # (the edge of weight 1 + v) for the gradient coupling
+        def forward_difference(q):
+            return np.roll(q, -1, axis=-1) - q
+
+        for kind, D in (("mass", lambda q: q),
+                        ("gradient", forward_difference)):
+            pert = _perturbation(rng, mixed_spacetime, kind=kind)
+            for _ in range(3):
+                a = dyn.random_solution(rng, mixed_spacetime)
+                b = dyn.random_solution(rng, mixed_spacetime)
+                qa, _ = dyn.trajectory(a)
+                qb, _ = dyn.trajectory(b)
+                expected = mixed_spacetime.dt * np.sum(
+                    pert.v[:, None, :] * D(qa) * D(qb))
+                assert abs(dyn.rce_derivative(pert, a, b) - expected) \
+                    < 1e-12 * abs(expected), kind
+
+    def test_matches_richardson_oracle(self, mixed_spacetime, rng):
+        # the tangent-dynamics value against finite differences of full
+        # relative Cauchy evolutions (truncation error about 5e-12 here)
+        for kind in ("mass", "gradient"):
+            pert = _perturbation(rng, mixed_spacetime, kind=kind)
+            for _ in range(3):
+                a = dyn.random_solution(rng, mixed_spacetime)
+                b = dyn.random_solution(rng, mixed_spacetime)
+                exact = dyn.rce_derivative(pert, a, b)
+                assert abs(exact - richardson_rce_derivative(pert, a, b)) \
+                    < 1e-10 * max(1.0, abs(exact)), kind
 
     def test_set_pairing_with_conjugate(self, mixed_spacetime, rng):
         # sigma(F[v] phi, conj phi) = dt sum v |phi|^2 >= 0 for v >= 0
