@@ -23,7 +23,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--spectra", default="1:1,,1:2,,1:3,,1:2,2:3,,0:1,1:2",
                         help="double-comma-separated spectrum strings")
-    parser.add_argument("--sites", default="8,12,16")
+    parser.add_argument("--sites", default="8,12,16,32")
     parser.add_argument("--steps", type=int, default=16)
     parser.add_argument("--dt", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)

@@ -9,11 +9,16 @@ The classification proceeds at the Lie algebra level:
    is dt), and distinct masses share no mode eigenvalue, so the commutant is
    gl(nu(m)) (x) span{1, U_k} per mass block, built in closed form.
 2. Constraints: preserving the pointwise null energy, linearized at the
-   identity and polarized, gives one row per (sample solution, point, null
-   direction): <D phi, D (G phi)>(t, x) = 0 for both null contractions D.
-3. Nullspace: with the rank plateau confirmed over independent sample
-   batches, the surviving directions are compared (dimension and principal
-   angles) against the in-block antisymmetric species generators.
+   identity and polarized, reads <D phi, D (G phi)>(t, x) = 0 for every
+   solution phi, point (t, x) and null contraction D_+-. A commutant element
+   commutes with the shift and the evolution, so the condition at (0, 0)
+   implies it everywhere; there D_+- has full row rank, and the condition
+   holds iff D_+- G P = A_+- D_+- P for some A_+- in so(S), with P removing
+   the massless zero mode. That is one linear system in the commutant
+   coefficients of G and A_+-, with no sampling and no time evolution.
+3. Nullspace: the coefficient part of the system's nullspace is compared
+   (dimension and principal angles) against the in-block antisymmetric
+   species generators.
 
 Massless species on a compact Cauchy slice carry a genuine lattice artifact:
 the spatial zero mode is a free particle, and the maps supported entirely in
@@ -31,17 +36,16 @@ import numpy as np
 from ._linalg import expm_taylor, nullspace, orthonormal_columns, principal_angles
 from .dynamics import (
     Perturbation,
-    evolve_data,
     null_derivatives,
     one_step_matrix,
     rce_matrix,
     solution_from_vec,
     symplectic_matrix,
 )
-from .errors import BudgetExceeded, InsufficientSamples
+from .errors import BudgetExceeded
 from .spacetime import LatticeSpacetime
 
-BUDGET_SITES = 16
+BUDGET_SITES = 32
 BUDGET_SPECIES = 5
 RANK_REL_TOL = 1e-8
 ANGLE_TOL = 1e-9
@@ -73,25 +77,6 @@ def _coords_to_matrix(g: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
     offset = (x[:, None] - x[None, :]) % N
     X = np.reshape(g, (C, C, N))[:, :, offset]      # (C, C, N, N)
     return X.transpose(0, 2, 1, 3).reshape(C * N, C * N)
-
-
-def site_fft(coords: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
-    """Real site-FFT (n, C, C, N//2 + 1) of coordinate rows: the Fourier
-    multipliers of the block-circulant maps."""
-    C, N = _channel_count(st), st.n_sites
-    return np.fft.rfft(np.reshape(coords, (-1, C, C, N)), axis=-1)
-
-
-def apply_coords(g_hat: np.ndarray, vecs: np.ndarray, st: LatticeSpacetime
-                 ) -> np.ndarray:
-    """X(g) @ v for each map, given by its site-FFT (`site_fft`), and each
-    data vector v of vecs (..., dim): the circular convolution
-    sum_b sum_x' g[a, b, x - x'] v[b, x']. Returns (..., n, dim)."""
-    C, N = _channel_count(st), st.n_sites
-    v_hat = np.fft.rfft(np.reshape(vecs, (-1, C, N)), axis=-1)
-    out = np.fft.irfft(np.einsum("nabk,tbk->tnak", g_hat, v_hat, optimize=True),
-                       n=N, axis=-1)
-    return out.reshape(*np.shape(vecs)[:-1], g_hat.shape[0], C * N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,49 +183,51 @@ def project_out_massless_zero_mode(vecs: np.ndarray, st: LatticeSpacetime
 
 
 # -- constraint assembly ---------------------------------------------------------------
+#
+# D_+- are the null derivatives at slice 0, site 0, one row per species:
+# D_+- phi = p_s(0) +- (q_s(1) - q_s(-1))/2 (see step 2 of the module
+# docstring for why this one point suffices).
 
-def default_sample_points(st: LatticeSpacetime) -> list[tuple[int, int, int]]:
-    """(t, x, sign) triples covering one spatial period in time and a spread
-    of sites, both null directions."""
-    ts = list(range(min(st.n_sites, st.n_steps) + 1))
-    xs = sorted({0, st.n_sites // 3, (2 * st.n_sites) // 3})
-    return [(t, x, s) for t in ts for x in xs for s in (+1, -1)]
-
-
-def constraint_rows_for_solution(g_hat: np.ndarray, phi_vec: np.ndarray,
-                                 st: LatticeSpacetime,
-                                 points: list[tuple[int, int, int]]) -> np.ndarray:
-    """One row per sampled point: <D phi, D (G phi)>(t, x) for each generator
-    G, given by the site-FFT of its coordinates (`site_fft`). Each G commutes
-    with the one-step evolution, so (G phi)(t) = G (phi(t)) and only phi is
-    evolved."""
+def _null_derivative_rows(g: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
+    """D_+- X(g) for coordinates g (n, C, C, N), with columns as data
+    vectors: (2, n, S, dim). Column (b, 0) of X(g) has site profile
+    g[:, b, :], so `null_derivatives` gives D at every site x applied to it;
+    by shift invariance, D at site 0 applied to column (b, x') is the value
+    at site -x'."""
     S, N = st.n_species, st.n_sites
-    half = S * N
-    t_max = max(t for t, _, _ in points)
-
-    def unpack(vecs):
-        return (vecs[..., :half].reshape(*vecs.shape[:-1], S, N),
-                vecs[..., half:].reshape(*vecs.shape[:-1], S, N))
-
-    q0, p0 = unpack(phi_vec)
-    qt, pt = evolve_data(q0, p0, st, 0, t_max, trajectory=True)
-    dp_base, dm_base = null_derivatives(qt, pt)
-
-    data = np.concatenate([qt.real, pt.real], axis=1).reshape(len(qt), -1)
-    qg, pg = unpack(apply_coords(g_hat, data, st))     # (T1, n_act, S, N)
-    dp_g, dm_g = null_derivatives(qg, pg)
-
-    rows = np.empty((len(points), g_hat.shape[0]))
-    for r, (t, x, sign) in enumerate(points):
-        base = (dp_base if sign > 0 else dm_base)[t, :, x]
-        gen = (dp_g if sign > 0 else dm_g)[t, :, :, x]
-        rows[r] = np.real(gen @ base)
-    return rows
+    q, p = np.swapaxes(g[:, :S], 1, 2), np.swapaxes(g[:, S:], 1, 2)
+    d = np.stack(null_derivatives(q, p))[..., -np.arange(N) % N]
+    return d.transpose(0, 1, 3, 2, 4).reshape(2, len(g), S, st.data_dim)
 
 
-def canonical_sample_vectors(st: LatticeSpacetime) -> np.ndarray:
-    """All canonical basis data vectors, massless zero mode projected out."""
-    return project_out_massless_zero_mode(np.eye(st.data_dim), st)
+def _so_basis(n: int) -> np.ndarray:
+    """e_lk - e_kl for k < l: a basis (n(n-1)/2, n, n) of so(n)."""
+    k, l = np.triu_indices(n, 1)
+    out = np.zeros((len(k), n, n))
+    out[np.arange(len(k)), l, k] = 1.0
+    out[np.arange(len(k)), k, l] = -1.0
+    return out
+
+
+def constraint_rows_for_solution(active: np.ndarray, st: LatticeSpacetime
+                                 ) -> np.ndarray:
+    """Rows (2 S dim, n_act + 2 n_so) of the linear system
+    D_+- X(g) P = A_+- D_+- P in the unknowns (c, A_+, A_-), where
+    g = c @ active, A_+- lie in so(S) and P removes the massless zero mode
+    (P is symmetric, so it acts on each row as on a data vector).
+    The name is kept for the `classify.constraints` span."""
+    S, C, N, dim = st.n_species, _channel_count(st), st.n_sites, st.data_dim
+    identity = np.zeros((1, C, C, N))
+    identity[0, np.arange(C), np.arange(C), 0] = 1.0
+    D = project_out_massless_zero_mode(
+        _null_derivative_rows(identity, st)[:, 0], st)         # (2, S, dim)
+    gens = project_out_massless_zero_mode(
+        _null_derivative_rows(active.reshape(-1, C, C, N), st), st)
+    gens = gens.reshape(2, len(active), S * dim).transpose(0, 2, 1)
+    so = _so_basis(S)
+    AD = -np.einsum("jkl,wld->wkdj", so, D).reshape(2, S * dim, len(so))
+    zero = np.zeros_like(AD[0])
+    return np.block([[gens[0], AD[0], zero], [gens[1], zero, AD[1]]])
 
 
 # -- expected generators -----------------------------------------------------------------
@@ -340,9 +327,7 @@ def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float
 # -- classification -----------------------------------------------------------------------------
 
 def classify(spacetime: LatticeSpacetime, quantized: bool = False,
-             seed: int = 0, random_batches: int = 3,
-             batch_size: int = 8,
-             sample_points: list[tuple[int, int, int]] | None = None) -> dict:
+             seed: int = 0) -> dict:
     """Report the space of infinitesimal endomorphism directions and compare
     it against the direct sum of in-block antisymmetric species generators
     (plus, in the quantized affine case, the massless shift directions)."""
@@ -350,31 +335,13 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
     rng = np.random.default_rng(seed)
     commutant = build_commutant_basis(st)
     active, quarantined = split_zero_mode(commutant)
-    n_act = active.shape[0]
-    g_hat = site_fft(active, st)
-    points = sample_points if sample_points is not None \
-        else default_sample_points(st)
 
-    # canonical batch (deterministic), then independent random batches; the
-    # stacked rows are kept as their QR triangle, which has the same
-    # singular values and right singular vectors
-    R = np.zeros((0, n_act))
-    hist = []
-    for batch in range(1 + random_batches):
-        vecs = canonical_sample_vectors(st) if batch == 0 else [
-            project_out_massless_zero_mode(rng.standard_normal(st.data_dim), st)
-            for _ in range(batch_size)]
-        R = np.linalg.qr(np.vstack(
-            [R] + [constraint_rows_for_solution(g_hat, v, st, points)
-                   for v in vecs]), mode="r")
-        null_basis, rank, cond = nullspace(R, RANK_REL_TOL)
-        hist.append(n_act - rank)
-
-    if len(hist) >= 3 and not (hist[-1] == hist[-2] == hist[-3]):
-        raise InsufficientSamples(
-            f"nullspace not plateaued: history {hist}")
-
-    dimension = hist[-1]
+    # A_+- are fixed by c (D_+- P has full row rank), so the c block of the
+    # nullspace has full column rank
+    null_basis, _, cond = nullspace(
+        constraint_rows_for_solution(active, st), RANK_REL_TOL)
+    null_basis = orthonormal_columns(null_basis[:len(active)])
+    dimension = null_basis.shape[1]
     expected = expected_so_dimension(st)
 
     # active parts of the expected generators, as coefficients over the
@@ -386,7 +353,7 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
         if so_coords.shape[0] else 0.0
 
     angles = principal_angles(
-        orthonormal_columns(null_basis) if null_basis.size else null_basis,
+        null_basis,
         orthonormal_columns(so_coeffs.T) if so_coeffs.size else so_coeffs.T)
     max_angle = float(np.max(angles)) if angles.size else 0.0
     match = bool(dimension == expected and max_angle < ANGLE_TOL)
@@ -429,7 +396,6 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
         "expected": int(expected),
         "match": match,
         "max_principal_angle": max_angle,
-        "nullity_history": hist,
         "generators": [g.tolist() for g in generators],
         "residuals": {
             "so_representation": rep_residual,

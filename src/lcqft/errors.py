@@ -94,7 +94,3 @@ class ConfigParse(LcqftError):
 class BudgetExceeded(ConfigParse):
     """Problem size exceeds the dense linear algebra budget (a configuration
     error: the CLI exits 2)."""
-
-
-class InsufficientSamples(LcqftError):
-    """Constraint rank has not plateaued; more sample solutions needed."""

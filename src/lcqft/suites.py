@@ -51,6 +51,12 @@ DEFAULT_TOLERANCES = {
     "classify.soundness": 1e-8,
 }
 
+# A central element must move by more than CENTRAL_MOVED_MIN under the
+# orthogonal factor; an affine shift direction must be an automorphism family
+# to within AFFINE_TOL.
+CENTRAL_MOVED_MIN = 0.5
+AFFINE_TOL = 1e-10
+
 # A random perturbation fills PERT_ROWS slices from slice PERT_FIRST or later;
 # a gauge-suite diamond has its base on slice DIAMOND_SLICE or later and
 # spans DIAMOND_LENGTH to n_sites - 2 sites.
@@ -537,7 +543,7 @@ def observables_suite(config: RunConfig) -> dict:
             rec.note(f"central element (species {entry['species']}): "
                      + entry["flag"])
         rec.below("central_commutators", worst, config.tol("observables.central"))
-        rec.above("central_moved_by_rotations", moved, 0.5)
+        rec.above("central_moved_by_rotations", moved, CENTRAL_MOVED_MIN)
     else:
         rec.note("no massless species: no central elements on this spectrum")
     return rec.result("observables", time.perf_counter() - t0)
@@ -566,7 +572,7 @@ def classify_suite(config: RunConfig) -> dict:
         rec.below(key, value, config.tol("classify.soundness"))
     if report.get("affine"):
         rec.below("affine_automorphism_residual",
-                  report["affine"]["residual"], 1e-10)
+                  report["affine"]["residual"], AFFINE_TOL)
     for line in report.get("findings", []):
         rec.note(line)
     return rec.result("classify", time.perf_counter() - t0)

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from lcqft._linalg import nullspace
+from lcqft.classify import project_out_massless_zero_mode
 from lcqft.dynamics import (
     evolve_data,
+    null_derivatives,
     one_step_matrix,
     relative_cauchy_evolution,
     symplectic_form,
@@ -209,3 +212,95 @@ def dense_evolution_commutant(st: LatticeSpacetime, rel_tol: float = 1e-10
                 L[:, col] = g.ravel()
     _, s, vt = np.linalg.svd(L)
     return vt[int(np.sum(s > rel_tol * s[0])):]
+
+
+# -- sampled null-energy constraints ---------------------------------------------------------
+
+def site_fft(coords: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
+    """Real site-FFT (n, C, C, N//2 + 1) of coordinate rows: the Fourier
+    multipliers of the block-circulant maps."""
+    C, N = 2 * st.n_species, st.n_sites
+    return np.fft.rfft(np.reshape(coords, (-1, C, C, N)), axis=-1)
+
+
+def apply_coords(g_hat: np.ndarray, vecs: np.ndarray, st: LatticeSpacetime
+                 ) -> np.ndarray:
+    """X(g) @ v for each map, given by its site-FFT (`site_fft`), and each
+    data vector v of vecs (..., dim): the circular convolution
+    sum_b sum_x' g[a, b, x - x'] v[b, x']. Returns (..., n, dim)."""
+    C, N = 2 * st.n_species, st.n_sites
+    v_hat = np.fft.rfft(np.reshape(vecs, (-1, C, N)), axis=-1)
+    out = np.fft.irfft(np.einsum("nabk,tbk->tnak", g_hat, v_hat, optimize=True),
+                       n=N, axis=-1)
+    return out.reshape(*np.shape(vecs)[:-1], g_hat.shape[0], C * N)
+
+
+def default_sample_points(st: LatticeSpacetime) -> list[tuple[int, int, int]]:
+    """(t, x, sign) triples covering one spatial period in time and a spread
+    of sites, both null directions."""
+    ts = list(range(min(st.n_sites, st.n_steps) + 1))
+    xs = sorted({0, st.n_sites // 3, (2 * st.n_sites) // 3})
+    return [(t, x, s) for t in ts for x in xs for s in (+1, -1)]
+
+
+def sampled_constraint_rows(g_hat: np.ndarray, phi_vec: np.ndarray,
+                            st: LatticeSpacetime,
+                            points: list[tuple[int, int, int]]) -> np.ndarray:
+    """One row per sampled point: <D phi, D (G phi)>(t, x) for each generator
+    G, given by the site-FFT of its coordinates (`site_fft`). Each G commutes
+    with the one-step evolution, so (G phi)(t) = G (phi(t)) and only phi is
+    evolved."""
+    S, N = st.n_species, st.n_sites
+    half = S * N
+    t_max = max(t for t, _, _ in points)
+
+    def unpack(vecs):
+        return (vecs[..., :half].reshape(*vecs.shape[:-1], S, N),
+                vecs[..., half:].reshape(*vecs.shape[:-1], S, N))
+
+    q0, p0 = unpack(phi_vec)
+    qt, pt = evolve_data(q0, p0, st, 0, t_max, trajectory=True)
+    dp_base, dm_base = null_derivatives(qt, pt)
+
+    data = np.concatenate([qt.real, pt.real], axis=1).reshape(len(qt), -1)
+    qg, pg = unpack(apply_coords(g_hat, data, st))     # (T1, n_act, S, N)
+    dp_g, dm_g = null_derivatives(qg, pg)
+
+    rows = np.empty((len(points), g_hat.shape[0]))
+    for r, (t, x, sign) in enumerate(points):
+        base = (dp_base if sign > 0 else dm_base)[t, :, x]
+        gen = (dp_g if sign > 0 else dm_g)[t, :, :, x]
+        rows[r] = np.real(gen @ base)
+    return rows
+
+
+def canonical_sample_vectors(st: LatticeSpacetime) -> np.ndarray:
+    """All canonical basis data vectors, massless zero mode projected out."""
+    return project_out_massless_zero_mode(np.eye(st.data_dim), st)
+
+
+def sampled_constraint_nullspace(st: LatticeSpacetime, active: np.ndarray,
+                                 seed: int = 0, random_batches: int = 3,
+                                 batch_size: int = 8, rel_tol: float = 1e-8):
+    """Nullspace (n_act, k) of the sampled constraint rows over the active
+    commutant rows, and the nullity after each batch: the canonical batch,
+    then independent random batches, stacked rows kept as their QR triangle.
+    Raises AssertionError unless the nullity is the same after the last
+    three batches."""
+    rng = np.random.default_rng(seed)
+    g_hat = site_fft(active, st)
+    points = default_sample_points(st)
+    R = np.zeros((0, active.shape[0]))
+    hist = []
+    for batch in range(1 + random_batches):
+        vecs = canonical_sample_vectors(st) if batch == 0 else [
+            project_out_massless_zero_mode(rng.standard_normal(st.data_dim), st)
+            for _ in range(batch_size)]
+        R = np.linalg.qr(np.vstack(
+            [R] + [sampled_constraint_rows(g_hat, v, st, points)
+                   for v in vecs]), mode="r")
+        null_basis, rank, _ = nullspace(R, rel_tol)
+        hist.append(active.shape[0] - rank)
+    assert len(hist) < 3 or hist[-1] == hist[-2] == hist[-3], \
+        f"nullspace not plateaued: history {hist}"
+    return null_basis, hist

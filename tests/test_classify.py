@@ -4,9 +4,11 @@ import pytest
 
 from lcqft import classify as clf
 from lcqft import dynamics as dyn
+from lcqft._linalg import nullspace, orthonormal_columns
 from lcqft.errors import BudgetExceeded
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 
+import oracles
 from oracles import dense_commutant_dimension, dense_evolution_commutant
 
 
@@ -35,7 +37,7 @@ def _max_sine(a_rows, b_rows):
 class TestCommutant:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            clf.build_commutant_basis(_st("1:1", n=32, steps=8))
+            clf.build_commutant_basis(_st("1:1", n=33, steps=8))
 
     def test_mode_counting_oracle(self):
         # real dimension 2 N sum_m nu(m)^2: two complex dimensions per species
@@ -102,30 +104,103 @@ class TestCommutant:
                 < 1e-12 * np.linalg.norm(v)
 
 
-class TestConstraints:
-    def test_so_rows_vanish(self, rng):
-        st = _st("1:2")
-        g_hat = clf.site_fft(clf.expected_so_coords(st), st)
-        points = clf.default_sample_points(st) + [(0, 1, +1), (3, 4, -1)]
-        for _ in range(5):
-            vec = dyn.random_solution(rng, st, complex_data=False).vec().real
-            rows = clf.constraint_rows_for_solution(g_hat, vec, st, points)
-            assert rows.shape == (len(points), 1)
-            assert np.max(np.abs(rows)) < 1e-12
+def _unexplained(rows, n):
+    """Least-squares residual norm of each of the first n columns of the
+    constraint rows against the A_+- columns: how far each map is from
+    solving D_+- X(g) P = A_+- D_+- P."""
+    a = np.linalg.lstsq(rows[:, n:], -rows[:, :n], rcond=None)[0]
+    return np.linalg.norm(rows[:, :n] + rows[:, n:] @ a, axis=0)
 
-    def test_symmetric_species_matrix_violates(self, rng):
+
+def _zero_mode_projector(st):
+    """Projector onto the spatial zero mode of each massless channel."""
+    S, N = st.n_species, st.n_sites
+    P = np.zeros((st.data_dim, st.data_dim))
+    if st.spectrum.massless_count == 0:
+        return P
+    block = st.spectrum.block_slice(0.0)
+    for s in range(block.start, block.stop):
+        for base in (s * N, S * N + s * N):
+            P[base:base + N, base:base + N] = 1.0 / N
+    return P
+
+
+def _dense_null_derivatives(st):
+    """D_+- at slice 0, site 0 as dense (2, S, dim) matrices, read off
+    `dynamics.null_derivatives` on every canonical basis vector."""
+    S, N, half = st.n_species, st.n_sites, st.data_dim // 2
+    eye = np.eye(st.data_dim)
+    dp, dm = dyn.null_derivatives(eye[:, :half].reshape(-1, S, N),
+                                  eye[:, half:].reshape(-1, S, N))
+    return np.stack([dp[:, :, 0].T, dm[:, :, 0].T])
+
+
+class TestConstraints:
+    SPECTRA = [("1:2,2:3", 8), ("1:2,2:3", 16), ("0:1,1:2", 8), ("0:1,1:2", 16),
+               ("1:3", 8), ("0:2", 8), ("1:1,2:1", 8)]
+
+    @pytest.mark.parametrize("spec,n", SPECTRA)
+    def test_matches_sampled_oracle(self, spec, n):
+        # the one-point closed form and null energies sampled on evolved
+        # solutions over many points and batches cut out the same directions
+        st = _st(spec, n=n)
+        active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
+        closed, _, _ = nullspace(clf.constraint_rows_for_solution(active, st))
+        closed = orthonormal_columns(closed[:len(active)])
+        sampled, _ = oracles.sampled_constraint_nullspace(st, active)
+        sampled = orthonormal_columns(sampled)
+        assert closed.shape == sampled.shape
+        assert closed.shape[1] == clf.expected_so_dimension(st)
+        assert _max_sine(closed.T, sampled.T) < 1e-12
+        assert _max_sine(sampled.T, closed.T) < 1e-12
+
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
+    def test_rows_match_dense_null_derivatives(self, spec, rng):
+        # each map's rows are D_+- X(g) P, the other columns -(E D_+- P) for
+        # a basis E of so(S), both signs stacked
+        st = _st(spec)
+        S, C, N, dim = st.n_species, 2 * st.n_species, st.n_sites, st.data_dim
+        coords = rng.standard_normal((3, C * C * N))
+        rows = clf.constraint_rows_for_solution(coords, st)
+        n_so = S * (S - 1) // 2
+        assert rows.shape == (2 * S * dim, 3 + 2 * n_so)
+        D = _dense_null_derivatives(st)
+        P = np.eye(dim) - _zero_mode_projector(st)
+        blocks = rows.reshape(2, S * dim, -1)
+        for sign in range(2):
+            for j, g in enumerate(coords):
+                want = D[sign] @ clf._coords_to_matrix(g, st) @ P
+                assert np.max(np.abs(blocks[sign, :, j] - want.ravel())) < 1e-13
+            A = blocks[sign, :, 3:].reshape(S, dim, 2, n_so)
+            assert np.max(np.abs(A[:, :, 1 - sign])) == 0.0
+            Es = []
+            for k in range(n_so):
+                E = -np.linalg.lstsq((D[sign] @ P).T, A[:, :, sign, k].T,
+                                     rcond=None)[0].T
+                assert np.max(np.abs(E + E.T)) < 1e-13
+                assert np.max(np.abs(A[:, :, sign, k] + E @ D[sign] @ P)) < 1e-13
+                Es.append(E.ravel())
+            assert np.linalg.matrix_rank(np.array(Es).reshape(n_so, -1)) == n_so
+
+    def test_so_rows_vanish(self):
+        # each in-block rotation solves the system with some A_+-
+        for spec in ("1:2", "0:1,1:2", "1:2,2:3"):
+            st = _st(spec)
+            so = clf.expected_so_coords(st)
+            assert np.max(_unexplained(
+                clf.constraint_rows_for_solution(so, st), len(so))) < 1e-12
+
+    def test_symmetric_species_matrix_violates(self):
         # the trace direction (identity on one block) scales the energy
         st = _st("1:2")
         C, N = 2 * st.n_species, st.n_sites
         g = np.zeros((C, C, N))
         g[np.arange(C), np.arange(C), 0] = 1.0
         assert np.array_equal(clf._coords_to_matrix(g, st), np.eye(st.data_dim))
-        vec = rng.standard_normal(st.data_dim)
-        rows = clf.constraint_rows_for_solution(
-            clf.site_fft(g, st), vec, st, clf.default_sample_points(st))
-        assert np.max(np.abs(rows)) > 1e-2
+        rows = clf.constraint_rows_for_solution(g[None], st)
+        assert _unexplained(rows, 1)[0] > 1e-3
 
-    def test_mode_dependent_rotation_violates(self, rng):
+    def test_mode_dependent_rotation_violates(self):
         # a phase rotation on a single momentum pair commutes with shift and
         # evolution but fails pointwise null-energy preservation
         st = _st("1:1")
@@ -140,25 +215,24 @@ class TestConstraints:
         G = clf._coords_to_matrix(g, st)
         U = dyn.one_step_matrix(st)
         assert np.max(np.abs(G @ U - U @ G)) < 1e-12  # genuinely in commutant
-        vec = rng.standard_normal(st.data_dim)
-        rows = clf.constraint_rows_for_solution(
-            clf.site_fft(g, st), vec, st, clf.default_sample_points(st))
-        assert np.max(np.abs(rows)) > 1e-3
+        rows = clf.constraint_rows_for_solution(g[None], st)
+        assert _unexplained(rows, 1)[0] > 1e-3
 
     @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2"])
     def test_rows_match_evolved_generator_images(self, spec, rng):
-        # rows come from G applied to each slice of the evolved phi; for a
-        # commutant element that equals evolving the dense image G phi
+        # the oracle's rows come from G applied to each slice of the evolved
+        # phi; for a commutant element that equals evolving the dense image
+        # G phi
         st = _st(spec)
         S, N, half = st.n_species, st.n_sites, st.data_dim // 2
         active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
         coords = active[::5]
-        points = clf.default_sample_points(st)
+        points = oracles.default_sample_points(st)
         t_max = max(t for t, _, _ in points)
         vec = clf.project_out_massless_zero_mode(
             rng.standard_normal(st.data_dim), st)
-        rows = clf.constraint_rows_for_solution(
-            clf.site_fft(coords, st), vec, st, points)
+        rows = oracles.sampled_constraint_rows(
+            oracles.site_fft(coords, st), vec, st, points)
 
         def null_derivs(v):
             q, p = dyn.evolve_data(v[:half].reshape(S, N), v[half:].reshape(S, N),
@@ -179,7 +253,7 @@ class TestConstraints:
         st = _st(spec)
         coords = rng.standard_normal((3, (2 * st.n_species) ** 2 * st.n_sites))
         vec = rng.standard_normal(st.data_dim)
-        applied = clf.apply_coords(clf.site_fft(coords, st), vec, st)
+        applied = oracles.apply_coords(oracles.site_fft(coords, st), vec, st)
         for g, out in zip(coords, applied):
             dense = clf._coords_to_matrix(g, st) @ vec
             assert np.max(np.abs(out - dense)) < 1e-13 * max(
@@ -187,21 +261,11 @@ class TestConstraints:
 
 
 class TestZeroModeSplit:
-    @staticmethod
-    def _dense_projector(st):
-        """Projector onto the spatial zero mode of each massless channel."""
-        S, N = st.n_species, st.n_sites
-        block = st.spectrum.block_slice(0.0)
-        P = np.zeros((st.data_dim, st.data_dim))
-        for s in range(block.start, block.stop):
-            for base in (s * N, S * N + s * N):
-                P[base:base + N, base:base + N] = 1.0 / N
-        return P
 
     @pytest.mark.parametrize("spec", ["0:1,1:2", "0:2"])
     def test_matches_dense_projection(self, spec):
         st = _st(spec)
-        P = self._dense_projector(st)
+        P = _zero_mode_projector(st)
         basis = clf.build_commutant_basis(st)
         mats = [clf._coords_to_matrix(g, st) for g in basis.coords]
         dense_q = _orthonormal_rows(np.array([(P @ M @ P).ravel() for M in mats]))
@@ -229,11 +293,11 @@ class TestZeroModeSplit:
 
     def test_sample_vectors_lose_the_zero_mode(self, rng):
         st = _st("0:1,1:2")
-        P = self._dense_projector(st)
+        P = _zero_mode_projector(st)
         vecs = rng.standard_normal((4, st.data_dim))
         projected = clf.project_out_massless_zero_mode(vecs, st)
         assert np.max(np.abs(projected - (vecs - vecs @ P))) < 1e-14
-        assert np.max(np.abs(clf.canonical_sample_vectors(st)
+        assert np.max(np.abs(oracles.canonical_sample_vectors(st)
                              - (np.eye(st.data_dim) - P))) < 1e-15
 
 
@@ -308,12 +372,6 @@ class TestClassify:
         assert report["affine"]["dimension"] == 2
         assert report["affine"]["residual"] < 1e-10
 
-    def test_plateau_history_recorded(self):
-        report = clf.classify(_st("1:2"), seed=3)
-        hist = report["nullity_history"]
-        assert len(hist) == 4
-        assert hist[-1] == hist[-2] == hist[-3]
-
     def test_report_schema(self):
         report = clf.classify(_st("1:2"), seed=0)
         for key in ("dimension", "expected", "match", "generators",
@@ -321,12 +379,3 @@ class TestClassify:
             assert key in report
         assert len(report["generators"]) == report["dimension"]
 
-
-class TestInsufficientSamples:
-    def test_thin_point_set_fails_plateau(self):
-        # a single sampled point cannot pin the constraint rank: the nullity
-        # keeps shrinking batch after batch and the plateau check raises
-        from lcqft.errors import InsufficientSamples
-        st = _st("1:2")
-        with pytest.raises(InsufficientSamples):
-            clf.classify(st, seed=0, sample_points=[(0, 0, +1)])

@@ -189,14 +189,22 @@ class TestCliProcess:
         assert report["dimension"] == 4
         assert report["match"] is True
 
+    def test_classify_site_budget(self, tmp_path, capsys):
+        assert main(["classify", "--spectrum", "1:2,2:3", "--sites", "33"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert main(["classify", "--spectrum", "1:2,2:3", "--sites", "32",
+                     "--out", str(tmp_path / "classify.json")]) == 0
+        assert "match=True" in capsys.readouterr().err
+
     def test_mass_collision_is_config_error(self, capsys):
         assert main(["verify", "ccr", "--spectrum", "0:1,1:1",
                      "--sites", "24"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relation=0"],
-        ["classify", "--spectrum", "1:2", "--sites", "32"],
-        ["verify", "all", "--spectrum", "1:2", "--sites", "32"],
+        ["classify", "--spectrum", "1:2", "--sites", "33"],
+        ["verify", "all", "--spectrum", "1:2", "--sites", "33"],
         ["verify", "classify", "--spectrum", "1:2,2:3,3:1", "--sites", "8"],
         ["verify", "rce", "--spectrum", "1:2", "--steps", "1"],
         ["verify", "gauge", "--spectrum", "1:2", "--sites", "4", "--steps", "4"],
