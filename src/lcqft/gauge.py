@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraElement, _sparse_columns, substitute_affine
+from .algebra import AlgebraElement, slot_map, substitute_affine
 from .dynamics import Solution
 from .errors import NoMasslessSpecies, NotOrthogonal, SpectrumMismatch
 from .spacetime import LatticeSpacetime, MassSpectrum
@@ -209,12 +209,12 @@ class QuantumAction:
         self.matrix = classical_action_matrix(g, spacetime)
         self.consts = (ell_basis_values(g.ell, spacetime)
                        if g.spectrum.massless_count else None)
-        self._cols = _sparse_columns(self.matrix)
+        self._slots = slot_map(self.matrix, self.consts)
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         if a.spacetime != self.spacetime:
             raise SpectrumMismatch("element over a different spacetime")
-        return substitute_affine(a, self._cols, self.consts)
+        return substitute_affine(a, self._slots)
 
 
 def quantum_action(g: GaugeElement, a: AlgebraElement) -> AlgebraElement:

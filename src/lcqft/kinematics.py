@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, _sparse_columns, max_coeff_diff, substitute_affine
+from .algebra import AlgebraElement, max_coeff_diff, slot_map, substitute_affine
 from .dynamics import (
     Solution,
     TestFunction,
@@ -51,41 +51,31 @@ def membership_residual(a: AlgebraElement, basis: np.ndarray) -> float:
 
     Applies the slot-wise orthogonal projection onto the span (the functorial
     action of the projector) and measures the coefficient change; zero iff
-    every tensor slot lies in the span. Degrees <= 2 go through dense numpy;
-    higher degrees fall back to the sparse substitution.
+    every tensor slot lies in the span. Degrees <= 2 go through dense numpy
+    (a vector and a symmetric matrix); higher degrees through the sparse
+    substitution.
     """
     P = subspace_projector(basis)
     dim = a.dim
+    degree = a.term_degrees()
     residual = 0.0
-    high: dict[tuple[int, ...], complex] = {}
-    vec1 = np.zeros(dim, dtype=complex)
-    mat2 = np.zeros((dim, dim), dtype=complex)
-    has1 = has2 = False
-    for idx, c in a.terms.items():
-        k = len(idx)
-        if k == 1:
-            vec1[idx[0]] += c
-            has1 = True
-        elif k == 2:
-            i, j = idx
-            if i == j:
-                mat2[i, i] += c
-            else:
-                mat2[i, j] += c / 2
-                mat2[j, i] += c / 2
-            has2 = True
-        elif k > 2:
-            high[idx] = c
-    if has1:
+    if np.any(degree == 1):
+        vec1 = np.zeros(dim, dtype=complex)
+        vec1[a.digits[-1, degree == 1] - 1] = a.coeffs[degree == 1]
         residual = max(residual, float(np.max(np.abs(vec1 - P @ vec1))))
-    if has2:
+    if np.any(degree == 2):
+        i, j = a.digits[-2:, degree == 2] - 1
+        c = a.coeffs[degree == 2]
+        mat2 = np.zeros((dim, dim), dtype=complex)
+        mat2[i, j] = np.where(i == j, c, c / 2)
+        mat2[j, i] = mat2[i, j]
         diff = mat2 - P @ mat2 @ P.T
         off = np.abs(diff) * 2
         np.fill_diagonal(off, np.abs(np.diag(diff)))
         residual = max(residual, float(np.max(off)))
-    if high:
-        rest = AlgebraElement(a.spacetime, high)
-        projected = substitute_affine(rest, _sparse_columns(P))
+    if np.any(degree > 2):
+        rest = a.select(degree > 2)
+        projected = substitute_affine(rest, slot_map(P))
         residual = max(residual, max_coeff_diff(rest, projected))
     return residual
 

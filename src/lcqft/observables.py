@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, _sparse_columns, check_degree_cap,
-                      derivation, field, max_coeff_diff, zero)
+from .algebra import (AlgebraElement, check_degree_cap, derivation, field,
+                      max_coeff_diff, slot_map, zero)
 from .classify import expected_so_generators
 from .dynamics import ScalarData, embed_scalar, require_charge_zero
 from .errors import MassNotInSpectrum, NoMasslessSpecies
@@ -92,7 +92,8 @@ def affine_derivative(a: AlgebraElement, direction: int) -> AlgebraElement:
         raise NoMasslessSpecies("affine directions need nu(0) > 0")
     e_j = np.zeros(st.spectrum.massless_count)
     e_j[direction] = 1.0
-    return derivation(a, [()] * st.data_dim, ell_basis_values(e_j, st))
+    return derivation(a, slot_map(np.zeros((st.data_dim, st.data_dim)),
+                                  ell_basis_values(e_j, st)))
 
 
 def invariant_projection_check(a: AlgebraElement, degree_cap: int = 4,
@@ -107,7 +108,7 @@ def invariant_projection_check(a: AlgebraElement, degree_cap: int = 4,
     residual = 0.0
     for gen in expected_so_generators(st):
         residual = max(residual,
-                       derivation(a, _sparse_columns(gen)).max_abs())
+                       derivation(a, slot_map(gen)).max_abs())
     for g in block_reflections(st.spectrum):
         residual = max(residual, max_coeff_diff(QuantumAction(g, st)(a), a))
     for j in range(st.spectrum.massless_count):

@@ -169,7 +169,7 @@ class LatticeSpacetime:
         """Number of time slices, t = 0 .. n_steps."""
         return self.n_steps + 1
 
-    @property
+    @cached_property
     def data_dim(self) -> int:
         """Real canonical dimension of the Cauchy-data space: 2 |nu| N."""
         return 2 * self.n_species * self.n_sites

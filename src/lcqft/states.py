@@ -3,7 +3,8 @@
 A quasifree state is fixed by its complex bilinear two-point kernel
 W = mu + (i/2) sigma, with mu the real symmetric covariance; it evaluates on
 a symmetric monomial phi_1 ... phi_k as the perfect-matching (hafnian) sum of
-mu over the index pairs, and is extended linearly over the sparse terms.
+mu over the index pairs, and is extended linearly over the sparse terms, all
+terms at once in one array pass over the pairings of slot positions.
 
 The vacuum kernel is built per species from the exact one-step evolution map:
 an elliptic mode with cos(Omega) = 1 - dt^2 w^2 / 2 has the invariant
@@ -73,6 +74,16 @@ class QuasifreeState:
         mu = np.asarray(self.mu, dtype=float).copy()
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
+        # mu over slot digits (index + 1), where the empty digit 0 pairs with
+        # nothing, in three tables: [0] for any two slots; [1] for the slots
+        # (2i, 2i + 1), where two empty digits pair at weight 1; [2], which
+        # is 1 on two empty digits and 0 elsewhere
+        wick = np.zeros((3, len(mu) + 1, len(mu) + 1))
+        wick[:2, 1:, 1:] = mu
+        wick[1:, 0, 0] = 1.0
+        wick.setflags(write=False)
+        object.__setattr__(self, "_wick", wick)
+        object.__setattr__(self, "_pairing_tables", {})
 
     @property
     def two_point(self) -> np.ndarray:
@@ -80,12 +91,26 @@ class QuasifreeState:
         return self.mu + 0.5j * symplectic_matrix(self.spacetime)
 
     def evaluate(self, a: AlgebraElement) -> complex:
-        """Linear extension of the hafnian pairing sum; omega(1) = 1."""
+        """Linear extension of the hafnian pairing sum; omega(1) = 1.
+
+        All terms are summed at once over the pairings of the slots of
+        `a.digits`. A term's empty slots come first, and an empty slot pairs
+        only with an empty slot and only as (2i, 2i + 1). So a pairing
+        contributes to a term iff it pairs the empty slots that way and the
+        term's indices among themselves, and the sum over pairings is the
+        term's hafnian. With an odd number of slots, the pairings are those
+        of the slots after the first (counting i from there), times a factor
+        that is 1 iff the first slot is empty: else the term has the odd
+        degree D and hafnian 0."""
         check_degree_cap(a, self.degree_cap)
-        total = 0.0 + 0.0j
-        for idx, c in a.terms.items():
-            total += c * _hafnian(self.mu, idx)
-        return total
+        D = len(a.digits)
+        if D not in self._pairing_tables:
+            self._pairing_tables[D] = _pairing_table(D)
+        pairs, table = self._pairing_tables[D]
+        at = a.digits[pairs]
+        weight = self._wick[table, at[:, :, 0], at[:, :, 1]]
+        haf = np.add.reduce(np.multiply.reduce(weight, 1), 0)
+        return complex(a.coeffs @ haf)
 
     def kernel_to_json(self) -> dict:
         W = self.two_point
@@ -93,24 +118,31 @@ class QuasifreeState:
                 "label": self.label, "flags": list(self.flags)}
 
 
-def _hafnian(mu: np.ndarray, idx: tuple[int, ...]) -> float:
-    """Sum over perfect matchings of mu-products; 0 for odd length."""
-    k = len(idx)
-    if k == 0:
-        return 1.0
-    if k % 2:
-        return 0.0
+def _pairing_table(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairings of D slots for `QuasifreeState.evaluate`: slot pairs
+    (n, ceil(D / 2), 2) and the `_wick` table of each pair (n, ceil(D / 2), 1).
+    For odd D, the first slot is paired with itself under table 2."""
+    odd = D % 2
+    pairs = list(_pairings(tuple(range(odd, D))))
+    pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), D // 2, 2)
+    first, second = pairs[..., 0] - odd, pairs[..., 1] - odd
+    table = ((first % 2 == 0) & (second == first + 1)).astype(np.int64)
+    if odd:
+        pairs = np.concatenate(
+            [np.zeros((len(pairs), 1, 2), dtype=np.int64), pairs], axis=1)
+        table = np.concatenate([np.full((len(table), 1), 2), table], axis=1)
+    return pairs, table[..., None]
 
-    def rec(rest: tuple[int, ...]) -> float:
-        if not rest:
-            return 1.0
-        i0 = rest[0]
-        total = 0.0
-        for j in range(1, len(rest)):
-            total += mu[i0, rest[j]] * rec(rest[1:j] + rest[j + 1:])
-        return total
 
-    return rec(idx)
+def _pairings(positions: tuple[int, ...]):
+    """Every perfect matching of `positions`, as a tuple of pairs."""
+    if not positions:
+        yield ()
+        return
+    first = positions[0]
+    for j in range(1, len(positions)):
+        for rest in _pairings(positions[1:j] + positions[j + 1:]):
+            yield ((first, positions[j]),) + rest
 
 
 def vacuum_state(spacetime: LatticeSpacetime) -> QuasifreeState:

@@ -4,11 +4,15 @@ Everything here recomputes expected values by a route different from the
 production code: brute-force enumeration for causal structure, separate
 retarded/advanced source integration for the propagator, textbook mode
 matrices for the stepper, a Richardson finite difference for the derivative
-of relative Cauchy evolution, ordered Wick reduction for state evaluation, a
-dense SVD nullspace of the evolution commutator for the classifier's
-commutant, and a dense two-sided commutant intersection at tiny sizes.
+of relative Cauchy evolution, ordered Wick reduction and a per-monomial
+hafnian for state evaluation, a dict-walking kernel (partial matchings,
+slot-by-slot substitution) for the CCR algebra, a dense SVD nullspace of the
+evolution commutator for the classifier's commutant, and a dense two-sided
+commutant intersection at tiny sizes.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -113,6 +117,110 @@ def richardson_rce_derivative(pert, a, b) -> complex:
     return (16 * r2 - r1) / 15
 
 
+# -- dict-walking CCR algebra -----------------------------------------------------
+#
+# Elements are plain dicts {sorted multi-index: complex}; nothing is pruned.
+
+def _term_product(idx_a: tuple[int, ...], idx_b: tuple[int, ...], half: int
+                  ) -> list[tuple[complex, tuple[int, ...]]]:
+    """All contraction terms of a basis-monomial product: partial matchings
+    between the two multisets, grouped by contracted value (sigma pairs each
+    basis vector with exactly one partner, so values contract independently);
+    r contractions of a value of multiplicities m, n count
+    comb(m, r) comb(n, r) r! matchings."""
+    count_a: dict[int, int] = {}
+    for i in idx_a:
+        count_a[i] = count_a.get(i, 0) + 1
+    count_b: dict[int, int] = {}
+    for i in idx_b:
+        count_b[i] = count_b.get(i, 0) + 1
+    cands = []
+    for u, mult in count_a.items():
+        v, sign = (u + half, 1.0) if u < half else (u - half, -1.0)
+        if v in count_b:
+            cands.append((u, v, sign, mult, count_b[v]))
+
+    results = []
+
+    def rec(pos, weight, used_a, used_b):
+        if pos == len(cands):
+            rest = []
+            for u, mult in count_a.items():
+                rest.extend([u] * (mult - used_a.get(u, 0)))
+            for v, mult in count_b.items():
+                rest.extend([v] * (mult - used_b.get(v, 0)))
+            results.append((weight, tuple(sorted(rest))))
+            return
+        u, v, sign, mult_a, mult_b = cands[pos]
+        for r in range(min(mult_a, mult_b) + 1):
+            w = weight
+            if r:
+                w = w * (math.comb(mult_a, r) * math.comb(mult_b, r)
+                         * math.factorial(r)) * (0.5j * sign) ** r
+            rec(pos + 1, w, {**used_a, u: r}, {**used_b, v: r})
+
+    rec(0, 1.0 + 0.0j, {}, {})
+    return results
+
+
+def dict_product(a: dict, b: dict, half: int) -> dict:
+    out: dict = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            for w, idx in _term_product(ia, ib, half):
+                out[idx] = out.get(idx, 0.0) + ca * cb * w
+    return out
+
+
+def _sparse_columns(matrix: np.ndarray, tol: float = 1e-15):
+    return [[(int(j), complex(matrix[j, i]))
+             for j in np.nonzero(np.abs(matrix[:, i]) > tol)[0]]
+            for i in range(matrix.shape[1])]
+
+
+def dict_substitute(a: dict, matrix: np.ndarray, consts=None) -> dict:
+    """e_i -> sum_j matrix[j, i] e_j + consts[i] in every slot, expanding
+    one slot at a time."""
+    cols = _sparse_columns(matrix)
+    out: dict = {}
+    for idx, coeff in a.items():
+        poly = {(): coeff}
+        for i in idx:
+            nxt: dict = {}
+            const = complex(consts[i]) if consts is not None else 0.0
+            for mono, c in poly.items():
+                if const != 0.0:
+                    nxt[mono] = nxt.get(mono, 0.0) + c * const
+                for j, w in cols[i]:
+                    key = tuple(sorted(mono + (j,)))
+                    nxt[key] = nxt.get(key, 0.0) + c * w
+            poly = nxt
+        for mono, c in poly.items():
+            out[mono] = out.get(mono, 0.0) + c
+    return out
+
+
+def dict_derivation(a: dict, matrix: np.ndarray, consts=None) -> dict:
+    """The derivation extending e_i -> sum_j matrix[j, i] e_j + consts[i],
+    one slot at a time."""
+    cols = _sparse_columns(matrix)
+    out: dict = {}
+    for idx, coeff in a.items():
+        for pos, i in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            if consts is not None and consts[i] != 0.0:
+                out[rest] = out.get(rest, 0.0) + coeff * consts[i]
+            for j, w in cols[i]:
+                key = tuple(sorted(rest + (j,)))
+                out[key] = out.get(key, 0.0) + coeff * w
+    return out
+
+
+def dict_max_coeff_diff(a: dict, b: dict) -> float:
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b)),
+               default=0.0)
+
+
 # -- quasifree evaluation ---------------------------------------------------------------
 
 def ordered_wick(indices: tuple[int, ...], W: np.ndarray) -> complex:
@@ -155,6 +263,17 @@ def monomial_as_ordered_products(indices: tuple[int, ...], half: int):
         return out
 
     return expand(tuple(indices))
+
+
+def hafnian(mu: np.ndarray, idx: tuple[int, ...]) -> float:
+    """Sum over perfect matchings of mu-products, by recursion on the first
+    index; 0 for odd length."""
+    if len(idx) % 2:
+        return 0.0
+    if not idx:
+        return 1.0
+    return sum(mu[idx[0], idx[j]] * hafnian(mu, idx[1:j] + idx[j + 1:])
+               for j in range(1, len(idx)))
 
 
 def reduction_evaluate(element, W: np.ndarray) -> complex:

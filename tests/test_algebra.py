@@ -9,6 +9,8 @@ from lcqft import exact_algebra as exact
 from lcqft.errors import NotReal, NotSymplectic, SpaceMismatch
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 
+import oracles
+
 
 class TestProduct:
     def test_field_product_unit_part(self, massive_spacetime, rng):
@@ -48,6 +50,22 @@ class TestProduct:
                         exact.max_diff_vs_float(e_left, f_left.terms),
                         exact.max_diff_vs_float(e_right, f_right.terms))
         assert worst < 1e-10
+
+    def test_integer_products_are_exact(self, massive_spacetime, rng):
+        # Gaussian-integer coefficients: every contraction weight is a
+        # dyadic rational, so the product equals the exact oracle's
+        half = massive_spacetime.data_dim // 2
+        st_ = massive_spacetime
+        for _ in range(20):
+            a, b = (alg.random_element(rng, st_, 4, 6, integer=True)
+                    for _ in range(2))
+            # repeated partners force contraction levels 2 and up
+            a = a * alg.monomial(st_, (0, 1, 2))
+            b = b * alg.monomial(st_, (half, half + 1, half + 2))
+            exact_ab = exact.exact_product(
+                exact.exact_from_complex_terms(a.terms),
+                exact.exact_from_complex_terms(b.terms), half)
+            assert exact.max_diff_vs_float(exact_ab, (a * b).terms) == 0.0
 
     def test_power_formula_matches_closed_form(self, massive_spacetime, rng):
         # u^m . v^n with sigma(u, v) = 1: coefficients of the closed sum
@@ -258,7 +276,7 @@ class TestDerivation:
         st_ = massive_spacetime
         gen = clf.species_rotation_generator(st_, 0, 1)
         a = alg.random_element(rng, st_, 3, 8)
-        deriv = alg.derivation(a, alg._sparse_columns(gen))
+        deriv = alg.derivation(a, alg.slot_map(gen))
 
         def rotated(t):
             R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
@@ -279,16 +297,15 @@ class TestDerivation:
         from lcqft import gauge as gg
         st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spec))
         s1 = st_.n_species - 2
-        cols = alg._sparse_columns(
-            clf.species_rotation_generator(st_, s1, s1 + 1))
         consts = gg.ell_basis_values(np.array([1.5]), st_) if shift else None
+        slots = alg.slot_map(clf.species_rotation_generator(st_, s1, s1 + 1),
+                             consts)
         worst = 0.0
         for _ in range(10):
             a = alg.random_element(rng, st_, 2, 4)
             b = alg.random_element(rng, st_, 2, 4)
-            lhs = alg.derivation(a * b, cols, consts)
-            rhs = alg.derivation(a, cols, consts) * b \
-                + a * alg.derivation(b, cols, consts)
+            lhs = alg.derivation(a * b, slots)
+            rhs = alg.derivation(a, slots) * b + a * alg.derivation(b, slots)
             worst = max(worst, alg.max_coeff_diff(lhs, rhs))
         assert worst < 1e-12
 
@@ -298,7 +315,8 @@ class TestDerivation:
         consts = np.zeros(st_.data_dim)
         consts[0], consts[3] = 2.0, -1.0
         a = alg.monomial(st_, (0, 0, 3), 1.0)
-        deriv = alg.derivation(a, [()] * st_.data_dim, consts)
+        deriv = alg.derivation(
+            a, alg.slot_map(np.zeros((st_.data_dim, st_.data_dim)), consts))
         assert deriv.terms == {(0, 3): 4.0 + 0j, (0, 0): -1.0 + 0j}
 
 
@@ -365,3 +383,143 @@ def test_commutator_antisymmetry(idx_a, idx_b):
     b = alg.monomial(spacetime, tuple(idx_b))
     assert alg.max_coeff_diff(alg.commutator(a, b),
                               (-1.0) * alg.commutator(b, a)) < 1e-12
+
+
+class TestCanonicalKeys:
+    def test_constructor_sorts_and_merges(self, massive_spacetime):
+        st_ = massive_spacetime
+        el = alg.AlgebraElement(st_, {(3, 1): 1.0})
+        assert el.coefficient((1, 3)) == 1.0
+        assert el.terms == {(1, 3): 1.0}
+        assert alg.max_coeff_diff(el, alg.monomial(st_, (1, 3))) == 0.0
+        merged = alg.AlgebraElement(st_, {(3, 1): 1.0, (1, 3): 2.0})
+        assert merged.terms == {(1, 3): 3.0}
+
+    def test_from_json_sorts_and_merges(self, massive_spacetime):
+        st_ = massive_spacetime
+        el = alg.AlgebraElement.from_json(
+            [{"idx": [5, 2, 2], "re": 1.0, "im": 0.0},
+             {"idx": [2, 5, 2], "re": 0.5, "im": -1.0}], st_)
+        assert el.terms == {(2, 2, 5): 1.5 - 1.0j}
+        assert alg.max_coeff_diff(
+            el, alg.monomial(st_, (2, 2, 5), 1.5 - 1.0j)) == 0.0
+
+    def test_index_outside_the_basis(self, massive_spacetime):
+        with pytest.raises(SpaceMismatch):
+            alg.AlgebraElement(massive_spacetime,
+                               {(0, massive_spacetime.data_dim): 1.0})
+        with pytest.raises(SpaceMismatch):
+            alg.monomial(massive_spacetime, (-1,))
+
+    def test_compare_over_different_spacetimes(self, massive_spacetime):
+        other = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:3"))
+        with pytest.raises(SpaceMismatch):
+            alg.max_coeff_diff(alg.one(massive_spacetime), alg.one(other))
+
+
+# -- the array kernel against the dict reference in tests/oracles.py -----------
+
+SMALL = LatticeSpacetime(4, 12, 0.5, MassSpectrum.parse("1:1"))  # dim 8
+
+_indices = st.lists(st.integers(0, SMALL.data_dim - 1), max_size=4).map(
+    lambda idx: tuple(sorted(idx)))
+_coeffs = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)) \
+    .filter(lambda c: c != 0) | st.complex_numbers(
+        min_magnitude=0.1, max_magnitude=4.0, allow_nan=False,
+        allow_infinity=False)
+# elements of degree 0-4, the zero element and the unit among them
+_terms = st.dictionaries(_indices, _coeffs, max_size=6) | st.just({}) \
+    | st.just({(): 1.0})
+
+
+def _close(element, reference: dict, tol: float = 1e-12):
+    scale = max([1.0] + [abs(c) for c in reference.values()])
+    assert oracles.dict_max_coeff_diff(dict(element.terms), reference) \
+        <= tol * scale
+
+
+def _random_map(seed: int, dim: int, density: float = 0.3) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal((dim, dim)) * (gen.random((dim, dim)) < density)
+
+
+@given(_terms, _terms)
+def test_product_matches_dict_reference(ta, tb):
+    a, b = alg.AlgebraElement(SMALL, ta), alg.AlgebraElement(SMALL, tb)
+    _close(a * b, oracles.dict_product(ta, tb, SMALL.data_dim // 2))
+
+
+@given(_terms, st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_substitution_matches_dict_reference(ta, seed, with_consts):
+    dim = SMALL.data_dim
+    M = _random_map(seed, dim)
+    consts = np.random.default_rng(seed + 1).standard_normal(dim) \
+        * (np.arange(dim) % 3 == 0) if with_consts else None
+    a = alg.AlgebraElement(SMALL, ta)
+    _close(alg.substitute_affine(a, alg.slot_map(M, consts)),
+           oracles.dict_substitute(ta, M, consts), 1e-11)
+
+
+@given(_terms, st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_derivation_matches_dict_reference(ta, seed, with_consts):
+    dim = SMALL.data_dim
+    M = _random_map(seed, dim)
+    consts = np.random.default_rng(seed + 1).standard_normal(dim) \
+        if with_consts else None
+    a = alg.AlgebraElement(SMALL, ta)
+    _close(alg.derivation(a, alg.slot_map(M, consts)),
+           oracles.dict_derivation(ta, M, consts))
+
+
+@given(_terms, _terms)
+def test_star_and_compare_match_dict_reference(ta, tb):
+    a, b = alg.AlgebraElement(SMALL, ta), alg.AlgebraElement(SMALL, tb)
+    assert a.star().terms == {k: complex(c).conjugate() for k, c in ta.items()}
+    # np.abs and abs() may round |z| differently in the last bit
+    assert alg.max_coeff_diff(a, b) == pytest.approx(
+        oracles.dict_max_coeff_diff({k: complex(c) for k, c in ta.items()},
+                                    {k: complex(c) for k, c in tb.items()}),
+        rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+def test_signed_permutation_only_relabels(massive_spacetime, rng):
+    # width-1 slot maps: a relabelling of the keys and a sign per slot
+    st_ = massive_spacetime
+    dim = st_.data_dim
+    perm = rng.permutation(dim)
+    M = np.zeros((dim, dim))
+    M[perm, np.arange(dim)] = rng.choice([-1.0, 1.0], size=dim)
+    slots = alg.slot_map(M)
+    assert slots.width == 1
+    a = alg.random_element(rng, st_, 4, 8)
+    image = alg.substitute_affine(a, slots)
+    assert len(image.terms) == len(a.terms)
+    assert oracles.dict_max_coeff_diff(
+        dict(image.terms), oracles.dict_substitute(dict(a.terms), M)) == 0.0
+
+
+def test_degree_nine_product_needs_two_key_words(rng):
+    # dim = 320 and degree 9: 321^9 > 2^63, so keys take two int64 words
+    big = LatticeSpacetime(32, 16, 0.5, MassSpectrum.parse("1:5"))
+    dim, half = big.data_dim, big.data_dim // 2
+    assert dim == 320 and 321 ** 9 > 2 ** 63
+    ta, tb = {}, {}
+    for _ in range(4):
+        base = [int(i) for i in rng.integers(0, half, size=3)]
+        far = [int(i) for i in rng.integers(0, dim, size=3)]
+        ta[tuple(sorted(base + far))] = complex(*rng.standard_normal(2))
+        # partners of two of base's entries, so products contract
+        tb[tuple(sorted([base[0] + half, base[1] + half,
+                         int(rng.integers(dim - 3, dim))]))] = 1.5 - 0.5j
+    ta[(dim - 1,) * 6] = 2.0
+    a, b = alg.AlgebraElement(big, ta), alg.AlgebraElement(big, tb)
+    prod = a * b
+    assert prod.degree == 9 and len(prod.keys) == 2
+    reference = oracles.dict_product(ta, tb, half)
+    assert any(len(k) < 9 for k in reference)  # some terms contracted
+    _close(prod, reference)
+    # the largest index at degree 9 passes the one-word range
+    top = alg.monomial(big, (dim - 1,) * 9)
+    assert len(top.keys) == 2
+    assert alg.max_coeff_diff(top * alg.one(big), top) == 0.0
+    assert alg.max_coeff_diff(top, alg.monomial(big, (dim - 2,) * 9)) == 1.0

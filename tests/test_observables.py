@@ -182,7 +182,7 @@ class TestInvariantProjectionCheck:
 
         det = f(phi, 0) * f(psi, 1) - f(phi, 1) * f(psi, 0)
         gen = clf.species_rotation_generator(st, 0, 1)
-        assert alg.derivation(det, alg._sparse_columns(gen)).terms == {}
+        assert alg.derivation(det, alg.slot_map(gen)).terms == {}
         ok, residual = obs.invariant_projection_check(det)
         assert not ok
         assert residual == pytest.approx(2 * det.max_abs())

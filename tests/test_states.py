@@ -10,7 +10,7 @@ from lcqft.errors import DegreeCapExceeded
 from lcqft.kinematics import solution_map
 from lcqft.spacetime import translation
 
-from oracles import reduction_evaluate
+from oracles import dict_substitute, hafnian, reduction_evaluate
 
 
 class TestKernel:
@@ -130,6 +130,28 @@ class TestEvaluate:
             lhs = vac.evaluate(a)
             rhs = reduction_evaluate(a, W)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+    def test_agrees_with_per_monomial_hafnian(self, mixed_spacetime, rng):
+        # the array pass over all pairings vs the recursive hafnian of each
+        # monomial, for the vacuum and for a shifted (pulled-back) vacuum
+        st_ = mixed_spacetime
+        vac = stt.vacuum_state(st_)
+        g = gg.random_gauge(rng, st_.spectrum)  # with a shift
+        act = gg.QuantumAction(g, st_)
+        shifted = stt.pull_back(vac, act)
+        for degree in range(7):
+            for _ in range(5):
+                a = alg.random_element(rng, st_, degree, 8)
+                terms = dict(a.terms)
+                expect = sum((c * hafnian(vac.mu, idx)
+                              for idx, c in terms.items()), 0j)
+                assert abs(vac.evaluate(a) - expect) \
+                    <= 1e-12 * max(1.0, abs(expect))
+                moved = dict_substitute(terms, act.matrix, act.consts)
+                expect = sum((c * hafnian(vac.mu, idx)
+                              for idx, c in moved.items()), 0j)
+                assert abs(shifted.evaluate(a) - expect) \
+                    <= 1e-12 * max(1.0, abs(expect))
 
     def test_degree_cap(self, massive_spacetime):
         vac = stt.vacuum_state(massive_spacetime)
