@@ -71,20 +71,6 @@ class Solution:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec()))
 
-    def to_fixture(self) -> dict:
-        return {
-            "spectrum": [[m, k] for m, k in self.spacetime.spectrum.entries],
-            "n_sites": self.spacetime.n_sites,
-            "q": [[[float(z.real), float(z.imag)] for z in row] for row in self.q],
-            "p": [[[float(z.real), float(z.imag)] for z in row] for row in self.p],
-        }
-
-    @staticmethod
-    def from_fixture(data: dict, spacetime: LatticeSpacetime) -> "Solution":
-        q = np.array([[complex(re, im) for re, im in row] for row in data["q"]])
-        p = np.array([[complex(re, im) for re, im in row] for row in data["p"]])
-        return Solution(spacetime, q, p)
-
 
 def _same_spacetime(a, b):
     if a.spacetime != b.spacetime:
@@ -184,13 +170,6 @@ class Perturbation:
     def scaled(self, s: float) -> "Perturbation":
         return Perturbation(self.spacetime, s * self.v, self.kind)
 
-    def support_sites(self, t: int) -> np.ndarray:
-        """Sites touched by the perturbation at slice t (edges count both ends)."""
-        idx = set(np.nonzero(self.v[t])[0].tolist())
-        if self.kind == "gradient":
-            idx |= {(x + 1) % self.spacetime.n_sites for x in idx}
-        return np.array(sorted(idx), dtype=int)
-
 
 # the shortest time extent (in steps) on which a test function is accepted
 TEST_FUNCTION_MIN_STEPS = 4
@@ -227,21 +206,6 @@ class TestFunction:
 
     def __rmul__(self, scalar: complex) -> "TestFunction":
         return TestFunction(self.spacetime, scalar * self.values)
-
-    def to_fixture(self) -> dict:
-        return {
-            "spectrum": [[m, k] for m, k in self.spacetime.spectrum.entries],
-            "n_sites": self.spacetime.n_sites,
-            "n_steps": self.spacetime.n_steps,
-            "values": [[[[float(z.real), float(z.imag)] for z in row]
-                        for row in slab] for slab in self.values],
-        }
-
-    @staticmethod
-    def from_fixture(data: dict, spacetime: LatticeSpacetime) -> "TestFunction":
-        vals = np.array([[[complex(re, im) for re, im in row]
-                          for row in slab] for slab in data["values"]])
-        return TestFunction(spacetime, vals)
 
 
 def delta_test_function(spacetime: LatticeSpacetime, species: int, t: int, x: int
@@ -399,23 +363,6 @@ def propagate_test_function(f: TestFunction) -> Solution:
     q, p = evolve_data(q0, q0, st, 0, T, source=f.values)
     q, p = evolve_data(q, p, st, T, 0)
     return Solution(st, q, p)
-
-
-def discrete_kg_operator(f_values: np.ndarray, spacetime: LatticeSpacetime
-                         ) -> np.ndarray:
-    """The discrete Klein-Gordon operator matching the stepper, applied
-    slice-wise to a (S, T1, N) array; boundary slices are dropped (zeroed)."""
-    dt2 = spacetime.dt ** 2
-    g = np.asarray(f_values, dtype=complex)
-    out = np.zeros_like(g)
-    lap = (np.roll(g, -1, axis=-1) - 2 * g + np.roll(g, 1, axis=-1))
-    m2 = np.asarray(spacetime.spectrum.species_masses)[:, None, None] ** 2
-    interior = slice(1, g.shape[1] - 1)
-    out[:, interior] = (
-        (g[:, 2:] - 2 * g[:, 1:-1] + g[:, :-2]) / dt2
-        - lap[:, interior] + m2 * g[:, interior]
-    )
-    return out
 
 
 # -- pointwise null energy ---------------------------------------------------------

@@ -65,10 +65,6 @@ class NoMasslessSpecies(LcqftError):
     """Operation requires nu(0) > 0."""
 
 
-class NotLinearFamily(LcqftError):
-    """A field family fails linearity in its test function."""
-
-
 class NotOrthogonal(LcqftError):
     """A gauge block fails R^T R = I within tolerance."""
 

@@ -29,10 +29,6 @@ def qmul(a: QRat, b: QRat) -> QRat:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def qconj(a: QRat) -> QRat:
-    return (a[0], -a[1])
-
-
 def _sigma(i: int, j: int, half: int) -> int:
     if i < half and j == i + half:
         return 1
@@ -46,11 +42,6 @@ ExactElement = dict[tuple[int, ...], QRat]
 
 def exact_from_complex_terms(terms: dict[tuple[int, ...], complex]) -> ExactElement:
     return {idx: (Fraction(c.real), Fraction(c.imag)) for idx, c in terms.items()}
-
-
-def to_complex(a: ExactElement) -> dict[tuple[int, ...], complex]:
-    return {idx: complex(float(c[0]), float(c[1])) for idx, c in a.items()
-            if c != ZERO}
 
 
 def _add_term(acc: ExactElement, idx: tuple[int, ...], coeff: QRat):
@@ -104,10 +95,6 @@ def exact_product(a: ExactElement, b: ExactElement, half: int) -> ExactElement:
             for idx, w in _monomial_product(ia, ib, half).items():
                 _add_term(out, idx, qmul(cab, w))
     return out
-
-
-def exact_star(a: ExactElement) -> ExactElement:
-    return {idx: qconj(c) for idx, c in a.items()}
 
 
 def max_diff_vs_float(exact: ExactElement,

@@ -9,20 +9,29 @@ is the algebra homomorphism
     zeta(R, l) Phi(phi) = Phi(S(R) phi) + <l, phi> 1,
 
 with <l, phi> = sigma(l . phi_0, unit constant) = -sum_x l . p_0(x).
+
+Whole-group properties are checked on one exact presentation
+(`presentation`): the derivations of the in-block rotation generators and of
+the shift directions, and one reflection per mass block. Group elements are
+sampled (`random_gauge`) only where the group law itself is under test.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraElement, slot_map, substitute_affine
-from .dynamics import Solution
+from .algebra import (AlgebraElement, SlotMap, degree1_vector, derivation,
+                      field, slot_map, substitute_affine)
+from .classify import expected_so_generators
+from .dynamics import Solution, delta_test_function, propagate_test_function
 from .errors import NoMasslessSpecies, NotOrthogonal, SpectrumMismatch
 from .spacetime import LatticeSpacetime, MassSpectrum
 
 ORTHOGONALITY_TOL = 1e-12
+# a multiplet closure adds a vector only if more than this fraction of the
+# seed field's norm lies outside the span found so far
+MULTIPLET_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,152 +230,70 @@ def quantum_action(g: GaugeElement, a: AlgebraElement) -> AlgebraElement:
     return QuantumAction(g, a.spacetime)(a)
 
 
-# -- multiplets ---------------------------------------------------------------------
+# -- the exact presentation ------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class FieldFamily:
-    """A component field: a linear family of degree <= 1 elements indexed by
-    scalar test functions (arrays over slices x sites)."""
+class Presentation:
+    """A finite set that fixes the action of the whole group on the algebra:
+    the derivation of each in-block rotation generator (the identity
+    component of O(nu)), the derivation of each massless shift direction
+    e_j (the R^{nu(0)*} factor), and one reflection per mass block (the
+    other components). An element is fixed by the group iff every move
+    (`moves`) annihilates it, and a linear map intertwines the action iff it
+    commutes with every move."""
 
-    label: str
-    apply: Callable[[np.ndarray], AlgebraElement]
+    generators: np.ndarray                 # (n_so, dim, dim)
+    rotations: tuple[SlotMap, ...]         # one per generator
+    shifts: tuple[SlotMap, ...]            # one per massless species
+    reflections: tuple[QuantumAction, ...]  # one per mass block
 
-
-def species_field_family(spacetime: LatticeSpacetime, species: int) -> FieldFamily:
-    from .dynamics import TestFunction, propagate_test_function
-    from .algebra import field
-
-    def apply(h: np.ndarray) -> AlgebraElement:
-        vals = np.zeros((spacetime.n_species, spacetime.n_slices,
-                         spacetime.n_sites), dtype=complex)
-        vals[species] = h
-        return field(propagate_test_function(TestFunction(spacetime, vals)))
-
-    return FieldFamily(f"phi[{species}]", apply)
-
-
-def unit_field_family(spacetime: LatticeSpacetime) -> FieldFamily:
-    from .algebra import one
-
-    def apply(h: np.ndarray) -> AlgebraElement:
-        return complex(np.sum(h)) * one(spacetime)
-
-    return FieldFamily("unit", apply)
+    def moves(self, a: AlgebraElement, shifts: bool = True):
+        """The derivation of a by each rotation (and shift) direction, then
+        zeta(r) a - a for each reflection r; all linear in a."""
+        for slots in self.rotations + (self.shifts if shifts else ()):
+            yield derivation(a, slots)
+        for reflection in self.reflections:
+            yield reflection(a) - a
 
 
-def default_field_families(spacetime: LatticeSpacetime) -> list[FieldFamily]:
-    fams = [species_field_family(spacetime, s)
-            for s in range(spacetime.n_species)]
-    fams.append(unit_field_family(spacetime))
-    return fams
-
-
-def _family_vector(fam: FieldFamily, probes: list[np.ndarray], dim: int
-                   ) -> np.ndarray:
-    from .algebra import degree1_vector
-    chunks = []
-    for h in probes:
-        el = fam.apply(h)
-        chunks.append(np.concatenate([degree1_vector(el), [el.coefficient(())]]))
-    return np.concatenate(chunks)
-
-
-def multiplet_decompose(spacetime: LatticeSpacetime,
-                        families: list[FieldFamily] | None = None,
-                        rng: np.random.Generator | None = None,
-                        n_group_samples: int = 50,
-                        tol: float = 1e-9) -> list[dict]:
-    """Partition component fields into gauge orbits.
-
-    Each family is probed on random scalar test functions; its orbit under
-    sampled gauge elements spans a subspace of (degree <= 1) coefficient
-    space, and families with overlapping orbit spans belong to one multiplet.
-    A mass block of multiplicity k yields a k-dimensional multiplet in the
-    defining representation; the adjoint family (star of each member) lands
-    in the conjugate representation, which is equivalent for these real
-    orthogonal blocks.
-    """
-    from .errors import NotLinearFamily
-
-    rng = rng or np.random.default_rng(0)
-    families = families if families is not None else default_field_families(spacetime)
-    T1, N = spacetime.n_slices, spacetime.n_sites
+def shift_slot_map(spacetime: LatticeSpacetime, direction: int) -> SlotMap:
+    """The derivation d/dlambda zeta(1, lambda e_j) at 0: no linear part, the
+    shift functional <e_j, .> as constants."""
+    e_j = np.eye(spacetime.spectrum.massless_count)[direction]
     dim = spacetime.data_dim
+    return slot_map(np.zeros((dim, dim)), ell_basis_values(e_j, spacetime))
 
-    def probe() -> np.ndarray:
-        h = np.zeros((T1, N), dtype=complex)
-        h[2:T1 - 3] = rng.standard_normal((T1 - 5, N))
-        return h
 
-    probes = [probe() for _ in range(2)]
-    # linearity in the test function
-    for fam in families:
-        h1, h2 = probes[0], probes[1]
-        lam = 1.25 - 0.5j
-        lhs = fam.apply(h1 + lam * h2)
-        rhs = fam.apply(h1) + lam * fam.apply(h2)
-        from .algebra import max_coeff_diff
-        if max_coeff_diff(lhs, rhs) > 1e-9:
-            raise NotLinearFamily(f"family {fam.label} is not linear")
+def presentation(spacetime: LatticeSpacetime) -> Presentation:
+    generators = expected_so_generators(spacetime)
+    return Presentation(
+        generators, tuple(slot_map(X) for X in generators),
+        tuple(shift_slot_map(spacetime, j)
+              for j in range(spacetime.spectrum.massless_count)),
+        tuple(QuantumAction(g, spacetime)
+              for g in block_reflections(spacetime.spectrum)))
 
-    gauge_samples = [random_gauge(rng, spacetime.spectrum)
-                     for _ in range(n_group_samples)]
-    actions = [QuantumAction(g, spacetime) for g in gauge_samples]
 
-    base_vecs = [_family_vector(f, probes, dim) for f in families]
-    orbit_mats = []
-    for fam in families:
-        vecs = [ _family_vector(
-            FieldFamily(fam.label, lambda h, act=act, fam=fam: act(fam.apply(h))),
-            probes, dim) for act in actions ]
-        orbit_mats.append(np.array(vecs).T)
+# -- multiplets ---------------------------------------------------------------------
 
-    def rank(mat):
-        if mat.size == 0:
-            return 0
-        s = np.linalg.svd(mat, compute_uv=False)
-        return int(np.sum(s > tol * max(1.0, s[0])))
-
-    n = len(families)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            ri, rj = rank(orbit_mats[i]), rank(orbit_mats[j])
-            joint = rank(np.concatenate([orbit_mats[i], orbit_mats[j]], axis=1))
-            if joint < ri + rj:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
+def multiplet_dimensions(spacetime: LatticeSpacetime) -> list[int]:
+    """Per mass block, the dimension of the span of one propagated field of
+    the block's first species, closed under the presentation, in
+    (degree1_vector, unit coefficient) coordinates: nu(m) for a massive
+    block, nu(0) + 1 for the massless one, whose shifts reach the unit."""
+    pres = presentation(spacetime)
     out = []
-    for members in groups.values():
-        size = len(members)
-        labels = [families[i].label for i in members]
-        orbit_rank = rank(np.concatenate([orbit_mats[i] for i in members], axis=1))
-        invariant = all(
-            np.max(np.abs(orbit_mats[i] - base_vecs[i][:, None])) < 1e-8
-            for i in members)
-        if invariant and size == 1:
-            rep = "singlet"
-        elif orbit_rank == size:
-            rep = "defining"
-        else:
-            rep = "tensor-subrep"
-        out.append({
-            "members": labels,
-            "size": size,
-            "representation": rep,
-            "conjugate": "equivalent (real orthogonal blocks)",
-        })
+    for _, block in spacetime.spectrum.block_slices():
+        seed = field(propagate_test_function(
+            delta_test_function(spacetime, block.start, 1, 0)))
+        scale = np.linalg.norm(degree1_vector(seed))
+        todo, rows = [seed], np.zeros((0, spacetime.data_dim + 1), complex)
+        while todo:
+            a = todo.pop()
+            v = np.append(degree1_vector(a), a.coefficient(()))
+            v = v - rows.T @ (rows.conj() @ v)
+            if np.linalg.norm(v) > MULTIPLET_RANK_TOL * scale:
+                rows = np.vstack([rows, v / np.linalg.norm(v)])
+                todo.extend(pres.moves(a))
+        out.append(len(rows))
     return out

@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraElement, max_coeff_diff, slot_map, substitute_affine
-from .dynamics import (
-    Solution,
-    TestFunction,
-    evolve_data,
-    propagate_test_function,
-)
+from .dynamics import TestFunction, evolve_data, propagate_test_function
 from .errors import DomainMismatch
 from .spacetime import LatticeMorphism, Region
 
@@ -78,11 +73,6 @@ def membership_residual(a: AlgebraElement, basis: np.ndarray) -> float:
         projected = substitute_affine(rest, slot_map(P))
         residual = max(residual, max_coeff_diff(rest, projected))
     return residual
-
-
-def solution_in_subspace(phi: Solution, basis: np.ndarray) -> float:
-    v = phi.vec()
-    return float(np.linalg.norm(v - basis @ (basis.conj().T @ v)))
 
 
 def solution_map(morphism: LatticeMorphism) -> np.ndarray:

@@ -112,11 +112,6 @@ class QuasifreeState:
         haf = np.add.reduce(np.multiply.reduce(weight, 1), 0)
         return complex(a.coeffs @ haf)
 
-    def kernel_to_json(self) -> dict:
-        W = self.two_point
-        return {"re": W.real.tolist(), "im": W.imag.tolist(),
-                "label": self.label, "flags": list(self.flags)}
-
 
 def _pairing_table(D: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairings of D slots for `QuasifreeState.evaluate`: slot pairs

@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values by a route different from the
 production code: brute-force enumeration for causal structure, separate
-retarded/advanced source integration for the propagator, textbook mode
+retarded/advanced source integration and the discrete Klein-Gordon operator
+for the propagator, textbook mode
 matrices for the stepper, a Richardson finite difference for the derivative
 of relative Cauchy evolution, ordered Wick reduction and a per-monomial
 hafnian for state evaluation, a dict-walking kernel (partial matchings,
@@ -101,6 +102,23 @@ def advanced_solution_at_zero(f_values: np.ndarray, st: LatticeSpacetime):
     zero = np.zeros((S, N), dtype=complex)
     q, p = evolve_data(zero, zero, st, st.n_steps, 0, source=f_values)
     return q, p
+
+
+def discrete_kg_operator(f_values: np.ndarray, spacetime: LatticeSpacetime
+                         ) -> np.ndarray:
+    """The discrete Klein-Gordon operator matching the stepper, applied
+    slice-wise to a (S, T1, N) array; boundary slices are dropped (zeroed)."""
+    dt2 = spacetime.dt ** 2
+    g = np.asarray(f_values, dtype=complex)
+    out = np.zeros_like(g)
+    lap = (np.roll(g, -1, axis=-1) - 2 * g + np.roll(g, 1, axis=-1))
+    m2 = np.asarray(spacetime.spectrum.species_masses)[:, None, None] ** 2
+    interior = slice(1, g.shape[1] - 1)
+    out[:, interior] = (
+        (g[:, 2:] - 2 * g[:, 1:-1] + g[:, :-2]) / dt2
+        - lap[:, interior] + m2 * g[:, interior]
+    )
+    return out
 
 
 def richardson_rce_derivative(pert, a, b) -> complex:

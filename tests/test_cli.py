@@ -281,13 +281,19 @@ def test_rce_suite_checks_the_mass_kind_deviation(monkeypatch):
         "ell_deviation_mass_kind: value 0.000e+00 not above 1.0e-09"]
 
 
-@pytest.mark.parametrize("suite", ["rce", "gauge"])
+@pytest.mark.parametrize("suite", ["state", "rce", "gauge"])
 @settings(max_examples=12)
-@given(sites=st.integers(4, 7), steps=st.integers(1, 7),
+@given(spectrum=st.sampled_from(["1:2", "0:1,1:2"]),
+       sites=st.integers(4, 7), steps=st.integers(1, 7),
        seed=st.integers(0, 3))
-def test_small_lattices_keep_exit_code_contract(suite, sites, steps, seed):
+def test_small_lattices_keep_exit_code_contract(suite, spectrum, sites, steps,
+                                                seed):
     # 0 pass, 1 suite failure, 2 configuration error; never a raw exception
-    code = main(["verify", suite, "--spectrum", "1:2", "--sites", str(sites),
-                 "--steps", str(steps), "--seed", str(seed),
-                 "--out", os.devnull])
+    lattice = ["--sites", str(sites), "--steps", str(steps),
+               "--seed", str(seed), "--out", os.devnull]
+    code = main(["verify", suite, "--spectrum", spectrum] + lattice)
     assert code in (0, 1, 2)
+    # dt = 0.9 passes the stepper margin, but the highest-momentum mode of
+    # mass 2 is not elliptic there on any lattice
+    assert main(["verify", suite, "--spectrum", "2:1", "--dt", "0.9"]
+                + lattice) == 2

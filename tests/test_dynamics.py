@@ -9,8 +9,8 @@ from lcqft.errors import OutOfRange, SpacetimeMismatch, SupportViolation
 from lcqft.gauge import classical_action, random_gauge
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum, cauchy_extension
 
-from oracles import (advanced_solution_at_zero, mode_matrix,
-                     richardson_rce_derivative)
+from oracles import (advanced_solution_at_zero, discrete_kg_operator,
+                     mode_matrix, richardson_rce_derivative)
 
 
 class TestStep:
@@ -113,7 +113,7 @@ class TestPropagator:
         g = np.zeros((S, T1, N), dtype=complex)
         g[:, 3:T1 - 3] = rng.standard_normal((S, T1 - 6, N)) \
             + 1j * rng.standard_normal((S, T1 - 6, N))
-        f = dyn.TestFunction(st_, dyn.discrete_kg_operator(g, st_))
+        f = dyn.TestFunction(st_, discrete_kg_operator(g, st_))
         assert dyn.propagate_test_function(f).norm() < 1e-10
 
     def test_point_source_equals_ret_minus_adv(self, mixed_spacetime):
@@ -367,18 +367,3 @@ class TestTimesliceAndTranslations:
             dyn.translate_solution(sol, 1, 2), 2, 3)
         combined = dyn.translate_solution(sol, 3, 5)
         assert np.max(np.abs(one_then_two.vec() - combined.vec())) < 1e-11
-
-
-class TestFixtures:
-    def test_solution_fixture_roundtrip(self, mixed_spacetime, rng):
-        sol = dyn.random_solution(rng, mixed_spacetime)
-        back = dyn.Solution.from_fixture(sol.to_fixture(), mixed_spacetime)
-        assert np.array_equal(back.vec(), sol.vec())
-        fixture = sol.to_fixture()
-        assert fixture["n_sites"] == 8
-        assert fixture["spectrum"] == [[0.0, 1], [1.0, 2]]
-
-    def test_test_function_fixture_roundtrip(self, mixed_spacetime):
-        f = 1.5j * dyn.delta_test_function(mixed_spacetime, 1, 5, 2)
-        back = dyn.TestFunction.from_fixture(f.to_fixture(), mixed_spacetime)
-        assert np.array_equal(back.values, f.values)

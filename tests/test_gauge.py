@@ -1,5 +1,7 @@
 """Gauge group: semidirect law, classical and quantum actions, the shift
 functional, naturality, and multiplets."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,13 +9,15 @@ from hypothesis import given, strategies as st
 from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
-from lcqft.errors import NoMasslessSpecies, NotLinearFamily, NotOrthogonal, SpectrumMismatch
+from lcqft.errors import NoMasslessSpecies, NotOrthogonal, SpectrumMismatch
 from lcqft.kinematics import membership_residual, region_solution_basis, solution_map
 from lcqft.spacetime import (
+    LatticeSpacetime,
     MassSpectrum,
     domain_of_dependence,
     translation,
 )
+from lcqft.suites import RunConfig, gauge_suite
 
 
 class TestGroupLaw:
@@ -369,35 +373,40 @@ class TestNaturality:
 
 
 class TestMultiplets:
-    def test_single_block_defining(self, massive_spacetime):
-        report = gg.multiplet_decompose(massive_spacetime,
-                                        n_group_samples=25)
-        sizes = sorted(m["size"] for m in report)
-        assert sizes == [1, 2]
-        reps = {m["size"]: m["representation"] for m in report}
-        assert reps[2] == "defining"
-        assert reps[1] == "singlet"
+    # the span of one species field per mass block, closed under the exact
+    # presentation: nu(m) for a massive block, nu(0) + 1 for the massless one
+    @staticmethod
+    def _dimensions(spec):
+        return gg.multiplet_dimensions(
+            LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spec)))
 
-    def test_two_blocks_no_mixing(self, two_block_spacetime):
-        report = gg.multiplet_decompose(two_block_spacetime,
-                                        n_group_samples=25)
-        sizes = sorted(m["size"] for m in report)
-        assert sizes == [1, 2, 3]
+    def test_single_block_defining(self):
+        assert self._dimensions("1:2") == [2]
+        assert self._dimensions("1:3") == [3]
 
-    def test_unit_family_is_singlet(self, massive_spacetime):
-        report = gg.multiplet_decompose(massive_spacetime,
-                                        n_group_samples=10)
-        unit_groups = [m for m in report if "unit" in m["members"]]
-        assert len(unit_groups) == 1
-        assert unit_groups[0]["representation"] == "singlet"
+    def test_two_blocks_no_mixing(self):
+        assert self._dimensions("1:2,2:3") == [2, 3]
+        assert self._dimensions("1:1,2:1") == [1, 1]
 
-    def test_rejects_nonlinear_family(self, massive_spacetime):
-        bad = gg.FieldFamily(
-            "bad", lambda h: alg.monomial(massive_spacetime, (),
-                                          complex(np.sum(np.abs(h)))))
-        with pytest.raises(NotLinearFamily):
-            gg.multiplet_decompose(massive_spacetime, families=[bad],
-                                   n_group_samples=3)
+    def test_massless_block_gains_the_unit(self):
+        assert self._dimensions("0:2") == [3]
+        assert self._dimensions("0:1,1:2") == [2, 2]
+
+    def test_unit_family_is_singlet(self, mixed_spacetime):
+        unit = alg.one(mixed_spacetime)
+        assert all(moved.max_abs() == 0.0 for moved in
+                   gg.presentation(mixed_spacetime).moves(unit))
+
+    def test_dropping_shifts_fails_gauge_suite(self, mixed_spacetime,
+                                               monkeypatch):
+        full = gg.presentation
+        monkeypatch.setattr(gg, "presentation",
+                            lambda st_: dataclasses.replace(full(st_),
+                                                            shifts=()))
+        assert gg.multiplet_dimensions(mixed_spacetime) == [1, 2]
+        result = gauge_suite(RunConfig(spectrum="0:1,1:2", seed=11))
+        assert result["status"] == "fail"
+        assert "multiplet_mass_0: 1 != expected 2" in result["findings"]
 
 
 @given(st.integers(0, 3), st.integers(0, 3))

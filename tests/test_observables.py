@@ -19,22 +19,16 @@ def _charge_zero_scalar(rng, st, massless):
     return dyn.ScalarData(st, q, p)
 
 
+def _theta(st):
+    """Massless scalar data with sigma(theta, 1) = 1: not charge zero."""
+    N = st.n_sites
+    return dyn.ScalarData(st, np.zeros(N), -np.ones(N) / N)
+
+
 class TestChargeZeroSubspace:
-    def test_codimension(self, mixed_spacetime, massive_spacetime):
-        sub = obs.ChargeZeroSubspace.build(mixed_spacetime)
-        assert sub.codimension == 1
-        assert obs.ChargeZeroSubspace.build(massive_spacetime).codimension == 0
-
-    def test_basis_is_charge_zero(self, mixed_spacetime):
-        sub = obs.ChargeZeroSubspace.build(mixed_spacetime)
-        unit = dyn.unit_constant_solution(mixed_spacetime, 0)
-        for col in sub.basis.T:
-            phi = dyn.solution_from_vec(mixed_spacetime, col)
-            assert abs(dyn.symplectic_form(phi, unit)) < 1e-12
-
+    # theta spans the complement of the charge-zero sector
     def test_theta_normalization(self, mixed_spacetime):
-        sub = obs.ChargeZeroSubspace.build(mixed_spacetime)
-        theta = dyn.embed_scalar(sub.theta, 0)
+        theta = dyn.embed_scalar(_theta(mixed_spacetime), 0)
         unit = dyn.unit_constant_solution(mixed_spacetime, 0)
         assert abs(dyn.symplectic_form(theta, unit) - 1.0) < 1e-14
 
@@ -136,8 +130,7 @@ class TestInvariantProjectionCheck:
     def test_theta_field_fails_affine(self, mixed_spacetime):
         # Phi(theta x e_1): massless, not charge zero: the affine derivative
         # is nonzero (the lambda-linear coefficient survives)
-        sub = obs.ChargeZeroSubspace.build(mixed_spacetime)
-        el = alg.field(dyn.embed_scalar(sub.theta, 0))
+        el = alg.field(dyn.embed_scalar(_theta(mixed_spacetime), 0))
         ok, residual = obs.invariant_projection_check(el)
         assert not ok
         deriv = obs.affine_derivative(el, 0)
@@ -290,20 +283,6 @@ class TestMultiComponentRegions:
             and set(np.nonzero(np.abs(psi.q) + np.abs(psi.p))[0]) <= s
             for s in supports)
         assert cross  # flagged: not generated within one component
-
-
-class TestExport:
-    def test_generator_export_schema(self, mixed_spacetime, rng):
-        phi = _charge_zero_scalar(rng, mixed_spacetime, False)
-        psi = _charge_zero_scalar(rng, mixed_spacetime, False)
-        gen = obs.bilinear_generator(mixed_spacetime, 1.0, phi, psi)
-        data = obs.export_generators(mixed_spacetime,
-                                     [(1.0, phi, psi, gen)])
-        assert data[0]["mass"] == 1.0
-        assert data[0]["support_sites"] == list(range(8))
-        rebuilt = alg.AlgebraElement.from_json(data[0]["element"],
-                                               mixed_spacetime)
-        assert alg.max_coeff_diff(rebuilt, gen) == 0.0
 
 
 class TestDegreeCap:

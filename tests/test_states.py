@@ -6,6 +6,7 @@ from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
 from lcqft import states as stt
+from lcqft import suites
 from lcqft.errors import DegreeCapExceeded
 from lcqft.kinematics import solution_map
 from lcqft.spacetime import translation
@@ -69,11 +70,6 @@ class TestKernel:
         assert "massless-reference" in stt.vacuum_state(mixed_spacetime).flags
         assert stt.vacuum_state(massive_spacetime).flags == ()
 
-    def test_kernel_export(self, massive_spacetime):
-        data = stt.vacuum_state(massive_spacetime).kernel_to_json()
-        dim = massive_spacetime.data_dim
-        assert np.array(data["re"]).shape == (dim, dim)
-
     def test_unstable_mode_rejected(self):
         from lcqft.spacetime import LatticeSpacetime, MassSpectrum
         from lcqft.errors import LcqftError
@@ -84,6 +80,66 @@ class TestKernel:
         st_ = LatticeSpacetime(8, 8, 0.9, MassSpectrum.parse("0.5:1"))
         with pytest.raises(LcqftError, match="not elliptic"):
             stt.mode_frequencies(st_, 4.5)
+
+
+class TestKernelAgainstEvaluator:
+    # the state suite reads positivity and invariance off the kernel W; these
+    # tie W to what the Wick evaluator computes
+    def test_square_of_degree_one_element(self, mixed_spacetime, rng):
+        # omega(a* a) = v^H W v for a = sum_i v_i e_i
+        vac = stt.vacuum_state(mixed_spacetime)
+        W = vac.two_point
+        for _ in range(30):
+            a = alg.field(dyn.random_solution(rng, mixed_spacetime))
+            v = alg.degree1_vector(a)
+            expect = v.conj() @ W @ v
+            assert abs(vac.evaluate(a.star() * a) - expect) \
+                <= 1e-12 * abs(expect)
+
+    def test_product_of_two_fields(self, mixed_spacetime, rng):
+        # omega(Phi(phi) Phi(psi)) = phi^T W psi
+        vac = stt.vacuum_state(mixed_spacetime)
+        W = vac.two_point
+        for _ in range(30):
+            phi = dyn.random_solution(rng, mixed_spacetime)
+            psi = dyn.random_solution(rng, mixed_spacetime)
+            expect = phi.vec() @ W @ psi.vec()
+            value = vac.evaluate(alg.field(phi) * alg.field(psi))
+            assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+class TestStateSuiteMutants:
+    @staticmethod
+    def _run(monkeypatch, scale):
+        # the state suite on `1:2` with the vacuum's mu rescaled by `scale`
+        vacuum = stt.vacuum_state
+
+        def mutant(st_):
+            vac = vacuum(st_)
+            return stt.QuasifreeState(st_, scale(vac.mu, st_), vac.label,
+                                      vac.flags)
+
+        monkeypatch.setattr(suites.stt, "vacuum_state", mutant)
+        return suites.state_suite(suites.RunConfig(spectrum="1:2", seed=7))
+
+    def test_uncertainty_violation_fails_positivity(self, monkeypatch):
+        result = self._run(monkeypatch, lambda mu, st_: 0.4 * mu)
+        assert result["status"] == "fail"
+        assert result["residuals"]["positivity_defect"] > 1e-9
+
+    def test_unequal_species_fails_invariance(self, monkeypatch):
+        # scaling one species of the two-species block keeps W >= 0
+        def scale(mu, st_):
+            S, N = st_.n_species, st_.n_sites
+            idx = np.r_[0:N, S * N:S * N + N]
+            mu = mu.copy()
+            mu[np.ix_(idx, idx)] *= 1.1
+            return mu
+
+        result = self._run(monkeypatch, scale)
+        assert result["status"] == "fail"
+        assert result["residuals"]["positivity_defect"] <= 1e-9
+        assert result["residuals"]["vacuum_gauge_invariance"] > 1e-10
 
 
 class TestEvaluate:
