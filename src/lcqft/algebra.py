@@ -51,6 +51,9 @@ CHUNK_TERMS = 1 << 17
 # one exchange costs about as much as np.sort spends on 80 digits
 SORT_NETWORK_MIN = 80
 
+# largest |M^T J M - J| entry that `LiftedMap` accepts as symplectic
+SIGMA_TOL = 1e-10
+
 MultiIndex = tuple[int, ...]
 
 
@@ -281,9 +284,6 @@ class AlgebraElement:
         return _element(self.spacetime, self.keys[:, mask], self.coeffs[mask],
                         self.digits[:, mask])
 
-    def degree_component(self, k: int) -> "AlgebraElement":
-        return self.select(self.term_degrees() == k)
-
     def max_abs(self) -> float:
         if not len(self.coeffs):
             return 0.0
@@ -381,20 +381,6 @@ class AlgebraElement:
         if self.spacetime is not other.spacetime \
                 and self.spacetime != other.spacetime:
             raise SpaceMismatch("elements live over different solution spaces")
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"idx": list(idx), "re": float(c.real), "im": float(c.imag)}
-            for idx, c in sorted(self.terms.items())
-        ]
-
-    @staticmethod
-    def from_json(data: list[dict], spacetime: LatticeSpacetime) -> "AlgebraElement":
-        return _element(spacetime, *_from_indices(
-            spacetime, [entry["idx"] for entry in data],
-            [complex(entry["re"], entry["im"]) for entry in data]))
 
 
 def zero(spacetime: LatticeSpacetime) -> AlgebraElement:
@@ -536,8 +522,7 @@ class LiftedMap:
     """Algebra endomorphism induced by a symplectic, conjugation-commuting
     linear map of the solution space (degree-wise functorial action)."""
 
-    def __init__(self, spacetime: LatticeSpacetime, matrix: np.ndarray,
-                 sigma_tol: float = 1e-10):
+    def __init__(self, spacetime: LatticeSpacetime, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if np.iscomplexobj(matrix):
             if np.max(np.abs(matrix.imag)) > 1e-12:
@@ -545,8 +530,8 @@ class LiftedMap:
             matrix = matrix.real
         J = symplectic_matrix(spacetime)
         defect = np.max(np.abs(matrix.T @ J @ matrix - J))
-        if defect > sigma_tol:
-            raise NotSymplectic(f"symplectic defect {defect:.3e} > {sigma_tol:.1e}")
+        if defect > SIGMA_TOL:
+            raise NotSymplectic(f"symplectic defect {defect:.3e} > {SIGMA_TOL:.1e}")
         self.spacetime = spacetime
         self.matrix = matrix
         self._slots = slot_map(matrix)

@@ -245,11 +245,6 @@ def species_rotation_coords(st: LatticeSpacetime, s1: int, s2: int
     return g
 
 
-def species_rotation_generator(st: LatticeSpacetime, s1: int, s2: int
-                               ) -> np.ndarray:
-    return _coords_to_matrix(species_rotation_coords(st, s1, s2), st)
-
-
 def expected_so_coords(st: LatticeSpacetime) -> np.ndarray:
     """Coordinate rows (n_so, C*C*N) of the in-block rotation generators."""
     C, N = _channel_count(st), st.n_sites
@@ -420,7 +415,7 @@ def _affine_directions_report(st: LatticeSpacetime) -> dict:
     classification."""
     from .algebra import commutator, field, max_coeff_diff, random_element
     from .dynamics import random_solution
-    from .gauge import GaugeElement, QuantumAction, group_compose
+    from .gauge import GaugeElement, QuantumAction, group_compose, group_inverse
 
     n0 = st.spectrum.massless_count
     rng = np.random.default_rng(1234)
@@ -447,7 +442,6 @@ def _affine_directions_report(st: LatticeSpacetime) -> dict:
                 QuantumAction(group_compose(g, g), st)(field(phi)),
                 QuantumAction(g2, st)(field(phi))))
             # invertibility back to the identity
-            ginv = GaugeElement(st.spectrum, eye_blocks, -lam * e_j)
             residual = max(residual, max_coeff_diff(
-                QuantumAction(ginv, st)(act(a)), a))
+                QuantumAction(group_inverse(g), st)(act(a)), a))
     return {"dimension": n0, "residual": residual}

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     LcqftError,
     NotChargeZero,
-    OutOfRange,
     SpacetimeMismatch,
     SupportViolation,
 )
@@ -81,16 +80,6 @@ def solution_from_vec(spacetime: LatticeSpacetime, vec: np.ndarray) -> Solution:
     S, N = spacetime.n_species, spacetime.n_sites
     vec = np.asarray(vec, dtype=complex).ravel()
     return Solution(spacetime, vec[: S * N].reshape(S, N), vec[S * N:].reshape(S, N))
-
-
-def basis_solution(spacetime: LatticeSpacetime, index: int) -> Solution:
-    vec = np.zeros(spacetime.data_dim, dtype=complex)
-    vec[index] = 1.0
-    return solution_from_vec(spacetime, vec)
-
-
-def zero_solution(spacetime: LatticeSpacetime) -> Solution:
-    return solution_from_vec(spacetime, np.zeros(spacetime.data_dim))
 
 
 def unit_constant_solution(spacetime: LatticeSpacetime, species: int) -> Solution:
@@ -247,8 +236,9 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
 
     q, p may carry arbitrary leading batch axes before the trailing (S, N).
     The perturbation (if any) is indexed by absolute slice; slices outside its
-    table count as zero. `source` is a (S, T1, N) inhomogeneity entering like
-    the mass-kind perturbation force. With trajectory=True, returns stacked
+    table count as zero. `source` is a (..., S, T1, N) inhomogeneity entering
+    like the mass-kind perturbation force; its leading axes broadcast
+    against those of q and p. With trajectory=True, returns stacked
     (q, p) at every visited slice from t_from to t_to inclusive.
     """
     dt = spacetime.dt
@@ -266,8 +256,8 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
 
     def force(qq, t):
         a = _accel(qq, spacetime, v_at(t), pert.kind if pert else "mass")
-        if source is not None and 0 <= t < source.shape[1]:
-            a = a + source[:, t]
+        if source is not None and 0 <= t < source.shape[-2]:
+            a = a + source[..., t, :]
         return a
 
     frames = [(q.copy(), p.copy())] if trajectory else None
@@ -293,25 +283,12 @@ def step(sol: Solution, direction: str = "forward") -> Solution:
     return Solution(sol.spacetime, q, p)
 
 
-def evolve(sol: Solution, steps: int, pert: Perturbation | None = None) -> Solution:
-    q, p = evolve_data(sol.q, sol.p, sol.spacetime, 0, steps, pert=pert)
-    return Solution(sol.spacetime, q, p)
-
-
 def trajectory(sol: Solution, t_to: int | None = None, pert: Perturbation | None = None):
     """Field values and momenta on every slice 0..t_to, shapes (T1, S, N)."""
     if t_to is None:
         t_to = sol.spacetime.n_steps
     return evolve_data(sol.q, sol.p, sol.spacetime, 0, t_to, pert=pert,
                        trajectory=True)
-
-
-def translate_solution(sol: Solution, dt_steps: int, dx_sites: int) -> Solution:
-    """(T phi)(t, x) = phi(t - dt_steps, x - dx_sites), read off at t=0."""
-    q, p = evolve_data(sol.q, sol.p, sol.spacetime, 0, -dt_steps)
-    return Solution(sol.spacetime,
-                    np.roll(q, dx_sites, axis=-1),
-                    np.roll(p, dx_sites, axis=-1))
 
 
 def matrix_of(map_fn, spacetime: LatticeSpacetime) -> np.ndarray:
@@ -328,41 +305,34 @@ def matrix_of(map_fn, spacetime: LatticeSpacetime) -> np.ndarray:
     ).T
 
 
-def evolution_matrix(spacetime: LatticeSpacetime, steps: int = 1,
-                     pert: Perturbation | None = None) -> np.ndarray:
-    return matrix_of(
-        lambda qb, pb: evolve_data(qb, pb, spacetime, 0, steps, pert=pert),
-        spacetime)
-
-
 @lru_cache(maxsize=32)
 def one_step_matrix(spacetime: LatticeSpacetime) -> np.ndarray:
-    return evolution_matrix(spacetime, 1).real
-
-
-def shift_matrix(spacetime: LatticeSpacetime) -> np.ndarray:
-    """Matrix of the one-site spatial translation on the data space."""
+    """Matrix of one forward step of the free equation."""
     return matrix_of(
-        lambda qb, pb: (np.roll(qb, 1, axis=-1), np.roll(pb, 1, axis=-1)),
-        spacetime).real
+        lambda qb, pb: evolve_data(qb, pb, spacetime, 0, 1), spacetime).real
 
 
 # -- causal propagator -----------------------------------------------------------
 
-def propagate_test_function(f: TestFunction) -> Solution:
-    """E f: difference of retarded and advanced solutions, read at t=0.
+def propagate_sources(spacetime: LatticeSpacetime, sources: np.ndarray):
+    """E f for a batch of test-function values `sources` (..., S, T1, N):
+    Cauchy data (q, p) of shape (..., S, N), the difference of the retarded
+    and advanced solutions read at t=0.
 
-    Computed by integrating zero data forward through the source (yielding the
-    retarded solution at the final clean slice, where the advanced one
-    vanishes) and transporting back with the free evolution.
+    Computed by integrating zero data forward through the sources (yielding
+    the retarded solution at the final clean slice, where the advanced one
+    vanishes) and transporting back with the free evolution: one forward and
+    one backward pass for the whole batch.
     """
-    st = f.spacetime
-    S, N = st.n_species, st.n_sites
-    q0 = np.zeros((S, N), dtype=complex)
-    T = st.n_steps
-    q, p = evolve_data(q0, q0, st, 0, T, source=f.values)
-    q, p = evolve_data(q, p, st, T, 0)
-    return Solution(st, q, p)
+    T = spacetime.n_steps
+    q0 = np.zeros(sources.shape[:-2] + (sources.shape[-1],), dtype=complex)
+    q, p = evolve_data(q0, q0, spacetime, 0, T, source=sources)
+    return evolve_data(q, p, spacetime, T, 0)
+
+
+def propagate_test_function(f: TestFunction) -> Solution:
+    """E f for one test function (see `propagate_sources`)."""
+    return Solution(f.spacetime, *propagate_sources(f.spacetime, f.values))
 
 
 # -- pointwise null energy ---------------------------------------------------------
@@ -375,17 +345,6 @@ def null_derivatives(q_traj: np.ndarray, p_traj: np.ndarray):
     """
     dx = 0.5 * (np.roll(q_traj, -1, axis=-1) - np.roll(q_traj, 1, axis=-1))
     return p_traj + dx, p_traj - dx
-
-
-def null_energy(sol: Solution, t: int, x: int, sign: int) -> float:
-    """|| (d_t + sign * d_x) phi (t, x) ||^2 summed over species."""
-    st = sol.spacetime
-    if not (0 <= t <= st.n_steps):
-        raise OutOfRange(f"slice {t} outside [0, {st.n_steps}]")
-    q_traj, p_traj = trajectory(sol, t)
-    dp, dm = null_derivatives(q_traj[-1][None], p_traj[-1][None])
-    d = dp if sign > 0 else dm
-    return float(np.sum(np.abs(d[0, :, x % st.n_sites]) ** 2))
 
 
 def null_energy_grid(sol: Solution) -> np.ndarray:

@@ -33,10 +33,6 @@ class SupportViolation(LcqftError):
     """Test function or perturbation support leaves its allowed time window."""
 
 
-class OutOfRange(LcqftError):
-    """Lattice point outside the time extent."""
-
-
 # -- CCR algebra ---------------------------------------------------------------
 
 class SpaceMismatch(LcqftError):

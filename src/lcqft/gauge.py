@@ -78,18 +78,6 @@ class GaugeElement:
             out[block, block] = R
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "blocks": [{"mass": m, "R": R.tolist()}
-                       for (m, _), R in zip(self.spectrum.entries, self.blocks)],
-            "ell": self.ell.tolist(),
-        }
-
-    @staticmethod
-    def from_json(data: dict, spectrum: MassSpectrum) -> "GaugeElement":
-        blocks = tuple(np.array(entry["R"]) for entry in data["blocks"])
-        return GaugeElement(spectrum, blocks, np.array(data["ell"]))
-
 
 def identity_gauge(spectrum: MassSpectrum) -> GaugeElement:
     blocks = tuple(np.eye(k) for _, k in spectrum.entries)
@@ -132,7 +120,7 @@ def block_reflections(spectrum: MassSpectrum) -> list[GaugeElement]:
 
 
 def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum,
-                 with_ell: bool = True, ell_scale: float = 1.0) -> GaugeElement:
+                 with_ell: bool = True) -> GaugeElement:
     """Orthogonalized Gaussian blocks with balanced determinant signs."""
     blocks = []
     for _, k in spectrum.entries:
@@ -144,7 +132,7 @@ def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum,
             Q[0] = -Q[0]
         blocks.append(Q)
     n0 = spectrum.massless_count
-    ell = ell_scale * rng.standard_normal(n0) if (with_ell and n0) else np.zeros(n0)
+    ell = rng.standard_normal(n0) if (with_ell and n0) else np.zeros(n0)
     return GaugeElement(spectrum, tuple(blocks), ell)
 
 

@@ -2,15 +2,19 @@
 
 The local algebra of a region is generated by fields smeared inside it; on
 the lattice its degree-1 part is the span of E f over test functions
-supported in the region, and membership of an algebra element is the
-statement that every tensor slot lies in that span.
+supported in the region (`region_solution_basis`, all point sources of the
+region propagated in one batch), and an algebra element belongs to it iff
+every tensor slot lies in that span. On Sym^k V = (+)_i Sym^(k-i) W (x)
+Sym^i W_perp, the derivation extending the projector 1 - P onto W_perp
+acts as i on the i-th summand, so it annihilates exactly the elements of
+the subalgebra; `membership_residual` is the size of that derivation.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, max_coeff_diff, slot_map, substitute_affine
-from .dynamics import TestFunction, evolve_data, propagate_test_function
+from .algebra import AlgebraElement, derivation, slot_map
+from .dynamics import evolve_data, matrix_of, propagate_sources
 from .errors import DomainMismatch
 from .spacetime import LatticeMorphism, Region
 
@@ -18,61 +22,33 @@ RANK_TOL = 1e-10
 
 
 def region_solution_basis(region: Region) -> np.ndarray:
-    """Orthonormal basis (columns) of span{E f : supp f inside the region}."""
+    """Orthonormal basis (columns) of span{E f : supp f inside the region}:
+    one point source per (point, species), points in sorted order, species
+    fastest, all propagated at once."""
     st = region.spacetime
-    vecs = []
-    vals = np.zeros((st.n_species, st.n_slices, st.n_sites), dtype=complex)
-    for (t, x) in sorted(region.points):
-        if not (1 <= t <= st.n_steps - 2):
-            continue
-        for s in range(st.n_species):
-            vals[:] = 0
-            vals[s, t, x] = 1.0
-            vecs.append(propagate_test_function(TestFunction(st, vals)).vec())
-    if not vecs:
+    S = st.n_species
+    points = [(t, x) for (t, x) in sorted(region.points)
+              if 1 <= t <= st.n_steps - 2]
+    if not points:
         return np.zeros((st.data_dim, 0), dtype=complex)
-    A = np.array(vecs).T
+    t, x = np.array(points).T
+    batch = np.arange(len(points) * S)
+    sources = np.zeros((len(batch), S, st.n_slices, st.n_sites), dtype=complex)
+    sources[batch, batch % S, np.repeat(t, S), np.repeat(x, S)] = 1.0
+    A = np.concatenate(propagate_sources(st, sources), axis=-2)
+    A = A.reshape(len(batch), st.data_dim).T
     u, sing, _ = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(sing > RANK_TOL * sing[0]))
     return u[:, :rank]
 
 
-def subspace_projector(basis: np.ndarray) -> np.ndarray:
-    return basis @ basis.conj().T
-
-
 def membership_residual(a: AlgebraElement, basis: np.ndarray) -> float:
-    """How far a is from the subalgebra generated by the subspace.
-
-    Applies the slot-wise orthogonal projection onto the span (the functorial
-    action of the projector) and measures the coefficient change; zero iff
-    every tensor slot lies in the span. Degrees <= 2 go through dense numpy
-    (a vector and a symmetric matrix); higher degrees through the sparse
-    substitution.
-    """
-    P = subspace_projector(basis)
-    dim = a.dim
-    degree = a.term_degrees()
-    residual = 0.0
-    if np.any(degree == 1):
-        vec1 = np.zeros(dim, dtype=complex)
-        vec1[a.digits[-1, degree == 1] - 1] = a.coeffs[degree == 1]
-        residual = max(residual, float(np.max(np.abs(vec1 - P @ vec1))))
-    if np.any(degree == 2):
-        i, j = a.digits[-2:, degree == 2] - 1
-        c = a.coeffs[degree == 2]
-        mat2 = np.zeros((dim, dim), dtype=complex)
-        mat2[i, j] = np.where(i == j, c, c / 2)
-        mat2[j, i] = mat2[i, j]
-        diff = mat2 - P @ mat2 @ P.T
-        off = np.abs(diff) * 2
-        np.fill_diagonal(off, np.abs(np.diag(diff)))
-        residual = max(residual, float(np.max(off)))
-    if np.any(degree > 2):
-        rest = a.select(degree > 2)
-        projected = substitute_affine(rest, slot_map(P))
-        residual = max(residual, max_coeff_diff(rest, projected))
-    return residual
+    """How far a is from the subalgebra generated by the span of `basis`:
+    the largest coefficient of the derivation of a by 1 - P, with P the
+    orthogonal projector onto the span; zero iff every tensor slot lies in
+    the span."""
+    outside = np.eye(a.dim) - basis @ basis.conj().T
+    return derivation(a, slot_map(outside)).max_abs()
 
 
 def solution_map(morphism: LatticeMorphism) -> np.ndarray:
@@ -90,7 +66,6 @@ def solution_map(morphism: LatticeMorphism) -> np.ndarray:
             qb, pb = evolve_data(qb, pb, st, 0, -morphism.dt_steps)
             return (np.roll(qb, morphism.dx_sites, axis=-1),
                     np.roll(pb, morphism.dx_sites, axis=-1))
-        from .dynamics import matrix_of
         return matrix_of(act, st).real
     if kind in ("region_inclusion", "cauchy_extension"):
         if morphism.dt_steps or morphism.dx_sites % st.n_sites:

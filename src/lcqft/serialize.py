@@ -1,7 +1,9 @@
 """Deterministic JSON writer for reports, and the golden-report comparison.
 
-Floating-point values are rendered with 17 significant digits and keys are
-sorted, so one configuration yields byte-identical reports on one build and
+`dumps` is the standard library's writer with sorted keys, two-space
+indentation and no NaN or infinity; floats are written in their shortest
+round-trip form, so a parsed report holds the exact floats that were
+written. One configuration yields byte-identical reports on one build and
 BLAS thread count (timings are the only run-dependent fields; comparisons
 strip them). Across machines only the report's contract is byte-identical:
 roundoff-floor residuals that pass through BLAS/LAPACK change in their last
@@ -10,61 +12,14 @@ those within a band (`GOLDEN_RTOL`, `GOLDEN_ATOL`).
 """
 from __future__ import annotations
 
-import math
+import json
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float in report")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return f"{x:.17g}"
-
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def dumps(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad + "  " + dumps(v, indent + 2) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        inner = ",\n".join(
-            pad + "  " + f'"{_escape(str(k))}": ' + dumps(v, indent + 2)
-            for k, v in items)
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)}")
+def dumps(obj) -> str:
+    """Report text: sorted keys, indent 2, non-ASCII kept, and ValueError
+    on a non-finite float."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      ensure_ascii=False)
 
 
 def strip_timings(obj):

@@ -10,9 +10,10 @@ so all causal bookkeeping is integer-exact.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     DomainMismatch,
@@ -133,32 +134,37 @@ class LatticeSpacetime:
         self._check_elliptic()
         self._check_mode_separation()
 
+    @cached_property
+    def dispersion(self) -> np.ndarray:
+        """Squared mode frequencies w^2 = m^2 + 4 sin^2(pi k / N), one row
+        per mass block (in spectrum order), one column per momentum k."""
+        m = np.asarray(self.spectrum.masses)[:, None]
+        k = np.arange(self.n_sites)
+        w2 = m * m + 4.0 * np.sin(np.pi * k / self.n_sites) ** 2
+        w2.setflags(write=False)
+        return w2
+
     def _check_elliptic(self):
         # The explicit stepper keeps a mode bounded only while
-        # dt^2 w^2 < 4, with w^2 = m^2 + 4 sin^2(pi k / N); the heaviest
-        # mass at the highest lattice momentum k = floor(N/2) is the worst.
-        n, m = self.n_sites, max(self.spectrum.masses)
-        w2 = m * m + 4.0 * math.sin(math.pi * (n // 2) / n) ** 2
+        # dt^2 w^2 < 4; the heaviest mass is the worst.
+        w2 = float(np.max(self.dispersion))
         if self.dt * self.dt * w2 >= 4.0:
             raise LcqftError(
-                f"mode of mass {m} is not elliptic at dt={self.dt} "
-                f"(dt^2 w^2 = {self.dt * self.dt * w2:.3g} >= 4)")
+                f"mode of mass {max(self.spectrum.masses)} is not elliptic at "
+                f"dt={self.dt} (dt^2 w^2 = {self.dt * self.dt * w2:.3g} >= 4)")
 
     def _check_mode_separation(self):
         # Distinct continuum masses must stay spectrally distinct on the
-        # lattice: squared mode frequencies m^2 + 4 sin^2(pi k / N) for
-        # different masses may not collide within 1e-9.
-        n = self.n_sites
-        kappa2 = [4.0 * math.sin(math.pi * k / n) ** 2 for k in range(n)]
-        masses = self.spectrum.masses
-        for i, m1 in enumerate(masses):
-            for m2 in masses[i + 1:]:
-                for ka in kappa2:
-                    for kb in kappa2:
-                        if abs((m1 * m1 + ka) - (m2 * m2 + kb)) < MASS_COLLISION_TOL:
-                            raise MassCollision(
-                                f"masses {m1} and {m2} collide on the N={n} lattice"
-                            )
+        # lattice: squared mode frequencies of different mass blocks may not
+        # collide within 1e-9 at any pair of momenta.
+        w2 = self.dispersion
+        gap = np.abs(w2[:, None, :, None] - w2[None, :, None, :])
+        collide = np.triu((gap < MASS_COLLISION_TOL).any(axis=(2, 3)), 1)
+        if collide.any():
+            i, j = np.argwhere(collide)[0]
+            masses = self.spectrum.masses
+            raise MassCollision(f"masses {masses[i]} and {masses[j]} collide "
+                                f"on the N={self.n_sites} lattice")
 
     @property
     def n_species(self) -> int:
@@ -360,10 +366,6 @@ class LatticeMorphism:
         if self.source.spacetime.n_steps < self.target.spacetime.n_steps:
             return "cauchy_extension"
         return "translation"
-
-    def is_identity(self) -> bool:
-        return (self.source == self.target
-                and self.dt_steps == 0 and self.dx_sites % self.source.spacetime.n_sites == 0)
 
 
 def translation(spacetime: LatticeSpacetime, dt_steps: int, dx_sites: int

@@ -24,7 +24,6 @@ import numpy as np
 
 from .algebra import AlgebraElement, check_degree_cap
 from .dynamics import symplectic_matrix
-from .errors import LcqftError
 from .spacetime import LatticeSpacetime
 
 DEFAULT_DEGREE_CAP = 8
@@ -33,23 +32,19 @@ DEFAULT_DEGREE_CAP = 8
 def mode_frequencies(spacetime: LatticeSpacetime, mass: float) -> np.ndarray:
     """Effective per-mode frequencies of the one-step map for one species.
 
-    Elliptic modes get w_eff(k) = w(k) sqrt(1 - dt^2 w(k)^2 / 4) with
-    w(k)^2 = m^2 + 4 sin^2(pi k / N), the frequency whose oscillator
-    covariance the exact one-step map leaves invariant. The massless spatial
-    zero mode is parabolic (a free particle, no ground state) and gets a
-    fixed unit-width reference instead.
+    Elliptic modes (every mode of a spacetime, which checks ellipticity)
+    get w_eff(k) = w(k) sqrt(1 - dt^2 w(k)^2 / 4), with w(k)^2 the block's
+    row of `spacetime.dispersion`: the frequency whose oscillator covariance
+    the exact one-step map leaves invariant. The massless spatial zero mode
+    is parabolic (a free particle, no ground state) and gets a fixed
+    unit-width reference instead.
     """
-    N, dt = spacetime.n_sites, spacetime.dt
-    k = np.arange(N)
-    w2 = mass * mass + 4.0 * np.sin(np.pi * k / N) ** 2
-    if np.any(dt * dt * w2 >= 4.0):
-        raise LcqftError(
-            f"mode of mass {mass} is not elliptic at dt={dt}; no ground state")
+    dt = spacetime.dt
+    w2 = spacetime.dispersion[spacetime.spectrum.masses.index(mass)]
+    out = np.sqrt(w2) * np.sqrt(1.0 - dt * dt * w2 / 4.0)
     if mass == 0.0:
-        out = np.ones(N)
-        out[1:] = np.sqrt(w2[1:]) * np.sqrt(1.0 - dt * dt * w2[1:] / 4.0)
-        return out
-    return np.sqrt(w2) * np.sqrt(1.0 - dt * dt * w2 / 4.0)
+        out[0] = 1.0
+    return out
 
 
 def _circulant_from_eigenvalues(vals: np.ndarray) -> np.ndarray:
@@ -66,7 +61,6 @@ class QuasifreeState:
 
     spacetime: LatticeSpacetime
     mu: np.ndarray  # real symmetric covariance over the canonical basis
-    label: str = "vacuum"
     flags: tuple[str, ...] = ()
     degree_cap: int = DEFAULT_DEGREE_CAP
 
@@ -157,7 +151,7 @@ def vacuum_state(spacetime: LatticeSpacetime) -> QuasifreeState:
         if mass == 0.0 and "massless-reference" not in flags:
             flags.append("massless-reference")
             flags.append("not-invariant-under-affine-shifts")
-    return QuasifreeState(spacetime, mu, label="vacuum", flags=tuple(flags))
+    return QuasifreeState(spacetime, mu, flags=tuple(flags))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,13 +161,12 @@ class PulledBackState:
 
     base: QuasifreeState
     endo: Callable[[AlgebraElement], AlgebraElement]
-    label: str = "pullback"
 
     def evaluate(self, a: AlgebraElement) -> complex:
         return self.base.evaluate(self.endo(a))
 
 
 def pull_back(state: QuasifreeState,
-              endo: Callable[[AlgebraElement], AlgebraElement],
-              label: str = "pullback") -> PulledBackState:
-    return PulledBackState(state, endo, label)
+              endo: Callable[[AlgebraElement], AlgebraElement]
+              ) -> PulledBackState:
+    return PulledBackState(state, endo)

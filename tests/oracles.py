@@ -3,7 +3,9 @@
 Everything here recomputes expected values by a route different from the
 production code: brute-force enumeration for causal structure, separate
 retarded/advanced source integration and the discrete Klein-Gordon operator
-for the propagator, textbook mode
+for the propagator, one propagation per point source for the local
+algebras' solution spaces, the projector substitution for membership in a
+local algebra, an index permutation for the site shift, textbook mode
 matrices for the stepper, a Richardson finite difference for the derivative
 of relative Cauchy evolution, ordered Wick reduction and a per-monomial
 hafnian for state evaluation, a dict-walking kernel (partial matchings,
@@ -20,13 +22,15 @@ import numpy as np
 from lcqft._linalg import nullspace
 from lcqft.classify import project_out_massless_zero_mode
 from lcqft.dynamics import (
+    TestFunction,
     evolve_data,
     null_derivatives,
     one_step_matrix,
+    propagate_test_function,
     relative_cauchy_evolution,
     symplectic_form,
 )
-from lcqft.spacetime import LatticeSpacetime
+from lcqft.spacetime import LatticeSpacetime, Region
 
 
 # -- causal structure ---------------------------------------------------------------
@@ -119,6 +123,33 @@ def discrete_kg_operator(f_values: np.ndarray, spacetime: LatticeSpacetime
         - lap[:, interior] + m2 * g[:, interior]
     )
     return out
+
+
+def shift_matrix(st: LatticeSpacetime) -> np.ndarray:
+    """The one-site spatial translation as a permutation of the canonical
+    basis: e_(c, x) -> e_(c, x + 1) in every channel-species block c."""
+    N = st.n_sites
+    block, x = np.divmod(np.arange(st.data_dim), N)
+    out = np.zeros((st.data_dim, st.data_dim))
+    out[block * N + (x + 1) % N, block * N + x] = 1.0
+    return out
+
+
+def per_point_region_basis(region: Region) -> np.ndarray:
+    """Orthonormal basis of span{E f : supp f inside the region}, one
+    propagated delta test function per (point, species); singular values
+    below 1e-10 of the largest are dropped."""
+    st = region.spacetime
+    vecs = []
+    for (t, x) in sorted(region.points):
+        if not (1 <= t <= st.n_steps - 2):
+            continue
+        for s in range(st.n_species):
+            vals = np.zeros((st.n_species, st.n_slices, st.n_sites), complex)
+            vals[s, t, x] = 1.0
+            vecs.append(propagate_test_function(TestFunction(st, vals)).vec())
+    u, sing, _ = np.linalg.svd(np.array(vecs).T, full_matrices=False)
+    return u[:, :int(np.sum(sing > 1e-10 * sing[0]))]
 
 
 def richardson_rce_derivative(pert, a, b) -> complex:
@@ -237,6 +268,15 @@ def dict_derivation(a: dict, matrix: np.ndarray, consts=None) -> dict:
 def dict_max_coeff_diff(a: dict, b: dict) -> float:
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b)),
                default=0.0)
+
+
+def projector_membership_residual(element, basis: np.ndarray) -> float:
+    """Coefficient change of an element under the slot-wise substitution of
+    the orthogonal projector onto the span of `basis`: zero iff every tensor
+    slot lies in the span."""
+    terms = dict(element.terms)
+    projected = dict_substitute(terms, basis @ basis.conj().T)
+    return dict_max_coeff_diff(terms, projected)
 
 
 # -- quasifree evaluation ---------------------------------------------------------------

@@ -3,6 +3,8 @@ import copy
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +27,19 @@ CLASSIFY_CHECKS = ["soundness_sigma", "soundness_null_energy",
 
 class TestSerializer:
     def test_float_formatting(self):
-        assert serialize.dumps(0.1) == "0.10000000000000001"
+        # the shortest string that parses back to the same float
+        assert serialize.dumps(0.1) == "0.1"
         assert serialize.dumps(1.0) == "1.0"
+        assert serialize.dumps(2.220446049250313e-16) == "2.220446049250313e-16"
         assert serialize.dumps(3) == "3"
         assert serialize.dumps(True) == "true"
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                serialize.dumps(bad)
+
+    def test_large_float_parses_back_as_float(self):
+        back = json.loads(serialize.dumps(1e16))
+        assert isinstance(back, float) and back == 1e16
 
     def test_sorted_keys(self):
         out = serialize.dumps({"b": 1, "a": 2})
@@ -122,6 +133,26 @@ class TestGoldenComparison:
             "suites[ccr].residuals keys "
             "golden=['associativity_vs_exact_oracle', 'ccr_relations'] "
             "fresh=['associativity_vs_exact_oracle']"]
+
+
+class TestBenchmarkTraceHooks:
+    def test_traced_child_records_kinematic_spans(self, tmp_path):
+        # the benchmark's traced run wraps lcqft functions by name, so a
+        # renamed or deleted one breaks it; this runs it on the gauge suite
+        root = GOLDEN_DIR.parent.parent
+        stats = tmp_path / "stats.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src")] + ([os.environ["PYTHONPATH"]]
+                                   if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), "trace",
+             str(stats), "verify", "gauge", "--spectrum", "1:2",
+             "--sites", "8"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(stats.read_text())
+        spans = {data["names"][span[0]] for span in data["spans"]}
+        assert {"kinematics.region_basis", "kinematics.membership"} <= spans
 
 
 class TestRunSuite:

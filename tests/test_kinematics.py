@@ -1,5 +1,6 @@
 """Kinematic subalgebras and the functorial action of morphisms."""
 import numpy as np
+import pytest
 
 from lcqft import algebra as alg
 from lcqft import dynamics as dyn
@@ -14,8 +15,11 @@ from lcqft.spacetime import (
     cauchy_extension,
     compose,
     domain_of_dependence,
+    multi_diamond,
     translation,
 )
+
+from oracles import per_point_region_basis, projector_membership_residual
 
 
 class TestRegionSolutionBasis:
@@ -48,6 +52,72 @@ class TestRegionSolutionBasis:
         v = dyn.random_solution(rng, mixed_spacetime)
         el = alg.field(v)
         assert membership_residual(el, basis) > 1e-3
+
+
+class TestBatchedBasis:
+    # one batched propagation per region against one propagation per point
+    @pytest.mark.parametrize("spec, n, steps, bases", [
+        ("1:2", 8, 16, [(6, 1, 5)]),
+        ("0:1,1:2", 8, 16, [(6, 1, 5)]),
+        ("1:2", 9, 16, [(7, 2, 6)]),                # odd N
+        ("0:1,1:2", 8, 7, [(3, 0, 5)]),             # slices 1 to T - 2
+        ("0:1,1:2", 8, 8, [(4, 6, 7)]),             # reaches past T - 2
+        ("0:1,1:2", 8, 16, [(6, 0, 3), (6, 4, 3)]),  # two diamonds
+    ])
+    def test_matches_per_point_propagation(self, spec, n, steps, bases):
+        st = LatticeSpacetime(n, steps, 0.5, MassSpectrum.parse(spec))
+        region = multi_diamond(st, bases)
+        batched = region_solution_basis(region)
+        oracle = per_point_region_basis(region)
+        assert batched.shape == oracle.shape
+        assert np.max(np.abs(batched @ batched.conj().T
+                             - oracle @ oracle.conj().T)) < 1e-12
+
+
+class TestMembershipResidual:
+    # the derivation by 1 - P against the projector substitution (oracle) on
+    # degree-3 elements; the two agree wherever every term has at most one
+    # slot outside the span
+    @staticmethod
+    def _space(rng):
+        st = LatticeSpacetime(4, 10, 0.5, MassSpectrum.parse("1:2"))
+        basis = region_solution_basis(domain_of_dependence(5, 0, 3, st))
+        assert 0 < basis.shape[1] < st.data_dim
+
+        def inside():
+            coeff = rng.standard_normal(basis.shape[1]) \
+                + 1j * rng.standard_normal(basis.shape[1])
+            return alg.field(dyn.solution_from_vec(st, basis @ coeff))
+
+        return st, basis, inside
+
+    def test_inside_elements(self, rng):
+        st, basis, inside = self._space(rng)
+        for _ in range(2):
+            w1, w2, w3 = inside(), inside(), inside()
+            a = w1 * w2 * w3 + 0.5 * w1 * w2 + w3 + alg.one(st)
+            assert a.degree == 3
+            scale = a.max_abs()
+            assert membership_residual(a, basis) < 1e-12 * scale
+            assert projector_membership_residual(a, basis) < 1e-12 * scale
+
+    def test_one_slot_outside_agrees_with_oracle(self, rng):
+        st, basis, inside = self._space(rng)
+        for _ in range(2):
+            r = dyn.random_solution(rng, st).vec()
+            u = r - basis @ (basis.conj().T @ r)
+            a = inside() * inside() * alg.field(dyn.solution_from_vec(st, u))
+            assert a.degree == 3
+            oracle = projector_membership_residual(a, basis)
+            assert oracle > 1e-3 * a.max_abs()
+            assert abs(membership_residual(a, basis) - oracle) < 1e-12 * oracle
+
+    def test_outside_elements(self, rng):
+        st, basis, _ = self._space(rng)
+        for _ in range(3):
+            a = alg.random_element(rng, st, 3, 6)
+            assert membership_residual(a, basis) > 1e-3
+            assert projector_membership_residual(a, basis) > 1e-3
 
 
 class TestSolutionMap:

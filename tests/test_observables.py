@@ -102,7 +102,7 @@ class TestBilinearGenerator:
                 for j in np.nonzero(v)[0]:
                     key = tuple(sorted((int(i), int(j))))
                     expected[key] = expected.get(key, 0.0) + u[i] * v[j]
-        deg2 = gen.degree_component(2)
+        deg2 = gen.select(gen.term_degrees() == 2)
         worst = 0.0
         for key, val in expected.items():
             worst = max(worst, abs(deg2.coefficient(key) - val))
@@ -174,7 +174,7 @@ class TestInvariantProjectionCheck:
             return alg.field(dyn.embed_scalar(h, s))
 
         det = f(phi, 0) * f(psi, 1) - f(phi, 1) * f(psi, 0)
-        gen = clf.species_rotation_generator(st, 0, 1)
+        gen, = clf.expected_so_generators(st)
         assert alg.derivation(det, alg.slot_map(gen)).terms == {}
         ok, residual = obs.invariant_projection_check(det)
         assert not ok
