@@ -212,16 +212,27 @@ def _masses_sq(spacetime: LatticeSpacetime) -> np.ndarray:
     return (m * m)[:, None]
 
 
+@lru_cache(maxsize=None)
+def _neighbours(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Site indices x + 1 and x - 1 on the circle (read-only, shared)."""
+    x = np.arange(n_sites)
+    nxt, prv = (x + 1) % n_sites, (x - 1) % n_sites
+    nxt.setflags(write=False)
+    prv.setflags(write=False)
+    return nxt, prv
+
+
 def _accel(q: np.ndarray, spacetime: LatticeSpacetime,
            v_slice: np.ndarray | None, kind: str) -> np.ndarray:
     """Acceleration dd q/dt dt on one slice; q has shape (..., S, N)."""
+    nxt, prv = _neighbours(spacetime.n_sites)
     if kind == "gradient" and v_slice is not None:
         w = 1.0 + v_slice  # edge weight between x and x+1
-        dq = np.roll(q, -1, axis=-1) - q
+        dq = q.take(nxt, axis=-1) - q
         flux = w * dq
-        lap = flux - np.roll(flux, 1, axis=-1)
+        lap = flux - flux.take(prv, axis=-1)
     else:
-        lap = np.roll(q, -1, axis=-1) - 2.0 * q + np.roll(q, 1, axis=-1)
+        lap = q.take(nxt, axis=-1) - 2.0 * q + q.take(prv, axis=-1)
     a = lap - _masses_sq(spacetime) * q
     if kind == "mass" and v_slice is not None:
         a = a - v_slice * q

@@ -1,108 +1,119 @@
-"""Exact-rational oracle for the deformed product.
+"""Exact dyadic oracle for the deformed product.
 
-Independent evaluation route used by the associativity checks: coefficients
-are Gaussian rationals (pairs of Fractions) and every product is reduced
-through degree-1 generator multiplications,
+Independent evaluation route used by the associativity checks: every
+product is reduced through degree-1 generator multiplications,
 
     e_{i1..ik} = F(i1) . e_{i2..ik} - (i/2) sum_j sigma(i1, ij) e_{i2..ik \\ j},
     F(u) . M  = u v M + (i/2) sum_j sigma(u, mj) M \\ j,
 
-rather than by enumerating partial matchings. On integer symplectic data the
-arithmetic is exact, so associativity holds to equality and the float path
-can be compared against it coefficient by coefficient.
+rather than by enumerating partial matchings as the float kernel does.
+
+Coefficients are Gaussian dyadic rationals: an element is a dict of integer
+numerators (re, im) over one power of two 2**exp. Every finite float is
+dyadic, so `exact_from_complex_terms` is exact on any float input, and the
+only denominators the recursion makes are the contractions' 1/2, so the
+whole product is integer arithmetic. Each element is kept at its smallest
+exp >= 0, which makes `==` value equality: associativity holds to equality
+and the float path can be compared against it coefficient by coefficient.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import NamedTuple
 
-QRat = tuple[Fraction, Fraction]  # real, imaginary parts
-
-ZERO: QRat = (Fraction(0), Fraction(0))
-ONE: QRat = (Fraction(1), Fraction(0))
+Gauss = tuple[int, int]  # real, imaginary numerators
+Monomials = dict[tuple[int, ...], Gauss]
 
 
-def qadd(a: QRat, b: QRat) -> QRat:
-    return (a[0] + b[0], a[1] + b[1])
+class ExactElement(NamedTuple):
+    """sum over idx of terms[idx] * 2**-exp, with exp as small as it can be."""
+    terms: Monomials
+    exp: int
 
 
-def qmul(a: QRat, b: QRat) -> QRat:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _canonical(terms: Monomials, exp: int) -> ExactElement:
+    """Drop zero terms and the powers of two common to all numerators."""
+    terms = {idx: c for idx, c in terms.items() if c != (0, 0)}
+    bits = 0
+    for re, im in terms.values():
+        bits |= re | im
+    shift = min(exp, (bits & -bits).bit_length() - 1) if bits else exp
+    if shift:
+        terms = {idx: (re >> shift, im >> shift)
+                 for idx, (re, im) in terms.items()}
+    return ExactElement(terms, exp - shift)
 
 
-def _sigma(i: int, j: int, half: int) -> int:
-    if i < half and j == i + half:
-        return 1
-    if i >= half and j == i - half:
-        return -1
-    return 0
+def exact_from_complex_terms(terms: dict[tuple[int, ...], complex]
+                             ) -> ExactElement:
+    ratios = {idx: (c.real.as_integer_ratio(), c.imag.as_integer_ratio())
+              for idx, c in terms.items()}
+    # every denominator is a power of two: bring all to the largest
+    exp = max((d.bit_length() - 1 for pair in ratios.values()
+               for _, d in pair), default=0)
+    return _canonical({idx: (nr * (1 << exp) // dr, ni * (1 << exp) // di)
+                       for idx, ((nr, dr), (ni, di)) in ratios.items()}, exp)
 
 
-ExactElement = dict[tuple[int, ...], QRat]
+def _add(acc: Monomials, idx: tuple[int, ...], re: int, im: int):
+    cur = acc.get(idx)
+    if cur is not None:
+        re, im = cur[0] + re, cur[1] + im
+        if not (re or im):
+            del acc[idx]
+            return
+    acc[idx] = (re, im)
 
 
-def exact_from_complex_terms(terms: dict[tuple[int, ...], complex]) -> ExactElement:
-    return {idx: (Fraction(c.real), Fraction(c.imag)) for idx, c in terms.items()}
-
-
-def _add_term(acc: ExactElement, idx: tuple[int, ...], coeff: QRat):
-    cur = acc.get(idx, ZERO)
-    new = qadd(cur, coeff)
-    if new == ZERO:
-        acc.pop(idx, None)
-    else:
-        acc[idx] = new
-
-
-def _generator_times_monomial(u: int, mono: tuple[int, ...], half: int
-                              ) -> ExactElement:
-    """F(u) . (e_mono): symmetric append plus single contractions."""
-    out: ExactElement = {}
-    _add_term(out, tuple(sorted(mono + (u,))), ONE)
-    for j, mj in enumerate(mono):
-        s = _sigma(u, mj, half)
-        if s:
-            rest = mono[:j] + mono[j + 1:]
-            _add_term(out, rest, (Fraction(0), Fraction(s, 2)))
-    return out
-
-
-def _monomial_product(ia: tuple[int, ...], ib: tuple[int, ...], half: int
-                      ) -> ExactElement:
+def _monomial_product(ia: tuple[int, ...], ib: tuple[int, ...], half: int,
+                      memo: dict) -> Monomials:
+    """2**len(ia) * e_ia . e_ib, whose coefficients are Gaussian integers."""
+    key = (ia, ib)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = {}
     if not ia:
-        return {ib: ONE}
-    u, rest = ia[0], ia[1:]
-    # e_ia = F(u) . e_rest - (i/2) sum_j sigma(u, rest_j) e_{rest \ j}
-    tail = _monomial_product(rest, ib, half)
-    out: ExactElement = {}
-    for mono, c in tail.items():
-        for idx, w in _generator_times_monomial(u, mono, half).items():
-            _add_term(out, idx, qmul(c, w))
-    for j, rj in enumerate(rest):
-        s = _sigma(u, rj, half)
-        if s:
-            sub = _monomial_product(rest[:j] + rest[j + 1:], ib, half)
-            fac = (Fraction(0), Fraction(-s, 2))
-            for idx, c in sub.items():
-                _add_term(out, idx, qmul(fac, c))
+        out[ib] = (1, 0)
+    else:
+        u, rest = ia[0], ia[1:]
+        # the one generator v with sigma(u, v) = s != 0
+        v, s = (u + half, 1) if u < half else (u - half, -1)
+        # 2 F(u) . M = 2 u v M + i sum_j sigma(u, mj) M \ j, M from e_rest . e_ib
+        for mono, (re, im) in _monomial_product(rest, ib, half, memo).items():
+            _add(out, tuple(sorted(mono + (u,))), 2 * re, 2 * im)
+            for j, mj in enumerate(mono):
+                if mj == v:
+                    _add(out, mono[:j] + mono[j + 1:], -s * im, s * re)
+        # -(i/2) sigma(u, rest_j) e_{rest \ j} . e_ib, at scale 2**len(ia)
+        for j, rj in enumerate(rest):
+            if rj == v:
+                sub = _monomial_product(rest[:j] + rest[j + 1:], ib, half, memo)
+                for idx, (re, im) in sub.items():
+                    _add(out, idx, 2 * s * im, -2 * s * re)
+    memo[key] = out
     return out
 
 
 def exact_product(a: ExactElement, b: ExactElement, half: int) -> ExactElement:
-    out: ExactElement = {}
-    for ia, ca in a.items():
-        for ib, cb in b.items():
-            cab = qmul(ca, cb)
-            for idx, w in _monomial_product(ia, ib, half).items():
-                _add_term(out, idx, qmul(cab, w))
-    return out
+    memo: dict = {}
+    top = max(map(len, a.terms), default=0)
+    out: Monomials = {}
+    for ia, (ar, ai) in a.terms.items():
+        scale = top - len(ia)
+        for ib, (br, bi) in b.terms.items():
+            cr = (ar * br - ai * bi) << scale
+            ci = (ar * bi + ai * br) << scale
+            for idx, (wr, wi) in _monomial_product(ia, ib, half, memo).items():
+                _add(out, idx, cr * wr - ci * wi, cr * wi + ci * wr)
+    return _canonical(out, a.exp + b.exp + top)
 
 
 def max_diff_vs_float(exact: ExactElement,
                       float_terms: dict[tuple[int, ...], complex]) -> float:
-    keys = set(exact) | set(float_terms)
+    den = 1 << exact.exp
     out = 0.0
-    for k in keys:
-        ex = exact.get(k, ZERO)
-        fl = float_terms.get(k, 0.0)
-        out = max(out, abs(complex(float(ex[0]), float(ex[1])) - fl))
+    for k in set(exact.terms) | set(float_terms):
+        re, im = exact.terms.get(k, (0, 0))
+        out = max(out, abs(complex(re / den, im / den)
+                           - float_terms.get(k, 0.0)))
     return out

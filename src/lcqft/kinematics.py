@@ -11,6 +11,8 @@ the subalgebra; `membership_residual` is the size of that derivation.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .algebra import AlgebraElement, derivation, slot_map
@@ -42,13 +44,16 @@ def region_solution_basis(region: Region) -> np.ndarray:
     return u[:, :rank]
 
 
-def membership_residual(a: AlgebraElement, basis: np.ndarray) -> float:
-    """How far a is from the subalgebra generated by the span of `basis`:
-    the largest coefficient of the derivation of a by 1 - P, with P the
-    orthogonal projector onto the span; zero iff every tensor slot lies in
-    the span."""
-    outside = np.eye(a.dim) - basis @ basis.conj().T
-    return derivation(a, slot_map(outside)).max_abs()
+def membership_residual(elements: Iterable[AlgebraElement],
+                        basis: np.ndarray) -> float:
+    """How far the elements are from the subalgebra generated by the span
+    of `basis`: the largest coefficient of the derivation of any of them by
+    1 - P, with P the orthogonal projector onto the span; zero iff every
+    tensor slot of every element lies in the span. The slot map of 1 - P is
+    built once for all the elements."""
+    outside = slot_map(np.eye(basis.shape[0]) - basis @ basis.conj().T)
+    return max((derivation(a, outside).max_abs() for a in elements),
+               default=0.0)
 
 
 def solution_map(morphism: LatticeMorphism) -> np.ndarray:

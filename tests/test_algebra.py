@@ -104,6 +104,79 @@ class TestProduct:
         assert len((c1 * c2).terms) <= bound
 
 
+class TestExactOracle:
+    # the dyadic oracle on its own: hand values, non-integer dyadic data,
+    # canonical equality and its use as a detector of float errors
+    def test_partner_pair_hand_values(self, massive_spacetime):
+        half = massive_spacetime.data_dim // 2
+        q, p = (exact.exact_from_complex_terms({(i,): 1.0}) for i in (0, half))
+        # e_q e_p = e_(q,p) + i/2 and e_p e_q = e_(q,p) - i/2
+        assert exact.exact_product(q, p, half) \
+            == exact.ExactElement({(0, half): (2, 0), (): (0, 1)}, 1)
+        assert exact.exact_product(p, q, half) \
+            == exact.ExactElement({(0, half): (2, 0), (): (0, -1)}, 1)
+
+    def test_non_integer_dyadic_products_equal_float_kernel(
+            self, massive_spacetime):
+        st_ = massive_spacetime
+        half = st_.data_dim // 2
+        # each product coefficient spans fewer than 53 bits, so the float
+        # kernel rounds nothing
+        tiny = 2.0 ** -30
+        a = alg.AlgebraElement(st_, {(0, 1): 0.375, (half,): tiny * 1j,
+                                     (): 0.375 - tiny * 1j})
+        b = alg.AlgebraElement(st_, {(half, half + 1): 1.5 - 0.375j,
+                                     (0, half): 0.375j, (1,): 0.125})
+        ea, eb = (exact.exact_from_complex_terms(x.terms) for x in (a, b))
+        assert ea.exp == 30 and eb.exp == 3
+        for x, y, ex, ey in ((a, b, ea, eb), (b, a, eb, ea)):
+            exact_xy = exact.exact_product(ex, ey, half)
+            assert exact_xy.exp > 30
+            assert exact.max_diff_vs_float(exact_xy, (x * y).terms) == 0.0
+
+    def test_equal_values_at_different_exponents_compare_equal(
+            self, massive_spacetime):
+        half = massive_spacetime.data_dim // 2
+        two_q = exact.exact_from_complex_terms({(0,): 2.0})
+        p = exact.exact_from_complex_terms({(half,): 1.0})
+        # 2 e_q e_p = 2 e_(q,p) + i: summed at exponent 1, kept at 0
+        prod = exact.exact_product(two_q, p, half)
+        direct = exact.exact_from_complex_terms({(0, half): 2.0, (): 1j})
+        assert prod == direct and prod.exp == 0
+        half_q = exact.exact_from_complex_terms({(0,): 0.5})
+        four = exact.exact_from_complex_terms({(): 4.0})
+        assert exact.exact_product(half_q, four, half) \
+            == exact.exact_from_complex_terms({(0,): 2.0})
+
+    def test_matches_dict_reference_on_gaussian_integers(
+            self, massive_spacetime, rng):
+        half = massive_spacetime.data_dim // 2
+        for _ in range(20):
+            a, b = (alg.random_element(rng, massive_spacetime, 4, 6,
+                                       integer=True) for _ in range(2))
+            a = a * alg.monomial(massive_spacetime, (0, 1))
+            b = b * alg.monomial(massive_spacetime, (half, half + 1))
+            ta, tb = dict(a.terms), dict(b.terms)
+            exact_ab = exact.exact_product(exact.exact_from_complex_terms(ta),
+                                           exact.exact_from_complex_terms(tb),
+                                           half)
+            assert exact.max_diff_vs_float(
+                exact_ab, oracles.dict_product(ta, tb, half)) == 0.0
+
+    def test_detects_one_moved_coefficient(self, massive_spacetime, rng):
+        half = massive_spacetime.data_dim // 2
+        a, b = (alg.random_element(rng, massive_spacetime, 3, 4, integer=True)
+                for _ in range(2))
+        exact_ab = exact.exact_product(exact.exact_from_complex_terms(a.terms),
+                                       exact.exact_from_complex_terms(b.terms),
+                                       half)
+        product = dict((a * b).terms)
+        assert exact.max_diff_vs_float(exact_ab, product) == 0.0
+        key = max(product, key=len)
+        product[key] += 2.0 ** -40
+        assert exact.max_diff_vs_float(exact_ab, product) > 0.0
+
+
 class TestStar:
     def test_unit(self, massive_spacetime):
         assert alg.max_coeff_diff(alg.one(massive_spacetime).star(),

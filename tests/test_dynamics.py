@@ -73,6 +73,23 @@ class TestStep:
                 - dyn.symplectic_form(a, b)
             assert abs(drift) < 1e-12 * max(1.0, a.norm() * b.norm())
 
+    @pytest.mark.parametrize("n_sites", [8, 9])
+    def test_acceleration_equals_rolled_stencil(self, n_sites, rng):
+        # the neighbour-index stencil is bit for bit the np.roll stencil, on
+        # batched slices and for both perturbation kinds
+        st_ = LatticeSpacetime(n_sites, 16, 0.5, MassSpectrum.parse("0:1,1:2"))
+        q = rng.standard_normal((3, 3, n_sites)) \
+            + 1j * rng.standard_normal((3, 3, n_sites))
+        v = rng.standard_normal(n_sites)
+        lap = np.roll(q, -1, axis=-1) - 2.0 * q + np.roll(q, 1, axis=-1)
+        m2 = np.array([0.0, 1.0, 1.0])[:, None]
+        flux = (1.0 + v) * (np.roll(q, -1, axis=-1) - q)
+        grad = flux - np.roll(flux, 1, axis=-1)
+        assert np.array_equal(dyn._accel(q, st_, None, "mass"), lap - m2 * q)
+        assert np.array_equal(dyn._accel(q, st_, v, "mass"),
+                              lap - m2 * q - v * q)
+        assert np.array_equal(dyn._accel(q, st_, v, "gradient"), grad - m2 * q)
+
     def test_gamma_commutes_with_step(self, mixed_spacetime, rng):
         sol = dyn.random_solution(rng, mixed_spacetime)
         lhs = dyn.step(sol.conjugate()).vec()

@@ -342,7 +342,7 @@ class TestNaturality:
             el = alg.field(dyn.solution_from_vec(st_, c1)) \
                 * alg.field(dyn.solution_from_vec(st_, c2))
             image = gg.quantum_action(g, el)
-            assert membership_residual(image, basis) < 1e-10
+            assert membership_residual([image], basis) < 1e-10
 
     def test_rce_intertwining(self, mixed_spacetime, rng):
         st_ = mixed_spacetime

@@ -42,7 +42,7 @@ class TestRegionSolutionBasis:
         v = dyn.solution_from_vec(mixed_spacetime, basis @ coeff)
         el = alg.field(v) * alg.field(v) + 2.0 * alg.field(v) \
             + alg.one(mixed_spacetime)
-        assert membership_residual(el, basis) < 1e-12
+        assert membership_residual([el], basis) < 1e-12
         projected = basis @ (basis.conj().T @ v.vec())
         assert np.linalg.norm(v.vec() - projected) < 1e-12
 
@@ -51,7 +51,7 @@ class TestRegionSolutionBasis:
         basis = region_solution_basis(region)
         v = dyn.random_solution(rng, mixed_spacetime)
         el = alg.field(v)
-        assert membership_residual(el, basis) > 1e-3
+        assert membership_residual([el], basis) > 1e-3
 
 
 class TestBatchedBasis:
@@ -98,7 +98,7 @@ class TestMembershipResidual:
             a = w1 * w2 * w3 + 0.5 * w1 * w2 + w3 + alg.one(st)
             assert a.degree == 3
             scale = a.max_abs()
-            assert membership_residual(a, basis) < 1e-12 * scale
+            assert membership_residual([a], basis) < 1e-12 * scale
             assert projector_membership_residual(a, basis) < 1e-12 * scale
 
     def test_one_slot_outside_agrees_with_oracle(self, rng):
@@ -110,13 +110,13 @@ class TestMembershipResidual:
             assert a.degree == 3
             oracle = projector_membership_residual(a, basis)
             assert oracle > 1e-3 * a.max_abs()
-            assert abs(membership_residual(a, basis) - oracle) < 1e-12 * oracle
+            assert abs(membership_residual([a], basis) - oracle) < 1e-12 * oracle
 
     def test_outside_elements(self, rng):
         st, basis, _ = self._space(rng)
         for _ in range(3):
             a = alg.random_element(rng, st, 3, 6)
-            assert membership_residual(a, basis) > 1e-3
+            assert membership_residual([a], basis) > 1e-3
             assert projector_membership_residual(a, basis) > 1e-3
 
 
@@ -172,4 +172,4 @@ class TestAlgebraNaturality:
                              + 1j * rng.standard_normal(basis.shape[1]))
             el = alg.field(dyn.solution_from_vec(st, coeff))
             image = act(el)
-            assert membership_residual(image, basis) < 1e-10
+            assert membership_residual([image], basis) < 1e-10
