@@ -18,21 +18,28 @@ padded in front with the "empty" digit 0 to the element's degree D:
 coefficient. Each term's digits are packed in base dim + 1 into int64
 `keys`. A word holds `_digits_per_word(dim)` digits, the most it can
 without passing 2^63; a term with more digits takes as many words as it
-needs, word 0 the most significant, so an element's keys are a (W, n) array
-and sorting is `np.lexsort` over the words. Padding only adds zero digits
-and zero words, so a term has one key at every degree and width. Keys are
-kept sorted and unique, and coefficients of magnitude at most PRUNE_TOL are
-pruned.
+needs, word 0 the most significant, so an element's keys are a (W, n) array.
+Padding only adds zero digits and zero words, so a term has one key at every
+degree and width. Keys are kept sorted and unique, and coefficients of
+magnitude at most PRUNE_TOL are pruned.
+
+An element can be a batch of `size` elements in one set of arrays, term t
+tagged with its element's index `tags[t]`; merges sort by the tag as the most
+significant key word, so they never sum across elements. A single element is
+the batch of one. Sums, products (element i times element i), scaling,
+comparison and substitution act on a whole batch at once and give each
+element exactly the sums it would get alone.
 
 The product, the affine substitution and the derivation work on whole
 arrays of terms: Python loops run only over contraction levels, tensor
-slots, digit rows and chunks of terms, never over terms.
+slots, digit rows and chunks of terms, never over terms or elements.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,8 +51,12 @@ from .dynamics import Solution, symplectic_matrix
 PRUNE_TOL = 1e-15
 
 # a product, substitution or derivation expands at most about this many
-# terms at once; larger inputs are split into chunks and merged
+# terms of one element at once; larger inputs are split into pieces
 CHUNK_TERMS = 1 << 17
+
+# one array pass over several elements expands about this many terms (8
+# products of 32-term fields), which keeps its arrays within a few MiB
+BATCH_TERMS = 1 << 13
 
 # digits per compare-exchange above which `_sort_digits` uses its network:
 # one exchange costs about as much as np.sort spends on 80 digits
@@ -62,6 +73,11 @@ MultiIndex = tuple[int, ...]
 def _digit_type(dim: int) -> type:
     """The integer type of digits: int16 while dim + 1 fits."""
     return np.int16 if dim < np.iinfo(np.int16).max else np.int32
+
+
+def _tag_type(size: int) -> type:
+    """The integer type of the tags of a batch of `size` elements."""
+    return np.uint8 if size <= 256 else np.min_scalar_type(size - 1)
 
 
 def _digits_per_word(dim: int) -> int:
@@ -104,9 +120,17 @@ def _pad(arr: np.ndarray, height: int) -> np.ndarray:
 def _merge(keys: np.ndarray, coeffs: np.ndarray, *arrays: np.ndarray):
     """Sort terms by key and sum the coefficients of equal keys; each array
     in `arrays` (one column per term) keeps the column of the first term of
-    each key."""
+    each key. Key words whose values fit one int64 side by side (such as a
+    tag and one word) are sorted as that int64, in one pass."""
     if len(coeffs) > 1:
-        order = np.lexsort(keys[::-1])
+        bits = [int(top).bit_length() for top in keys.max(axis=1).tolist()]
+        if sum(bits) < 63:
+            flat = keys[0]
+            for row, width in zip(keys[1:], bits[1:]):
+                flat = (flat << width) | row
+            order = flat.argsort(kind="stable")
+        else:
+            order = np.lexsort(keys[::-1])
         keys, coeffs = keys.take(order, axis=1), coeffs[order]
         new = np.logical_or.reduce(keys[:, 1:] != keys[:, :-1])
         starts = new.nonzero()[0] + 1
@@ -114,14 +138,24 @@ def _merge(keys: np.ndarray, coeffs: np.ndarray, *arrays: np.ndarray):
             starts = np.concatenate(([0], starts))
             coeffs = np.add.reduceat(coeffs, starts)
             keys, order = keys.take(starts, axis=1), order[starts]
-        arrays = tuple(x.take(order, axis=1) for x in arrays)
+        arrays = tuple(x.take(order, axis=-1) for x in arrays)
     return (keys, coeffs, *arrays)
 
 
-def _sorted_terms(digits: np.ndarray, coeffs: np.ndarray, dim: int):
-    """Terms with sorted digits (zeros first), in any order, as sorted
-    unique (keys, coeffs, digits); nothing is pruned."""
-    return _merge(_pack(digits, dim), coeffs, digits)
+def _merge_tagged(size: int, tags: np.ndarray, keys: np.ndarray,
+                  coeffs: np.ndarray, *arrays: np.ndarray, need=None):
+    """_merge with the tag as the most significant key word, left out for a
+    batch of one: (tags, keys, coeffs, *arrays). The terms of tags t with
+    `need[t]` false keep their order unsummed (`keys` is overwritten)."""
+    if need is not None and not need.all():
+        hold = ~need[tags]
+        keys[:, hold] = 0
+        keys[-1, hold] = np.flatnonzero(hold)
+    if size == 1:
+        keys, coeffs, *arrays = _merge(keys, coeffs, *arrays)
+        return (np.zeros(len(coeffs), tags.dtype), keys, coeffs, *arrays)
+    keys, coeffs, *arrays = _merge(np.vstack([tags, keys]), coeffs, *arrays)
+    return (keys[0].astype(tags.dtype), keys[1:], coeffs, *arrays)
 
 
 def _sort_digits(digits: np.ndarray, start: int = 1) -> np.ndarray:
@@ -155,10 +189,11 @@ def _drop(digits: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
     return digits[keep + (keep >= p), k]
 
 
-def _element(spacetime: LatticeSpacetime, keys: np.ndarray,
-             coeffs: np.ndarray, digits: np.ndarray) -> "AlgebraElement":
+def _element(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
+             keys: np.ndarray, coeffs: np.ndarray,
+             digits: np.ndarray) -> "AlgebraElement":
     out = object.__new__(AlgebraElement)
-    out._set(spacetime, keys, coeffs, digits)
+    out._set(spacetime, size, tags, keys, coeffs, digits)
     return out
 
 
@@ -170,31 +205,58 @@ def _from_indices(spacetime: LatticeSpacetime, indices: list, coeffs: list):
         raise SpaceMismatch(f"basis index outside 0..{dim - 1}")
     degree = max(map(len, terms), default=0)
     digits = np.array([[0] * (degree - len(term)) + term for term in terms],
-                      dtype=_digit_type(dim)).reshape(len(terms), degree)
-    return _sorted_terms(digits.T, np.array(coeffs, dtype=complex).reshape(-1),
-                         dim)
+                      dtype=_digit_type(dim)).reshape(len(terms), degree).T
+    return _merge(_pack(digits, dim),
+                  np.array(coeffs, dtype=complex).reshape(-1), digits)
 
 
-def _chunked(spacetime: LatticeSpacetime, n_terms: int, out_per_term: int,
-             expand) -> "AlgebraElement":
-    """Run expand(lo, hi) -> (sorted digits, coeffs) over ranges of input
-    terms that expand to at most about CHUNK_TERMS terms each, and merge the
-    results into one element."""
-    dim = spacetime.data_dim
-    step = max(1, CHUNK_TERMS // max(1, out_per_term))
-    parts = [_sorted_terms(*expand(lo, min(lo + step, n_terms)), dim)
-             for lo in range(0, n_terms, step)]
+def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
+             fan: np.ndarray, expand) -> "AlgebraElement":
+    """Expand terms with sorted `tags` (one of tag t into at most fan[t]
+    terms) into a batch of `size`. Each tag's terms are cut into pieces of
+    about CHUNK_TERMS output terms, as its element alone would be, and pieces
+    share passes of about BATCH_TERMS. expand(lo, hi, piece, piece_tags) gets
+    input terms [lo, hi), their pieces counted from 0 in the pass and the tag
+    of each; it returns each output term's piece, sorted digits and coeffs.
+    Equal keys merge within a piece, then a tag's pieces in order."""
+    dim, n = spacetime.data_dim, len(tags)
+    if size == 1 and n * int(fan[0]) <= CHUNK_TERMS:  # one piece, one pass
+        piece, piece_tags, edges, split = tags, tags[:1], [0, n], False
+    else:
+        counts = np.bincount(tags, minlength=size)
+        step = np.maximum(1, CHUNK_TERMS // np.maximum(1, fan))
+        n_pieces = -(-counts // step)
+        piece = (np.cumsum(n_pieces) - n_pieces)[tags] \
+            + (np.arange(n) - (np.cumsum(counts) - counts)[tags]) // step[tags]
+        piece_tags = np.repeat(np.arange(size), n_pieces)
+        work = np.bincount(piece, minlength=len(piece_tags)) * fan[piece_tags]
+        cuts = np.flatnonzero(np.diff(((np.cumsum(work) - work)
+                                       // BATCH_TERMS)[piece])) + 1
+        edges, split = [0, *cuts.tolist(), n], n_pieces.max() > 1
+    parts = []
+    for lo, hi in zip(edges[:-1], edges[1:]) if n else ():
+        first, last = piece[lo], piece[hi - 1] + 1
+        local = (piece[lo:hi] - first).astype(_tag_type(last - first))
+        out, digits, coeffs = expand(lo, hi, local, piece_tags[first:last])
+        out, keys, coeffs, digits = _merge_tagged(
+            last - first, out, _pack(digits, dim), coeffs, digits)
+        parts.append((piece_tags[first:last][out].astype(_tag_type(size)),
+                      keys, coeffs, digits))
     if not parts:
-        return zero(spacetime)
-    if len(parts) == 1:
-        return _element(spacetime, *parts[0])
-    keys, coeffs, digits = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    return _element(spacetime, *_merge(keys, coeffs, digits))
+        return _element(spacetime, size, tags, np.zeros((1, 0), np.int64),
+                        np.zeros(0, complex), np.zeros((0, 0), _digit_type(dim)))
+    tags, keys, coeffs, digits = parts[0] if len(parts) == 1 else \
+        (np.concatenate(x, axis=-1) for x in zip(*parts))
+    if split:
+        return _element(spacetime, size,
+                        *_merge_tagged(size, tags, keys, coeffs, digits))
+    return _element(spacetime, size, tags, keys, coeffs, digits)
 
 
 class _Terms(Mapping):
-    """Read-only multi-index -> coefficient view of an element's arrays.
-    The dict is built on first lookup; the length needs no dict."""
+    """Read-only multi-index -> coefficient view of an element's arrays;
+    (tag, multi-index) -> coefficient for a batch of several. The dict is
+    built on first lookup; the length needs no dict."""
 
     __slots__ = ("_el", "_dict")
 
@@ -204,10 +266,11 @@ class _Terms(Mapping):
 
     def _lookup(self) -> dict[MultiIndex, complex]:
         if self._dict is None:
-            self._dict = {
-                tuple(d - 1 for d in term if d): c
-                for term, c in zip(self._el.digits.T.tolist(),
-                                   self._el.coeffs.tolist())}
+            idx = [tuple(d - 1 for d in term if d)
+                   for term in self._el.digits.T.tolist()]
+            if self._el.size > 1:
+                idx = zip(self._el.tags.tolist(), idx)
+            self._dict = dict(zip(idx, self._el.coeffs.tolist()))
         return self._dict
 
     def __getitem__(self, idx: MultiIndex) -> complex:
@@ -224,24 +287,30 @@ class _Terms(Mapping):
 
 
 class AlgebraElement:
-    """Sparse element of the quantized field algebra (see the module
-    docstring for the arrays). Built from a mapping of multi-indices to
-    coefficients; each multi-index is sorted and equal ones are merged."""
+    """Sparse element of the quantized field algebra, or a batch of `size`
+    of them (see the module docstring for the arrays). Built from a mapping
+    of multi-indices to coefficients; each multi-index is sorted and equal
+    ones are merged."""
 
-    __slots__ = ("spacetime", "keys", "coeffs", "digits", "_terms")
+    __slots__ = ("spacetime", "size", "tags", "keys", "coeffs", "digits",
+                 "_terms")
 
     def __init__(self, spacetime: LatticeSpacetime,
                  terms: Mapping[MultiIndex, complex]):
-        self._set(spacetime, *_from_indices(spacetime, list(terms),
-                                            list(terms.values())))
+        keys, coeffs, digits = _from_indices(spacetime, list(terms),
+                                             list(terms.values()))
+        self._set(spacetime, 1, np.zeros(len(coeffs), np.uint8), keys, coeffs,
+                  digits)
 
-    def _set(self, spacetime: LatticeSpacetime, keys: np.ndarray,
-             coeffs: np.ndarray, digits: np.ndarray):
-        """Take sorted unique terms: prune, then trim empty digit rows."""
-        size = np.abs(coeffs)
-        if len(size) and not np.minimum.reduce(size) > PRUNE_TOL:
-            keep = size > PRUNE_TOL
-            keys, coeffs, digits = keys[:, keep], coeffs[keep], digits[:, keep]
+    def _set(self, spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
+             keys: np.ndarray, coeffs: np.ndarray, digits: np.ndarray):
+        """Take sorted unique tagged terms: prune, then trim empty digit
+        rows."""
+        mag = np.abs(coeffs)
+        if len(mag) and not np.minimum.reduce(mag) > PRUNE_TOL:
+            keep = mag > PRUNE_TOL
+            tags, keys, coeffs, digits = \
+                tags[keep], keys[:, keep], coeffs[keep], digits[:, keep]
         # digits put their zeros first, so only leading rows can be empty
         if len(digits) and not np.logical_or.reduce(digits[0]):
             used = np.flatnonzero(digits.any(1))
@@ -249,9 +318,9 @@ class AlgebraElement:
             digits = digits[len(digits) - degree:]
             per = _digits_per_word(spacetime.data_dim)
             keys = keys[len(keys) - max(1, -(-degree // per)):]
-        for arr in (keys, coeffs, digits):
+        for arr in (tags, keys, coeffs, digits):
             arr.setflags(write=False)
-        self.spacetime = spacetime
+        self.spacetime, self.size, self.tags = spacetime, size, tags
         self.keys, self.coeffs, self.digits = keys, coeffs, digits
         self._terms = None
 
@@ -281,7 +350,8 @@ class AlgebraElement:
 
     def select(self, mask: np.ndarray) -> "AlgebraElement":
         """The terms where `mask` (one entry per term, in key order) holds."""
-        return _element(self.spacetime, self.keys[:, mask], self.coeffs[mask],
+        return _element(self.spacetime, self.size, self.tags[mask],
+                        self.keys[:, mask], self.coeffs[mask],
                         self.digits[:, mask])
 
     def max_abs(self) -> float:
@@ -289,18 +359,37 @@ class AlgebraElement:
             return 0.0
         return float(np.maximum.reduce(np.abs(self.coeffs)))
 
+    def elements(self) -> Iterator["AlgebraElement"]:
+        """The elements of a batch, in tag order."""
+        bounds = np.searchsorted(self.tags, np.arange(self.size + 1)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield _element(self.spacetime, 1, np.zeros(hi - lo, np.uint8),
+                           self.keys[:, lo:hi], self.coeffs[lo:hi],
+                           self.digits[:, lo:hi])
+
     # -- vector space -----------------------------------------------------------
+
+    def _check(self, other: "AlgebraElement"):
+        if (self.spacetime is not other.spacetime
+                and self.spacetime != other.spacetime) or self.size != other.size:
+            raise SpaceMismatch("elements live over different solution spaces"
+                                " or batches of different sizes")
+
+    def _joined_keys(self, other: "AlgebraElement"):
+        """The tags and keys of both operands' terms, padded to one width."""
+        self._check(other)
+        words = max(len(self.keys), len(other.keys))
+        return (np.concatenate([self.tags, other.tags]),
+                np.concatenate([_pad(self.keys, words), _pad(other.keys, words)],
+                               axis=1))
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = scalar(self.spacetime, other)
-        self._check(other)
+        tags, keys = self._joined_keys(other)
         height = max(len(self.digits), len(other.digits))
-        words = max(len(self.keys), len(other.keys))
-        return _element(self.spacetime, *_merge(
-            np.concatenate([_pad(self.keys, words), _pad(other.keys, words)],
-                           axis=1),
-            np.concatenate([self.coeffs, other.coeffs]),
+        return _element(self.spacetime, self.size, *_merge_tagged(
+            self.size, tags, keys, np.concatenate([self.coeffs, other.coeffs]),
             np.concatenate([_pad(self.digits, height),
                             _pad(other.digits, height)], axis=1)))
 
@@ -314,15 +403,21 @@ class AlgebraElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return _element(self.spacetime, self.keys, other * self.coeffs,
-                            self.digits)
+            return self.scale(other)
         return NotImplemented
+
+    def scale(self, values) -> "AlgebraElement":
+        """Element i of a batch times values[i]; a number scales them all."""
+        values = np.asarray(values)
+        values = values[self.tags] if values.ndim else values
+        return _element(self.spacetime, self.size, self.tags, self.keys,
+                        self.coeffs * values, self.digits)
 
     # -- algebra ----------------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return self.__rmul__(other)
+            return self.scale(other)
         self._check(other)
         dim, half = self.dim, self.dim // 2
         # digit of the sigma-partner, -1 for the empty digit
@@ -330,17 +425,22 @@ class AlgebraElement:
         partner = np.concatenate(
             [digit[:1], digit[half + 2:], digit[2:half + 2]])
         A, B = self.digits, other.digits
-        n_b, height = len(other.coeffs), len(A) + len(B)
+        n_b = np.bincount(other.tags, minlength=self.size)
+        b_first, height = n_b.cumsum() - n_b, len(A) + len(B)
 
-        def expand(lo: int, hi: int):
-            left = np.repeat(A[:, lo:hi], n_b, axis=1)
-            right = np.empty((len(B), hi - lo, n_b), dtype=B.dtype)
-            right[...] = B[:, None]
-            right = right.reshape(len(B), (hi - lo) * n_b)
-            coef = np.multiply.outer(self.coeffs[lo:hi], other.coeffs).ravel()
-            out_digits, out_coeffs = [], []
+        def expand(lo: int, hi: int, piece: np.ndarray, piece_tags):
+            # each left term of element t meets every right term of t
+            fan = n_b[self.tags[lo:hi]]
+            ends = fan.cumsum()
+            at = np.arange(ends[-1]) \
+                + (b_first[self.tags[lo:hi]] - ends + fan).repeat(fan)
+            piece, left = piece.repeat(fan), A[:, lo:hi].repeat(fan, axis=1)
+            right = B.take(at, axis=1)
+            coef = self.coeffs[lo:hi].repeat(fan) * other.coeffs.take(at)
+            out_piece, out_digits, out_coeffs = [], [], []
             r = 0
             while True:
+                out_piece.append(piece)
                 out_digits.append(_pad(_merge_digits(left, right), height))
                 out_coeffs.append(coef / math.factorial(r) if r > 1 else coef)
                 if not (len(left) and len(right)):
@@ -355,32 +455,50 @@ class AlgebraElement:
                 p, k = np.divmod(hit, len(right) * len(coef))
                 q, k = np.divmod(k, len(coef))
                 r += 1
-                grew = len(k) > len(coef)
+                before = np.bincount(piece, minlength=len(piece_tags))
                 coef = coef[k] * np.where(left[p, k] > half, -0.5j, 0.5j)
+                piece = piece[k]
                 left, right = _drop(left, k, p), _drop(right, k, q)
-                # equal remainders are merged when the terms multiplied and
-                # from level 2 on, where the r! orders of each set of
-                # contractions meet: the 1/r! of the Moyal sum then divides
-                # one sum, exact on integer data
-                if grew or r > 1:
-                    _, coef, left, right = _merge(
-                        np.concatenate([_pack(left, dim), _pack(right, dim)]),
-                        coef, left, right)
-            return (np.concatenate(out_digits, axis=1),
+                # equal remainders are merged in a piece whose terms
+                # multiplied and from level 2 on, where the r! orders of
+                # each set of contractions meet: the 1/r! of the Moyal sum
+                # then divides one sum, exact on integer data
+                need = (np.bincount(piece, minlength=len(before)) > before) \
+                    | (r > 1)
+                if need.any():
+                    piece, _, coef, left, right = _merge_tagged(
+                        len(need), piece, np.concatenate(
+                            [_pack(left, dim), _pack(right, dim)]),
+                        coef, left, right, need=need)
+            return (np.concatenate(out_piece),
+                    np.concatenate(out_digits, axis=1),
                     np.concatenate(out_coeffs))
 
-        return _chunked(self.spacetime, len(self.coeffs), n_b, expand)
+        return _chunked(self.spacetime, self.size, self.tags, n_b, expand)
 
     def star(self) -> "AlgebraElement":
         """Antilinear involution; on the (real) canonical basis it conjugates
         coefficients, realizing (u^n)* = (conj u)^n."""
-        return _element(self.spacetime, self.keys, self.coeffs.conj(),
-                        self.digits)
+        return _element(self.spacetime, self.size, self.tags, self.keys,
+                        self.coeffs.conj(), self.digits)
 
-    def _check(self, other: "AlgebraElement"):
-        if self.spacetime is not other.spacetime \
-                and self.spacetime != other.spacetime:
-            raise SpaceMismatch("elements live over different solution spaces")
+
+def stack(elements: list[AlgebraElement]) -> AlgebraElement:
+    """The batch of single `elements`, tagged 0, 1, ... in order."""
+    for el in elements:
+        if el.size != 1:
+            raise SpaceMismatch("stack takes single elements, not batches")
+        elements[0]._check(el)
+    words, height = (max(len(getattr(el, x)) for el in elements)
+                     for x in ("keys", "digits"))
+    size = len(elements)
+    return _element(
+        elements[0].spacetime, size, np.repeat(
+            np.arange(size, dtype=_tag_type(size)),
+            [len(el.coeffs) for el in elements]),
+        np.concatenate([_pad(el.keys, words) for el in elements], axis=1),
+        np.concatenate([el.coeffs for el in elements]),
+        np.concatenate([_pad(el.digits, height) for el in elements], axis=1))
 
 
 def zero(spacetime: LatticeSpacetime) -> AlgebraElement:
@@ -395,12 +513,18 @@ def scalar(spacetime: LatticeSpacetime, value: complex) -> AlgebraElement:
     return AlgebraElement(spacetime, {(): complex(value)})
 
 
+def fields(spacetime: LatticeSpacetime, vecs) -> AlgebraElement:
+    """The fields of the rows of `vecs` (solutions' `vec()`), as one batch."""
+    vecs = np.asarray(vecs, dtype=complex).reshape(-1, spacetime.data_dim)
+    tags, nz = np.nonzero(np.abs(vecs) > PRUNE_TOL)
+    digits = (nz + 1).astype(_digit_type(spacetime.data_dim)).reshape(1, -1)
+    return _element(spacetime, len(vecs), tags.astype(_tag_type(len(vecs))),
+                    digits.astype(np.int64), vecs[tags, nz], digits)
+
+
 def field(phi: Solution) -> AlgebraElement:
     """Symplectically smeared field: the degree-1 injection, linear in phi."""
-    vec = np.asarray(phi.vec(), dtype=complex)
-    nz = np.flatnonzero(np.abs(vec) > PRUNE_TOL)
-    digits = (nz + 1).astype(_digit_type(len(vec))).reshape(1, -1)
-    return _element(phi.spacetime, digits.astype(np.int64), vec[nz], digits)
+    return fields(phi.spacetime, phi.vec())
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -428,72 +552,120 @@ class SlotMap:
     """An affine map e_i -> sum_j M[j, i] e_j + consts[i] of the basis, as
     padded columns by digit: row i + 1 lists the digits (j + 1, or 0 for the
     constant) and the weights of e_i's image, padded with weight 0; row 0
-    maps the empty digit to itself."""
+    maps the empty digit to itself. A stack of n maps, one per element of a
+    batch, has a leading axis of length n."""
 
-    digits: np.ndarray   # (dim + 1, width), of `_digit_type(dim)`
-    weights: np.ndarray  # (dim + 1, width)
+    digits: np.ndarray   # ([n,] dim + 1, width), of `_digit_type(dim)`
+    weights: np.ndarray  # ([n,] dim + 1, width)
 
     @property
     def width(self) -> int:
-        return self.digits.shape[1]
+        return self.digits.shape[-1]
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """Each map's own width: the most terms in one basis vector's image."""
+        return (self.weights != 0).sum(axis=-1).max(axis=-1)
+
+    def __getitem__(self, index) -> "SlotMap":
+        """The maps `index` (an int or a slice) of a stack."""
+        return SlotMap(self.digits[index], self.weights[index])
 
 
 def slot_map(matrix: np.ndarray, consts: np.ndarray | None = None) -> SlotMap:
     """SlotMap of e_i -> sum_j matrix[j, i] e_j + consts[i]; entries of
-    magnitude at most PRUNE_TOL are dropped."""
+    magnitude at most PRUNE_TOL are dropped. Matrices (n, dim, dim) with
+    consts (n, dim) give a stack of n maps."""
     matrix = np.asarray(matrix)
-    dim = matrix.shape[1]
-    consts = np.zeros(dim) if consts is None else np.asarray(consts)
-    col, row = np.nonzero(np.abs(matrix.T) > PRUNE_TOL)
-    has_const = np.flatnonzero(consts != 0.0)
-    weight = np.concatenate([consts[has_const], matrix[row, col]])
-    digit = np.concatenate([np.zeros(len(has_const), dtype=np.int64), row + 1])
-    col = np.concatenate([has_const, col])
+    mats = matrix.reshape(-1, *matrix.shape[-2:])
+    t, row, col = np.nonzero(mats)
+    maps = slot_maps(len(mats), mats.shape[-1], t, row, col, mats[t, row, col],
+                     consts)
+    return maps if matrix.ndim == 3 else maps[0]
+
+
+def slot_maps(n: int, dim: int, t: np.ndarray, row: np.ndarray,
+              col: np.ndarray, weight: np.ndarray, consts=None) -> SlotMap:
+    """The stack of n maps with matrix_t[row, col] = weight (entries listed
+    in increasing row within each t and col) and consts (n, dim)."""
+    consts = np.zeros((n, dim)) if consts is None \
+        else np.asarray(consts).reshape(n, dim)
+    keep = np.abs(weight) > PRUNE_TOL
+    t_c, has_const = np.nonzero(consts != 0.0)
+    weight = np.concatenate([consts[t_c, has_const], weight[keep]])
+    digit = np.concatenate([np.zeros(len(t_c), dtype=np.int64), row[keep] + 1])
+    # column i of map t is column t * dim + i of the stack
+    col = np.concatenate([t_c * dim + has_const, t[keep] * dim + col[keep]])
     order = np.argsort(col, kind="stable")
     col, digit, weight = col[order], digit[order], weight[order]
     pos = np.arange(len(col)) - np.searchsorted(col, col)
     width = int(pos.max()) + 1 if len(pos) else 1
-    digits = np.zeros((dim + 1, width), dtype=_digit_type(dim))
-    weights = np.zeros((dim + 1, width),
-                       dtype=np.result_type(matrix, consts, float))
-    weights[0, 0] = 1.0
-    digits[col + 1, pos] = digit
-    weights[col + 1, pos] = weight
+    digits = np.zeros((n, dim + 1, width), dtype=_digit_type(dim))
+    weights = np.zeros((n, dim + 1, width),
+                       dtype=np.result_type(weight, consts, float))
+    weights[:, 0, 0] = 1.0
+    t, col = np.divmod(col, dim)
+    digits[t, col + 1, pos] = digit
+    weights[t, col + 1, pos] = weight
     return SlotMap(digits, weights)
 
 
 def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
     """Symmetric-algebra substitution of every tensor slot by the affine map
-    `slots`. This is the degree-wise action of an (affine) linear map on
-    generators; it is an algebra homomorphism exactly when the linear part is
-    symplectic.
+    `slots` (one for all elements of a batch, or a stack of one each). This
+    is the degree-wise action of an (affine) linear map on generators; it is
+    an algebra homomorphism exactly when the linear part is symplectic.
 
-    A map of width 1, such as a signed permutation, relabels the digits and
-    weights each slot. Wider maps substitute the slots one at a time; once
-    the terms outnumber the input terms by more than one slot's width, terms
-    equal up to the order of the substituted slots are merged, which bounds
-    the growth for dense maps."""
+    Where every map has width 1, such as a signed permutation, the digits
+    are relabelled and each slot weighted. Otherwise the slots are
+    substituted one at a time; once an element's terms outnumber its input
+    terms by more than its map's width, terms equal up to the order of the
+    substituted slots are merged, which bounds the growth for dense maps."""
     dim, D = a.dim, len(a.digits)
-    if slots.width == 1:
-        return _element(a.spacetime, *_sorted_terms(
-            _sort_digits(slots.digits[a.digits, 0]),
-            a.coeffs * np.multiply.reduce(slots.weights[a.digits, 0]), dim))
+    digit_of = slots.digits.reshape(-1, slots.width)
+    weight_of = slots.weights.reshape(-1, slots.width)
+    # each map's own width, and the row of map t for digit d in the stack
+    width = slots.widths
+    if slots.digits.ndim == 2:
+        width, base = np.full(a.size, width), np.zeros(len(a.tags), np.uint8)
+    elif len(slots.digits) == a.size:
+        base = a.tags.astype(np.int64) * (dim + 1)
+    else:
+        raise SpaceMismatch(f"{len(slots.digits)} slot maps for {a.size}")
+    if width.max(initial=1) == 1:
+        rows = base + a.digits
+        coef = a.coeffs
+        for row in rows:
+            coef = coef * weight_of[row, 0]
+        digits = _sort_digits(digit_of[rows, 0])
+        return _element(a.spacetime, a.size, *_merge_tagged(
+            a.size, a.tags, _pack(digits, dim), coef, digits))
 
-    def expand(lo: int, hi: int):
-        digits, coef = a.digits[:, lo:hi], a.coeffs[lo:hi]
-        merged = len(coef)
+    def expand(lo: int, hi: int, piece: np.ndarray, piece_tags: np.ndarray):
+        digits, coef, at = a.digits[:, lo:hi], a.coeffs[lo:hi], base[lo:hi]
+        wide = width[piece_tags]
+        merged = np.bincount(piece, minlength=len(piece_tags))
         for j in range(D):
-            w = slots.weights[digits[j]]
+            w = weight_of[at + digits[j]]
             k, c = w.nonzero()
             digits, coef = digits.take(k, axis=1), coef[k] * w[k, c]
-            digits[j] = slots.digits[digits[j], c]
-            if len(coef) > slots.width * merged and j < D - 1:
+            piece, at = piece[k], at[k]
+            digits[j] = digit_of[at + digits[j], c]
+            count = np.bincount(piece, minlength=len(merged))
+            need = (count > wide * merged) & (j < D - 1)
+            if need.any():
                 digits[:j + 1] = _sort_digits(digits[:j + 1])
-                _, coef, digits = _merge(_pack(digits, dim), coef, digits)
-                merged = len(coef)
-        return _sort_digits(digits), coef
+                piece, _, coef, digits, at = _merge_tagged(
+                    len(need), piece, _pack(digits, dim), coef, digits, at,
+                    need=need)
+                merged = np.where(need, np.bincount(piece, minlength=len(
+                    merged)), merged)
+        return piece, _sort_digits(digits), coef
 
-    return _chunked(a.spacetime, len(a.coeffs), slots.width ** D, expand)
+    degree = np.zeros(a.size, dtype=int)
+    np.maximum.at(degree, a.tags, np.add.reduce(a.digits > 0))
+    fan = np.minimum(width.astype(float) ** degree, CHUNK_TERMS).astype(int)
+    return _chunked(a.spacetime, a.size, a.tags, fan, expand)
 
 
 def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
@@ -502,20 +674,21 @@ def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
     t * consts; a derivation of the CCR product when X is in sp(sigma)."""
     D = len(a.digits)
 
-    def expand(lo: int, hi: int):
+    def expand(lo: int, hi: int, piece: np.ndarray, piece_tags: np.ndarray):
         digits, coeffs = a.digits[:, lo:hi], a.coeffs[lo:hi]
-        out_digits, out_coeffs = [digits[:, :0]], [coeffs[:0]]
+        out = [(piece[:0], digits[:, :0], coeffs[:0])]
         for j in range(D):
             w = slots.weights[digits[j]] * (digits[j] > 0)[:, None]
             k, c = w.nonzero()
             new = digits.take(k, axis=1)
             new[j] = slots.digits[new[j], c]
-            out_digits.append(new)
-            out_coeffs.append(coeffs[k] * w[k, c])
-        return (_sort_digits(np.concatenate(out_digits, axis=1)),
-                np.concatenate(out_coeffs))
+            out.append((piece[k], new, coeffs[k] * w[k, c]))
+        piece, digits, coeffs = zip(*out)
+        return (np.concatenate(piece), _sort_digits(np.concatenate(digits, 1)),
+                np.concatenate(coeffs))
 
-    return _chunked(a.spacetime, len(a.coeffs), D * slots.width, expand)
+    return _chunked(a.spacetime, a.size, a.tags,
+                    np.full(a.size, D * slots.width), expand)
 
 
 class LiftedMap:
@@ -548,12 +721,11 @@ def lift(spacetime: LatticeSpacetime, matrix: np.ndarray) -> LiftedMap:
 
 
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:
-    """Max absolute coefficient difference (residual metric for all suites)."""
-    a._check(b)
-    words = max(len(a.keys), len(b.keys))
-    _, diff = _merge(np.concatenate([_pad(a.keys, words), _pad(b.keys, words)],
-                                    axis=1),
-                     np.concatenate([a.coeffs, -b.coeffs]))
+    """Max absolute coefficient difference (residual metric for all suites);
+    for batches, the largest over their elements."""
+    tags, keys = a._joined_keys(b)
+    _, _, diff = _merge_tagged(a.size, tags, keys,
+                               np.concatenate([a.coeffs, -b.coeffs]))
     return float(np.maximum.reduce(np.abs(diff))) if len(diff) else 0.0
 
 

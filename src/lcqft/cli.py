@@ -16,7 +16,8 @@ from . import serialize
 from .classify import CHECKED_RESIDUALS, classify
 from .errors import ConfigParse, LcqftError
 from .spacetime import LatticeSpacetime, MassSpectrum
-from .suites import DEFAULT_TOLERANCES, RunConfig, SUITE_NAMES, run_suite
+from .suites import (DEFAULT_TOLERANCES, RunConfig, SUITE_NAMES, margin,
+                     run_suite)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -77,10 +78,14 @@ def _summary(report: dict, out_path: str | None):
     # itself occupies stdout
     stream = sys.stdout if out_path else sys.stderr
     for suite in report["suites"]:
-        worst = max(suite["residuals"].values(), default=0.0)
+        # the check closest to its bound, with its margin in decades
+        margins = {name: margin(name, value, suite["thresholds"][name])
+                   for name, value in suite["residuals"].items()}
+        tightest = min(margins, key=margins.get, default=None)
+        tight = f" tightest={tightest} margin={margins[tightest]:.2f}" \
+            if margins else ""
         print(f"[{suite['status']:4s}] {suite['name']:12s} "
-              f"checks={len(suite['residuals'])} worst={worst:.3e}",
-              file=stream)
+              f"checks={len(suite['residuals'])}{tight}", file=stream)
         if suite["status"] != "pass":
             for line in suite["findings"]:
                 print(f"       {line}", file=stream)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, SlotMap, degree1_vector, derivation,
-                      field, slot_map, substitute_affine)
+                      field, slot_map, slot_maps, substitute_affine)
 from .classify import expected_so_generators
 from .dynamics import Solution, delta_test_function, propagate_test_function
 from .errors import NoMasslessSpecies, NotOrthogonal, SpectrumMismatch
@@ -216,6 +216,23 @@ class QuantumAction:
 
 def quantum_action(g: GaugeElement, a: AlgebraElement) -> AlgebraElement:
     return QuantumAction(g, a.spacetime)(a)
+
+
+def action_slot_maps(spacetime: LatticeSpacetime,
+                     gauges: list[GaugeElement]) -> SlotMap:
+    """The slot maps of zeta(g) for each g as one stack, read off the species
+    matrices: e_(c, s, x) -> sum_s' R[s', s] e_(c, s', x) on both channels c
+    and at every site x, plus the shift constants."""
+    R = np.array([g.species_matrix() for g in gauges])
+    t, s_out, s_in = np.nonzero(R)
+    N = spacetime.n_sites
+    at = np.add.outer(np.arange(2) * spacetime.n_species * N,
+                      np.arange(N)).ravel()  # channel and site offsets
+    return slot_maps(
+        len(gauges), spacetime.data_dim, t.repeat(len(at)),
+        np.add.outer(s_out * N, at).ravel(), np.add.outer(s_in * N, at).ravel(),
+        R[t, s_out, s_in].repeat(len(at)),
+        np.array([ell_basis_values(g.ell, spacetime) for g in gauges]))
 
 
 # -- the exact presentation ------------------------------------------------------------

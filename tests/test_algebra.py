@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import exact_algebra as exact
+from lcqft import gauge as gg
 from lcqft.errors import NotReal, NotSymplectic, SpaceMismatch
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum
+from lcqft.suites import RunConfig, ccr_suite
 
 import oracles
 
@@ -584,3 +586,158 @@ def test_degree_nine_product_needs_two_key_words(rng):
     assert len(top.keys) == 2
     assert alg.max_coeff_diff(top * alg.one(big), top) == 0.0
     assert alg.max_coeff_diff(top, alg.monomial(big, (dim - 2,) * 9)) == 1.0
+
+
+# -- batches: each batched op against the same op on each element alone -------
+
+SPECTRA = ["1:2", "0:1,1:2", "1:2,2:3"]
+
+
+def _equal_bitwise(batch, singles):
+    got = list(batch.elements())
+    assert len(got) == len(singles) == batch.size
+    for el, one in zip(got, singles):
+        for name in ("keys", "coeffs", "digits"):
+            a, b = getattr(el, name), getattr(one, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
+def _pairs(st_, rng):
+    """Operand pairs of mixed degree and the edge cases: the zero element, a
+    scalar-only element, fields, and a pair whose product prunes to zero."""
+    dim = st_.data_dim
+    phi, psi = (dyn.random_solution(rng, st_) for _ in range(2))
+    tiny = [alg.monomial(st_, (i,), 1e-8) for i in (0, 1)]  # product 1e-16
+    return [
+        (alg.random_element(rng, st_, 3, 5), alg.random_element(rng, st_, 2, 4)),
+        (alg.zero(st_), alg.random_element(rng, st_, 2, 3)),
+        (alg.scalar(st_, 2.5 - 1j), alg.random_element(rng, st_, 3, 4)),
+        (alg.field(phi), alg.field(psi)),
+        tuple(tiny),
+        (alg.random_element(rng, st_, 4, 6, integer=True),
+         alg.monomial(st_, (dim // 2, dim // 2 + 1), 1.5)),
+        (alg.random_element(rng, st_, 1, 3), alg.zero(st_)),
+    ]
+
+
+@pytest.fixture(params=[False, True], ids=["one-pass", "chunked"])
+def chunking(request, monkeypatch):
+    # small chunks split each element into pieces and a batch into passes
+    if request.param:
+        monkeypatch.setattr(alg, "CHUNK_TERMS", 64)
+        monkeypatch.setattr(alg, "BATCH_TERMS", 128)
+    return request.param
+
+
+@pytest.mark.parametrize("spec", SPECTRA)
+class TestBatchedOps:
+    @staticmethod
+    def _setup(spec):
+        st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spec))
+        pairs = _pairs(st_, np.random.default_rng(7))
+        return st_, [a for a, _ in pairs], [b for _, b in pairs]
+
+    def test_product_sum_scale_and_compare(self, spec, chunking):
+        st_, left, right = self._setup(spec)
+        a, b = alg.stack(left), alg.stack(right)
+        _equal_bitwise(a * b, [x * y for x, y in zip(left, right)])
+        _equal_bitwise(b * a, [y * x for x, y in zip(left, right)])
+        _equal_bitwise(a + b, [x + y for x, y in zip(left, right)])
+        _equal_bitwise(a - b, [x - y for x, y in zip(left, right)])
+        values = np.arange(1, len(left) + 1) * (0.5 - 0.25j)
+        _equal_bitwise(a.scale(values), [v * x for v, x in zip(values, left)])
+        _equal_bitwise(a.star(), [x.star() for x in left])
+        assert alg.max_coeff_diff(a * b, b * a) == max(
+            alg.max_coeff_diff(x * y, y * x) for x, y in zip(left, right))
+        assert (left[4] * right[4]).terms == {}  # pruned to zero
+
+    def test_batch_of_one_and_round_trip(self, spec, chunking):
+        st_, left, right = self._setup(spec)
+        for x, y in zip(left, right):
+            _equal_bitwise(alg.stack([x]) * alg.stack([y]), [x * y])
+        _equal_bitwise(alg.stack(left), left)
+
+    def test_fields(self, spec, chunking):
+        st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spec))
+        rng = np.random.default_rng(3)
+        sols = [dyn.random_solution(rng, st_) for _ in range(4)]
+        sols.append(dyn.solution_from_vec(st_, np.zeros(st_.data_dim)))
+        _equal_bitwise(alg.fields(st_, [s.vec() for s in sols]),
+                       [alg.field(s) for s in sols])
+
+    def test_substitution_one_map_per_element(self, spec, chunking):
+        st_, left, _ = self._setup(spec)
+        dim, rng = st_.data_dim, np.random.default_rng(11)
+        perm = np.zeros((dim, dim))
+        perm[rng.permutation(dim), np.arange(dim)] = rng.choice([-1.0, 1.0], dim)
+        # maps of different widths, one of them width 1, and constants
+        mats = [_random_map(s, dim, density) for s, density in
+                zip(range(len(left)), (0.05, 0.1, 0.2, 0.05, 0.1, 0.05, 0.2))]
+        mats[3] = perm
+        consts = rng.standard_normal((len(left), dim)) * (rng.random(
+            (len(left), dim)) < 0.2)
+        stack_map = alg.slot_map(np.array(mats), consts)
+        _equal_bitwise(alg.substitute_affine(alg.stack(left), stack_map),
+                       [alg.substitute_affine(x, alg.slot_map(m, c))
+                        for x, m, c in zip(left, mats, consts)])
+        # one map for every element, and width-1 maps only
+        one = alg.slot_map(mats[0], consts[0])
+        _equal_bitwise(alg.substitute_affine(alg.stack(left), one),
+                       [alg.substitute_affine(x, one) for x in left])
+        perms = alg.slot_map(np.array([perm] * len(left)))
+        _equal_bitwise(alg.substitute_affine(alg.stack(left), perms),
+                       [alg.substitute_affine(x, alg.slot_map(perm))
+                        for x in left])
+
+    def test_gauge_stack_matches_each_action(self, spec):
+        st_, left, _ = self._setup(spec)
+        rng = np.random.default_rng(5)
+        gauges = [gg.random_gauge(rng, st_.spectrum) for _ in left]
+        gauges[0] = gg.block_reflections(st_.spectrum)[0]
+        _equal_bitwise(alg.substitute_affine(
+            alg.stack(left), gg.action_slot_maps(st_, gauges)),
+            [gg.quantum_action(g, x) for g, x in zip(gauges, left)])
+
+
+def test_batches_reject_mismatched_sizes_and_maps(massive_spacetime, rng):
+    a = alg.stack([alg.random_element(rng, massive_spacetime, 2, 3)
+                   for _ in range(3)])
+    with pytest.raises(SpaceMismatch):
+        a * alg.stack([alg.one(massive_spacetime)] * 2)
+    with pytest.raises(SpaceMismatch):
+        alg.max_coeff_diff(a, alg.one(massive_spacetime))
+    with pytest.raises(SpaceMismatch):
+        alg.stack([a, a])
+    dim = massive_spacetime.data_dim
+    with pytest.raises(SpaceMismatch):
+        alg.substitute_affine(a, alg.slot_map(np.array([np.eye(dim)] * 2)))
+
+
+class TestCcrSuiteMutants:
+    # each mutant of the batched kernel must fail the ccr suite
+    def test_tag_dropping_merge(self, monkeypatch):
+        real = alg._merge_tagged
+
+        def dropping(size, tags, *rest, need=None):
+            if size > 1:  # pairs 0 and 1 of a batch are summed together
+                tags = np.where(tags == 1, 0, tags).astype(tags.dtype)
+            return real(size, tags, *rest, need=need)
+
+        monkeypatch.setattr(alg, "_merge_tagged", dropping)
+        result = ccr_suite(RunConfig(spectrum="1:2", seed=62))
+        # the relations are linear, so summing two of them keeps them true;
+        # the float triples then disagree with the exact oracle
+        assert result["status"] == "fail"
+        assert result["residuals"]["associativity_vs_exact_oracle"] > 1.0
+
+    def test_flipped_contraction_sign(self, monkeypatch):
+        # the product with sigma negated is the product in opposite order
+        real = alg.AlgebraElement.__mul__
+        monkeypatch.setattr(
+            alg.AlgebraElement, "__mul__",
+            lambda a, b: real(b, a) if isinstance(b, alg.AlgebraElement)
+            else real(a, b))
+        result = ccr_suite(RunConfig(spectrum="1:2", seed=62))
+        assert result["status"] == "fail"
+        assert result["residuals"]["ccr_relations"] > 1.0

@@ -312,7 +312,8 @@ def test_rce_suite_checks_the_mass_kind_deviation(monkeypatch):
         "ell_deviation_mass_kind: value 0.000e+00 not above 1.0e-09"]
 
 
-@pytest.mark.parametrize("suite", ["state", "rce", "gauge"])
+@pytest.mark.parametrize("suite", ["state", "rce", "gauge", "ccr",
+                                   "observables", "classify"])
 @settings(max_examples=12)
 @given(spectrum=st.sampled_from(["1:2", "0:1,1:2"]),
        sites=st.integers(4, 7), steps=st.integers(1, 7),
@@ -328,3 +329,44 @@ def test_small_lattices_keep_exit_code_contract(suite, spectrum, sites, steps,
     # mass 2 is not elliptic there on any lattice
     assert main(["verify", suite, "--spectrum", "2:1", "--dt", "0.9"]
                 + lattice) == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "classify"], ["classify"]])
+def test_mass_collision_at_24_sites_is_config_error(argv, capsys):
+    # masses 1 and 2 collide on the N = 24 lattice
+    assert main(argv + ["--spectrum", "1:2,2:3", "--sites", "24"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+class TestSummary:
+    def test_margin_direction_and_edges(self):
+        margin = suites.margin
+        assert margin("ccr_relations", 1e-14, 1e-12) == pytest.approx(2.0)
+        assert margin("mass_mixing_residual", 10.0, 1e-3) == pytest.approx(4.0)
+        assert margin("ccr_relations", 1e-11, 1e-12) == pytest.approx(-1.0)
+        assert margin("mass_mixing_residual", 1e-4, 1e-3) == pytest.approx(-1.0)
+        assert margin("naturality_translations_exact", 0.0, 0.0) == float("inf")
+        assert margin("naturality_translations_exact", 1e-16, 0.0) \
+            == float("-inf")
+        assert margin("ccr_relations", float("nan"), 1e-12) == float("-inf")
+
+    def test_lower_bounds_are_declared(self):
+        with pytest.raises(ValueError):
+            suites.Recorder().above("ccr_relations", 1.0, 0.5)
+
+    def test_names_the_tightest_check(self, tmp_path, capsys):
+        # massless-all: observables and rce hold lower bounds whose values
+        # are the largest residuals, yet the tightest checks are others
+        assert main(["verify", "all", "--spectrum", "0:1,1:2", "--seed", "11",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        lines = {line.split()[1]: line
+                 for line in capsys.readouterr().out.splitlines()[:-1]}
+        assert "worst=" not in "".join(lines.values())
+        assert lines["observables"].endswith(
+            "tightest=central_moved_by_rotations margin=0.60")
+        assert "tightest=symplectic_preservation" in lines["rce"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        for suite in report["suites"]:
+            margins = [suites.margin(name, value, suite["thresholds"][name])
+                       for name, value in suite["residuals"].items()]
+            assert f"margin={min(margins):.2f}" in lines[suite["name"]]

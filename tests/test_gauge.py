@@ -413,3 +413,20 @@ class TestMultiplets:
         result = gauge_suite(RunConfig(spectrum="0:1,1:2", seed=11))
         assert result["status"] == "fail"
         assert "multiplet_mass_0: 1 != expected 2" in result["findings"]
+
+
+def test_swapped_slot_maps_fail_the_homomorphism_law(monkeypatch):
+    # the law's 300 actions are one stack of slot maps: swapping two pairs'
+    # maps in it must fail the suite
+    real = gg.action_slot_maps
+
+    def swapped(spacetime, gauges):
+        order = np.arange(len(gauges))
+        if len(gauges) == 300:
+            order[[0, 1]] = [1, 0]
+        return real(spacetime, gauges)[order]
+
+    monkeypatch.setattr(gg, "action_slot_maps", swapped)
+    result = gauge_suite(RunConfig(spectrum="1:2", seed=62))
+    assert result["status"] == "fail"
+    assert result["residuals"]["homomorphism_law"] > 1e-3
