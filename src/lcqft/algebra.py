@@ -254,9 +254,9 @@ def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
 
 
 class _Terms(Mapping):
-    """Read-only multi-index -> coefficient view of an element's arrays;
-    (tag, multi-index) -> coefficient for a batch of several. The dict is
-    built on first lookup; the length needs no dict."""
+    """Read-only multi-index -> coefficient view of an element's arrays.
+    The dict is built on first lookup, for a single element only; the
+    length (of a batch, its total number of terms) needs no dict."""
 
     __slots__ = ("_el", "_dict")
 
@@ -266,11 +266,11 @@ class _Terms(Mapping):
 
     def _lookup(self) -> dict[MultiIndex, complex]:
         if self._dict is None:
-            idx = [tuple(d - 1 for d in term if d)
-                   for term in self._el.digits.T.tolist()]
-            if self._el.size > 1:
-                idx = zip(self._el.tags.tolist(), idx)
-            self._dict = dict(zip(idx, self._el.coeffs.tolist()))
+            self._el.single()
+            self._dict = {
+                tuple(d - 1 for d in term if d): c
+                for term, c in zip(self._el.digits.T.tolist(),
+                                   self._el.coeffs.tolist())}
         return self._dict
 
     def __getitem__(self, idx: MultiIndex) -> complex:
@@ -339,7 +339,14 @@ class AlgebraElement:
     @property
     def degree(self) -> int:
         """Maximum multi-index length; -1 for the zero element."""
+        self.single()
         return len(self.digits) if len(self.coeffs) else -1
+
+    def single(self):
+        """Refuse a batch where an operation reads one element's terms."""
+        if self.size != 1:
+            raise SpaceMismatch(f"a batch of {self.size} elements where one"
+                                " element is needed")
 
     def term_degrees(self) -> np.ndarray:
         """Multi-index length of each term, in key order."""
@@ -355,6 +362,7 @@ class AlgebraElement:
                         self.digits[:, mask])
 
     def max_abs(self) -> float:
+        """The largest coefficient magnitude; of a batch, over all elements."""
         if not len(self.coeffs):
             return 0.0
         return float(np.maximum.reduce(np.abs(self.coeffs)))
@@ -634,12 +642,10 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
         raise SpaceMismatch(f"{len(slots.digits)} slot maps for {a.size}")
     if width.max(initial=1) == 1:
         rows = base + a.digits
-        coef = a.coeffs
-        for row in rows:
-            coef = coef * weight_of[row, 0]
         digits = _sort_digits(digit_of[rows, 0])
         return _element(a.spacetime, a.size, *_merge_tagged(
-            a.size, a.tags, _pack(digits, dim), coef, digits))
+            a.size, a.tags, _pack(digits, dim),
+            a.coeffs * np.multiply.reduce(weight_of[rows, 0]), digits))
 
     def expand(lo: int, hi: int, piece: np.ndarray, piece_tags: np.ndarray):
         digits, coef, at = a.digits[:, lo:hi], a.coeffs[lo:hi], base[lo:hi]
@@ -693,7 +699,8 @@ def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
 
 class LiftedMap:
     """Algebra endomorphism induced by a symplectic, conjugation-commuting
-    linear map of the solution space (degree-wise functorial action)."""
+    linear map of the solution space (degree-wise functorial action). A
+    stack of matrices (n, dim, dim) lifts each one, for a batch of n."""
 
     def __init__(self, spacetime: LatticeSpacetime, matrix: np.ndarray):
         matrix = np.asarray(matrix)
@@ -702,7 +709,7 @@ class LiftedMap:
                 raise NotReal("map does not commute with conjugation")
             matrix = matrix.real
         J = symplectic_matrix(spacetime)
-        defect = np.max(np.abs(matrix.T @ J @ matrix - J))
+        defect = np.max(np.abs(np.swapaxes(matrix, -1, -2) @ J @ matrix - J))
         if defect > SIGMA_TOL:
             raise NotSymplectic(f"symplectic defect {defect:.3e} > {SIGMA_TOL:.1e}")
         self.spacetime = spacetime

@@ -199,14 +199,12 @@ class QuantumAction:
     Phi(phi) -> Phi(S(R) phi) + <l, phi> 1."""
 
     def __init__(self, g: GaugeElement, spacetime: LatticeSpacetime):
-        if g.spectrum != spacetime.spectrum:
-            raise SpectrumMismatch("gauge element over a different spectrum")
+        self._slots = action_slot_maps(spacetime, [g])[0]
         self.g = g
         self.spacetime = spacetime
         self.matrix = classical_action_matrix(g, spacetime)
         self.consts = (ell_basis_values(g.ell, spacetime)
                        if g.spectrum.massless_count else None)
-        self._slots = slot_map(self.matrix, self.consts)
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         if a.spacetime != self.spacetime:
@@ -222,7 +220,10 @@ def action_slot_maps(spacetime: LatticeSpacetime,
                      gauges: list[GaugeElement]) -> SlotMap:
     """The slot maps of zeta(g) for each g as one stack, read off the species
     matrices: e_(c, s, x) -> sum_s' R[s', s] e_(c, s', x) on both channels c
-    and at every site x, plus the shift constants."""
+    and at every site x, plus the shift constants. `QuantumAction` is the
+    stack of one."""
+    if any(g.spectrum != spacetime.spectrum for g in gauges):
+        raise SpectrumMismatch("gauge element over a different spectrum")
     R = np.array([g.species_matrix() for g in gauges])
     t, s_out, s_in = np.nonzero(R)
     N = spacetime.n_sites

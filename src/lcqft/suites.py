@@ -301,11 +301,10 @@ def gauge_suite(config: RunConfig) -> dict:
     # naturality under translations, one per draw (with one gauge element
     # per draw on random data); each side is one batch
     def naturality(x: alg.AlgebraElement, acts: alg.SlotMap, moves) -> float:
-        lifts = alg.slot_map(np.array([kin.solution_map(translation(
+        lifted = alg.lift(st, np.array([kin.solution_map(translation(
             st, dt_steps, dx)) for dt_steps, dx in moves]))
-        sub = alg.substitute_affine
-        return alg.max_coeff_diff(sub(sub(x, lifts), acts),
-                                  sub(sub(x, acts), lifts))
+        return alg.max_coeff_diff(alg.substitute_affine(lifted(x), acts),
+                                  lifted(alg.substitute_affine(x, acts)))
 
     # every translation, exactly zero on dyadic data
     moves = [(dt_steps, dx) for dx in range(st.n_sites)

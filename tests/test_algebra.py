@@ -690,15 +690,6 @@ class TestBatchedOps:
                        [alg.substitute_affine(x, alg.slot_map(perm))
                         for x in left])
 
-    def test_gauge_stack_matches_each_action(self, spec):
-        st_, left, _ = self._setup(spec)
-        rng = np.random.default_rng(5)
-        gauges = [gg.random_gauge(rng, st_.spectrum) for _ in left]
-        gauges[0] = gg.block_reflections(st_.spectrum)[0]
-        _equal_bitwise(alg.substitute_affine(
-            alg.stack(left), gg.action_slot_maps(st_, gauges)),
-            [gg.quantum_action(g, x) for g, x in zip(gauges, left)])
-
 
 def test_batches_reject_mismatched_sizes_and_maps(massive_spacetime, rng):
     a = alg.stack([alg.random_element(rng, massive_spacetime, 2, 3)
@@ -712,6 +703,35 @@ def test_batches_reject_mismatched_sizes_and_maps(massive_spacetime, rng):
     dim = massive_spacetime.data_dim
     with pytest.raises(SpaceMismatch):
         alg.substitute_affine(a, alg.slot_map(np.array([np.eye(dim)] * 2)))
+    # lookups, the degree and hence state evaluation read one element
+    for per_element in (lambda: a.terms[()], lambda: a.coefficient(()),
+                        lambda: a.degree, lambda: alg.check_degree_cap(a, 4)):
+        with pytest.raises(SpaceMismatch):
+            per_element()
+    assert len(a.terms) == len(a.coeffs)
+
+
+def test_width1_weights_multiply_before_the_coefficient(massive_spacetime, rng):
+    # a diagonal map keeps every key; each coefficient is c * (w_1 * ... *
+    # w_D), the slot weights multiplied first, also for non-dyadic weights
+    st_ = massive_spacetime
+    w = 1.0 + rng.random(st_.data_dim) / 3.0
+    x = alg.random_element(rng, st_, 4, 20)
+    out = alg.substitute_affine(x, alg.slot_map(np.diag(w)))
+    assert np.array_equal(out.keys, x.keys)
+    weights = np.concatenate([[1.0], w])[x.digits]
+    assert np.array_equal(out.coeffs, x.coeffs * np.multiply.reduce(weights))
+
+
+def test_stacked_lift_checks_every_matrix(massive_spacetime, rng):
+    st_ = massive_spacetime
+    U = dyn.one_step_matrix(st_)
+    with pytest.raises(NotSymplectic):
+        alg.lift(st_, np.array([U, 2.0 * U, U]))
+    lifted = alg.lift(st_, np.array([U, U @ U]))
+    xs = [alg.random_element(rng, st_, 2, 4) for _ in range(2)]
+    _equal_bitwise(lifted(alg.stack(xs)),
+                   [alg.lift(st_, M)(x) for M, x in zip((U, U @ U), xs)])
 
 
 class TestCcrSuiteMutants:

@@ -8,7 +8,8 @@ import pytest
 from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
-from lcqft.errors import NoMasslessSpecies, NotOrthogonal, SpectrumMismatch
+from lcqft.errors import (NoMasslessSpecies, NotOrthogonal, NotSymplectic,
+                          SpectrumMismatch)
 from lcqft.kinematics import membership_residual, region_solution_basis, solution_map
 from lcqft.spacetime import (
     LatticeSpacetime,
@@ -430,3 +431,14 @@ def test_swapped_slot_maps_fail_the_homomorphism_law(monkeypatch):
     result = gauge_suite(RunConfig(spectrum="1:2", seed=62))
     assert result["status"] == "fail"
     assert result["residuals"]["homomorphism_law"] > 1e-3
+
+
+def test_non_symplectic_translations_are_refused(monkeypatch):
+    # a stepper fault that scales the translations commutes with every
+    # species rotation; the naturality checks lift the translations, which
+    # refuses them
+    import lcqft.kinematics as kin
+    real = kin.solution_map
+    monkeypatch.setattr(kin, "solution_map", lambda m: 1.5 * real(m))
+    with pytest.raises(NotSymplectic):
+        gauge_suite(RunConfig(spectrum="1:2", seed=62))
