@@ -34,15 +34,21 @@ from functools import lru_cache
 import numpy as np
 
 from ._linalg import expm_taylor, nullspace, orthonormal_columns, principal_angles
+from .algebra import commutator, field, max_coeff_diff, random_element
 from .dynamics import (
     Perturbation,
     null_derivatives,
+    null_energy_grid,
     one_step_matrix,
+    random_solution,
     rce_matrix,
     solution_from_vec,
     symplectic_matrix,
 )
 from .errors import BudgetExceeded
+from .gauge import (GaugeElement, QuantumAction, block_reflections,
+                    classical_action, group_compose, group_inverse,
+                    rotation_generators, so_basis)
 from .spacetime import LatticeSpacetime
 
 BUDGET_SITES = 32
@@ -200,15 +206,6 @@ def _null_derivative_rows(g: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
     return d.transpose(0, 1, 3, 2, 4).reshape(2, len(g), S, st.data_dim)
 
 
-def _so_basis(n: int) -> np.ndarray:
-    """e_lk - e_kl for k < l: a basis (n(n-1)/2, n, n) of so(n)."""
-    k, l = np.triu_indices(n, 1)
-    out = np.zeros((len(k), n, n))
-    out[np.arange(len(k)), l, k] = 1.0
-    out[np.arange(len(k)), k, l] = -1.0
-    return out
-
-
 def constraint_rows_for_solution(active: np.ndarray, st: LatticeSpacetime
                                  ) -> np.ndarray:
     """Rows (2 S dim, n_act + 2 n_so) of the linear system
@@ -224,7 +221,7 @@ def constraint_rows_for_solution(active: np.ndarray, st: LatticeSpacetime
     gens = project_out_massless_zero_mode(
         _null_derivative_rows(active.reshape(-1, C, C, N), st), st)
     gens = gens.reshape(2, len(active), S * dim).transpose(0, 2, 1)
-    so = _so_basis(S)
+    so = so_basis(S)
     AD = -np.einsum("jkl,wld->wkdj", so, D).reshape(2, S * dim, len(so))
     zero = np.zeros_like(AD[0])
     return np.block([[gens[0], AD[0], zero], [gens[1], zero, AD[1]]])
@@ -232,32 +229,15 @@ def constraint_rows_for_solution(active: np.ndarray, st: LatticeSpacetime
 
 # -- expected generators -----------------------------------------------------------------
 
-def species_rotation_coords(st: LatticeSpacetime, s1: int, s2: int
-                            ) -> np.ndarray:
-    """Coordinates (C, C, N) of the in-block antisymmetric generator
-    e_{s2 s1} - e_{s1 s2}, acting identically on both channels at every
-    site (offset 0)."""
-    S, C, N = st.n_species, _channel_count(st), st.n_sites
-    g = np.zeros((C, C, N))
-    for chan in (0, S):
-        g[chan + s2, chan + s1, 0] = 1.0
-        g[chan + s1, chan + s2, 0] = -1.0
-    return g
-
-
 def expected_so_coords(st: LatticeSpacetime) -> np.ndarray:
-    """Coordinate rows (n_so, C*C*N) of the in-block rotation generators."""
-    C, N = _channel_count(st), st.n_sites
-    return np.array([species_rotation_coords(st, s1, s2).ravel()
-                     for _, block in st.spectrum.block_slices()
-                     for s1 in range(block.start, block.stop)
-                     for s2 in range(s1 + 1, block.stop)]).reshape(-1, C * C * N)
-
-
-def expected_so_generators(st: LatticeSpacetime) -> np.ndarray:
-    dim = st.data_dim
-    return np.array([_coords_to_matrix(g, st) for g in expected_so_coords(st)]
-                    ).reshape(-1, dim, dim)
+    """Coordinate rows (n_so, C*C*N) of the in-block rotation generators
+    (`gauge.rotation_generators`), acting identically on both channels at
+    every site (offset 0)."""
+    S, C, N = st.n_species, _channel_count(st), st.n_sites
+    R = rotation_generators(st.spectrum)
+    g = np.zeros((len(R), C, C, N))
+    g[:, :S, :S, 0] = g[:, S:, S:, 0] = R
+    return g.reshape(len(R), C * C * N)
 
 
 def expected_so_dimension(st: LatticeSpacetime) -> int:
@@ -270,8 +250,6 @@ def generator_soundness(st: LatticeSpacetime, generator: np.ndarray,
                         rng: np.random.Generator) -> dict:
     """Exponentiate and verify: symplectic, pointwise null-energy preserving,
     commuting with relative Cauchy evolution."""
-    from .dynamics import null_energy_grid
-
     S_map = expm_taylor(generator)
     J = symplectic_matrix(st)
     sigma_res = float(np.max(np.abs(S_map.T @ J @ S_map - J)))
@@ -305,9 +283,6 @@ def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float
     """Direct check that one reflection per mass block (`block_reflections`)
     preserves the pointwise null energy: with the rotations they reach every
     component of the group."""
-    from .dynamics import null_energy_grid
-    from .gauge import block_reflections, classical_action
-
     reflections = block_reflections(st.spectrum)
     res = 0.0
     for _ in range(3):
@@ -413,10 +388,6 @@ def _affine_directions_report(st: LatticeSpacetime) -> dict:
     They act trivially on solutions, so the constraint system cannot see
     them; this mirrors the split between the classical and quantized
     classification."""
-    from .algebra import commutator, field, max_coeff_diff, random_element
-    from .dynamics import random_solution
-    from .gauge import GaugeElement, QuantumAction, group_compose, group_inverse
-
     n0 = st.spectrum.massless_count
     rng = np.random.default_rng(1234)
     if n0 == 0:
@@ -424,9 +395,7 @@ def _affine_directions_report(st: LatticeSpacetime) -> dict:
 
     eye_blocks = tuple(np.eye(k) for _, k in st.spectrum.entries)
     residual = 0.0
-    for j in range(n0):
-        e_j = np.zeros(n0)
-        e_j[j] = 1.0
+    for e_j in np.eye(n0):
         for lam in (0.5, 1.25):
             g = GaugeElement(st.spectrum, eye_blocks, lam * e_j)
             act = QuantumAction(g, st)

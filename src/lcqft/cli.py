@@ -96,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigParse(f"--seed must be >= 0, got {args.seed}")
         if args.command == "verify":
             config = RunConfig(
                 spectrum=args.spectrum, n_sites=args.sites, n_steps=args.steps,

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraElement, SlotMap, degree1_vector, derivation,
-                      field, slot_map, slot_maps, substitute_affine)
-from .classify import expected_so_generators
+                      field, slot_maps, substitute_affine)
 from .dynamics import Solution, delta_test_function, propagate_test_function
 from .errors import NoMasslessSpecies, NotOrthogonal, SpectrumMismatch
 from .spacetime import LatticeSpacetime, MassSpectrum
@@ -89,19 +88,14 @@ def group_compose(g: GaugeElement, h: GaugeElement) -> GaugeElement:
     if g.spectrum != h.spectrum:
         raise SpectrumMismatch("gauge elements over different spectra")
     blocks = tuple(Rg @ Rh for Rg, Rh in zip(g.blocks, h.blocks))
-    if g.spectrum.massless_count:
-        ell = g.ell @ h.massless_block + h.ell
-    else:
-        ell = g.ell
+    ell = g.ell @ h.massless_block + h.ell if g.spectrum.massless_count \
+        else g.ell
     return GaugeElement(g.spectrum, blocks, ell)
 
 
 def group_inverse(g: GaugeElement) -> GaugeElement:
     blocks = tuple(R.T for R in g.blocks)
-    if g.spectrum.massless_count:
-        ell = -(g.ell @ g.massless_block.T)
-    else:
-        ell = g.ell
+    ell = -(g.ell @ g.massless_block.T) if g.spectrum.massless_count else g.ell
     return GaugeElement(g.spectrum, blocks, ell)
 
 
@@ -146,20 +140,6 @@ def classical_action(g: GaugeElement, phi: Solution) -> Solution:
     return Solution(phi.spacetime, R @ phi.q, R @ phi.p)
 
 
-def classical_action_matrix(g: GaugeElement, spacetime: LatticeSpacetime
-                            ) -> np.ndarray:
-    if g.spectrum != spacetime.spectrum:
-        raise SpectrumMismatch("gauge element over a different spectrum")
-    R = g.species_matrix()
-    block = np.kron(R, np.eye(spacetime.n_sites))
-    dim = spacetime.data_dim
-    out = np.zeros((dim, dim))
-    half = dim // 2
-    out[:half, :half] = block
-    out[half:, half:] = block
-    return out
-
-
 # -- the shift functional ------------------------------------------------------------
 
 def ell_functional(ell: np.ndarray, phi: Solution) -> complex:
@@ -180,16 +160,11 @@ def ell_functional(ell: np.ndarray, phi: Solution) -> complex:
 def ell_basis_values(ell: np.ndarray, spacetime: LatticeSpacetime) -> np.ndarray:
     """<l, e_i> over the canonical basis (nonzero only on massless p-channels)."""
     spectrum = spacetime.spectrum
-    n0 = spectrum.massless_count
-    if n0 == 0:
-        return np.zeros(spacetime.data_dim)
-    ell = np.asarray(ell, dtype=float).reshape(n0)
-    S, N = spacetime.n_species, spacetime.n_sites
-    vals = np.zeros(2 * S * N)
-    block = spectrum.block_slice(0.0)
-    for j, s in enumerate(range(block.start, block.stop)):
-        vals[S * N + s * N: S * N + (s + 1) * N] = -ell[j]
-    return vals
+    vals = np.zeros((2, spacetime.n_species, spacetime.n_sites))
+    if spectrum.massless_count:
+        vals[1, spectrum.block_slice(0.0)] = -np.asarray(
+            ell, dtype=float).reshape(spectrum.massless_count, 1)
+    return vals.ravel()
 
 
 # -- quantum action ------------------------------------------------------------------
@@ -202,9 +177,6 @@ class QuantumAction:
         self._slots = action_slot_maps(spacetime, [g])[0]
         self.g = g
         self.spacetime = spacetime
-        self.matrix = classical_action_matrix(g, spacetime)
-        self.consts = (ell_basis_values(g.ell, spacetime)
-                       if g.spectrum.massless_count else None)
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         if a.spacetime != self.spacetime:
@@ -216,24 +188,50 @@ def quantum_action(g: GaugeElement, a: AlgebraElement) -> AlgebraElement:
     return QuantumAction(g, a.spacetime)(a)
 
 
-def action_slot_maps(spacetime: LatticeSpacetime,
-                     gauges: list[GaugeElement]) -> SlotMap:
-    """The slot maps of zeta(g) for each g as one stack, read off the species
-    matrices: e_(c, s, x) -> sum_s' R[s', s] e_(c, s', x) on both channels c
-    and at every site x, plus the shift constants. `QuantumAction` is the
-    stack of one."""
-    if any(g.spectrum != spacetime.spectrum for g in gauges):
-        raise SpectrumMismatch("gauge element over a different spectrum")
-    R = np.array([g.species_matrix() for g in gauges])
+def species_slot_maps(spacetime: LatticeSpacetime, R: np.ndarray,
+                      consts: np.ndarray | None = None) -> SlotMap:
+    """The stack of slot maps of the species matrices R (n, |nu|, |nu|)
+    acting as R (x) 1 on the Cauchy data: e_(c, s, x) -> sum_s' R[s', s]
+    e_(c, s', x) on both channels c and at every site x, plus the constants
+    (n, dim). Each column lists its entries in increasing row."""
     t, s_out, s_in = np.nonzero(R)
     N = spacetime.n_sites
     at = np.add.outer(np.arange(2) * spacetime.n_species * N,
                       np.arange(N)).ravel()  # channel and site offsets
     return slot_maps(
-        len(gauges), spacetime.data_dim, t.repeat(len(at)),
+        len(R), spacetime.data_dim, t.repeat(len(at)),
         np.add.outer(s_out * N, at).ravel(), np.add.outer(s_in * N, at).ravel(),
-        R[t, s_out, s_in].repeat(len(at)),
+        R[t, s_out, s_in].repeat(len(at)), consts)
+
+
+def action_slot_maps(spacetime: LatticeSpacetime,
+                     gauges: list[GaugeElement]) -> SlotMap:
+    """The slot maps of zeta(g) for each g as one stack (`QuantumAction` is
+    the stack of one)."""
+    if any(g.spectrum != spacetime.spectrum for g in gauges):
+        raise SpectrumMismatch("gauge element over a different spectrum")
+    return species_slot_maps(
+        spacetime, np.array([g.species_matrix() for g in gauges]),
         np.array([ell_basis_values(g.ell, spacetime) for g in gauges]))
+
+
+def so_basis(n: int) -> np.ndarray:
+    """e_lk - e_kl for k < l: a basis (n(n-1)/2, n, n) of so(n)."""
+    k, l = np.triu_indices(n, 1)
+    out = np.zeros((len(k), n, n))
+    out[np.arange(len(k)), l, k] = 1.0
+    out[np.arange(len(k)), k, l] = -1.0
+    return out
+
+
+def rotation_generators(spectrum: MassSpectrum) -> np.ndarray:
+    """The in-block rotation generators as species matrices (n_so, |nu|,
+    |nu|): the elements of `so_basis(|nu|)` whose two species share a mass
+    block, so block by block and in `so_basis` order within each."""
+    k, l = np.triu_indices(spectrum.total_species, 1)
+    block = np.repeat(np.arange(len(spectrum.entries)),
+                      [mult for _, mult in spectrum.entries])
+    return so_basis(spectrum.total_species)[block[k] == block[l]]
 
 
 # -- the exact presentation ------------------------------------------------------------
@@ -248,7 +246,7 @@ class Presentation:
     (`moves`) annihilates it, and a linear map intertwines the action iff it
     commutes with every move."""
 
-    generators: np.ndarray                 # (n_so, dim, dim)
+    generators: np.ndarray                 # (n_so, |nu|, |nu|)
     rotations: tuple[SlotMap, ...]         # one per generator
     shifts: tuple[SlotMap, ...]            # one per massless species
     reflections: tuple[QuantumAction, ...]  # one per mass block
@@ -262,20 +260,19 @@ class Presentation:
             yield reflection(a) - a
 
 
-def shift_slot_map(spacetime: LatticeSpacetime, direction: int) -> SlotMap:
-    """The derivation d/dlambda zeta(1, lambda e_j) at 0: no linear part, the
-    shift functional <e_j, .> as constants."""
-    e_j = np.eye(spacetime.spectrum.massless_count)[direction]
-    dim = spacetime.data_dim
-    return slot_map(np.zeros((dim, dim)), ell_basis_values(e_j, spacetime))
-
-
 def presentation(spacetime: LatticeSpacetime) -> Presentation:
-    generators = expected_so_generators(spacetime)
+    """The rotations are the species matrices of `rotation_generators`; the
+    shift in direction e_j, the derivation d/dlambda zeta(1, lambda e_j) at
+    0, has no linear part and the shift functional <e_j, .> as constants."""
+    generators = rotation_generators(spacetime.spectrum)
+    n0 = spacetime.spectrum.massless_count
+    rotations = species_slot_maps(spacetime, generators)
+    shifts = species_slot_maps(
+        spacetime, np.zeros((n0, *generators.shape[1:])),
+        [ell_basis_values(e_j, spacetime) for e_j in np.eye(n0)])
     return Presentation(
-        generators, tuple(slot_map(X) for X in generators),
-        tuple(shift_slot_map(spacetime, j)
-              for j in range(spacetime.spectrum.massless_count)),
+        generators, tuple(rotations[i] for i in range(len(generators))),
+        tuple(shifts[j] for j in range(n0)),
         tuple(QuantumAction(g, spacetime)
               for g in block_reflections(spacetime.spectrum)))
 

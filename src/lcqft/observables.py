@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import AlgebraElement, check_degree_cap, derivation, field, zero
 from .dynamics import ScalarData, embed_scalar, require_charge_zero
 from .errors import MassNotInSpectrum, NoMasslessSpecies
-from .gauge import presentation, shift_slot_map
+from .gauge import presentation
 from .spacetime import LatticeSpacetime
 
 
@@ -43,7 +43,7 @@ def affine_derivative(a: AlgebraElement, direction: int) -> AlgebraElement:
     """d/dlambda of zeta(1, lambda e_j^*) a at lambda = 0."""
     if a.spacetime.spectrum.massless_count == 0:
         raise NoMasslessSpecies("affine directions need nu(0) > 0")
-    return derivation(a, shift_slot_map(a.spacetime, direction))
+    return derivation(a, presentation(a.spacetime).shifts[direction])
 
 
 def invariant_projection_check(a: AlgebraElement, degree_cap: int = 4,

@@ -39,6 +39,8 @@ class MassSpectrum:
             raise LcqftError("empty mass spectrum")
         prev = -1.0
         for mass, mult in self.entries:
+            if not np.isfinite(mass):
+                raise LcqftError(f"mass {mass} is not finite")
             if mass < 0:
                 raise LcqftError(f"negative mass {mass}")
             if mass <= prev:
@@ -156,12 +158,16 @@ class LatticeSpacetime:
     def _check_mode_separation(self):
         # Distinct continuum masses must stay spectrally distinct on the
         # lattice: squared mode frequencies of different mass blocks may not
-        # collide within 1e-9 at any pair of momenta.
-        w2 = self.dispersion
-        gap = np.abs(w2[:, None, :, None] - w2[None, :, None, :])
-        collide = np.triu((gap < MASS_COLLISION_TOL).any(axis=(2, 3)), 1)
-        if collide.any():
-            i, j = np.argwhere(collide)[0]
+        # collide within 1e-9 at any pair of momenta. Some blocks collide iff
+        # two sorted neighbours from different blocks do: the values between
+        # a colliding pair lie within the tolerance of both.
+        order = np.argsort(self.dispersion, axis=None)
+        block = order // self.n_sites
+        close = (np.diff(self.dispersion.ravel()[order]) < MASS_COLLISION_TOL) \
+            & (np.diff(block) != 0)
+        if close.any():
+            i, j = min(sorted(pair) for pair in zip(block[:-1][close].tolist(),
+                                                    block[1:][close].tolist()))
             masses = self.spectrum.masses
             raise MassCollision(f"masses {masses[i]} and {masses[j]} collide "
                                 f"on the N={self.n_sites} lattice")

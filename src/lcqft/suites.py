@@ -112,6 +112,11 @@ class RunConfig:
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigParse(f"unknown tolerance {', '.join(unknown)}")
+        bad = [key for key, value in sorted(self.tolerances.items())
+               if not 0.0 <= value < math.inf]
+        if bad:
+            raise ConfigParse(
+                f"tolerance {', '.join(bad)} must be finite and >= 0")
         st = self.spacetime()
         for name in names:
             sites, steps = MIN_LATTICE.get(name, (0, 0))
@@ -221,6 +226,13 @@ def ccr_suite(config: RunConfig) -> dict:
             for _ in range(min(group, 200 - start))])
         u, v = (np.array([sol.vec() for sol in sols]) for sols in (phis, psis))
         phi, psi = alg.fields(st, u), alg.fields(st, v)
+        # commutation relation, read off each element's own terms with no
+        # merge: its unit coefficient against its own i sigma, every other
+        # coefficient against zero
+        comm = alg.commutator(phi, psi)
+        unit = comm.term_degrees() == 0
+        got = np.zeros(len(lams), complex)
+        got[comm.tags[unit]] = comm.coeffs[unit]
         worst = max(
             worst,
             # linearity of the field injection
@@ -228,10 +240,9 @@ def ccr_suite(config: RunConfig) -> dict:
                                phi + psi.scale(lams)),
             # star relation
             alg.max_coeff_diff(phi.star(), alg.fields(st, u.conj())),
-            # commutation relation
-            alg.max_coeff_diff(alg.commutator(phi, psi), alg.stack(
-                [alg.one(st)] * len(lams)).scale(
-                [1j * dyn.symplectic_form(a, b) for a, b in zip(phis, psis)])))
+            float(np.max(np.abs(got - [1j * dyn.symplectic_form(a, b)
+                                       for a, b in zip(phis, psis)]))),
+            float(np.max(np.abs(comm.coeffs[~unit]), initial=0.0)))
     rec.below("ccr_relations", worst, config.tol("ccr.relations"))
 
     # the float products of 50 triples in one batch; the exact oracle one
@@ -264,10 +275,8 @@ def _signed_permutation_gauge(rng, spectrum: MassSpectrum) -> gg.GaugeElement:
     blocks = []
     for _, k in spectrum.entries:
         perm = rng.permutation(k)
-        signs = rng.integers(0, 2, size=k) * 2 - 1
         R = np.zeros((k, k))
-        for i in range(k):
-            R[perm[i], i] = signs[i]
+        R[perm, np.arange(k)] = rng.integers(0, 2, size=k) * 2 - 1
         blocks.append(R)
     n0 = spectrum.massless_count
     ell = rng.integers(-2, 3, size=n0).astype(float) if n0 else np.zeros(0)
@@ -490,13 +499,16 @@ def state_suite(config: RunConfig) -> dict:
               config.tol("state.positivity"))
 
     # invariant iff X^T mu + mu X = 0 for each generator X and R^T mu R = mu
-    # for each block reflection R
+    # for each block reflection R, each acting on the Cauchy data as
+    # kron(1_2, species matrix (x) 1_N)
     pres = gg.presentation(st)
     mu = vac.mu
-    worst = max([float(np.max(np.abs(X.T @ mu + mu @ X)))
-                 for X in pres.generators]
-                + [float(np.max(np.abs(r.matrix.T @ mu @ r.matrix - mu)))
-                   for r in pres.reflections])
+    n_so = len(pres.generators)
+    M = np.kron(np.eye(2), np.kron(np.concatenate(
+        [pres.generators] + [[r.g.species_matrix()] for r in pres.reflections]),
+        np.eye(st.n_sites)))
+    worst = max([float(np.max(np.abs(X.T @ mu + mu @ X))) for X in M[:n_so]]
+                + [float(np.max(np.abs(R.T @ mu @ R - mu))) for R in M[n_so:]])
     rec.below("vacuum_gauge_invariance", worst, config.tol("state.invariance"))
 
     if spectrum.massless_count:

@@ -10,8 +10,10 @@ matrices for the stepper, a Richardson finite difference for the derivative
 of relative Cauchy evolution, ordered Wick reduction and a per-monomial
 hafnian for state evaluation, a dict-walking kernel (partial matchings,
 slot-by-slot substitution) for the CCR algebra, a dense SVD nullspace of the
-evolution commutator for the classifier's commutant, and a dense two-sided
-commutant intersection at tiny sizes.
+evolution commutator for the classifier's commutant, a dense two-sided
+commutant intersection at tiny sizes, Kronecker products for the dense
+matrix of a gauge species matrix, and an all-pairs compare of the mode
+frequencies for mass collisions.
 """
 from __future__ import annotations
 
@@ -31,6 +33,21 @@ from lcqft.dynamics import (
     symplectic_form,
 )
 from lcqft.spacetime import LatticeSpacetime, Region
+
+
+# -- mode separation ----------------------------------------------------------------
+
+def pairwise_mass_collisions(masses, n_sites: int, tol: float
+                             ) -> set[tuple[int, int]]:
+    """Block pairs (i < j) whose squared mode frequencies m^2 + 4 sin^2(pi
+    k / N) come within tol at some pair of momenta, by comparing every
+    pair of values."""
+    k = np.arange(n_sites)
+    w2 = np.asarray(masses)[:, None] ** 2 \
+        + 4.0 * np.sin(np.pi * k / n_sites) ** 2
+    gap = np.abs(w2[:, None, :, None] - w2[None, :, None, :])
+    return {(int(i), int(j)) for i, j
+            in np.argwhere((gap < tol).any(axis=(2, 3))) if i < j}
 
 
 # -- causal structure ---------------------------------------------------------------
@@ -225,6 +242,13 @@ def _sparse_columns(matrix: np.ndarray, tol: float = 1e-15):
     return [[(int(j), complex(matrix[j, i]))
              for j in np.nonzero(np.abs(matrix[:, i]) > tol)[0]]
             for i in range(matrix.shape[1])]
+
+
+def species_on_data(st: LatticeSpacetime, R: np.ndarray) -> np.ndarray:
+    """The dense map kron(1_2, R (x) 1_N) of species matrices R (|nu|, |nu|)
+    or a stack (n, |nu|, |nu|) on the Cauchy data: the same matrix on q and
+    on p, at every site."""
+    return np.kron(np.eye(2), np.kron(R, np.eye(st.n_sites)))
 
 
 def dict_substitute(a: dict, matrix: np.ndarray, consts=None) -> dict:

@@ -338,6 +338,21 @@ def test_mass_collision_at_24_sites_is_config_error(argv, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "ccr", "--spectrum", "1:2", "--seed", "-1"],
+    ["classify", "--spectrum", "1:2", "--seed", "-5"],
+    ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=nan"],
+    ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=inf"],
+    ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=-1"],
+    ["verify", "state", "--spectrum", "nan:1"],
+    ["classify", "--spectrum", "nan:1"],
+])
+def test_invalid_seed_tolerance_or_mass_is_config_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 class TestSummary:
     def test_margin_direction_and_edges(self):
         margin = suites.margin

@@ -19,6 +19,8 @@ from lcqft.spacetime import (
 )
 from lcqft.suites import RunConfig, gauge_suite
 
+from oracles import species_on_data
+
 
 def _translate(sol, dt_, dx):
     """(T phi)(t, x) = phi(t - dt_, x - dx), through the solution map of the
@@ -125,9 +127,8 @@ class TestClassicalAction:
         st_ = two_block_spacetime
         g = gg.random_gauge(rng, st_.spectrum)
         h = gg.random_gauge(rng, st_.spectrum)
-        Mg = gg.classical_action_matrix(g, st_)
-        Mh = gg.classical_action_matrix(h, st_)
-        Mgh = gg.classical_action_matrix(gg.group_compose(g, h), st_)
+        Mg, Mh, Mgh = (species_on_data(st_, x.species_matrix())
+                       for x in (g, h, gg.group_compose(g, h)))
         assert np.array_equal(Mg @ Mh, Mgh)
 
     def test_commutes_with_dynamics(self, mixed_spacetime, rng):
@@ -154,6 +155,54 @@ class TestClassicalAction:
             gg.classical_action(g, dyn.relative_cauchy_evolution(phi, pert)).vec()
             - dyn.relative_cauchy_evolution(gg.classical_action(g, phi),
                                             pert).vec())) < 1e-12
+
+
+class TestSpeciesForm:
+    def test_so_basis(self):
+        for n in range(5):
+            so = gg.so_basis(n)
+            assert so.shape == (n * (n - 1) // 2, n, n)
+            assert np.array_equal(so, -so.transpose(0, 2, 1))
+            if len(so):
+                assert np.linalg.matrix_rank(so.reshape(len(so), -1)) == len(so)
+
+    @pytest.mark.parametrize("spec", ["1:1", "1:2", "0:1,1:2", "1:2,2:3"])
+    def test_rotation_generators_stay_in_their_blocks(self, spec):
+        spectrum = MassSpectrum.parse(spec)
+        gens = gg.rotation_generators(spectrum)
+        assert len(gens) == sum(k * (k - 1) // 2 for _, k in spectrum.entries)
+        inside = np.zeros((spectrum.total_species,) * 2, bool)
+        for _, block in spectrum.block_slices():
+            inside[block, block] = True
+        assert not np.any(gens[:, ~inside])
+        # exp(tX) = 1 + sin(t) X + (1 - cos(t)) X^2 is a rotation of the group
+        for X in gens:
+            R = np.eye(len(X)) + np.sin(0.3) * X + (1 - np.cos(0.3)) * X @ X
+            g = gg.GaugeElement(spectrum, tuple(
+                R[b, b] for _, b in spectrum.block_slices()),
+                np.zeros(spectrum.massless_count))
+            assert np.array_equal(g.species_matrix(), R)
+            assert np.linalg.det(R) == pytest.approx(1.0)
+
+    def test_slot_maps_equal_the_dense_maps(self, two_block_spacetime, rng):
+        # the builder reads the species matrices; the dense kron(1_2, R (x)
+        # 1_N) of the oracle gives the same digits and weights, bit for bit
+        st_ = two_block_spacetime
+        S = st_.n_species
+        R = np.array([gg.random_gauge(rng, st_.spectrum).species_matrix()
+                      for _ in range(3)] + [np.zeros((S, S))])
+        consts = rng.standard_normal((4, st_.data_dim))
+        got = gg.species_slot_maps(st_, R, consts)
+        want = alg.slot_map(species_on_data(st_, R), consts)
+        for name in ("digits", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        pres = gg.presentation(st_)
+        for slots, X in zip(pres.rotations,
+                            species_on_data(st_, pres.generators)):
+            want = alg.slot_map(X)
+            assert np.array_equal(slots.digits, want.digits)
+            assert np.array_equal(slots.weights, want.weights)
 
 
 class TestEllFunctional:

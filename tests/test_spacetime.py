@@ -1,4 +1,6 @@
 """Lattice category: spectra, regions, morphism laws."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from lcqft.errors import (
     MassCollision,
 )
 from lcqft.spacetime import (
+    MASS_COLLISION_TOL,
     LatticeSpacetime,
     MassSpectrum,
     cauchy_extension,
@@ -20,7 +23,8 @@ from lcqft.spacetime import (
     translation,
 )
 
-from oracles import brute_force_domain_of_dependence, causal_paths_stay_inside
+from oracles import (brute_force_domain_of_dependence, causal_paths_stay_inside,
+                     pairwise_mass_collisions)
 
 
 def _st(spec="1:1", n=8, steps=8):
@@ -88,6 +92,43 @@ class TestLatticeSpacetime:
         # massless kappa^2 = 1 at k = N/6 collides with massive m=1 at k=0
         with pytest.raises(MassCollision):
             LatticeSpacetime(24, 8, 0.5, MassSpectrum.parse("0:1,1:1"))
+
+    def test_mode_separation_agrees_with_pairwise_oracle(self):
+        # sorted neighbours from different blocks against every pair of
+        # values, on spectra whose blocks collide at some N
+        outcomes = set()
+        for spec in ("0:1,1:1", "0:1,2:1", "1:1,2:1", "0:1,1:1,2:1",
+                     "0:2,1:1,2:2", "1:2,2:3", "0.5:1,1.5:2", "0:1,3:1"):
+            spectrum = MassSpectrum.parse(spec)
+            masses = spectrum.masses
+            for n in range(4, 41):
+                collide = pairwise_mass_collisions(masses, n,
+                                                   MASS_COLLISION_TOL)
+                outcomes.add(bool(collide))
+                if not collide:
+                    LatticeSpacetime(n, 8, 0.5, spectrum)
+                    continue
+                with pytest.raises(MassCollision) as info:
+                    LatticeSpacetime(n, 8, 0.5, spectrum)
+                assert any(f"masses {masses[i]} and {masses[j]} collide"
+                           in str(info.value) for i, j in collide)
+        assert outcomes == {True, False}
+
+    def test_mode_separation_memory_is_linear_in_sites(self):
+        # a pairwise gap array would take (B N)^2 floats: 128 MiB here
+        spectrum = MassSpectrum.parse("1:2,2:3")
+        tracemalloc.start()
+        try:
+            LatticeSpacetime(2048, 16, 0.5, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+    @pytest.mark.parametrize("text", ["nan:1", "inf:1", "1:1,nan:2"])
+    def test_non_finite_mass_rejected(self, text):
+        with pytest.raises(LcqftError, match="not finite"):
+            MassSpectrum.parse(text)
 
     def test_data_dim(self):
         assert _st("1:2").data_dim == 2 * 2 * 8

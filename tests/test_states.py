@@ -11,7 +11,8 @@ from lcqft.errors import DegreeCapExceeded
 from lcqft.kinematics import solution_map
 from lcqft.spacetime import translation
 
-from oracles import dict_substitute, hafnian, reduction_evaluate
+from oracles import (dict_substitute, hafnian, reduction_evaluate,
+                     species_on_data)
 
 
 class TestKernel:
@@ -198,7 +199,9 @@ class TestEvaluate:
                               for idx, c in terms.items()), 0j)
                 assert abs(vac.evaluate(a) - expect) \
                     <= 1e-12 * max(1.0, abs(expect))
-                moved = dict_substitute(terms, act.matrix, act.consts)
+                moved = dict_substitute(
+                    terms, species_on_data(st_, g.species_matrix()),
+                    gg.ell_basis_values(g.ell, st_))
                 expect = sum((c * hafnian(vac.mu, idx)
                               for idx, c in moved.items()), 0j)
                 assert abs(shifted.evaluate(a) - expect) \
