@@ -243,6 +243,13 @@ class TestCliProcess:
         ["verify", "gauge", "--spectrum", "1:2", "--sites", "8", "--steps", "3"],
         ["verify", "all", "--spectrum", "5:1", "--sites", "8"],
         ["classify", "--spectrum", "5:1", "--sites", "8"],
+        ["verify", "ccr", "--spectrum", "1:2", "--seed", "-1"],
+        ["classify", "--spectrum", "1:2", "--seed", "-5"],
+        ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=nan"],
+        ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=inf"],
+        ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=-1"],
+        ["verify", "state", "--spectrum", "nan:1"],
+        ["classify", "--spectrum", "nan:1"],
     ])
     def test_config_error_before_any_suite(self, argv, monkeypatch, capsys):
         def never(config):
@@ -336,21 +343,6 @@ def test_mass_collision_at_24_sites_is_config_error(argv, capsys):
     # masses 1 and 2 collide on the N = 24 lattice
     assert main(argv + ["--spectrum", "1:2,2:3", "--sites", "24"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "ccr", "--spectrum", "1:2", "--seed", "-1"],
-    ["classify", "--spectrum", "1:2", "--seed", "-5"],
-    ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=nan"],
-    ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=inf"],
-    ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=-1"],
-    ["verify", "state", "--spectrum", "nan:1"],
-    ["classify", "--spectrum", "nan:1"],
-])
-def test_invalid_seed_tolerance_or_mass_is_config_error(argv, capsys):
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
 
 
 class TestSummary:
