@@ -1,4 +1,4 @@
-"""Small dense linear-algebra helpers shared by the classifier."""
+"""The SVD nullspace with a rank cut, shared by the classifier and its oracles."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,61 +8,20 @@ def nullspace(A: np.ndarray, rel_tol: float = 1e-8):
     """Orthonormal nullspace basis (columns) with an SVD rank cut.
 
     Returns (basis, rank, condition_info) where condition_info carries the
-    extreme singular values used for the cut.
+    largest singular value and the two on either side of the cut.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0 or A.shape[0] == 0:
         n = A.shape[1] if A.ndim == 2 else 0
-        return np.eye(n), 0, {"sigma_max": 0.0, "sigma_min_kept": 0.0}
+        return np.eye(n), 0, {"sigma_max": 0.0, "sigma_min_kept": 0.0,
+                              "sigma_max_dropped": 0.0}
     # economy on the row side; vt must stay n x n to expose the nullspace
     _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     smax = s[0] if len(s) else 0.0
     rank = int(np.sum(s > rel_tol * smax)) if smax > 0 else 0
     kept_min = float(s[rank - 1]) if rank else 0.0
+    dropped_max = float(s[rank]) if rank < len(s) else 0.0
     basis = vt[rank:].T
-    return basis, rank, {"sigma_max": float(smax), "sigma_min_kept": kept_min}
+    return basis, rank, {"sigma_max": float(smax), "sigma_min_kept": kept_min,
+                         "sigma_max_dropped": dropped_max}
 
-
-def orthonormal_columns(vectors: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span."""
-    if vectors.size == 0:
-        return vectors.reshape(vectors.shape[0] if vectors.ndim == 2 else 0, 0)
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if len(s) == 0 or s[0] == 0:
-        return vectors[:, :0]
-    rank = int(np.sum(s > rel_tol * s[0]))
-    return u[:, :rank]
-
-
-def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of orthonormal A and B.
-
-    Small angles are computed through the sine (norm of the projection of B
-    off span(A)); the cosine formula loses everything below ~1e-8 to the
-    flatness of arccos at 1.
-    """
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return np.array([])
-    cos_s = np.linalg.svd(A.T @ B, compute_uv=False)
-    sin_s = np.linalg.svd(B - A @ (A.T @ B), compute_uv=False)
-    sin_s = np.sort(sin_s)[::-1][: len(cos_s)][::-1]
-    angles = np.where(cos_s ** 2 < 0.5,
-                      np.arccos(np.clip(cos_s, -1.0, 1.0)),
-                      np.arcsin(np.clip(sin_s, -1.0, 1.0)))
-    return angles
-
-
-def expm_taylor(A: np.ndarray, terms: int = 12) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a 12-term Taylor core."""
-    A = np.asarray(A, dtype=float)
-    norm = np.linalg.norm(A, ord=1)
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300)))) + 1) if norm > 0.5 else 0
-    B = A / (2.0 ** squarings)
-    out = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
-    for k in range(1, terms + 1):
-        term = term @ B / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out

@@ -10,10 +10,11 @@ Exit codes: 0 all checks pass, 1 suite failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import serialize
-from .classify import CHECKED_RESIDUALS, classify
+from .classify import CHECKED_RESIDUALS, check_budget, classify
 from .errors import ConfigParse, LcqftError
 from .spacetime import LatticeSpacetime, MassSpectrum
 from .suites import (DEFAULT_TOLERANCES, RunConfig, SUITE_NAMES, margin,
@@ -64,13 +65,28 @@ def _parse_tolerances(pairs: list[str]) -> dict:
     return out
 
 
+def _check_out(out_path: str | None):
+    """Reject an --out that cannot be written, before any work is done."""
+    if not out_path:
+        return
+    directory = os.path.dirname(os.path.abspath(out_path))
+    if os.path.isdir(out_path) or not os.path.isdir(directory) \
+            or not os.access(directory, os.W_OK):
+        raise ConfigParse(f"--out {out_path!r} is not a file in a writable "
+                          "directory")
+
+
 def _emit(report: dict, out_path: str | None):
     text = serialize.dumps(report) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigParse(f"cannot write --out {out_path!r}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _summary(report: dict, out_path: str | None):
@@ -98,6 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed < 0:
             raise ConfigParse(f"--seed must be >= 0, got {args.seed}")
+        _check_out(args.out)
         if args.command == "verify":
             config = RunConfig(
                 spectrum=args.spectrum, n_sites=args.sites, n_steps=args.steps,
@@ -114,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
                                       MassSpectrum.parse(args.spectrum))
             except LcqftError as exc:
                 raise ConfigParse(str(exc)) from exc
+            check_budget(st)  # before the classifier runs
             report = classify(st, quantized=not args.classical, seed=args.seed)
             _emit(report, args.out)
             ok = report["match"]

@@ -323,6 +323,23 @@ def one_step_matrix(spacetime: LatticeSpacetime) -> np.ndarray:
         lambda qb, pb: evolve_data(qb, pb, spacetime, 0, 1), spacetime).real
 
 
+def mode_maps(spacetime: LatticeSpacetime) -> np.ndarray:
+    """One forward step of the free equation on each spatial Fourier mode,
+    in closed form: (B, N, 2, 2), one 2x2 map on (q_k, p_k) per mass block
+    (spectrum order) and momentum k.
+
+    A mode feels the force -w^2 q, with w^2 the block's row of
+    `spacetime.dispersion`, so kick-drift-kick gives
+    U_k = [[c, h], [-h w^2 (1 - h^2 w^2 / 4), c]] with c = 1 - h^2 w^2 / 2.
+    """
+    h, w2 = spacetime.dt, spacetime.dispersion
+    U = np.empty(w2.shape + (2, 2))
+    U[..., 0, 0] = U[..., 1, 1] = 1.0 - 0.5 * h * h * w2
+    U[..., 0, 1] = h
+    U[..., 1, 0] = -h * w2 * (1.0 - 0.25 * h * h * w2)
+    return U
+
+
 # -- causal propagator -----------------------------------------------------------
 
 def propagate_sources(spacetime: LatticeSpacetime, sources: np.ndarray):

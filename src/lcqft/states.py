@@ -6,14 +6,15 @@ a symmetric monomial phi_1 ... phi_k as the perfect-matching (hafnian) sum of
 mu over the index pairs, and is extended linearly over the sparse terms, all
 terms at once in one array pass over the pairings of slot positions.
 
-The vacuum kernel is built per species from the exact one-step evolution map:
-an elliptic mode with cos(Omega) = 1 - dt^2 w^2 / 2 has the invariant
-covariance of a harmonic oscillator at the effective frequency
-w_eff = w sqrt(1 - dt^2 w^2 / 4), so invariance under the lattice dynamics
-holds at machine precision rather than up to discretization error. Massless
-species get a fixed unit-width reference Gaussian on every mode (the spatial
-zero mode has no ground state on a compact Cauchy surface); that reference is
-flagged, since it is not invariant under the affine gauge directions.
+The vacuum kernel is built per species from the closed-form one-step map of
+each Fourier mode (`dynamics.mode_maps`): an elliptic mode with
+cos(Omega) = 1 - dt^2 w^2 / 2 has the invariant covariance of a harmonic
+oscillator at the effective frequency w_eff = w sqrt(1 - dt^2 w^2 / 4), so
+invariance under the lattice dynamics holds at machine precision rather than
+up to discretization error. Massless species get a fixed unit-width
+reference Gaussian on every mode (the spatial zero mode has no ground state
+on a compact Cauchy surface); that reference is flagged, since it is not
+invariant under the affine gauge directions.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AlgebraElement, check_degree_cap
-from .dynamics import symplectic_matrix
+from .dynamics import mode_maps, symplectic_matrix
 from .spacetime import LatticeSpacetime
 
 DEFAULT_DEGREE_CAP = 8
@@ -33,15 +34,15 @@ def mode_frequencies(spacetime: LatticeSpacetime, mass: float) -> np.ndarray:
     """Effective per-mode frequencies of the one-step map for one species.
 
     Elliptic modes (every mode of a spacetime, which checks ellipticity)
-    get w_eff(k) = w(k) sqrt(1 - dt^2 w(k)^2 / 4), with w(k)^2 the block's
-    row of `spacetime.dispersion`: the frequency whose oscillator covariance
-    the exact one-step map leaves invariant. The massless spatial zero mode
-    is parabolic (a free particle, no ground state) and gets a fixed
-    unit-width reference instead.
+    get w_eff(k) = sqrt(-U_k[1, 0] / U_k[0, 1]), from the closed-form mode
+    map U_k of the block (`dynamics.mode_maps`), which is
+    w(k) sqrt(1 - dt^2 w(k)^2 / 4): the frequency whose oscillator
+    covariance U_k leaves invariant. The massless spatial
+    zero mode is parabolic (a free particle, no ground state) and gets a
+    fixed unit-width reference instead.
     """
-    dt = spacetime.dt
-    w2 = spacetime.dispersion[spacetime.spectrum.masses.index(mass)]
-    out = np.sqrt(w2) * np.sqrt(1.0 - dt * dt * w2 / 4.0)
+    U = mode_maps(spacetime)[spacetime.spectrum.masses.index(mass)]
+    out = np.sqrt(-U[:, 1, 0] / U[:, 0, 1])
     if mass == 0.0:
         out[0] = 1.0
     return out

@@ -9,20 +9,23 @@ local algebra, an index permutation for the site shift, textbook mode
 matrices for the stepper, a Richardson finite difference for the derivative
 of relative Cauchy evolution, ordered Wick reduction and a per-monomial
 hafnian for state evaluation, a dict-walking kernel (partial matchings,
-slot-by-slot substitution) for the CCR algebra, a dense SVD nullspace of the
-evolution commutator for the classifier's commutant, a dense two-sided
-commutant intersection at tiny sizes, Kronecker products for the dense
-matrix of a gauge species matrix, and an all-pairs compare of the mode
-frequencies for mass collisions.
+slot-by-slot substitution) for the CCR algebra, the classifier's system in
+block-circulant coordinates over all momenta at once (one-step map read off
+the stepper), a dense SVD nullspace of the evolution commutator for its
+commutant, a dense two-sided commutant intersection at tiny sizes, null
+energies sampled on evolved solutions for its constraints, a dense
+Taylor exponential, Kronecker products for the dense matrix of a gauge
+species matrix, and an all-pairs compare of the mode frequencies for mass
+collisions.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from lcqft._linalg import nullspace
-from lcqft.classify import project_out_massless_zero_mode
 from lcqft.dynamics import (
     TestFunction,
     evolve_data,
@@ -32,6 +35,7 @@ from lcqft.dynamics import (
     relative_cauchy_evolution,
     symplectic_form,
 )
+from lcqft.gauge import rotation_generators, so_basis
 from lcqft.spacetime import LatticeSpacetime, Region
 
 
@@ -367,6 +371,196 @@ def reduction_evaluate(element, W: np.ndarray) -> complex:
         for c, seq in monomial_as_ordered_products(idx, half):
             total += coeff * c * ordered_wick(seq, W)
     return total
+
+
+# -- coordinate-space classification -------------------------------------------------------
+#
+# The classifier's system in block-circulant coordinates, over all momenta
+# at once. A shift-commuting map is block circulant,
+# X[(a, x), (b, x')] = g[a, b, x - x'] over the C = 2|nu| channels (q then p,
+# species-major), so it is stored as its coordinates g of shape (C, C, N).
+# The Frobenius product of two such maps is N times the dot product of their
+# coordinates. The one-step map is read off the stepper (`one_step_matrix`),
+# never off the closed-form mode maps that the classifier uses.
+
+def orthonormal_columns(vectors: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of the column span."""
+    if vectors.size == 0:
+        return vectors.reshape(vectors.shape[0] if vectors.ndim == 2 else 0, 0)
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    if len(s) == 0 or s[0] == 0:
+        return vectors[:, :0]
+    rank = int(np.sum(s > rel_tol * s[0]))
+    return u[:, :rank]
+
+
+def expm_taylor(A: np.ndarray, terms: int = 12) -> np.ndarray:
+    """Dense matrix exponential by scaling-and-squaring with a 12-term Taylor
+    core."""
+    A = np.asarray(A, dtype=float)
+    norm = np.linalg.norm(A, ord=1)
+    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300)))) + 1) if norm > 0.5 else 0
+    B = A / (2.0 ** squarings)
+    out = np.eye(A.shape[0])
+    term = np.eye(A.shape[0])
+    for k in range(1, terms + 1):
+        term = term @ B / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def coords_to_matrix(g: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
+    """Block-circulant map from coordinates g[a, b, m]: entries
+    X[(a, x), (b, x')] = g[a, b, (x - x') mod N]."""
+    C, N = 2 * st.n_species, st.n_sites
+    x = np.arange(N)
+    offset = (x[:, None] - x[None, :]) % N
+    X = np.reshape(g, (C, C, N))[:, :, offset]      # (C, C, N, N)
+    return X.transpose(0, 2, 1, 3).reshape(C * N, C * N)
+
+
+@dataclass(frozen=True, eq=False)
+class CoordinateCommutant:
+    """Real basis of {G : [G, shift] = 0, [G, one-step evolution] = 0}."""
+
+    spacetime: LatticeSpacetime
+    coords: np.ndarray            # (n_c, C*C*N) orthonormal rows
+
+    @property
+    def dimension(self) -> int:
+        return self.coords.shape[0]
+
+
+def coordinate_commutant(st: LatticeSpacetime) -> CoordinateCommutant:
+    """Closed form: in each mass block, E_ij (x) T^r and E_ij (x) T^r U over
+    the block's species pairs (i, j) and site offsets r, with T the one-site
+    shift and U the one-step map. Pairs have disjoint supports and share U,
+    so the rows of one pair are orthonormalized once per block."""
+    U = one_step_matrix(st)
+    S, C, N = st.n_species, 2 * st.n_species, st.n_sites
+    r = np.arange(N)
+    shifts = np.einsum("ab,rm->rabm", np.eye(2), np.eye(N))
+    out = []
+    for _, block in st.spectrum.block_slices():
+        # u[a, b, m] = U[(a, m), (b, 0)] on one species of the block; the
+        # coordinates of T^r U are u rolled by r
+        chans = (np.array([0, S]) + block.start) * N
+        u = U[np.ravel(chans[:, None] + r)][:, chans].reshape(2, N, 2)
+        steps = u.transpose(0, 2, 1)[:, :, (r[None, :] - r[:, None]) % N]
+        pair = orthonormal_columns(np.concatenate(
+            [shifts, steps.transpose(2, 0, 1, 3)]).reshape(2 * N, -1).T).T
+        for i in range(block.start, block.stop):
+            for j in range(block.start, block.stop):
+                g = np.zeros((len(pair), C, C, N))
+                g[:, [[i], [S + i]], [j, S + j]] = pair.reshape(-1, 2, 2, N)
+                out.append(g.reshape(len(pair), -1))
+    return CoordinateCommutant(st, np.concatenate(out))
+
+
+def _massless_channels(st: LatticeSpacetime) -> np.ndarray:
+    """Channel indices (q and p) of the massless species."""
+    if st.spectrum.massless_count == 0:
+        return np.zeros(0, dtype=int)
+    block = st.spectrum.block_slice(0.0)
+    s = np.arange(block.start, block.stop)
+    return np.concatenate([s, s + st.n_species])
+
+
+def zero_mode_part(coords: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
+    """Coordinates of P X P, with P the projector onto the massless spatial
+    zero mode: the site mean of each massless x massless channel entry,
+    at every offset, and zero elsewhere."""
+    C, N = 2 * st.n_species, st.n_sites
+    g = np.reshape(coords, (-1, C, C, N))
+    z = _massless_channels(st)
+    out = np.zeros_like(g)
+    zz = (slice(None), z[:, None], z[None, :])
+    out[zz] = g[zz].mean(axis=-1, keepdims=True)
+    return out.reshape(np.shape(coords))
+
+
+def coordinate_zero_mode_split(basis: CoordinateCommutant):
+    """Split the commutant into massless-zero-mode-supported directions and
+    their orthogonal complement (the active directions that constraints see).
+
+    Both are coordinate rows scaled by 1/sqrt(N), so that their maps are
+    orthonormal in the Frobenius product."""
+    st = basis.spacetime
+    scale = 1.0 / np.sqrt(st.n_sites)
+    if st.spectrum.massless_count == 0:   # rows already orthonormal
+        return scale * basis.coords, basis.coords[:0]
+    quarantined = zero_mode_part(basis.coords, st)
+    active = orthonormal_columns((basis.coords - quarantined).T).T
+    return scale * active, scale * orthonormal_columns(quarantined.T).T
+
+
+def project_out_massless_zero_mode(vecs: np.ndarray, st: LatticeSpacetime
+                                   ) -> np.ndarray:
+    """Data vectors (..., dim) with the site mean of every massless channel
+    removed."""
+    C, N = 2 * st.n_species, st.n_sites
+    v = np.array(vecs, dtype=float).reshape(-1, C, N)
+    z = _massless_channels(st)
+    v[:, z] -= v[:, z].mean(axis=-1, keepdims=True)
+    return v.reshape(np.shape(vecs))
+
+
+def null_derivative_rows(g: np.ndarray, st: LatticeSpacetime) -> np.ndarray:
+    """D_+- X(g) for coordinates g (n, C, C, N), with D_+- the null
+    derivatives at slice 0, site 0 and columns as data vectors:
+    (2, n, S, dim). Column (b, 0) of X(g) has site profile g[:, b, :], so
+    `null_derivatives` gives D at every site x applied to it; by shift
+    invariance, D at site 0 applied to column (b, x') is the value at site
+    -x'."""
+    S, N = st.n_species, st.n_sites
+    q, p = np.swapaxes(g[:, :S], 1, 2), np.swapaxes(g[:, S:], 1, 2)
+    d = np.stack(null_derivatives(q, p))[..., -np.arange(N) % N]
+    return d.transpose(0, 1, 3, 2, 4).reshape(2, len(g), S, st.data_dim)
+
+
+def coordinate_constraint_rows(active: np.ndarray, st: LatticeSpacetime
+                               ) -> np.ndarray:
+    """Rows (2 S dim, n_act + 2 n_so) of the linear system
+    D_+- X(g) P = A_+- D_+- P in the unknowns (c, A_+, A_-), where
+    g = c @ active, A_+- lie in so(S) and P removes the massless zero mode
+    (P is symmetric, so it acts on each row as on a data vector)."""
+    S, C, N, dim = st.n_species, 2 * st.n_species, st.n_sites, st.data_dim
+    identity = np.zeros((1, C, C, N))
+    identity[0, np.arange(C), np.arange(C), 0] = 1.0
+    D = project_out_massless_zero_mode(
+        null_derivative_rows(identity, st)[:, 0], st)         # (2, S, dim)
+    gens = project_out_massless_zero_mode(
+        null_derivative_rows(active.reshape(-1, C, C, N), st), st)
+    gens = gens.reshape(2, len(active), S * dim).transpose(0, 2, 1)
+    so = so_basis(S)
+    AD = -np.einsum("jkl,wld->wkdj", so, D).reshape(2, S * dim, len(so))
+    zero = np.zeros_like(AD[0])
+    return np.block([[gens[0], AD[0], zero], [gens[1], zero, AD[1]]])
+
+
+def coordinate_so_rows(st: LatticeSpacetime) -> np.ndarray:
+    """Coordinate rows (n_so, C*C*N) of the in-block rotation generators
+    (`gauge.rotation_generators`), acting identically on both channels at
+    every site (offset 0)."""
+    S, C, N = st.n_species, 2 * st.n_species, st.n_sites
+    R = rotation_generators(st.spectrum)
+    g = np.zeros((len(R), C, C, N))
+    g[:, :S, :S, 0] = g[:, S:, S:, 0] = R
+    return g.reshape(len(R), C * C * N)
+
+
+def coordinate_classification(st: LatticeSpacetime, rel_tol: float = 1e-8
+                              ) -> np.ndarray:
+    """Orthonormal coordinate rows (d, C*C*N) spanning the maps G of the
+    active commutant that solve D_+- G P = A_+- D_+- P: one SVD over all
+    momenta. A_+- are fixed by G (D_+- P has full row rank)."""
+    active, _ = coordinate_zero_mode_split(coordinate_commutant(st))
+    null_basis, _, _ = nullspace(coordinate_constraint_rows(active, st), rel_tol)
+    # active rows are orthonormal maps, so coordinates of norm 1/sqrt(N)
+    return np.sqrt(st.n_sites) * orthonormal_columns(
+        null_basis[:len(active)]).T @ active
 
 
 # -- tiny dense commutant intersection ------------------------------------------------------

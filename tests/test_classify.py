@@ -1,16 +1,18 @@
-"""Endomorphism classifier: commutant, constraints, nullspace oracle."""
+"""Endomorphism classifier: the per-momentum solve, and the coordinate-space
+system of `oracles` that checks it."""
 import numpy as np
 import pytest
 
 from lcqft import classify as clf
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
-from lcqft._linalg import nullspace, orthonormal_columns
+from lcqft._linalg import nullspace
 from lcqft.errors import BudgetExceeded
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 
 import oracles
-from oracles import (dense_commutant_dimension, dense_evolution_commutant,
+from oracles import (coords_to_matrix, dense_commutant_dimension,
+                     dense_evolution_commutant, orthonormal_columns,
                      shift_matrix)
 
 
@@ -20,8 +22,8 @@ def _st(spec, n=8, steps=16):
 
 def _dense_basis(st):
     """The commutant basis as flattened dense matrices, one row each."""
-    return np.array([clf._coords_to_matrix(g, st).ravel()
-                     for g in clf.build_commutant_basis(st).coords])
+    return np.array([coords_to_matrix(g, st).ravel()
+                     for g in oracles.coordinate_commutant(st).coords])
 
 
 def _orthonormal_rows(mat, tol=1e-10):
@@ -65,7 +67,7 @@ class TestCommutant:
         # the closed form spans the SVD nullspace of the dense evolution
         # commutator on block-circulant coordinates: all principal angles 0
         st = _st(spec, n=n)
-        closed = clf.build_commutant_basis(st).coords
+        closed = oracles.coordinate_commutant(st).coords
         dense = dense_evolution_commutant(st)
         assert closed.shape == dense.shape
         assert np.max(np.abs(closed @ closed.T - np.eye(len(closed)))) < 1e-13
@@ -74,11 +76,11 @@ class TestCommutant:
 
     def test_elements_commute(self, rng):
         st = _st("1:2")
-        basis = clf.build_commutant_basis(st)
+        basis = oracles.coordinate_commutant(st)
         U = dyn.one_step_matrix(st)
         P = shift_matrix(st)
         for i in range(0, basis.dimension, 7):
-            G = clf._coords_to_matrix(basis.coords[i], st)
+            G = coords_to_matrix(basis.coords[i], st)
             assert np.max(np.abs(G @ U - U @ G)) < 1e-10
             assert np.max(np.abs(G @ P - P @ G)) < 1e-12
 
@@ -147,8 +149,9 @@ class TestConstraints:
         # the one-point closed form and null energies sampled on evolved
         # solutions over many points and batches cut out the same directions
         st = _st(spec, n=n)
-        active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
-        closed, _, _ = nullspace(clf.constraint_rows_for_solution(active, st))
+        active, _ = oracles.coordinate_zero_mode_split(
+            oracles.coordinate_commutant(st))
+        closed, _, _ = nullspace(oracles.coordinate_constraint_rows(active, st))
         closed = orthonormal_columns(closed[:len(active)])
         sampled, _ = oracles.sampled_constraint_nullspace(st, active)
         sampled = orthonormal_columns(sampled)
@@ -164,7 +167,7 @@ class TestConstraints:
         st = _st(spec)
         S, C, N, dim = st.n_species, 2 * st.n_species, st.n_sites, st.data_dim
         coords = rng.standard_normal((3, C * C * N))
-        rows = clf.constraint_rows_for_solution(coords, st)
+        rows = oracles.coordinate_constraint_rows(coords, st)
         n_so = S * (S - 1) // 2
         assert rows.shape == (2 * S * dim, 3 + 2 * n_so)
         D = _dense_null_derivatives(st)
@@ -172,7 +175,7 @@ class TestConstraints:
         blocks = rows.reshape(2, S * dim, -1)
         for sign in range(2):
             for j, g in enumerate(coords):
-                want = D[sign] @ clf._coords_to_matrix(g, st) @ P
+                want = D[sign] @ coords_to_matrix(g, st) @ P
                 assert np.max(np.abs(blocks[sign, :, j] - want.ravel())) < 1e-13
             A = blocks[sign, :, 3:].reshape(S, dim, 2, n_so)
             assert np.max(np.abs(A[:, :, 1 - sign])) == 0.0
@@ -189,9 +192,9 @@ class TestConstraints:
         # each in-block rotation solves the system with some A_+-
         for spec in ("1:2", "0:1,1:2", "1:2,2:3"):
             st = _st(spec)
-            so = clf.expected_so_coords(st)
+            so = oracles.coordinate_so_rows(st)
             assert np.max(_unexplained(
-                clf.constraint_rows_for_solution(so, st), len(so))) < 1e-12
+                oracles.coordinate_constraint_rows(so, st), len(so))) < 1e-12
 
     def test_symmetric_species_matrix_violates(self):
         # the trace direction (identity on one block) scales the energy
@@ -199,8 +202,8 @@ class TestConstraints:
         C, N = 2 * st.n_species, st.n_sites
         g = np.zeros((C, C, N))
         g[np.arange(C), np.arange(C), 0] = 1.0
-        assert np.array_equal(clf._coords_to_matrix(g, st), np.eye(st.data_dim))
-        rows = clf.constraint_rows_for_solution(g[None], st)
+        assert np.array_equal(coords_to_matrix(g, st), np.eye(st.data_dim))
+        rows = oracles.coordinate_constraint_rows(g[None], st)
         assert _unexplained(rows, 1)[0] > 1e-3
 
     def test_mode_dependent_rotation_violates(self):
@@ -215,10 +218,10 @@ class TestConstraints:
         g = np.zeros((2, 2, N))
         g[0, 1] = (dt / s) * proj
         g[1, 0] = -(s / dt) * proj
-        G = clf._coords_to_matrix(g, st)
+        G = coords_to_matrix(g, st)
         U = dyn.one_step_matrix(st)
         assert np.max(np.abs(G @ U - U @ G)) < 1e-12  # genuinely in commutant
-        rows = clf.constraint_rows_for_solution(g[None], st)
+        rows = oracles.coordinate_constraint_rows(g[None], st)
         assert _unexplained(rows, 1)[0] > 1e-3
 
     @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2"])
@@ -228,11 +231,12 @@ class TestConstraints:
         # G phi
         st = _st(spec)
         S, N, half = st.n_species, st.n_sites, st.data_dim // 2
-        active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
+        active, _ = oracles.coordinate_zero_mode_split(
+            oracles.coordinate_commutant(st))
         coords = active[::5]
         points = oracles.default_sample_points(st)
         t_max = max(t for t, _, _ in points)
-        vec = clf.project_out_massless_zero_mode(
+        vec = oracles.project_out_massless_zero_mode(
             rng.standard_normal(st.data_dim), st)
         rows = oracles.sampled_constraint_rows(
             oracles.site_fft(coords, st), vec, st, points)
@@ -244,7 +248,7 @@ class TestConstraints:
 
         base = null_derivs(vec)
         for j, g in enumerate(coords):
-            image = null_derivs(clf._coords_to_matrix(g, st) @ vec)
+            image = null_derivs(coords_to_matrix(g, st) @ vec)
             want = []
             for t, x, sign in points:
                 d = 0 if sign > 0 else 1          # (D_plus, D_minus)
@@ -258,7 +262,7 @@ class TestConstraints:
         vec = rng.standard_normal(st.data_dim)
         applied = oracles.apply_coords(oracles.site_fft(coords, st), vec, st)
         for g, out in zip(coords, applied):
-            dense = clf._coords_to_matrix(g, st) @ vec
+            dense = coords_to_matrix(g, st) @ vec
             assert np.max(np.abs(out - dense)) < 1e-13 * max(
                 1.0, np.max(np.abs(dense)))
 
@@ -269,15 +273,15 @@ class TestZeroModeSplit:
     def test_matches_dense_projection(self, spec):
         st = _st(spec)
         P = _zero_mode_projector(st)
-        basis = clf.build_commutant_basis(st)
-        mats = [clf._coords_to_matrix(g, st) for g in basis.coords]
+        basis = oracles.coordinate_commutant(st)
+        mats = [coords_to_matrix(g, st) for g in basis.coords]
         dense_q = _orthonormal_rows(np.array([(P @ M @ P).ravel() for M in mats]))
         dense_a = _orthonormal_rows(
             np.array([(M - P @ M @ P).ravel() for M in mats]))
 
-        active, quarantined = clf.split_zero_mode(basis)
-        act = np.array([clf._coords_to_matrix(g, st).ravel() for g in active])
-        quar = np.array([clf._coords_to_matrix(g, st).ravel()
+        active, quarantined = oracles.coordinate_zero_mode_split(basis)
+        act = np.array([coords_to_matrix(g, st).ravel() for g in active])
+        quar = np.array([coords_to_matrix(g, st).ravel()
                          for g in quarantined])
         nu0 = st.spectrum.massless_count
         assert len(quar) == len(dense_q) == 2 * nu0 * nu0
@@ -291,6 +295,10 @@ class TestZeroModeSplit:
     def test_massive_spectrum_quarantines_nothing(self):
         st = _st("1:2,2:3")
         active, quarantined = clf.split_zero_mode(clf.build_commutant_basis(st))
+        assert quarantined.dimension == len(quarantined.k) == 0
+        assert active.dimension == clf.expected_commutant_dimension(st)
+        active, quarantined = oracles.coordinate_zero_mode_split(
+            oracles.coordinate_commutant(st))
         assert quarantined.shape[0] == 0
         assert active.shape[0] == clf.expected_commutant_dimension(st)
 
@@ -298,7 +306,7 @@ class TestZeroModeSplit:
         st = _st("0:1,1:2")
         P = _zero_mode_projector(st)
         vecs = rng.standard_normal((4, st.data_dim))
-        projected = clf.project_out_massless_zero_mode(vecs, st)
+        projected = oracles.project_out_massless_zero_mode(vecs, st)
         assert np.max(np.abs(projected - (vecs - vecs @ P))) < 1e-14
         assert np.max(np.abs(oracles.canonical_sample_vectors(st)
                              - (np.eye(st.data_dim) - P))) < 1e-15
@@ -345,8 +353,7 @@ class TestClassify:
     def test_generators_exponentiate_to_block_rotations(self):
         report = clf.classify(_st("1:2"), seed=0)
         gen = np.array(report["generators"][0])
-        from lcqft._linalg import expm_taylor
-        S_map = expm_taylor(gen)
+        S_map = oracles.expm_taylor(gen)
         # the exponential acts identically on q and p channels and mixes only
         # species within the block
         st = _st("1:2")
@@ -381,3 +388,141 @@ class TestClassify:
             assert key in report
         assert len(report["generators"]) == report["dimension"]
 
+
+
+def _mode_coords(G):
+    """Block-circulant coordinate row (C*C*N,) of the real map with blocks
+    G_k (N, C, C): the inverse DFT over k."""
+    g = np.fft.ifft(G, axis=0)
+    assert np.max(np.abs(g.imag)) < 1e-14
+    return g.real.transpose(1, 2, 0).ravel()
+
+
+class TestModeSolve:
+    """The per-momentum solve against the coordinate-space oracle."""
+
+    @pytest.mark.parametrize("spec,n", [
+        ("1:2", 8), ("1:3", 16), ("1:5", 8), ("0:1,1:2", 16), ("0:2", 8),
+        ("1:1,2:1", 8), ("1:2,2:3", 8), ("1:2,2:3", 16), ("0:2", 32),
+        ("1:2,2:3", 32)])
+    def test_solved_span_matches_coordinate_oracle(self, spec, n):
+        st = _st(spec, n=n)
+        active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
+        solution, _ = clf.solve_blocks(active, st)
+        modes = clf.solved_generators(st, active, solution)
+        oracle = oracles.coordinate_classification(st)
+        assert len(modes) == len(oracle) == clf.expected_so_dimension(st)
+        if not modes:
+            return
+        solved = _orthonormal_rows(np.array([_mode_coords(G) for G in modes]))
+        assert len(solved) == len(oracle)
+        assert _max_sine(solved, oracle) < 1e-12
+        assert _max_sine(oracle, solved) < 1e-12
+
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
+    def test_mode_elements_commute_with_the_stepper(self, spec, rng):
+        # E (x) (a_k 1 + b_k U_k), with U_k from the closed form, commutes
+        # with the one-step matrix read off the stepper and with the shift
+        st = _st(spec)
+        basis = clf.build_commutant_basis(st)
+        U, P = dyn.one_step_matrix(st), shift_matrix(st)
+        N, k = st.n_sites, np.arange(st.n_sites)
+        for b, (_, block) in enumerate(st.spectrum.block_slices()):
+            E = np.zeros((st.n_species, st.n_species))
+            E[block, block] = rng.standard_normal((block.stop - block.start,) * 2)
+            a, c = np.cos(2 * np.pi * k / N), np.cos(4 * np.pi * k / N)
+            m = a[:, None, None] * np.eye(2) \
+                + c[:, None, None] * basis.U[basis.block == b]
+            G = clf.dense_generator(st, clf.mode_generator(st, E, k, m))
+            assert np.max(np.abs(G @ U - U @ G)) < 1e-13
+            assert np.max(np.abs(G @ P - P @ G)) < 1e-13
+            assert np.max(np.abs(G)) > 0.1
+
+    def test_counts_match_coordinate_oracle(self):
+        for spec in ("1:2", "0:1,1:2", "0:2", "1:2,2:3"):
+            st = _st(spec)
+            active, quarantined = clf.split_zero_mode(
+                clf.build_commutant_basis(st))
+            o_active, o_quarantined = oracles.coordinate_zero_mode_split(
+                oracles.coordinate_commutant(st))
+            assert active.dimension == len(o_active)
+            assert quarantined.dimension == len(o_quarantined) \
+                == 2 * st.spectrum.massless_count ** 2
+
+    def test_species_generators_are_dense_rotations(self):
+        st = _st("1:2,2:3")
+        for R in gg.rotation_generators(st.spectrum):
+            assert np.array_equal(
+                clf.dense_generator(st, clf.species_generator(st, R)),
+                oracles.species_on_data(st, R))
+
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2"])
+    def test_mode_exponential_matches_dense(self, spec, rng):
+        # exponentiating mode by mode and applying through the DFT is the
+        # dense exponential of the dense generator
+        st = _st(spec)
+        active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
+        k = active.k[active.block == 0]
+        m = 0.3 * rng.standard_normal((st.n_sites, 2, 2))
+        m = (m + m[-np.arange(st.n_sites)])[k]     # k and -k alike: real map
+        E = rng.standard_normal((st.n_species, st.n_species))
+        G = clf.mode_generator(st, E, k, m)
+        dense = oracles.expm_taylor(clf.dense_generator(st, G))
+        vec = rng.standard_normal(st.data_dim)
+        assert np.max(np.abs(clf._apply(st, clf._mode_exp(G), vec)
+                             - dense @ vec)) < 1e-12
+
+    def test_reports_the_rank_gap(self):
+        res = clf.classify(_st("1:2,2:3"), seed=0)["residuals"]
+        assert res["constraint_sigma_max_dropped"] \
+            < clf.RANK_REL_TOL * res["constraint_sigma_max"]
+        assert res["constraint_sigma_min_kept"] \
+            > 1e6 * res["constraint_sigma_max_dropped"]
+
+    def test_builds_no_dense_map_of_the_data(self, monkeypatch):
+        # only the report's generators are dense: no rce_matrix, no
+        # one_step_matrix, no dense exponential
+        def boom(*args, **kwargs):
+            raise AssertionError("dense map built")
+
+        dyn.one_step_matrix.cache_clear()
+        for name in ("rce_matrix", "one_step_matrix", "matrix_of"):
+            monkeypatch.setattr(dyn, name, boom)
+        monkeypatch.setattr(oracles, "expm_taylor", boom)
+        for name in ("rce_matrix", "one_step_matrix", "expm_taylor"):
+            assert not hasattr(clf, name)
+        report = clf.classify(_st("1:2,2:3"), seed=0, quantized=True)
+        assert report["match"] is True and report["dimension"] == 4
+
+    def test_dropping_the_minus_rows_is_a_surplus(self, monkeypatch, tmp_path,
+                                                  capsys):
+        from lcqft.cli import main
+        rows = clf.constraint_rows_for_solution
+        monkeypatch.setattr(clf, "constraint_rows_for_solution",
+                            lambda active, st: rows(active, st)[:, :2])
+        report = clf.classify(_st("1:2,2:3"), seed=0)
+        assert report["dimension"] > report["expected"] == 4
+        assert report["match"] is False
+        assert any("!= expected" in line for line in report["findings"])
+        assert main(["classify", "--spectrum", "1:2,2:3",
+                     "--out", str(tmp_path / "classify.json")]) == 1
+        assert "match=False" in capsys.readouterr().err
+
+    def test_non_orthogonal_species_generator_fails_soundness(self,
+                                                              monkeypatch):
+        from lcqft import suites
+        st = _st("1:2")
+        R = gg.rotation_generators(st.spectrum)[0]
+        res = clf.generator_soundness(
+            st, clf.species_generator(st, R + 0.1 * np.eye(2)),
+            np.random.default_rng(0))
+        tol = suites.DEFAULT_TOLERANCES["classify.soundness"]
+        assert res["sigma"] > tol and res["null_energy"] > tol
+        monkeypatch.setattr(clf, "rotation_generators",
+                            lambda spectrum: 1.5 * np.abs(
+                                gg.rotation_generators(spectrum)))
+        result = suites.classify_suite(suites.RunConfig(spectrum="1:2",
+                                                        suite="classify"))
+        assert result["status"] == "fail"
+        assert {"soundness_sigma", "soundness_null_energy"} <= {
+            line.split(":")[0] for line in result["findings"]}

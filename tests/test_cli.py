@@ -1,4 +1,5 @@
 """CLI: exit codes, report schema, determinism."""
+import collections
 import copy
 import json
 import os
@@ -136,9 +137,12 @@ class TestGoldenComparison:
 
 
 class TestBenchmarkTraceHooks:
-    def test_traced_child_records_kinematic_spans(self, tmp_path):
-        # the benchmark's traced run wraps lcqft functions by name, so a
-        # renamed or deleted one breaks it; this runs it on the gauge suite
+    # the benchmark's traced run wraps lcqft functions by name, so a renamed
+    # or deleted one breaks it
+
+    @staticmethod
+    def _span_calls(tmp_path, argv):
+        """Calls per span name of the traced benchmark child on argv."""
         root = GOLDEN_DIR.parent.parent
         stats = tmp_path / "stats.json"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -146,13 +150,25 @@ class TestBenchmarkTraceHooks:
                                    if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "child.py"), "trace",
-             str(stats), "verify", "gauge", "--spectrum", "1:2",
-             "--sites", "8"],
+             str(stats)] + argv + ["--out", str(tmp_path / "report.json")],
             cwd=root, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         data = json.loads(stats.read_text())
-        spans = {data["names"][span[0]] for span in data["spans"]}
-        assert {"kinematics.region_basis", "kinematics.membership"} <= spans
+        return collections.Counter(data["names"][span[0]]
+                                   for span in data["spans"])
+
+    def test_traced_child_records_kinematic_spans(self, tmp_path):
+        calls = self._span_calls(
+            tmp_path, ["verify", "gauge", "--spectrum", "1:2", "--sites", "8"])
+        assert {"kinematics.region_basis", "kinematics.membership"} <= set(calls)
+
+    def test_traced_child_records_each_classifier_stage(self, tmp_path):
+        calls = self._span_calls(
+            tmp_path, ["classify", "--spectrum", "1:2,2:3", "--sites", "8"])
+        for name in ("classify.commutant", "classify.zero_mode_split",
+                     "classify.constraints", "classify.nullspace",
+                     "classify.soundness"):
+            assert calls[name] >= 1, name
 
 
 class TestRunSuite:
@@ -250,16 +266,35 @@ class TestCliProcess:
         ["verify", "ccr", "--spectrum", "1:2", "--tolerance", "ccr.relations=-1"],
         ["verify", "state", "--spectrum", "nan:1"],
         ["classify", "--spectrum", "nan:1"],
+        ["verify", "ccr", "--spectrum", "1:2", "--out", "/nonexistent/x.json"],
+        ["classify", "--spectrum", "1:2", "--out", "/nonexistent/x.json"],
+        ["verify", "ccr", "--spectrum", "1:2", "--out", "/"],
     ])
     def test_config_error_before_any_suite(self, argv, monkeypatch, capsys):
-        def never(config):
+        def never(*args, **kwargs):
             raise AssertionError("a suite ran on a rejected configuration")
 
         monkeypatch.setattr(suites, "SUITE_FUNCS",
                             {name: never for name in suites.SUITE_FUNCS})
+        monkeypatch.setattr(cli, "classify", never)
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), err
+
+    @pytest.mark.parametrize("argv", [["verify", "ccr", "--spectrum", "1:2"],
+                                      ["classify", "--spectrum", "1:2"]])
+    def test_write_failure_is_config_error(self, argv, monkeypatch, tmp_path,
+                                           capsys):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == (f"config error: cannot write --out "
+                           f"'{tmp_path / 'report.json'}': "
+                           "No space left on device")
+        assert not any("Traceback" in line for line in err)
 
     @pytest.mark.parametrize("soundness, code", [(1e-6, 1), (1e-12, 0)])
     def test_classify_exit_code_honours_soundness(self, soundness, code,

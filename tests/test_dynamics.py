@@ -65,6 +65,39 @@ class TestStep:
             assert abs(cos_step - np.cos(np.sqrt(w2) * dt)) \
                 <= 1.1 * (dt ** 4) * w2 ** 2 / 24
 
+    SPECTRA = ["1:2,2:3", "0:1,1:2", "1:5", "0:2"]
+
+    @staticmethod
+    def _stepper_mode_maps(st_):
+        """The one-step map of each block on each Fourier mode, read off one
+        step of the stepper: (B, N, 2, 2) complex."""
+        N, S = st_.n_sites, st_.n_species
+        modes = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
+        out = np.empty((len(st_.spectrum.entries), N, 2, 2), complex)
+        for b, (_, block) in enumerate(st_.spectrum.block_slices()):
+            for col in range(2):
+                data = np.zeros((2, N, S, N), complex)
+                data[col, :, block.start] = modes
+                q, p = dyn.evolve_data(data[0], data[1], st_, 0, 1)
+                for row, x in enumerate((q, p)):
+                    out[b, :, row, col] = np.sum(
+                        x[:, block.start] * modes.conj(), axis=-1) / N
+        return out
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("spec", SPECTRA)
+    def test_mode_maps_match_the_stepper(self, spec, n):
+        st_ = LatticeSpacetime(n, 8, 0.5, MassSpectrum.parse(spec))
+        assert np.max(np.abs(
+            dyn.mode_maps(st_) - self._stepper_mode_maps(st_))) <= 1e-15
+
+    def test_mode_map_without_the_quartic_factor_fails(self):
+        # the p-q entry -h w^2 without (1 - h^2 w^2 / 4) is the mutant
+        st_ = LatticeSpacetime(8, 8, 0.5, MassSpectrum.parse("1:2,2:3"))
+        mutant = dyn.mode_maps(st_).copy()
+        mutant[..., 1, 0] = -st_.dt * st_.dispersion
+        assert np.max(np.abs(mutant - self._stepper_mode_maps(st_))) > 1e-3
+
     def test_sigma_preserved_exactly(self, mixed_spacetime, rng):
         for _ in range(20):
             a = dyn.random_solution(rng, mixed_spacetime)
