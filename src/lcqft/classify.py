@@ -46,11 +46,11 @@ from ._linalg import nullspace
 from .algebra import commutator, field, max_coeff_diff, random_element
 from .dynamics import (Perturbation, mode_maps, null_energy_grid,
                        random_solution, relative_cauchy_evolution,
-                       solution_from_vec, symplectic_form)
+                       solution_from_vec)
 from .errors import BudgetExceeded
 from .gauge import (GaugeElement, QuantumAction, block_reflections,
                     classical_action, group_compose, group_inverse,
-                    rotation_generators, so_basis)
+                    rotation_generators)
 from .spacetime import LatticeSpacetime
 
 BUDGET_SITES = 32
@@ -137,18 +137,23 @@ def constraint_rows_for_solution(active: ModeCommutant, st: LatticeSpacetime
 
 @dataclass(frozen=True, eq=False)
 class BlockSolution:
-    """The solved scalar system of one mass block."""
+    """One mass block's solved system; a direction is (k, a_k 1 + b_k U_k)."""
 
-    rows: np.ndarray      # active row indices of the block
     pairs: np.ndarray     # (2, d) orthonormal admissible (A_+, A_-)
-    lifts: np.ndarray     # (K_b, 2, d) their (a_k, b_k) at the block's rows
-    unseen: int           # (a_k, b_k) directions that no equation sees
+    lifted: list          # per pair, its lift at the block's kept momenta
+    unseen: list          # per (a_k, b_k) that no equation sees, at k and -k
+
+
+def _modes(ab: np.ndarray, U: np.ndarray) -> np.ndarray:
+    return ab[:, :1, None] * np.eye(2) + ab[:, 1:, None] * U
 
 
 def solve_blocks(active: ModeCommutant, st: LatticeSpacetime):
     """Solve the scalar system block by block. Returns the `BlockSolution`s
     and the rank gap: the largest singular value, and the smallest kept and
-    largest dropped by the rank decisions over all kept momenta and blocks."""
+    largest dropped by the rank decisions over all kept momenta and blocks.
+    A null vector n of M_k gives n at k with conj(n) at -k, real and
+    imaginary part; at k = -k, where M_k is real, n made real."""
     rows = constraint_rows_for_solution(active, st)
     M, rhs = rows[..., :2], -rows[..., 2:]      # M (a_k, b_k) = rhs (A_+, A_-)
     u, s, vh = np.linalg.svd(M)
@@ -160,7 +165,7 @@ def solve_blocks(active: ModeCommutant, st: LatticeSpacetime):
     lift = np.conj(np.swapaxes(vh, 1, 2)) @ (np.divide(
         1.0, s, out=np.zeros_like(s), where=kept)[..., None] * proj[:, :2])
     kept_s, dropped_s = [s[kept]], [s[~kept]]
-    out = []
+    N, out = st.n_sites, []
     for b in range(len(st.spectrum.entries)):
         sel = np.flatnonzero(active.block == b)
         cond = proj[sel][past_rank[sel]]
@@ -169,8 +174,16 @@ def solve_blocks(active: ModeCommutant, st: LatticeSpacetime):
         if rank:
             kept_s.append([info["sigma_max"], info["sigma_min_kept"]])
         dropped_s.append([info["sigma_max_dropped"]])
-        out.append(BlockSolution(sel, pairs, lift[sel] @ pairs,
-                                 int(np.sum(~kept[sel]))))
+        unseen = []
+        for row, col in zip(*np.nonzero(~kept[sel])):
+            k, n = active.k[sel[row]], np.conj(vh[sel[row], col])
+            ns = [(n * np.conj(n[np.argmax(np.abs(n))])).real] \
+                if k == -k % N else [n, 1j * n] if k < -k % N else []
+            unseen += [(np.array([k, -k % N]), _modes(np.stack(
+                [z, np.conj(z)]), active.U[sel[[row, row]]])) for z in ns]
+        out.append(BlockSolution(pairs, [
+            (active.k[sel], _modes(ab, active.U[sel]))
+            for ab in np.moveaxis(lift[sel] @ pairs, -1, 0)], unseen))
     kept_s, dropped_s = np.concatenate(kept_s), np.concatenate(dropped_s)
     return out, {"sigma_max": float(np.max(kept_s, initial=0.0)),
                  "sigma_min_kept": float(np.min(kept_s)) if kept_s.size else 0.0,
@@ -202,11 +215,9 @@ def species_generator(st: LatticeSpacetime, R: np.ndarray) -> np.ndarray:
 def dense_generator(st: LatticeSpacetime, G: np.ndarray) -> np.ndarray:
     """The (dim, dim) matrix of the real map with blocks G_k: entries
     X[(a, x), (b, x')] = g[x - x', a, b], g the inverse DFT of G over k."""
-    N = st.n_sites
-    g = np.fft.ifft(G, axis=0).real
-    x = np.arange(N)
-    return g[(x[:, None] - x[None, :]) % N].transpose(2, 0, 3, 1).reshape(
-        st.data_dim, st.data_dim)
+    g, x = np.fft.ifft(G, axis=0).real, np.arange(st.n_sites)
+    return g[np.subtract.outer(x, x) % st.n_sites].transpose(
+        2, 0, 3, 1).reshape(st.data_dim, st.data_dim)
 
 
 def _apply(st: LatticeSpacetime, E: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -215,14 +226,14 @@ def _apply(st: LatticeSpacetime, E: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.einsum("kab,bk->ak", E, v), axis=-1).real.ravel()
 
 
-def _mode_exp(G: np.ndarray, terms: int = 12) -> np.ndarray:
-    """exp of each block G_k, by scaling and squaring a Taylor core: scaled
-    to 1-norm <= 1/4, the core's truncation error is below 1e-17."""
+def _mode_exp(G: np.ndarray) -> np.ndarray:
+    """exp of each block G_k, by scaling and squaring a twelve-term Taylor
+    core: scaled to 1-norm <= 1/4, its truncation error is below 1e-17."""
     norm = float(np.max(np.sum(np.abs(G), axis=-2), initial=0.0))
     squarings = max(0, int(np.ceil(np.log2(norm))) + 2) if norm > 0 else 0
     B = G / 2.0 ** squarings
     out = term = np.broadcast_to(np.eye(G.shape[-1]), G.shape)
-    for j in range(1, terms + 1):
+    for j in range(1, 13):
         term = term @ B / j
         out = out + term
     for _ in range(squarings):
@@ -235,25 +246,25 @@ def _mode_exp(G: np.ndarray, terms: int = 12) -> np.ndarray:
 def generator_soundness(st: LatticeSpacetime, generator: np.ndarray,
                         rng: np.random.Generator) -> dict:
     """Exponentiate the blocks G_k of a generator mode by mode and check the
-    map S on three random solutions: symplectic, pointwise null-energy
-    preserving, commuting with relative Cauchy evolution. Each residual is
-    relative to the size of its data."""
+    map S: symplectic, max |S^T J S - J| read off the blocks E_k^H J E_k - J
+    (J = J_0 (x) 1 per mode) by the inverse DFT; on three random solutions,
+    null-energy preserving and commuting with relative Cauchy evolution,
+    relative to the size of the data."""
     E = _mode_exp(generator)
-    out = {"sigma": 0.0, "null_energy": 0.0, "rce_commute": 0.0}
-    T1, N = st.n_slices, st.n_sites
+    J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(st.n_species))
+    out = {"sigma": float(np.max(np.abs(np.fft.ifft(
+        np.conj(np.swapaxes(E, 1, 2)) @ J @ E - J, axis=0)))),
+        "null_energy": 0.0, "rce_commute": 0.0}
+    T1, N, w = st.n_slices, st.n_sites, max(2, st.n_sites // 3)
     for _ in range(3):
-        a, b = rng.standard_normal((2, st.data_dim))
-        sa, sb = (solution_from_vec(st, _apply(st, E, x)) for x in (a, b))
-        a, b = solution_from_vec(st, a), solution_from_vec(st, b)
-        out["sigma"] = max(out["sigma"], abs(
-            symplectic_form(sa, sb) - symplectic_form(a, b)) / (a.norm() * b.norm()))
+        vec = rng.standard_normal(st.data_dim)
+        a, sa = (solution_from_vec(st, x) for x in (vec, _apply(st, E, vec)))
         g1, g2 = null_energy_grid(a), null_energy_grid(sa)
         out["null_energy"] = max(out["null_energy"], float(
             np.max(np.abs(g1 - g2)) / max(1.0, np.max(np.abs(g1)))))
         v = np.zeros((T1, N))
         t0 = 1 + int(rng.integers(0, max(1, st.n_steps - 4)))
-        v[t0:t0 + 3, : max(2, N // 3)] = rng.standard_normal((min(3, T1 - t0),
-                                                              max(2, N // 3)))
+        v[t0:t0 + 3, :w] = rng.standard_normal((min(3, T1 - t0), w))
         v[0] = v[-1] = 0.0
         moved, image = (relative_cauchy_evolution(x, Perturbation(st, v))
                         .vec().real for x in (a, sa))
@@ -284,20 +295,18 @@ def expected_so_dimension(st: LatticeSpacetime) -> int:
     return sum(k * (k - 1) // 2 for _, k in st.spectrum.entries)
 
 
-def solved_generators(st: LatticeSpacetime, active: ModeCommutant,
+def solved_generators(st: LatticeSpacetime,
                       solution: list[BlockSolution]) -> list[np.ndarray]:
-    """The solved directions with admissible (A_+, A_-): for each block,
-    pair and rotation E of so(nu), E (x) (a_k 1 + b_k U_k) at the block's
-    kept momenta."""
-    out = []
-    for (_, block), sol in zip(st.spectrum.block_slices(), solution):
-        U = active.U[sol.rows]
-        for lift in np.moveaxis(sol.lifts, -1, 0):
-            m = lift[:, :1, None] * np.eye(2) + lift[:, 1:, None] * U
-            for R in so_basis(block.stop - block.start):
-                E = np.zeros((st.n_species, st.n_species))
-                E[block, block] = R
-                out.append(mode_generator(st, E, active.k[sol.rows], m))
+    """Every solved direction, E (x) m_k: for each block, each rotation E of
+    so(nu) with each lifted admissible pair, and each entry E_ij of gl(nu)
+    with each unseen direction."""
+    eye, out = np.eye(st.n_species), []
+    for (_, b), sol in zip(st.spectrum.block_slices(), solution):
+        so = [R for R in rotation_generators(st.spectrum) if R[b, b].any()]
+        gl = [np.outer(eye[i], eye[j])
+              for i in range(b.start, b.stop) for j in range(b.start, b.stop)]
+        out += [mode_generator(st, E, k, m) for k, m in sol.lifted for E in so]
+        out += [mode_generator(st, E, k, m) for k, m in sol.unseen for E in gl]
     return out
 
 
@@ -316,10 +325,9 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
     # its system at every k, so where each M_k has full rank that is its
     # lift; the residual is the sine of its angle to the admissible pairs
     one = np.full(2, np.sqrt(0.5))
-    dimension = unseen = 0
-    rep_residual = 0.0
+    unseen, dimension, rep_residual = 0, 0, 0.0
     for (_, nu), sol in zip(st.spectrum.entries, solution):
-        unseen += nu * nu * sol.unseen
+        unseen += nu * nu * len(sol.unseen)
         dimension += nu * (nu - 1) // 2 * sol.pairs.shape[1]
         if nu > 1:
             rep_residual = max(rep_residual, float(np.linalg.norm(
@@ -332,7 +340,7 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
     # reported generators: on a match, the in-block rotations (the solve
     # fixes only their span); on a mismatch, the solved directions
     modes = [species_generator(st, R) for R in rotation_generators(st.spectrum)] \
-        if match else solved_generators(st, active, solution)
+        if match else solved_generators(st, solution)
     soundness = dict.fromkeys(("sigma", "null_energy", "rce_commute"), 0.0)
     for G in modes:
         for key, value in generator_soundness(st, G, rng).items():
@@ -354,16 +362,11 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
 
     report = {
         "spectrum": st.spectrum.format(),
-        "n_sites": st.n_sites,
-        "n_steps": st.n_steps,
-        "dt": st.dt,
-        "seed": seed,
+        "n_sites": st.n_sites, "n_steps": st.n_steps, "dt": st.dt, "seed": seed,
         "commutant_dimension": commutant.dimension,
         "commutant_expected": expected_commutant_dimension(st),
         "zero_mode_dimension": zero_mode_dimension,
-        "dimension": int(dimension),
-        "expected": int(expected),
-        "match": match,
+        "dimension": int(dimension), "expected": int(expected), "match": match,
         "max_principal_angle": max_angle,
         "generators": [dense_generator(st, G).tolist() for G in modes],
         "residuals": {
@@ -387,18 +390,16 @@ def _affine_directions_report(st: LatticeSpacetime) -> dict:
     them; this mirrors the split between the classical and quantized
     classification."""
     n0 = st.spectrum.massless_count
-    rng = np.random.default_rng(1234)
     if n0 == 0:
         return {"dimension": 0, "residual": 0.0}
-
+    rng = np.random.default_rng(1234)
     eye_blocks = tuple(np.eye(k) for _, k in st.spectrum.entries)
     residual = 0.0
     for e_j in np.eye(n0):
         for lam in (0.5, 1.25):
             g = GaugeElement(st.spectrum, eye_blocks, lam * e_j)
             act = QuantumAction(g, st)
-            a = random_element(rng, st, 2, 4)
-            b = random_element(rng, st, 2, 4)
+            a, b = (random_element(rng, st, 2, 4) for _ in range(2))
             residual = max(residual, max_coeff_diff(act(a * b), act(a) * act(b)))
             phi, psi = random_solution(rng, st), random_solution(rng, st)
             cc = commutator(field(phi), field(psi))

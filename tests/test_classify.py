@@ -409,7 +409,7 @@ class TestModeSolve:
         st = _st(spec, n=n)
         active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
         solution, _ = clf.solve_blocks(active, st)
-        modes = clf.solved_generators(st, active, solution)
+        modes = clf.solved_generators(st, solution)
         oracle = oracles.coordinate_classification(st)
         assert len(modes) == len(oracle) == clf.expected_so_dimension(st)
         if not modes:
@@ -507,6 +507,79 @@ class TestModeSolve:
         assert main(["classify", "--spectrum", "1:2,2:3",
                      "--out", str(tmp_path / "classify.json")]) == 1
         assert "match=False" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
+    def test_symplectic_residual_is_the_dense_one(self, spec, rng):
+        # max |S^T J S - J| read off the blocks equals the dense value
+        st = _st(spec)
+        N, C = st.n_sites, 2 * st.n_species
+        m = 0.3 * (rng.standard_normal((N, C, C))
+                   + 1j * rng.standard_normal((N, C, C)))
+        m = m + np.conj(m[-np.arange(N)])           # k and -k alike: real map
+        S = oracles.expm_taylor(clf.dense_generator(st, m))
+        J = dyn.symplectic_matrix(st)
+        dense = np.max(np.abs(S.T @ J @ S - J))
+        assert dense > 0.1
+        sigma = clf.generator_soundness(st, m, rng)["sigma"]
+        assert abs(sigma - dense) < 1e-12 * dense
+
+    def test_small_symplectic_defect_exceeds_the_tolerance(self):
+        # exp(R + eps 1) = e^eps exp(R) scales J by e^(2 eps): the residual
+        # reads 2 eps, as the dense check did
+        from lcqft import suites
+        st = _st("1:5", n=32)
+        R = gg.rotation_generators(st.spectrum)[0]
+        res = clf.generator_soundness(
+            st, clf.species_generator(st, R + 1e-7 * np.eye(5)),
+            np.random.default_rng(0))
+        assert res["sigma"] > suites.DEFAULT_TOLERANCES["classify.soundness"]
+        assert abs(res["sigma"] - 2e-7) < 1e-9
+
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
+    def test_rank_deficient_mode_reports_every_direction(self, spec,
+                                                         monkeypatch):
+        # h^2 w^2 = 4 at k = N/2 zeroes U_k[1, 0], and M_k loses rank: the
+        # nu^2 unseen directions of each block are counted and reported
+        real = clf.mode_maps
+
+        def degenerate(st):
+            U = real(st).copy()
+            U[:, st.n_sites // 2, 1, 0] = 0.0
+            return U
+
+        monkeypatch.setattr(clf, "mode_maps", degenerate)
+        st = _st(spec)
+        report = clf.classify(st, seed=0)
+        nu2 = sum(n * n for _, n in st.spectrum.entries)
+        assert report["dimension"] == report["expected"] + nu2
+        assert report["match"] is False
+        assert any("seen by no constraint" in f for f in report["findings"])
+        generators = np.array(report["generators"])
+        assert len(generators) == report["dimension"]
+        assert np.linalg.matrix_rank(
+            generators.reshape(len(generators), -1)) == report["dimension"]
+
+    def test_unseen_directions_pair_k_with_minus_k(self, monkeypatch):
+        # rows that vanish at k = +-1 leave both (a_k, b_k) free there: two
+        # complex directions per species entry, four real maps
+        st = _st("1:2,2:3")
+        rows = clf.constraint_rows_for_solution
+
+        def blind(active, st):
+            out = rows(active, st)
+            out[np.isin(active.k, (1, st.n_sites - 1))] = 0.0
+            return out
+
+        monkeypatch.setattr(clf, "constraint_rows_for_solution", blind)
+        active, _ = clf.split_zero_mode(clf.build_commutant_basis(st))
+        solution, _ = clf.solve_blocks(active, st)
+        assert [len(sol.unseen) for sol in solution] == [4, 4]
+        modes = clf.solved_generators(st, solution)
+        assert len(modes) == 4 + 4 * (2 * 2 + 3 * 3)
+        coords = np.array([_mode_coords(G) for G in modes])
+        assert np.linalg.matrix_rank(coords) == len(modes)
+        report = clf.classify(st, seed=0)
+        assert report["dimension"] == len(report["generators"]) == 4 + 52
 
     def test_non_orthogonal_species_generator_fails_soundness(self,
                                                               monkeypatch):
