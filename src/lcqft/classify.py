@@ -44,8 +44,8 @@ import numpy as np
 
 from ._linalg import nullspace
 from .algebra import commutator, field, max_coeff_diff, random_element
-from .dynamics import (Perturbation, mode_maps, null_energy_grid,
-                       random_solution, relative_cauchy_evolution,
+from .dynamics import (Perturbation, data_from_vec, mode_maps,
+                       null_energy_grids, random_solution, rce_data,
                        solution_from_vec)
 from .errors import BudgetExceeded
 from .gauge import (GaugeElement, QuantumAction, block_reflections,
@@ -243,31 +243,36 @@ def _mode_exp(G: np.ndarray) -> np.ndarray:
 
 # -- soundness checks -----------------------------------------------------------------------
 
-def generator_soundness(st: LatticeSpacetime, generator: np.ndarray,
+def generator_soundness(st: LatticeSpacetime, generators: np.ndarray,
                         rng: np.random.Generator) -> dict:
-    """Exponentiate the blocks G_k of a generator mode by mode and check the
-    map S: symplectic, max |S^T J S - J| read off the blocks E_k^H J E_k - J
-    (J = J_0 (x) 1 per mode) by the inverse DFT; on three random solutions,
-    null-energy preserving and commuting with relative Cauchy evolution,
-    relative to the size of the data."""
-    E = _mode_exp(generator)
+    """Exponentiate the blocks G_k of each generator (n, N, 2S, 2S), or of one
+    (N, 2S, 2S), and check each map S, worst over generators: symplectic, max
+    |S^T J S - J| read off the blocks E_k^H J E_k - J (J = J_0 (x) 1 per mode)
+    by the inverse DFT; on three random solutions each, null-energy preserving
+    (one trajectory batch) and commuting with rce (one batch per (a, S a))."""
     J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(st.n_species))
-    out = {"sigma": float(np.max(np.abs(np.fft.ifft(
-        np.conj(np.swapaxes(E, 1, 2)) @ J @ E - J, axis=0)))),
-        "null_energy": 0.0, "rce_commute": 0.0}
+    out = dict.fromkeys(("sigma", "null_energy", "rce_commute"), 0.0)
     T1, N, w = st.n_slices, st.n_sites, max(2, st.n_sites // 3)
-    for _ in range(3):
-        vec = rng.standard_normal(st.data_dim)
-        a, sa = (solution_from_vec(st, x) for x in (vec, _apply(st, E, vec)))
-        g1, g2 = null_energy_grid(a), null_energy_grid(sa)
+    samples, C = [], 2 * st.n_species
+    for G in np.reshape(generators, (-1, N, C, C)):
+        E = _mode_exp(G)
+        out["sigma"] = max(out["sigma"], float(np.max(np.abs(np.fft.ifft(
+            np.conj(np.swapaxes(E, 1, 2)) @ J @ E - J, axis=0)))))
+        for _ in range(3):
+            vec = rng.standard_normal(st.data_dim)
+            v = np.zeros((T1, N))
+            t0 = 1 + int(rng.integers(0, max(1, st.n_steps - 4)))
+            v[t0:t0 + 3, :w] = rng.standard_normal((min(3, T1 - t0), w))
+            v[0] = v[-1] = 0.0
+            samples.append((E, [vec, _apply(st, E, vec)], Perturbation(st, v)))
+    if not samples:
+        return out
+    grids = null_energy_grids(st, *data_from_vec(st, [x for _, x, _ in samples]))
+    for (E, pair, pert), (g1, g2) in zip(samples, np.moveaxis(grids, 0, 2)):
         out["null_energy"] = max(out["null_energy"], float(
             np.max(np.abs(g1 - g2)) / max(1.0, np.max(np.abs(g1)))))
-        v = np.zeros((T1, N))
-        t0 = 1 + int(rng.integers(0, max(1, st.n_steps - 4)))
-        v[t0:t0 + 3, :w] = rng.standard_normal((min(3, T1 - t0), w))
-        v[0] = v[-1] = 0.0
-        moved, image = (relative_cauchy_evolution(x, Perturbation(st, v))
-                        .vec().real for x in (a, sa))
+        moved, image = np.concatenate(rce_data(*data_from_vec(st, pair), pert), -2
+                                      ).reshape(2, -1).real
         out["rce_commute"] = max(out["rce_commute"], float(
             np.max(np.abs(image - _apply(st, E, moved)))
             / max(1.0, np.max(np.abs(moved)))))
@@ -277,16 +282,14 @@ def generator_soundness(st: LatticeSpacetime, generator: np.ndarray,
 def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float:
     """Direct check that one reflection per mass block (`block_reflections`)
     preserves the pointwise null energy: with the rotations they reach every
-    component of the group."""
-    reflections = block_reflections(st.spectrum)
-    res = 0.0
+    component of the group. Three samples and their reflections, one batch."""
+    reflections, vecs = block_reflections(st.spectrum), []
     for _ in range(3):
         phi = solution_from_vec(st, rng.standard_normal(st.data_dim))
-        base = null_energy_grid(phi)
-        for g in reflections:
-            res = max(res, float(np.max(np.abs(
-                null_energy_grid(classical_action(g, phi)) - base))))
-    return res
+        vecs.append([phi.vec()] + [classical_action(g, phi).vec()
+                                   for g in reflections])
+    grids = null_energy_grids(st, *data_from_vec(st, vecs))
+    return float(np.max(np.abs(grids[:, :, 1:] - grids[:, :, :1])))
 
 
 # -- classification -----------------------------------------------------------------------------
@@ -341,10 +344,7 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
     # fixes only their span); on a mismatch, the solved directions
     modes = [species_generator(st, R) for R in rotation_generators(st.spectrum)] \
         if match else solved_generators(st, solution)
-    soundness = dict.fromkeys(("sigma", "null_energy", "rce_commute"), 0.0)
-    for G in modes:
-        for key, value in generator_soundness(st, G, rng).items():
-            soundness[key] = max(soundness[key], value)
+    soundness = generator_soundness(st, np.array(modes), rng)
 
     findings = []
     if dimension != expected:

@@ -2,8 +2,8 @@
 
     lcqft verify SUITE --spectrum 1:2 --sites 8 [--steps 16 --dt 0.5
           --seed 0 --tolerance KEY=VAL --out report.json]
-    lcqft classify --spectrum 1:2,2:3 --sites 8 [--quantized/--classical
-          --seed 0 --out report.json]
+    lcqft classify --spectrum 1:2,2:3 --sites 8 [--steps 16 --dt 0.5
+          --classical --seed 0 --out report.json]
 
 Exit codes: 0 all checks pass, 1 suite failure, 2 configuration error.
 """

@@ -77,9 +77,13 @@ def _same_spacetime(a, b):
 
 
 def solution_from_vec(spacetime: LatticeSpacetime, vec: np.ndarray) -> Solution:
-    S, N = spacetime.n_species, spacetime.n_sites
-    vec = np.asarray(vec, dtype=complex).ravel()
-    return Solution(spacetime, vec[: S * N].reshape(S, N), vec[S * N:].reshape(S, N))
+    return Solution(spacetime, *data_from_vec(spacetime, np.ravel(vec)))
+
+
+def data_from_vec(st: LatticeSpacetime, vec: np.ndarray):
+    """Cauchy data q, p (..., S, N) of data vectors (..., 2 S N)."""
+    x = np.reshape(vec, np.shape(vec)[:-1] + (2, st.n_species, st.n_sites))
+    return x[..., 0, :, :], x[..., 1, :, :]
 
 
 def unit_constant_solution(spacetime: LatticeSpacetime, species: int) -> Solution:
@@ -377,11 +381,17 @@ def null_derivatives(q_traj: np.ndarray, p_traj: np.ndarray):
 
 def null_energy_grid(sol: Solution) -> np.ndarray:
     """Null energies at every (t, x, sign): shape (T1, N, 2), sign order (+, -)."""
-    q_traj, p_traj = trajectory(sol)
+    return null_energy_grids(sol.spacetime, sol.q, sol.p)
+
+
+def null_energy_grids(st: LatticeSpacetime, q: np.ndarray,
+                      p: np.ndarray) -> np.ndarray:
+    """`null_energy_grid` of a batch of Cauchy data q, p (..., S, N), evolved
+    as one trajectory batch: shape (T1, ..., N, 2)."""
+    q_traj, p_traj = evolve_data(q, p, st, 0, st.n_steps, trajectory=True)
     dp, dm = null_derivatives(q_traj, p_traj)
-    out = np.stack([np.sum(np.abs(dp) ** 2, axis=-2),
-                    np.sum(np.abs(dm) ** 2, axis=-2)], axis=-1)
-    return out
+    return np.stack([np.sum(np.abs(dp) ** 2, axis=-2),
+                     np.sum(np.abs(dm) ** 2, axis=-2)], axis=-1)
 
 
 # -- relative Cauchy evolution -----------------------------------------------------
@@ -394,23 +404,20 @@ def relative_cauchy_evolution(sol: Solution, pert: Perturbation) -> Solution:
     equation: a linear symplectic automorphism, the identity when v = 0.
     """
     _same_spacetime(sol, pert)
-    st = sol.spacetime
-    T = st.n_steps
-    q, p = evolve_data(sol.q, sol.p, st, 0, T, pert=pert)
-    q, p = evolve_data(q, p, st, T, 0)
-    return Solution(st, q, p)
+    return Solution(sol.spacetime, *rce_data(sol.q, sol.p, pert))
+
+
+def rce_data(q: np.ndarray, p: np.ndarray, pert: Perturbation):
+    """rce[v] of a batch of Cauchy data q, p (..., S, N), as one batch."""
+    st, T = pert.spacetime, pert.spacetime.n_steps
+    q, p = evolve_data(q, p, st, 0, T, pert=pert)
+    return evolve_data(q, p, st, T, 0)
 
 
 def rce_matrix(pert: Perturbation) -> np.ndarray:
     """Dense matrix of rce[v] over the canonical basis."""
-    st = pert.spacetime
-    T = st.n_steps
-
-    def act(qb, pb):
-        qb, pb = evolve_data(qb, pb, st, 0, T, pert=pert)
-        return evolve_data(qb, pb, st, T, 0)
-
-    return matrix_of(act, st).real
+    return matrix_of(lambda qb, pb: rce_data(qb, pb, pert),
+                     pert.spacetime).real
 
 
 def rce_derivative(pert: Perturbation, a: Solution, b: Solution) -> complex:

@@ -1,25 +1,56 @@
 """Deterministic JSON writer for reports, and the golden-report comparison.
 
-`dumps` is the standard library's writer with sorted keys, two-space
-indentation and no NaN or infinity; floats are written in their shortest
-round-trip form, so a parsed report holds the exact floats that were
-written. One configuration yields byte-identical reports on one build and
-BLAS thread count (timings are the only run-dependent fields; comparisons
-strip them). Across machines only the report's contract is byte-identical:
-roundoff-floor residuals that pass through BLAS/LAPACK change in their last
-bits with the BLAS kernel and thread count, so `golden_mismatches` compares
-those within a band (`GOLDEN_RTOL`, `GOLDEN_ATOL`).
+`dumps` writes the bytes of the standard library's `json.dumps` with sorted
+keys, indent 2, non-ASCII kept and no NaN or infinity, joining each list of
+floats (a generator row) in one pass; floats take their shortest round-trip
+form, so a parsed report holds the exact floats that were written. One
+configuration yields byte-identical reports on one build and BLAS thread
+count (timings are the only run-dependent fields; comparisons strip them).
+Across machines only the report's contract is byte-identical: roundoff-floor
+residuals that pass through BLAS/LAPACK change in their last bits with the
+BLAS kernel and thread count, so `golden_mismatches` compares those within
+a band (`GOLDEN_RTOL`, `GOLDEN_ATOL`).
 """
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring   # TypeError on a non-str key
+
+_scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
 def dumps(obj) -> str:
-    """Report text: sorted keys, indent 2, non-ASCII kept, and ValueError
-    on a non-finite float."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-                      ensure_ascii=False)
+    """Report text: sorted keys, indent 2, non-ASCII kept; ValueError on a
+    non-finite float and TypeError on a non-str key."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append the text of obj, its nested lines starting with `newline`."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        items = [(encode_basestring(k) + ": ", obj[k]) for k in sorted(obj)]
+    elif isinstance(obj, (list, tuple)) and obj:
+        try:    # a row of floats: one join and one finiteness sweep
+            row = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:
+            items = [("", value) for value in obj]
+        else:
+            if not all(map(math.isfinite, obj)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            out.append(f"[{inner}{row}{newline}]")
+            return
+    else:   # a scalar or an empty container
+        out.append(_scalar(obj))
+        return
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    for i, (head, value) in enumerate(items):
+        out.append(("," if i else brackets[0]) + inner + head)
+        _write(value, inner, out)
+    out.append(newline + brackets[1])
 
 
 def strip_timings(obj):

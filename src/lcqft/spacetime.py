@@ -66,7 +66,9 @@ class MassSpectrum:
         return MassSpectrum(tuple(entries))
 
     def format(self) -> str:
-        return ",".join(f"{m:g}:{k}" for m, k in self.entries)
+        """The text `parse` reads back exactly (shortest round-trip masses)."""
+        return ",".join(f"{repr(float(m)).removesuffix('.0')}:{k}"
+                        for m, k in self.entries)
 
     @property
     def masses(self) -> tuple[float, ...]:

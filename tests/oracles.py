@@ -13,10 +13,10 @@ slot-by-slot substitution) for the CCR algebra, the classifier's system in
 block-circulant coordinates over all momenta at once (one-step map read off
 the stepper), a dense SVD nullspace of the evolution commutator for its
 commutant, a dense two-sided commutant intersection at tiny sizes, null
-energies sampled on evolved solutions for its constraints, a dense
-Taylor exponential, Kronecker products for the dense matrix of a gauge
-species matrix, and an all-pairs compare of the mode frequencies for mass
-collisions.
+energies sampled on evolved solutions for its constraints, its soundness
+check evolved one solution at a time, a dense Taylor exponential, Kronecker
+products for the dense matrix of a gauge species matrix, and an all-pairs
+compare of the mode frequencies for mass collisions.
 """
 from __future__ import annotations
 
@@ -26,16 +26,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcqft._linalg import nullspace
+from lcqft.classify import _apply, _mode_exp
 from lcqft.dynamics import (
+    Perturbation,
     TestFunction,
     evolve_data,
     null_derivatives,
+    null_energy_grid,
     one_step_matrix,
     propagate_test_function,
     relative_cauchy_evolution,
+    solution_from_vec,
     symplectic_form,
 )
-from lcqft.gauge import rotation_generators, so_basis
+from lcqft.gauge import (block_reflections, classical_action,
+                         rotation_generators, so_basis)
 from lcqft.spacetime import LatticeSpacetime, Region
 
 
@@ -699,3 +704,51 @@ def sampled_constraint_nullspace(st: LatticeSpacetime, active: np.ndarray,
     assert len(hist) < 3 or hist[-1] == hist[-2] == hist[-3], \
         f"nullspace not plateaued: history {hist}"
     return null_basis, hist
+
+
+# -- the soundness check, one solution at a time ----------------------------------------------
+#
+# The exponential and the map's action on data are the classifier's own
+# (`_mode_exp`, `_apply`): what these oracles check is the batching, so each
+# evolves one solution per call and draws from the rng in the same order.
+
+def looped_generator_soundness(st: LatticeSpacetime, generators,
+                               rng: np.random.Generator) -> dict:
+    """`classify.generator_soundness`, one generator and one solution per
+    call: each null-energy grid and each rce its own evolution."""
+    J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(st.n_species))
+    out = dict.fromkeys(("sigma", "null_energy", "rce_commute"), 0.0)
+    T1, N, w = st.n_slices, st.n_sites, max(2, st.n_sites // 3)
+    for generator in generators:
+        E = _mode_exp(generator)
+        out["sigma"] = max(out["sigma"], float(np.max(np.abs(np.fft.ifft(
+            np.conj(np.swapaxes(E, 1, 2)) @ J @ E - J, axis=0)))))
+        for _ in range(3):
+            vec = rng.standard_normal(st.data_dim)
+            a, sa = (solution_from_vec(st, x) for x in (vec, _apply(st, E, vec)))
+            g1, g2 = null_energy_grid(a), null_energy_grid(sa)
+            out["null_energy"] = max(out["null_energy"], float(
+                np.max(np.abs(g1 - g2)) / max(1.0, np.max(np.abs(g1)))))
+            v = np.zeros((T1, N))
+            t0 = 1 + int(rng.integers(0, max(1, st.n_steps - 4)))
+            v[t0:t0 + 3, :w] = rng.standard_normal((min(3, T1 - t0), w))
+            v[0] = v[-1] = 0.0
+            moved, image = (relative_cauchy_evolution(x, Perturbation(st, v))
+                            .vec().real for x in (a, sa))
+            out["rce_commute"] = max(out["rce_commute"], float(
+                np.max(np.abs(image - _apply(st, E, moved)))
+                / max(1.0, np.max(np.abs(moved)))))
+    return out
+
+
+def looped_reflection_residual(st: LatticeSpacetime,
+                               rng: np.random.Generator) -> float:
+    """`classify.reflection_residual`, one null-energy grid per solution."""
+    res = 0.0
+    for _ in range(3):
+        phi = solution_from_vec(st, rng.standard_normal(st.data_dim))
+        base = null_energy_grid(phi)
+        for g in block_reflections(st.spectrum):
+            res = max(res, float(np.max(np.abs(
+                null_energy_grid(classical_action(g, phi)) - base))))
+    return res

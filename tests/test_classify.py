@@ -599,3 +599,27 @@ class TestModeSolve:
         assert result["status"] == "fail"
         assert {"soundness_sigma", "soundness_null_energy"} <= {
             line.split(":")[0] for line in result["findings"]}
+
+
+class TestSoundnessBatch:
+    """The batched soundness check against its one-solution-per-call loop."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3", "1:5"])
+    def test_batch_equals_loop_bit_for_bit(self, spec, n):
+        # the report's rotations and the solved directions: species maps
+        # and generic mode maps; the rng must end in the same state
+        st = _st(spec, n=n)
+        solution, _ = clf.solve_blocks(
+            clf.split_zero_mode(clf.build_commutant_basis(st))[0], st)
+        modes = [clf.species_generator(st, R)
+                 for R in gg.rotation_generators(st.spectrum)] \
+            + clf.solved_generators(st, solution)
+        batched, looped = np.random.default_rng(3), np.random.default_rng(3)
+        assert clf.generator_soundness(st, np.array(modes), batched) \
+            == oracles.looped_generator_soundness(st, modes, looped)
+        assert clf.reflection_residual(st, batched) \
+            == oracles.looped_reflection_residual(st, looped)
+        assert clf.generator_soundness(st, modes[-1], batched) \
+            == oracles.looped_generator_soundness(st, modes[-1:], looped)
+        assert batched.standard_normal() == looped.standard_normal()

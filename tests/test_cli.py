@@ -6,13 +6,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcqft import cli, serialize, suites
-from lcqft.classify import CHECKED_RESIDUALS
+from lcqft.classify import CHECKED_RESIDUALS, classify
 from lcqft.cli import main
+from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 from lcqft.suites import (DEFAULT_TOLERANCES, GOLDEN_CONFIGS, RunConfig,
                           run_suite)
 
@@ -24,6 +27,22 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports" / "golde
 CLASSIFY_CHECKS = ["soundness_sigma", "soundness_null_energy",
                    "soundness_rce_commute", "reflection_null_energy",
                    "so_representation"]
+
+
+# report-like values: nested dicts with str keys, lists and tuples of str,
+# int, bool, None and float (np.float64 too), rows of floats with an int or
+# bool among them, and the float edge cases
+_floats = st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([-0.0, 1e16, 5e-324, 0.1, 1.0]) \
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+_leaves = st.none() | st.booleans() | st.integers() | st.text() | _floats
+_rows = st.lists(_floats, min_size=1) \
+    | st.lists(_floats | st.integers() | st.booleans())
+_report_values = st.recursive(
+    _leaves | _rows,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=20)
 
 
 class TestSerializer:
@@ -53,6 +72,40 @@ class TestSerializer:
     def test_strip_timings(self):
         obj = {"timings": {"seconds": 1.0}, "keep": [{"timings": 2, "a": 1}]}
         assert serialize.strip_timings(obj) == {"keep": [{"a": 1}]}
+
+    @settings(max_examples=100)
+    @given(_report_values)
+    def test_matches_the_standard_library(self, obj):
+        assert serialize.dumps(obj) == json.dumps(
+            obj, indent=2, sort_keys=True, allow_nan=False, ensure_ascii=False)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float64("nan")])
+    @pytest.mark.parametrize("place", [
+        lambda x: x, lambda x: [0.5, x], lambda x: [1, x], lambda x: (x, 2.0),
+        lambda x: {"a": [{"b": [[1.0, x]]}]}, lambda x: {"a": "s", "b": x}])
+    def test_non_finite_float_anywhere_raises(self, bad, place):
+        with pytest.raises(ValueError):
+            serialize.dumps(place(bad))
+
+    @pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: 1.0}},
+                                     [{"a": 1, (1, 2): 3}], {1.5: "x"}])
+    def test_non_str_key_raises(self, obj):
+        with pytest.raises(TypeError):
+            serialize.dumps(obj)
+
+    def test_peak_memory_of_a_dense_classify_report(self):
+        # the standard library's indent=2 writer peaks at about 6x the text
+        report = classify(LatticeSpacetime(16, 16, 0.5,
+                                           MassSpectrum.parse("1:2,2:3")),
+                          quantized=True, seed=31)
+        tracemalloc.start()
+        try:
+            text = serialize.dumps(report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
 
 class TestGoldenComparison:

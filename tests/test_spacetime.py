@@ -55,6 +55,19 @@ class TestMassSpectrum:
         assert spec.block_slice(1.0) == slice(0, 2)
         assert spec.block_slice(2.0) == slice(2, 5)
 
+    @pytest.mark.parametrize("text,written", [
+        ("1:2,2:3", "1:2,2:3"), ("0:1,1.0:2", "0:1,1:2"),
+        ("0.1234567:2", "0.1234567:2"),
+        ("1.0000001:1,1.0000002:1", "1.0000001:1,1.0000002:1")])
+    def test_format(self, text, written):
+        assert MassSpectrum.parse(text).format() == written
+
+    @given(st.dictionaries(st.floats(min_value=0.0, allow_infinity=False),
+                           st.integers(1, 5), min_size=1, max_size=4))
+    def test_format_parses_back_exactly(self, entries):
+        spectrum = MassSpectrum(tuple(sorted(entries.items())))
+        assert MassSpectrum.parse(spectrum.format()) == spectrum
+
 
 class TestLatticeSpacetime:
     def test_invariants(self):
