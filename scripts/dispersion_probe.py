@@ -42,7 +42,7 @@ def right_mover_decay():
         x = np.arange(N)
         sol = dyn.Solution(st, np.cos(theta * x)[None, :],
                            (theta * np.sin(theta * x))[None, :])
-        grid = dyn.null_energy_grid(sol)
+        grid = dyn.null_energy_grids(st, sol.q, sol.p)
         small = float(np.max(grid[..., 0]))
         order = "" if prev is None else f"   order ~ {np.log2(prev / small):.2f}"
         print(f"  N={N:<3} small={small:.3e} scaled(N^6)={small * N ** 6:.1f}"

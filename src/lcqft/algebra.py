@@ -15,13 +15,12 @@ Storage is by arrays, one column per term. A term's sorted multi-index
 i_1 <= ... <= i_k becomes the digits (0, ..., 0, i_1 + 1, ..., i_k + 1),
 padded in front with the "empty" digit 0 to the element's degree D:
 `digits[:, t]` holds term t's digits and `coeffs[t]` its complex
-coefficient. Each term's digits are packed in base dim + 1 into int64
-`keys`. A word holds `_digits_per_word(dim)` digits, the most it can
-without passing 2^63; a term with more digits takes as many words as it
-needs, word 0 the most significant, so an element's keys are a (W, n) array.
-Padding only adds zero digits and zero words, so a term has one key at every
-degree and width. Keys are kept sorted and unique, and coefficients of
-magnitude at most PRUNE_TOL are pruned.
+coefficient. Terms are kept sorted by key and unique, and coefficients of
+magnitude at most PRUNE_TOL are pruned. Keys are not stored: each merge forms
+them (`_pack`), the digits in base dim + 1 as int64 words of
+`_digits_per_word(dim)` digits, the most a word holds below 2^63, word 0 the
+most significant. Padding only adds zero digits and zero words, so a term has
+one key at every degree.
 
 An element can be a batch of `size` elements in one set of arrays, term t
 tagged with its element's index `tags[t]`; merges sort by the tag as the most
@@ -118,10 +117,11 @@ def _pad(arr: np.ndarray, height: int) -> np.ndarray:
 
 
 def _merge(keys: np.ndarray, coeffs: np.ndarray, *arrays: np.ndarray):
-    """Sort terms by key and sum the coefficients of equal keys; each array
-    in `arrays` (one column per term) keeps the column of the first term of
-    each key. Key words whose values fit one int64 side by side (such as a
-    tag and one word) are sorted as that int64, in one pass."""
+    """Sort terms by key and sum the coefficients of equal keys: (coeffs,
+    *arrays), each array in `arrays` (one column per term) keeping the column
+    of the first term of each key. Key words whose values fit one int64 side
+    by side (such as a tag and one word) are sorted as that int64, in one
+    pass."""
     if len(coeffs) > 1:
         bits = [int(top).bit_length() for top in keys.max(axis=1).tolist()]
         if sum(bits) < 63:
@@ -137,25 +137,23 @@ def _merge(keys: np.ndarray, coeffs: np.ndarray, *arrays: np.ndarray):
         if len(starts) < len(coeffs) - 1:
             starts = np.concatenate(([0], starts))
             coeffs = np.add.reduceat(coeffs, starts)
-            keys, order = keys.take(starts, axis=1), order[starts]
+            order = order[starts]
         arrays = tuple(x.take(order, axis=-1) for x in arrays)
-    return (keys, coeffs, *arrays)
+    return (coeffs, *arrays)
 
 
 def _merge_tagged(size: int, tags: np.ndarray, keys: np.ndarray,
                   coeffs: np.ndarray, *arrays: np.ndarray, need=None):
     """_merge with the tag as the most significant key word, left out for a
-    batch of one: (tags, keys, coeffs, *arrays). The terms of tags t with
+    batch of one: (tags, coeffs, *arrays). The terms of tags t with
     `need[t]` false keep their order unsummed (`keys` is overwritten)."""
     if need is not None and not need.all():
         hold = ~need[tags]
         keys[:, hold] = 0
         keys[-1, hold] = np.flatnonzero(hold)
-    if size == 1:
-        keys, coeffs, *arrays = _merge(keys, coeffs, *arrays)
-        return (np.zeros(len(coeffs), tags.dtype), keys, coeffs, *arrays)
-    keys, coeffs, *arrays = _merge(np.vstack([tags, keys]), coeffs, *arrays)
-    return (keys[0].astype(tags.dtype), keys[1:], coeffs, *arrays)
+    coeffs, tags, *arrays = _merge(
+        keys if size == 1 else np.vstack([tags, keys]), coeffs, tags, *arrays)
+    return (tags, coeffs, *arrays)
 
 
 def _sort_digits(digits: np.ndarray, start: int = 1) -> np.ndarray:
@@ -190,10 +188,9 @@ def _drop(digits: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _element(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
-             keys: np.ndarray, coeffs: np.ndarray,
-             digits: np.ndarray) -> "AlgebraElement":
+             coeffs: np.ndarray, digits: np.ndarray) -> "AlgebraElement":
     out = object.__new__(AlgebraElement)
-    out._set(spacetime, size, tags, keys, coeffs, digits)
+    out._set(spacetime, size, tags, coeffs, digits)
     return out
 
 
@@ -238,19 +235,19 @@ def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
         first, last = piece[lo], piece[hi - 1] + 1
         local = (piece[lo:hi] - first).astype(_tag_type(last - first))
         out, digits, coeffs = expand(lo, hi, local, piece_tags[first:last])
-        out, keys, coeffs, digits = _merge_tagged(
+        out, coeffs, digits = _merge_tagged(
             last - first, out, _pack(digits, dim), coeffs, digits)
         parts.append((piece_tags[first:last][out].astype(_tag_type(size)),
-                      keys, coeffs, digits))
+                      coeffs, digits))
     if not parts:
-        return _element(spacetime, size, tags, np.zeros((1, 0), np.int64),
-                        np.zeros(0, complex), np.zeros((0, 0), _digit_type(dim)))
-    tags, keys, coeffs, digits = parts[0] if len(parts) == 1 else \
+        return _element(spacetime, size, tags, np.zeros(0, complex),
+                        np.zeros((0, 0), _digit_type(dim)))
+    tags, coeffs, digits = parts[0] if len(parts) == 1 else \
         (np.concatenate(x, axis=-1) for x in zip(*parts))
     if split:
-        return _element(spacetime, size,
-                        *_merge_tagged(size, tags, keys, coeffs, digits))
-    return _element(spacetime, size, tags, keys, coeffs, digits)
+        return _element(spacetime, size, *_merge_tagged(
+            size, tags, _pack(digits, dim), coeffs, digits))
+    return _element(spacetime, size, tags, coeffs, digits)
 
 
 class _Terms(Mapping):
@@ -292,36 +289,30 @@ class AlgebraElement:
     of multi-indices to coefficients; each multi-index is sorted and equal
     ones are merged."""
 
-    __slots__ = ("spacetime", "size", "tags", "keys", "coeffs", "digits",
-                 "_terms")
+    __slots__ = ("spacetime", "size", "tags", "coeffs", "digits", "_terms")
 
     def __init__(self, spacetime: LatticeSpacetime,
                  terms: Mapping[MultiIndex, complex]):
-        keys, coeffs, digits = _from_indices(spacetime, list(terms),
-                                             list(terms.values()))
-        self._set(spacetime, 1, np.zeros(len(coeffs), np.uint8), keys, coeffs,
-                  digits)
+        coeffs, digits = _from_indices(spacetime, list(terms),
+                                       list(terms.values()))
+        self._set(spacetime, 1, np.zeros(len(coeffs), np.uint8), coeffs, digits)
 
     def _set(self, spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
-             keys: np.ndarray, coeffs: np.ndarray, digits: np.ndarray):
+             coeffs: np.ndarray, digits: np.ndarray):
         """Take sorted unique tagged terms: prune, then trim empty digit
         rows."""
         mag = np.abs(coeffs)
         if len(mag) and not np.minimum.reduce(mag) > PRUNE_TOL:
             keep = mag > PRUNE_TOL
-            tags, keys, coeffs, digits = \
-                tags[keep], keys[:, keep], coeffs[keep], digits[:, keep]
+            tags, coeffs, digits = tags[keep], coeffs[keep], digits[:, keep]
         # digits put their zeros first, so only leading rows can be empty
         if len(digits) and not np.logical_or.reduce(digits[0]):
             used = np.flatnonzero(digits.any(1))
-            degree = len(digits) - int(used[0]) if len(used) else 0
-            digits = digits[len(digits) - degree:]
-            per = _digits_per_word(spacetime.data_dim)
-            keys = keys[len(keys) - max(1, -(-degree // per)):]
-        for arr in (tags, keys, coeffs, digits):
+            digits = digits[int(used[0]) if len(used) else len(digits):]
+        for arr in (tags, coeffs, digits):
             arr.setflags(write=False)
         self.spacetime, self.size, self.tags = spacetime, size, tags
-        self.keys, self.coeffs, self.digits = keys, coeffs, digits
+        self.coeffs, self.digits = coeffs, digits
         self._terms = None
 
     # -- basic structure --------------------------------------------------------
@@ -349,17 +340,16 @@ class AlgebraElement:
                                 " element is needed")
 
     def term_degrees(self) -> np.ndarray:
-        """Multi-index length of each term, in key order."""
+        """Multi-index length of each term, in term order."""
         return np.add.reduce(self.digits > 0)
 
     def coefficient(self, idx: MultiIndex) -> complex:
         return self.terms.get(tuple(sorted(idx)), 0.0 + 0.0j)
 
     def select(self, mask: np.ndarray) -> "AlgebraElement":
-        """The terms where `mask` (one entry per term, in key order) holds."""
+        """The terms where `mask` (one entry per term, in term order) holds."""
         return _element(self.spacetime, self.size, self.tags[mask],
-                        self.keys[:, mask], self.coeffs[mask],
-                        self.digits[:, mask])
+                        self.coeffs[mask], self.digits[:, mask])
 
     def max_abs(self) -> float:
         """The largest coefficient magnitude; of a batch, over all elements."""
@@ -372,8 +362,7 @@ class AlgebraElement:
         bounds = np.searchsorted(self.tags, np.arange(self.size + 1)).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield _element(self.spacetime, 1, np.zeros(hi - lo, np.uint8),
-                           self.keys[:, lo:hi], self.coeffs[lo:hi],
-                           self.digits[:, lo:hi])
+                           self.coeffs[lo:hi], self.digits[:, lo:hi])
 
     # -- vector space -----------------------------------------------------------
 
@@ -383,23 +372,23 @@ class AlgebraElement:
             raise SpaceMismatch("elements live over different solution spaces"
                                 " or batches of different sizes")
 
-    def _joined_keys(self, other: "AlgebraElement"):
-        """The tags and keys of both operands' terms, padded to one width."""
+    def _joined(self, other: "AlgebraElement"):
+        """The tags, keys and digits of both operands' terms, the digits
+        padded to one height."""
         self._check(other)
-        words = max(len(self.keys), len(other.keys))
+        height = max(len(self.digits), len(other.digits))
+        digits = np.concatenate([_pad(self.digits, height),
+                                 _pad(other.digits, height)], axis=1)
         return (np.concatenate([self.tags, other.tags]),
-                np.concatenate([_pad(self.keys, words), _pad(other.keys, words)],
-                               axis=1))
+                _pack(digits, self.dim), digits)
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = scalar(self.spacetime, other)
-        tags, keys = self._joined_keys(other)
-        height = max(len(self.digits), len(other.digits))
+        tags, keys, digits = self._joined(other)
         return _element(self.spacetime, self.size, *_merge_tagged(
             self.size, tags, keys, np.concatenate([self.coeffs, other.coeffs]),
-            np.concatenate([_pad(self.digits, height),
-                            _pad(other.digits, height)], axis=1)))
+            digits))
 
     __radd__ = __add__
 
@@ -418,7 +407,7 @@ class AlgebraElement:
         """Element i of a batch times values[i]; a number scales them all."""
         values = np.asarray(values)
         values = values[self.tags] if values.ndim else values
-        return _element(self.spacetime, self.size, self.tags, self.keys,
+        return _element(self.spacetime, self.size, self.tags,
                         self.coeffs * values, self.digits)
 
     # -- algebra ----------------------------------------------------------------
@@ -474,7 +463,7 @@ class AlgebraElement:
                 need = (np.bincount(piece, minlength=len(before)) > before) \
                     | (r > 1)
                 if need.any():
-                    piece, _, coef, left, right = _merge_tagged(
+                    piece, coef, left, right = _merge_tagged(
                         len(need), piece, np.concatenate(
                             [_pack(left, dim), _pack(right, dim)]),
                         coef, left, right, need=need)
@@ -487,7 +476,7 @@ class AlgebraElement:
     def star(self) -> "AlgebraElement":
         """Antilinear involution; on the (real) canonical basis it conjugates
         coefficients, realizing (u^n)* = (conj u)^n."""
-        return _element(self.spacetime, self.size, self.tags, self.keys,
+        return _element(self.spacetime, self.size, self.tags,
                         self.coeffs.conj(), self.digits)
 
 
@@ -497,14 +486,11 @@ def stack(elements: list[AlgebraElement]) -> AlgebraElement:
         if el.size != 1:
             raise SpaceMismatch("stack takes single elements, not batches")
         elements[0]._check(el)
-    words, height = (max(len(getattr(el, x)) for el in elements)
-                     for x in ("keys", "digits"))
-    size = len(elements)
+    height, size = max(len(el.digits) for el in elements), len(elements)
     return _element(
         elements[0].spacetime, size, np.repeat(
             np.arange(size, dtype=_tag_type(size)),
             [len(el.coeffs) for el in elements]),
-        np.concatenate([_pad(el.keys, words) for el in elements], axis=1),
         np.concatenate([el.coeffs for el in elements]),
         np.concatenate([_pad(el.digits, height) for el in elements], axis=1))
 
@@ -527,7 +513,7 @@ def fields(spacetime: LatticeSpacetime, vecs) -> AlgebraElement:
     tags, nz = np.nonzero(np.abs(vecs) > PRUNE_TOL)
     digits = (nz + 1).astype(_digit_type(spacetime.data_dim)).reshape(1, -1)
     return _element(spacetime, len(vecs), tags.astype(_tag_type(len(vecs))),
-                    digits.astype(np.int64), vecs[tags, nz], digits)
+                    vecs[tags, nz], digits)
 
 
 def field(phi: Solution) -> AlgebraElement:
@@ -661,7 +647,7 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
             need = (count > wide * merged) & (j < D - 1)
             if need.any():
                 digits[:j + 1] = _sort_digits(digits[:j + 1])
-                piece, _, coef, digits, at = _merge_tagged(
+                piece, coef, digits, at = _merge_tagged(
                     len(need), piece, _pack(digits, dim), coef, digits, at,
                     need=need)
                 merged = np.where(need, np.bincount(piece, minlength=len(
@@ -730,9 +716,9 @@ def lift(spacetime: LatticeSpacetime, matrix: np.ndarray) -> LiftedMap:
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:
     """Max absolute coefficient difference (residual metric for all suites);
     for batches, the largest over their elements."""
-    tags, keys = a._joined_keys(b)
-    _, _, diff = _merge_tagged(a.size, tags, keys,
-                               np.concatenate([a.coeffs, -b.coeffs]))
+    tags, keys, _ = a._joined(b)
+    _, diff = _merge_tagged(a.size, tags, keys,
+                            np.concatenate([a.coeffs, -b.coeffs]))
     return float(np.maximum.reduce(np.abs(diff))) if len(diff) else 0.0
 
 

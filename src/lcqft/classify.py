@@ -32,9 +32,10 @@ that parabolic block preserve the null energy trivially. Those directions
 never counted toward the match.
 
 Only the report's generators are dense `(dim, dim)` matrices, the form the
-benchmark's output checks read; the stages keep the names that its spans
-wrap. The coordinate-space form of the system, one SVD over all momenta, is
-the test oracle `oracles.coordinate_classification`.
+benchmark's output checks read, built from their blocks by
+`dynamics.dense_from_modes`, as is the vacuum covariance; the stages keep
+the names that its spans wrap. The coordinate-space form of the system, one
+SVD over all momenta, is the test oracle `oracles.coordinate_classification`.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ import numpy as np
 
 from ._linalg import nullspace
 from .algebra import commutator, field, max_coeff_diff, random_element
-from .dynamics import (Perturbation, data_from_vec, mode_maps,
-                       null_energy_grids, random_solution, rce_data,
+from .dynamics import (Perturbation, data_from_vec, dense_from_modes,
+                       mode_maps, null_energy_grids, random_solution, rce_data,
                        solution_from_vec)
 from .errors import BudgetExceeded
 from .gauge import (GaugeElement, QuantumAction, block_reflections,
@@ -212,14 +213,6 @@ def species_generator(st: LatticeSpacetime, R: np.ndarray) -> np.ndarray:
                           np.broadcast_to(np.eye(2), (N, 2, 2)))
 
 
-def dense_generator(st: LatticeSpacetime, G: np.ndarray) -> np.ndarray:
-    """The (dim, dim) matrix of the real map with blocks G_k: entries
-    X[(a, x), (b, x')] = g[x - x', a, b], g the inverse DFT of G over k."""
-    g, x = np.fft.ifft(G, axis=0).real, np.arange(st.n_sites)
-    return g[np.subtract.outer(x, x) % st.n_sites].transpose(
-        2, 0, 3, 1).reshape(st.data_dim, st.data_dim)
-
-
 def _apply(st: LatticeSpacetime, E: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """The real map with blocks E_k applied to a data vector."""
     v = np.fft.fft(np.reshape(vec, (2 * st.n_species, st.n_sites)), axis=-1)
@@ -368,7 +361,7 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
         "zero_mode_dimension": zero_mode_dimension,
         "dimension": int(dimension), "expected": int(expected), "match": match,
         "max_principal_angle": max_angle,
-        "generators": [dense_generator(st, G).tolist() for G in modes],
+        "generators": [dense_from_modes(st, G).tolist() for G in modes],
         "residuals": {
             "so_representation": rep_residual,
             **{f"constraint_{k}": v for k, v in gap.items()},

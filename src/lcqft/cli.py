@@ -14,9 +14,8 @@ import os
 import sys
 
 from . import serialize
-from .classify import CHECKED_RESIDUALS, check_budget, classify
+from .classify import CHECKED_RESIDUALS, classify
 from .errors import ConfigParse, LcqftError
-from .spacetime import LatticeSpacetime, MassSpectrum
 from .suites import (DEFAULT_TOLERANCES, RunConfig, SUITE_NAMES, margin,
                      run_suite)
 
@@ -115,24 +114,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise ConfigParse(f"--seed must be >= 0, got {args.seed}")
         _check_out(args.out)
+        common = dict(spectrum=args.spectrum, n_sites=args.sites,
+                      n_steps=args.steps, dt=args.dt, seed=args.seed)
         if args.command == "verify":
-            config = RunConfig(
-                spectrum=args.spectrum, n_sites=args.sites, n_steps=args.steps,
-                dt=args.dt, seed=args.seed, suite=args.suite,
-                tolerances=_parse_tolerances(args.tolerance))
+            config = RunConfig(**common, suite=args.suite,
+                               tolerances=_parse_tolerances(args.tolerance))
             report = run_suite(config)
             _emit(report, args.out)
             _summary(report, args.out)
             return 0 if report["status"] == "pass" else 1
 
         if args.command == "classify":
-            try:
-                st = LatticeSpacetime(args.sites, args.steps, args.dt,
-                                      MassSpectrum.parse(args.spectrum))
-            except LcqftError as exc:
-                raise ConfigParse(str(exc)) from exc
-            check_budget(st)  # before the classifier runs
-            report = classify(st, quantized=not args.classical, seed=args.seed)
+            config = RunConfig(**common)
+            config.check(["classify"])  # before the classifier runs
+            report = classify(config.spacetime(), quantized=not args.classical,
+                              seed=args.seed)
             _emit(report, args.out)
             ok = report["match"]
             print(f"dimension={report['dimension']} expected={report['expected']} "

@@ -291,21 +291,6 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
     return q, p
 
 
-def step(sol: Solution, direction: str = "forward") -> Solution:
-    """One kick-drift-kick step of the free equation; exactly invertible."""
-    d = 1 if direction == "forward" else -1
-    q, p = evolve_data(sol.q, sol.p, sol.spacetime, 0, d)
-    return Solution(sol.spacetime, q, p)
-
-
-def trajectory(sol: Solution, t_to: int | None = None, pert: Perturbation | None = None):
-    """Field values and momenta on every slice 0..t_to, shapes (T1, S, N)."""
-    if t_to is None:
-        t_to = sol.spacetime.n_steps
-    return evolve_data(sol.q, sol.p, sol.spacetime, 0, t_to, pert=pert,
-                       trajectory=True)
-
-
 def matrix_of(map_fn, spacetime: LatticeSpacetime) -> np.ndarray:
     """Dense matrix of a linear map on the solution space, by applying it to
     the canonical basis batch at once (map_fn acts on (q, p) batch arrays)."""
@@ -344,6 +329,16 @@ def mode_maps(spacetime: LatticeSpacetime) -> np.ndarray:
     return U
 
 
+def dense_from_modes(spacetime: LatticeSpacetime,
+                     blocks: np.ndarray) -> np.ndarray:
+    """The (dim, dim) matrix of the real shift-invariant map with mode blocks
+    G_k (N, 2S, 2S), channels in the canonical order c*S + s: entries
+    X[(a, x), (b, x')] = g[x - x', a, b], g the inverse DFT of G over k."""
+    g, x = np.fft.ifft(blocks, axis=0).real, np.arange(spacetime.n_sites)
+    return g[np.subtract.outer(x, x) % spacetime.n_sites].transpose(
+        2, 0, 3, 1).reshape(spacetime.data_dim, spacetime.data_dim)
+
+
 # -- causal propagator -----------------------------------------------------------
 
 def propagate_sources(spacetime: LatticeSpacetime, sources: np.ndarray):
@@ -375,23 +370,21 @@ def null_derivatives(q_traj: np.ndarray, p_traj: np.ndarray):
     Trajectories have shape (T1, ..., S, N); the spatial derivative is the
     symmetric difference. Returns (D_plus, D_minus).
     """
-    dx = 0.5 * (np.roll(q_traj, -1, axis=-1) - np.roll(q_traj, 1, axis=-1))
+    nxt, prv = _neighbours(q_traj.shape[-1])
+    dx = 0.5 * (q_traj.take(nxt, axis=-1) - q_traj.take(prv, axis=-1))
     return p_traj + dx, p_traj - dx
-
-
-def null_energy_grid(sol: Solution) -> np.ndarray:
-    """Null energies at every (t, x, sign): shape (T1, N, 2), sign order (+, -)."""
-    return null_energy_grids(sol.spacetime, sol.q, sol.p)
 
 
 def null_energy_grids(st: LatticeSpacetime, q: np.ndarray,
                       p: np.ndarray) -> np.ndarray:
-    """`null_energy_grid` of a batch of Cauchy data q, p (..., S, N), evolved
-    as one trajectory batch: shape (T1, ..., N, 2)."""
+    """Null energies of a batch of Cauchy data q, p (..., S, N), evolved as
+    one trajectory batch, at every (t, ..., x, sign): shape (T1, ..., N, 2),
+    sign order (+, -)."""
     q_traj, p_traj = evolve_data(q, p, st, 0, st.n_steps, trajectory=True)
-    dp, dm = null_derivatives(q_traj, p_traj)
-    return np.stack([np.sum(np.abs(dp) ** 2, axis=-2),
-                     np.sum(np.abs(dm) ** 2, axis=-2)], axis=-1)
+    out = np.empty(q_traj.shape[:-2] + (st.n_sites, 2))
+    for sign, d in enumerate(null_derivatives(q_traj, p_traj)):
+        np.sum(np.abs(d) ** 2, axis=-2, out=out[..., sign])
+    return out
 
 
 # -- relative Cauchy evolution -----------------------------------------------------

@@ -6,15 +6,18 @@ a symmetric monomial phi_1 ... phi_k as the perfect-matching (hafnian) sum of
 mu over the index pairs, and is extended linearly over the sparse terms, all
 terms at once in one array pass over the pairings of slot positions.
 
-The vacuum kernel is built per species from the closed-form one-step map of
-each Fourier mode (`dynamics.mode_maps`): an elliptic mode with
+The vacuum kernel is read off the closed-form one-step map of each Fourier
+mode (`dynamics.mode_maps`): an elliptic mode with
 cos(Omega) = 1 - dt^2 w^2 / 2 has the invariant covariance of a harmonic
 oscillator at the effective frequency w_eff = w sqrt(1 - dt^2 w^2 / 4), so
 invariance under the lattice dynamics holds at machine precision rather than
-up to discretization error. Massless species get a fixed unit-width
-reference Gaussian on every mode (the spatial zero mode has no ground state
-on a compact Cauchy surface); that reference is flagged, since it is not
-invariant under the affine gauge directions.
+up to discretization error. Its mode blocks diag(w_eff / 2, 1 / (2 w_eff))
+over each species' (q_k, p_k) become the dense covariance through
+`dynamics.dense_from_modes`, the builder the classifier's generators share.
+Massless species get a fixed unit-width reference Gaussian on every mode (the
+spatial zero mode has no ground state on a compact Cauchy surface); that
+reference is flagged, since it is not invariant under the affine gauge
+directions.
 """
 from __future__ import annotations
 
@@ -24,14 +27,15 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AlgebraElement, check_degree_cap
-from .dynamics import mode_maps, symplectic_matrix
+from .dynamics import dense_from_modes, mode_maps, symplectic_matrix
 from .spacetime import LatticeSpacetime
 
 DEFAULT_DEGREE_CAP = 8
 
 
-def mode_frequencies(spacetime: LatticeSpacetime, mass: float) -> np.ndarray:
-    """Effective per-mode frequencies of the one-step map for one species.
+def mode_frequencies(spacetime: LatticeSpacetime) -> np.ndarray:
+    """Effective per-mode frequencies of the one-step map: (B, N), one row
+    per mass block (spectrum order) and one column per momentum k.
 
     Elliptic modes (every mode of a spacetime, which checks ellipticity)
     get w_eff(k) = sqrt(-U_k[1, 0] / U_k[0, 1]), from the closed-form mode
@@ -41,19 +45,10 @@ def mode_frequencies(spacetime: LatticeSpacetime, mass: float) -> np.ndarray:
     zero mode is parabolic (a free particle, no ground state) and gets a
     fixed unit-width reference instead.
     """
-    U = mode_maps(spacetime)[spacetime.spectrum.masses.index(mass)]
-    out = np.sqrt(-U[:, 1, 0] / U[:, 0, 1])
-    if mass == 0.0:
-        out[0] = 1.0
+    U = mode_maps(spacetime)
+    out = np.sqrt(-U[..., 1, 0] / U[..., 0, 1])
+    out[np.array(spacetime.spectrum.masses) == 0.0, 0] = 1.0
     return out
-
-
-def _circulant_from_eigenvalues(vals: np.ndarray) -> np.ndarray:
-    """Real symmetric circulant with the given Fourier eigenvalues."""
-    col = np.fft.ifft(vals).real
-    n = len(vals)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return col[idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,23 +131,17 @@ def _pairings(positions: tuple[int, ...]):
 
 
 def vacuum_state(spacetime: LatticeSpacetime) -> QuasifreeState:
-    """Product of per-species vacua (massless species: reference Gaussian)."""
-    S, N = spacetime.n_species, spacetime.n_sites
-    half = S * N
-    mu = np.zeros((2 * half, 2 * half))
-    flags = []
-    for s, mass in enumerate(spacetime.spectrum.species_masses):
-        freqs = mode_frequencies(spacetime, mass)
-        omega = _circulant_from_eigenvalues(freqs)
-        omega_inv = _circulant_from_eigenvalues(1.0 / freqs)
-        block = slice(s * N, (s + 1) * N)
-        mu[block, block] = 0.5 * omega
-        pblock = slice(half + s * N, half + (s + 1) * N)
-        mu[pblock, pblock] = 0.5 * omega_inv
-        if mass == 0.0 and "massless-reference" not in flags:
-            flags.append("massless-reference")
-            flags.append("not-invariant-under-affine-shifts")
-    return QuasifreeState(spacetime, mu, flags=tuple(flags))
+    """Product of per-species vacua (massless species: reference Gaussian):
+    the covariance with mode blocks diag(w_eff / 2, 1 / (2 w_eff)) on each
+    species' (q_k, p_k)."""
+    spectrum = spacetime.spectrum
+    w = np.repeat(mode_frequencies(spacetime),
+                  [k for _, k in spectrum.entries], axis=0).T
+    diag = np.concatenate([0.5 * w, 0.5 / w], axis=1)    # (N, 2S)
+    mu = dense_from_modes(spacetime, diag[..., None] * np.eye(diag.shape[1]))
+    flags = ("massless-reference", "not-invariant-under-affine-shifts") \
+        if spectrum.massless_count else ()
+    return QuasifreeState(spacetime, mu, flags=flags)
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,9 +77,11 @@ PERT_FIRST, PERT_ROWS = 3, 3
 DIAMOND_SLICE, DIAMOND_LENGTH = 3, 3
 
 # the smallest (n_sites, n_steps) on which each suite's draws fit; the gauge
-# suite also smears fields with test functions
+# suite also smears fields with test functions, and the classifier's
+# soundness perturbation needs a slice between the clean first and last
 MIN_LATTICE = {
     "rce": (0, PERT_FIRST + PERT_ROWS - 1),
+    "classify": (0, 2),
     "gauge": (DIAMOND_LENGTH + 2,
               max(DIAMOND_SLICE, dyn.TEST_FUNCTION_MIN_STEPS)),
 }

@@ -6,10 +6,12 @@ retarded/advanced source integration and the discrete Klein-Gordon operator
 for the propagator, one propagation per point source for the local
 algebras' solution spaces, the projector substitution for membership in a
 local algebra, an index permutation for the site shift, textbook mode
-matrices for the stepper, a Richardson finite difference for the derivative
-of relative Cauchy evolution, ordered Wick reduction and a per-monomial
-hafnian for state evaluation, a dict-walking kernel (partial matchings,
-slot-by-slot substitution) for the CCR algebra, the classifier's system in
+matrices for the stepper, np.roll and np.stack for the null-energy grids, a
+Richardson finite difference for the derivative of relative Cauchy
+evolution, ordered Wick reduction and a per-monomial hafnian for state
+evaluation, per-species circulants for the vacuum covariance, a
+dict-walking kernel (partial matchings, slot-by-slot substitution) for the
+CCR algebra, the classifier's system in
 block-circulant coordinates over all momenta at once (one-step map read off
 the stepper), a dense SVD nullspace of the evolution commutator for its
 commutant, a dense two-sided commutant intersection at tiny sizes, null
@@ -29,10 +31,10 @@ from lcqft._linalg import nullspace
 from lcqft.classify import _apply, _mode_exp
 from lcqft.dynamics import (
     Perturbation,
+    Solution,
     TestFunction,
     evolve_data,
     null_derivatives,
-    null_energy_grid,
     one_step_matrix,
     propagate_test_function,
     relative_cauchy_evolution,
@@ -42,6 +44,7 @@ from lcqft.dynamics import (
 from lcqft.gauge import (block_reflections, classical_action,
                          rotation_generators, so_basis)
 from lcqft.spacetime import LatticeSpacetime, Region
+from lcqft.states import mode_frequencies
 
 
 # -- mode separation ----------------------------------------------------------------
@@ -115,6 +118,35 @@ def causal_paths_stay_inside(points, spacetime):
 
 
 # -- dynamics ------------------------------------------------------------------------
+
+def step(sol: Solution, direction: str = "forward") -> Solution:
+    """One kick-drift-kick step of the free equation; exactly invertible."""
+    d = 1 if direction == "forward" else -1
+    return Solution(sol.spacetime,
+                    *evolve_data(sol.q, sol.p, sol.spacetime, 0, d))
+
+
+def trajectory(sol: Solution):
+    """Field values and momenta on every slice, shapes (T1, S, N)."""
+    return evolve_data(sol.q, sol.p, sol.spacetime, 0, sol.spacetime.n_steps,
+                       trajectory=True)
+
+
+def rolled_null_energy_grids(st: LatticeSpacetime, q: np.ndarray,
+                             p: np.ndarray) -> np.ndarray:
+    """`dynamics.null_energy_grids` with the neighbours read by np.roll and
+    the two signs joined by np.stack: shape (T1, ..., N, 2)."""
+    q_traj, p_traj = evolve_data(q, p, st, 0, st.n_steps, trajectory=True)
+    dx = 0.5 * (np.roll(q_traj, -1, axis=-1) - np.roll(q_traj, 1, axis=-1))
+    dp, dm = p_traj + dx, p_traj - dx
+    return np.stack([np.sum(np.abs(dp) ** 2, axis=-2),
+                     np.sum(np.abs(dm) ** 2, axis=-2)], axis=-1)
+
+
+def null_energy_grid(sol: Solution) -> np.ndarray:
+    """Null energies of one solution at every (t, x, sign): (T1, N, 2)."""
+    return rolled_null_energy_grids(sol.spacetime, sol.q, sol.p)
+
 
 def mode_matrix(mass: float, k: int, n_sites: int, dt: float) -> np.ndarray:
     """Exact one-step map on the (q, p) pair of one spatial Fourier mode."""
@@ -354,6 +386,31 @@ def monomial_as_ordered_products(indices: tuple[int, ...], half: int):
         return out
 
     return expand(tuple(indices))
+
+
+def _circulant_from_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """Real symmetric circulant with the given Fourier eigenvalues."""
+    col = np.fft.ifft(vals).real
+    n = len(vals)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return col[idx]
+
+
+def circulant_vacuum_mu(st: LatticeSpacetime) -> np.ndarray:
+    """The vacuum covariance assembled species by species: half the
+    circulant of the mode frequencies on the species' q block and half that
+    of their inverses on its p block."""
+    S, N = st.n_species, st.n_sites
+    half = S * N
+    mu = np.zeros((2 * half, 2 * half))
+    for freqs, (_, block) in zip(mode_frequencies(st),
+                                 st.spectrum.block_slices()):
+        for s in range(block.start, block.stop):
+            q, p = slice(s * N, (s + 1) * N), slice(half + s * N,
+                                                    half + (s + 1) * N)
+            mu[q, q] = 0.5 * _circulant_from_eigenvalues(freqs)
+            mu[p, p] = 0.5 * _circulant_from_eigenvalues(1.0 / freqs)
+    return mu
 
 
 def hafnian(mu: np.ndarray, idx: tuple[int, ...]) -> float:

@@ -544,7 +544,7 @@ def test_star_and_compare_match_dict_reference(ta, tb):
 
 
 def test_signed_permutation_only_relabels(massive_spacetime, rng):
-    # width-1 slot maps: a relabelling of the keys and a sign per slot
+    # width-1 slot maps: a relabelling of the digits and a sign per slot
     st_ = massive_spacetime
     dim = st_.data_dim
     perm = rng.permutation(dim)
@@ -560,7 +560,8 @@ def test_signed_permutation_only_relabels(massive_spacetime, rng):
 
 
 def test_degree_nine_product_needs_two_key_words(rng):
-    # dim = 320 and degree 9: 321^9 > 2^63, so keys take two int64 words
+    # dim = 320 and degree 9: 321^9 > 2^63, so the keys that the merges
+    # form take two int64 words; an element stores only its digits
     big = LatticeSpacetime(32, 16, 0.5, MassSpectrum.parse("1:5"))
     dim, half = big.data_dim, big.data_dim // 2
     assert dim == 320 and 321 ** 9 > 2 ** 63
@@ -575,13 +576,14 @@ def test_degree_nine_product_needs_two_key_words(rng):
     ta[(dim - 1,) * 6] = 2.0
     a, b = alg.AlgebraElement(big, ta), alg.AlgebraElement(big, tb)
     prod = a * b
-    assert prod.degree == 9 and len(prod.keys) == 2
+    assert prod.degree == 9 and len(alg._pack(prod.digits, dim)) == 2
+    assert not hasattr(prod, "keys")
     reference = oracles.dict_product(ta, tb, half)
     assert any(len(k) < 9 for k in reference)  # some terms contracted
     _close(prod, reference)
     # the largest index at degree 9 passes the one-word range
     top = alg.monomial(big, (dim - 1,) * 9)
-    assert len(top.keys) == 2
+    assert len(alg._pack(top.digits, dim)) == 2
     assert alg.max_coeff_diff(top * alg.one(big), top) == 0.0
     assert alg.max_coeff_diff(top, alg.monomial(big, (dim - 2,) * 9)) == 1.0
 
@@ -595,7 +597,7 @@ def _equal_bitwise(batch, singles):
     got = list(batch.elements())
     assert len(got) == len(singles) == batch.size
     for el, one in zip(got, singles):
-        for name in ("keys", "coeffs", "digits"):
+        for name in ("tags", "coeffs", "digits"):
             a, b = getattr(el, name), getattr(one, name)
             assert a.shape == b.shape and a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
@@ -710,13 +712,13 @@ def test_batches_reject_mismatched_sizes_and_maps(massive_spacetime, rng):
 
 
 def test_width1_weights_multiply_before_the_coefficient(massive_spacetime, rng):
-    # a diagonal map keeps every key; each coefficient is c * (w_1 * ... *
+    # a diagonal map keeps every term; each coefficient is c * (w_1 * ... *
     # w_D), the slot weights multiplied first, also for non-dyadic weights
     st_ = massive_spacetime
     w = 1.0 + rng.random(st_.data_dim) / 3.0
     x = alg.random_element(rng, st_, 4, 20)
     out = alg.substitute_affine(x, alg.slot_map(np.diag(w)))
-    assert np.array_equal(out.keys, x.keys)
+    assert np.array_equal(out.digits, x.digits)
     weights = np.concatenate([[1.0], w])[x.digits]
     assert np.array_equal(out.coeffs, x.coeffs * np.multiply.reduce(weights))
 

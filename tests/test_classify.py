@@ -433,7 +433,7 @@ class TestModeSolve:
             a, c = np.cos(2 * np.pi * k / N), np.cos(4 * np.pi * k / N)
             m = a[:, None, None] * np.eye(2) \
                 + c[:, None, None] * basis.U[basis.block == b]
-            G = clf.dense_generator(st, clf.mode_generator(st, E, k, m))
+            G = dyn.dense_from_modes(st, clf.mode_generator(st, E, k, m))
             assert np.max(np.abs(G @ U - U @ G)) < 1e-13
             assert np.max(np.abs(G @ P - P @ G)) < 1e-13
             assert np.max(np.abs(G)) > 0.1
@@ -453,7 +453,7 @@ class TestModeSolve:
         st = _st("1:2,2:3")
         for R in gg.rotation_generators(st.spectrum):
             assert np.array_equal(
-                clf.dense_generator(st, clf.species_generator(st, R)),
+                dyn.dense_from_modes(st, clf.species_generator(st, R)),
                 oracles.species_on_data(st, R))
 
     @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2"])
@@ -467,7 +467,7 @@ class TestModeSolve:
         m = (m + m[-np.arange(st.n_sites)])[k]     # k and -k alike: real map
         E = rng.standard_normal((st.n_species, st.n_species))
         G = clf.mode_generator(st, E, k, m)
-        dense = oracles.expm_taylor(clf.dense_generator(st, G))
+        dense = oracles.expm_taylor(dyn.dense_from_modes(st, G))
         vec = rng.standard_normal(st.data_dim)
         assert np.max(np.abs(clf._apply(st, clf._mode_exp(G), vec)
                              - dense @ vec)) < 1e-12
@@ -516,7 +516,7 @@ class TestModeSolve:
         m = 0.3 * (rng.standard_normal((N, C, C))
                    + 1j * rng.standard_normal((N, C, C)))
         m = m + np.conj(m[-np.arange(N)])           # k and -k alike: real map
-        S = oracles.expm_taylor(clf.dense_generator(st, m))
+        S = oracles.expm_taylor(dyn.dense_from_modes(st, m))
         J = dyn.symplectic_matrix(st)
         dense = np.max(np.abs(S.T @ J @ S - J))
         assert dense > 0.1

@@ -322,6 +322,9 @@ class TestCliProcess:
         ["verify", "ccr", "--spectrum", "1:2", "--out", "/nonexistent/x.json"],
         ["classify", "--spectrum", "1:2", "--out", "/nonexistent/x.json"],
         ["verify", "ccr", "--spectrum", "1:2", "--out", "/"],
+        # one step leaves no slice for the soundness check's perturbation
+        ["classify", "--spectrum", "1:2", "--steps", "1"],
+        ["verify", "classify", "--spectrum", "1:2", "--steps", "1"],
     ])
     def test_config_error_before_any_suite(self, argv, monkeypatch, capsys):
         def never(*args, **kwargs):

@@ -12,7 +12,8 @@ from lcqft.spacetime import (LatticeSpacetime, MassSpectrum, cauchy_extension,
                              translation)
 
 from oracles import (advanced_solution_at_zero, discrete_kg_operator,
-                     mode_matrix, richardson_rce_derivative)
+                     mode_matrix, richardson_rce_derivative,
+                     rolled_null_energy_grids, step, trajectory)
 
 
 def _zero(st_):
@@ -32,17 +33,17 @@ def _translate(sol, dt_, dx):
 
 class TestStep:
     def test_zero_data(self, massive_spacetime):
-        out = dyn.step(_zero(massive_spacetime))
+        out = step(_zero(massive_spacetime))
         assert out.norm() == 0.0
 
     def test_constant_massless_data_unchanged(self, mixed_spacetime):
         sol = 3.5 * dyn.unit_constant_solution(mixed_spacetime, 0)
-        out = dyn.step(sol)
+        out = step(sol)
         assert np.array_equal(out.q, sol.q) and np.array_equal(out.p, sol.p)
 
     def test_exactly_invertible(self, mixed_spacetime, rng):
         sol = dyn.random_solution(rng, mixed_spacetime)
-        back = dyn.step(dyn.step(sol), "backward")
+        back = step(step(sol), "backward")
         assert np.max(np.abs(back.vec() - sol.vec())) < 1e-14
 
     def test_single_mode_matches_exact_mode_map(self, massive_spacetime):
@@ -56,7 +57,7 @@ class TestStep:
             p = np.zeros((2, N), complex)
             q[0] = 1.25 * z
             p[0] = (0.5 - 0.25j) * z
-            out = dyn.step(dyn.Solution(st_, q, p))
+            out = step(dyn.Solution(st_, q, p))
             qe, pe = mode_matrix(1.0, k, N, dt) @ np.array([1.25, 0.5 - 0.25j])
             assert np.max(np.abs(out.q[0] - qe * z)) < 1e-13
             assert np.max(np.abs(out.p[0] - pe * z)) < 1e-13
@@ -102,7 +103,7 @@ class TestStep:
         for _ in range(20):
             a = dyn.random_solution(rng, mixed_spacetime)
             b = dyn.random_solution(rng, mixed_spacetime)
-            drift = dyn.symplectic_form(dyn.step(a), dyn.step(b)) \
+            drift = dyn.symplectic_form(step(a), step(b)) \
                 - dyn.symplectic_form(a, b)
             assert abs(drift) < 1e-12 * max(1.0, a.norm() * b.norm())
 
@@ -125,8 +126,8 @@ class TestStep:
 
     def test_gamma_commutes_with_step(self, mixed_spacetime, rng):
         sol = dyn.random_solution(rng, mixed_spacetime)
-        lhs = dyn.step(sol.conjugate()).vec()
-        rhs = dyn.step(sol).conjugate().vec()
+        lhs = step(sol.conjugate()).vec()
+        rhs = step(sol).conjugate().vec()
         assert np.array_equal(lhs, rhs)
 
 
@@ -230,7 +231,7 @@ class TestPropagator:
         # frozen identity: sigma(E delta_(s,t,x), psi) = -dt psi_s(t, x)
         st_ = mixed_spacetime
         psi = dyn.random_solution(rng, st_)
-        q_traj, _ = dyn.trajectory(psi)
+        q_traj, _ = trajectory(psi)
         for (s, t, x) in [(0, 3, 1), (1, 8, 4), (2, 12, 7)]:
             f = dyn.delta_test_function(st_, s, t, x)
             val = dyn.symplectic_form(dyn.propagate_test_function(f), psi)
@@ -245,16 +246,35 @@ class TestPropagator:
             dyn.TestFunction(st_, vals)
 
 
+def _grid(sol):
+    return dyn.null_energy_grids(sol.spacetime, sol.q, sol.p)
+
+
 class TestNullEnergy:
     def test_zero_solution(self, mixed_spacetime):
-        assert np.max(dyn.null_energy_grid(_zero(mixed_spacetime))) == 0.0
+        assert np.max(_grid(_zero(mixed_spacetime))) == 0.0
+
+    @pytest.mark.parametrize("spec, n", [("1:2", 8), ("0:1,1:2", 9),
+                                         ("1:5", 32)])
+    def test_grids_equal_the_rolled_form_bitwise(self, spec, n, rng):
+        # neighbours by index and both signs written into one array give the
+        # bits of np.roll and np.stack, on one solution and on a batch
+        st_ = LatticeSpacetime(n, 6, 0.5, MassSpectrum.parse(spec))
+        for shape in ((), (3, 2)):
+            q, p = dyn.data_from_vec(st_, rng.standard_normal(
+                shape + (st_.data_dim,)) + 1j * rng.standard_normal(
+                shape + (st_.data_dim,)))
+            got = dyn.null_energy_grids(st_, q, p)
+            want = rolled_null_energy_grids(st_, q, p)
+            assert got.shape == want.shape == (st_.n_slices, *shape, n, 2)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_block_rotation_invariance(self, two_block_spacetime, rng):
         st_ = two_block_spacetime
         sol = dyn.random_solution(rng, st_)
         g = random_gauge(rng, st_.spectrum, with_ell=False)
-        g1 = dyn.null_energy_grid(sol)
-        g2 = dyn.null_energy_grid(classical_action(g, sol))
+        g1 = _grid(sol)
+        g2 = _grid(classical_action(g, sol))
         assert np.max(np.abs(g1 - g2)) < 1e-12 * max(1.0, np.max(g1))
 
     def test_right_mover_one_contraction_vanishes(self):
@@ -267,7 +287,7 @@ class TestNullEnergy:
             x = np.arange(N)
             sol = dyn.Solution(st_, np.cos(theta * x)[None, :],
                                (theta * np.sin(theta * x))[None, :])
-            grid = dyn.null_energy_grid(sol)
+            grid = _grid(sol)
             small = float(np.max(grid[..., 0]))
             large = float(np.max(grid[..., 1]))
             assert large > 0.1
@@ -374,8 +394,8 @@ class TestRceDerivative:
             for _ in range(3):
                 a = dyn.random_solution(rng, mixed_spacetime)
                 b = dyn.random_solution(rng, mixed_spacetime)
-                qa, _ = dyn.trajectory(a)
-                qb, _ = dyn.trajectory(b)
+                qa, _ = trajectory(a)
+                qb, _ = trajectory(b)
                 expected = mixed_spacetime.dt * np.sum(
                     pert.v[:, None, :] * D(qa) * D(qb))
                 assert abs(dyn.rce_derivative(pert, a, b) - expected) \

@@ -19,7 +19,7 @@ from lcqft.spacetime import (
 )
 from lcqft.suites import RunConfig, gauge_suite
 
-from oracles import species_on_data
+from oracles import species_on_data, step
 
 
 def _translate(sol, dt_, dx):
@@ -136,8 +136,8 @@ class TestClassicalAction:
         phi = dyn.random_solution(rng, mixed_spacetime)
         # step
         assert np.max(np.abs(
-            gg.classical_action(g, dyn.step(phi)).vec()
-            - dyn.step(gg.classical_action(g, phi)).vec())) < 1e-13
+            gg.classical_action(g, step(phi)).vec()
+            - step(gg.classical_action(g, phi)).vec())) < 1e-13
         # conjugation
         assert np.max(np.abs(
             gg.classical_action(g, phi.conjugate()).vec()

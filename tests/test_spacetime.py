@@ -99,7 +99,7 @@ class TestLatticeSpacetime:
                         LatticeSpacetime(n, 8, dt, spec)
                     continue
                 st_ = LatticeSpacetime(n, 8, dt, spec)
-                assert np.all(np.isfinite(mode_frequencies(st_, mass)))
+                assert np.all(np.isfinite(mode_frequencies(st_)))
 
     def test_mass_collision_detected(self):
         # massless kappa^2 = 1 at k = N/6 collides with massive m=1 at k=0

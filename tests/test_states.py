@@ -11,8 +11,8 @@ from lcqft.errors import DegreeCapExceeded
 from lcqft.kinematics import solution_map
 from lcqft.spacetime import translation
 
-from oracles import (dict_substitute, hafnian, reduction_evaluate,
-                     species_on_data)
+from oracles import (circulant_vacuum_mu, dict_substitute, hafnian,
+                     reduction_evaluate, species_on_data)
 
 
 class TestKernel:
@@ -66,6 +66,19 @@ class TestKernel:
         U = dyn.one_step_matrix(massive_spacetime)
         W = vac.two_point
         assert np.max(np.abs(U.T @ W @ U - W)) < 1e-13
+
+    @pytest.mark.parametrize("spec, n", [("0:1", 7), ("1:2", 8),
+                                         ("0:1,1:2", 8), ("1:2,2:3", 16),
+                                         ("0:2,1:1", 9), ("1:5", 32)])
+    def test_mode_blocks_give_the_circulant_mu_bitwise(self, spec, n):
+        # the mode-block builder shared with the classifier against the
+        # species-by-species circulants
+        from lcqft.spacetime import LatticeSpacetime, MassSpectrum
+        st_ = LatticeSpacetime(n, 8, 0.5, MassSpectrum.parse(spec))
+        mu = stt.vacuum_state(st_).mu
+        want = circulant_vacuum_mu(st_)
+        assert mu.shape == want.shape
+        assert np.array_equal(mu.view(np.int64), want.view(np.int64))
 
     def test_massless_flagged(self, mixed_spacetime, massive_spacetime):
         assert "massless-reference" in stt.vacuum_state(mixed_spacetime).flags
