@@ -95,15 +95,16 @@ def _pack(digits: np.ndarray, dim: int) -> np.ndarray:
     per = _digits_per_word(dim)
     D, n = digits.shape
     n_words = max(1, -(-D // per))
-    powers = np.array([(dim + 1) ** k for k in range(per - 1, -1, -1)],
-                      dtype=np.int64)
-    keys = np.empty((n_words, n), dtype=np.int64)
+    keys = np.zeros((n_words, n), dtype=np.int64)
     # the last `per` digit rows fill the last word, the `per` rows before
-    # them the word before, and so on
+    # them the word before, and so on; each word by Horner's rule, adding
+    # one digit row at a time, so the digits are never copied to int64
     hi = D
-    for w in range(n_words - 1, -1, -1):
+    for key in keys[::-1]:
         lo = max(0, hi - per)
-        keys[w] = powers[per - (hi - lo):] @ digits[lo:hi]
+        for row in digits[lo:hi]:
+            key *= dim + 1
+            key += row
         hi = lo
     return keys
 

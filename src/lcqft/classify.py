@@ -33,9 +33,11 @@ never counted toward the match.
 
 Only the report's generators are dense `(dim, dim)` matrices, the form the
 benchmark's output checks read, built from their blocks by
-`dynamics.dense_from_modes`, as is the vacuum covariance; the stages keep
-the names that its spans wrap. The coordinate-space form of the system, one
-SVD over all momenta, is the test oracle `oracles.coordinate_classification`.
+`dynamics.dense_from_modes`, as is the vacuum covariance; the in-memory
+report holds them as float arrays, which `serialize.dumps` writes row by
+row. The stages keep the names that the benchmark's spans wrap. The
+coordinate-space form of the system, one SVD over all momenta, is the test
+oracle `oracles.coordinate_classification`.
 """
 from __future__ import annotations
 
@@ -310,7 +312,9 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
              seed: int = 0) -> dict:
     """Report the space of infinitesimal endomorphism directions and compare
     it against the direct sum of in-block antisymmetric species generators
-    (plus, in the quantized affine case, the massless shift directions)."""
+    (plus, in the quantized affine case, the massless shift directions).
+    The report's `generators` is a list of `(dim, dim)` float arrays, one
+    per direction; everything else in it is plain Python data."""
     st = spacetime
     rng = np.random.default_rng(seed)
     commutant = build_commutant_basis(st)
@@ -361,7 +365,7 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
         "zero_mode_dimension": zero_mode_dimension,
         "dimension": int(dimension), "expected": int(expected), "match": match,
         "max_principal_angle": max_angle,
-        "generators": [dense_from_modes(st, G).tolist() for G in modes],
+        "generators": [dense_from_modes(st, G) for G in modes],
         "residuals": {
             "so_representation": rep_residual,
             **{f"constraint_{k}": v for k, v in gap.items()},

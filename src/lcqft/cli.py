@@ -75,14 +75,25 @@ def _check_out(out_path: str | None):
                           "directory")
 
 
+# characters per write: the stream encodes one slice at a time, never a
+# second copy of the whole report
+WRITE_SLICE = 1 << 16
+
+
+def _write_text(fh, text: str):
+    for start in range(0, len(text), WRITE_SLICE):
+        fh.write(text[start:start + WRITE_SLICE])
+    fh.write("\n")
+
+
 def _emit(report: dict, out_path: str | None):
-    text = serialize.dumps(report) + "\n"
+    text = serialize.dumps(report)    # a ValueError leaves no --out file
     if not out_path:
-        sys.stdout.write(text)
+        _write_text(sys.stdout, text)
         return
     try:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            _write_text(fh, text)
     except OSError as exc:
         raise ConfigParse(f"cannot write --out {out_path!r}: "
                           f"{exc.strerror or exc}") from exc

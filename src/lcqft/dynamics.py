@@ -253,12 +253,20 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
     The perturbation (if any) is indexed by absolute slice; slices outside its
     table count as zero. `source` is a (..., S, T1, N) inhomogeneity entering
     like the mass-kind perturbation force; its leading axes broadcast
-    against those of q and p. With trajectory=True, returns stacked
-    (q, p) at every visited slice from t_from to t_to inclusive.
+    against those of q and p. With trajectory=True, returns (q, p) at every
+    visited slice from t_from to t_to inclusive, as two arrays
+    (|t_to - t_from| + 1, ..., S, N) allocated once: each step writes its
+    new q and p straight into the next slice.
     """
     dt = spacetime.dt
-    q = np.array(q, dtype=complex)
-    p = np.array(p, dtype=complex)
+    if trajectory:
+        shape = (abs(t_to - t_from) + 1,) + np.shape(q)
+        q_traj, p_traj = np.empty(shape, complex), np.empty(shape, complex)
+        q_traj[0], p_traj[0] = q, p
+        q, p = q_traj[0], p_traj[0]
+    else:
+        q = np.array(q, dtype=complex)
+        p = np.array(p, dtype=complex)
     direction = 1 if t_to >= t_from else -1
     h = dt * direction
 
@@ -275,19 +283,17 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
             a = a + source[..., t, :]
         return a
 
-    frames = [(q.copy(), p.copy())] if trajectory else None
     t = t_from
     a = force(q, t)
     while t != t_to:
         p_half = p + 0.5 * h * a
-        q = q + h * p_half
         t += direction
+        slot = abs(t - t_from)
+        q = np.add(q, h * p_half, out=q_traj[slot] if trajectory else None)
         a = force(q, t)
-        p = p_half + 0.5 * h * a
-        if trajectory:
-            frames.append((q.copy(), p.copy()))
+        p = np.add(p_half, 0.5 * h * a, out=p_traj[slot] if trajectory else None)
     if trajectory:
-        return (np.stack([f[0] for f in frames]), np.stack([f[1] for f in frames]))
+        return q_traj, p_traj
     return q, p
 
 
@@ -367,8 +373,9 @@ def propagate_test_function(f: TestFunction) -> Solution:
 def null_derivatives(q_traj: np.ndarray, p_traj: np.ndarray):
     """Both null contractions (d_t +/- d_x) phi on every slice.
 
-    Trajectories have shape (T1, ..., S, N); the spatial derivative is the
-    symmetric difference. Returns (D_plus, D_minus).
+    q and p have shape (..., S, N): one slice or a whole trajectory
+    (T1, ..., S, N). The spatial derivative is the symmetric difference.
+    Returns (D_plus, D_minus).
     """
     nxt, prv = _neighbours(q_traj.shape[-1])
     dx = 0.5 * (q_traj.take(nxt, axis=-1) - q_traj.take(prv, axis=-1))
@@ -382,8 +389,9 @@ def null_energy_grids(st: LatticeSpacetime, q: np.ndarray,
     sign order (+, -)."""
     q_traj, p_traj = evolve_data(q, p, st, 0, st.n_steps, trajectory=True)
     out = np.empty(q_traj.shape[:-2] + (st.n_sites, 2))
-    for sign, d in enumerate(null_derivatives(q_traj, p_traj)):
-        np.sum(np.abs(d) ** 2, axis=-2, out=out[..., sign])
+    for t in range(len(q_traj)):    # one slice's temporaries at a time
+        for sign, d in enumerate(null_derivatives(q_traj[t], p_traj[t])):
+            np.sum(np.abs(d) ** 2, axis=-2, out=out[t, ..., sign])
     return out
 
 

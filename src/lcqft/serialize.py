@@ -2,10 +2,13 @@
 
 `dumps` writes the bytes of the standard library's `json.dumps` with sorted
 keys, indent 2, non-ASCII kept and no NaN or infinity, joining each list of
-floats (a generator row) in one pass; floats take their shortest round-trip
-form, so a parsed report holds the exact floats that were written. One
-configuration yields byte-identical reports on one build and BLAS thread
-count (timings are the only run-dependent fields; comparisons strip them).
+floats in one pass. A numpy array (a classify generator) is written as the
+nested list its `tolist()` gives, one row at a time, so no Python list of the
+whole array is built; its finiteness is checked on the array. Floats take
+their shortest round-trip form, so a parsed report holds the exact floats
+that were written. One configuration yields byte-identical reports on one
+build and BLAS thread count (timings are the only run-dependent fields;
+comparisons strip them).
 Across machines only the report's contract is byte-identical: roundoff-floor
 residuals that pass through BLAS/LAPACK change in their last bits with the
 BLAS kernel and thread count, so `golden_mismatches` compares those within
@@ -16,6 +19,8 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring   # TypeError on a non-str key
+
+import numpy as np
 
 _scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
@@ -31,17 +36,22 @@ def dumps(obj) -> str:
 def _write(obj, newline: str, out: list[str]) -> None:
     """Append the text of obj, its nested lines starting with `newline`."""
     inner = newline + "  "
+    if isinstance(obj, np.ndarray):
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        _write_rows(obj, newline, out)
+        return
     if isinstance(obj, dict) and obj:
         items = [(encode_basestring(k) + ": ", obj[k]) for k in sorted(obj)]
     elif isinstance(obj, (list, tuple)) and obj:
         try:    # a row of floats: one join and one finiteness sweep
-            row = ("," + inner).join(map(float.__repr__, obj))
+            row = _float_row(obj, newline)
         except TypeError:
             items = [("", value) for value in obj]
         else:
             if not all(map(math.isfinite, obj)):
                 raise ValueError("Out of range float values are not JSON compliant")
-            out.append(f"[{inner}{row}{newline}]")
+            out.append(row)
             return
     else:   # a scalar or an empty container
         out.append(_scalar(obj))
@@ -51,6 +61,28 @@ def _write(obj, newline: str, out: list[str]) -> None:
         out.append(("," if i else brackets[0]) + inner + head)
         _write(value, inner, out)
     out.append(newline + brackets[1])
+
+
+def _float_row(row, newline: str) -> str:
+    """A non-empty row of floats in one join; TypeError on any other item."""
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(map(float.__repr__, row))}{newline}]"
+
+
+def _write_rows(arr: np.ndarray, newline: str, out: list[str]) -> None:
+    """Append the text of arr.tolist(), converting one 1-D row at a time;
+    the caller has checked that arr is finite."""
+    if arr.ndim == 1 and arr.dtype.kind == "f" and len(arr):
+        out.append(_float_row(arr.tolist(), newline))
+        return
+    if arr.ndim <= 1 or not len(arr):
+        _write(arr.tolist(), newline, out)
+        return
+    inner = newline + "  "
+    for i, row in enumerate(arr):
+        out.append(("," if i else "[") + inner)
+        _write_rows(row, inner, out)
+    out.append(newline + "]")
 
 
 def strip_timings(obj):

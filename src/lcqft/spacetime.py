@@ -144,7 +144,9 @@ class LatticeSpacetime:
         per mass block (in spectrum order), one column per momentum k."""
         m = np.asarray(self.spectrum.masses)[:, None]
         k = np.arange(self.n_sites)
-        w2 = m * m + 4.0 * np.sin(np.pi * k / self.n_sites) ** 2
+        # a huge finite mass squares to inf, which `_check_elliptic` rejects
+        with np.errstate(over="ignore"):
+            w2 = m * m + 4.0 * np.sin(np.pi * k / self.n_sites) ** 2
         w2.setflags(write=False)
         return w2
 

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,36 @@ class TestSerializer:
     def test_non_finite_float_anywhere_raises(self, bad, place):
         with pytest.raises(ValueError):
             serialize.dumps(place(bad))
+
+    @pytest.mark.parametrize("arr", [
+        np.array([[0.1, -0.0], [5e-324, 1e16]]),
+        np.array([[[1e-7, 2.5, -0.0]], [[1e16, 5e-324, 3.0]]]),    # a stack
+        np.arange(6.0).reshape(2, 3) * 1e-7,
+        np.array([[1, 2], [3, 4]]), np.array([True, False]),
+        np.empty(0), np.empty((0, 3)), np.empty((2, 0)), np.empty((2, 0, 3)),
+        np.array(0.25),
+    ])
+    def test_array_written_as_its_tolist(self, arr):
+        # rows are converted one at a time, to the bytes of the nested list
+        want = json.dumps(arr.tolist(), indent=2, sort_keys=True,
+                          allow_nan=False, ensure_ascii=False)
+        assert serialize.dumps(arr) == serialize.dumps(arr.tolist()) == want
+        obj = {"g": [arr, arr.T], "x": 1.5}
+        assert serialize.dumps(obj) == serialize.dumps(
+            {"g": [arr.tolist(), arr.T.tolist()], "x": 1.5})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_entry_raises_and_writes_no_file(self, bad,
+                                                              tmp_path):
+        arr = np.zeros((2, 3, 4))
+        arr[1, 2, 3] = bad
+        for obj in (arr, arr[1], {"generators": [arr[0], arr[1]]}):
+            with pytest.raises(ValueError):
+                serialize.dumps(obj)
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            cli._emit({"generators": [arr[0], arr[1]]}, str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: 1.0}},
                                      [{"a": 1, (1, 2): 3}], {1.5: "x"}])
@@ -288,6 +319,30 @@ class TestCliProcess:
         report = json.loads(out.read_text())
         assert report["dimension"] == 4
         assert report["match"] is True
+
+    def test_classify_stdout_equals_the_out_file(self, tmp_path, capsys):
+        # the report's text is written in slices; stdout and --out agree
+        argv = ["classify", "--spectrum", "1:2,2:3", "--sites", "16",
+                "--seed", "31"]
+        out = tmp_path / "classify.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert len(printed) > 4 * cli.WRITE_SLICE
+        assert printed == out.read_text() and printed.endswith("}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--spectrum", "1e200:2"],
+        ["verify", "state", "--spectrum", "1e200:2"]])
+    def test_huge_mass_is_one_line_without_warnings(self, argv, capsys):
+        # pytest records warnings instead of printing them; as errors they
+        # would escape as a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
 
     def test_classify_site_budget(self, tmp_path, capsys):
         assert main(["classify", "--spectrum", "1:2,2:3", "--sites", "33"]) == 2

@@ -99,6 +99,26 @@ class TestStep:
         mutant[..., 1, 0] = -st_.dt * st_.dispersion
         assert np.max(np.abs(mutant - self._stepper_mode_maps(st_))) > 1e-3
 
+    @pytest.mark.parametrize("t_from, t_to", [(0, 16), (16, 0), (3, 9), (5, 5)])
+    @pytest.mark.parametrize("shape", [(), (12, 2)])
+    def test_trajectory_equals_per_slice_evolutions_bitwise(self, t_from, t_to,
+                                                            shape, rng):
+        # the slices written in place are the bits of evolving to each slice
+        st_ = LatticeSpacetime(16, 16, 0.5, MassSpectrum.parse("1:2,2:3"))
+        q, p = dyn.data_from_vec(st_, rng.standard_normal(
+            shape + (st_.data_dim,)) + 1j * rng.standard_normal(
+            shape + (st_.data_dim,)))
+        q_traj, p_traj = dyn.evolve_data(q, p, st_, t_from, t_to,
+                                         trajectory=True)
+        step_ = 1 if t_to >= t_from else -1
+        slices = [dyn.evolve_data(q, p, st_, t_from, t)
+                  for t in range(t_from, t_to + step_, step_)]
+        assert q_traj.shape == (abs(t_to - t_from) + 1, *shape, 5, 16)
+        for got, want in ((q_traj, [s[0] for s in slices]),
+                          (p_traj, [s[1] for s in slices])):
+            assert np.array_equal(got.view(np.int64),
+                                  np.stack(want).view(np.int64))
+
     def test_sigma_preserved_exactly(self, mixed_spacetime, rng):
         for _ in range(20):
             a = dyn.random_solution(rng, mixed_spacetime)
@@ -268,6 +288,16 @@ class TestNullEnergy:
             want = rolled_null_energy_grids(st_, q, p)
             assert got.shape == want.shape == (st_.n_slices, *shape, n, 2)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_grids_equal_the_rolled_form_at_the_soundness_batch(self, rng):
+        # the batch shape of classify's soundness samples on 1:2,2:3: three
+        # samples of four generators, each a pair (a, S a)
+        st_ = LatticeSpacetime(16, 16, 0.5, MassSpectrum.parse("1:2,2:3"))
+        q, p = dyn.data_from_vec(st_, rng.standard_normal((12, 2, st_.data_dim)))
+        got = dyn.null_energy_grids(st_, q, p)
+        want = rolled_null_energy_grids(st_, q, p)
+        assert got.shape == (st_.n_slices, 12, 2, 16, 2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_block_rotation_invariance(self, two_block_spacetime, rng):
         st_ = two_block_spacetime
