@@ -31,7 +31,8 @@ element exactly the sums it would get alone.
 
 The product, the affine substitution and the derivation work on whole
 arrays of terms: Python loops run only over contraction levels, tensor
-slots, digit rows and chunks of terms, never over terms or elements.
+slots, digit rows, pieces and key ranges, never over terms or elements; no
+merge sorts more than about CHUNK_TERMS terms (`_chunked`, `_merge_runs`).
 """
 from __future__ import annotations
 
@@ -49,12 +50,12 @@ from .dynamics import Solution, symplectic_matrix
 
 PRUNE_TOL = 1e-15
 
-# a product, substitution or derivation expands at most about this many
-# terms of one element at once; larger inputs are split into pieces
-CHUNK_TERMS = 1 << 17
+# a product, substitution or derivation expands, and a merge sorts, at most
+# about this many terms at once (about 2 MiB); larger inputs are split up
+CHUNK_TERMS = 1 << 15
 
-# one array pass over several elements expands about this many terms (8
-# products of 32-term fields), which keeps its arrays within a few MiB
+# small elements share array passes of about this many expanded terms (8
+# products of 32-term fields); a pass holds at most one piece of an element
 BATCH_TERMS = 1 << 13
 
 # digits per compare-exchange above which `_sort_digits` uses its network:
@@ -122,19 +123,18 @@ def _merge(keys: np.ndarray, coeffs: np.ndarray, *arrays: np.ndarray):
     *arrays), each array in `arrays` (one column per term) keeping the column
     of the first term of each key. Key words whose values fit one int64 side
     by side (such as a tag and one word) are sorted as that int64, in one
-    pass."""
+    stable pass, which is quick on the sorted runs that key ranges merge."""
     if len(coeffs) > 1:
         bits = [int(top).bit_length() for top in keys.max(axis=1).tolist()]
         if sum(bits) < 63:
-            flat = keys[0]
             for row, width in zip(keys[1:], bits[1:]):
-                flat = (flat << width) | row
-            order = flat.argsort(kind="stable")
-        else:
-            order = np.lexsort(keys[::-1])
-        keys, coeffs = keys.take(order, axis=1), coeffs[order]
+                keys = (keys[:1] << width) | row
+        order = keys[0].argsort(kind="stable") if len(keys) == 1 \
+            else np.lexsort(keys[::-1])
+        keys = keys.take(order, axis=1)
         new = np.logical_or.reduce(keys[:, 1:] != keys[:, :-1])
-        starts = new.nonzero()[0] + 1
+        del keys  # before the coefficients are gathered
+        coeffs, starts = coeffs[order], new.nonzero()[0] + 1
         if len(starts) < len(coeffs) - 1:
             starts = np.concatenate(([0], starts))
             coeffs = np.add.reduceat(coeffs, starts)
@@ -148,12 +148,15 @@ def _merge_tagged(size: int, tags: np.ndarray, keys: np.ndarray,
     """_merge with the tag as the most significant key word, left out for a
     batch of one: (tags, coeffs, *arrays). The terms of tags t with
     `need[t]` false keep their order unsummed (`keys` is overwritten)."""
+    if size == 1:  # tags all 0, or None for one piece
+        coeffs, *arrays = _merge(keys, coeffs, *arrays)
+        return (np.zeros(len(coeffs), np.uint8), coeffs, *arrays)
     if need is not None and not need.all():
         hold = ~need[tags]
         keys[:, hold] = 0
         keys[-1, hold] = np.flatnonzero(hold)
-    coeffs, tags, *arrays = _merge(
-        keys if size == 1 else np.vstack([tags, keys]), coeffs, tags, *arrays)
+    coeffs, tags, *arrays = _merge(np.vstack([tags, keys]), coeffs, tags,
+                                   *arrays)
     return (tags, coeffs, *arrays)
 
 
@@ -208,15 +211,50 @@ def _from_indices(spacetime: LatticeSpacetime, indices: list, coeffs: list):
                   np.array(coeffs, dtype=complex).reshape(-1), digits)
 
 
+def _merge_runs(size: int, dim: int, runs: list, signs=None):
+    """The merged (tags, coeffs, digits), range by key range, of k runs of
+    one height sorted by (tag, key), run i times signs[i]. A range starts at
+    every k-th of every (CHUNK_TERMS // 2k)-th key of each run, so holds about
+    CHUNK_TERMS terms at most; a key sums in run order, as in one merge."""
+    def bound(rows, needle) -> int:  # the first column not below needle
+        lo, hi = 0, len(rows[0])
+        for row, value in zip(rows, needle):
+            if lo == hi:
+                break
+            lo, hi = (lo + row[lo:hi].searchsorted(value),
+                      lo + row[lo:hi].searchsorted(value, "right"))
+        return int(lo)
+    k, cuts = len(runs), [[0, len(tags)] for tags, _, _ in runs]
+    if sum(cut[1] for cut in cuts) > CHUNK_TERMS:
+        rows, s = [(t, *d) for t, _, d in runs], max(1, CHUNK_TERMS // k // 2)
+        sample = [np.concatenate(x) for x in zip(
+            *([row[s - 1::s] for row in run] for run in rows))]
+        needles = np.array(sample)[:, np.lexsort(sample[::-1])[k::k]].T
+        cuts = [[0, *(bound(run, needle) for needle in needles.tolist()),
+                 len(run[0])] for run in rows]
+    for span in zip(*(zip(cut[:-1], cut[1:]) for cut in cuts)):
+        tags, coeffs, digits = _joined(
+            (t[lo:hi], z[lo:hi] if sign == 1 else z[lo:hi] * sign, d[:, lo:hi])
+            for (t, z, d), (lo, hi), sign in zip(runs, span, signs or [1] * k))
+        yield _merge_tagged(size, tags, _pack(digits, dim), coeffs, digits)
+
+
+def _joined(parts) -> tuple:
+    """The (tags, coeffs, digits) of parts, concatenated in order."""
+    parts = list(parts)
+    return parts[0] if len(parts) == 1 else \
+        tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
+
+
 def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
              fan: np.ndarray, expand) -> "AlgebraElement":
     """Expand terms with sorted `tags` (one of tag t into at most fan[t]
-    terms) into a batch of `size`. Each tag's terms are cut into pieces of
-    about CHUNK_TERMS output terms, as its element alone would be, and pieces
-    share passes of about BATCH_TERMS. expand(lo, hi, piece, piece_tags) gets
-    input terms [lo, hi), their pieces counted from 0 in the pass and the tag
-    of each; it returns each output term's piece, sorted digits and coeffs.
-    Equal keys merge within a piece, then a tag's pieces in order."""
+    terms) into a batch of `size`, in pieces of about CHUNK_TERMS output
+    terms per tag, as its element alone would be, and passes of about
+    BATCH_TERMS. expand(lo, hi, piece, piece_tags) gets input terms [lo, hi),
+    their pieces counted from 0 in the pass (None for one) and their tags; it
+    returns each output's piece (or None), sorted digits and coeffs. Pieces
+    merge alone, then the passes, one sorted run each, by key range."""
     dim, n = spacetime.data_dim, len(tags)
     if size == 1 and n * int(fan[0]) <= CHUNK_TERMS:  # one piece, one pass
         piece, piece_tags, edges, split = tags, tags[:1], [0, n], False
@@ -228,13 +266,16 @@ def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
             + (np.arange(n) - (np.cumsum(counts) - counts)[tags]) // step[tags]
         piece_tags = np.repeat(np.arange(size), n_pieces)
         work = np.bincount(piece, minlength=len(piece_tags)) * fan[piece_tags]
-        cuts = np.flatnonzero(np.diff(((np.cumsum(work) - work)
-                                       // BATCH_TERMS)[piece])) + 1
+        # a pass starts at each multiple of BATCH_TERMS and a tag's next piece
+        passes = (np.cumsum(work) - work) // BATCH_TERMS \
+            + np.cumsum(np.diff(piece_tags, prepend=-1) == 0)
+        cuts = np.flatnonzero(np.diff(passes[piece])) + 1
         edges, split = [0, *cuts.tolist(), n], n_pieces.max() > 1
     parts = []
     for lo, hi in zip(edges[:-1], edges[1:]) if n else ():
-        first, last = piece[lo], piece[hi - 1] + 1
-        local = (piece[lo:hi] - first).astype(_tag_type(last - first))
+        first, last = int(piece[lo]), int(piece[hi - 1]) + 1
+        local = None if last - first == 1 else \
+            (piece[lo:hi] - first).astype(_tag_type(last - first))
         out, digits, coeffs = expand(lo, hi, local, piece_tags[first:last])
         out, coeffs, digits = _merge_tagged(
             last - first, out, _pack(digits, dim), coeffs, digits)
@@ -243,12 +284,9 @@ def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
     if not parts:
         return _element(spacetime, size, tags, np.zeros(0, complex),
                         np.zeros((0, 0), _digit_type(dim)))
-    tags, coeffs, digits = parts[0] if len(parts) == 1 else \
-        (np.concatenate(x, axis=-1) for x in zip(*parts))
     if split:
-        return _element(spacetime, size, *_merge_tagged(
-            size, tags, _pack(digits, dim), coeffs, digits))
-    return _element(spacetime, size, tags, coeffs, digits)
+        parts = list(_merge_runs(size, dim, parts))
+    return _element(spacetime, size, *_joined(parts))
 
 
 class _Terms(Mapping):
@@ -373,28 +411,25 @@ class AlgebraElement:
             raise SpaceMismatch("elements live over different solution spaces"
                                 " or batches of different sizes")
 
-    def _joined(self, other: "AlgebraElement"):
-        """The tags, keys and digits of both operands' terms, the digits
-        padded to one height."""
-        self._check(other)
-        height = max(len(self.digits), len(other.digits))
-        digits = np.concatenate([_pad(self.digits, height),
-                                 _pad(other.digits, height)], axis=1)
-        return (np.concatenate([self.tags, other.tags]),
-                _pack(digits, self.dim), digits)
-
-    def __add__(self, other):
+    def _ranges(self, other, sign: float):
+        """The key ranges of self + sign * other (`_merge_runs`)."""
         if isinstance(other, (int, float, complex)):
             other = scalar(self.spacetime, other)
-        tags, keys, digits = self._joined(other)
-        return _element(self.spacetime, self.size, *_merge_tagged(
-            self.size, tags, keys, np.concatenate([self.coeffs, other.coeffs]),
-            digits))
+        self._check(other)
+        height = max(len(self.digits), len(other.digits))
+        return _merge_runs(self.size, self.dim, [
+            (el.tags, el.coeffs, _pad(el.digits, height))
+            for el in (self, other)], [1, sign])
+
+    def __add__(self, other):
+        return _element(self.spacetime, self.size,
+                        *_joined(self._ranges(other, 1)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return _element(self.spacetime, self.size,
+                        *_joined(self._ranges(other, -1.0)))
 
     def __neg__(self):
         return (-1.0) * self
@@ -432,6 +467,7 @@ class AlgebraElement:
             ends = fan.cumsum()
             at = np.arange(ends[-1]) \
                 + (b_first[self.tags[lo:hi]] - ends + fan).repeat(fan)
+            piece = np.zeros(hi - lo, np.uint8) if piece is None else piece
             piece, left = piece.repeat(fan), A[:, lo:hi].repeat(fan, axis=1)
             right = B.take(at, axis=1)
             coef = self.coeffs[lo:hi].repeat(fan) * other.coeffs.take(at)
@@ -627,32 +663,36 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
         base = a.tags.astype(np.int64) * (dim + 1)
     else:
         raise SpaceMismatch(f"{len(slots.digits)} slot maps for {a.size}")
-    if width.max(initial=1) == 1:
-        rows = base + a.digits
-        digits = _sort_digits(digit_of[rows, 0])
-        return _element(a.spacetime, a.size, *_merge_tagged(
-            a.size, a.tags, _pack(digits, dim),
-            a.coeffs * np.multiply.reduce(weight_of[rows, 0]), digits))
 
-    def expand(lo: int, hi: int, piece: np.ndarray, piece_tags: np.ndarray):
+    def relabel(lo: int, hi: int, piece, piece_tags: np.ndarray):
+        rows = base[lo:hi] + a.digits[:, lo:hi]
+        return (piece, _sort_digits(digit_of[rows, 0]),
+                a.coeffs[lo:hi] * np.multiply.reduce(weight_of[rows, 0]))
+
+    if width.max(initial=1) == 1:  # each term has one image: fan = width
+        return _chunked(a.spacetime, a.size, a.tags, width, relabel)
+
+    def expand(lo: int, hi: int, piece, piece_tags: np.ndarray):
         digits, coef, at = a.digits[:, lo:hi], a.coeffs[lo:hi], base[lo:hi]
-        wide = width[piece_tags]
-        merged = np.bincount(piece, minlength=len(piece_tags))
+        # terms per piece; a pass of one piece counts them in ints
+        one = piece is None
+        tally = (lambda: len(coef)) if one else \
+            (lambda: np.bincount(piece, minlength=len(piece_tags)))
+        wide = int(width[piece_tags[0]]) if one else width[piece_tags]
+        merged = tally()
         for j in range(D):
             w = weight_of[at + digits[j]]
             k, c = w.nonzero()
-            digits, coef = digits.take(k, axis=1), coef[k] * w[k, c]
-            piece, at = piece[k], at[k]
+            digits, coef, at = digits.take(k, axis=1), coef[k] * w[k, c], at[k]
+            piece = None if one else piece[k]
             digits[j] = digit_of[at + digits[j], c]
-            count = np.bincount(piece, minlength=len(merged))
-            need = (count > wide * merged) & (j < D - 1)
-            if need.any():
+            need = (tally() > wide * merged) & (j < D - 1)
+            if need if one else need.any():
                 digits[:j + 1] = _sort_digits(digits[:j + 1])
                 piece, coef, digits, at = _merge_tagged(
-                    len(need), piece, _pack(digits, dim), coef, digits, at,
-                    need=need)
-                merged = np.where(need, np.bincount(piece, minlength=len(
-                    merged)), merged)
+                    len(piece_tags), piece, _pack(digits, dim), coef, digits,
+                    at, need=need)
+                merged = tally() if one else np.where(need, tally(), merged)
         return piece, _sort_digits(digits), coef
 
     degree = np.zeros(a.size, dtype=int)
@@ -667,17 +707,19 @@ def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
     t * consts; a derivation of the CCR product when X is in sp(sigma)."""
     D = len(a.digits)
 
-    def expand(lo: int, hi: int, piece: np.ndarray, piece_tags: np.ndarray):
+    def expand(lo: int, hi: int, piece, piece_tags: np.ndarray):
         digits, coeffs = a.digits[:, lo:hi], a.coeffs[lo:hi]
-        out = [(piece[:0], digits[:, :0], coeffs[:0])]
+        keep = (lambda k: None) if piece is None else piece.take
+        out = [(digits[:, :0], coeffs[:0], keep([]))]
         for j in range(D):
             w = slots.weights[digits[j]] * (digits[j] > 0)[:, None]
             k, c = w.nonzero()
             new = digits.take(k, axis=1)
             new[j] = slots.digits[new[j], c]
-            out.append((piece[k], new, coeffs[k] * w[k, c]))
-        piece, digits, coeffs = zip(*out)
-        return (np.concatenate(piece), _sort_digits(np.concatenate(digits, 1)),
+            out.append((new, coeffs[k] * w[k, c], keep(k)))
+        digits, coeffs, pieces = zip(*out)
+        return (piece if piece is None else np.concatenate(pieces),
+                _sort_digits(np.concatenate(digits, 1)),
                 np.concatenate(coeffs))
 
     return _chunked(a.spacetime, a.size, a.tags,
@@ -717,10 +759,8 @@ def lift(spacetime: LatticeSpacetime, matrix: np.ndarray) -> LiftedMap:
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:
     """Max absolute coefficient difference (residual metric for all suites);
     for batches, the largest over their elements."""
-    tags, keys, _ = a._joined(b)
-    _, diff = _merge_tagged(a.size, tags, keys,
-                            np.concatenate([a.coeffs, -b.coeffs]))
-    return float(np.maximum.reduce(np.abs(diff))) if len(diff) else 0.0
+    return max((float(np.maximum.reduce(np.abs(diff))) for _, diff, _ in
+                a._ranges(b, -1.0) if len(diff)), default=0.0)
 
 
 def random_element(rng: np.random.Generator, spacetime: LatticeSpacetime,

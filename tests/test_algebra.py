@@ -734,6 +734,122 @@ def test_stacked_lift_checks_every_matrix(massive_spacetime, rng):
                    [alg.lift(st_, M)(x) for M, x in zip((U, U @ U), xs)])
 
 
+# -- key-range merges: the arrays of one merge of every term -------------------
+
+def _one_merge(size, dim, runs, signs=None):
+    """`alg._merge_runs` as one range: the runs concatenated, run i times
+    signs[i], and merged at once; every key-range merge must equal it."""
+    signs = signs or [1] * len(runs)
+    tags, coeffs, digits = (np.concatenate(x, axis=-1) for x in zip(*(
+        (t, c if s == 1 else c * s, d) for (t, c, d), s in zip(runs, signs))))
+    yield alg._merge_tagged(size, tags, alg._pack(digits, dim), coeffs, digits)
+
+
+def _counting(log: list, real=alg._merge_runs):
+    """`alg._merge_runs` that logs how many key ranges each call merged."""
+    def merge_runs(*args, **kwargs):
+        ranges = list(real(*args, **kwargs))
+        log.append(len(ranges))
+        return iter(ranges)
+    return merge_runs
+
+
+def _same_bits(got, want):
+    for name in ("tags", "coeffs", "digits"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _sums(a, b):
+    return [a + b, a - b, b - a] + ([a - 0.5] if a.size == 1 else [])
+
+
+def _sums_in_one_merge(a, b):
+    # a difference formulated as the sum of (-1.0) * b
+    return [a + b, a + (-1.0) * b, b + (-1.0) * a] \
+        + ([a + (-0.5)] if a.size == 1 else [])
+
+
+def _two_word_elements(rng):
+    # dim = 320: keys of degree 9 take two int64 words
+    big = LatticeSpacetime(32, 16, 0.5, MassSpectrum.parse("1:5"))
+    terms = [{tuple(sorted(rng.integers(0, 320, size=int(rng.integers(5, 10))))):
+              complex(*rng.standard_normal(2)) for _ in range(40)}
+             for _ in range(2)]
+    shared = dict(list(terms[0].items())[::2])  # keys the two share
+    return [alg.AlgebraElement(big, terms[0]),
+            alg.AlgebraElement(big, {**terms[1], **shared})]
+
+
+@pytest.fixture
+def small_ranges(monkeypatch):
+    # pieces and key ranges of a few terms, so every merge below is split
+    monkeypatch.setattr(alg, "CHUNK_TERMS", 16)
+    monkeypatch.setattr(alg, "BATCH_TERMS", 32)
+    return monkeypatch
+
+
+class TestKeyRangeMerges:
+    """Each merge by key range gives, array for array and bit for bit, what
+    one merge of all the terms gives."""
+
+    @staticmethod
+    def _operands(rng):
+        st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("0:1,1:2"))
+        left = [alg.random_element(rng, st_, d, 30) for d in (4, 3, 1, 4)]
+        # partly shared keys, so equal keys across the operands sum
+        right = [alg.random_element(rng, st_, d, 25) + 0.5 * x
+                 for d, x in zip((2, 4, 4, 0), left)]
+        phi = dyn.random_solution(rng, st_)
+        zero = alg.zero(st_)
+        return [
+            (alg.stack(left), alg.stack(right)),       # batches
+            (left[0], alg.field(phi)),                  # heights 4 and 1
+            (left[2], left[0]),                          # heights 1 and 4
+            (left[0], zero), (zero, left[1]), (zero, zero),
+            tuple(_two_word_elements(rng)),
+        ]
+
+    def test_sums_differences_and_comparisons(self, small_ranges, rng):
+        cases, log = self._operands(rng), []
+        small_ranges.setattr(alg, "_merge_runs", _counting(log))
+        got = [(_sums(a, b), alg.max_coeff_diff(a, b),
+                alg.max_coeff_diff(b, a)) for a, b in cases]
+        # the sums of the non-zero operands went by several key ranges
+        assert sorted(log)[-len(cases):][0] > 1 and max(log) > 3
+        small_ranges.setattr(alg, "_merge_runs", _one_merge)
+        for (a, b), (sums, ab, ba) in zip(cases, got):
+            for el, want in zip(sums, _sums_in_one_merge(a, b)):
+                _same_bits(el, want)
+            assert ab == alg.max_coeff_diff(a, b)
+            assert ba == alg.max_coeff_diff(b, a)
+        assert alg.max_coeff_diff(*cases[-2]) == 0.0
+
+    def test_split_products_substitutions_and_derivations(self, small_ranges,
+                                                          rng):
+        (a, b), (x, _), *_, (p, q) = self._operands(rng)
+        st_, dim = a.spacetime, a.dim
+        pres = gg.presentation(st_)
+        perm = np.zeros((dim, dim))
+        perm[rng.permutation(dim), np.arange(dim)] = rng.choice([-1.0, 1.0],
+                                                                dim)
+        ops = [lambda: a * b, lambda: x * x, lambda: p * q,
+               lambda: alg.derivation(a, pres.rotations[0]),
+               lambda: alg.derivation(x, pres.rotations[0]),
+               lambda: alg.derivation(a, pres.shifts[0]),
+               lambda: alg.substitute_affine(a, alg.slot_map(
+                   _random_map(5, dim, 0.05))),
+               lambda: alg.substitute_affine(a, alg.slot_map(perm))]
+        for op in ops:
+            log = []
+            small_ranges.setattr(alg, "_merge_runs", _counting(log))
+            got = op()
+            assert log and max(log) > 1  # several pieces, several ranges
+            small_ranges.setattr(alg, "_merge_runs", _one_merge)
+            _same_bits(got, op())
+
+
 class TestCcrSuiteMutants:
     # each mutant of the batched kernel must fail the ccr suite
     def test_tag_dropping_merge(self, monkeypatch):

@@ -1,4 +1,6 @@
 """Fixed-point algebra: charge-zero sector, bilinears, central elements."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from lcqft import observables as obs
 from lcqft.errors import MassNotInSpectrum, NoMasslessSpecies, NotChargeZero
 from lcqft.spacetime import multi_diamond
 
-from oracles import species_on_data
+from oracles import dict_derivation, dict_max_coeff_diff, species_on_data
 
 
 def _charge_zero_scalar(rng, st, massless):
@@ -292,3 +294,31 @@ class TestDegreeCap:
         big = alg.monomial(mixed_spacetime, (0, 1, 2, 3, 4))
         with pytest.raises(DegreeCapExceeded):
             obs.invariant_projection_check(big)
+
+
+class TestWorkingMemory:
+    def test_invariance_check_of_a_generator_product(self, massive_spacetime,
+                                                     rng):
+        # the largest check of `verify all`: two bilinear generators of 273
+        # terms multiply into 26.5k, and each move expands those by 4
+        st_ = massive_spacetime
+        a, b = (obs.bilinear_generator(st_, 1.0,
+                                       _charge_zero_scalar(rng, st_, False),
+                                       _charge_zero_scalar(rng, st_, False))
+                for _ in range(2))
+        prod = a * b
+        assert len(a.coeffs) == 273 and len(prod.coeffs) == 26521
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            ok, residual = obs.invariant_projection_check(prod)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert ok, residual
+        # a merge of all the terms of a move at once peaks at 7.3 MiB
+        assert peak < 4.5 * 2 ** 20
+        pres = gg.presentation(st_)
+        moved = alg.derivation(prod, pres.rotations[0])
+        assert dict_max_coeff_diff(dict(moved.terms), dict_derivation(
+            dict(prod.terms), species_on_data(st_, pres.generators[0]))) < 1e-13
