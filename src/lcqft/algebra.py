@@ -31,8 +31,9 @@ element exactly the sums it would get alone.
 
 The product, the affine substitution and the derivation work on whole
 arrays of terms: Python loops run only over contraction levels, tensor
-slots, digit rows, pieces and key ranges, never over terms or elements; no
-merge sorts more than about CHUNK_TERMS terms (`_chunked`, `_merge_runs`).
+slots, digit rows, the pieces of each element and key ranges, never over
+terms; no merge sorts more than about CHUNK_TERMS terms (`_chunked`,
+`_merge_runs`).
 """
 from __future__ import annotations
 
@@ -51,12 +52,9 @@ from .dynamics import Solution, symplectic_matrix
 PRUNE_TOL = 1e-15
 
 # a product, substitution or derivation expands, and a merge sorts, at most
-# about this many terms at once (about 2 MiB); larger inputs are split up
+# about this many terms at once (about 2 MiB): it sizes an element's pieces
+# and the passes that take the pieces of a batch
 CHUNK_TERMS = 1 << 15
-
-# small elements share array passes of about this many expanded terms (8
-# products of 32-term fields); a pass holds at most one piece of an element
-BATCH_TERMS = 1 << 13
 
 # digits per compare-exchange above which `_sort_digits` uses its network:
 # one exchange costs about as much as np.sort spends on 80 digits
@@ -148,7 +146,7 @@ def _merge_tagged(size: int, tags: np.ndarray, keys: np.ndarray,
     """_merge with the tag as the most significant key word, left out for a
     batch of one: (tags, coeffs, *arrays). The terms of tags t with
     `need[t]` false keep their order unsummed (`keys` is overwritten)."""
-    if size == 1:  # tags all 0, or None for one piece
+    if size == 1:  # tags all 0
         coeffs, *arrays = _merge(keys, coeffs, *arrays)
         return (np.zeros(len(coeffs), np.uint8), coeffs, *arrays)
     if need is not None and not need.all():
@@ -248,39 +246,36 @@ def _joined(parts) -> tuple:
 
 def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
              fan: np.ndarray, expand) -> "AlgebraElement":
-    """Expand terms with sorted `tags` (one of tag t into at most fan[t]
-    terms) into a batch of `size`, in pieces of about CHUNK_TERMS output
-    terms per tag, as its element alone would be, and passes of about
-    BATCH_TERMS. expand(lo, hi, piece, piece_tags) gets input terms [lo, hi),
-    their pieces counted from 0 in the pass (None for one) and their tags; it
-    returns each output's piece (or None), sorted digits and coeffs. Pieces
-    merge alone, then the passes, one sorted run each, by key range."""
-    dim, n = spacetime.data_dim, len(tags)
-    if size == 1 and n * int(fan[0]) <= CHUNK_TERMS:  # one piece, one pass
-        piece, piece_tags, edges, split = tags, tags[:1], [0, n], False
-    else:
-        counts = np.bincount(tags, minlength=size)
-        step = np.maximum(1, CHUNK_TERMS // np.maximum(1, fan))
-        n_pieces = -(-counts // step)
-        piece = (np.cumsum(n_pieces) - n_pieces)[tags] \
-            + (np.arange(n) - (np.cumsum(counts) - counts)[tags]) // step[tags]
-        piece_tags = np.repeat(np.arange(size), n_pieces)
-        work = np.bincount(piece, minlength=len(piece_tags)) * fan[piece_tags]
-        # a pass starts at each multiple of BATCH_TERMS and a tag's next piece
-        passes = (np.cumsum(work) - work) // BATCH_TERMS \
-            + np.cumsum(np.diff(piece_tags, prepend=-1) == 0)
-        cuts = np.flatnonzero(np.diff(passes[piece])) + 1
-        edges, split = [0, *cuts.tolist(), n], n_pieces.max() > 1
+    """Expand terms with sorted `tags`, one of tag t into at most fan[t]
+    terms, into a batch of `size`. Element t is cut into pieces at every
+    max(1, CHUNK_TERMS // fan[t])-th term from its first; a pass takes the
+    pieces in order and ends before an element's second or later piece, and
+    before a piece that would take it past CHUNK_TERMS fan-weighted terms.
+    expand(lo, hi) returns the tags, sorted digits and coeffs that a pass's
+    input terms [lo, hi) expand into. A pass holds at most one piece of an
+    element and its merge never crosses tags, so each piece merges alone,
+    cut where its element alone is cut; the passes, one sorted run each, then
+    merge by key range, each key summing its pieces in order. So each
+    element gets exactly the sums it would get alone."""
+    dim, fan = spacetime.data_dim, fan.tolist()
+    bounds = tags.searchsorted(np.arange(size + 1)).tolist()
+    starts, work, split = [], 0, False
+    for first, last, f in zip(bounds, bounds[1:], fan):
+        step = max(1, CHUNK_TERMS // max(1, f))
+        for lo in range(first, last, step):
+            cost = (min(lo + step, last) - lo) * f
+            if lo > first or not starts or work + cost > CHUNK_TERMS:
+                starts.append(lo)
+                work = 0
+            work += cost
+        split = split or last - first > step
     parts = []
-    for lo, hi in zip(edges[:-1], edges[1:]) if n else ():
-        first, last = int(piece[lo]), int(piece[hi - 1]) + 1
-        local = None if last - first == 1 else \
-            (piece[lo:hi] - first).astype(_tag_type(last - first))
-        out, digits, coeffs = expand(lo, hi, local, piece_tags[first:last])
-        out, coeffs, digits = _merge_tagged(
-            last - first, out, _pack(digits, dim), coeffs, digits)
-        parts.append((piece_tags[first:last][out].astype(_tag_type(size)),
-                      coeffs, digits))
+    for lo, hi in zip(starts, starts[1:] + [len(tags)]):
+        out, digits, coeffs = expand(lo, hi)
+        # rebinding frees the unmerged terms before the next pass
+        out, coeffs, digits = _merge_tagged(size, out, _pack(digits, dim),
+                                            coeffs, digits)
+        parts.append((out, coeffs, digits))
     if not parts:
         return _element(spacetime, size, tags, np.zeros(0, complex),
                         np.zeros((0, 0), _digit_type(dim)))
@@ -461,20 +456,19 @@ class AlgebraElement:
         n_b = np.bincount(other.tags, minlength=self.size)
         b_first, height = n_b.cumsum() - n_b, len(A) + len(B)
 
-        def expand(lo: int, hi: int, piece: np.ndarray, piece_tags):
+        def expand(lo: int, hi: int):
             # each left term of element t meets every right term of t
-            fan = n_b[self.tags[lo:hi]]
+            tags = self.tags[lo:hi]
+            fan = n_b[tags]
             ends = fan.cumsum()
-            at = np.arange(ends[-1]) \
-                + (b_first[self.tags[lo:hi]] - ends + fan).repeat(fan)
-            piece = np.zeros(hi - lo, np.uint8) if piece is None else piece
-            piece, left = piece.repeat(fan), A[:, lo:hi].repeat(fan, axis=1)
+            at = np.arange(ends[-1]) + (b_first[tags] - ends + fan).repeat(fan)
+            tags, left = tags.repeat(fan), A[:, lo:hi].repeat(fan, axis=1)
             right = B.take(at, axis=1)
             coef = self.coeffs[lo:hi].repeat(fan) * other.coeffs.take(at)
-            out_piece, out_digits, out_coeffs = [], [], []
+            out_tags, out_digits, out_coeffs = [], [], []
             r = 0
             while True:
-                out_piece.append(piece)
+                out_tags.append(tags)
                 out_digits.append(_pad(_merge_digits(left, right), height))
                 out_coeffs.append(coef / math.factorial(r) if r > 1 else coef)
                 if not (len(left) and len(right)):
@@ -489,22 +483,22 @@ class AlgebraElement:
                 p, k = np.divmod(hit, len(right) * len(coef))
                 q, k = np.divmod(k, len(coef))
                 r += 1
-                before = np.bincount(piece, minlength=len(piece_tags))
+                before = np.bincount(tags, minlength=self.size)
                 coef = coef[k] * np.where(left[p, k] > half, -0.5j, 0.5j)
-                piece = piece[k]
+                tags = tags[k]
                 left, right = _drop(left, k, p), _drop(right, k, q)
-                # equal remainders are merged in a piece whose terms
+                # equal remainders are merged in an element whose terms
                 # multiplied and from level 2 on, where the r! orders of
                 # each set of contractions meet: the 1/r! of the Moyal sum
                 # then divides one sum, exact on integer data
-                need = (np.bincount(piece, minlength=len(before)) > before) \
+                need = (np.bincount(tags, minlength=self.size) > before) \
                     | (r > 1)
                 if need.any():
-                    piece, coef, left, right = _merge_tagged(
-                        len(need), piece, np.concatenate(
+                    tags, coef, left, right = _merge_tagged(
+                        self.size, tags, np.concatenate(
                             [_pack(left, dim), _pack(right, dim)]),
                         coef, left, right, need=need)
-            return (np.concatenate(out_piece),
+            return (np.concatenate(out_tags),
                     np.concatenate(out_digits, axis=1),
                     np.concatenate(out_coeffs))
 
@@ -664,36 +658,41 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
     else:
         raise SpaceMismatch(f"{len(slots.digits)} slot maps for {a.size}")
 
-    def relabel(lo: int, hi: int, piece, piece_tags: np.ndarray):
+    def relabel(lo: int, hi: int):
         rows = base[lo:hi] + a.digits[:, lo:hi]
-        return (piece, _sort_digits(digit_of[rows, 0]),
+        return (a.tags[lo:hi], _sort_digits(digit_of[rows, 0]),
                 a.coeffs[lo:hi] * np.multiply.reduce(weight_of[rows, 0]))
 
     if width.max(initial=1) == 1:  # each term has one image: fan = width
         return _chunked(a.spacetime, a.size, a.tags, width, relabel)
 
-    def expand(lo: int, hi: int, piece, piece_tags: np.ndarray):
+    def expand(lo: int, hi: int):
         digits, coef, at = a.digits[:, lo:hi], a.coeffs[lo:hi], base[lo:hi]
-        # terms per piece; a pass of one piece counts them in ints
-        one = piece is None
-        tally = (lambda: len(coef)) if one else \
-            (lambda: np.bincount(piece, minlength=len(piece_tags)))
-        wide = int(width[piece_tags[0]]) if one else width[piece_tags]
-        merged = tally()
+        tags = a.tags[lo:hi]
+        # an element's terms merge once they outnumber its map's width times
+        # its terms after its last merge (at first, its input terms); none
+        # does while all the terms together do not outnumber the least limit
+        limit = width * np.bincount(tags, minlength=a.size)
+        least = min(limit.tolist())
         for j in range(D):
             w = weight_of[at + digits[j]]
             k, c = w.nonzero()
             digits, coef, at = digits.take(k, axis=1), coef[k] * w[k, c], at[k]
-            piece = None if one else piece[k]
+            tags = tags[k]
             digits[j] = digit_of[at + digits[j], c]
-            need = (tally() > wide * merged) & (j < D - 1)
-            if need if one else need.any():
+            if j == D - 1 or len(coef) <= least:
+                continue
+            need = np.bincount(tags, minlength=a.size) > limit
+            if need.any():
                 digits[:j + 1] = _sort_digits(digits[:j + 1])
-                piece, coef, digits, at = _merge_tagged(
-                    len(piece_tags), piece, _pack(digits, dim), coef, digits,
-                    at, need=need)
-                merged = tally() if one else np.where(need, tally(), merged)
-        return piece, _sort_digits(digits), coef
+                tags, coef, digits, at = _merge_tagged(
+                    a.size, tags, _pack(digits, dim), coef, digits, at,
+                    need=need)
+                if j < D - 2:  # a later slot still compares
+                    limit = np.where(need, width * np.bincount(
+                        tags, minlength=a.size), limit)
+                    least = min(limit.tolist())
+        return tags, _sort_digits(digits), coef
 
     degree = np.zeros(a.size, dtype=int)
     np.maximum.at(degree, a.tags, np.add.reduce(a.digits > 0))
@@ -707,19 +706,17 @@ def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
     t * consts; a derivation of the CCR product when X is in sp(sigma)."""
     D = len(a.digits)
 
-    def expand(lo: int, hi: int, piece, piece_tags: np.ndarray):
-        digits, coeffs = a.digits[:, lo:hi], a.coeffs[lo:hi]
-        keep = (lambda k: None) if piece is None else piece.take
-        out = [(digits[:, :0], coeffs[:0], keep([]))]
+    def expand(lo: int, hi: int):
+        tags, digits, coeffs = a.tags[lo:hi], a.digits[:, lo:hi], a.coeffs[lo:hi]
+        out = [(tags[:0], digits[:, :0], coeffs[:0])]
         for j in range(D):
             w = slots.weights[digits[j]] * (digits[j] > 0)[:, None]
             k, c = w.nonzero()
             new = digits.take(k, axis=1)
             new[j] = slots.digits[new[j], c]
-            out.append((new, coeffs[k] * w[k, c], keep(k)))
-        digits, coeffs, pieces = zip(*out)
-        return (piece if piece is None else np.concatenate(pieces),
-                _sort_digits(np.concatenate(digits, 1)),
+            out.append((tags[k], new, coeffs[k] * w[k, c]))
+        tags, digits, coeffs = zip(*out)
+        return (np.concatenate(tags), _sort_digits(np.concatenate(digits, 1)),
                 np.concatenate(coeffs))
 
     return _chunked(a.spacetime, a.size, a.tags,

@@ -18,6 +18,7 @@ sampled (`random_gauge`) only where the group law itself is under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -260,10 +261,12 @@ class Presentation:
             yield reflection(a) - a
 
 
+@lru_cache(maxsize=32)
 def presentation(spacetime: LatticeSpacetime) -> Presentation:
     """The rotations are the species matrices of `rotation_generators`; the
     shift in direction e_j, the derivation d/dlambda zeta(1, lambda e_j) at
-    0, has no linear part and the shift functional <e_j, .> as constants."""
+    0, has no linear part and the shift functional <e_j, .> as constants.
+    Built once per spacetime; every caller shares it and writes nothing."""
     generators = rotation_generators(spacetime.spectrum)
     n0 = spacetime.spectrum.massless_count
     rotations = species_slot_maps(spacetime, generators)

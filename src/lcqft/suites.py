@@ -218,8 +218,8 @@ def ccr_suite(config: RunConfig) -> dict:
     rng = _rng(config, 0)
 
     # 200 draws, taken and checked in batches whose field products expand
-    # about alg.BATCH_TERMS terms
-    group = max(1, alg.BATCH_TERMS // st.data_dim ** 2)
+    # about alg.CHUNK_TERMS terms, one pass of the kernel
+    group = max(1, alg.CHUNK_TERMS // st.data_dim ** 2)
     worst = 0.0
     for start in range(0, 200, group):
         phis, psis, lams = zip(*[

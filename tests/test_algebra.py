@@ -626,7 +626,6 @@ def chunking(request, monkeypatch):
     # small chunks split each element into pieces and a batch into passes
     if request.param:
         monkeypatch.setattr(alg, "CHUNK_TERMS", 64)
-        monkeypatch.setattr(alg, "BATCH_TERMS", 128)
     return request.param
 
 
@@ -786,7 +785,6 @@ def _two_word_elements(rng):
 def small_ranges(monkeypatch):
     # pieces and key ranges of a few terms, so every merge below is split
     monkeypatch.setattr(alg, "CHUNK_TERMS", 16)
-    monkeypatch.setattr(alg, "BATCH_TERMS", 32)
     return monkeypatch
 
 
@@ -848,6 +846,59 @@ class TestKeyRangeMerges:
             assert log and max(log) > 1  # several pieces, several ranges
             small_ranges.setattr(alg, "_merge_runs", _one_merge)
             _same_bits(got, op())
+
+
+def test_chunked_passes_follow_the_pass_rule(monkeypatch):
+    # `_chunked` alone cuts elements into pieces and gathers the pieces into
+    # passes; with an expand that returns its own input, the ranges it asks
+    # for must tile the batch by the pass rule and give the batch back
+    chunk = 16
+    monkeypatch.setattr(alg, "CHUNK_TERMS", chunk)
+    st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("0:1,1:2"))
+    rng = np.random.default_rng(5)
+    # (terms, fan): fan 0 with three pieces, fan above CHUNK_TERMS (one term
+    # a piece), an empty element, and elements of several pieces that start
+    # in the middle of a pass
+    shape = [(1, 1), (12, 3), (40, 0), (0, 2), (3, 20), (25, 1), (2, 5),
+             (9, 4), (1, 1), (7, 2), (30, 3)]
+    elements = [alg.zero(st_) if not n else alg.AlgebraElement(
+        st_, {(i, (7 * i + 3) % 48): complex(*rng.standard_normal(2))
+              for i in range(n)}) for n, _ in shape]
+    batch, fan = alg.stack(elements), np.array([f for _, f in shape])
+    ranges = []
+
+    def expand(lo, hi):
+        ranges.append((lo, hi))
+        return batch.tags[lo:hi], batch.digits[:, lo:hi], batch.coeffs[lo:hi]
+
+    _same_bits(alg._chunked(st_, batch.size, batch.tags, fan, expand), batch)
+    n = len(batch.coeffs)
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == n and all(lo < hi for lo, hi in ranges)
+    bounds = np.searchsorted(batch.tags, np.arange(batch.size + 1))
+    step = np.maximum(1, chunk // np.maximum(1, fan))
+    work = []
+    for lo, hi in ranges:
+        pieces = []
+        for t, (first, last) in enumerate(zip(bounds[:-1], bounds[1:])):
+            a, b = max(lo, first), min(hi, last)
+            if a >= b:
+                continue
+            # cut only at multiples of its step from the element's first term
+            assert (a - first) % step[t] == 0 or a == first
+            assert (b - first) % step[t] == 0 or b == last
+            # one piece of the element at most
+            assert (a - first) // step[t] == (b - 1 - first) // step[t]
+            pieces.append((b - a) * fan[t])
+        assert len(pieces) == 1 or sum(pieces) <= chunk
+        work.append(sum(pieces))
+    # a pass ends only before a later piece of an element or a piece that
+    # does not fit
+    for (_, hi), before in zip(ranges[:-1], work[:-1]):
+        t = int(batch.tags[hi])
+        piece = min(hi + step[t], bounds[t + 1]) - hi
+        assert hi > bounds[t] or before + piece * fan[t] > chunk
+    assert len(ranges) < n  # pieces of several terms, passes of several
 
 
 class TestCcrSuiteMutants:
