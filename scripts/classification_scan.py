@@ -3,7 +3,8 @@
 
 Prints one row per configuration: the commutant dimension, the constrained
 nullspace dimension against the in-block so(nu(m)) expectation, the
-quarantined massless zero-mode directions, and the worst soundness residual.
+quarantined massless zero-mode directions, the solved affine dimension against
+nu(0), and the worst soundness residual.
 Useful for probing whether two null directions keep pinning the answer as the
 lattice grows (any surplus shows up as match=False, never silently).
 """
@@ -33,7 +34,7 @@ def main():
     sizes = [int(n) for n in args.sites.split(",")]
 
     header = (f"{'spectrum':>12} {'N':>3} {'commutant':>9} {'dim':>4} "
-              f"{'expect':>6} {'match':>5} {'zero-mode':>9} "
+              f"{'expect':>6} {'match':>5} {'zero-mode':>9} {'affine':>6} "
               f"{'soundness':>10} {'secs':>6}")
     print(header)
     print("-" * len(header))
@@ -47,17 +48,19 @@ def main():
                 continue
             t0 = time.perf_counter()
             try:
-                rep = classify(st, quantized=True, seed=args.seed)
+                rep = classify(st, seed=args.seed)
             except LcqftError as exc:
                 print(f"{spec:>12} {n:>3}  failed: {exc}")
                 continue
             soundness = max(rep["residuals"][k] for k in
                             ("soundness_sigma", "soundness_null_energy",
                              "soundness_rce_commute"))
+            affine = f"{rep['affine']['dimension']}/{rep['affine']['expected']}"
             print(f"{spec:>12} {n:>3} {rep['commutant_dimension']:>9} "
                   f"{rep['dimension']:>4} {rep['expected']:>6} "
                   f"{str(rep['match']):>5} {rep['zero_mode_dimension']:>9} "
-                  f"{soundness:>10.2e} {time.perf_counter() - t0:>6.1f}")
+                  f"{affine:>6} {soundness:>10.2e} "
+                  f"{time.perf_counter() - t0:>6.1f}")
             for line in rep["findings"]:
                 print(f"{'':>16} * {line}")
 

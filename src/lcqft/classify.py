@@ -24,6 +24,11 @@ G_k on the species' (q_k, p_k) pairs, with G_{-k} the conjugate of G_k.
    admissible pair (species rotations times the pair's lift to (a_k, b_k))
    and nu^2 per (a_k, b_k) direction that no equation sees. The in-block
    rotations R (x) 1 are the pair A_+ = A_- = 1, lifted to a_k = 1, b_k = 0.
+4. Affine factor: the constant part c of Phi(phi) -> Phi(G phi) + c(phi) 1
+   is a real functional with c T = c and c U = c. Shift invariance puts c at
+   k = 0: on each block a left fixed vector of U_0, constant over the sites;
+   none on a massive block (det(U_0 - 1) = dt^2 w^2 > 0), sum_x p on the
+   massless one, the span of the shift functionals of R^{nu(0)*}.
 
 Massless species on a compact Cauchy slice carry a genuine lattice artifact:
 the spatial zero mode is a free particle, and the maps supported entirely in
@@ -46,13 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import nullspace
-from .algebra import commutator, field, max_coeff_diff, random_element
 from .dynamics import (Perturbation, data_from_vec, dense_from_modes,
-                       mode_maps, null_energy_grids, random_solution, rce_data,
+                       mode_maps, null_energy_grids, rce_data,
                        solution_from_vec)
 from .errors import BudgetExceeded
-from .gauge import (GaugeElement, QuantumAction, block_reflections,
-                    classical_action, group_compose, group_inverse,
+from .gauge import (block_reflections, classical_action, ell_basis_values,
                     rotation_generators)
 from .spacetime import LatticeSpacetime
 
@@ -60,6 +63,7 @@ BUDGET_SITES = 32
 BUDGET_SPECIES = 5
 RANK_REL_TOL = 1e-8
 ANGLE_TOL = 1e-9
+AFFINE_TOL = 1e-10     # principal-angle sine, affine functionals to shifts
 
 # report residuals held to the `classify.soundness` tolerance by both the
 # classify suite and `lcqft classify`
@@ -287,6 +291,32 @@ def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float
     return float(np.max(np.abs(grids[:, :, 1:] - grids[:, :, :1])))
 
 
+# -- affine factor ---------------------------------------------------------------------------
+
+def affine_functionals(st: LatticeSpacetime, U0: np.ndarray) -> np.ndarray:
+    """Orthonormal rows (d, dim) spanning the constant parts c (step 4): per
+    mass block, each left fixed vector of its U_0 (`U0`, (B, 2, 2)) on each
+    species of the block, constant over the sites."""
+    N, eye, rows = st.n_sites, np.eye(st.n_species), []
+    for (_, b), U in zip(st.spectrum.block_slices(), U0):
+        for ab in nullspace((U - np.eye(2)).T, RANK_REL_TOL)[0].T:
+            rows += [np.repeat(np.kron(ab, eye[s]), N) / np.sqrt(N)
+                     for s in range(b.start, b.stop)]
+    return np.array(rows).reshape(len(rows), st.data_dim)
+
+
+def affine_report(st: LatticeSpacetime, U0: np.ndarray) -> dict:
+    """The solved dimension, the expected nu(0), and the sine of the largest
+    principal angle between the solved functionals and the shift functionals
+    <e_j, .> of `gauge.presentation` (1.0 when their counts differ)."""
+    solved, n0 = affine_functionals(st, U0), st.spectrum.massless_count
+    shifts = np.array([ell_basis_values(e_j, st) for e_j in np.eye(n0)]
+                      ).reshape(n0, st.data_dim) / np.sqrt(st.n_sites)
+    angle = np.linalg.norm(shifts - shifts @ solved.T @ solved, 2) if n0 else 0.0
+    return {"dimension": len(solved), "expected": n0,
+            "residual": float(angle) if len(solved) == n0 else 1.0}
+
+
 # -- classification -----------------------------------------------------------------------------
 
 def expected_so_dimension(st: LatticeSpacetime) -> int:
@@ -308,13 +338,11 @@ def solved_generators(st: LatticeSpacetime,
     return out
 
 
-def classify(spacetime: LatticeSpacetime, quantized: bool = False,
-             seed: int = 0) -> dict:
-    """Report the space of infinitesimal endomorphism directions and compare
-    it against the direct sum of in-block antisymmetric species generators
-    (plus, in the quantized affine case, the massless shift directions).
-    The report's `generators` is a list of `(dim, dim)` float arrays, one
-    per direction; everything else in it is plain Python data."""
+def classify(spacetime: LatticeSpacetime, seed: int = 0) -> dict:
+    """Report the space of infinitesimal endomorphism directions against the
+    in-block antisymmetric species generators, and the affine factor against
+    the nu(0) shift directions. The report's `generators` is a list of
+    `(dim, dim)` float arrays; everything else in it is plain Python data."""
     st = spacetime
     rng = np.random.default_rng(seed)
     commutant = build_commutant_basis(st)
@@ -356,8 +384,12 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
         findings.append(
             f"{zero_mode_dimension} massless zero-mode directions quarantined "
             "(compact-Cauchy-surface artifact, not counted)")
+    if st.spectrum.massless_count:
+        findings.append("the compactness theorem covers O(nu) only: the affine "
+                        f"factor R^{{nu(0)*}} (dimension "
+                        f"{st.spectrum.massless_count}) is non-compact")
 
-    report = {
+    return {
         "spectrum": st.spectrum.format(),
         "n_sites": st.n_sites, "n_steps": st.n_steps, "dt": st.dt, "seed": seed,
         "commutant_dimension": commutant.dimension,
@@ -372,41 +404,6 @@ def classify(spacetime: LatticeSpacetime, quantized: bool = False,
             "reflection_null_energy": reflection_residual(st, rng),
             **{f"soundness_{k}": v for k, v in soundness.items()},
         },
+        "affine": affine_report(st, commutant.U[commutant.k == 0]),
+        "findings": findings,
     }
-
-    if quantized:
-        report["affine"] = _affine_directions_report(st)
-    report["findings"] = findings
-    return report
-
-
-def _affine_directions_report(st: LatticeSpacetime) -> dict:
-    """The nu(0) shift directions, verified algebraically: each generates a
-    one-parameter family of algebra automorphisms fixing all commutators.
-    They act trivially on solutions, so the constraint system cannot see
-    them; this mirrors the split between the classical and quantized
-    classification."""
-    n0 = st.spectrum.massless_count
-    if n0 == 0:
-        return {"dimension": 0, "residual": 0.0}
-    rng = np.random.default_rng(1234)
-    eye_blocks = tuple(np.eye(k) for _, k in st.spectrum.entries)
-    residual = 0.0
-    for e_j in np.eye(n0):
-        for lam in (0.5, 1.25):
-            g = GaugeElement(st.spectrum, eye_blocks, lam * e_j)
-            act = QuantumAction(g, st)
-            a, b = (random_element(rng, st, 2, 4) for _ in range(2))
-            residual = max(residual, max_coeff_diff(act(a * b), act(a) * act(b)))
-            phi, psi = random_solution(rng, st), random_solution(rng, st)
-            cc = commutator(field(phi), field(psi))
-            residual = max(residual, max_coeff_diff(act(cc), cc))
-            # one-parameter family: composition adds parameters
-            g2 = GaugeElement(st.spectrum, eye_blocks, 2 * lam * e_j)
-            residual = max(residual, max_coeff_diff(
-                QuantumAction(group_compose(g, g), st)(field(phi)),
-                QuantumAction(g2, st)(field(phi))))
-            # invertibility back to the identity
-            residual = max(residual, max_coeff_diff(
-                QuantumAction(group_inverse(g), st)(act(a)), a))
-    return {"dimension": n0, "residual": residual}

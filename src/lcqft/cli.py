@@ -3,7 +3,7 @@
     lcqft verify SUITE --spectrum 1:2 --sites 8 [--steps 16 --dt 0.5
           --seed 0 --tolerance KEY=VAL --out report.json]
     lcqft classify --spectrum 1:2,2:3 --sites 8 [--steps 16 --dt 0.5
-          --classical --seed 0 --out report.json]
+          --seed 0 --out report.json]
 
 Exit codes: 0 all checks pass, 1 suite failure, 2 configuration error.
 """
@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import serialize
-from .classify import CHECKED_RESIDUALS, classify
+from .classify import AFFINE_TOL, CHECKED_RESIDUALS, classify
 from .errors import ConfigParse, LcqftError
 from .suites import (DEFAULT_TOLERANCES, RunConfig, SUITE_NAMES, margin,
                      run_suite)
@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="classify endomorphism directions of the "
                               "solution space")
     _add_common(cls)
-    cls.add_argument("--classical", action="store_true",
-                     help="omit the affine (quantized) directions")
     return parser
 
 
@@ -138,8 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             config = RunConfig(**common)
             config.check(["classify"])  # before the classifier runs
-            report = classify(config.spacetime(), quantized=not args.classical,
-                              seed=args.seed)
+            report = classify(config.spacetime(), seed=args.seed)
             _emit(report, args.out)
             ok = report["match"]
             print(f"dimension={report['dimension']} expected={report['expected']} "
@@ -151,6 +148,13 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{key}: residual {value:.3e} exceeds {limit:.1e}",
                           file=sys.stderr)
                     ok = False
+            affine = report["affine"]
+            dim, angle = affine["dimension"], affine["residual"]
+            if dim != affine["expected"] or not angle <= AFFINE_TOL:
+                print(f"affine: dimension {dim} expected {affine['expected']}, "
+                      f"shift angle {angle:.3e} (limit {AFFINE_TOL:.1e})",
+                      file=sys.stderr)
+                ok = False
             return 0 if ok else 1
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -141,11 +141,15 @@ def golden_mismatches(golden: dict, fresh: dict) -> list[str]:
             if g_suite["thresholds"].get(key) == 0.0:
                 _exact_mismatches(g, f, key_path, out)
                 continue
-            band = GOLDEN_RTOL * abs(g) + GOLDEN_ATOL
-            if not abs(f - g) <= band:
+            if not in_golden_band(g, f):
                 out.append(f"{key_path} golden={g:.3g} fresh={f:.3g} "
-                           f"band={band:.3g}")
+                           f"band={GOLDEN_RTOL * abs(g) + GOLDEN_ATOL:.3g}")
     return out
+
+
+def in_golden_band(golden: float, fresh: float) -> bool:
+    """Whether a fresh measured residual lies within the golden's band."""
+    return abs(fresh - golden) <= GOLDEN_RTOL * abs(golden) + GOLDEN_ATOL
 
 
 def _exact_mismatches(golden, fresh, path: str, out: list[str]) -> None:

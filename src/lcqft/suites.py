@@ -32,7 +32,7 @@ from . import gauge as gg
 from . import kinematics as kin
 from . import observables as obs
 from . import states as stt
-from .classify import CHECKED_RESIDUALS, check_budget, classify
+from .classify import AFFINE_TOL, CHECKED_RESIDUALS, check_budget, classify
 from .errors import ConfigParse, LcqftError
 from .spacetime import LatticeSpacetime, MassSpectrum, domain_of_dependence, translation
 
@@ -64,11 +64,8 @@ DEFAULT_TOLERANCES = {
 LOWER_BOUNDS = frozenset({"mass_mixing_residual", "central_moved_by_rotations",
                           "ell_deviation_mass_kind"})
 
-# A central element must move by more than CENTRAL_MOVED_MIN under the
-# orthogonal factor; an affine shift direction must be an automorphism family
-# to within AFFINE_TOL.
+# A central element must move by more than this under the orthogonal factor.
 CENTRAL_MOVED_MIN = 0.5
-AFFINE_TOL = 1e-10
 
 # A random perturbation fills PERT_ROWS slices from slice PERT_FIRST or later;
 # a gauge-suite diamond has its base on slice DIAMOND_SLICE or later and
@@ -619,11 +616,9 @@ def classify_suite(config: RunConfig) -> dict:
     rec = Recorder()
     st = config.spacetime()
 
-    dims = []
-    report = None
-    worst = dict.fromkeys(CHECKED_RESIDUALS, 0.0)
+    dims, worst = [], dict.fromkeys(CHECKED_RESIDUALS, 0.0)
     for seed in range(5):
-        report = classify(st, quantized=True, seed=config.seed + seed)
+        report = classify(st, seed=config.seed + seed)
         dims.append(report["dimension"])
         for key in worst:
             worst[key] = max(worst[key], report["residuals"][key])
@@ -632,13 +627,12 @@ def classify_suite(config: RunConfig) -> dict:
     rec.equals("match", report["match"], True)
     rec.dimensions["zero_mode_dimension"] = report["zero_mode_dimension"]
     rec.dimensions["commutant_dimension"] = report["commutant_dimension"]
-    rec.dimensions["affine_dimension"] = report.get("affine", {}).get("dimension", 0)
+    affine = report["affine"]
+    rec.equals("affine_dimension", affine["dimension"], affine["expected"])
     for key, value in worst.items():
         rec.below(key, value, config.tol("classify.soundness"))
-    if report.get("affine"):
-        rec.below("affine_automorphism_residual",
-                  report["affine"]["residual"], AFFINE_TOL)
-    for line in report.get("findings", []):
+    rec.below("affine_shift_angle", affine["residual"], AFFINE_TOL)
+    for line in report["findings"]:
         rec.note(line)
     return rec.result("classify", time.perf_counter() - t0)
 

@@ -14,11 +14,13 @@ dict-walking kernel (partial matchings, slot-by-slot substitution) for the
 CCR algebra, the classifier's system in
 block-circulant coordinates over all momenta at once (one-step map read off
 the stepper), a dense SVD nullspace of the evolution commutator for its
-commutant, a dense two-sided commutant intersection at tiny sizes, null
-energies sampled on evolved solutions for its constraints, its soundness
-check evolved one solution at a time, a dense Taylor exponential, Kronecker
-products for the dense matrix of a gauge species matrix, and an all-pairs
-compare of the mode frequencies for mass collisions.
+commutant, a dense two-sided commutant intersection at tiny sizes, one
+dense SVD over the shift, the stepper and the null-derivative fields for
+its affine functionals, null energies sampled on evolved solutions for its
+constraints, its soundness check evolved one solution at a time, a dense
+Taylor exponential, Kronecker products for the dense matrix of a gauge
+species matrix, and an all-pairs compare of the mode frequencies for mass
+collisions.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from lcqft.dynamics import (
     relative_cauchy_evolution,
     solution_from_vec,
     symplectic_form,
+    symplectic_matrix,
 )
 from lcqft.gauge import (block_reflections, classical_action,
                          rotation_generators, so_basis)
@@ -669,6 +672,28 @@ def dense_evolution_commutant(st: LatticeSpacetime, rel_tol: float = 1e-10
                 L[:, col] = g.ravel()
     _, s, vt = np.linalg.svd(L)
     return vt[int(np.sum(s > rel_tol * s[0])):]
+
+
+# -- dense affine functionals ---------------------------------------------------------------
+
+def dense_affine_functionals(st: LatticeSpacetime, rel_tol: float = 1e-10
+                             ) -> np.ndarray:
+    """Orthonormal rows (d, dim) spanning the real functionals c on the data
+    that an affine endomorphism Phi(phi) -> Phi(G phi) + c(phi) 1 may add:
+    c T = c, c U = c, and c(psi) = 0 for the data psi of every null-derivative
+    field D_+- Phi(0, x), sigma(psi, .) = D_+- (.)(0, x) at each site and
+    species. One dense SVD of [T - 1, U - 1, Psi]: T a roll matrix, U read
+    off the stepper (`one_step_matrix`), psi = J d for each null-derivative
+    row d. Dense in dim: N <= 16."""
+    S, N, dim = st.n_species, st.n_sites, st.data_dim
+    T = np.kron(np.eye(2 * S), np.roll(np.eye(N), 1, axis=0))
+    eye = np.eye(dim)
+    d = np.concatenate(null_derivatives(eye[:, :dim // 2].reshape(dim, S, N),
+                                        eye[:, dim // 2:].reshape(dim, S, N)),
+                       axis=1).reshape(dim, -1)     # column: one D_+- (s, x)
+    u, s, _ = np.linalg.svd(np.hstack([T - eye, one_step_matrix(st) - eye,
+                                       symplectic_matrix(st) @ d]))
+    return u[:, int(np.sum(s > rel_tol * s[0])):].T
 
 
 # -- sampled null-energy constraints ---------------------------------------------------------

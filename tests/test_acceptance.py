@@ -92,7 +92,7 @@ def test_criterion_4_classification():
         st = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spectrum))
         dims = set()
         for seed in range(5):
-            report = classify(st, quantized=True, seed=seed)
+            report = classify(st, seed=seed)
             dims.add(report["dimension"])
             for key in CHECKED_RESIDUALS:
                 worst_soundness = max(worst_soundness,

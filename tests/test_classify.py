@@ -366,20 +366,57 @@ class TestClassify:
         assert np.max(np.abs(R.T @ R - np.eye(2))) < 1e-12
 
     def test_zero_mode_quarantine(self):
-        report = clf.classify(_st("0:1,1:2"), seed=0, quantized=True)
+        report = clf.classify(_st("0:1,1:2"), seed=0)
         assert report["zero_mode_dimension"] == 2  # 2 nu(0)^2
         assert report["match"] is True
         assert report["dimension"] == 1
         assert report["residuals"]["so_representation"] < 1e-12
         assert any("quarantined" in line for line in report["findings"])
-        report2 = clf.classify(_st("0:2"), seed=0, quantized=True)
+        report2 = clf.classify(_st("0:2"), seed=0)
         assert report2["zero_mode_dimension"] == 8
         assert report2["dimension"] == 1  # so(2)
 
     def test_affine_directions(self):
-        report = clf.classify(_st("0:2"), seed=0, quantized=True)
-        assert report["affine"]["dimension"] == 2
-        assert report["affine"]["residual"] < 1e-10
+        # the k = 0 solve has dimension nu(0) and spans both the dense
+        # oracle's functionals and the shift functionals
+        for spec, n in [("1:2", 8), ("0:2", 8), ("0:1,1:2", 8),
+                        ("0:1,1:2", 9), ("0:2,1:1,2:2", 11), ("1:5", 16),
+                        ("0:3", 16)]:
+            st = _st(spec, n=n)
+            n0 = st.spectrum.massless_count
+            report = clf.classify(st, seed=0)
+            assert report["affine"]["dimension"] \
+                == report["affine"]["expected"] == n0, spec
+            assert report["affine"]["residual"] < 1e-12, spec
+            solved = clf.affine_functionals(st, dyn.mode_maps(st)[:, 0])
+            dense = oracles.dense_affine_functionals(st)
+            assert solved.shape == dense.shape == (n0, st.data_dim), spec
+            assert _max_sine(solved, dense) <= 1e-12, spec
+            assert _max_sine(dense, solved) <= 1e-12, spec
+            notes = [line for line in report["findings"]
+                     if line.startswith("the compactness theorem")]
+            assert len(notes) == (n0 > 0), spec
+
+    @pytest.mark.parametrize("mutate, dimension", [
+        (lambda U, h: np.eye(2), 4),                   # U rows dropped
+        (lambda U, h: np.array([[1.0, h], [0.0, 1.0]]), 2)])  # massless form
+    def test_affine_mutants_fail_the_suite(self, mutate, dimension,
+                                           monkeypatch):
+        from lcqft.suites import RunConfig, classify_suite
+
+        def mutated(st):
+            U = dyn.mode_maps(st).copy()
+            U[:, 0] = mutate(U[:, 0], st.dt)
+            return U
+
+        monkeypatch.setattr(clf, "mode_maps", mutated)
+        result = classify_suite(RunConfig(spectrum="1:2", suite="classify"))
+        assert result["status"] == "fail"
+        assert result["dimensions"]["affine_dimension"] == dimension
+        assert f"affine_dimension: {dimension} != expected 0" \
+            in result["findings"]
+        assert "affine_shift_angle: residual 1.000e+00 exceeds 1.0e-10" \
+            in result["findings"]
 
     def test_report_schema(self):
         report = clf.classify(_st("1:2"), seed=0)
@@ -491,7 +528,7 @@ class TestModeSolve:
         monkeypatch.setattr(oracles, "expm_taylor", boom)
         for name in ("rce_matrix", "one_step_matrix", "expm_taylor"):
             assert not hasattr(clf, name)
-        report = clf.classify(_st("1:2,2:3"), seed=0, quantized=True)
+        report = clf.classify(_st("1:2,2:3"), seed=0)
         assert report["match"] is True and report["dimension"] == 4
 
     def test_dropping_the_minus_rows_is_a_surplus(self, monkeypatch, tmp_path,

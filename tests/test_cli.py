@@ -1,6 +1,7 @@
 """CLI: exit codes, report schema, determinism."""
 import collections
 import copy
+import importlib.util
 import json
 import os
 import pathlib
@@ -129,7 +130,7 @@ class TestSerializer:
         # the standard library's indent=2 writer peaks at about 6x the text
         report = classify(LatticeSpacetime(16, 16, 0.5,
                                            MassSpectrum.parse("1:2,2:3")),
-                          quantized=True, seed=31)
+                          seed=31)
         tracemalloc.start()
         try:
             text = serialize.dumps(report)
@@ -206,6 +207,34 @@ class TestGoldenComparison:
         assert serialize.golden_mismatches(golden, fresh) == [
             "suites[gauge].residuals.naturality_translations_exact "
             "golden=0.0 fresh=1e-300"]
+
+    def test_regeneration_keeps_roundoff_inside_the_band(self):
+        # scripts/make_golden_reports.py moves a golden's measured residual
+        # only when the fresh value leaves the band; exact checks, new keys
+        # and changed thresholds always take the fresh value
+        spec = importlib.util.spec_from_file_location(
+            "make_golden_reports",
+            GOLDEN_DIR.parent.parent / "scripts" / "make_golden_reports.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        golden = self._golden()
+        fresh = copy.deepcopy(golden)
+        gauge, classify = fresh["suites"][1], fresh["suites"][-1]
+        res = classify["residuals"]
+        g_value = res["soundness_null_energy"]
+        res["soundness_null_energy"] = 1.5 * g_value           # inside
+        res["soundness_sigma"] = 1.0                           # outside
+        res["new_check"] = 2e-16                               # new key
+        classify["thresholds"]["new_check"] = 1e-10
+        classify["thresholds"]["so_representation"] = 1e-9     # moved bound
+        res["so_representation"] *= 1.5
+        gauge["residuals"]["naturality_translations_exact"] = 1e-300  # exact
+        kept = script.keep_golden_roundoff(golden, copy.deepcopy(fresh))
+        g_res = golden["suites"][-1]["residuals"]
+        assert kept["suites"][-1]["residuals"] == {
+            **res, "soundness_null_energy": g_value}
+        assert res["so_representation"] != g_res["so_representation"]
+        assert kept["suites"][1]["residuals"] == gauge["residuals"]
 
     def test_residual_keys_and_config_compared(self):
         golden = self._golden()
@@ -411,10 +440,12 @@ class TestCliProcess:
     def test_classify_exit_code_honours_soundness(self, soundness, code,
                                                   monkeypatch, tmp_path,
                                                   capsys):
-        def matched_but_unsound(spacetime, quantized, seed):
+        def matched_but_unsound(spacetime, seed):
             return {"dimension": 1, "expected": 1, "match": True,
                     "residuals": {**dict.fromkeys(CHECKED_RESIDUALS, 0.0),
-                                  "soundness_sigma": soundness}}
+                                  "soundness_sigma": soundness},
+                    "affine": {"dimension": 0, "expected": 0,
+                               "residual": 0.0}}
 
         monkeypatch.setattr(cli, "classify", matched_but_unsound)
         out = tmp_path / "classify.json"
@@ -422,28 +453,58 @@ class TestCliProcess:
                      "--out", str(out)]) == code
 
     @staticmethod
-    def _matched_report(bad_key):
+    def _matched_report(bad_key=None, affine=None):
         residuals = dict.fromkeys(CHECKED_RESIDUALS, 0.0)
-        residuals[bad_key] = 1e-6
+        if bad_key:
+            residuals[bad_key] = 1e-6
         return {"dimension": 1, "expected": 1, "match": True,
                 "zero_mode_dimension": 0, "commutant_dimension": 32,
-                "residuals": residuals, "findings": []}
+                "residuals": residuals, "findings": [],
+                "affine": affine or {"dimension": 0, "expected": 0,
+                                     "residual": 0.0}}
 
     @pytest.mark.parametrize("key", CLASSIFY_CHECKS)
     def test_classify_exit_code_checks_each_residual(self, key, monkeypatch,
                                                      tmp_path, capsys):
         monkeypatch.setattr(cli, "classify",
-                            lambda spacetime, quantized, seed:
+                            lambda spacetime, seed:
                             self._matched_report(key))
         out = tmp_path / "classify.json"
         assert main(["classify", "--spectrum", "1:2",
                      "--out", str(out)]) == 1
         assert f"{key}: residual 1.000e-06 exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("affine, line", [
+        ({"dimension": 2, "expected": 1, "residual": 0.0},
+         "affine: dimension 2 expected 1, shift angle 0.000e+00 "
+         "(limit 1.0e-10)"),
+        ({"dimension": 1, "expected": 1, "residual": 1e-6},
+         "affine: dimension 1 expected 1, shift angle 1.000e-06 "
+         "(limit 1.0e-10)")])
+    def test_classify_exit_code_checks_the_affine_factor(self, affine, line,
+                                                         monkeypatch,
+                                                         tmp_path, capsys):
+        # a wrong affine count, or solved functionals off the shift span
+        monkeypatch.setattr(cli, "classify", lambda spacetime, seed:
+                            self._matched_report(affine=affine))
+        assert main(["classify", "--spectrum", "1:2",
+                     "--out", str(tmp_path / "classify.json")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["dimension=1 expected=1 match=True", line]
+
+    def test_classical_flag_is_rejected(self, capsys):
+        # the affine factor is always solved: there is no --classical
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--spectrum", "1:2", "--classical"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --classical" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key", CLASSIFY_CHECKS)
     def test_classify_suite_checks_each_residual(self, key, monkeypatch):
         monkeypatch.setattr(suites, "classify",
-                            lambda st, quantized, seed: self._matched_report(key))
+                            lambda st, seed: self._matched_report(key))
         result = suites.classify_suite(RunConfig(spectrum="1:2",
                                                  suite="classify"))
         assert result["status"] == "fail"
