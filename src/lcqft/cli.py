@@ -14,10 +14,9 @@ import os
 import sys
 
 from . import serialize
-from .classify import AFFINE_TOL, CHECKED_RESIDUALS, classify
+from .classify import classify
 from .errors import ConfigParse, LcqftError
-from .suites import (DEFAULT_TOLERANCES, RunConfig, SUITE_NAMES, margin,
-                     run_suite)
+from .suites import RunConfig, SUITE_NAMES, classify_checks, margin, run_suite
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -138,24 +137,12 @@ def main(argv: list[str] | None = None) -> int:
             config.check(["classify"])  # before the classifier runs
             report = classify(config.spacetime(), seed=args.seed)
             _emit(report, args.out)
-            ok = report["match"]
             print(f"dimension={report['dimension']} expected={report['expected']} "
-                  f"match={ok}", file=sys.stderr)
-            limit = DEFAULT_TOLERANCES["classify.soundness"]
-            for key in CHECKED_RESIDUALS:
-                value = report["residuals"][key]
-                if not value <= limit:
-                    print(f"{key}: residual {value:.3e} exceeds {limit:.1e}",
-                          file=sys.stderr)
-                    ok = False
-            affine = report["affine"]
-            dim, angle = affine["dimension"], affine["residual"]
-            if dim != affine["expected"] or not angle <= AFFINE_TOL:
-                print(f"affine: dimension {dim} expected {affine['expected']}, "
-                      f"shift angle {angle:.3e} (limit {AFFINE_TOL:.1e})",
-                      file=sys.stderr)
-                ok = False
-            return 0 if ok else 1
+                  f"match={report['match']}", file=sys.stderr)
+            failures = classify_checks([report], config).failures
+            for line in failures:
+                print(line, file=sys.stderr)
+            return 1 if failures else 0
     except ConfigParse as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

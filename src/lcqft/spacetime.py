@@ -151,6 +151,11 @@ class LatticeSpacetime:
         return w2
 
     def _check_elliptic(self):
+        # A positive mass whose square underflows to 0 leaves its block's
+        # k = 0 mode parabolic (w = 0).
+        for mass, w2 in zip(self.spectrum.masses, self.dispersion[:, 0]):
+            if mass > 0.0 and w2 == 0.0:
+                raise LcqftError(f"mass {mass} underflows to 0 when squared")
         # The explicit stepper keeps a mode bounded only while
         # dt^2 w^2 < 4; the heaviest mass is the worst.
         w2 = float(np.max(self.dispersion))

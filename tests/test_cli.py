@@ -409,6 +409,9 @@ class TestCliProcess:
         # one step leaves no slice for the soundness check's perturbation
         ["classify", "--spectrum", "1:2", "--steps", "1"],
         ["verify", "classify", "--spectrum", "1:2", "--steps", "1"],
+        # a positive mass whose square underflows to 0
+        ["verify", "state", "--spectrum", "1e-170:1"],
+        ["classify", "--spectrum", "1e-170:1"],
     ])
     def test_config_error_before_any_suite(self, argv, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -441,11 +444,9 @@ class TestCliProcess:
                                                   monkeypatch, tmp_path,
                                                   capsys):
         def matched_but_unsound(spacetime, seed):
-            return {"dimension": 1, "expected": 1, "match": True,
-                    "residuals": {**dict.fromkeys(CHECKED_RESIDUALS, 0.0),
-                                  "soundness_sigma": soundness},
-                    "affine": {"dimension": 0, "expected": 0,
-                               "residual": 0.0}}
+            report = self._matched_report()
+            report["residuals"]["soundness_sigma"] = soundness
+            return report
 
         monkeypatch.setattr(cli, "classify", matched_but_unsound)
         out = tmp_path / "classify.json"
@@ -476,11 +477,9 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("affine, line", [
         ({"dimension": 2, "expected": 1, "residual": 0.0},
-         "affine: dimension 2 expected 1, shift angle 0.000e+00 "
-         "(limit 1.0e-10)"),
+         "affine_dimension: 2 != expected 1"),
         ({"dimension": 1, "expected": 1, "residual": 1e-6},
-         "affine: dimension 1 expected 1, shift angle 1.000e-06 "
-         "(limit 1.0e-10)")])
+         "affine_shift_angle: residual 1.000e-06 exceeds 1.0e-10")])
     def test_classify_exit_code_checks_the_affine_factor(self, affine, line,
                                                          monkeypatch,
                                                          tmp_path, capsys):
@@ -516,14 +515,42 @@ class TestCliProcess:
 def test_rce_suite_checks_the_mass_kind_deviation(monkeypatch):
     # ell_deviation_mass_kind must lie above its threshold: a relative Cauchy
     # evolution that moved nothing would keep the charge and fail only there
-    monkeypatch.setattr(suites.dyn, "relative_cauchy_evolution",
-                        lambda sol, pert: sol)
+    monkeypatch.setattr(suites.dyn, "rce_matrix",
+                        lambda pert: np.eye(pert.spacetime.data_dim))
     result = suites.rce_suite(RunConfig(spectrum="0:1,1:2", suite="rce"))
     assert result["status"] == "fail"
     assert result["thresholds"]["ell_deviation_mass_kind"] \
         == DEFAULT_TOLERANCES["rce.ell_invariance"]
     assert result["findings"][1:] == [
         "ell_deviation_mass_kind: value 0.000e+00 not above 1.0e-09"]
+
+
+@pytest.mark.parametrize("spectrum, maps", [("1:2", 3), ("0:1,1:2", 6)])
+def test_rce_suite_builds_one_map_per_perturbation(spectrum, maps,
+                                                   monkeypatch):
+    # every rce check but the derivative reads the dense map of its
+    # perturbation; no Solution is evolved one at a time
+    def never(sol, pert):
+        raise AssertionError("relative_cauchy_evolution was called")
+
+    built = []
+    rce_matrix = suites.dyn.rce_matrix
+    monkeypatch.setattr(suites.dyn, "relative_cauchy_evolution", never)
+    monkeypatch.setattr(suites.dyn, "rce_matrix",
+                        lambda pert: built.append(pert) or rce_matrix(pert))
+    result = suites.rce_suite(RunConfig(spectrum=spectrum, suite="rce"))
+    assert result["status"] == "pass", result["findings"]
+    assert len(built) == maps
+
+
+def test_rce_localization_runs_on_a_wide_configured_lattice():
+    # the scan for a collision-free lattice includes the configured one, so
+    # 40 sites and more keep the localization check
+    result = suites.rce_suite(RunConfig(spectrum="1:2", n_sites=40,
+                                        suite="rce"))
+    assert result["status"] == "pass", result["findings"]
+    assert result["residuals"]["localization"] <= 1e-10
+    assert result["dimensions"]["localization_sites"] == 40
 
 
 @pytest.mark.parametrize("suite", ["state", "rce", "gauge", "ccr",
