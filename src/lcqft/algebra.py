@@ -694,8 +694,14 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
                     least = min(limit.tolist())
         return tags, _sort_digits(digits), coef
 
+    # each element's degree: a single one has as many digit rows (they are
+    # trimmed); a batch reduces the term degrees over each run of its tags
     degree = np.zeros(a.size, dtype=int)
-    np.maximum.at(degree, a.tags, np.add.reduce(a.digits > 0))
+    if a.size == 1:
+        degree[0] = len(a.digits)
+    elif len(a.tags):
+        head = np.flatnonzero(np.concatenate(([True], a.tags[1:] != a.tags[:-1])))
+        degree[a.tags[head]] = np.maximum.reduceat(a.term_degrees(), head)
     fan = np.minimum(width.astype(float) ** degree, CHUNK_TERMS).astype(int)
     return _chunked(a.spacetime, a.size, a.tags, fan, expand)
 

@@ -39,10 +39,11 @@ never counted toward the match.
 Only the report's generators are dense `(dim, dim)` matrices, the form the
 benchmark's output checks read, built from their blocks by
 `dynamics.dense_from_modes`, as is the vacuum covariance; the in-memory
-report holds them as float arrays, which `serialize.dumps` writes row by
-row. The stages keep the names that the benchmark's spans wrap. The
-coordinate-space form of the system, one SVD over all momenta, is the test
-oracle `oracles.coordinate_classification`.
+report holds them as float arrays, which `serialize.dumps` streams row by
+row. The soundness checks evolve one generator's samples, or one solution
+and its reflections, at a time. The stages keep the names that the
+benchmark's spans wrap. The coordinate-space form of the system, one SVD
+over all momenta, is the test oracle `oracles.coordinate_classification`.
 """
 from __future__ import annotations
 
@@ -248,13 +249,14 @@ def generator_soundness(st: LatticeSpacetime, generators: np.ndarray,
     (N, 2S, 2S), and check each map S, worst over generators: symplectic, max
     |S^T J S - J| read off the blocks E_k^H J E_k - J (J = J_0 (x) 1 per mode)
     by the inverse DFT; on three random solutions each, null-energy preserving
-    (one trajectory batch) and commuting with rce (one batch per (a, S a))."""
+    and commuting with rce. One generator's samples are evolved at a time:
+    one trajectory batch for its null energies, one batch per (a, S a)."""
     J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(st.n_species))
     out = dict.fromkeys(("sigma", "null_energy", "rce_commute"), 0.0)
     T1, N, w = st.n_slices, st.n_sites, max(2, st.n_sites // 3)
-    samples, C = [], 2 * st.n_species
+    C = 2 * st.n_species
     for G in np.reshape(generators, (-1, N, C, C)):
-        E = _mode_exp(G)
+        E, samples = _mode_exp(G), []
         out["sigma"] = max(out["sigma"], float(np.max(np.abs(np.fft.ifft(
             np.conj(np.swapaxes(E, 1, 2)) @ J @ E - J, axis=0)))))
         for _ in range(3):
@@ -263,32 +265,30 @@ def generator_soundness(st: LatticeSpacetime, generators: np.ndarray,
             t0 = 1 + int(rng.integers(0, max(1, st.n_steps - 4)))
             v[t0:t0 + 3, :w] = rng.standard_normal((min(3, T1 - t0), w))
             v[0] = v[-1] = 0.0
-            samples.append((E, [vec, _apply(st, E, vec)], Perturbation(st, v)))
-    if not samples:
-        return out
-    grids = null_energy_grids(st, *data_from_vec(st, [x for _, x, _ in samples]))
-    for (E, pair, pert), (g1, g2) in zip(samples, np.moveaxis(grids, 0, 2)):
-        out["null_energy"] = max(out["null_energy"], float(
-            np.max(np.abs(g1 - g2)) / max(1.0, np.max(np.abs(g1)))))
-        moved, image = np.concatenate(rce_data(*data_from_vec(st, pair), pert), -2
-                                      ).reshape(2, -1).real
-        out["rce_commute"] = max(out["rce_commute"], float(
-            np.max(np.abs(image - _apply(st, E, moved)))
-            / max(1.0, np.max(np.abs(moved)))))
+            samples.append(([vec, _apply(st, E, vec)], Perturbation(st, v)))
+        grids = null_energy_grids(st, *data_from_vec(st, [x for x, _ in samples]))
+        for (pair, pert), (g1, g2) in zip(samples, np.moveaxis(grids, 0, 2)):
+            out["null_energy"] = max(out["null_energy"], float(
+                np.max(np.abs(g1 - g2)) / max(1.0, np.max(np.abs(g1)))))
+            moved, image = np.concatenate(rce_data(*data_from_vec(st, pair),
+                                                   pert), -2).reshape(2, -1).real
+            out["rce_commute"] = max(out["rce_commute"], float(
+                np.max(np.abs(image - _apply(st, E, moved)))
+                / max(1.0, np.max(np.abs(moved)))))
     return out
 
 
 def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float:
     """Direct check that one reflection per mass block (`block_reflections`)
     preserves the pointwise null energy: with the rotations they reach every
-    component of the group. Three samples and their reflections, one batch."""
-    reflections, vecs = block_reflections(st.spectrum), []
+    component of the group. Each of three samples evolves with them."""
+    reflections, res = block_reflections(st.spectrum), 0.0
     for _ in range(3):
         phi = solution_from_vec(st, rng.standard_normal(st.data_dim))
-        vecs.append([phi.vec()] + [classical_action(g, phi).vec()
-                                   for g in reflections])
-    grids = null_energy_grids(st, *data_from_vec(st, vecs))
-    return float(np.max(np.abs(grids[:, :, 1:] - grids[:, :, :1])))
+        grids = null_energy_grids(st, *data_from_vec(st, [phi.vec()] + [
+            classical_action(g, phi).vec() for g in reflections]))
+        res = max(res, float(np.max(np.abs(grids[:, 1:] - grids[:, :1]))))
+    return res
 
 
 # -- affine factor ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
     lcqft classify --spectrum 1:2,2:3 --sites 8 [--steps 16 --dt 0.5
           --seed 0 --out report.json]
 
-Exit codes: 0 all checks pass, 1 suite failure, 2 configuration error.
+The report streams to stdout or --out as `serialize.dumps` makes it; one
+that cannot be written leaves no --out file. Exit codes: 0 all checks pass,
+1 suite failure or a non-finite report, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -72,25 +74,23 @@ def _check_out(out_path: str | None):
                           "directory")
 
 
-# characters per write: the stream encodes one slice at a time, never a
-# second copy of the whole report
-WRITE_SLICE = 1 << 16
-
-
-def _write_text(fh, text: str):
-    for start in range(0, len(text), WRITE_SLICE):
-        fh.write(text[start:start + WRITE_SLICE])
-    fh.write("\n")
-
-
 def _emit(report: dict, out_path: str | None):
-    text = serialize.dumps(report)    # a ValueError leaves no --out file
+    """Stream the report's text to stdout, or to the --out file, which is
+    removed again if the writer raises: `NonFiniteReport` on a NaN or an
+    infinity, `ConfigParse` on a failed write."""
     if not out_path:
-        _write_text(sys.stdout, text)
+        serialize.dumps(report, sys.stdout)
+        print()
         return
     try:
-        with open(out_path, "w") as fh:
-            _write_text(fh, text)
+        fh = open(out_path, "w")
+        try:
+            with fh:
+                serialize.dumps(report, fh)
+                fh.write("\n")
+        except BaseException:
+            os.remove(out_path)
+            raise
     except OSError as exc:
         raise ConfigParse(f"cannot write --out {out_path!r}: "
                           f"{exc.strerror or exc}") from exc

@@ -422,7 +422,15 @@ def rce_matrix(pert: Perturbation) -> np.ndarray:
 
 
 def rce_derivative(pert: Perturbation, a: Solution, b: Solution) -> complex:
-    """d/ds sigma(rce[s v] a, b) at s=0, exactly.
+    """d/ds sigma(rce[s v] a, b) at s=0, exactly (`rce_derivative_data`)."""
+    _same_spacetime(a, b)
+    return complex(rce_derivative_data(pert, a.q, a.p, b.q, b.p))
+
+
+def rce_derivative_data(pert: Perturbation, qa: np.ndarray, pa: np.ndarray,
+                        qb: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """d/ds sigma(rce[s v] a, b) at s=0 for a batch of pairs of Cauchy data
+    (..., S, N), evolved as one batch: one value per pair, shape (...).
 
     The force is linear in v, so the derivative of the perturbed stepper along
     a's free trajectory is the free stepper driven from zero data by the
@@ -431,17 +439,15 @@ def rce_derivative(pert: Perturbation, a: Solution, b: Solution) -> complex:
     under exchange of a and b (the derivative map is symplectically
     skew-adjoint), and weakly defines the derivative of the evolution family.
     """
-    _same_spacetime(a, b)
-    st = a.spacetime
-    T = st.n_steps
-    q_a, _ = evolve_data(a.q, a.p, st, 0, T, trajectory=True)
-    v = pert.v[:, None, :]
-    source = (_accel(q_a, st, v, pert.kind)
-              - _accel(q_a, st, None, pert.kind)).transpose(1, 0, 2)
-    zero = np.zeros_like(a.q)
-    q, p = evolve_data(zero, zero, st, 0, T, source=source)
-    q, p = evolve_data(q, p, st, T, 0)
-    return symplectic_form(Solution(st, q, p), b)
+    st, T = pert.spacetime, pert.spacetime.n_steps
+    q_a, _ = evolve_data(qa, pa, st, 0, T, trajectory=True)
+    v = pert.v.reshape(pert.v.shape[:1] + (1,) * (q_a.ndim - 2) + (-1,))
+    source = np.moveaxis(_accel(q_a, st, v, pert.kind)
+                         - _accel(q_a, st, None, pert.kind), 0, -2)
+    zero = np.zeros(q_a.shape[1:], complex)
+    q, p = evolve_data(*evolve_data(zero, zero, st, 0, T, source=source), st, T, 0)
+    flat = q.shape[:-2] + (-1,)     # each pair's sums in the unbatched order
+    return np.sum((q * pb).reshape(flat), -1) - np.sum((qb * p).reshape(flat), -1)
 
 
 # -- scalar (single-species) data for sector constructions -------------------------

@@ -81,6 +81,10 @@ class ConfigParse(LcqftError):
     """Invalid CLI configuration."""
 
 
+class NonFiniteReport(LcqftError, ValueError):
+    """A report holds a NaN or an infinity, which JSON cannot carry."""
+
+
 # -- classifier ----------------------------------------------------------------
 
 class BudgetExceeded(ConfigParse):

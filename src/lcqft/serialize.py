@@ -2,12 +2,13 @@
 
 `dumps` writes the bytes of the standard library's `json.dumps` with sorted
 keys, indent 2, non-ASCII kept and no NaN or infinity, joining each list of
-floats in one pass. A numpy array (a classify generator) is written as the
-nested list its `tolist()` gives, one row at a time, so no Python list of the
-whole array is built; its finiteness is checked on the array. Floats take
-their shortest round-trip form, so a parsed report holds the exact floats
-that were written. One configuration yields byte-identical reports on one
-build and BLAS thread count (timings are the only run-dependent fields;
+floats in one pass, and can stream each piece to a text stream as it is
+made. A numpy array (a classify generator) is written as the nested list its
+`tolist()` gives, one row at a time, so no Python list of the whole array is
+built; its finiteness is checked on the array. Floats take their shortest
+round-trip form, so a parsed report holds the exact floats that were
+written. One configuration yields byte-identical reports on one build and
+BLAS thread count (timings are the only run-dependent fields;
 comparisons strip them).
 Across machines only the report's contract is byte-identical: roundoff-floor
 residuals that pass through BLAS/LAPACK change in their last bits with the
@@ -22,24 +23,30 @@ from json.encoder import encode_basestring   # TypeError on a non-str key
 
 import numpy as np
 
+from .errors import NonFiniteReport
+
 _scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
-def dumps(obj) -> str:
-    """Report text: sorted keys, indent 2, non-ASCII kept; ValueError on a
-    non-finite float and TypeError on a non-str key."""
-    out: list[str] = []
-    _write(obj, "\n", out)
-    return "".join(out)
+def dumps(obj, out=None) -> str | None:
+    """Report text: sorted keys, indent 2, non-ASCII kept; `NonFiniteReport`
+    (a ValueError) on a NaN or an infinity, TypeError on a non-str key. Given
+    a text stream `out`, each piece goes to it as it is made; returns None."""
+    pieces: list[str] = []
+    try:
+        _write(obj, "\n", pieces.append if out is None else out.write)
+    except ValueError as exc:   # the writer's check or the scalar encoder's
+        raise NonFiniteReport(f"non-finite value in the report: {exc}") from exc
+    return "".join(pieces) if out is None else None
 
 
-def _write(obj, newline: str, out: list[str]) -> None:
-    """Append the text of obj, its nested lines starting with `newline`."""
+def _write(obj, newline: str, write) -> None:
+    """Pass the text of obj to `write`, its nested lines after `newline`."""
     inner = newline + "  "
     if isinstance(obj, np.ndarray):
         if not np.isfinite(obj).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        _write_rows(obj, newline, out)
+        _write_rows(obj, newline, write)
         return
     if isinstance(obj, dict) and obj:
         items = [(encode_basestring(k) + ": ", obj[k]) for k in sorted(obj)]
@@ -51,16 +58,16 @@ def _write(obj, newline: str, out: list[str]) -> None:
         else:
             if not all(map(math.isfinite, obj)):
                 raise ValueError("Out of range float values are not JSON compliant")
-            out.append(row)
+            write(row)
             return
     else:   # a scalar or an empty container
-        out.append(_scalar(obj))
+        write(_scalar(obj))
         return
     brackets = "{}" if isinstance(obj, dict) else "[]"
     for i, (head, value) in enumerate(items):
-        out.append(("," if i else brackets[0]) + inner + head)
-        _write(value, inner, out)
-    out.append(newline + brackets[1])
+        write(("," if i else brackets[0]) + inner + head)
+        _write(value, inner, write)
+    write(newline + brackets[1])
 
 
 def _float_row(row, newline: str) -> str:
@@ -69,20 +76,20 @@ def _float_row(row, newline: str) -> str:
     return f"[{inner}{(',' + inner).join(map(float.__repr__, row))}{newline}]"
 
 
-def _write_rows(arr: np.ndarray, newline: str, out: list[str]) -> None:
-    """Append the text of arr.tolist(), converting one 1-D row at a time;
-    the caller has checked that arr is finite."""
+def _write_rows(arr: np.ndarray, newline: str, write) -> None:
+    """Pass the text of arr.tolist() to `write`, converting one 1-D row at a
+    time; the caller has checked that arr is finite."""
     if arr.ndim == 1 and arr.dtype.kind == "f" and len(arr):
-        out.append(_float_row(arr.tolist(), newline))
+        write(_float_row(arr.tolist(), newline))
         return
     if arr.ndim <= 1 or not len(arr):
-        _write(arr.tolist(), newline, out)
+        _write(arr.tolist(), newline, write)
         return
     inner = newline + "  "
     for i, row in enumerate(arr):
-        out.append(("," if i else "[") + inner)
-        _write_rows(row, inner, out)
-    out.append(newline + "]")
+        write(("," if i else "[") + inner)
+        _write_rows(row, inner, write)
+    write(newline + "]")
 
 
 def strip_timings(obj):

@@ -690,6 +690,34 @@ class TestBatchedOps:
                         for x in left])
 
 
+def test_substitution_sizes_each_element_by_its_degree(monkeypatch):
+    # an element's fan is its map's width to the power of its degree, the
+    # largest term degree over its run of the sorted tags: 0 for an empty
+    # element, also at the end of a batch; a batch of one has the count of
+    # its trimmed digit rows
+    st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:2"))
+    elements = [alg.AlgebraElement(st_, {(1, 2, 3): 1.0, (4,): 2.0}),
+                alg.zero(st_), alg.AlgebraElement(st_, {(): 0.5, (5, 6): 1j}),
+                alg.one(st_), alg.zero(st_)]
+    slots = alg.slot_map(_random_map(3, st_.data_dim, 0.1))
+    fans, chunked = [], alg._chunked
+
+    def spy(spacetime, size, tags, fan, expand):
+        fans.append(fan)
+        return chunked(spacetime, size, tags, fan, expand)
+
+    monkeypatch.setattr(alg, "_chunked", spy)
+    _equal_bitwise(alg.substitute_affine(alg.stack(elements), slots),
+                   [alg.substitute_affine(x, slots) for x in elements])
+    alg.substitute_affine(alg.stack([alg.zero(st_)] * 2), slots)
+    width = float(slots.widths)
+    assert width > 1
+    want = np.minimum(width ** np.array([3, 0, 2, 0, 0]),
+                      alg.CHUNK_TERMS).astype(int)
+    assert np.array_equal(fans[0], want) and fans[0].dtype == want.dtype
+    assert [fan.tolist() for fan in fans[1:]] == [[w] for w in want] + [[1, 1]]
+
+
 def test_batches_reject_mismatched_sizes_and_maps(massive_spacetime, rng):
     a = alg.stack([alg.random_element(rng, massive_spacetime, 2, 3)
                    for _ in range(3)])

@@ -1,5 +1,7 @@
 """Endomorphism classifier: the per-momentum solve, and the coordinate-space
 system of `oracles` that checks it."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -660,3 +662,28 @@ class TestSoundnessBatch:
         assert clf.generator_soundness(st, modes[-1], batched) \
             == oracles.looped_generator_soundness(st, modes[-1:], looped)
         assert batched.standard_normal() == looped.standard_normal()
+
+    def test_samples_are_evolved_one_group_at_a_time(self):
+        # one generator's 3 samples and their images, or one sample and its
+        # 2 block reflections, evolve at a time: the peak stays below twice
+        # the q and p trajectories of that group (holding every generator's
+        # samples at once would take 4 times the generator's alone)
+        st = _st("1:2,2:3", n=256)
+        modes = np.array([clf.species_generator(st, R)
+                          for R in gg.rotation_generators(st.spectrum)])
+        assert len(modes) == 4
+
+        def trajectories(n_vectors):
+            return 2 * st.n_slices * n_vectors * st.data_dim // 2 * 16
+
+        for run, group in [
+                (lambda rng: clf.generator_soundness(st, modes, rng), 6),
+                (lambda rng: clf.reflection_residual(st, rng), 3)]:
+            tracemalloc.start()
+            try:
+                live = tracemalloc.get_traced_memory()[0]
+                run(np.random.default_rng(31))
+                peak = tracemalloc.get_traced_memory()[1] - live
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * trajectories(group), (peak, group)

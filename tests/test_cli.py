@@ -126,18 +126,36 @@ class TestSerializer:
         with pytest.raises(TypeError):
             serialize.dumps(obj)
 
-    def test_peak_memory_of_a_dense_classify_report(self):
+    @pytest.fixture(scope="class")
+    def dense_report(self):
+        return classify(LatticeSpacetime(16, 16, 0.5,
+                                         MassSpectrum.parse("1:2,2:3")), seed=31)
+
+    def test_peak_memory_of_a_dense_classify_report(self, dense_report):
         # the standard library's indent=2 writer peaks at about 6x the text
-        report = classify(LatticeSpacetime(16, 16, 0.5,
-                                           MassSpectrum.parse("1:2,2:3")),
-                          seed=31)
         tracemalloc.start()
         try:
-            text = serialize.dumps(report)
+            text = serialize.dumps(dense_report)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 3 * len(text)
+
+    def test_streamed_report_holds_no_copy_of_its_text(self, dense_report,
+                                                       tmp_path):
+        # written to a stream piece by piece, the text is never held whole:
+        # the peak is one generator's finiteness mask and a few rows
+        path = tmp_path / "report.json"
+        with open(path, "w") as fh:
+            tracemalloc.start()
+            try:
+                assert serialize.dumps(dense_report, fh) is None
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        text = path.read_text()
+        assert text == serialize.dumps(dense_report)
+        assert peak < len(text) / 8
 
 
 class TestGoldenComparison:
@@ -350,7 +368,7 @@ class TestCliProcess:
         assert report["match"] is True
 
     def test_classify_stdout_equals_the_out_file(self, tmp_path, capsys):
-        # the report's text is written in slices; stdout and --out agree
+        # the report's text streams piece by piece; stdout and --out agree
         argv = ["classify", "--spectrum", "1:2,2:3", "--sites", "16",
                 "--seed", "31"]
         out = tmp_path / "classify.json"
@@ -358,7 +376,7 @@ class TestCliProcess:
         capsys.readouterr()
         assert main(argv) == 0
         printed = capsys.readouterr().out
-        assert len(printed) > 4 * cli.WRITE_SLICE
+        assert len(printed) > 4 * 65536
         assert printed == out.read_text() and printed.endswith("}\n")
 
     @pytest.mark.parametrize("argv", [
@@ -490,6 +508,34 @@ class TestCliProcess:
                      "--out", str(tmp_path / "classify.json")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["dimension=1 expected=1 match=True", line]
+
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_non_finite_report_is_one_error_line(self, command, to_file,
+                                                 monkeypatch, tmp_path,
+                                                 capsys):
+        # a NaN residual cannot be written as JSON: exit 1 with one error
+        # line, no traceback and no --out file
+        def nan_suite(config):
+            rec = suites.Recorder()
+            rec.below("relations", float("nan"), 1e-12)
+            return rec.result("ccr", 0.0)
+
+        def nan_classify(spacetime, seed):
+            report = self._matched_report()
+            report["residuals"]["soundness_sigma"] = float("nan")
+            return report
+
+        monkeypatch.setattr(suites, "SUITE_FUNCS",
+                            {**suites.SUITE_FUNCS, "ccr": nan_suite})
+        monkeypatch.setattr(cli, "classify", nan_classify)
+        out = tmp_path / "report.json"
+        argv = (["verify", "ccr"] if command == "verify" else ["classify"]) \
+            + ["--spectrum", "1:2"] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        assert not out.exists()
 
     def test_classical_flag_is_rejected(self, capsys):
         # the affine factor is always solved: there is no --classical
