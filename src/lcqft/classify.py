@@ -56,8 +56,8 @@ from .dynamics import (Perturbation, data_from_vec, dense_from_modes,
                        mode_maps, null_energy_grids, rce_data,
                        solution_from_vec)
 from .errors import BudgetExceeded
-from .gauge import (block_reflections, classical_action, ell_basis_values,
-                    rotation_generators)
+from .gauge import (block_reflections, classical_action, rotation_generators,
+                    shift_functionals)
 from .spacetime import LatticeSpacetime
 
 BUDGET_SITES = 32
@@ -308,10 +308,9 @@ def affine_functionals(st: LatticeSpacetime, U0: np.ndarray) -> np.ndarray:
 def affine_report(st: LatticeSpacetime, U0: np.ndarray) -> dict:
     """The solved dimension, the expected nu(0), and the sine of the largest
     principal angle between the solved functionals and the shift functionals
-    <e_j, .> of `gauge.presentation` (1.0 when their counts differ)."""
+    <e_j, .> of `gauge.shift_functionals` (1.0 when their counts differ)."""
     solved, n0 = affine_functionals(st, U0), st.spectrum.massless_count
-    shifts = np.array([ell_basis_values(e_j, st) for e_j in np.eye(n0)]
-                      ).reshape(n0, st.data_dim) / np.sqrt(st.n_sites)
+    shifts = shift_functionals(st) / np.sqrt(st.n_sites)
     angle = np.linalg.norm(shifts - shifts @ solved.T @ solved, 2) if n0 else 0.0
     return {"dimension": len(solved), "expected": n0,
             "residual": float(angle) if len(solved) == n0 else 1.0}

@@ -7,11 +7,13 @@
 
 The report streams to stdout or --out as `serialize.dumps` makes it; one
 that cannot be written leaves no --out file. Exit codes: 0 all checks pass,
-1 suite failure or a non-finite report, 2 configuration error.
+1 suite failure or a non-finite report, 2 configuration error or a failed
+write to --out or stdout.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -74,6 +76,23 @@ def _check_out(out_path: str | None):
                           "directory")
 
 
+@contextlib.contextmanager
+def _stdout_writes():
+    """Turn a failed write to stdout (a closed pipe, a full disk) into
+    ConfigParse, pointing its descriptor, if any, at the null device so that
+    the interpreter's flush at exit cannot fail again."""
+    try:
+        yield
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError):
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise ConfigParse("cannot write the report to stdout: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _emit(report: dict, out_path: str | None):
     """Stream the report's text to stdout, or to the --out file, which is
     removed again if the writer raises: `NonFiniteReport` on a NaN or an
@@ -128,15 +147,17 @@ def main(argv: list[str] | None = None) -> int:
             config = RunConfig(**common, suite=args.suite,
                                tolerances=_parse_tolerances(args.tolerance))
             report = run_suite(config)
-            _emit(report, args.out)
-            _summary(report, args.out)
+            with _stdout_writes():
+                _emit(report, args.out)
+                _summary(report, args.out)
             return 0 if report["status"] == "pass" else 1
 
         if args.command == "classify":
             config = RunConfig(**common)
             config.check(["classify"])  # before the classifier runs
             report = classify(config.spacetime(), seed=args.seed)
-            _emit(report, args.out)
+            with _stdout_writes():
+                _emit(report, args.out)
             print(f"dimension={report['dimension']} expected={report['expected']} "
                   f"match={report['match']}", file=sys.stderr)
             failures = classify_checks([report], config).failures

@@ -421,33 +421,35 @@ def rce_matrix(pert: Perturbation) -> np.ndarray:
                      pert.spacetime).real
 
 
-def rce_derivative(pert: Perturbation, a: Solution, b: Solution) -> complex:
-    """d/ds sigma(rce[s v] a, b) at s=0, exactly (`rce_derivative_data`)."""
-    _same_spacetime(a, b)
-    return complex(rce_derivative_data(pert, a.q, a.p, b.q, b.p))
-
-
-def rce_derivative_data(pert: Perturbation, qa: np.ndarray, pa: np.ndarray,
-                        qb: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """d/ds sigma(rce[s v] a, b) at s=0 for a batch of pairs of Cauchy data
-    (..., S, N), evolved as one batch: one value per pair, shape (...).
+def rce_tangent_data(pert: Perturbation, q: np.ndarray, p: np.ndarray):
+    """The tangent F[v] = d/ds rce[s v] at s=0 of a batch of Cauchy data q, p
+    (..., S, N): its data (q, p) at t=0, as one batch.
 
     The force is linear in v, so the derivative of the perturbed stepper along
-    a's free trajectory is the free stepper driven from zero data by the
-    source _accel(q_a(t), v_t) - _accel(q_a(t), None); that tangent is brought
-    back to t=0 freely and paired with b. The pairing is bilinear, symmetric
-    under exchange of a and b (the derivative map is symplectically
-    skew-adjoint), and weakly defines the derivative of the evolution family.
+    the data's free trajectory is the free stepper driven from zero data by
+    the source _accel(q(t), v_t) - _accel(q(t), None), brought back to t=0
+    freely. F is symplectically skew-adjoint: sigma(F a, b) = -sigma(a, F b).
     """
     st, T = pert.spacetime, pert.spacetime.n_steps
-    q_a, _ = evolve_data(qa, pa, st, 0, T, trajectory=True)
-    v = pert.v.reshape(pert.v.shape[:1] + (1,) * (q_a.ndim - 2) + (-1,))
-    source = np.moveaxis(_accel(q_a, st, v, pert.kind)
-                         - _accel(q_a, st, None, pert.kind), 0, -2)
-    zero = np.zeros(q_a.shape[1:], complex)
-    q, p = evolve_data(*evolve_data(zero, zero, st, 0, T, source=source), st, T, 0)
-    flat = q.shape[:-2] + (-1,)     # each pair's sums in the unbatched order
-    return np.sum((q * pb).reshape(flat), -1) - np.sum((qb * p).reshape(flat), -1)
+    q_traj, _ = evolve_data(q, p, st, 0, T, trajectory=True)
+    v = pert.v.reshape(pert.v.shape[:1] + (1,) * (q_traj.ndim - 2) + (-1,))
+    source = np.moveaxis(_accel(q_traj, st, v, pert.kind)
+                         - _accel(q_traj, st, None, pert.kind), 0, -2)
+    zero = np.zeros(q_traj.shape[1:], complex)
+    return evolve_data(*evolve_data(zero, zero, st, 0, T, source=source), st, T, 0)
+
+
+def rce_derivative_matrix(pert: Perturbation) -> np.ndarray:
+    """Dense matrix of the tangent F[v] over the canonical basis."""
+    return matrix_of(lambda qb, pb: rce_tangent_data(pert, qb, pb),
+                     pert.spacetime).real
+
+
+def rce_derivative(pert: Perturbation, a: Solution, b: Solution) -> complex:
+    """d/ds sigma(rce[s v] a, b) at s=0 = sigma(F[v] a, b), exactly; symmetric
+    in a and b."""
+    tangent = Solution(a.spacetime, *rce_tangent_data(pert, a.q, a.p))
+    return symplectic_form(tangent, b)
 
 
 # -- scalar (single-species) data for sector constructions -------------------------

@@ -168,6 +168,14 @@ def ell_basis_values(ell: np.ndarray, spacetime: LatticeSpacetime) -> np.ndarray
     return vals.ravel()
 
 
+def shift_functionals(spacetime: LatticeSpacetime) -> np.ndarray:
+    """The rows <e_j, .> over the canonical basis, one per massless species
+    j: shape (nu(0), dim)."""
+    n0 = spacetime.spectrum.massless_count
+    return np.array([ell_basis_values(e_j, spacetime) for e_j in np.eye(n0)]
+                    ).reshape(n0, spacetime.data_dim)
+
+
 # -- quantum action ------------------------------------------------------------------
 
 class QuantumAction:
@@ -272,7 +280,7 @@ def presentation(spacetime: LatticeSpacetime) -> Presentation:
     rotations = species_slot_maps(spacetime, generators)
     shifts = species_slot_maps(
         spacetime, np.zeros((n0, *generators.shape[1:])),
-        [ell_basis_values(e_j, spacetime) for e_j in np.eye(n0)])
+        shift_functionals(spacetime))
     return Presentation(
         generators, tuple(rotations[i] for i in range(len(generators))),
         tuple(shifts[j] for j in range(n0)),

@@ -22,7 +22,6 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -143,20 +142,3 @@ def vacuum_state(spacetime: LatticeSpacetime) -> QuasifreeState:
         if spectrum.massless_count else ()
     return QuasifreeState(spacetime, mu, flags=flags)
 
-
-@dataclass(frozen=True, eq=False)
-class PulledBackState:
-    """omega composed with an algebra endomorphism; still a state when the
-    endomorphism is a *-homomorphism (positivity and normalization carry over)."""
-
-    base: QuasifreeState
-    endo: Callable[[AlgebraElement], AlgebraElement]
-
-    def evaluate(self, a: AlgebraElement) -> complex:
-        return self.base.evaluate(self.endo(a))
-
-
-def pull_back(state: QuasifreeState,
-              endo: Callable[[AlgebraElement], AlgebraElement]
-              ) -> PulledBackState:
-    return PulledBackState(state, endo)

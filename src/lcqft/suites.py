@@ -7,7 +7,9 @@ Every whole-group property (vacuum invariance, rce intertwining, diamond
 membership, observables, multiplets) is checked on the exact presentation of
 `gauge.presentation`; random group elements appear only in the gauge suite's
 homomorphism and float-naturality checks, which test the group law itself.
-The state suite reads positivity and invariance off the two-point kernel.
+The state suite reads positivity and invariance off the two-point kernel and
+its one-point function on the basis fields; the rce suite reads its linear
+identities off the dense maps of rce[v] and of its derivative.
 
 Suites draw randomness from independent counter-based streams derived from
 the master seed, so a report is byte-identical across reruns on one build and
@@ -376,20 +378,15 @@ def rce_suite(config: RunConfig) -> dict:
     rng = _rng(config, 2)
     spectrum = st.spectrum
 
-    # one dense map rce[v] per perturbation; every check but the derivative
-    # reads it
+    # one dense map rce[v] per perturbation, read by the symplectic,
+    # intertwining and charge checks
     perts = [_random_perturbation(rng, st) for _ in range(3)]
     maps = [dyn.rce_matrix(pert) for pert in perts]
 
     J = dyn.symplectic_matrix(st)
-    worst = 0.0
-    for M in maps:
-        a, b = np.array([[dyn.random_solution(rng, st).vec() for _ in range(2)]
-                         for _ in range(10)]).transpose(1, 0, 2)
-        # sigma(M a, M b) - sigma(a, b), pair by pair
-        defect = np.sum((a @ M.T @ J) * (b @ M.T) - (a @ J) * b, axis=1)
-        worst = max(worst, float(np.max(np.abs(defect))))
-    rec.below("symplectic_preservation", worst, config.tol("rce.symplectic"))
+    rec.below("symplectic_preservation",
+              max(float(np.max(np.abs(M.T @ J @ M - J))) for M in maps),
+              config.tol("rce.symplectic"))
 
     # intertwining with the orthogonal gauge factor: the lifted map commutes
     # with every rotation and reflection move of the presentation
@@ -409,10 +406,9 @@ def rce_suite(config: RunConfig) -> dict:
     rec.below("intertwining", worst, config.tol("rce.intertwine"))
 
     # for gradient-kind perturbations the full group intertwines and the
-    # massless charges <e_j, .> are conserved
+    # massless charges <e_j, .> are conserved, as rows: ells M_g = ells
     if spectrum.massless_count:
-        ells = np.array([gg.ell_basis_values(e_j, st)
-                         for e_j in np.eye(spectrum.massless_count)])
+        ells = gg.shift_functionals(st)
         worst = 0.0
         worst_ell = 0.0
         for _ in range(3):
@@ -421,9 +417,8 @@ def rce_suite(config: RunConfig) -> dict:
             for _ in range(3):
                 x = alg.random_element(rng, st, 2, 3)
                 worst = max(worst, intertwining_defect(lifted, x, shifts=True))
-                phi = dyn.random_solution(rng, st).vec()
-                worst_ell = max(worst_ell, float(np.max(np.abs(
-                    ells @ (M_g @ phi - phi)))))
+            worst_ell = max(worst_ell,
+                            float(np.max(np.abs(ells @ M_g - ells))))
         rec.below("intertwining_full_group_gradient", worst,
                   config.tol("rce.intertwine"))
         rec.below("ell_invariance_gradient", worst_ell,
@@ -438,9 +433,9 @@ def rce_suite(config: RunConfig) -> dict:
                  "functional; the invariance identity needs gradient-kind "
                  "perturbations")
 
-    # localization: causally disjoint data is untouched. Needs a wide enough
-    # circle; scan for a collision-free lattice size for this spectrum, the
-    # configured one included.
+    # localization: causally disjoint data, every unit vector of a window,
+    # is untouched. Needs a wide enough circle; scan for a collision-free
+    # lattice size for this spectrum, the configured one included.
     st_loc = None
     for n_loc in range(max(18, st.n_sites), max(40, st.n_sites + 1)):
         try:
@@ -455,29 +450,21 @@ def rce_suite(config: RunConfig) -> dict:
         v = np.zeros((st_loc.n_slices, n_loc))
         v[4:7, 0:2] = 1.1
         pert_loc = dyn.Perturbation(st_loc, v)
-        S = st_loc.n_species
-        q, p = np.zeros((2, 5, S, n_loc), dtype=complex)
-        for i in range(5):
-            for data in (q, p):
-                data[i, :, 9:12] = rng.standard_normal((S, 3)) \
-                    + 1j * rng.standard_normal((S, 3))
+        window = np.zeros((2, st_loc.n_species, n_loc), dtype=bool)
+        window[..., 9:12] = True
+        q, p = dyn.data_from_vec(st_loc, np.eye(window.size)[window.ravel()])
         moved = dyn.rce_data(q, p, pert_loc)
         worst = max(float(np.max(np.abs(new - old)))
                     for new, old in zip(moved, (q, p)))
         rec.below("localization", worst, config.tol("rce.localization"))
         rec.dimensions["localization_sites"] = n_loc
 
-    # derivative pairing is symplectically skew-adjoint: symmetric in (a, b);
-    # a perturbation's 4 pairs evolve in both orders as one batch
-    worst = 0.0
-    for pert in perts:
-        a, b = np.array([[dyn.random_solution(rng, st).vec() for _ in range(2)]
-                         for _ in range(4)]).transpose(1, 0, 2)
-        d = dyn.rce_derivative_data(
-            pert, *dyn.data_from_vec(st, np.concatenate([a, b])),
-            *dyn.data_from_vec(st, np.concatenate([b, a])))
-        worst = max(worst, *map(abs, (d[:4] - d[4:]).tolist()))
-    rec.below("derivative_skew_adjoint", worst, config.tol("rce.skew_adjoint"))
+    # the derivative F[v] is symplectically skew-adjoint, F^T J + J F = 0:
+    # its pairing sigma(F a, b) is symmetric in (a, b)
+    rec.below("derivative_skew_adjoint",
+              max(float(np.max(np.abs(F.T @ J + J @ F)))
+                  for F in map(dyn.rce_derivative_matrix, perts)),
+              config.tol("rce.skew_adjoint"))
     return rec.result("rce", time.perf_counter() - t0)
 
 
@@ -485,7 +472,6 @@ def state_suite(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     rec = Recorder()
     st = config.spacetime()
-    rng = _rng(config, 3)
     spectrum = st.spectrum
     vac = stt.vacuum_state(st)
     if vac.flags:
@@ -509,22 +495,21 @@ def state_suite(config: RunConfig) -> dict:
                 + [float(np.max(np.abs(R.T @ mu @ R - mu))) for R in M[n_so:]])
     rec.below("vacuum_gauge_invariance", worst, config.tol("state.invariance"))
 
+    # the one-point function is linear: read it on the basis fields
+    basis = alg.fields(st, np.eye(st.data_dim))
     if spectrum.massless_count:
+        # shifted along e_j, it is the shift functional <e_j, .>
         worst = 0.0
-        for ell in np.eye(spectrum.massless_count):
+        for ell, expected in zip(np.eye(spectrum.massless_count),
+                                 gg.shift_functionals(st)):
             g = gg.GaugeElement(
                 spectrum, tuple(np.eye(k) for _, k in spectrum.entries), ell)
-            pulled = stt.pull_back(vac, gg.QuantumAction(g, st))
-            for _ in range(50):
-                phi = dyn.random_solution(rng, st)
-                worst = max(worst, abs(pulled.evaluate(alg.field(phi))
-                                       - gg.ell_functional(ell, phi)))
+            moved = gg.QuantumAction(g, st)(basis).elements()
+            worst = max(worst, *(abs(vac.evaluate(x) - value)
+                                 for x, value in zip(moved, expected)))
         rec.below("one_point_after_shift", worst, config.tol("state.one_point"))
     else:
-        worst = 0.0
-        for _ in range(50):
-            phi = dyn.random_solution(rng, st)
-            worst = max(worst, abs(vac.evaluate(alg.field(phi))))
+        worst = max(abs(vac.evaluate(x)) for x in basis.elements())
         rec.below("one_point_vanishes", worst, config.tol("state.one_point"))
     return rec.result("state", time.perf_counter() - t0)
 

@@ -1,7 +1,9 @@
 """CLI: exit codes, report schema, determinism."""
 import collections
 import copy
+import errno
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -457,6 +459,47 @@ class TestCliProcess:
                            "No space left on device")
         assert not any("Traceback" in line for line in err)
 
+    @pytest.mark.parametrize("code", [errno.EPIPE, errno.ENOSPC])
+    @pytest.mark.parametrize("argv, to_file", [
+        (["verify", "state", "--spectrum", "1:2"], False),
+        (["classify", "--spectrum", "1:2"], False),
+        # with --out, the summary is what goes to stdout
+        (["verify", "state", "--spectrum", "1:2"], True)])
+    def test_stdout_write_failure_is_config_error(self, argv, to_file, code,
+                                                  monkeypatch, tmp_path,
+                                                  capsys):
+        # a closed pipe or a full disk behind stdout; the stand-in has no
+        # file descriptor, so none is redirected
+        class FailingStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        out = ["--out", str(tmp_path / "report.json")] if to_file else []
+        assert main(argv + out) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: cannot write the report to stdout: "
+            + os.strerror(code)]
+
+    def test_closed_stdout_pipe_exits_two_in_a_process(self):
+        # the reader is gone before the report is written: one line, no
+        # traceback, and nothing left to fail when the interpreter exits
+        root = GOLDEN_DIR.parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src")] + ([os.environ["PYTHONPATH"]]
+                                   if os.environ.get("PYTHONPATH") else [])))
+        with subprocess.Popen(
+                [sys.executable, "-m", "lcqft.cli", "verify", "state",
+                 "--spectrum", "1:2"], cwd=root, env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=300) == 2, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == "config error: cannot write the report to stdout: " \
+            "Broken pipe\n"
+
     @pytest.mark.parametrize("soundness, code", [(1e-6, 1), (1e-12, 0)])
     def test_classify_exit_code_honours_soundness(self, soundness, code,
                                                   monkeypatch, tmp_path,
@@ -574,8 +617,9 @@ def test_rce_suite_checks_the_mass_kind_deviation(monkeypatch):
 @pytest.mark.parametrize("spectrum, maps", [("1:2", 3), ("0:1,1:2", 6)])
 def test_rce_suite_builds_one_map_per_perturbation(spectrum, maps,
                                                    monkeypatch):
-    # every rce check but the derivative reads the dense map of its
-    # perturbation; no Solution is evolved one at a time
+    # the symplectic, intertwining and charge checks read the dense map of
+    # their perturbation; the derivative has its own map, and no Solution is
+    # evolved one at a time
     def never(sol, pert):
         raise AssertionError("relative_cauchy_evolution was called")
 
@@ -587,6 +631,70 @@ def test_rce_suite_builds_one_map_per_perturbation(spectrum, maps,
     result = suites.rce_suite(RunConfig(spectrum=spectrum, suite="rce"))
     assert result["status"] == "pass", result["findings"]
     assert len(built) == maps
+
+
+@pytest.mark.parametrize("spectrum", ["1:2", "0:1,1:2"])
+@pytest.mark.parametrize("suite", [suites.rce_suite, suites.state_suite])
+def test_linear_checks_draw_no_solution(suite, spectrum, monkeypatch):
+    # each linear identity is read off its map or on a basis, exactly
+    def never(*args, **kwargs):
+        raise AssertionError("random_solution was called")
+
+    monkeypatch.setattr(suites.dyn, "random_solution", never)
+    result = suite(RunConfig(spectrum=spectrum))
+    assert result["status"] == "pass", result["findings"]
+
+
+# The planted maps stay symplectic, so the lift accepts them: each is
+# rce[v] after the shear p += 1e-6 q at one site of one species.
+
+def _leaking_rce_data(rce_data):
+    """rce_data after the shear at site 10 of species 0, a column of the
+    localization window (the configured 8 sites have no site 10)."""
+    def leaky(q, p, pert):
+        if q.shape[-1] > 10:
+            p = np.array(p)
+            p[..., 0, 10] += 1e-6 * q[..., 0, 10]
+        return rce_data(q, p, pert)
+    return leaky
+
+
+def _charge_moving_rce_matrix(rce_matrix):
+    """rce_matrix whose gradient-kind maps end with the shear at site 0 of
+    the first massless species, which moves <e_0, .>."""
+    def moving(pert):
+        M = rce_matrix(pert)
+        if pert.kind == "gradient":
+            st = pert.spacetime
+            q = st.spectrum.block_slice(0.0).start * st.n_sites
+            shear = np.eye(st.data_dim)
+            shear[st.n_species * st.n_sites + q, q] = 1e-6
+            M = shear @ M
+        return M
+    return moving
+
+
+def _non_skew_tangent(rce_tangent_data):
+    """rce_tangent_data plus 1e-6 times the identity, whose F^T J + J F is
+    2e-6 J."""
+    def tangent(pert, q, p):
+        q_out, p_out = rce_tangent_data(pert, q, p)
+        return q_out + 1e-6 * q, p_out + 1e-6 * p
+    return tangent
+
+
+@pytest.mark.parametrize("name, target, mutant", [
+    ("derivative_skew_adjoint", "rce_tangent_data", _non_skew_tangent),
+    ("localization", "rce_data", _leaking_rce_data),
+    ("ell_invariance_gradient", "rce_matrix", _charge_moving_rce_matrix)])
+def test_rce_suite_catches_a_planted_defect(name, target, mutant, monkeypatch):
+    monkeypatch.setattr(suites.dyn, target,
+                        mutant(getattr(suites.dyn, target)))
+    result = suites.rce_suite(RunConfig(spectrum="0:1,1:2", suite="rce"))
+    assert result["status"] == "fail"
+    assert result["residuals"][name] > 1e-7
+    assert any(line.startswith(f"{name}: residual") for line in
+               result["findings"]), result["findings"]
 
 
 def test_rce_localization_runs_on_a_wide_configured_lattice():

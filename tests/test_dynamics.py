@@ -443,6 +443,30 @@ class TestRceDerivative:
                 assert abs(exact - richardson_rce_derivative(pert, a, b)) \
                     < 1e-10 * max(1.0, abs(exact)), kind
 
+    def test_matrix_pairs_basis_vectors_like_the_pairing(self,
+                                                         mixed_spacetime,
+                                                         rng):
+        # sigma(F e_i, e_j) off the dense tangent map, against the pairing
+        # of one pair and against finite differences of full evolutions
+        st_ = mixed_spacetime
+        J = dyn.symplectic_matrix(st_)
+        for kind in ("mass", "gradient"):
+            pert = _perturbation(rng, st_, kind=kind)
+            F = dyn.rce_derivative_matrix(pert)
+            biggest = 0.0
+            for i, j in rng.integers(0, st_.data_dim, size=(8, 2)):
+                pairing = F[:, i] @ J[:, j]
+                a, b = _basis(st_, i), _basis(st_, j)
+                scale = max(1.0, abs(pairing))
+                assert abs(dyn.rce_derivative(pert, a, b) - pairing) \
+                    <= 1e-14 * scale, kind
+                assert abs(richardson_rce_derivative(pert, a, b) - pairing) \
+                    < 1e-10 * scale, kind
+                biggest = max(biggest, abs(pairing))
+            # the skew-adjoint identity the rce suite reads off F
+            assert np.max(np.abs(F.T @ J + J @ F)) < 1e-13, kind
+            assert biggest > 1e-3, kind
+
     def test_set_pairing_with_conjugate(self, mixed_spacetime, rng):
         # sigma(F[v] phi, conj phi) = dt sum v |phi|^2 >= 0 for v >= 0
         v = np.zeros((mixed_spacetime.n_slices, mixed_spacetime.n_sites))
