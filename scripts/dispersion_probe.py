@@ -40,9 +40,8 @@ def right_mover_decay():
         st = LatticeSpacetime(N, 8, 0.5, MassSpectrum.parse("0:1"))
         theta = 2 * np.pi / N
         x = np.arange(N)
-        sol = dyn.Solution(st, np.cos(theta * x)[None, :],
-                           (theta * np.sin(theta * x))[None, :])
-        grid = dyn.null_energy_grids(st, sol.q, sol.p)
+        q, p = np.cos(theta * x)[None, :], (theta * np.sin(theta * x))[None, :]
+        grid = dyn.null_energy_grids(st, q, p)
         small = float(np.max(grid[..., 0]))
         order = "" if prev is None else f"   order ~ {np.log2(prev / small):.2f}"
         print(f"  N={N:<3} small={small:.3e} scaled(N^6)={small * N ** 6:.1f}"

@@ -30,7 +30,6 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from lcqft import algebra as alg
-from lcqft import dynamics as dyn
 from lcqft import gauge as gg
 from lcqft import kinematics as kin
 from lcqft import observables as obs
@@ -43,8 +42,8 @@ def generator(rng, st):
     """A bilinear generator of the first mass block, from complex data."""
     q, p, q2, p2 = np.array([1, 1j]) @ rng.standard_normal((4, 2, SITES))
     mass = st.spectrum.entries[0][0]
-    return obs.bilinear_generator(st, mass, dyn.ScalarData(st, q, p),
-                                  dyn.ScalarData(st, q2, p2))
+    return obs.bilinear_generator(st, mass, np.array([q, p]),
+                                  np.array([q2, p2]))
 
 
 def diamond(rng, st, pres):
@@ -53,10 +52,10 @@ def diamond(rng, st, pres):
     basis = kin.region_solution_basis(region)
     moved = []
     for _ in range(3):
-        v1, v2 = (dyn.solution_from_vec(st, basis @ (
+        f1, f2 = (alg.fields(st, basis @ (
             rng.standard_normal(basis.shape[1])
             + 1j * rng.standard_normal(basis.shape[1]))) for _ in range(2))
-        moved.extend(pres.moves(alg.field(v1) * alg.field(v2) + alg.field(v1)))
+        moved.extend(pres.moves(f1 * f2 + f1))
     return moved, basis
 
 

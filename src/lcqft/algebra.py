@@ -539,7 +539,7 @@ def scalar(spacetime: LatticeSpacetime, value: complex) -> AlgebraElement:
 
 
 def fields(spacetime: LatticeSpacetime, vecs) -> AlgebraElement:
-    """The fields of the rows of `vecs` (solutions' `vec()`), as one batch."""
+    """The fields of the rows of `vecs` (data vectors), as one batch."""
     vecs = np.asarray(vecs, dtype=complex).reshape(-1, spacetime.data_dim)
     tags, nz = np.nonzero(np.abs(vecs) > PRUNE_TOL)
     digits = (nz + 1).astype(_digit_type(spacetime.data_dim)).reshape(1, -1)
@@ -548,7 +548,8 @@ def fields(spacetime: LatticeSpacetime, vecs) -> AlgebraElement:
 
 
 def field(phi: Solution) -> AlgebraElement:
-    """Symplectically smeared field: the degree-1 injection, linear in phi."""
+    """Symplectically smeared field: the degree-1 injection, linear in phi.
+    Kept for the benchmark's CCR check; everything else calls `fields`."""
     return fields(phi.spacetime, phi.vec())
 
 

@@ -53,8 +53,7 @@ import numpy as np
 
 from ._linalg import nullspace
 from .dynamics import (Perturbation, data_from_vec, dense_from_modes,
-                       mode_maps, null_energy_grids, rce_data,
-                       solution_from_vec)
+                       mode_maps, null_energy_grids, rce_data)
 from .errors import BudgetExceeded
 from .gauge import (block_reflections, classical_action, rotation_generators,
                     shift_functionals)
@@ -284,9 +283,9 @@ def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float
     component of the group. Each of three samples evolves with them."""
     reflections, res = block_reflections(st.spectrum), 0.0
     for _ in range(3):
-        phi = solution_from_vec(st, rng.standard_normal(st.data_dim))
-        grids = null_energy_grids(st, *data_from_vec(st, [phi.vec()] + [
-            classical_action(g, phi).vec() for g in reflections]))
+        phi = rng.standard_normal(st.data_dim)
+        grids = null_energy_grids(st, *data_from_vec(st, [phi] + [
+            classical_action(g, phi) for g in reflections]))
         res = max(res, float(np.max(np.abs(grids[:, 1:] - grids[:, :1]))))
     return res
 

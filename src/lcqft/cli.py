@@ -8,7 +8,7 @@
 The report streams to stdout or --out as `serialize.dumps` makes it; one
 that cannot be written leaves no --out file. Exit codes: 0 all checks pass,
 1 suite failure or a non-finite report, 2 configuration error or a failed
-write to --out or stdout.
+write to --out, stdout or stderr.
 """
 from __future__ import annotations
 
@@ -77,20 +77,31 @@ def _check_out(out_path: str | None):
 
 
 @contextlib.contextmanager
-def _stdout_writes():
-    """Turn a failed write to stdout (a closed pipe, a full disk) into
-    ConfigParse, pointing its descriptor, if any, at the null device so that
-    the interpreter's flush at exit cannot fail again."""
+def _writes(stream):
+    """Turn a failed write to `stream`, stdout or stderr (a closed pipe, a
+    full disk), into ConfigParse, pointing its descriptor, if any, at the
+    null device so that no later write and no flush at exit can fail again."""
     try:
         yield
-        sys.stdout.flush()
+        stream.flush()
     except OSError as exc:
         with contextlib.suppress(OSError, ValueError):
-            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, fd)
             os.close(null)
-        raise ConfigParse("cannot write the report to stdout: "
+        name = "stdout" if stream is sys.stdout else "stderr"
+        raise ConfigParse(f"cannot write the report to {name}: "
                           f"{exc.strerror or exc}") from exc
+
+
+def _tell(line: str, code: int) -> int:
+    """Print `line` to stderr and return `code`, or 2 if that write fails."""
+    try:
+        with _writes(sys.stderr):
+            print(line, file=sys.stderr)
+    except ConfigParse:
+        return 2
+    return code
 
 
 def _emit(report: dict, out_path: str | None):
@@ -115,10 +126,7 @@ def _emit(report: dict, out_path: str | None):
                           f"{exc.strerror or exc}") from exc
 
 
-def _summary(report: dict, out_path: str | None):
-    # human summary on stdout; falls back to stderr when the JSON report
-    # itself occupies stdout
-    stream = sys.stdout if out_path else sys.stderr
+def _summary(report: dict, stream):
     for suite in report["suites"]:
         # the check closest to its bound, with its margin in decades
         margins = {name: margin(name, value, suite["thresholds"][name])
@@ -147,29 +155,32 @@ def main(argv: list[str] | None = None) -> int:
             config = RunConfig(**common, suite=args.suite,
                                tolerances=_parse_tolerances(args.tolerance))
             report = run_suite(config)
-            with _stdout_writes():
+            with _writes(sys.stdout):
                 _emit(report, args.out)
-                _summary(report, args.out)
+            # the human summary goes where the JSON report is not
+            summary = sys.stdout if args.out else sys.stderr
+            with _writes(summary):
+                _summary(report, summary)
             return 0 if report["status"] == "pass" else 1
 
         if args.command == "classify":
             config = RunConfig(**common)
             config.check(["classify"])  # before the classifier runs
             report = classify(config.spacetime(), seed=args.seed)
-            with _stdout_writes():
+            with _writes(sys.stdout):
                 _emit(report, args.out)
-            print(f"dimension={report['dimension']} expected={report['expected']} "
-                  f"match={report['match']}", file=sys.stderr)
             failures = classify_checks([report], config).failures
-            for line in failures:
-                print(line, file=sys.stderr)
+            with _writes(sys.stderr):
+                print(f"dimension={report['dimension']} "
+                      f"expected={report['expected']} "
+                      f"match={report['match']}", file=sys.stderr)
+                for line in failures:
+                    print(line, file=sys.stderr)
             return 1 if failures else 0
     except ConfigParse as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _tell(f"config error: {exc}", 2)
     except LcqftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _tell(f"error: {exc}", 1)
     return 2
 
 

@@ -1,13 +1,15 @@
 """Classical multi-species Klein-Gordon dynamics on the lattice.
 
 Cauchy data lives on the t=0 slice: per-species field values q and conjugate
-momenta p = dq/dt, both complex (S, N) arrays. Time stepping is kick-drift-kick
-(velocity Verlet), so every step is an exact linear symplectomorphism and is
-inverted exactly by the opposite step.
+momenta p = dq/dt, both complex (..., S, N) arrays with any leading batch
+axes. Time stepping is kick-drift-kick (velocity Verlet), so every step is an
+exact linear symplectomorphism and is inverted exactly by the opposite step.
 
 The canonical basis of the solution space is: index s*N + x for the q-channel
-of species s at site x, and S*N + s*N + x for the p-channel. All algebra
-modules share this convention.
+of species s at site x, and S*N + s*N + x for the p-channel. All modules
+work on data vectors (..., 2 S N) over it, with sigma(a, b) = a @ J @ b for
+J = `symplectic_matrix`; `Solution` and the functions taking one remain only
+as entry points of the benchmark harness.
 """
 from __future__ import annotations
 
@@ -16,67 +18,27 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    LcqftError,
-    NotChargeZero,
-    SpacetimeMismatch,
-    SupportViolation,
-)
+from .errors import LcqftError, SpacetimeMismatch, SupportViolation
 from .spacetime import LatticeSpacetime
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=complex)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Element of the complexified solution space: Cauchy data at t=0."""
+    """Element of the complexified solution space: Cauchy data at t=0.
+
+    Kept for the benchmark's CCR check (`perfbench/checks.py`)."""
 
     spacetime: LatticeSpacetime
     q: np.ndarray  # (S, N) complex
     p: np.ndarray  # (S, N) complex
 
-    def __post_init__(self):
-        S, N = self.spacetime.n_species, self.spacetime.n_sites
-        object.__setattr__(self, "q", _freeze(np.broadcast_to(self.q, (S, N)).copy()))
-        object.__setattr__(self, "p", _freeze(np.broadcast_to(self.p, (S, N)).copy()))
-
-    # vector-space structure
-    def __add__(self, other: "Solution") -> "Solution":
-        _same_spacetime(self, other)
-        return Solution(self.spacetime, self.q + other.q, self.p + other.p)
-
-    def __sub__(self, other: "Solution") -> "Solution":
-        _same_spacetime(self, other)
-        return Solution(self.spacetime, self.q - other.q, self.p - other.p)
-
-    def __rmul__(self, scalar: complex) -> "Solution":
-        return Solution(self.spacetime, scalar * self.q, scalar * self.p)
-
-    def __neg__(self) -> "Solution":
-        return Solution(self.spacetime, -self.q, -self.p)
-
-    def conjugate(self) -> "Solution":
-        """Antilinear involution (entrywise complex conjugation of the data)."""
-        return Solution(self.spacetime, self.q.conj(), self.p.conj())
-
     def vec(self) -> np.ndarray:
         """Coefficients over the canonical basis, length 2*S*N."""
         return np.concatenate([self.q.ravel(), self.p.ravel()])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec()))
-
-
-def _same_spacetime(a, b):
-    if a.spacetime != b.spacetime:
-        raise SpacetimeMismatch("operands live on different spacetimes")
-
 
 def solution_from_vec(spacetime: LatticeSpacetime, vec: np.ndarray) -> Solution:
+    """The `Solution` of one data vector (for the benchmark's CCR check)."""
     return Solution(spacetime, *data_from_vec(spacetime, np.ravel(vec)))
 
 
@@ -86,40 +48,7 @@ def data_from_vec(st: LatticeSpacetime, vec: np.ndarray):
     return x[..., 0, :, :], x[..., 1, :, :]
 
 
-def unit_constant_solution(spacetime: LatticeSpacetime, species: int) -> Solution:
-    """Constant unit solution in a massless species slot (q=1, p=0)."""
-    if spacetime.spectrum.species_masses[species] != 0.0:
-        raise LcqftError("constant solutions only solve the massless equation")
-    q = np.zeros((spacetime.n_species, spacetime.n_sites), dtype=complex)
-    q[species] = 1.0
-    return Solution(spacetime, q, np.zeros_like(q))
-
-
-def random_solution(rng: np.random.Generator, spacetime: LatticeSpacetime,
-                    complex_data: bool = True, integer: bool = False) -> Solution:
-    shape = (spacetime.n_species, spacetime.n_sites)
-    if integer:
-        q = rng.integers(-3, 4, size=shape).astype(complex)
-        p = rng.integers(-3, 4, size=shape).astype(complex)
-        if complex_data:
-            q = q + 1j * rng.integers(-3, 4, size=shape)
-            p = p + 1j * rng.integers(-3, 4, size=shape)
-    else:
-        q = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_data else 0)
-        p = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_data else 0)
-    return Solution(spacetime, q, p)
-
-
 # -- symplectic form -----------------------------------------------------------
-
-def symplectic_form(a: Solution, b: Solution) -> complex:
-    """sigma(a, b) = sum over species and sites of (q_a p_b - q_b p_a).
-
-    Bilinear, antisymmetric; sigma(conj a, conj b) = conj sigma(a, b).
-    """
-    _same_spacetime(a, b)
-    return complex(np.sum(a.q * b.p) - np.sum(b.q * a.p))
-
 
 def symplectic_matrix(spacetime: LatticeSpacetime) -> np.ndarray:
     """Matrix J with sigma(e_i, e_j) = J[i, j] over the canonical basis."""
@@ -189,16 +118,6 @@ class TestFunction:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def conjugate(self) -> "TestFunction":
-        return TestFunction(self.spacetime, self.values.conj())
-
-    def __add__(self, other: "TestFunction") -> "TestFunction":
-        _same_spacetime(self, other)
-        return TestFunction(self.spacetime, self.values + other.values)
-
-    def __rmul__(self, scalar: complex) -> "TestFunction":
-        return TestFunction(self.spacetime, scalar * self.values)
 
 
 def delta_test_function(spacetime: LatticeSpacetime, species: int, t: int, x: int
@@ -313,7 +232,8 @@ def matrix_of(map_fn, spacetime: LatticeSpacetime) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def one_step_matrix(spacetime: LatticeSpacetime) -> np.ndarray:
-    """Matrix of one forward step of the free equation."""
+    """Matrix of one forward step of the free equation; kept for the
+    benchmark's step check (`perfbench/test_checks.py`)."""
     return matrix_of(
         lambda qb, pb: evolve_data(qb, pb, spacetime, 0, 1), spacetime).real
 
@@ -364,7 +284,8 @@ def propagate_sources(spacetime: LatticeSpacetime, sources: np.ndarray):
 
 
 def propagate_test_function(f: TestFunction) -> Solution:
-    """E f for one test function (see `propagate_sources`)."""
+    """E f for one test function (see `propagate_sources`); kept as a span
+    of the benchmark's trace (`perfbench/child.py`)."""
     return Solution(f.spacetime, *propagate_sources(f.spacetime, f.values))
 
 
@@ -403,8 +324,11 @@ def relative_cauchy_evolution(sol: Solution, pert: Perturbation) -> Solution:
     The data (at t=0, in the past of supp v) is evolved forward with the
     perturbed equation to the final clean slice and brought back with the free
     equation: a linear symplectic automorphism, the identity when v = 0.
+    Kept as a span of the benchmark's trace (`perfbench/child.py`); the
+    suites use `rce_data` and `rce_matrix`.
     """
-    _same_spacetime(sol, pert)
+    if sol.spacetime != pert.spacetime:
+        raise SpacetimeMismatch("operands live on different spacetimes")
     return Solution(sol.spacetime, *rce_data(sol.q, sol.p, pert))
 
 
@@ -447,42 +371,7 @@ def rce_derivative_matrix(pert: Perturbation) -> np.ndarray:
 
 def rce_derivative(pert: Perturbation, a: Solution, b: Solution) -> complex:
     """d/ds sigma(rce[s v] a, b) at s=0 = sigma(F[v] a, b), exactly; symmetric
-    in a and b."""
-    tangent = Solution(a.spacetime, *rce_tangent_data(pert, a.q, a.p))
-    return symplectic_form(tangent, b)
-
-
-# -- scalar (single-species) data for sector constructions -------------------------
-
-@dataclass(frozen=True, eq=False)
-class ScalarData:
-    """Cauchy data of a single scalar field, used to build species multiplets."""
-
-    spacetime: LatticeSpacetime
-    q: np.ndarray  # (N,) complex
-    p: np.ndarray  # (N,) complex
-
-    def __post_init__(self):
-        N = self.spacetime.n_sites
-        object.__setattr__(self, "q", _freeze(np.broadcast_to(self.q, (N,)).copy()))
-        object.__setattr__(self, "p", _freeze(np.broadcast_to(self.p, (N,)).copy()))
-
-    def charge(self) -> complex:
-        """sigma(phi, 1) = -sum_x p(x): the Noether charge of the shift symmetry."""
-        return -complex(np.sum(self.p))
-
-
-def embed_scalar(phi: ScalarData, species: int) -> Solution:
-    st = phi.spacetime
-    q = np.zeros((st.n_species, st.n_sites), dtype=complex)
-    p = np.zeros_like(q)
-    q[species] = phi.q
-    p[species] = phi.p
-    return Solution(st, q, p)
-
-
-def require_charge_zero(phi: ScalarData, tol: float = 1e-12):
-    if abs(phi.charge()) > tol:
-        raise NotChargeZero(
-            f"sigma(phi, unit constant) = {phi.charge()} != 0"
-        )
+    in a and b. Kept as a span of the benchmark's trace (`perfbench/child.py`);
+    the rce suite reads `rce_derivative_matrix`."""
+    q, p = rce_tangent_data(pert, a.q, a.p)
+    return complex(np.sum(q * b.p) - np.sum(b.q * p))

@@ -23,9 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (AlgebraElement, SlotMap, degree1_vector, derivation,
-                      field, slot_maps, substitute_affine)
-from .dynamics import Solution, delta_test_function, propagate_test_function
-from .errors import NoMasslessSpecies, NotOrthogonal, SpectrumMismatch
+                      fields, slot_maps, substitute_affine)
+from .dynamics import delta_test_function, propagate_sources
+from .errors import NotOrthogonal, SpectrumMismatch
 from .spacetime import LatticeSpacetime, MassSpectrum
 
 ORTHOGONALITY_TOL = 1e-12
@@ -79,11 +79,6 @@ class GaugeElement:
         return out
 
 
-def identity_gauge(spectrum: MassSpectrum) -> GaugeElement:
-    blocks = tuple(np.eye(k) for _, k in spectrum.entries)
-    return GaugeElement(spectrum, blocks, np.zeros(spectrum.massless_count))
-
-
 def group_compose(g: GaugeElement, h: GaugeElement) -> GaugeElement:
     """g . h (apply h first): blocks multiply, shift = ell_g R_h0 + ell_h."""
     if g.spectrum != h.spectrum:
@@ -91,12 +86,6 @@ def group_compose(g: GaugeElement, h: GaugeElement) -> GaugeElement:
     blocks = tuple(Rg @ Rh for Rg, Rh in zip(g.blocks, h.blocks))
     ell = g.ell @ h.massless_block + h.ell if g.spectrum.massless_count \
         else g.ell
-    return GaugeElement(g.spectrum, blocks, ell)
-
-
-def group_inverse(g: GaugeElement) -> GaugeElement:
-    blocks = tuple(R.T for R in g.blocks)
-    ell = -(g.ell @ g.massless_block.T) if g.spectrum.massless_count else g.ell
     return GaugeElement(g.spectrum, blocks, ell)
 
 
@@ -133,33 +122,19 @@ def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum,
 
 # -- classical action --------------------------------------------------------------
 
-def classical_action(g: GaugeElement, phi: Solution) -> Solution:
-    """S(R) phi: rotate species within each mass block, pointwise in (q, p)."""
-    if g.spectrum != phi.spacetime.spectrum:
-        raise SpectrumMismatch("gauge element over a different spectrum")
-    R = g.species_matrix()
-    return Solution(phi.spacetime, R @ phi.q, R @ phi.p)
+def classical_action(g: GaugeElement, vecs: np.ndarray) -> np.ndarray:
+    """S(R) on data vectors (..., dim): rotate species within each mass
+    block, identically on q and p at every site."""
+    x = np.reshape(vecs, np.shape(vecs)[:-1] + (2, g.spectrum.total_species, -1))
+    return (g.species_matrix() @ x).reshape(np.shape(vecs))
 
 
 # -- the shift functional ------------------------------------------------------------
 
-def ell_functional(ell: np.ndarray, phi: Solution) -> complex:
-    """<l, phi> = sigma(l . phi_0, unit constant) = -sum_x l . p_0(x).
-
-    Linear in phi, invariant under all lattice translations; the sign is
-    fixed once by the symplectic-form evaluation and frozen in tests.
-    """
-    spectrum = phi.spacetime.spectrum
-    n0 = spectrum.massless_count
-    if n0 == 0:
-        raise NoMasslessSpecies("<l, .> needs nu(0) > 0")
-    ell = np.asarray(ell, dtype=float).reshape(n0)
-    block = spectrum.block_slice(0.0)
-    return complex(-np.sum(ell[:, None] * phi.p[block]))
-
-
 def ell_basis_values(ell: np.ndarray, spacetime: LatticeSpacetime) -> np.ndarray:
-    """<l, e_i> over the canonical basis (nonzero only on massless p-channels)."""
+    """<l, e_i> over the canonical basis (nonzero only on massless p-channels):
+    <l, phi> is this row against phi's data vector, a translation-invariant
+    linear functional whose sign is frozen in tests."""
     spectrum = spacetime.spectrum
     vals = np.zeros((2, spacetime.n_species, spacetime.n_sites))
     if spectrum.massless_count:
@@ -298,8 +273,9 @@ def multiplet_dimensions(spacetime: LatticeSpacetime) -> list[int]:
     pres = presentation(spacetime)
     out = []
     for _, block in spacetime.spectrum.block_slices():
-        seed = field(propagate_test_function(
-            delta_test_function(spacetime, block.start, 1, 0)))
+        source = delta_test_function(spacetime, block.start, 1, 0).values
+        seed = fields(spacetime, np.concatenate(
+            propagate_sources(spacetime, source)).ravel())
         scale = np.linalg.norm(degree1_vector(seed))
         todo, rows = [seed], np.zeros((0, spacetime.data_dim + 1), complex)
         while todo:

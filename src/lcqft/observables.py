@@ -12,16 +12,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, check_degree_cap, derivation, field, zero
-from .dynamics import ScalarData, embed_scalar, require_charge_zero
-from .errors import MassNotInSpectrum, NoMasslessSpecies
+from .algebra import AlgebraElement, check_degree_cap, derivation, fields, zero
+from .errors import MassNotInSpectrum, NoMasslessSpecies, NotChargeZero
 from .gauge import presentation
 from .spacetime import LatticeSpacetime
 
+# the largest |sigma(phi, unit constant)| of charge-zero massless input
+CHARGE_TOL = 1e-12
+
+
+def in_species(spacetime: LatticeSpacetime, data, species: int) -> np.ndarray:
+    """The data vector (dim,) of single-species Cauchy data `data` (2, N),
+    rows q and p, placed in one species slot."""
+    out = np.zeros((2, spacetime.n_species, spacetime.n_sites), complex)
+    out[:, species] = data
+    return out.ravel()
+
 
 def bilinear_generator(spacetime: LatticeSpacetime, mass: float,
-                       phi: ScalarData, phi2: ScalarData) -> AlgebraElement:
-    """sum_i Phi(phi x e_i) Phi(phi' x e_i) over the species of one mass block.
+                       phi, phi2) -> AlgebraElement:
+    """sum_i Phi(phi x e_i) Phi(phi' x e_i) over the species of one mass
+    block, for single-species data phi, phi' (2, N) (see `in_species`).
 
     Massless inputs must be charge zero, else the element fails invariance
     under the affine gauge directions.
@@ -30,12 +41,16 @@ def bilinear_generator(spacetime: LatticeSpacetime, mass: float,
     if spectrum.multiplicity(mass) == 0:
         raise MassNotInSpectrum(f"mass {mass} not in spectrum")
     if mass == 0.0:
-        require_charge_zero(phi)
-        require_charge_zero(phi2)
+        for data in (phi, phi2):
+            charge = -complex(np.sum(data[1]))  # sigma(phi, unit constant)
+            if abs(charge) > CHARGE_TOL:
+                raise NotChargeZero(
+                    f"sigma(phi, unit constant) = {charge} != 0")
     block = spectrum.block_slice(mass)
     out = zero(spacetime)
     for s in range(block.start, block.stop):
-        out = out + field(embed_scalar(phi, s)) * field(embed_scalar(phi2, s))
+        out = out + fields(spacetime, in_species(spacetime, phi, s)) \
+            * fields(spacetime, in_species(spacetime, phi2, s))
     return out
 
 
@@ -74,10 +89,9 @@ def central_elements(spacetime: LatticeSpacetime) -> list[dict]:
         raise NoMasslessSpecies("central elements need nu(0) > 0")
     block = spectrum.block_slice(0.0)
     out = []
-    N = spacetime.n_sites
-    for j, s in enumerate(range(block.start, block.stop)):
-        chi = ScalarData(spacetime, np.ones(N), np.zeros(N))
-        element = field(embed_scalar(chi, s))
+    chi = np.array([np.ones(spacetime.n_sites), np.zeros(spacetime.n_sites)])
+    for s in range(block.start, block.stop):
+        element = fields(spacetime, in_species(spacetime, chi, s))
         out.append({
             "species": s,
             "element": element,

@@ -192,6 +192,21 @@ def _rng(config: RunConfig, suite_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _random_data(rng, st: LatticeSpacetime, n: int,
+                 integer: bool = False) -> np.ndarray:
+    """n complex data vectors (n, dim), each drawn as the real and imaginary
+    parts of its q and p: standard normal in the order q_re, q_im, p_re,
+    p_im, or integers in [-3, 3] in the order q_re, p_re, q_im, p_im."""
+    half = st.data_dim // 2
+    if integer:
+        q_re, p_re, q_im, p_im = np.moveaxis(
+            rng.integers(-3, 4, size=(n, 4, half)), 1, 0)
+    else:
+        q_re, q_im, p_re, p_im = np.moveaxis(
+            rng.standard_normal((n, 4, half)), 1, 0)
+    return np.concatenate([q_re + 1j * q_im, p_re + 1j * p_im], axis=-1)
+
+
 def _random_perturbation(rng, st: LatticeSpacetime, kind: str = "mass",
                          scale: float = 0.4) -> dyn.Perturbation:
     T1, N = st.n_slices, st.n_sites
@@ -219,14 +234,16 @@ def ccr_suite(config: RunConfig) -> dict:
     # 200 draws, taken and checked in batches whose field products expand
     # about alg.CHUNK_TERMS terms, one pass of the kernel
     group = max(1, alg.CHUNK_TERMS // st.data_dim ** 2)
+    half = st.data_dim // 2
     worst = 0.0
     for start in range(0, 200, group):
-        phis, psis, lams = zip(*[
-            (dyn.random_solution(rng, st), dyn.random_solution(rng, st),
+        u, v, lams = (np.array(x) for x in zip(*[
+            (*_random_data(rng, st, 2),
              complex(rng.standard_normal(), rng.standard_normal()))
-            for _ in range(min(group, 200 - start))])
-        u, v = (np.array([sol.vec() for sol in sols]) for sols in (phis, psis))
+            for _ in range(min(group, 200 - start))]))
         phi, psi = alg.fields(st, u), alg.fields(st, v)
+        sigma = np.sum(u[:, :half] * v[:, half:], axis=1) \
+            - np.sum(v[:, :half] * u[:, half:], axis=1)
         # commutation relation, read off each element's own terms with no
         # merge: its unit coefficient against its own i sigma, every other
         # coefficient against zero
@@ -237,18 +254,16 @@ def ccr_suite(config: RunConfig) -> dict:
         worst = max(
             worst,
             # linearity of the field injection
-            alg.max_coeff_diff(alg.fields(st, u + np.array(lams)[:, None] * v),
+            alg.max_coeff_diff(alg.fields(st, u + lams[:, None] * v),
                                phi + psi.scale(lams)),
             # star relation
             alg.max_coeff_diff(phi.star(), alg.fields(st, u.conj())),
-            float(np.max(np.abs(got - [1j * dyn.symplectic_form(a, b)
-                                       for a, b in zip(phis, psis)]))),
+            float(np.max(np.abs(got - 1j * sigma))),
             float(np.max(np.abs(comm.coeffs[~unit]), initial=0.0)))
     rec.below("ccr_relations", worst, config.tol("ccr.relations"))
 
     # the float products of 50 triples in one batch; the exact oracle one
     # triple at a time
-    half = st.data_dim // 2
     triples = [[alg.random_element(rng, st, 3, 4, integer=True)
                 for _ in range(3)] for _ in range(50)]
     a, b, c = (alg.stack(list(factor)) for factor in zip(*triples))
@@ -298,7 +313,7 @@ def gauge_suite(config: RunConfig) -> dict:
         gs.append(gg.random_gauge(rng, spectrum))
         hs.append(gg.random_gauge(rng, spectrum))
         xs.append(alg.random_element(rng, st, 2, 4) if i % 10 == 0
-                  else alg.field(dyn.random_solution(rng, st)))
+                  else alg.fields(st, _random_data(rng, st, 1)))
     slots = gg.action_slot_maps(
         st, gs + hs + [gg.group_compose(g, h) for g, h in zip(gs, hs)])
     x = alg.stack(xs)
@@ -321,8 +336,8 @@ def gauge_suite(config: RunConfig) -> dict:
              for dt_steps in (0, 1, 2, -1)]
     act = gg.action_slot_maps(st, [_signed_permutation_gauge(rng, spectrum)])
     rec.below("naturality_translations_exact", naturality(
-        alg.fields(st, [dyn.random_solution(rng, st, integer=True).vec()
-                        for _ in moves]), act[0], moves),
+        alg.fields(st, _random_data(rng, st, len(moves), integer=True)),
+        act[0], moves),
         config.tol("gauge.naturality_exact"))
 
     gs, moves, phis = [], [], []
@@ -330,7 +345,7 @@ def gauge_suite(config: RunConfig) -> dict:
         gs.append(gg.random_gauge(rng, spectrum))
         dx = int(rng.integers(0, st.n_sites))
         moves.append((int(rng.integers(-2, 3)), dx))
-        phis.append(dyn.random_solution(rng, st).vec())
+        phis.append(_random_data(rng, st, 1)[0])
     rec.below("naturality_translations_float", naturality(
         alg.fields(st, phis), gg.action_slot_maps(st, gs), moves),
         config.tol("gauge.naturality_float"))
@@ -353,9 +368,8 @@ def gauge_suite(config: RunConfig) -> dict:
                 + 1j * rng.standard_normal(basis.shape[1])
             coeff2 = rng.standard_normal(basis.shape[1]) \
                 + 1j * rng.standard_normal(basis.shape[1])
-            v1 = dyn.solution_from_vec(st, basis @ coeff)
-            v2 = dyn.solution_from_vec(st, basis @ coeff2)
-            element = alg.field(v1) * alg.field(v2) + alg.field(v1)
+            f1, f2 = alg.fields(st, basis @ coeff), alg.fields(st, basis @ coeff2)
+            element = f1 * f2 + f1
             moved.extend(pres.moves(element))
         worst = max(worst, kin.membership_residual(moved, basis))
     rec.below("kinematic_membership", worst, config.tol("gauge.membership"))
@@ -424,8 +438,8 @@ def rce_suite(config: RunConfig) -> dict:
         rec.below("ell_invariance_gradient", worst_ell,
                   config.tol("rce.ell_invariance"))
         # the mass-kind perturbation genuinely breaks the shift identity
-        u = dyn.unit_constant_solution(
-            st, spectrum.block_slice(0.0).start).vec()
+        u = obs.in_species(st, [np.ones(st.n_sites), np.zeros(st.n_sites)],
+                           spectrum.block_slice(0.0).start)  # unit constant
         dev = abs(ells.sum(0) @ (maps[0] @ u - u))
         rec.above("ell_deviation_mass_kind", dev,
                   config.tol("rce.ell_invariance"))
@@ -515,13 +529,14 @@ def state_suite(config: RunConfig) -> dict:
 
 
 def _random_charge_zero_scalar(rng, st: LatticeSpacetime, massless: bool
-                               ) -> dyn.ScalarData:
+                               ) -> np.ndarray:
+    """Single-species data (2, N), rows q and p, charge zero if massless."""
     N = st.n_sites
     q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     p = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     if massless:
         p = p - np.mean(p)
-    return dyn.ScalarData(st, q, p)
+    return np.array([q, p])
 
 
 def observables_suite(config: RunConfig) -> dict:
@@ -557,8 +572,8 @@ def observables_suite(config: RunConfig) -> dict:
         for _ in range(5):
             phi = _random_charge_zero_scalar(rng, st, m1 == 0.0)
             psi = _random_charge_zero_scalar(rng, st, m2 == 0.0)
-            mixed = alg.field(dyn.embed_scalar(phi, s1)) \
-                * alg.field(dyn.embed_scalar(psi, s2))
+            mixed = alg.fields(st, obs.in_species(st, phi, s1)) \
+                * alg.fields(st, obs.in_species(st, psi, s2))
             _, residual = obs.invariant_projection_check(mixed)
             worst_mix = min(worst_mix, residual)
         rec.above("mass_mixing_residual", worst_mix,

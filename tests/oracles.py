@@ -33,19 +33,15 @@ from lcqft._linalg import nullspace
 from lcqft.classify import _apply, _mode_exp
 from lcqft.dynamics import (
     Perturbation,
-    Solution,
-    TestFunction,
+    data_from_vec,
     evolve_data,
     null_derivatives,
     one_step_matrix,
-    propagate_test_function,
-    relative_cauchy_evolution,
-    solution_from_vec,
-    symplectic_form,
+    propagate_sources,
+    rce_data,
     symplectic_matrix,
 )
-from lcqft.gauge import (block_reflections, classical_action,
-                         rotation_generators, so_basis)
+from lcqft.gauge import block_reflections, rotation_generators, so_basis
 from lcqft.spacetime import LatticeSpacetime, Region
 from lcqft.states import mode_frequencies
 
@@ -122,16 +118,39 @@ def causal_paths_stay_inside(points, spacetime):
 
 # -- dynamics ------------------------------------------------------------------------
 
-def step(sol: Solution, direction: str = "forward") -> Solution:
-    """One kick-drift-kick step of the free equation; exactly invertible."""
+def random_data(rng: np.random.Generator, st: LatticeSpacetime,
+                *shape: int) -> np.ndarray:
+    """Complex standard-normal data vectors (*shape, dim)."""
+    size = shape + (st.data_dim,)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def sigma(a: np.ndarray, b: np.ndarray):
+    """The symplectic form of data vectors (..., 2 S N), summed channel by
+    channel: sum(q_a p_b) - sum(q_b p_a)."""
+    half = np.shape(a)[-1] // 2
+    return np.sum(a[..., :half] * b[..., half:], axis=-1) \
+        - np.sum(b[..., :half] * a[..., half:], axis=-1)
+
+
+def on_vectors(st: LatticeSpacetime, map_fn, vec: np.ndarray) -> np.ndarray:
+    """A map of Cauchy data (q, p) -> (q, p), applied to data vectors (...,
+    dim)."""
+    return np.concatenate(map_fn(*data_from_vec(st, vec)),
+                          axis=-2).reshape(np.shape(vec))
+
+
+def step(st: LatticeSpacetime, vec: np.ndarray,
+         direction: str = "forward") -> np.ndarray:
+    """One kick-drift-kick step of the free equation on data vectors (...,
+    dim); exactly invertible."""
     d = 1 if direction == "forward" else -1
-    return Solution(sol.spacetime,
-                    *evolve_data(sol.q, sol.p, sol.spacetime, 0, d))
+    return on_vectors(st, lambda q, p: evolve_data(q, p, st, 0, d), vec)
 
 
-def trajectory(sol: Solution):
+def trajectory(st: LatticeSpacetime, vec: np.ndarray):
     """Field values and momenta on every slice, shapes (T1, S, N)."""
-    return evolve_data(sol.q, sol.p, sol.spacetime, 0, sol.spacetime.n_steps,
+    return evolve_data(*data_from_vec(st, vec), st, 0, st.n_steps,
                        trajectory=True)
 
 
@@ -146,9 +165,9 @@ def rolled_null_energy_grids(st: LatticeSpacetime, q: np.ndarray,
                      np.sum(np.abs(dm) ** 2, axis=-2)], axis=-1)
 
 
-def null_energy_grid(sol: Solution) -> np.ndarray:
-    """Null energies of one solution at every (t, x, sign): (T1, N, 2)."""
-    return rolled_null_energy_grids(sol.spacetime, sol.q, sol.p)
+def null_energy_grid(st: LatticeSpacetime, vec: np.ndarray) -> np.ndarray:
+    """Null energies of one data vector at every (t, x, sign): (T1, N, 2)."""
+    return rolled_null_energy_grids(st, *data_from_vec(st, vec))
 
 
 def mode_matrix(mass: float, k: int, n_sites: int, dt: float) -> np.ndarray:
@@ -208,7 +227,7 @@ def per_point_region_basis(region: Region) -> np.ndarray:
         for s in range(st.n_species):
             vals = np.zeros((st.n_species, st.n_slices, st.n_sites), complex)
             vals[s, t, x] = 1.0
-            vecs.append(propagate_test_function(TestFunction(st, vals)).vec())
+            vecs.append(np.concatenate(propagate_sources(st, vals)).ravel())
     u, sing, _ = np.linalg.svd(np.array(vecs).T, full_matrices=False)
     return u[:, :int(np.sum(sing > 1e-10 * sing[0]))]
 
@@ -219,7 +238,8 @@ def richardson_rce_derivative(pert, a, b) -> complex:
     relative Cauchy evolutions of the scaled perturbation, no tangent
     dynamics."""
     def f(s):
-        return symplectic_form(relative_cauchy_evolution(a, pert.scaled(s)), b)
+        return sigma(on_vectors(pert.spacetime, lambda q, p: rce_data(
+            q, p, pert.scaled(s)), a), b)
 
     centrals = [(f(s) - f(-s)) / (2 * s) for s in (1e-2, 5e-3, 2.5e-3)]
     r1 = (4 * centrals[1] - centrals[0]) / 3
@@ -807,16 +827,18 @@ def looped_generator_soundness(st: LatticeSpacetime, generators,
             np.conj(np.swapaxes(E, 1, 2)) @ J @ E - J, axis=0)))))
         for _ in range(3):
             vec = rng.standard_normal(st.data_dim)
-            a, sa = (solution_from_vec(st, x) for x in (vec, _apply(st, E, vec)))
-            g1, g2 = null_energy_grid(a), null_energy_grid(sa)
+            a, sa = vec, _apply(st, E, vec)
+            g1, g2 = null_energy_grid(st, a), null_energy_grid(st, sa)
             out["null_energy"] = max(out["null_energy"], float(
                 np.max(np.abs(g1 - g2)) / max(1.0, np.max(np.abs(g1)))))
             v = np.zeros((T1, N))
             t0 = 1 + int(rng.integers(0, max(1, st.n_steps - 4)))
             v[t0:t0 + 3, :w] = rng.standard_normal((min(3, T1 - t0), w))
             v[0] = v[-1] = 0.0
-            moved, image = (relative_cauchy_evolution(x, Perturbation(st, v))
-                            .vec().real for x in (a, sa))
+            pert = Perturbation(st, v)
+            moved, image = (on_vectors(
+                st, lambda q, p: rce_data(q, p, pert), x).real
+                for x in (a, sa))
             out["rce_commute"] = max(out["rce_commute"], float(
                 np.max(np.abs(image - _apply(st, E, moved)))
                 / max(1.0, np.max(np.abs(moved)))))
@@ -828,9 +850,9 @@ def looped_reflection_residual(st: LatticeSpacetime,
     """`classify.reflection_residual`, one null-energy grid per solution."""
     res = 0.0
     for _ in range(3):
-        phi = solution_from_vec(st, rng.standard_normal(st.data_dim))
-        base = null_energy_grid(phi)
+        phi = rng.standard_normal(st.data_dim)
+        base = null_energy_grid(st, phi)
         for g in block_reflections(st.spectrum):
-            res = max(res, float(np.max(np.abs(
-                null_energy_grid(classical_action(g, phi)) - base))))
+            res = max(res, float(np.max(np.abs(null_energy_grid(
+                st, species_on_data(st, g.species_matrix()) @ phi) - base))))
     return res

@@ -25,6 +25,14 @@ from lcqft.suites import (DEFAULT_TOLERANCES, GOLDEN_CONFIGS, RunConfig,
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports" / "golden"
 
+
+def _src_env(root: pathlib.Path) -> dict:
+    """The environment of a child interpreter that imports lcqft from
+    root/src ahead of any PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + ([os.environ["PYTHONPATH"]]
+                               if os.environ.get("PYTHONPATH") else [])))
+
 # classify report residuals that the suite and the CLI must hold to
 # `classify.soundness`, spelled out so that dropping one from
 # `classify.CHECKED_RESIDUALS` fails a test
@@ -278,9 +286,7 @@ class TestBenchmarkTraceHooks:
         """Calls per span name of the traced benchmark child on argv."""
         root = GOLDEN_DIR.parent.parent
         stats = tmp_path / "stats.json"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(root / "src")] + ([os.environ["PYTHONPATH"]]
-                                   if os.environ.get("PYTHONPATH") else [])))
+        env = _src_env(root)
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "child.py"), "trace",
              str(stats)] + argv + ["--out", str(tmp_path / "report.json")],
@@ -294,6 +300,19 @@ class TestBenchmarkTraceHooks:
         calls = self._span_calls(
             tmp_path, ["verify", "gauge", "--spectrum", "1:2", "--sites", "8"])
         assert {"kinematics.region_basis", "kinematics.membership"} <= set(calls)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "ccr", "--spectrum", "1:2", "--sites", "8"],
+        ["classify", "--spectrum", "1:2", "--sites", "8"]])
+    def test_traced_child_wraps_the_kept_entry_points(self, argv, tmp_path):
+        # no suite calls the `Solution` entry points, but the child wraps
+        # them by name before the command runs: it must still exit 0 and
+        # record the command's spans
+        calls = self._span_calls(tmp_path, argv)
+        names = json.loads((tmp_path / "stats.json").read_text())["names"]
+        assert {"dynamics.propagate", "dynamics.rce",
+                "dynamics.rce_derivative"} <= set(names)
+        assert sum(calls.values()) > 0
 
     def test_traced_child_records_each_classifier_stage(self, tmp_path):
         calls = self._span_calls(
@@ -481,13 +500,46 @@ class TestCliProcess:
             "config error: cannot write the report to stdout: "
             + os.strerror(code)]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "state", "--spectrum", "1:2"],              # the summary
+        ["verify", "state", "--spectrum", "1:2", "--out"],     # both
+        ["classify", "--spectrum", "1:2"],                     # its lines
+        ["verify", "state", "--spectrum", "1:2", "--sites", "3"]])  # config
+    def test_stderr_write_failure_exits_two(self, argv, monkeypatch,
+                                            tmp_path):
+        # a full disk behind stderr: whatever was to be written there, the
+        # exit code is 2 and nothing raises
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if argv[-1] == "--out":    # the summary goes to stdout instead
+            argv = argv + [str(tmp_path / "report.json")]
+            monkeypatch.setattr(sys, "stdout", FullDisk())
+        monkeypatch.setattr(sys, "stderr", FullDisk())
+        assert main(argv) == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the full device")
+    @pytest.mark.parametrize("argv", [
+        ["verify", "state", "--spectrum", "1:2"],
+        ["classify", "--spectrum", "1:2"],
+        ["verify", "state", "--spectrum", "1:2", "--sites", "3"]])
+    def test_full_stderr_exits_two_in_a_process(self, argv):
+        # exit 1 would be a traceback, exit 120 a failed flush at exit
+        root = GOLDEN_DIR.parent.parent
+        env = _src_env(root)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lcqft.cli"] + argv, cwd=root, env=env,
+                stdout=subprocess.DEVNULL, stderr=full, timeout=300)
+        assert proc.returncode == 2
+
     def test_closed_stdout_pipe_exits_two_in_a_process(self):
         # the reader is gone before the report is written: one line, no
         # traceback, and nothing left to fail when the interpreter exits
         root = GOLDEN_DIR.parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(root / "src")] + ([os.environ["PYTHONPATH"]]
-                                   if os.environ.get("PYTHONPATH") else [])))
+        env = _src_env(root)
         with subprocess.Popen(
                 [sys.executable, "-m", "lcqft.cli", "verify", "state",
                  "--spectrum", "1:2"], cwd=root, env=env,
@@ -638,11 +690,38 @@ def test_rce_suite_builds_one_map_per_perturbation(spectrum, maps,
 def test_linear_checks_draw_no_solution(suite, spectrum, monkeypatch):
     # each linear identity is read off its map or on a basis, exactly
     def never(*args, **kwargs):
-        raise AssertionError("random_solution was called")
+        raise AssertionError("random data was drawn")
 
-    monkeypatch.setattr(suites.dyn, "random_solution", never)
+    monkeypatch.setattr(suites, "_random_data", never)
     result = suite(RunConfig(spectrum=spectrum))
     assert result["status"] == "pass", result["findings"]
+
+
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("n", [1, 5])
+def test_random_data_keeps_the_draw_order(integer, n):
+    # the batched draw gives, bit for bit, the draws made one vector and one
+    # (S, N) component at a time in the order the suites' streams have
+    # always used: Gaussian q_re, q_im, p_re, p_im; integer q_re, p_re,
+    # q_im, p_im. The goldens' band would let a reordered draw pass.
+    config = RunConfig(spectrum="0:1,1:2", seed=3)
+    st_ = config.spacetime()
+    shape = (st_.n_species, st_.n_sites)
+    rng = suites._rng(config, 1)
+    want = []
+    for _ in range(n):
+        if integer:
+            q = rng.integers(-3, 4, size=shape).astype(complex)
+            p = rng.integers(-3, 4, size=shape).astype(complex)
+            q = q + 1j * rng.integers(-3, 4, size=shape)
+            p = p + 1j * rng.integers(-3, 4, size=shape)
+        else:
+            q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            p = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want.append(np.concatenate([q.ravel(), p.ravel()]))
+    got = suites._random_data(suites._rng(config, 1), st_, n, integer)
+    assert got.shape == (n, st_.data_dim)
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 # The planted maps stay symplectic, so the lift accepts them: each is

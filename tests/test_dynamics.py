@@ -12,39 +12,48 @@ from lcqft.spacetime import (LatticeSpacetime, MassSpectrum, cauchy_extension,
                              translation)
 
 from oracles import (advanced_solution_at_zero, discrete_kg_operator,
-                     mode_matrix, richardson_rce_derivative,
-                     rolled_null_energy_grids, step, trajectory)
+                     mode_matrix, on_vectors, random_data,
+                     richardson_rce_derivative, rolled_null_energy_grids,
+                     sigma, step, trajectory)
 
 
-def _zero(st_):
-    return dyn.solution_from_vec(st_, np.zeros(st_.data_dim))
-
-
-def _basis(st_, index):
-    return dyn.solution_from_vec(st_, np.eye(st_.data_dim)[index])
-
-
-def _translate(sol, dt_, dx):
+def _translate(st_, vec, dt_, dx):
     """(T phi)(t, x) = phi(t - dt_, x - dx), through the solution map of the
     translation morphism."""
-    M = solution_map(translation(sol.spacetime, dt_, dx))
-    return dyn.solution_from_vec(sol.spacetime, M @ sol.vec())
+    return solution_map(translation(st_, dt_, dx)) @ vec
+
+
+def _propagate(f):
+    """E f of one test function, as a data vector."""
+    return np.concatenate(dyn.propagate_sources(f.spacetime, f.values)).ravel()
+
+
+def _rce(vec, pert):
+    """rce[v] of data vectors (..., dim)."""
+    return on_vectors(pert.spacetime,
+                      lambda q, p: dyn.rce_data(q, p, pert), vec)
+
+
+def _unit_constant(st_, scale=1.0):
+    """The constant solution q = scale, p = 0 in species 0."""
+    vec = np.zeros(st_.data_dim, complex)
+    vec[:st_.n_sites] = scale
+    return vec
 
 
 class TestStep:
     def test_zero_data(self, massive_spacetime):
-        out = step(_zero(massive_spacetime))
-        assert out.norm() == 0.0
+        out = step(massive_spacetime, np.zeros(massive_spacetime.data_dim))
+        assert not out.any()
 
     def test_constant_massless_data_unchanged(self, mixed_spacetime):
-        sol = 3.5 * dyn.unit_constant_solution(mixed_spacetime, 0)
-        out = step(sol)
-        assert np.array_equal(out.q, sol.q) and np.array_equal(out.p, sol.p)
+        vec = _unit_constant(mixed_spacetime, 3.5)
+        assert np.array_equal(step(mixed_spacetime, vec), vec)
 
     def test_exactly_invertible(self, mixed_spacetime, rng):
-        sol = dyn.random_solution(rng, mixed_spacetime)
-        back = step(step(sol), "backward")
-        assert np.max(np.abs(back.vec() - sol.vec())) < 1e-14
+        x = random_data(rng, mixed_spacetime)
+        back = step(mixed_spacetime, step(mixed_spacetime, x), "backward")
+        assert np.max(np.abs(back - x)) < 1e-14
 
     def test_single_mode_matches_exact_mode_map(self, massive_spacetime):
         # one-step scaling of a Fourier mode equals the 2x2 mode matrix,
@@ -57,10 +66,10 @@ class TestStep:
             p = np.zeros((2, N), complex)
             q[0] = 1.25 * z
             p[0] = (0.5 - 0.25j) * z
-            out = step(dyn.Solution(st_, q, p))
+            out_q, out_p = dyn.evolve_data(q, p, st_, 0, 1)
             qe, pe = mode_matrix(1.0, k, N, dt) @ np.array([1.25, 0.5 - 0.25j])
-            assert np.max(np.abs(out.q[0] - qe * z)) < 1e-13
-            assert np.max(np.abs(out.p[0] - pe * z)) < 1e-13
+            assert np.max(np.abs(out_q[0] - qe * z)) < 1e-13
+            assert np.max(np.abs(out_p[0] - pe * z)) < 1e-13
             w2 = 1.0 + 4 * np.sin(np.pi * k / N) ** 2
             cos_step = 1 - dt * dt * w2 / 2
             assert abs(cos_step - np.cos(np.sqrt(w2) * dt)) \
@@ -120,12 +129,11 @@ class TestStep:
                                   np.stack(want).view(np.int64))
 
     def test_sigma_preserved_exactly(self, mixed_spacetime, rng):
-        for _ in range(20):
-            a = dyn.random_solution(rng, mixed_spacetime)
-            b = dyn.random_solution(rng, mixed_spacetime)
-            drift = dyn.symplectic_form(step(a), step(b)) \
-                - dyn.symplectic_form(a, b)
-            assert abs(drift) < 1e-12 * max(1.0, a.norm() * b.norm())
+        a, b = random_data(rng, mixed_spacetime, 2, 20)
+        drift = sigma(step(mixed_spacetime, a), step(mixed_spacetime, b)) \
+            - sigma(a, b)
+        scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        assert np.all(np.abs(drift) < 1e-12 * np.maximum(1.0, scale))
 
     @pytest.mark.parametrize("n_sites", [8, 9])
     def test_acceleration_equals_rolled_stencil(self, n_sites, rng):
@@ -145,53 +153,47 @@ class TestStep:
         assert np.array_equal(dyn._accel(q, st_, v, "gradient"), grad - m2 * q)
 
     def test_gamma_commutes_with_step(self, mixed_spacetime, rng):
-        sol = dyn.random_solution(rng, mixed_spacetime)
-        lhs = step(sol.conjugate()).vec()
-        rhs = step(sol).conjugate().vec()
-        assert np.array_equal(lhs, rhs)
+        x = random_data(rng, mixed_spacetime)
+        assert np.array_equal(step(mixed_spacetime, x.conj()),
+                              step(mixed_spacetime, x).conj())
 
 
 class TestSymplecticForm:
+    """sigma(a, b) = a @ J @ b with J = `symplectic_matrix`, against the
+    channel-by-channel sum of the oracle."""
+
     def test_antisymmetry_on_equal_arguments(self, massive_spacetime, rng):
-        a = dyn.random_solution(rng, massive_spacetime)
-        assert dyn.symplectic_form(a, a) == 0
+        J = dyn.symplectic_matrix(massive_spacetime)
+        assert np.array_equal(J.T, -J)
+        a = random_data(rng, massive_spacetime)
+        assert sigma(a, a) == 0
 
     def test_canonical_pair(self, massive_spacetime):
         st_ = massive_spacetime
-        a = _basis(st_, 0)                              # q delta
-        b = _basis(st_, st_.n_species * st_.n_sites)    # p delta
-        assert dyn.symplectic_form(a, b) == 1.0
+        eye = np.eye(st_.data_dim)
+        a = eye[0]                                # q delta
+        b = eye[st_.n_species * st_.n_sites]      # p delta
+        assert a @ dyn.symplectic_matrix(st_) @ b == 1.0
 
     def test_cross_species_vanishes(self, massive_spacetime, rng):
         st_ = massive_spacetime
-        N = st_.n_sites
-        q = np.zeros((2, N), complex)
-        p = np.zeros((2, N), complex)
-        q[0] = rng.standard_normal(N)
-        p[0] = rng.standard_normal(N)
-        a = dyn.Solution(st_, q, p)
-        q2, p2 = np.zeros_like(q), np.zeros_like(p)
-        q2[1] = rng.standard_normal(N)
-        p2[1] = rng.standard_normal(N)
-        b = dyn.Solution(st_, q2, p2)
-        assert dyn.symplectic_form(a, b) == 0
+        a, b = np.zeros((2, 2, 2, st_.n_sites), complex)  # (c, s, x) each
+        a[:, 0] = rng.standard_normal((2, st_.n_sites))
+        b[:, 1] = rng.standard_normal((2, st_.n_sites))
+        assert a.ravel() @ dyn.symplectic_matrix(st_) @ b.ravel() == 0
 
     def test_conjugation_relation(self, massive_spacetime, rng):
-        a = dyn.random_solution(rng, massive_spacetime)
-        b = dyn.random_solution(rng, massive_spacetime)
-        lhs = dyn.symplectic_form(a.conjugate(), b.conjugate())
-        assert abs(lhs - np.conj(dyn.symplectic_form(a, b))) < 1e-12
-
-    def test_spacetime_mismatch(self, massive_spacetime, mixed_spacetime, rng):
-        with pytest.raises(SpacetimeMismatch):
-            dyn.symplectic_form(_zero(massive_spacetime),
-                                _zero(mixed_spacetime))
+        J = dyn.symplectic_matrix(massive_spacetime)
+        a, b = random_data(rng, massive_spacetime, 2)
+        assert abs(a.conj() @ J @ b.conj() - np.conj(a @ J @ b)) < 1e-12
+        assert abs(a @ J @ b - sigma(a, b)) < 1e-12
 
     @given(st.integers(0, 31), st.integers(0, 31))
     def test_basis_antisymmetry(self, i, j):
         spacetime = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:2"))
-        a, b = _basis(spacetime, i), _basis(spacetime, j)
-        assert dyn.symplectic_form(a, b) == -dyn.symplectic_form(b, a)
+        J, eye = dyn.symplectic_matrix(spacetime), np.eye(spacetime.data_dim)
+        assert eye[i] @ J @ eye[j] == -(eye[j] @ J @ eye[i]) \
+            == sigma(eye[i], eye[j])
 
 
 class TestPropagator:
@@ -202,26 +204,25 @@ class TestPropagator:
         g[:, 3:T1 - 3] = rng.standard_normal((S, T1 - 6, N)) \
             + 1j * rng.standard_normal((S, T1 - 6, N))
         f = dyn.TestFunction(st_, discrete_kg_operator(g, st_))
-        assert dyn.propagate_test_function(f).norm() < 1e-10
+        assert np.linalg.norm(_propagate(f)) < 1e-10
 
     def test_point_source_equals_ret_minus_adv(self, mixed_spacetime):
         # independent oracle: advanced solution by backward integration;
         # retarded data at t=0 vanishes, so E f = -adv(0)
         st_ = mixed_spacetime
         f = dyn.delta_test_function(st_, 1, 5, 2)
-        ef = dyn.propagate_test_function(f)
+        q, p = dyn.propagate_sources(st_, f.values)
         qa, pa = advanced_solution_at_zero(f.values, st_)
-        assert np.max(np.abs(ef.q + qa)) < 1e-11
-        assert np.max(np.abs(ef.p + pa)) < 1e-11
+        assert np.max(np.abs(q + qa)) < 1e-11
+        assert np.max(np.abs(p + pa)) < 1e-11
 
     def test_linearity_exact(self, mixed_spacetime):
         st_ = mixed_spacetime
         f1 = dyn.delta_test_function(st_, 0, 4, 1)
         f2 = dyn.delta_test_function(st_, 2, 7, 6)
         lam = 2.5j - 1.0
-        lhs = dyn.propagate_test_function(f1 + lam * f2).vec()
-        rhs = (dyn.propagate_test_function(f1)
-               + lam * dyn.propagate_test_function(f2)).vec()
+        lhs = _propagate(dyn.TestFunction(st_, f1.values + lam * f2.values))
+        rhs = _propagate(f1) + lam * _propagate(f2)
         assert np.array_equal(lhs, rhs)
 
     def test_gamma_commutes_with_conjugated_source(self, mixed_spacetime, rng):
@@ -230,9 +231,8 @@ class TestPropagator:
         vals = np.zeros((S, T1, N), dtype=complex)
         vals[:, 2:T1 - 4] = rng.standard_normal((S, T1 - 6, N)) \
             + 1j * rng.standard_normal((S, T1 - 6, N))
-        f = dyn.TestFunction(st_, vals)
-        lhs = dyn.propagate_test_function(f.conjugate()).vec()
-        rhs = dyn.propagate_test_function(f).conjugate().vec()
+        lhs = _propagate(dyn.TestFunction(st_, vals.conj()))
+        rhs = _propagate(dyn.TestFunction(st_, vals)).conj()
         assert np.array_equal(lhs, rhs)
 
     def test_surjective_at_desk_scale(self, mixed_spacetime):
@@ -242,19 +242,18 @@ class TestPropagator:
             for t in (4, 5):
                 for x in range(st_.n_sites):
                     f = dyn.delta_test_function(st_, s, t, x)
-                    vecs.append(dyn.propagate_test_function(f).vec())
-                    vecs.append(dyn.propagate_test_function(1j * f).vec())
+                    vecs.append(_propagate(f))
+                    vecs.append(_propagate(dyn.TestFunction(st_, 1j * f.values)))
         rank = np.linalg.matrix_rank(np.array(vecs), tol=1e-10)
         assert rank == st_.data_dim
 
     def test_pairing_with_solutions(self, mixed_spacetime, rng):
         # frozen identity: sigma(E delta_(s,t,x), psi) = -dt psi_s(t, x)
         st_ = mixed_spacetime
-        psi = dyn.random_solution(rng, st_)
-        q_traj, _ = trajectory(psi)
+        psi = random_data(rng, st_)
+        q_traj, _ = trajectory(st_, psi)
         for (s, t, x) in [(0, 3, 1), (1, 8, 4), (2, 12, 7)]:
-            f = dyn.delta_test_function(st_, s, t, x)
-            val = dyn.symplectic_form(dyn.propagate_test_function(f), psi)
+            val = sigma(_propagate(dyn.delta_test_function(st_, s, t, x)), psi)
             assert abs(val + st_.dt * q_traj[t, s, x]) < 1e-11
 
     def test_support_violation(self, mixed_spacetime):
@@ -266,13 +265,14 @@ class TestPropagator:
             dyn.TestFunction(st_, vals)
 
 
-def _grid(sol):
-    return dyn.null_energy_grids(sol.spacetime, sol.q, sol.p)
+def _grid(st_, vec):
+    return dyn.null_energy_grids(st_, *dyn.data_from_vec(st_, vec))
 
 
 class TestNullEnergy:
     def test_zero_solution(self, mixed_spacetime):
-        assert np.max(_grid(_zero(mixed_spacetime))) == 0.0
+        zero = np.zeros(mixed_spacetime.data_dim)
+        assert np.max(_grid(mixed_spacetime, zero)) == 0.0
 
     @pytest.mark.parametrize("spec, n", [("1:2", 8), ("0:1,1:2", 9),
                                          ("1:5", 32)])
@@ -301,10 +301,10 @@ class TestNullEnergy:
 
     def test_block_rotation_invariance(self, two_block_spacetime, rng):
         st_ = two_block_spacetime
-        sol = dyn.random_solution(rng, st_)
+        x = random_data(rng, st_)
         g = random_gauge(rng, st_.spectrum, with_ell=False)
-        g1 = _grid(sol)
-        g2 = _grid(classical_action(g, sol))
+        g1 = _grid(st_, x)
+        g2 = _grid(st_, classical_action(g, x))
         assert np.max(np.abs(g1 - g2)) < 1e-12 * max(1.0, np.max(g1))
 
     def test_right_mover_one_contraction_vanishes(self):
@@ -315,9 +315,8 @@ class TestNullEnergy:
             st_ = LatticeSpacetime(N, 8, 0.5, MassSpectrum.parse("0:1"))
             theta = 2 * np.pi / N
             x = np.arange(N)
-            sol = dyn.Solution(st_, np.cos(theta * x)[None, :],
-                               (theta * np.sin(theta * x))[None, :])
-            grid = _grid(sol)
+            grid = _grid(st_, np.concatenate([np.cos(theta * x),
+                                              theta * np.sin(theta * x)]))
             small = float(np.max(grid[..., 0]))
             large = float(np.max(grid[..., 1]))
             assert large > 0.1
@@ -337,20 +336,16 @@ class TestRelativeCauchyEvolution:
         pert = dyn.Perturbation(
             mixed_spacetime,
             np.zeros((mixed_spacetime.n_slices, mixed_spacetime.n_sites)))
-        sol = dyn.random_solution(rng, mixed_spacetime)
-        out = dyn.relative_cauchy_evolution(sol, pert)
-        assert np.max(np.abs(out.vec() - sol.vec())) < 1e-12 * sol.norm()
+        x = random_data(rng, mixed_spacetime)
+        out = _rce(x, pert)
+        assert np.max(np.abs(out - x)) < 1e-12 * np.linalg.norm(x)
 
     def test_symplectic_on_random_pairs(self, mixed_spacetime, rng):
         pert = _perturbation(rng, mixed_spacetime)
-        for _ in range(100):
-            a = dyn.random_solution(rng, mixed_spacetime)
-            b = dyn.random_solution(rng, mixed_spacetime)
-            drift = dyn.symplectic_form(
-                dyn.relative_cauchy_evolution(a, pert),
-                dyn.relative_cauchy_evolution(b, pert)) \
-                - dyn.symplectic_form(a, b)
-            assert abs(drift) < 1e-10 * max(1.0, a.norm() * b.norm())
+        a, b = random_data(rng, mixed_spacetime, 2, 100)
+        drift = sigma(_rce(a, pert), _rce(b, pert)) - sigma(a, b)
+        scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        assert np.all(np.abs(drift) < 1e-10 * np.maximum(1.0, scale))
 
     def test_causally_disjoint_data_unchanged(self, rng):
         st_ = LatticeSpacetime(20, 12, 0.5, MassSpectrum.parse("1:2"))
@@ -361,22 +356,32 @@ class TestRelativeCauchyEvolution:
         p = np.zeros((2, 20), complex)
         q[:, 9:12] = rng.standard_normal((2, 3))
         p[:, 9:12] = rng.standard_normal((2, 3))
-        sol = dyn.Solution(st_, q, p)
-        out = dyn.relative_cauchy_evolution(sol, pert)
-        assert np.max(np.abs(out.vec() - sol.vec())) < 1e-10
+        out = dyn.rce_data(q, p, pert)
+        assert max(np.max(np.abs(new - old))
+                   for new, old in zip(out, (q, p))) < 1e-10
 
     def test_gamma_commutes(self, mixed_spacetime, rng):
         pert = _perturbation(rng, mixed_spacetime)
-        sol = dyn.random_solution(rng, mixed_spacetime)
-        lhs = dyn.relative_cauchy_evolution(sol.conjugate(), pert).vec()
-        rhs = dyn.relative_cauchy_evolution(sol, pert).conjugate().vec()
-        assert np.array_equal(lhs, rhs)
+        x = random_data(rng, mixed_spacetime)
+        assert np.array_equal(_rce(x.conj(), pert), _rce(x, pert).conj())
 
     def test_gradient_kind_fixes_constants(self, mixed_spacetime, rng):
         pert = _perturbation(rng, mixed_spacetime, kind="gradient")
-        chi = dyn.unit_constant_solution(mixed_spacetime, 0)
-        out = dyn.relative_cauchy_evolution(chi, pert)
-        assert np.max(np.abs(out.vec() - chi.vec())) == 0.0
+        chi = _unit_constant(mixed_spacetime)
+        assert np.max(np.abs(_rce(chi, pert) - chi)) == 0.0
+
+    def test_spacetime_mismatch(self, massive_spacetime, mixed_spacetime,
+                                rng):
+        # the `Solution` entry point evolves like rce_data on its own
+        # spacetime and refuses a perturbation of another
+        pert = _perturbation(rng, mixed_spacetime)
+        x = random_data(rng, mixed_spacetime)
+        out = dyn.relative_cauchy_evolution(
+            dyn.solution_from_vec(mixed_spacetime, x), pert)
+        assert np.array_equal(out.vec(), _rce(x, pert))
+        with pytest.raises(SpacetimeMismatch):
+            dyn.relative_cauchy_evolution(dyn.solution_from_vec(
+                massive_spacetime, np.zeros(massive_spacetime.data_dim)), pert)
 
     def test_clean_slices_required(self, mixed_spacetime):
         v = np.zeros((mixed_spacetime.n_slices, mixed_spacetime.n_sites))
@@ -385,30 +390,33 @@ class TestRelativeCauchyEvolution:
             dyn.Perturbation(mixed_spacetime, v)
 
 
+def _pairing(pert, a, b):
+    """sigma(F[v] a, b) of data vectors, through the tangent data of rce[s v]
+    at s = 0."""
+    return sigma(on_vectors(pert.spacetime, lambda q, p: dyn.rce_tangent_data(
+        pert, q, p), a), b)
+
+
 class TestRceDerivative:
     def test_zero_perturbation(self, massive_spacetime, rng):
         pert = dyn.Perturbation(
             massive_spacetime,
             np.zeros((massive_spacetime.n_slices, massive_spacetime.n_sites)))
-        a = dyn.random_solution(rng, massive_spacetime)
-        b = dyn.random_solution(rng, massive_spacetime)
-        assert dyn.rce_derivative(pert, a, b) == 0.0
+        a, b = random_data(rng, massive_spacetime, 2)
+        assert _pairing(pert, a, b) == 0.0
 
     def test_skew_adjointness(self, mixed_spacetime, rng):
         # differentiating sigma(rce a, rce b) = sigma(a, b) gives
         # sigma(Fa, b) = -sigma(a, Fb), i.e. the pairing is SYMMETRIC in (a,b)
         pert = _perturbation(rng, mixed_spacetime)
-        for _ in range(5):
-            a = dyn.random_solution(rng, mixed_spacetime)
-            b = dyn.random_solution(rng, mixed_spacetime)
-            dab = dyn.rce_derivative(pert, a, b)
-            dba = dyn.rce_derivative(pert, b, a)
-            assert abs(dab - dba) < 1e-8
+        a, b = random_data(rng, mixed_spacetime, 2, 5)
+        assert np.all(np.abs(_pairing(pert, a, b) - _pairing(pert, b, a))
+                      < 1e-8)
 
     def test_derivative_pairing_is_nonzero(self, mixed_spacetime, rng):
         pert = _perturbation(rng, mixed_spacetime)
-        a = dyn.random_solution(rng, mixed_spacetime)
-        assert abs(dyn.rce_derivative(pert, a, a.conjugate())) > 1e-3
+        a = random_data(rng, mixed_spacetime)
+        assert abs(_pairing(pert, a, a.conj())) > 1e-3
 
     def test_local_density_identity(self, mixed_spacetime, rng):
         # frozen resolution of the density question: on free trajectories the
@@ -422,13 +430,12 @@ class TestRceDerivative:
                         ("gradient", forward_difference)):
             pert = _perturbation(rng, mixed_spacetime, kind=kind)
             for _ in range(3):
-                a = dyn.random_solution(rng, mixed_spacetime)
-                b = dyn.random_solution(rng, mixed_spacetime)
-                qa, _ = trajectory(a)
-                qb, _ = trajectory(b)
+                a, b = random_data(rng, mixed_spacetime, 2)
+                qa, _ = trajectory(mixed_spacetime, a)
+                qb, _ = trajectory(mixed_spacetime, b)
                 expected = mixed_spacetime.dt * np.sum(
                     pert.v[:, None, :] * D(qa) * D(qb))
-                assert abs(dyn.rce_derivative(pert, a, b) - expected) \
+                assert abs(_pairing(pert, a, b) - expected) \
                     < 1e-12 * abs(expected), kind
 
     def test_matches_richardson_oracle(self, mixed_spacetime, rng):
@@ -437,9 +444,8 @@ class TestRceDerivative:
         for kind in ("mass", "gradient"):
             pert = _perturbation(rng, mixed_spacetime, kind=kind)
             for _ in range(3):
-                a = dyn.random_solution(rng, mixed_spacetime)
-                b = dyn.random_solution(rng, mixed_spacetime)
-                exact = dyn.rce_derivative(pert, a, b)
+                a, b = random_data(rng, mixed_spacetime, 2)
+                exact = _pairing(pert, a, b)
                 assert abs(exact - richardson_rce_derivative(pert, a, b)) \
                     < 1e-10 * max(1.0, abs(exact)), kind
 
@@ -447,7 +453,8 @@ class TestRceDerivative:
                                                          mixed_spacetime,
                                                          rng):
         # sigma(F e_i, e_j) off the dense tangent map, against the pairing
-        # of one pair and against finite differences of full evolutions
+        # of one pair (the `Solution` entry point) and against finite
+        # differences of full evolutions
         st_ = mixed_spacetime
         J = dyn.symplectic_matrix(st_)
         for kind in ("mass", "gradient"):
@@ -456,10 +463,11 @@ class TestRceDerivative:
             biggest = 0.0
             for i, j in rng.integers(0, st_.data_dim, size=(8, 2)):
                 pairing = F[:, i] @ J[:, j]
-                a, b = _basis(st_, i), _basis(st_, j)
+                a, b = np.eye(st_.data_dim)[[i, j]]
                 scale = max(1.0, abs(pairing))
-                assert abs(dyn.rce_derivative(pert, a, b) - pairing) \
-                    <= 1e-14 * scale, kind
+                assert abs(dyn.rce_derivative(
+                    pert, *(dyn.solution_from_vec(st_, x) for x in (a, b)))
+                    - pairing) <= 1e-14 * scale, kind
                 assert abs(richardson_rce_derivative(pert, a, b) - pairing) \
                     < 1e-10 * scale, kind
                 biggest = max(biggest, abs(pairing))
@@ -472,8 +480,8 @@ class TestRceDerivative:
         v = np.zeros((mixed_spacetime.n_slices, mixed_spacetime.n_sites))
         v[5:9, 2:5] = np.abs(rng.standard_normal((4, 3)))
         pert = dyn.Perturbation(mixed_spacetime, v)
-        phi = dyn.random_solution(rng, mixed_spacetime)
-        val = dyn.rce_derivative(pert, phi, phi.conjugate())
+        phi = random_data(rng, mixed_spacetime)
+        val = _pairing(pert, phi, phi.conj())
         assert abs(val.imag) < 1e-8
         assert val.real > 0
 
@@ -486,16 +494,16 @@ class TestTimesliceAndTranslations:
         assert np.linalg.matrix_rank(M) == small.data_dim
 
     def test_translations_preserve_sigma(self, mixed_spacetime, rng):
-        a = dyn.random_solution(rng, mixed_spacetime)
-        b = dyn.random_solution(rng, mixed_spacetime)
-        s0 = dyn.symplectic_form(a, b)
+        st_ = mixed_spacetime
+        a, b = random_data(rng, st_, 2)
+        s0 = sigma(a, b)
         for (dt_, dx) in [(0, 3), (2, 0), (5, 4), (-3, 1)]:
-            s1 = dyn.symplectic_form(_translate(a, dt_, dx),
-                                     _translate(b, dt_, dx))
+            s1 = sigma(_translate(st_, a, dt_, dx), _translate(st_, b, dt_, dx))
             assert abs(s1 - s0) < 1e-12 * max(1.0, abs(s0))
 
     def test_translation_functoriality(self, mixed_spacetime, rng):
-        sol = dyn.random_solution(rng, mixed_spacetime)
-        one_then_two = _translate(_translate(sol, 1, 2), 2, 3)
-        combined = _translate(sol, 3, 5)
-        assert np.max(np.abs(one_then_two.vec() - combined.vec())) < 1e-11
+        st_ = mixed_spacetime
+        x = random_data(rng, st_)
+        one_then_two = _translate(st_, _translate(st_, x, 1, 2), 2, 3)
+        combined = _translate(st_, x, 3, 5)
+        assert np.max(np.abs(one_then_two - combined)) < 1e-11

@@ -8,8 +8,7 @@ import pytest
 from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
-from lcqft.errors import (NoMasslessSpecies, NotOrthogonal, NotSymplectic,
-                          SpectrumMismatch)
+from lcqft.errors import NotOrthogonal, NotSymplectic, SpectrumMismatch
 from lcqft.kinematics import membership_residual, region_solution_basis, solution_map
 from lcqft.spacetime import (
     LatticeSpacetime,
@@ -19,21 +18,25 @@ from lcqft.spacetime import (
 )
 from lcqft.suites import RunConfig, gauge_suite
 
-from oracles import species_on_data, step
+from oracles import random_data, sigma, species_on_data, step
 
 
-def _translate(sol, dt_, dx):
+def _translate(st_, vec, dt_, dx):
     """(T phi)(t, x) = phi(t - dt_, x - dx), through the solution map of the
     translation morphism."""
-    M = solution_map(translation(sol.spacetime, dt_, dx))
-    return dyn.solution_from_vec(sol.spacetime, M @ sol.vec())
+    return solution_map(translation(st_, dt_, dx)) @ vec
+
+
+def _identity(spec):
+    return gg.GaugeElement(spec, tuple(np.eye(k) for _, k in spec.entries),
+                           np.zeros(spec.massless_count))
 
 
 class TestGroupLaw:
     def test_identity_law(self, mixed_spacetime, rng):
         spec = mixed_spacetime.spectrum
         g = gg.random_gauge(rng, spec)
-        e = gg.identity_gauge(spec)
+        e = _identity(spec)
         ge = gg.group_compose(g, e)
         assert all(np.array_equal(a, b) for a, b in zip(ge.blocks, g.blocks))
         assert np.array_equal(ge.ell, g.ell)
@@ -50,13 +53,17 @@ class TestGroupLaw:
         assert np.max(np.abs(gh.ell)) < 1e-15
 
     def test_inverse(self, mixed_spacetime, rng):
+        # (R, l)^-1 = (R^T, -l R_0^T) on both sides
         spec = mixed_spacetime.spectrum
         for _ in range(20):
             g = gg.random_gauge(rng, spec)
-            e = gg.group_compose(g, gg.group_inverse(g))
-            assert max(np.max(np.abs(R - np.eye(R.shape[0])))
-                       for R in e.blocks) < 1e-13
-            assert np.max(np.abs(e.ell), initial=0.0) < 1e-13
+            inverse = gg.GaugeElement(spec, tuple(R.T for R in g.blocks),
+                                      -(g.ell @ g.massless_block.T))
+            for e in (gg.group_compose(g, inverse),
+                      gg.group_compose(inverse, g)):
+                assert max(np.max(np.abs(R - np.eye(R.shape[0])))
+                           for R in e.blocks) < 1e-13
+                assert np.max(np.abs(e.ell), initial=0.0) < 1e-13
 
     def test_associativity(self, mixed_spacetime, rng):
         spec = mixed_spacetime.spectrum
@@ -108,20 +115,28 @@ class TestGroupLaw:
 
 class TestClassicalAction:
     def test_identity(self, mixed_spacetime, rng):
-        phi = dyn.random_solution(rng, mixed_spacetime)
-        out = gg.classical_action(gg.identity_gauge(mixed_spacetime.spectrum),
-                                  phi)
-        assert np.array_equal(out.vec(), phi.vec())
+        x = random_data(rng, mixed_spacetime, 3)
+        out = gg.classical_action(_identity(mixed_spacetime.spectrum), x)
+        assert np.array_equal(out, x)
 
     def test_symplectic(self, mixed_spacetime, rng):
         for _ in range(20):
             g = gg.random_gauge(rng, mixed_spacetime.spectrum)
-            a = dyn.random_solution(rng, mixed_spacetime)
-            b = dyn.random_solution(rng, mixed_spacetime)
-            drift = dyn.symplectic_form(gg.classical_action(g, a),
-                                        gg.classical_action(g, b)) \
-                - dyn.symplectic_form(a, b)
-            assert abs(drift) < 1e-12 * max(1.0, a.norm() * b.norm())
+            a, b = random_data(rng, mixed_spacetime, 2)
+            drift = sigma(gg.classical_action(g, a),
+                          gg.classical_action(g, b)) - sigma(a, b)
+            assert abs(drift) < 1e-12 * max(
+                1.0, np.linalg.norm(a) * np.linalg.norm(b))
+
+    def test_equals_the_dense_species_map(self, two_block_spacetime, rng):
+        # one vector or a batch, against kron(1_2, R (x) 1_N) of the oracle
+        st_ = two_block_spacetime
+        g = gg.random_gauge(rng, st_.spectrum)
+        x = random_data(rng, st_, 4, 3)
+        want = x @ species_on_data(st_, g.species_matrix()).T
+        assert np.max(np.abs(gg.classical_action(g, x) - want)) < 1e-15
+        assert np.array_equal(gg.classical_action(g, x[0, 0]),
+                              gg.classical_action(g, x)[0, 0])
 
     def test_composition_on_basis_exact(self, two_block_spacetime, rng):
         st_ = two_block_spacetime
@@ -132,29 +147,26 @@ class TestClassicalAction:
         assert np.array_equal(Mg @ Mh, Mgh)
 
     def test_commutes_with_dynamics(self, mixed_spacetime, rng):
-        g = gg.random_gauge(rng, mixed_spacetime.spectrum)
-        phi = dyn.random_solution(rng, mixed_spacetime)
+        st_ = mixed_spacetime
+        g = gg.random_gauge(rng, st_.spectrum)
+        phi = random_data(rng, st_)
+
+        def act(x):
+            return gg.classical_action(g, x)
+
         # step
         assert np.max(np.abs(
-            gg.classical_action(g, step(phi)).vec()
-            - step(gg.classical_action(g, phi)).vec())) < 1e-13
+            act(step(st_, phi)) - step(st_, act(phi)))) < 1e-13
         # conjugation
-        assert np.max(np.abs(
-            gg.classical_action(g, phi.conjugate()).vec()
-            - gg.classical_action(g, phi).conjugate().vec())) < 1e-14
+        assert np.max(np.abs(act(phi.conj()) - act(phi).conj())) < 1e-14
         # translations
-        assert np.max(np.abs(
-            gg.classical_action(g, _translate(phi, 2, 3)).vec()
-            - _translate(gg.classical_action(g, phi), 2, 3).vec()
-        )) < 1e-13
+        assert np.max(np.abs(act(_translate(st_, phi, 2, 3))
+                             - _translate(st_, act(phi), 2, 3))) < 1e-13
         # relative Cauchy evolution
-        v = np.zeros((mixed_spacetime.n_slices, mixed_spacetime.n_sites))
+        v = np.zeros((st_.n_slices, st_.n_sites))
         v[5:8, 2:5] = rng.standard_normal((3, 3))
-        pert = dyn.Perturbation(mixed_spacetime, v)
-        assert np.max(np.abs(
-            gg.classical_action(g, dyn.relative_cauchy_evolution(phi, pert)).vec()
-            - dyn.relative_cauchy_evolution(gg.classical_action(g, phi),
-                                            pert).vec())) < 1e-12
+        M = dyn.rce_matrix(dyn.Perturbation(st_, v))
+        assert np.max(np.abs(act(M @ phi) - M @ act(phi))) < 1e-12
 
 
 class TestSpeciesForm:
@@ -206,64 +218,66 @@ class TestSpeciesForm:
 
 
 class TestEllFunctional:
+    """<l, phi> as the row `ell_basis_values` against phi's data vector."""
+
     def test_momentum_free_solutions_vanish(self, mixed_spacetime, rng):
-        q = rng.standard_normal((3, 8))
-        phi = dyn.Solution(mixed_spacetime, q, np.zeros_like(q))
-        assert gg.ell_functional(np.array([1.0]), phi) == 0.0
+        phi = np.concatenate([rng.standard_normal(24), np.zeros(24)])
+        assert gg.ell_basis_values(np.array([1.0]), mixed_spacetime) @ phi \
+            == 0.0
 
     def test_frozen_sign_convention(self, mixed_spacetime):
         # single massless species, p_0 = delta_x0: sigma(l phi_0, 1) = -1
-        q = np.zeros((3, 8), complex)
-        p = np.zeros((3, 8), complex)
-        p[0, 0] = 1.0
-        phi = dyn.Solution(mixed_spacetime, q, p)
-        assert gg.ell_functional(np.array([1.0]), phi) == -1.0
+        phi = np.zeros((2, 3, 8), complex)   # (channel, species, site)
+        phi[1, 0, 0] = 1.0
+        assert gg.ell_basis_values(np.array([1.0]), mixed_spacetime) \
+            @ phi.ravel() == -1.0
 
     def test_translation_invariance_exact(self, mixed_spacetime, rng):
-        ell = rng.standard_normal(1)
-        phi = dyn.random_solution(rng, mixed_spacetime)
-        base = gg.ell_functional(ell, phi)
+        st_ = mixed_spacetime
+        row = gg.ell_basis_values(rng.standard_normal(1), st_)
+        phi = random_data(rng, st_)
+        base = row @ phi
         for (dt_, dx) in [(0, 3), (1, 0), (4, 5), (-2, 1)]:
-            moved = gg.ell_functional(ell, _translate(phi, dt_, dx))
+            moved = row @ _translate(st_, phi, dt_, dx)
             assert abs(moved - base) < 1e-12 * max(1.0, abs(base))
 
     def test_linear(self, mixed_spacetime, rng):
-        ell = rng.standard_normal(1)
-        a = dyn.random_solution(rng, mixed_spacetime)
-        b = dyn.random_solution(rng, mixed_spacetime)
+        row = gg.ell_basis_values(rng.standard_normal(1), mixed_spacetime)
+        a, b = random_data(rng, mixed_spacetime, 2)
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        assert abs(gg.ell_functional(ell, a + lam * b)
-                   - gg.ell_functional(ell, a)
-                   - lam * gg.ell_functional(ell, b)) < 1e-12
+        assert abs(row @ (a + lam * b) - row @ a - lam * (row @ b)) < 1e-12
 
-    def test_requires_massless(self, massive_spacetime, rng):
-        with pytest.raises(NoMasslessSpecies):
-            gg.ell_functional(np.zeros(0),
-                              dyn.random_solution(rng, massive_spacetime))
+    def test_zero_without_massless_species(self, massive_spacetime):
+        # no massless species, no shift: the row vanishes and there are no
+        # shift functionals
+        assert not gg.ell_basis_values(np.zeros(0), massive_spacetime).any()
+        assert gg.shift_functionals(massive_spacetime).shape == (
+            0, massive_spacetime.data_dim)
 
     def test_spacetime_integral_form(self, mixed_spacetime):
         # the solution-intrinsic form equals the frozen spacetime-smearing
         # pairing: <l, E f> = -dt sum_{t,x} l . f_0(t, x)
         st_ = mixed_spacetime
-        ell = np.array([1.7])
         f = dyn.delta_test_function(st_, 0, 6, 2)
-        val = gg.ell_functional(ell, dyn.propagate_test_function(f))
+        ef = np.concatenate(dyn.propagate_sources(st_, f.values)).ravel()
+        val = gg.ell_basis_values(np.array([1.7]), st_) @ ef
         assert abs(val - (-st_.dt * 1.7)) < 1e-12
 
 
 class TestQuantumAction:
     def test_identity(self, mixed_spacetime, rng):
-        act = gg.QuantumAction(gg.identity_gauge(mixed_spacetime.spectrum),
+        act = gg.QuantumAction(_identity(mixed_spacetime.spectrum),
                                mixed_spacetime)
         x = alg.random_element(rng, mixed_spacetime, 3, 5)
         assert alg.max_coeff_diff(act(x), x) == 0.0
 
     def test_field_action_formula(self, mixed_spacetime, rng):
-        g = gg.random_gauge(rng, mixed_spacetime.spectrum)
-        phi = dyn.random_solution(rng, mixed_spacetime)
-        lhs = gg.quantum_action(g, alg.field(phi))
-        rhs = alg.field(gg.classical_action(g, phi)) \
-            + gg.ell_functional(g.ell, phi) * alg.one(mixed_spacetime)
+        st_ = mixed_spacetime
+        g = gg.random_gauge(rng, st_.spectrum)
+        phi = random_data(rng, st_)
+        lhs = gg.quantum_action(g, alg.fields(st_, phi))
+        rhs = alg.fields(st_, gg.classical_action(g, phi)) \
+            + (gg.ell_basis_values(g.ell, st_) @ phi) * alg.one(st_)
         assert alg.max_coeff_diff(lhs, rhs) < 1e-13
 
     def test_homomorphism_law(self, mixed_spacetime, rng):
@@ -271,17 +285,17 @@ class TestQuantumAction:
         for _ in range(100):
             g = gg.random_gauge(rng, mixed_spacetime.spectrum)
             h = gg.random_gauge(rng, mixed_spacetime.spectrum)
-            phi = dyn.random_solution(rng, mixed_spacetime)
-            lhs = gg.quantum_action(g, gg.quantum_action(h, alg.field(phi)))
-            rhs = gg.quantum_action(gg.group_compose(g, h), alg.field(phi))
+            phi = alg.fields(mixed_spacetime, random_data(rng, mixed_spacetime))
+            lhs = gg.quantum_action(g, gg.quantum_action(h, phi))
+            rhs = gg.quantum_action(gg.group_compose(g, h), phi)
             worst = max(worst, alg.max_coeff_diff(lhs, rhs))
         assert worst < 1e-11
 
     def test_fixes_central_elements(self, mixed_spacetime, rng):
         g = gg.random_gauge(rng, mixed_spacetime.spectrum)
-        a = dyn.random_solution(rng, mixed_spacetime)
-        b = dyn.random_solution(rng, mixed_spacetime)
-        cc = alg.commutator(alg.field(a), alg.field(b))
+        a, b = alg.fields(mixed_spacetime,
+                          random_data(rng, mixed_spacetime, 2)).elements()
+        cc = alg.commutator(a, b)
         assert alg.max_coeff_diff(gg.quantum_action(g, cc), cc) < 1e-12
 
     def test_multiplicative(self, mixed_spacetime, rng):
@@ -330,7 +344,7 @@ class TestQuantumAction:
         rng = np.random.default_rng(11)
         c, s = np.cos(0.3), np.sin(0.3)
         generating_set = [
-            gg.identity_gauge(spec),
+            _identity(spec),
             gg.GaugeElement(spec, (np.eye(1), np.array([[c, -s], [s, c]])),
                             np.zeros(1)),
             gg.GaugeElement(spec, (-np.eye(1), np.eye(2)), np.zeros(1)),
@@ -361,9 +375,10 @@ class TestNaturality:
         for dx in range(st_.n_sites):
             for dt_ in (0, 1, -1, 2):
                 lifted = alg.lift(st_, solution_map(translation(st_, dt_, dx)))
-                phi = dyn.random_solution(rng, st_, integer=True)
-                assert alg.max_coeff_diff(act(lifted(alg.field(phi))),
-                                          lifted(act(alg.field(phi)))) == 0.0
+                phi = alg.fields(st_, rng.integers(-3, 4, st_.data_dim)
+                                 + 1j * rng.integers(-3, 4, st_.data_dim))
+                assert alg.max_coeff_diff(act(lifted(phi)),
+                                          lifted(act(phi))) == 0.0
 
     def test_float_translations(self, mixed_spacetime, rng):
         worst = 0.0
@@ -374,9 +389,9 @@ class TestNaturality:
             lifted = alg.lift(
                 mixed_spacetime,
                 solution_map(translation(mixed_spacetime, dt_, dx)))
-            phi = dyn.random_solution(rng, mixed_spacetime)
-            worst = max(worst, alg.max_coeff_diff(
-                act(lifted(alg.field(phi))), lifted(act(alg.field(phi)))))
+            phi = alg.fields(mixed_spacetime, random_data(rng, mixed_spacetime))
+            worst = max(worst, alg.max_coeff_diff(act(lifted(phi)),
+                                                  lifted(act(phi))))
         assert worst < 1e-13
 
     def test_kinematic_subalgebras_preserved(self, mixed_spacetime, rng):
@@ -389,8 +404,7 @@ class TestNaturality:
             c1 = basis @ (rng.standard_normal(basis.shape[1])
                           + 1j * rng.standard_normal(basis.shape[1]))
             c2 = basis @ rng.standard_normal(basis.shape[1])
-            el = alg.field(dyn.solution_from_vec(st_, c1)) \
-                * alg.field(dyn.solution_from_vec(st_, c2))
+            el = alg.fields(st_, c1) * alg.fields(st_, c2)
             image = gg.quantum_action(g, el)
             assert membership_residual([image], basis) < 1e-10
 
@@ -413,19 +427,15 @@ class TestNaturality:
         st_ = mixed_spacetime
         v = np.zeros((st_.n_slices, st_.n_sites))
         v[5:8, 2:5] = rng.standard_normal((3, 3))
-        ell = rng.standard_normal(1)
-        pert_g = dyn.Perturbation(st_, v, kind="gradient")
-        pert_m = dyn.Perturbation(st_, v, kind="mass")
-        phi = dyn.random_solution(rng, st_)
-        ok = abs(gg.ell_functional(ell, dyn.relative_cauchy_evolution(phi, pert_g))
-                 - gg.ell_functional(ell, phi))
-        assert ok < 1e-9
+        row = gg.ell_basis_values(rng.standard_normal(1), st_)
+        M_g = dyn.rce_matrix(dyn.Perturbation(st_, v, kind="gradient"))
+        M_m = dyn.rce_matrix(dyn.Perturbation(st_, v, kind="mass"))
+        phi = random_data(rng, st_)
+        assert abs(row @ (M_g @ phi) - row @ phi) < 1e-9
         # the mass-kind coupling genuinely moves the charge functional
-        chi = dyn.unit_constant_solution(st_, 0)
-        broken = abs(
-            gg.ell_functional(ell, dyn.relative_cauchy_evolution(chi, pert_m))
-            - gg.ell_functional(ell, chi))
-        assert broken > 1e-4
+        chi = np.zeros(st_.data_dim)
+        chi[:st_.n_sites] = 1.0    # the unit constant solution of species 0
+        assert abs(row @ (M_m @ chi) - row @ chi) > 1e-4
 
 
 class TestMultiplets:

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from lcqft import algebra as alg
-from lcqft import dynamics as dyn
 from lcqft.kinematics import (
     membership_residual,
     region_solution_basis,
@@ -19,7 +18,8 @@ from lcqft.spacetime import (
     translation,
 )
 
-from oracles import per_point_region_basis, projector_membership_residual
+from oracles import (per_point_region_basis, projector_membership_residual,
+                     random_data)
 
 
 class TestRegionSolutionBasis:
@@ -38,19 +38,17 @@ class TestRegionSolutionBasis:
     def test_membership_of_inside_elements(self, mixed_spacetime, rng):
         region = domain_of_dependence(6, 1, 5, mixed_spacetime)
         basis = region_solution_basis(region)
-        coeff = rng.standard_normal(basis.shape[1])
-        v = dyn.solution_from_vec(mixed_spacetime, basis @ coeff)
-        el = alg.field(v) * alg.field(v) + 2.0 * alg.field(v) \
-            + alg.one(mixed_spacetime)
+        v = basis @ rng.standard_normal(basis.shape[1])
+        field = alg.fields(mixed_spacetime, v)
+        el = field * field + 2.0 * field + alg.one(mixed_spacetime)
         assert membership_residual([el], basis) < 1e-12
-        projected = basis @ (basis.conj().T @ v.vec())
-        assert np.linalg.norm(v.vec() - projected) < 1e-12
+        projected = basis @ (basis.conj().T @ v)
+        assert np.linalg.norm(v - projected) < 1e-12
 
     def test_outside_elements_detected(self, mixed_spacetime, rng):
         region = domain_of_dependence(6, 1, 3, mixed_spacetime)
         basis = region_solution_basis(region)
-        v = dyn.random_solution(rng, mixed_spacetime)
-        el = alg.field(v)
+        el = alg.fields(mixed_spacetime, random_data(rng, mixed_spacetime))
         assert membership_residual([el], basis) > 1e-3
 
 
@@ -87,7 +85,7 @@ class TestMembershipResidual:
         def inside():
             coeff = rng.standard_normal(basis.shape[1]) \
                 + 1j * rng.standard_normal(basis.shape[1])
-            return alg.field(dyn.solution_from_vec(st, basis @ coeff))
+            return alg.fields(st, basis @ coeff)
 
         return st, basis, inside
 
@@ -104,9 +102,9 @@ class TestMembershipResidual:
     def test_one_slot_outside_agrees_with_oracle(self, rng):
         st, basis, inside = self._space(rng)
         for _ in range(2):
-            r = dyn.random_solution(rng, st).vec()
+            r = random_data(rng, st)
             u = r - basis @ (basis.conj().T @ r)
-            a = inside() * inside() * alg.field(dyn.solution_from_vec(st, u))
+            a = inside() * inside() * alg.fields(st, u)
             assert a.degree == 3
             oracle = projector_membership_residual(a, basis)
             assert oracle > 1e-3 * a.max_abs()
@@ -170,6 +168,6 @@ class TestAlgebraNaturality:
             act = QuantumAction(g, st)
             coeff = basis @ (rng.standard_normal(basis.shape[1])
                              + 1j * rng.standard_normal(basis.shape[1]))
-            el = alg.field(dyn.solution_from_vec(st, coeff))
+            el = alg.fields(st, coeff)
             image = act(el)
             assert membership_residual([image], basis) < 1e-10

@@ -5,41 +5,55 @@ import numpy as np
 import pytest
 
 from lcqft import algebra as alg
-from lcqft import dynamics as dyn
 from lcqft import gauge as gg
 from lcqft import observables as obs
 from lcqft.errors import MassNotInSpectrum, NoMasslessSpecies, NotChargeZero
 from lcqft.spacetime import multi_diamond
 
-from oracles import dict_derivation, dict_max_coeff_diff, species_on_data
+from oracles import (dict_derivation, dict_max_coeff_diff, sigma,
+                     species_on_data)
 
 
 def _charge_zero_scalar(rng, st, massless):
+    """Single-species data (2, N), rows q and p."""
     N = st.n_sites
     q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     p = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     if massless:
         p = p - np.mean(p)
-    return dyn.ScalarData(st, q, p)
+    return np.array([q, p])
 
 
 def _theta(st):
     """Massless scalar data with sigma(theta, 1) = 1: not charge zero."""
     N = st.n_sites
-    return dyn.ScalarData(st, np.zeros(N), -np.ones(N) / N)
+    return np.array([np.zeros(N), -np.ones(N) / N])
+
+
+def _field(st, data, species):
+    return alg.fields(st, obs.in_species(st, data, species))
 
 
 class TestChargeZeroSubspace:
     # theta spans the complement of the charge-zero sector
     def test_theta_normalization(self, mixed_spacetime):
-        theta = dyn.embed_scalar(_theta(mixed_spacetime), 0)
-        unit = dyn.unit_constant_solution(mixed_spacetime, 0)
-        assert abs(dyn.symplectic_form(theta, unit) - 1.0) < 1e-14
+        st = mixed_spacetime
+        theta = obs.in_species(st, _theta(st), 0)
+        unit = obs.in_species(st, [np.ones(st.n_sites), np.zeros(st.n_sites)], 0)
+        assert abs(sigma(theta, unit) - 1.0) < 1e-14
+
+    def test_in_species_layout(self, mixed_spacetime, rng):
+        # q and p of the data land in one species slot of each channel
+        st = mixed_spacetime
+        data = _charge_zero_scalar(rng, st, False)
+        vec = obs.in_species(st, data, 2).reshape(2, st.n_species, st.n_sites)
+        assert np.array_equal(vec[:, 2], data)
+        assert not vec[:, :2].any()
 
 
 class TestBilinearGenerator:
     def test_zero_inputs(self, mixed_spacetime):
-        z = dyn.ScalarData(mixed_spacetime, np.zeros(8), np.zeros(8))
+        z = np.zeros((2, 8))
         gen = obs.bilinear_generator(mixed_spacetime, 1.0, z, z)
         assert gen.degree == -1
 
@@ -49,7 +63,7 @@ class TestBilinearGenerator:
             obs.bilinear_generator(mixed_spacetime, 7.0, phi, phi)
 
     def test_charge_zero_required_for_massless(self, mixed_spacetime, rng):
-        phi = dyn.ScalarData(mixed_spacetime, np.zeros(8), np.ones(8))
+        phi = np.array([np.zeros(8), np.ones(8)])
         with pytest.raises(NotChargeZero):
             obs.bilinear_generator(mixed_spacetime, 0.0, phi, phi)
 
@@ -60,7 +74,7 @@ class TestBilinearGenerator:
         phi = _charge_zero_scalar(rng, st, False)
         psi = _charge_zero_scalar(rng, st, False)
         gen = obs.bilinear_generator(st, 1.0, phi, psi)
-        sigma_scalar = complex(np.sum(phi.q * psi.p) - np.sum(psi.q * phi.p))
+        sigma_scalar = sigma(phi.ravel(), psi.ravel())
         expected = 0.5j * 2 * sigma_scalar
         assert abs(gen.coefficient(()) - expected) < 1e-12
         assert gen.degree == 2
@@ -100,8 +114,8 @@ class TestBilinearGenerator:
         block = st.spectrum.block_slice(mass)
         expected = {}
         for s in range(block.start, block.stop):
-            u = dyn.embed_scalar(phi, s).vec()
-            v = dyn.embed_scalar(psi, s).vec()
+            u = obs.in_species(st, phi, s)
+            v = obs.in_species(st, psi, s)
             for i in np.nonzero(u)[0]:
                 for j in np.nonzero(v)[0]:
                     key = tuple(sorted((int(i), int(j))))
@@ -134,7 +148,7 @@ class TestInvariantProjectionCheck:
     def test_theta_field_fails_affine(self, mixed_spacetime):
         # Phi(theta x e_1): massless, not charge zero: the affine derivative
         # is nonzero (the lambda-linear coefficient survives)
-        el = alg.field(dyn.embed_scalar(_theta(mixed_spacetime), 0))
+        el = _field(mixed_spacetime, _theta(mixed_spacetime), 0)
         ok, residual = obs.invariant_projection_check(el)
         assert not ok
         deriv = obs.affine_derivative(el, 0)
@@ -150,16 +164,15 @@ class TestInvariantProjectionCheck:
         # so(2) generator sees that it is not summed over the block
         phi = _charge_zero_scalar(rng, massive_spacetime, False)
         psi = _charge_zero_scalar(rng, massive_spacetime, False)
-        el = alg.field(dyn.embed_scalar(phi, 0)) \
-            * alg.field(dyn.embed_scalar(psi, 0))
+        el = _field(massive_spacetime, phi, 0) \
+            * _field(massive_spacetime, psi, 0)
         ok, residual = obs.invariant_projection_check(el)
         assert not ok and residual > 1e-3
 
     def test_mass_mixing_fails(self, mixed_spacetime, rng):
         phi = _charge_zero_scalar(rng, mixed_spacetime, True)
         psi = _charge_zero_scalar(rng, mixed_spacetime, False)
-        mixed = alg.field(dyn.embed_scalar(phi, 0)) \
-            * alg.field(dyn.embed_scalar(psi, 1))
+        mixed = _field(mixed_spacetime, phi, 0) * _field(mixed_spacetime, psi, 1)
         ok, residual = obs.invariant_projection_check(mixed)
         assert not ok
         assert residual > 1e-3
@@ -174,7 +187,7 @@ class TestInvariantProjectionCheck:
         psi = _charge_zero_scalar(rng, st, False)
 
         def f(h, s):
-            return alg.field(dyn.embed_scalar(h, s))
+            return _field(st, h, s)
 
         det = f(phi, 0) * f(psi, 1) - f(phi, 1) * f(psi, 0)
         gen, = species_on_data(st, gg.rotation_generators(st.spectrum))
@@ -190,8 +203,7 @@ class TestInvariantProjectionCheck:
         st = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:1,2:1"))
         phi = _charge_zero_scalar(rng, st, False)
         psi = _charge_zero_scalar(rng, st, False)
-        mixed = alg.field(dyn.embed_scalar(phi, 0)) \
-            * alg.field(dyn.embed_scalar(psi, 1))
+        mixed = _field(st, phi, 0) * _field(st, psi, 1)
         both = gg.GaugeElement(st.spectrum, (-np.eye(1), -np.eye(1)),
                                np.zeros(0))
         assert alg.max_coeff_diff(gg.quantum_action(both, mixed), mixed) == 0.0
@@ -221,12 +233,13 @@ class TestCentralElements:
     def test_charge_zero_and_shift_fixed(self, mixed_spacetime):
         # chi has zero momentum, so sigma(chi, 1) = 0 and <l, chi> = 0:
         # central elements are fixed by every affine shift
-        central = obs.central_elements(mixed_spacetime)
-        unit = dyn.unit_constant_solution(mixed_spacetime, 0)
+        st = mixed_spacetime
+        central = obs.central_elements(st)
+        unit = obs.in_species(st, [np.ones(st.n_sites), np.zeros(st.n_sites)], 0)
         for entry in central:
-            chi_sol = dyn.embed_scalar(entry["chi"], entry["species"])
-            assert dyn.symplectic_form(chi_sol, unit) == 0.0
-            assert gg.ell_functional(np.array([2.5]), chi_sol) == 0.0
+            chi = obs.in_species(st, entry["chi"], entry["species"])
+            assert sigma(chi, unit) == 0.0
+            assert gg.ell_basis_values(np.array([2.5]), st) @ chi == 0.0
             g = gg.GaugeElement(
                 mixed_spacetime.spectrum,
                 tuple(np.eye(k) for _, k in mixed_spacetime.spectrum.entries),
@@ -274,7 +287,7 @@ class TestMultiComponentRegions:
             sites = sorted(comp.sites(N))
             q[sites] = rng.standard_normal(len(sites))
             p[sites] = rng.standard_normal(len(sites))
-            return dyn.ScalarData(st, q, p)
+            return np.array([q, p])
 
         phi, psi = scalar_in(comp1), scalar_in(comp2)
         gen = obs.bilinear_generator(st, 1.0, phi, psi)
@@ -282,8 +295,8 @@ class TestMultiComponentRegions:
         assert ok, residual
         supports = [comp1.sites(N), comp2.sites(N)]
         cross = not any(
-            set(np.nonzero(np.abs(phi.q) + np.abs(phi.p))[0]) <= s
-            and set(np.nonzero(np.abs(psi.q) + np.abs(psi.p))[0]) <= s
+            set(np.nonzero(np.abs(phi).sum(0))[0]) <= s
+            and set(np.nonzero(np.abs(psi).sum(0))[0]) <= s
             for s in supports)
         assert cross  # flagged: not generated within one component
 

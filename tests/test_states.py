@@ -12,7 +12,7 @@ from lcqft.kinematics import solution_map
 from lcqft.spacetime import translation
 
 from oracles import (circulant_vacuum_mu, dict_substitute, hafnian,
-                     reduction_evaluate, species_on_data)
+                     random_data, reduction_evaluate, sigma, species_on_data)
 
 
 class TestKernel:
@@ -20,17 +20,16 @@ class TestKernel:
         vac = stt.vacuum_state(mixed_spacetime)
         W = vac.two_point
         for _ in range(20):
-            a = dyn.random_solution(rng, mixed_spacetime, complex_data=False)
-            b = dyn.random_solution(rng, mixed_spacetime, complex_data=False)
-            w_ab = a.vec() @ W @ b.vec()
-            assert abs(w_ab.imag - 0.5 * dyn.symplectic_form(a, b).real) < 1e-11
+            a, b = rng.standard_normal((2, mixed_spacetime.data_dim))
+            w_ab = a @ W @ b
+            assert abs(w_ab.imag - 0.5 * sigma(a, b)) < 1e-11
 
     def test_positive_semidefinite(self, mixed_spacetime, rng):
         vac = stt.vacuum_state(mixed_spacetime)
         W = vac.two_point
         for _ in range(50):
-            phi = dyn.random_solution(rng, mixed_spacetime)
-            val = phi.conjugate().vec() @ W @ phi.vec()
+            phi = random_data(rng, mixed_spacetime)
+            val = phi.conj() @ W @ phi
             assert val.real >= -1e-10
             assert abs(val.imag) < 1e-10
 
@@ -100,7 +99,7 @@ class TestKernelAgainstEvaluator:
         vac = stt.vacuum_state(mixed_spacetime)
         W = vac.two_point
         for _ in range(30):
-            a = alg.field(dyn.random_solution(rng, mixed_spacetime))
+            a = alg.fields(mixed_spacetime, random_data(rng, mixed_spacetime))
             v = alg.degree1_vector(a)
             expect = v.conj() @ W @ v
             assert abs(vac.evaluate(a.star() * a) - expect) \
@@ -111,10 +110,10 @@ class TestKernelAgainstEvaluator:
         vac = stt.vacuum_state(mixed_spacetime)
         W = vac.two_point
         for _ in range(30):
-            phi = dyn.random_solution(rng, mixed_spacetime)
-            psi = dyn.random_solution(rng, mixed_spacetime)
-            expect = phi.vec() @ W @ psi.vec()
-            value = vac.evaluate(alg.field(phi) * alg.field(psi))
+            phi, psi = random_data(rng, mixed_spacetime, 2)
+            expect = phi @ W @ psi
+            value = vac.evaluate(alg.fields(mixed_spacetime, phi)
+                                 * alg.fields(mixed_spacetime, psi))
             assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -159,17 +158,16 @@ class TestEvaluate:
     def test_ccr_through_state(self, mixed_spacetime, rng):
         vac = stt.vacuum_state(mixed_spacetime)
         for _ in range(20):
-            a = dyn.random_solution(rng, mixed_spacetime)
-            b = dyn.random_solution(rng, mixed_spacetime)
-            diff = vac.evaluate(alg.field(a) * alg.field(b)) \
-                - vac.evaluate(alg.field(b) * alg.field(a))
-            assert abs(diff - 1j * dyn.symplectic_form(a, b)) < 1e-11 * max(
-                1.0, a.norm() * b.norm())
+            a, b = random_data(rng, mixed_spacetime, 2)
+            fa, fb = alg.fields(mixed_spacetime, [a, b]).elements()
+            diff = vac.evaluate(fa * fb) - vac.evaluate(fb * fa)
+            assert abs(diff - 1j * sigma(a, b)) < 1e-11 * max(
+                1.0, np.linalg.norm(a) * np.linalg.norm(b))
 
     def test_one_point_vanishes(self, mixed_spacetime, rng):
         vac = stt.vacuum_state(mixed_spacetime)
-        phi = dyn.random_solution(rng, mixed_spacetime)
-        assert abs(vac.evaluate(alg.field(phi))) == 0.0
+        phi = random_data(rng, mixed_spacetime)
+        assert abs(vac.evaluate(alg.fields(mixed_spacetime, phi))) == 0.0
 
     def test_odd_monomials_vanish(self, massive_spacetime, rng):
         vac = stt.vacuum_state(massive_spacetime)
@@ -179,10 +177,10 @@ class TestEvaluate:
     def test_quartic_power_rule(self, massive_spacetime, rng):
         # omega(Phi(phi)^4) = 3 W(phi, phi)^2 for real phi (3 pairings)
         vac = stt.vacuum_state(massive_spacetime)
-        phi = dyn.random_solution(rng, massive_spacetime, complex_data=False)
-        f = alg.field(phi)
+        phi = rng.standard_normal(massive_spacetime.data_dim)
+        f = alg.fields(massive_spacetime, phi)
         quartic = f * f * f * f
-        W = phi.vec() @ vac.two_point @ phi.vec()
+        W = phi @ vac.two_point @ phi
         val = vac.evaluate(quartic)
         assert abs(val - 3 * W ** 2) < 1e-10 * max(1.0, abs(W) ** 2)
 
@@ -237,7 +235,9 @@ class TestEvaluate:
 class TestPullBack:
     def test_identity(self, mixed_spacetime, rng):
         vac = stt.vacuum_state(mixed_spacetime)
-        g = gg.identity_gauge(mixed_spacetime.spectrum)
+        spectrum = mixed_spacetime.spectrum
+        g = gg.GaugeElement(spectrum, tuple(np.eye(k) for _, k in
+                                            spectrum.entries), np.zeros(1))
         act = gg.QuantumAction(g, mixed_spacetime)
         for _ in range(20):
             a = alg.random_element(rng, mixed_spacetime, 3, 5)
@@ -282,9 +282,10 @@ class TestPullBack:
                                 tuple(np.eye(k) for _, k in spectrum.entries),
                                 ell)
             act = gg.QuantumAction(g, mixed_spacetime)
-            phi = dyn.random_solution(rng, mixed_spacetime)
-            assert abs(vac.evaluate(act(alg.field(phi)))
-                       - gg.ell_functional(ell, phi)) < 1e-10
+            phi = random_data(rng, mixed_spacetime)
+            assert abs(vac.evaluate(act(alg.fields(mixed_spacetime, phi)))
+                       - gg.ell_basis_values(ell, mixed_spacetime) @ phi) \
+                < 1e-10
 
     def test_positivity_preserved(self, mixed_spacetime, rng):
         vac = stt.vacuum_state(mixed_spacetime)
