@@ -285,7 +285,7 @@ def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float
     for _ in range(3):
         phi = rng.standard_normal(st.data_dim)
         grids = null_energy_grids(st, *data_from_vec(st, [phi] + [
-            classical_action(g, phi) for g in reflections]))
+            classical_action(g, st, phi) for g in reflections]))
         res = max(res, float(np.max(np.abs(grids[:, 1:] - grids[:, :1]))))
     return res
 

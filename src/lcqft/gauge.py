@@ -122,11 +122,24 @@ def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum,
 
 # -- classical action --------------------------------------------------------------
 
-def classical_action(g: GaugeElement, vecs: np.ndarray) -> np.ndarray:
-    """S(R) on data vectors (..., dim): rotate species within each mass
-    block, identically on q and p at every site."""
-    x = np.reshape(vecs, np.shape(vecs)[:-1] + (2, g.spectrum.total_species, -1))
-    return (g.species_matrix() @ x).reshape(np.shape(vecs))
+def species_action(spacetime: LatticeSpacetime, R: np.ndarray,
+                   vecs: np.ndarray) -> np.ndarray:
+    """Species matrices R (..., |nu|, |nu|) acting as 1_2 (x) R (x) 1_N on
+    data vectors (..., dim), the leading axes broadcast, with no dense map."""
+    S, N = spacetime.n_species, spacetime.n_sites
+    if np.shape(R)[-2:] != (S, S) or np.shape(vecs)[-1:] != (2 * S * N,):
+        raise SpectrumMismatch("species matrices or data of another spectrum")
+    out = np.asarray(R)[..., None, :, :] @ np.reshape(
+        vecs, np.shape(vecs)[:-1] + (2, S, N))
+    return out.reshape(out.shape[:-3] + (2 * S * N,))
+
+
+def classical_action(g: GaugeElement, spacetime: LatticeSpacetime,
+                     vecs: np.ndarray) -> np.ndarray:
+    """S(R) on data vectors (..., dim) of the spacetime (`species_action`)."""
+    if g.spectrum != spacetime.spectrum:
+        raise SpectrumMismatch("gauge element over a different spectrum")
+    return species_action(spacetime, g.species_matrix(), vecs)
 
 
 # -- the shift functional ------------------------------------------------------------

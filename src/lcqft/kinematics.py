@@ -1,21 +1,15 @@
 """Kinematic local subalgebras and the solution-space action of morphisms.
 
-The local algebra of a region is generated by fields smeared inside it; on
-the lattice its degree-1 part is the span of E f over test functions
-supported in the region (`region_solution_basis`, all point sources of the
-region propagated in one batch), and an algebra element belongs to it iff
-every tensor slot lies in that span. On Sym^k V = (+)_i Sym^(k-i) W (x)
-Sym^i W_perp, the derivation extending the projector 1 - P onto W_perp
-acts as i on the i-th summand, so it annihilates exactly the elements of
-the subalgebra; `membership_residual` is the size of that derivation.
+The local algebra A(O) of a region is generated by the fields of its
+solution space W, the span of E f over test functions supported in the
+region (`region_solution_basis`, all point sources of the region propagated
+in one batch). A map of the algebra whose linear part on the fields is X
+(its constants lie in every A(O)) takes A(O) into itself iff X W lies in W.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from .algebra import AlgebraElement, derivation, slot_map
 from .dynamics import evolve_data, matrix_of, propagate_sources
 from .errors import DomainMismatch
 from .spacetime import LatticeMorphism, Region
@@ -44,16 +38,12 @@ def region_solution_basis(region: Region) -> np.ndarray:
     return u[:, :rank]
 
 
-def membership_residual(elements: Iterable[AlgebraElement],
-                        basis: np.ndarray) -> float:
-    """How far the elements are from the subalgebra generated by the span
-    of `basis`: the largest coefficient of the derivation of any of them by
-    1 - P, with P the orthogonal projector onto the span; zero iff every
-    tensor slot of every element lies in the span. The slot map of 1 - P is
-    built once for all the elements."""
-    outside = slot_map(np.eye(basis.shape[0]) - basis @ basis.conj().T)
-    return max((derivation(a, outside).max_abs() for a in elements),
-               default=0.0)
+def membership_residual(maps: np.ndarray, basis: np.ndarray) -> float:
+    """max |X B - B (B^H X B)| over the maps X (n, dim, dim), with B the
+    orthonormal columns `basis`: zero iff each X keeps their span."""
+    images = np.asarray(maps) @ basis
+    return float(np.max(np.abs(images - basis @ (basis.conj().T @ images)),
+                        initial=0.0))
 
 
 def solution_map(morphism: LatticeMorphism) -> np.ndarray:

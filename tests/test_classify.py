@@ -344,9 +344,9 @@ class TestClassify:
         seen = []
         real_action = clf.classical_action
 
-        def counting(g, phi):
+        def counting(g, spacetime, phi):
             seen.append(tuple(round(float(np.linalg.det(R))) for R in g.blocks))
-            return real_action(g, phi)
+            return real_action(g, spacetime, phi)
 
         monkeypatch.setattr(clf, "classical_action", counting)
         assert clf.reflection_residual(st, np.random.default_rng(0)) < 1e-12

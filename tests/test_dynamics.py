@@ -304,7 +304,7 @@ class TestNullEnergy:
         x = random_data(rng, st_)
         g = random_gauge(rng, st_.spectrum, with_ell=False)
         g1 = _grid(st_, x)
-        g2 = _grid(st_, classical_action(g, x))
+        g2 = _grid(st_, classical_action(g, st_, x))
         assert np.max(np.abs(g1 - g2)) < 1e-12 * max(1.0, np.max(g1))
 
     def test_right_mover_one_contraction_vanishes(self):

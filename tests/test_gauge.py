@@ -9,7 +9,7 @@ from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
 from lcqft.errors import NotOrthogonal, NotSymplectic, SpectrumMismatch
-from lcqft.kinematics import membership_residual, region_solution_basis, solution_map
+from lcqft.kinematics import region_solution_basis, solution_map
 from lcqft.spacetime import (
     LatticeSpacetime,
     MassSpectrum,
@@ -18,7 +18,8 @@ from lcqft.spacetime import (
 )
 from lcqft.suites import RunConfig, gauge_suite
 
-from oracles import random_data, sigma, species_on_data, step
+from oracles import (projector_membership_residual, random_data, sigma,
+                     species_on_data, step)
 
 
 def _translate(st_, vec, dt_, dx):
@@ -116,15 +117,17 @@ class TestGroupLaw:
 class TestClassicalAction:
     def test_identity(self, mixed_spacetime, rng):
         x = random_data(rng, mixed_spacetime, 3)
-        out = gg.classical_action(_identity(mixed_spacetime.spectrum), x)
+        out = gg.classical_action(_identity(mixed_spacetime.spectrum),
+                                  mixed_spacetime, x)
         assert np.array_equal(out, x)
 
     def test_symplectic(self, mixed_spacetime, rng):
         for _ in range(20):
             g = gg.random_gauge(rng, mixed_spacetime.spectrum)
             a, b = random_data(rng, mixed_spacetime, 2)
-            drift = sigma(gg.classical_action(g, a),
-                          gg.classical_action(g, b)) - sigma(a, b)
+            drift = sigma(gg.classical_action(g, mixed_spacetime, a),
+                          gg.classical_action(g, mixed_spacetime, b)) \
+                - sigma(a, b)
             assert abs(drift) < 1e-12 * max(
                 1.0, np.linalg.norm(a) * np.linalg.norm(b))
 
@@ -134,9 +137,20 @@ class TestClassicalAction:
         g = gg.random_gauge(rng, st_.spectrum)
         x = random_data(rng, st_, 4, 3)
         want = x @ species_on_data(st_, g.species_matrix()).T
-        assert np.max(np.abs(gg.classical_action(g, x) - want)) < 1e-15
-        assert np.array_equal(gg.classical_action(g, x[0, 0]),
-                              gg.classical_action(g, x)[0, 0])
+        assert np.max(np.abs(gg.classical_action(g, st_, x) - want)) < 1e-15
+        assert np.array_equal(gg.classical_action(g, st_, x[0, 0]),
+                              gg.classical_action(g, st_, x)[0, 0])
+
+    def test_spectrum_mismatch_is_refused(self, mixed_spacetime):
+        # a 1:2 reflection on a 48-entry 0:1,1:2 data vector, over either
+        # spacetime
+        g = gg.block_reflections(MassSpectrum.parse("1:2"))[0]
+        massive = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:2"))
+        x = np.ones(mixed_spacetime.data_dim)
+        assert x.shape == (48,)
+        for st_ in (mixed_spacetime, massive):
+            with pytest.raises(SpectrumMismatch):
+                gg.classical_action(g, st_, x)
 
     def test_composition_on_basis_exact(self, two_block_spacetime, rng):
         st_ = two_block_spacetime
@@ -152,7 +166,7 @@ class TestClassicalAction:
         phi = random_data(rng, st_)
 
         def act(x):
-            return gg.classical_action(g, x)
+            return gg.classical_action(g, st_, x)
 
         # step
         assert np.max(np.abs(
@@ -276,7 +290,7 @@ class TestQuantumAction:
         g = gg.random_gauge(rng, st_.spectrum)
         phi = random_data(rng, st_)
         lhs = gg.quantum_action(g, alg.fields(st_, phi))
-        rhs = alg.fields(st_, gg.classical_action(g, phi)) \
+        rhs = alg.fields(st_, gg.classical_action(g, st_, phi)) \
             + (gg.ell_basis_values(g.ell, st_) @ phi) * alg.one(st_)
         assert alg.max_coeff_diff(lhs, rhs) < 1e-13
 
@@ -366,7 +380,7 @@ class TestQuantumAction:
 
 class TestNaturality:
     def test_exact_on_dyadic_data(self, mixed_spacetime, rng):
-        # signed-permutation blocks, integer shifts and integer data make
+        # signed-permutation blocks with no shift and integer data make
         # both composition orders bit-identical
         from lcqft.suites import _signed_permutation_gauge
         st_ = mixed_spacetime
@@ -406,7 +420,7 @@ class TestNaturality:
             c2 = basis @ rng.standard_normal(basis.shape[1])
             el = alg.fields(st_, c1) * alg.fields(st_, c2)
             image = gg.quantum_action(g, el)
-            assert membership_residual([image], basis) < 1e-10
+            assert projector_membership_residual(image, basis) < 1e-10
 
     def test_rce_intertwining(self, mixed_spacetime, rng):
         st_ = mixed_spacetime
@@ -501,3 +515,26 @@ def test_non_symplectic_translations_are_refused(monkeypatch):
     monkeypatch.setattr(kin, "solution_map", lambda m: 1.5 * real(m))
     with pytest.raises(NotSymplectic):
         gauge_suite(RunConfig(spectrum="1:2", seed=62))
+
+
+@pytest.mark.parametrize("spec, dt, seed", [
+    ("0:1,1:2", 0.45, 9), ("0:2", 0.9, 7), ("0:1", 0.37, 0),
+    ("0:1,1:2", 0.3, 0), ("0:2", 0.3, 3)])
+def test_exact_naturality_holds_at_non_dyadic_dt(spec, dt, seed):
+    # with no shift, the signed permutation commutes with every translation
+    # bit for bit on integer data, whatever the translation's entries
+    result = gauge_suite(RunConfig(spectrum=spec, dt=dt, seed=seed))
+    assert result["residuals"]["naturality_translations_exact"] == 0.0
+    assert result["status"] == "pass"
+
+
+def test_half_a_diamond_basis_fails_membership(monkeypatch):
+    # every second basis column spans a subspace that the rotations do not
+    # preserve; the linear criterion must see it
+    import lcqft.kinematics as kin
+    real = kin.region_solution_basis
+    monkeypatch.setattr(kin, "region_solution_basis",
+                        lambda region: real(region)[:, ::2])
+    result = gauge_suite(RunConfig(spectrum="1:2", seed=7))
+    assert result["status"] == "fail"
+    assert result["residuals"]["kinematic_membership"] > 1e-3

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from lcqft import algebra as alg
+from lcqft import gauge as gg
 from lcqft.kinematics import (
     membership_residual,
     region_solution_basis,
@@ -19,7 +20,7 @@ from lcqft.spacetime import (
 )
 
 from oracles import (per_point_region_basis, projector_membership_residual,
-                     random_data)
+                     random_data, species_on_data)
 
 
 class TestRegionSolutionBasis:
@@ -41,7 +42,7 @@ class TestRegionSolutionBasis:
         v = basis @ rng.standard_normal(basis.shape[1])
         field = alg.fields(mixed_spacetime, v)
         el = field * field + 2.0 * field + alg.one(mixed_spacetime)
-        assert membership_residual([el], basis) < 1e-12
+        assert projector_membership_residual(el, basis) < 1e-12
         projected = basis @ (basis.conj().T @ v)
         assert np.linalg.norm(v - projected) < 1e-12
 
@@ -49,7 +50,7 @@ class TestRegionSolutionBasis:
         region = domain_of_dependence(6, 1, 3, mixed_spacetime)
         basis = region_solution_basis(region)
         el = alg.fields(mixed_spacetime, random_data(rng, mixed_spacetime))
-        assert membership_residual([el], basis) > 1e-3
+        assert projector_membership_residual(el, basis) > 1e-3
 
 
 class TestBatchedBasis:
@@ -73,49 +74,27 @@ class TestBatchedBasis:
 
 
 class TestMembershipResidual:
-    # the derivation by 1 - P against the projector substitution (oracle) on
-    # degree-3 elements; the two agree wherever every term has at most one
-    # slot outside the span
-    @staticmethod
-    def _space(rng):
-        st = LatticeSpacetime(4, 10, 0.5, MassSpectrum.parse("1:2"))
-        basis = region_solution_basis(domain_of_dependence(5, 0, 3, st))
+    # the linear criterion against the projector substitution (oracle) on
+    # the fields of the images X b_i of the basis columns
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
+    def test_agrees_with_oracle_on_images(self, spec):
+        st = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spec))
+        basis = region_solution_basis(domain_of_dependence(6, 1, 4, st))
         assert 0 < basis.shape[1] < st.data_dim
-
-        def inside():
-            coeff = rng.standard_normal(basis.shape[1]) \
-                + 1j * rng.standard_normal(basis.shape[1])
-            return alg.fields(st, basis @ coeff)
-
-        return st, basis, inside
-
-    def test_inside_elements(self, rng):
-        st, basis, inside = self._space(rng)
-        for _ in range(2):
-            w1, w2, w3 = inside(), inside(), inside()
-            a = w1 * w2 * w3 + 0.5 * w1 * w2 + w3 + alg.one(st)
-            assert a.degree == 3
-            scale = a.max_abs()
-            assert membership_residual([a], basis) < 1e-12 * scale
-            assert projector_membership_residual(a, basis) < 1e-12 * scale
-
-    def test_one_slot_outside_agrees_with_oracle(self, rng):
-        st, basis, inside = self._space(rng)
-        for _ in range(2):
-            r = random_data(rng, st)
-            u = r - basis @ (basis.conj().T @ r)
-            a = inside() * inside() * alg.fields(st, u)
-            assert a.degree == 3
-            oracle = projector_membership_residual(a, basis)
-            assert oracle > 1e-3 * a.max_abs()
-            assert abs(membership_residual([a], basis) - oracle) < 1e-12 * oracle
-
-    def test_outside_elements(self, rng):
-        st, basis, _ = self._space(rng)
-        for _ in range(3):
-            a = alg.random_element(rng, st, 3, 6)
-            assert membership_residual([a], basis) > 1e-3
-            assert projector_membership_residual(a, basis) > 1e-3
+        pres = gg.presentation(st)
+        moves = [species_on_data(st, X) for X in pres.generators] + [
+            species_on_data(st, r.g.species_matrix()) - np.eye(st.data_dim)
+            for r in pres.reflections]
+        # one site along the circle, e_(c, s, x) -> e_(c, s, x + 1)
+        roll = np.roll(np.eye(st.data_dim).reshape(
+            2 * st.n_species, st.n_sites, -1), 1, axis=1)
+        for X, small in [(X, True) for X in moves] + [
+                (roll.reshape(st.data_dim, st.data_dim), False)]:
+            got = membership_residual([X], basis)
+            oracle = max(projector_membership_residual(
+                alg.fields(st, X @ b), basis) for b in basis.T)
+            assert abs(got - oracle) < 1e-12
+            assert (got < 1e-12) if small else (got > 1e-3)
 
 
 class TestSolutionMap:
@@ -170,4 +149,4 @@ class TestAlgebraNaturality:
                              + 1j * rng.standard_normal(basis.shape[1]))
             el = alg.fields(st, coeff)
             image = act(el)
-            assert membership_residual([image], basis) < 1e-10
+            assert projector_membership_residual(image, basis) < 1e-10
