@@ -284,24 +284,32 @@ def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
     return _element(spacetime, size, *_joined(parts))
 
 
+def _refuse_batch(size: int):
+    """Refuse a batch where an operation reads one element's terms."""
+    if size != 1:
+        raise SpaceMismatch(f"a batch of {size} elements where one element"
+                            " is needed")
+
+
 class _Terms(Mapping):
     """Read-only multi-index -> coefficient view of an element's arrays.
     The dict is built on first lookup, for a single element only; the
-    length (of a batch, its total number of terms) needs no dict."""
+    length (of a batch, its total number of terms) needs no dict. It holds
+    the arrays, not the element, so the element stays out of a cycle."""
 
-    __slots__ = ("_el", "_dict")
+    __slots__ = ("_size", "_coeffs", "_digits", "_dict")
 
-    def __init__(self, el: "AlgebraElement"):
-        self._el = el
+    def __init__(self, size: int, coeffs: np.ndarray, digits: np.ndarray):
+        self._size, self._coeffs, self._digits = size, coeffs, digits
         self._dict = None
 
     def _lookup(self) -> dict[MultiIndex, complex]:
         if self._dict is None:
-            self._el.single()
+            _refuse_batch(self._size)
             self._dict = {
                 tuple(d - 1 for d in term if d): c
-                for term, c in zip(self._el.digits.T.tolist(),
-                                   self._el.coeffs.tolist())}
+                for term, c in zip(self._digits.T.tolist(),
+                                   self._coeffs.tolist())}
         return self._dict
 
     def __getitem__(self, idx: MultiIndex) -> complex:
@@ -311,7 +319,7 @@ class _Terms(Mapping):
         return iter(self._lookup())
 
     def __len__(self) -> int:
-        return len(self._el.coeffs)
+        return len(self._coeffs)
 
     def __repr__(self) -> str:
         return repr(self._lookup())
@@ -354,7 +362,7 @@ class AlgebraElement:
     @property
     def terms(self) -> Mapping[MultiIndex, complex]:
         if self._terms is None:
-            self._terms = _Terms(self)
+            self._terms = _Terms(self.size, self.coeffs, self.digits)
         return self._terms
 
     @property
@@ -364,14 +372,8 @@ class AlgebraElement:
     @property
     def degree(self) -> int:
         """Maximum multi-index length; -1 for the zero element."""
-        self.single()
+        _refuse_batch(self.size)
         return len(self.digits) if len(self.coeffs) else -1
-
-    def single(self):
-        """Refuse a batch where an operation reads one element's terms."""
-        if self.size != 1:
-            raise SpaceMismatch(f"a batch of {self.size} elements where one"
-                                " element is needed")
 
     def term_degrees(self) -> np.ndarray:
         """Multi-index length of each term, in term order."""

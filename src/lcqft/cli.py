@@ -6,9 +6,10 @@
           --seed 0 --out report.json]
 
 The report streams to stdout or --out as `serialize.dumps` makes it; one
-that cannot be written leaves no --out file. Exit codes: 0 all checks pass,
-1 suite failure or a non-finite report, 2 configuration error or a failed
-write to --out, stdout or stderr.
+that cannot be written leaves no regular --out file (a symlink or a device
+stays). Exit codes: 0 all checks pass, 1 suite failure or a non-finite
+report, 2 configuration error (also a lattice too large for memory) or a
+failed write to --out, stdout or stderr.
 """
 from __future__ import annotations
 
@@ -105,9 +106,9 @@ def _tell(line: str, code: int) -> int:
 
 
 def _emit(report: dict, out_path: str | None):
-    """Stream the report's text to stdout, or to the --out file, which is
-    removed again if the writer raises: `NonFiniteReport` on a NaN or an
-    infinity, `ConfigParse` on a failed write."""
+    """Stream the report's text to stdout, or to the --out file, removed
+    again (if a regular file) when the writer raises: `NonFiniteReport` on
+    a NaN or an infinity, `ConfigParse` on a failed write."""
     if not out_path:
         serialize.dumps(report, sys.stdout)
         print()
@@ -119,7 +120,8 @@ def _emit(report: dict, out_path: str | None):
                 serialize.dumps(report, fh)
                 fh.write("\n")
         except BaseException:
-            os.remove(out_path)
+            if os.path.isfile(out_path) and not os.path.islink(out_path):
+                os.remove(out_path)
             raise
     except OSError as exc:
         raise ConfigParse(f"cannot write --out {out_path!r}: "
@@ -179,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
             return 1 if failures else 0
     except ConfigParse as exc:
         return _tell(f"config error: {exc}", 2)
+    except MemoryError as exc:
+        return _tell(f"config error: {args.sites} sites x {args.steps} steps "
+                     f"does not fit in memory: {exc}", 2)
     except LcqftError as exc:
         return _tell(f"error: {exc}", 1)
     return 2

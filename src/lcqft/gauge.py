@@ -8,7 +8,9 @@ is the algebra homomorphism
 
     zeta(R, l) Phi(phi) = Phi(S(R) phi) + <l, phi> 1,
 
-with <l, phi> = sigma(l . phi_0, unit constant) = -sum_x l . p_0(x).
+with <l, phi> = sigma(l . phi_0, unit constant) = -sum_x l . p_0(x), the
+row l @ shift_functionals(st) against phi's data vector. `QuantumAction` is
+the one entry to zeta.
 
 Whole-group properties are checked on one exact presentation
 (`presentation`): the derivations of the in-block rotation generators and of
@@ -103,8 +105,8 @@ def block_reflections(spectrum: MassSpectrum) -> list[GaugeElement]:
     return out
 
 
-def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum,
-                 with_ell: bool = True) -> GaugeElement:
+def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum
+                 ) -> GaugeElement:
     """Orthogonalized Gaussian blocks with balanced determinant signs."""
     blocks = []
     for _, k in spectrum.entries:
@@ -115,9 +117,8 @@ def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum,
             Q = Q.copy()
             Q[0] = -Q[0]
         blocks.append(Q)
-    n0 = spectrum.massless_count
-    ell = rng.standard_normal(n0) if (with_ell and n0) else np.zeros(n0)
-    return GaugeElement(spectrum, tuple(blocks), ell)
+    return GaugeElement(spectrum, tuple(blocks),
+                        rng.standard_normal(spectrum.massless_count))
 
 
 # -- classical action --------------------------------------------------------------
@@ -144,24 +145,18 @@ def classical_action(g: GaugeElement, spacetime: LatticeSpacetime,
 
 # -- the shift functional ------------------------------------------------------------
 
-def ell_basis_values(ell: np.ndarray, spacetime: LatticeSpacetime) -> np.ndarray:
-    """<l, e_i> over the canonical basis (nonzero only on massless p-channels):
-    <l, phi> is this row against phi's data vector, a translation-invariant
-    linear functional whose sign is frozen in tests."""
-    spectrum = spacetime.spectrum
-    vals = np.zeros((2, spacetime.n_species, spacetime.n_sites))
-    if spectrum.massless_count:
-        vals[1, spectrum.block_slice(0.0)] = -np.asarray(
-            ell, dtype=float).reshape(spectrum.massless_count, 1)
-    return vals.ravel()
-
-
 def shift_functionals(spacetime: LatticeSpacetime) -> np.ndarray:
     """The rows <e_j, .> over the canonical basis, one per massless species
-    j: shape (nu(0), dim)."""
-    n0 = spacetime.spectrum.massless_count
-    return np.array([ell_basis_values(e_j, spacetime) for e_j in np.eye(n0)]
-                    ).reshape(n0, spacetime.data_dim)
+    j: shape (nu(0), dim), -1 on the p-channel of species j at every site.
+    <l, phi> = l @ shift_functionals(st) @ phi is a translation-invariant
+    linear functional whose sign is frozen in tests."""
+    spectrum = spacetime.spectrum
+    n0 = spectrum.massless_count
+    rows = np.zeros((n0, 2, spacetime.n_species, spacetime.n_sites))
+    if n0:
+        j = np.arange(n0)
+        rows[j, 1, spectrum.block_slice(0.0).start + j] = -1.0
+    return rows.reshape(n0, spacetime.data_dim)
 
 
 # -- quantum action ------------------------------------------------------------------
@@ -179,10 +174,6 @@ class QuantumAction:
         if a.spacetime != self.spacetime:
             raise SpectrumMismatch("element over a different spacetime")
         return substitute_affine(a, self._slots)
-
-
-def quantum_action(g: GaugeElement, a: AlgebraElement) -> AlgebraElement:
-    return QuantumAction(g, a.spacetime)(a)
 
 
 def species_slot_maps(spacetime: LatticeSpacetime, R: np.ndarray,
@@ -209,7 +200,7 @@ def action_slot_maps(spacetime: LatticeSpacetime,
         raise SpectrumMismatch("gauge element over a different spectrum")
     return species_slot_maps(
         spacetime, np.array([g.species_matrix() for g in gauges]),
-        np.array([ell_basis_values(g.ell, spacetime) for g in gauges]))
+        np.array([g.ell for g in gauges]) @ shift_functionals(spacetime))
 
 
 def so_basis(n: int) -> np.ndarray:

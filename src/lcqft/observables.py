@@ -7,6 +7,10 @@ with the constant unit solution; on our compact Cauchy surfaces the constant
 solutions themselves are charge zero and produce central elements of the
 charge-zero subalgebra, the known obstruction to identifying it with the
 quotient current algebra.
+
+`invariant_projection_check` returns the worst residual of an element under
+the moves of the exact presentation (`gauge.presentation`): zero iff the
+whole gauge group O(nu) x| R^{nu(0)*} fixes it.
 """
 from __future__ import annotations
 
@@ -61,16 +65,12 @@ def affine_derivative(a: AlgebraElement, direction: int) -> AlgebraElement:
     return derivation(a, presentation(a.spacetime).shifts[direction])
 
 
-def invariant_projection_check(a: AlgebraElement, degree_cap: int = 4,
-                               tol: float = 1e-10) -> tuple[bool, float]:
-    """True iff a is fixed by the whole gauge group O(nu) x| R^{nu(0)*}:
-    every move of the exact presentation (`gauge.presentation`) annihilates
-    it. Returns the worst residual either way."""
+def invariant_projection_check(a: AlgebraElement, degree_cap: int = 4
+                               ) -> float:
+    """The worst residual of a under the moves of `gauge.presentation`."""
     check_degree_cap(a, degree_cap)
-    residual = max((moved.max_abs()
-                    for moved in presentation(a.spacetime).moves(a)),
-                   default=0.0)
-    return residual < tol, residual
+    return max((moved.max_abs()
+                for moved in presentation(a.spacetime).moves(a)), default=0.0)
 
 
 def central_elements(spacetime: LatticeSpacetime) -> list[dict]:

@@ -57,7 +57,6 @@ class QuasifreeState:
     spacetime: LatticeSpacetime
     mu: np.ndarray  # real symmetric covariance over the canonical basis
     flags: tuple[str, ...] = ()
-    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).copy()
@@ -91,7 +90,7 @@ class QuasifreeState:
         of the slots after the first (counting i from there), times a factor
         that is 1 iff the first slot is empty: else the term has the odd
         degree D and hafnian 0."""
-        check_degree_cap(a, self.degree_cap)
+        check_degree_cap(a, DEFAULT_DEGREE_CAP)
         D = len(a.digits)
         if D not in self._pairing_tables:
             self._pairing_tables[D] = _pairing_table(D)

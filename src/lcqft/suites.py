@@ -71,10 +71,11 @@ LOWER_BOUNDS = frozenset({"mass_mixing_residual", "central_moved_by_rotations",
 # A central element must move by more than this under the orthogonal factor.
 CENTRAL_MOVED_MIN = 0.5
 
-# A random perturbation fills PERT_ROWS slices from slice PERT_FIRST or later;
-# a gauge-suite diamond has its base on slice DIAMOND_SLICE or later and
-# spans DIAMOND_LENGTH to n_sites - 2 sites.
-PERT_FIRST, PERT_ROWS = 3, 3
+# A random perturbation fills PERT_ROWS slices from slice PERT_FIRST or later
+# with Gaussian couplings of standard deviation PERT_SCALE; a gauge-suite
+# diamond has its base on slice DIAMOND_SLICE or later and spans
+# DIAMOND_LENGTH to n_sites - 2 sites.
+PERT_FIRST, PERT_ROWS, PERT_SCALE = 3, 3, 0.4
 DIAMOND_SLICE, DIAMOND_LENGTH = 3, 3
 
 # the smallest (n_sites, n_steps) on which each suite's draws fit; the gauge
@@ -209,8 +210,8 @@ def _random_data(rng, st: LatticeSpacetime, n: int,
     return np.concatenate([q_re + 1j * q_im, p_re + 1j * p_im], axis=-1)
 
 
-def _random_perturbation(rng, st: LatticeSpacetime, kind: str = "mass",
-                         scale: float = 0.4) -> dyn.Perturbation:
+def _random_perturbation(rng, st: LatticeSpacetime, kind: str = "mass"
+                         ) -> dyn.Perturbation:
     T1, N = st.n_slices, st.n_sites
     v = np.zeros((T1, N))
     t0 = PERT_FIRST + int(rng.integers(0, max(1, st.n_steps - 8)))
@@ -218,7 +219,7 @@ def _random_perturbation(rng, st: LatticeSpacetime, kind: str = "mass",
     x0 = int(rng.integers(0, N))
     cols = [(x0 + j) % N for j in range(width)]
     v[t0:t0 + PERT_ROWS][:, cols] = \
-        scale * rng.standard_normal((PERT_ROWS, width))
+        PERT_SCALE * rng.standard_normal((PERT_ROWS, width))
     v[0] = 0.0
     v[-1] = 0.0
     return dyn.Perturbation(st, v, kind=kind)
@@ -550,14 +551,12 @@ def observables_suite(config: RunConfig) -> dict:
             psi = _random_charge_zero_scalar(rng, st, mass == 0.0)
             gen = obs.bilinear_generator(st, mass, phi, psi)
             generators.append(gen)
-            _, residual = obs.invariant_projection_check(gen)
-            worst = max(worst, residual)
+            worst = max(worst, obs.invariant_projection_check(gen))
     # closure: products of generators stay invariant
     for _ in range(5):
         i, j = rng.integers(0, len(generators), size=2)
-        _, residual = obs.invariant_projection_check(
-            generators[i] * generators[j])
-        worst = max(worst, residual)
+        worst = max(worst, obs.invariant_projection_check(
+            generators[i] * generators[j]))
     rec.below("bilinear_invariance", worst, config.tol("observables.invariance"))
 
     if len(spectrum.entries) >= 2:
@@ -570,8 +569,7 @@ def observables_suite(config: RunConfig) -> dict:
             psi = _random_charge_zero_scalar(rng, st, m2 == 0.0)
             mixed = alg.fields(st, obs.in_species(st, phi, s1)) \
                 * alg.fields(st, obs.in_species(st, psi, s2))
-            _, residual = obs.invariant_projection_check(mixed)
-            worst_mix = min(worst_mix, residual)
+            worst_mix = min(worst_mix, obs.invariant_projection_check(mixed))
         rec.above("mass_mixing_residual", worst_mix,
                   config.tol("observables.mixing_min"))
     else:
@@ -596,7 +594,7 @@ def observables_suite(config: RunConfig) -> dict:
                       for mass, k in spectrum.entries),
                 np.zeros(spectrum.massless_count))
             moved = max(moved, alg.max_coeff_diff(
-                gg.quantum_action(g, chi_el), chi_el))
+                gg.QuantumAction(g, st)(chi_el), chi_el))
             rec.note(f"central element (species {entry['species']}): "
                      + entry["flag"])
         rec.below("central_commutators", worst, config.tol("observables.central"))

@@ -1,4 +1,7 @@
 """CCR algebra: deformed product, star, commutators, functorial lifts."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -371,7 +374,8 @@ class TestDerivation:
         # the one rotation generator of the mass-1 pair
         gen, = oracles.species_on_data(
             st_, gg.rotation_generators(st_.spectrum))
-        consts = gg.ell_basis_values(np.array([1.5]), st_) if shift else None
+        consts = np.array([1.5]) @ gg.shift_functionals(st_) if shift \
+            else None
         slots = alg.slot_map(gen, consts)
         worst = 0.0
         for _ in range(10):
@@ -736,6 +740,31 @@ def test_batches_reject_mismatched_sizes_and_maps(massive_spacetime, rng):
         with pytest.raises(SpaceMismatch):
             per_element()
     assert len(a.terms) == len(a.coeffs)
+
+
+def test_read_terms_leave_no_reference_cycle(massive_spacetime, rng):
+    # with the collector off, an element whose terms were read is freed with
+    # its last reference, and its arrays with it; an element of a batch is
+    # a view, so a cycle would keep the whole batch alive too
+    st_ = massive_spacetime
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        a = alg.fields(st_, np.ones(st_.data_dim))
+        coeffs = weakref.ref(a.coeffs)
+        a.terms.get((0,))
+        del a
+        assert coeffs() is None
+        batch = alg.fields(st_, rng.standard_normal((3, st_.data_dim)))
+        coeffs = weakref.ref(batch.coeffs)
+        a = list(batch.elements())[1]
+        del batch
+        a.terms.get((0,))
+        del a
+        assert coeffs() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_width1_weights_multiply_before_the_coefficient(massive_spacetime, rng):

@@ -632,6 +632,42 @@ class TestCliProcess:
         assert len(err) == 1 and err[0].startswith("error: non-finite"), err
         assert not out.exists()
 
+    def test_failed_write_keeps_a_symlinked_out(self, monkeypatch, tmp_path,
+                                                capsys):
+        # only a regular --out file is removed after a failed write: a
+        # symlink stays where it was, exit 2 with one error line
+        def full_disk(report, stream):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("")
+        link.symlink_to(target)
+        monkeypatch.setattr(serialize, "dumps", full_disk)
+        assert main(["verify", "state", "--spectrum", "1:2",
+                     "--out", str(link)]) == 2
+        assert link.is_symlink() and target.exists()
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: cannot write --out '{link}': "
+            + os.strerror(errno.ENOSPC)]
+
+    def test_out_of_memory_is_config_error(self, monkeypatch, tmp_path,
+                                           capsys):
+        # a lattice too large for memory, in a suite or in the classifier:
+        # one config error line, exit 2, no traceback and no --out file
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.98 GiB")
+
+        monkeypatch.setattr(suites, "SUITE_FUNCS",
+                            {**suites.SUITE_FUNCS, "state": too_large})
+        monkeypatch.setattr(cli, "classify", too_large)
+        out = tmp_path / "report.json"
+        for command in (["verify", "state"], ["classify"]):
+            assert main(command + ["--spectrum", "1:2", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.strip().splitlines() == [
+                "config error: 8 sites x 16 steps does not fit in memory: "
+                "Unable to allocate 2.98 GiB"]
+            assert not out.exists()
+
     def test_classical_flag_is_rejected(self, capsys):
         # the affine factor is always solved: there is no --classical
         with pytest.raises(SystemExit) as exc:

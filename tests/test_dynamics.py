@@ -302,7 +302,7 @@ class TestNullEnergy:
     def test_block_rotation_invariance(self, two_block_spacetime, rng):
         st_ = two_block_spacetime
         x = random_data(rng, st_)
-        g = random_gauge(rng, st_.spectrum, with_ell=False)
+        g = random_gauge(rng, st_.spectrum)
         g1 = _grid(st_, x)
         g2 = _grid(st_, classical_action(g, st_, x))
         assert np.max(np.abs(g1 - g2)) < 1e-12 * max(1.0, np.max(g1))

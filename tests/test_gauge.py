@@ -232,23 +232,24 @@ class TestSpeciesForm:
 
 
 class TestEllFunctional:
-    """<l, phi> as the row `ell_basis_values` against phi's data vector."""
+    """<l, phi> as the row l @ `shift_functionals` against phi's data
+    vector."""
 
     def test_momentum_free_solutions_vanish(self, mixed_spacetime, rng):
         phi = np.concatenate([rng.standard_normal(24), np.zeros(24)])
-        assert gg.ell_basis_values(np.array([1.0]), mixed_spacetime) @ phi \
+        assert np.array([1.0]) @ gg.shift_functionals(mixed_spacetime) @ phi \
             == 0.0
 
     def test_frozen_sign_convention(self, mixed_spacetime):
         # single massless species, p_0 = delta_x0: sigma(l phi_0, 1) = -1
         phi = np.zeros((2, 3, 8), complex)   # (channel, species, site)
         phi[1, 0, 0] = 1.0
-        assert gg.ell_basis_values(np.array([1.0]), mixed_spacetime) \
+        assert np.array([1.0]) @ gg.shift_functionals(mixed_spacetime) \
             @ phi.ravel() == -1.0
 
     def test_translation_invariance_exact(self, mixed_spacetime, rng):
         st_ = mixed_spacetime
-        row = gg.ell_basis_values(rng.standard_normal(1), st_)
+        row = rng.standard_normal(1) @ gg.shift_functionals(st_)
         phi = random_data(rng, st_)
         base = row @ phi
         for (dt_, dx) in [(0, 3), (1, 0), (4, 5), (-2, 1)]:
@@ -256,7 +257,7 @@ class TestEllFunctional:
             assert abs(moved - base) < 1e-12 * max(1.0, abs(base))
 
     def test_linear(self, mixed_spacetime, rng):
-        row = gg.ell_basis_values(rng.standard_normal(1), mixed_spacetime)
+        row = rng.standard_normal(1) @ gg.shift_functionals(mixed_spacetime)
         a, b = random_data(rng, mixed_spacetime, 2)
         lam = complex(rng.standard_normal(), rng.standard_normal())
         assert abs(row @ (a + lam * b) - row @ a - lam * (row @ b)) < 1e-12
@@ -264,9 +265,9 @@ class TestEllFunctional:
     def test_zero_without_massless_species(self, massive_spacetime):
         # no massless species, no shift: the row vanishes and there are no
         # shift functionals
-        assert not gg.ell_basis_values(np.zeros(0), massive_spacetime).any()
-        assert gg.shift_functionals(massive_spacetime).shape == (
-            0, massive_spacetime.data_dim)
+        rows = gg.shift_functionals(massive_spacetime)
+        assert rows.shape == (0, massive_spacetime.data_dim)
+        assert not (np.zeros(0) @ rows).any()
 
     def test_spacetime_integral_form(self, mixed_spacetime):
         # the solution-intrinsic form equals the frozen spacetime-smearing
@@ -274,7 +275,7 @@ class TestEllFunctional:
         st_ = mixed_spacetime
         f = dyn.delta_test_function(st_, 0, 6, 2)
         ef = np.concatenate(dyn.propagate_sources(st_, f.values)).ravel()
-        val = gg.ell_basis_values(np.array([1.7]), st_) @ ef
+        val = np.array([1.7]) @ gg.shift_functionals(st_) @ ef
         assert abs(val - (-st_.dt * 1.7)) < 1e-12
 
 
@@ -289,19 +290,20 @@ class TestQuantumAction:
         st_ = mixed_spacetime
         g = gg.random_gauge(rng, st_.spectrum)
         phi = random_data(rng, st_)
-        lhs = gg.quantum_action(g, alg.fields(st_, phi))
+        lhs = gg.QuantumAction(g, st_)(alg.fields(st_, phi))
         rhs = alg.fields(st_, gg.classical_action(g, st_, phi)) \
-            + (gg.ell_basis_values(g.ell, st_) @ phi) * alg.one(st_)
+            + (g.ell @ gg.shift_functionals(st_) @ phi) * alg.one(st_)
         assert alg.max_coeff_diff(lhs, rhs) < 1e-13
 
     def test_homomorphism_law(self, mixed_spacetime, rng):
+        st_ = mixed_spacetime
         worst = 0.0
         for _ in range(100):
-            g = gg.random_gauge(rng, mixed_spacetime.spectrum)
-            h = gg.random_gauge(rng, mixed_spacetime.spectrum)
-            phi = alg.fields(mixed_spacetime, random_data(rng, mixed_spacetime))
-            lhs = gg.quantum_action(g, gg.quantum_action(h, phi))
-            rhs = gg.quantum_action(gg.group_compose(g, h), phi)
+            g = gg.random_gauge(rng, st_.spectrum)
+            h = gg.random_gauge(rng, st_.spectrum)
+            phi = alg.fields(st_, random_data(rng, st_))
+            lhs = gg.QuantumAction(g, st_)(gg.QuantumAction(h, st_)(phi))
+            rhs = gg.QuantumAction(gg.group_compose(g, h), st_)(phi)
             worst = max(worst, alg.max_coeff_diff(lhs, rhs))
         assert worst < 1e-11
 
@@ -310,22 +312,22 @@ class TestQuantumAction:
         a, b = alg.fields(mixed_spacetime,
                           random_data(rng, mixed_spacetime, 2)).elements()
         cc = alg.commutator(a, b)
-        assert alg.max_coeff_diff(gg.quantum_action(g, cc), cc) < 1e-12
+        assert alg.max_coeff_diff(gg.QuantumAction(g, mixed_spacetime)(cc),
+                                  cc) < 1e-12
 
     def test_multiplicative(self, mixed_spacetime, rng):
         for _ in range(10):
-            g = gg.random_gauge(rng, mixed_spacetime.spectrum)
+            act = gg.QuantumAction(
+                gg.random_gauge(rng, mixed_spacetime.spectrum), mixed_spacetime)
             a = alg.random_element(rng, mixed_spacetime, 2, 4)
             b = alg.random_element(rng, mixed_spacetime, 2, 4)
-            assert alg.max_coeff_diff(
-                gg.quantum_action(g, a * b),
-                gg.quantum_action(g, a) * gg.quantum_action(g, b)) < 1e-11
+            assert alg.max_coeff_diff(act(a * b), act(a) * act(b)) < 1e-11
 
     def test_star_equivariance(self, mixed_spacetime, rng):
-        g = gg.random_gauge(rng, mixed_spacetime.spectrum)
+        act = gg.QuantumAction(gg.random_gauge(rng, mixed_spacetime.spectrum),
+                               mixed_spacetime)
         x = alg.random_element(rng, mixed_spacetime, 3, 5)
-        assert alg.max_coeff_diff(gg.quantum_action(g, x.star()),
-                                  gg.quantum_action(g, x).star()) < 1e-12
+        assert alg.max_coeff_diff(act(x.star()), act(x).star()) < 1e-12
 
     def test_monomorphism(self, mixed_spacetime, rng):
         # the action on degree-1 fields determines (R, l): recovering the
@@ -419,19 +421,24 @@ class TestNaturality:
                           + 1j * rng.standard_normal(basis.shape[1]))
             c2 = basis @ rng.standard_normal(basis.shape[1])
             el = alg.fields(st_, c1) * alg.fields(st_, c2)
-            image = gg.quantum_action(g, el)
+            image = gg.QuantumAction(g, st_)(el)
             assert projector_membership_residual(image, basis) < 1e-10
 
     def test_rce_intertwining(self, mixed_spacetime, rng):
         st_ = mixed_spacetime
         v = np.zeros((st_.n_slices, st_.n_sites))
         v[5:8, 2:5] = rng.standard_normal((3, 3))
-        for kind, with_ell, tol in [("mass", False, 1e-9),
-                                    ("gradient", True, 1e-9)]:
+        # the mass kind intertwines with the orthogonal factor only, so its
+        # gauge elements have no shift
+        for kind, shifted, tol in [("mass", False, 1e-9),
+                                   ("gradient", True, 1e-9)]:
             pert = dyn.Perturbation(st_, v, kind=kind)
             lifted = alg.lift(st_, dyn.rce_matrix(pert))
             for _ in range(10):
-                g = gg.random_gauge(rng, st_.spectrum, with_ell=with_ell)
+                g = gg.random_gauge(rng, st_.spectrum)
+                if not shifted:
+                    g = gg.GaugeElement(st_.spectrum, g.blocks,
+                                        np.zeros_like(g.ell))
                 act = gg.QuantumAction(g, st_)
                 x = alg.random_element(rng, st_, 2, 3)
                 assert alg.max_coeff_diff(act(lifted(x)),
@@ -441,7 +448,7 @@ class TestNaturality:
         st_ = mixed_spacetime
         v = np.zeros((st_.n_slices, st_.n_sites))
         v[5:8, 2:5] = rng.standard_normal((3, 3))
-        row = gg.ell_basis_values(rng.standard_normal(1), st_)
+        row = rng.standard_normal(1) @ gg.shift_functionals(st_)
         M_g = dyn.rce_matrix(dyn.Perturbation(st_, v, kind="gradient"))
         M_m = dyn.rce_matrix(dyn.Perturbation(st_, v, kind="mass"))
         phi = random_data(rng, st_)
