@@ -6,8 +6,8 @@
           --seed 0 --out report.json]
 
 The report streams to stdout or --out as `serialize.dumps` makes it; one
-that cannot be written leaves no regular --out file (a symlink or a device
-stays). Exit codes: 0 all checks pass, 1 suite failure or a non-finite
+that cannot be written leaves no --out file that names a regular file (a
+device node, or a symlink to one, stays). Exit codes: 0 all checks pass, 1 suite failure or a non-finite
 report, 2 configuration error (also a lattice too large for memory) or a
 failed write to --out, stdout or stderr.
 """
@@ -107,8 +107,9 @@ def _tell(line: str, code: int) -> int:
 
 def _emit(report: dict, out_path: str | None):
     """Stream the report's text to stdout, or to the --out file, removed
-    again (if a regular file) when the writer raises: `NonFiniteReport` on
-    a NaN or an infinity, `ConfigParse` on a failed write."""
+    again when the writer raises (`NonFiniteReport` on a NaN or an
+    infinity, `ConfigParse` on a failed write) if it names a regular file:
+    a symlink to one is unlinked, a device node or a link to one stays."""
     if not out_path:
         serialize.dumps(report, sys.stdout)
         print()
@@ -120,7 +121,7 @@ def _emit(report: dict, out_path: str | None):
                 serialize.dumps(report, fh)
                 fh.write("\n")
         except BaseException:
-            if os.path.isfile(out_path) and not os.path.islink(out_path):
+            if os.path.isfile(out_path):
                 os.remove(out_path)
             raise
     except OSError as exc:

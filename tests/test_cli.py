@@ -632,23 +632,34 @@ class TestCliProcess:
         assert len(err) == 1 and err[0].startswith("error: non-finite"), err
         assert not out.exists()
 
-    def test_failed_write_keeps_a_symlinked_out(self, monkeypatch, tmp_path,
-                                                capsys):
-        # only a regular --out file is removed after a failed write: a
-        # symlink stays where it was, exit 2 with one error line
+    def test_failed_write_removes_only_a_regular_out(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # a failed write removes --out only if it names a regular file: a
+        # symlink to one is unlinked (its target stays), while a link to a
+        # fifo, standing in for a device node, stays; exit 2, one line each
         def full_disk(report, stream):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target, fifo = tmp_path / "target.json", tmp_path / "fifo"
         target.write_text("")
-        link.symlink_to(target)
+        os.mkfifo(fifo)
+        to_file, to_fifo = tmp_path / "file.json", tmp_path / "fifo.json"
+        to_file.symlink_to(target)
+        to_fifo.symlink_to(fifo)
         monkeypatch.setattr(serialize, "dumps", full_disk)
-        assert main(["verify", "state", "--spectrum", "1:2",
-                     "--out", str(link)]) == 2
-        assert link.is_symlink() and target.exists()
-        assert capsys.readouterr().err.strip().splitlines() == [
-            f"config error: cannot write --out '{link}': "
-            + os.strerror(errno.ENOSPC)]
+        # a reader on the fifo lets the CLI open it for writing at once
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            for link in (to_file, to_fifo):
+                assert main(["verify", "state", "--spectrum", "1:2",
+                             "--out", str(link)]) == 2
+                assert capsys.readouterr().err.strip().splitlines() == [
+                    f"config error: cannot write --out '{link}': "
+                    + os.strerror(errno.ENOSPC)]
+        finally:
+            os.close(reader)
+        assert not to_file.is_symlink() and target.exists()
+        assert to_fifo.is_symlink() and fifo.exists()
 
     def test_out_of_memory_is_config_error(self, monkeypatch, tmp_path,
                                            capsys):

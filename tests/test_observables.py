@@ -193,6 +193,7 @@ class TestInvariantProjectionCheck:
         assert alg.derivation(det, alg.slot_map(gen)).terms == {}
         residual = obs.invariant_projection_check(det)
         assert residual == pytest.approx(2 * det.max_abs())
+        assert residual >= 1e-10
 
     def test_each_mass_block_reflected_on_its_own(self, rng):
         # on "1:1,2:1" the group is {+-1} x {+-1} with no rotations: the
@@ -208,6 +209,7 @@ class TestInvariantProjectionCheck:
                                   mixed) == 0.0
         residual = obs.invariant_projection_check(mixed)
         assert residual == pytest.approx(2 * mixed.max_abs())
+        assert residual >= 1e-10
 
 
 class TestCentralElements:
