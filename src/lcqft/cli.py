@@ -9,7 +9,10 @@ The report streams to stdout or --out as `serialize.dumps` makes it; one
 that cannot be written leaves no --out file that names a regular file (a
 device node, or a symlink to one, stays). Exit codes: 0 all checks pass, 1 suite failure or a non-finite
 report, 2 configuration error (also a lattice too large for memory) or a
-failed write to --out, stdout or stderr.
+failed write to --out, stdout or stderr. They and every message are the same
+for a suite that `verify all` ran in a forked worker (one lane per usable
+CPU), whose report is byte-identical (timings aside); a worker that ends
+without a result is one `error:` line and exit 1.
 """
 from __future__ import annotations
 

@@ -15,14 +15,20 @@ identities off the dense maps of rce[v] and of its derivative.
 
 Suites draw randomness from independent counter-based streams derived from
 the master seed, so a report is byte-identical across reruns on one build and
-BLAS thread count (timings aside). Across machines the contract (statuses,
-dimensions, thresholds, findings, exact checks) is identical and the
-roundoff-floor residuals agree within the band of
-`serialize.golden_mismatches`.
+BLAS thread count (timings aside), whichever process ran each suite: `verify
+all` runs its suites on one lane per usable CPU (`_run_lanes`). Across
+machines the contract (statuses, dimensions, thresholds, findings, exact
+checks) is identical and the roundoff-floor residuals agree within the band
+of `serialize.golden_mismatches`.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -658,6 +664,88 @@ GOLDEN_CONFIGS = [
 ]
 
 
+def _take(queue: int, parent: int | None = None):
+    """Indices off the queue until it is empty or `parent` is gone."""
+    while parent is None or os.getppid() == parent:
+        index = os.read(queue, 1)
+        if not index:
+            return
+        yield index[0]
+
+
+def _lane(config: RunConfig, names: list[str], indices, queue: int, send):
+    """Run the suites at `indices`, sending each (index, (ok, result or
+    exception)). After an exception the lane empties the queue: every suite
+    left there comes later in the report."""
+    for i in indices:
+        try:
+            outcome = (True, SUITE_FUNCS[names[i]](config))
+        except Exception as exc:
+            outcome = (False, exc)
+        send((i, outcome))
+        if not outcome[0]:
+            while os.read(queue, 256):
+                pass
+            return
+
+
+def _run_lanes(config: RunConfig, names: list[str]) -> list[dict]:
+    """The named suites' results, in order, from one lane per usable CPU and
+    suite. This process is lane 0 and runs the first suite; forked workers,
+    and then lane 0, take the next index off a pipe. Workers send back
+    pickled outcomes, never print, leave through os._exit and are reaped
+    here (killed first on an error). The first exception in suite order is
+    raised, as a serial run raises it."""
+    lanes = min(len(os.sched_getaffinity(0)), len(names)) \
+        if hasattr(os, "sched_getaffinity") else 1
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(1, len(names))))
+    os.close(feed)
+    parent, pids, streams, outcomes = os.getpid(), [], [], {}
+    try:
+        for _ in range(lanes - 1):
+            fd, out = os.pipe()
+            streams.append(open(fd, "rb"))
+            try:  # a spawned worker would import numpy and lcqft again
+                pid = os.fork()
+            except OSError:  # no process to spare: lane 0 does the rest
+                os.close(out)
+                break
+            if pid == 0:
+                try:
+                    with open(out, "wb") as fh:
+                        def send(outcome):
+                            fh.write(pickle.dumps(outcome))
+                            fh.flush()
+                        _lane(config, names, _take(queue, parent), queue, send)
+                finally:
+                    os._exit(0)
+            os.close(out)
+            pids.append(pid)
+        _lane(config, names, itertools.chain([0], _take(queue)), queue,
+              lambda outcome: outcomes.update([outcome]))
+        for fh in streams:
+            with contextlib.suppress(Exception):  # at EOF or a cut-off send
+                while True:
+                    outcomes.update([pickle.load(fh)])
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored
+                os.waitpid(pid, 0)
+        for fh in streams:
+            fh.close()
+        os.close(queue)
+    for i, name in enumerate(names):
+        ok, value = outcomes.get(i, (False, None))
+        if not ok:
+            raise value or LcqftError(f"suite {name} ended without a result")
+    return [outcomes[i][1] for i in range(len(names))]
+
+
 def run_suite(config: RunConfig) -> dict:
     """Execute the selected suites and assemble the versioned report."""
     if config.suite == "all":
@@ -670,7 +758,7 @@ def run_suite(config: RunConfig) -> dict:
             f"{', '.join(SUITE_NAMES)} or all")
     config.check(names)  # before any suite runs
 
-    results = [SUITE_FUNCS[n](config) for n in names]
+    results = _run_lanes(config, names)
 
     status = "pass" if all(r["status"] == "pass" for r in results) else "fail"
     return {
