@@ -94,15 +94,15 @@ class ModeCommutant:
             span.reshape(-1, 2, 4)))
 
 
-def check_budget(spacetime: LatticeSpacetime):
-    if spacetime.n_sites > BUDGET_SITES or spacetime.n_species > BUDGET_SPECIES:
+def check_budget(n_sites: int, n_species: int):
+    if n_sites > BUDGET_SITES or n_species > BUDGET_SPECIES:
         raise BudgetExceeded(
             f"need n_sites <= {BUDGET_SITES} and |nu| <= {BUDGET_SPECIES}")
 
 
 def build_commutant_basis(spacetime: LatticeSpacetime) -> ModeCommutant:
     """Every (mass block, momentum) row with its closed-form mode map."""
-    check_budget(spacetime)
+    check_budget(spacetime.n_sites, spacetime.n_species)
     U = mode_maps(spacetime)
     block, k = np.divmod(np.arange(U.shape[0] * U.shape[1]), U.shape[1])
     return ModeCommutant(spacetime, block, k, U.reshape(-1, 2, 2))

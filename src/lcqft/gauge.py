@@ -14,8 +14,11 @@ the one entry to zeta.
 
 Whole-group properties are checked on one exact presentation
 (`presentation`): the derivations of the in-block rotation generators and of
-the shift directions, and one reflection per mass block. Group elements are
-sampled (`random_gauge`) only where the group law itself is under test.
+the shift directions, and one reflection per mass block. A *-homomorphism
+with linear map M on the fields intertwines the action iff M commutes with
+the species maps of the generators and reflections and keeps the shift
+functionals. Group elements are sampled (`random_gauge`) only where the
+group law itself is under test.
 """
 from __future__ import annotations
 
@@ -239,10 +242,10 @@ class Presentation:
     shifts: tuple[SlotMap, ...]            # one per massless species
     reflections: tuple[QuantumAction, ...]  # one per mass block
 
-    def moves(self, a: AlgebraElement, shifts: bool = True):
-        """The derivation of a by each rotation (and shift) direction, then
+    def moves(self, a: AlgebraElement):
+        """The derivation of a by each rotation and shift direction, then
         zeta(r) a - a for each reflection r; all linear in a."""
-        for slots in self.rotations + (self.shifts if shifts else ()):
+        for slots in self.rotations + self.shifts:
             yield derivation(a, slots)
         for reflection in self.reflections:
             yield reflection(a) - a

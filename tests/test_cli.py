@@ -679,6 +679,29 @@ class TestCliProcess:
                 "Unable to allocate 2.98 GiB"]
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv, line", [
+        (["verify", "state", "--spectrum", "1:2", "--sites", "100000000"],
+         "100000000 sites x 2 species: one complex 400000000 x 400000000 "
+         "map exceeds physical memory"),
+        (["verify", "state", "--spectrum", "1:99999999"],
+         "8 sites x 99999999 species: one complex 1599999984 x 1599999984 "
+         "map exceeds physical memory"),
+        (["verify", "classify", "--spectrum", "1:2", "--sites", "100000000"],
+         "need n_sites <= 32 and |nu| <= 5"),
+        (["classify", "--spectrum", "1:99999999"],
+         "need n_sites <= 32 and |nu| <= 5")])
+    def test_huge_lattice_is_refused_before_any_allocation(
+            self, argv, line, monkeypatch, capsys):
+        # the sizes are read off the configured numbers: the spacetime, whose
+        # dispersion alone would fill memory, is never built
+        def never(*args, **kwargs):
+            raise AssertionError("LatticeSpacetime was built")
+
+        monkeypatch.setattr(suites, "LatticeSpacetime", never)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: {line}"]
+
     def test_classical_flag_is_rejected(self, capsys):
         # the affine factor is always solved: there is no --classical
         with pytest.raises(SystemExit) as exc:
@@ -744,35 +767,47 @@ def test_linear_checks_draw_no_solution(suite, spectrum, monkeypatch):
     assert result["status"] == "pass", result["findings"]
 
 
-@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("spectrum", ["1:2", "0:1,1:2"])
+@pytest.mark.parametrize("suite, names", [
+    (suites.rce_suite, ["lift", "random_element", "derivation",
+                        "substitute_affine"]),
+    (suites.gauge_suite, ["lift"])])
+def test_linear_identities_never_enter_the_algebra(suite, names, spectrum,
+                                                   monkeypatch):
+    # naturality and rce intertwining are read off the solution and rce
+    # maps: a *-homomorphism is fixed by its map on the fields, so no map is
+    # lifted, and the rce suite builds no algebra element at all
+    def never(*args, **kwargs):
+        raise AssertionError("the algebra layer was called")
+
+    for name in names:
+        monkeypatch.setattr(suites.alg, name, never)
+    result = suite(RunConfig(spectrum=spectrum))
+    assert result["status"] == "pass", result["findings"]
+
+
 @pytest.mark.parametrize("n", [1, 5])
-def test_random_data_keeps_the_draw_order(integer, n):
+def test_random_data_keeps_the_draw_order(n):
     # the batched draw gives, bit for bit, the draws made one vector and one
     # (S, N) component at a time in the order the suites' streams have
-    # always used: Gaussian q_re, q_im, p_re, p_im; integer q_re, p_re,
-    # q_im, p_im. The goldens' band would let a reordered draw pass.
+    # always used: q_re, q_im, p_re, p_im. The goldens' band would let a
+    # reordered draw pass.
     config = RunConfig(spectrum="0:1,1:2", seed=3)
     st_ = config.spacetime()
     shape = (st_.n_species, st_.n_sites)
     rng = suites._rng(config, 1)
     want = []
     for _ in range(n):
-        if integer:
-            q = rng.integers(-3, 4, size=shape).astype(complex)
-            p = rng.integers(-3, 4, size=shape).astype(complex)
-            q = q + 1j * rng.integers(-3, 4, size=shape)
-            p = p + 1j * rng.integers(-3, 4, size=shape)
-        else:
-            q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            p = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        p = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want.append(np.concatenate([q.ravel(), p.ravel()]))
-    got = suites._random_data(suites._rng(config, 1), st_, n, integer)
+    got = suites._random_data(suites._rng(config, 1), st_, n)
     assert got.shape == (n, st_.data_dim)
     assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
-# The planted maps stay symplectic, so the lift accepts them: each is
-# rce[v] after the shear p += 1e-6 q at one site of one species.
+# Each planted map is rce[v] after the symplectic shear p += 1e-6 q at one
+# site of one species.
 
 def _leaking_rce_data(rce_data):
     """rce_data after the shear at site 10 of species 0, a column of the
@@ -800,6 +835,22 @@ def _charge_moving_rce_matrix(rce_matrix):
     return moving
 
 
+def _species_shearing_rce_matrix(rce_matrix):
+    """rce_matrix whose mass-kind maps end with the shear at site 0 of the
+    first species of the 1:2 block, which a rotation into its second
+    species does not commute with."""
+    def shearing(pert):
+        M = rce_matrix(pert)
+        if pert.kind == "mass":
+            st = pert.spacetime
+            q = st.spectrum.block_slice(1.0).start * st.n_sites
+            shear = np.eye(st.data_dim)
+            shear[st.n_species * st.n_sites + q, q] = 1e-6
+            M = shear @ M
+        return M
+    return shearing
+
+
 def _non_skew_tangent(rce_tangent_data):
     """rce_tangent_data plus 1e-6 times the identity, whose F^T J + J F is
     2e-6 J."""
@@ -812,7 +863,10 @@ def _non_skew_tangent(rce_tangent_data):
 @pytest.mark.parametrize("name, target, mutant", [
     ("derivative_skew_adjoint", "rce_tangent_data", _non_skew_tangent),
     ("localization", "rce_data", _leaking_rce_data),
-    ("ell_invariance_gradient", "rce_matrix", _charge_moving_rce_matrix)])
+    ("ell_invariance_gradient", "rce_matrix", _charge_moving_rce_matrix),
+    ("intertwining_full_group_gradient", "rce_matrix",
+     _charge_moving_rce_matrix),
+    ("intertwining", "rce_matrix", _species_shearing_rce_matrix)])
 def test_rce_suite_catches_a_planted_defect(name, target, mutant, monkeypatch):
     monkeypatch.setattr(suites.dyn, target,
                         mutant(getattr(suites.dyn, target)))

@@ -8,7 +8,7 @@ import pytest
 from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
-from lcqft.errors import NotOrthogonal, NotSymplectic, SpectrumMismatch
+from lcqft.errors import NotOrthogonal, SpectrumMismatch
 from lcqft.kinematics import region_solution_basis, solution_map
 from lcqft.spacetime import (
     LatticeSpacetime,
@@ -31,6 +31,17 @@ def _translate(st_, vec, dt_, dx):
 def _identity(spec):
     return gg.GaugeElement(spec, tuple(np.eye(k) for _, k in spec.entries),
                            np.zeros(spec.massless_count))
+
+
+def _signed_permutation_gauge(rng, spectrum):
+    """A random signed permutation in each block and no shift."""
+    blocks = []
+    for _, k in spectrum.entries:
+        R = np.zeros((k, k))
+        R[rng.permutation(k), np.arange(k)] = rng.integers(0, 2, size=k) * 2 - 1
+        blocks.append(R)
+    return gg.GaugeElement(spectrum, tuple(blocks),
+                           np.zeros(spectrum.massless_count))
 
 
 class TestGroupLaw:
@@ -354,7 +365,6 @@ class TestQuantumAction:
         # zeta(g) = id on all basis fields implies g = (I, 0): exhaustive
         # over a finite generating set (identity, signed permutations, shift
         # generators, small rotations) plus random elements
-        from lcqft.suites import _signed_permutation_gauge
         st_ = mixed_spacetime
         spec = st_.spectrum
         rng = np.random.default_rng(11)
@@ -384,7 +394,6 @@ class TestNaturality:
     def test_exact_on_dyadic_data(self, mixed_spacetime, rng):
         # signed-permutation blocks with no shift and integer data make
         # both composition orders bit-identical
-        from lcqft.suites import _signed_permutation_gauge
         st_ = mixed_spacetime
         g = _signed_permutation_gauge(rng, st_.spectrum)
         act = gg.QuantumAction(g, st_)
@@ -513,23 +522,67 @@ def test_swapped_slot_maps_fail_the_homomorphism_law(monkeypatch):
     assert result["residuals"]["homomorphism_law"] > 1e-3
 
 
-def test_non_symplectic_translations_are_refused(monkeypatch):
-    # a stepper fault that scales the translations commutes with every
-    # species rotation; the naturality checks lift the translations, which
-    # refuses them
+def _scaled(T, st_):
+    """1.5 T: commutes with every species map but is not symplectic."""
+    return 1.5 * T
+
+
+def _roll_species_0(T, st_):
+    """T, then a one-site roll of species 0 alone: symplectic and keeps the
+    charges, but no longer commutes with rotations into species 0."""
+    N = st_.n_sites
+    roll = np.eye(st_.data_dim)
+    for c in range(2):
+        cols = c * st_.n_species * N + np.arange(N)
+        roll[cols] = roll[np.roll(cols, 1)]
+    return roll @ T
+
+
+def _shear_massless(T, st_):
+    """T, then p += q at site 0 of the first species, massless and alone in
+    its block on 0:1,1:2: symplectic and commutes with every species map,
+    but moves the charge <e_0, .>."""
+    shear = np.eye(st_.data_dim)
+    shear[st_.n_species * st_.n_sites, 0] = 1.0
+    return shear @ T
+
+
+@pytest.mark.parametrize("mutant, name, other, spec", [
+    (_scaled, "naturality_translations_float",
+     "naturality_translations_exact", "1:2"),
+    (_shear_massless, "naturality_translations_float",
+     "naturality_translations_exact", "0:1,1:2"),
+    (_roll_species_0, "naturality_translations_exact",
+     "naturality_translations_float", "1:2"),
+    (_roll_species_0, "naturality_translations_exact",
+     "naturality_translations_float", "0:2")],
+    ids=["scaled", "charge-moving", "rolled", "rolled-massless"])
+def test_naturality_catches_a_faulty_translation(mutant, name, other, spec,
+                                                  monkeypatch):
+    # each translation's map must commute with the species maps, keep the
+    # shift functionals and stay symplectic; each mutant breaks one of the
+    # two checks and keeps the other
     import lcqft.kinematics as kin
     real = kin.solution_map
-    monkeypatch.setattr(kin, "solution_map", lambda m: 1.5 * real(m))
-    with pytest.raises(NotSymplectic):
-        gauge_suite(RunConfig(spectrum="1:2", seed=62))
+    monkeypatch.setattr(
+        kin, "solution_map",
+        lambda m: mutant(real(m), m.target.spacetime))
+    result = gauge_suite(RunConfig(spectrum=spec, seed=62))
+    assert result["status"] == "fail"
+    assert result["residuals"][name] > 0.1
+    assert result["residuals"][other] <= result["thresholds"][other]
+    assert [line for line in result["findings"] if "residual" in line] \
+        == [f"{name}: residual {result['residuals'][name]:.3e} exceeds "
+            f"{result['thresholds'][name]:.1e}"]
 
 
 @pytest.mark.parametrize("spec, dt, seed", [
     ("0:1,1:2", 0.45, 9), ("0:2", 0.9, 7), ("0:1", 0.37, 0),
     ("0:1,1:2", 0.3, 0), ("0:2", 0.3, 3)])
 def test_exact_naturality_holds_at_non_dyadic_dt(spec, dt, seed):
-    # with no shift, the signed permutation commutes with every translation
-    # bit for bit on integer data, whatever the translation's entries
+    # the rotation generators and reflections only permute and negate
+    # entries, so they commute with every translation bit for bit, whatever
+    # the translation's entries
     result = gauge_suite(RunConfig(spectrum=spec, dt=dt, seed=seed))
     assert result["residuals"]["naturality_translations_exact"] == 0.0
     assert result["status"] == "pass"
