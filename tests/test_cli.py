@@ -702,6 +702,19 @@ class TestCliProcess:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"config error: {line}"]
 
+    @pytest.mark.parametrize("sysconf", [None, "ValueError"])
+    def test_memory_refusal_is_skipped_where_sysconf_cannot_tell(
+            self, sysconf, monkeypatch):
+        # Windows has no os.sysconf, and some Unixes lack SC_PHYS_PAGES: a
+        # small config still checks, and the MemoryError path stays the net
+        if sysconf is None:
+            monkeypatch.delattr(os, "sysconf", raising=False)
+        else:
+            def unknown(name):
+                raise ValueError(f"unrecognized configuration name {name}")
+            monkeypatch.setattr(os, "sysconf", unknown)
+        RunConfig(spectrum="1:2", suite="state").check(["state"])
+
     def test_classical_flag_is_rejected(self, capsys):
         # the affine factor is always solved: there is no --classical
         with pytest.raises(SystemExit) as exc:
