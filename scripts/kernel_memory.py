@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Working memory of the algebra kernel's large operations.
 
-Builds, in one process, the elements that `lcqft verify all --spectrum 1:2
---sites 8` works on: two bilinear generators of the observables suite and
-their product. For each large
-operation it prints the `tracemalloc` peak above the memory that was live
-when the operation started, and the best of 7 wall times (measured with
-tracing off):
+Builds, in one process, two bilinear generators of `1:2` on 8 sites and
+their product, the largest elements of the observables' algebra route
+(`invariant_projection_check`, which the tests hold against the forms that
+`lcqft verify` reads). For each large operation it prints the `tracemalloc`
+peak above the memory that was live when the operation started, and the
+best of 7 wall times (measured with tracing off):
 
   product      the product of the two generators
   derivation   the product's derivation by the first so(2) rotation

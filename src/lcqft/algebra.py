@@ -45,9 +45,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DegreeCapExceeded, NotReal, NotSymplectic, SpaceMismatch
+from .errors import DegreeCapExceeded, SpaceMismatch
 from .spacetime import LatticeSpacetime
-from .dynamics import Solution, symplectic_matrix
+from .dynamics import Solution
 
 PRUNE_TOL = 1e-15
 
@@ -59,9 +59,6 @@ CHUNK_TERMS = 1 << 15
 # digits per compare-exchange above which `_sort_digits` uses its network:
 # one exchange costs about as much as np.sort spends on 80 digits
 SORT_NETWORK_MIN = 80
-
-# largest |M^T J M - J| entry that `LiftedMap` accepts as symplectic
-SIGMA_TOL = 1e-10
 
 MultiIndex = tuple[int, ...]
 
@@ -573,7 +570,7 @@ def degree1_vector(a: AlgebraElement) -> np.ndarray:
     return vec
 
 
-# -- functorial lifts -------------------------------------------------------------
+# -- affine substitution and derivations --------------------------------------
 
 @dataclass(frozen=True)
 class SlotMap:
@@ -598,18 +595,6 @@ class SlotMap:
     def __getitem__(self, index) -> "SlotMap":
         """The maps `index` (an int or a slice) of a stack."""
         return SlotMap(self.digits[index], self.weights[index])
-
-
-def slot_map(matrix: np.ndarray, consts: np.ndarray | None = None) -> SlotMap:
-    """SlotMap of e_i -> sum_j matrix[j, i] e_j + consts[i]; entries of
-    magnitude at most PRUNE_TOL are dropped. Matrices (n, dim, dim) with
-    consts (n, dim) give a stack of n maps."""
-    matrix = np.asarray(matrix)
-    mats = matrix.reshape(-1, *matrix.shape[-2:])
-    t, row, col = np.nonzero(mats)
-    maps = slot_maps(len(mats), mats.shape[-1], t, row, col, mats[t, row, col],
-                     consts)
-    return maps if matrix.ndim == 3 else maps[0]
 
 
 def slot_maps(n: int, dim: int, t: np.ndarray, row: np.ndarray,
@@ -730,36 +715,6 @@ def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
 
     return _chunked(a.spacetime, a.size, a.tags,
                     np.full(a.size, D * slots.width), expand)
-
-
-class LiftedMap:
-    """Algebra endomorphism induced by a symplectic, conjugation-commuting
-    linear map of the solution space (degree-wise functorial action). A
-    stack of matrices (n, dim, dim) lifts each one, for a batch of n."""
-
-    def __init__(self, spacetime: LatticeSpacetime, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
-        if np.iscomplexobj(matrix):
-            if np.max(np.abs(matrix.imag)) > 1e-12:
-                raise NotReal("map does not commute with conjugation")
-            matrix = matrix.real
-        J = symplectic_matrix(spacetime)
-        defect = np.max(np.abs(np.swapaxes(matrix, -1, -2) @ J @ matrix - J))
-        if defect > SIGMA_TOL:
-            raise NotSymplectic(f"symplectic defect {defect:.3e} > {SIGMA_TOL:.1e}")
-        self.spacetime = spacetime
-        self.matrix = matrix
-        self._slots = slot_map(matrix)
-
-    def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        if a.spacetime != self.spacetime:
-            raise SpaceMismatch("element lives over a different solution space")
-        return substitute_affine(a, self._slots)
-
-
-def lift(spacetime: LatticeSpacetime, matrix: np.ndarray) -> LiftedMap:
-    """Functorial lift of a linear symplectic map to the algebra."""
-    return LiftedMap(spacetime, matrix)
 
 
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:

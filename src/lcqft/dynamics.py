@@ -21,6 +21,9 @@ import numpy as np
 from .errors import LcqftError, SpacetimeMismatch, SupportViolation
 from .spacetime import LatticeSpacetime
 
+# basis vectors per batch of `matrix_of`
+MATRIX_CHUNK = 64
+
 
 @dataclass(frozen=True, eq=False)
 class Solution:
@@ -217,17 +220,20 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
 
 
 def matrix_of(map_fn, spacetime: LatticeSpacetime) -> np.ndarray:
-    """Dense matrix of a linear map on the solution space, by applying it to
-    the canonical basis batch at once (map_fn acts on (q, p) batch arrays)."""
+    """Dense matrix of a linear map on the solution space, applied to the
+    canonical basis in batches of MATRIX_CHUNK vectors (map_fn acts on (q, p)
+    batch arrays), so a map that holds a trajectory holds one batch's. The
+    stepper acts on each vector alone, so the batches change no bit."""
     dim = spacetime.data_dim
     S, N = spacetime.n_species, spacetime.n_sites
-    eye = np.eye(dim, dtype=complex)
-    qb = eye[:, : S * N].reshape(dim, S, N)
-    pb = eye[:, S * N:].reshape(dim, S, N)
-    q_out, p_out = map_fn(qb, pb)
-    return np.concatenate(
-        [q_out.reshape(dim, S * N), p_out.reshape(dim, S * N)], axis=1
-    ).T
+    out = np.empty((dim, dim), complex, order="F")  # one column per vector
+    for lo in range(0, dim, MATRIX_CHUNK):
+        eye = np.eye(min(MATRIX_CHUNK, dim - lo), dim, lo, dtype=complex)
+        q_out, p_out = map_fn(eye[:, :S * N].reshape(-1, S, N),
+                              eye[:, S * N:].reshape(-1, S, N))
+        out[:S * N, lo:lo + len(eye)] = q_out.reshape(-1, S * N).T
+        out[S * N:, lo:lo + len(eye)] = p_out.reshape(-1, S * N).T
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -39,14 +39,6 @@ class SpaceMismatch(LcqftError):
     """Algebra elements built over different solution spaces."""
 
 
-class NotSymplectic(LcqftError):
-    """A map fails to preserve the symplectic form within tolerance."""
-
-
-class NotReal(LcqftError):
-    """A map fails to commute with complex conjugation."""
-
-
 class DegreeCapExceeded(LcqftError):
     """Element degree exceeds the configured evaluation cap."""
 

@@ -3,10 +3,12 @@
 Independent evaluation route used by the associativity checks: every
 product is reduced through degree-1 generator multiplications,
 
-    e_{i1..ik} = F(i1) . e_{i2..ik} - (i/2) sum_j sigma(i1, ij) e_{i2..ik \\ j},
+    e_{i1..ik} . b = F(i1) . (e_{i2..ik} . b)
+                     - (i/2) sum_j sigma(i1, ij) e_{i2..ik \\ j} . b,
     F(u) . M  = u v M + (i/2) sum_j sigma(u, mj) M \\ j,
 
-rather than by enumerating partial matchings as the float kernel does.
+each generator applied to a whole element at once, rather than by
+enumerating partial matchings as the float kernel does.
 
 Coefficients are Gaussian dyadic rationals: an element is a dict of integer
 numerators (re, im) over one power of two 2**exp. Every finite float is
@@ -64,33 +66,33 @@ def _add(acc: Monomials, idx: tuple[int, ...], re: int, im: int):
     acc[idx] = (re, im)
 
 
-def _monomial_product(ia: tuple[int, ...], ib: tuple[int, ...], half: int,
-                      memo: dict) -> Monomials:
-    """2**len(ia) * e_ia . e_ib, whose coefficients are Gaussian integers."""
-    key = (ia, ib)
-    out = memo.get(key)
+def _left_product(ia: tuple[int, ...], b: Monomials, half: int,
+                  memo: dict) -> Monomials:
+    """2**len(ia) * e_ia . b, for b's Gaussian integer numerators: the
+    generators of ia multiplied, last first, into the whole of b."""
+    out = memo.get(ia)
     if out is not None:
         return out
-    out = {}
     if not ia:
-        out[ib] = (1, 0)
+        out = b
     else:
+        out = {}
         u, rest = ia[0], ia[1:]
         # the one generator v with sigma(u, v) = s != 0
         v, s = (u + half, 1) if u < half else (u - half, -1)
-        # 2 F(u) . M = 2 u v M + i sum_j sigma(u, mj) M \ j, M from e_rest . e_ib
-        for mono, (re, im) in _monomial_product(rest, ib, half, memo).items():
+        # 2 F(u) . M = 2 u v M + i sum_j sigma(u, mj) M \ j, M from e_rest . b
+        for mono, (re, im) in _left_product(rest, b, half, memo).items():
             _add(out, tuple(sorted(mono + (u,))), 2 * re, 2 * im)
             for j, mj in enumerate(mono):
                 if mj == v:
                     _add(out, mono[:j] + mono[j + 1:], -s * im, s * re)
-        # -(i/2) sigma(u, rest_j) e_{rest \ j} . e_ib, at scale 2**len(ia)
+        # -(i/2) sigma(u, rest_j) e_{rest \ j} . b, at scale 2**len(ia)
         for j, rj in enumerate(rest):
             if rj == v:
-                sub = _monomial_product(rest[:j] + rest[j + 1:], ib, half, memo)
+                sub = _left_product(rest[:j] + rest[j + 1:], b, half, memo)
                 for idx, (re, im) in sub.items():
                     _add(out, idx, 2 * s * im, -2 * s * re)
-    memo[key] = out
+    memo[ia] = out
     return out
 
 
@@ -100,11 +102,9 @@ def exact_product(a: ExactElement, b: ExactElement, half: int) -> ExactElement:
     out: Monomials = {}
     for ia, (ar, ai) in a.terms.items():
         scale = top - len(ia)
-        for ib, (br, bi) in b.terms.items():
-            cr = (ar * br - ai * bi) << scale
-            ci = (ar * bi + ai * br) << scale
-            for idx, (wr, wi) in _monomial_product(ia, ib, half, memo).items():
-                _add(out, idx, cr * wr - ci * wi, cr * wi + ci * wr)
+        cr, ci = ar << scale, ai << scale
+        for idx, (wr, wi) in _left_product(ia, b.terms, half, memo).items():
+            _add(out, idx, cr * wr - ci * wi, cr * wi + ci * wr)
     return _canonical(out, a.exp + b.exp + top)
 
 

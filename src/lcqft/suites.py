@@ -12,7 +12,8 @@ fixed by its map on the fields: naturality off each translation's solution
 map, rce intertwining off the dense maps of rce[v], vacuum invariance off
 the two-point kernel, each commuting with the species maps of the
 presentation (`_commutator_defect`); diamond membership off those species
-maps. The rce suite calls nothing in `algebra`.
+maps; the observables off their symmetric forms (`observables`). The rce
+and observables suites build no algebra element.
 
 Suites draw randomness from independent counter-based streams derived from
 the master seed, so a report is byte-identical across reruns on one build and
@@ -351,9 +352,8 @@ def gauge_suite(config: RunConfig) -> dict:
     # each map built alone: it holds for the whole group iff the solution
     # map T commutes with each move's species map (exactly, as those only
     # permute and negate entries) and ells T = ells; A(psi) needs T
-    # symplectic, and its defect counts once it passes the lift's own
-    # refusal bound: below that it is rounding in T's entries, which grow
-    # with the mass (3e-12 at mass 1e6 near the dt limit)
+    # symplectic, and its defect is read relative to max(1, max|T|)^2, the
+    # scale of the rounding in T^T J T, as T's entries grow with the mass
     R = _move_species(st)
     ells, J = gg.shift_functionals(st), dyn.symplectic_matrix(st)
     exact_worst = float_worst = 0.0
@@ -361,9 +361,9 @@ def gauge_suite(config: RunConfig) -> dict:
         for dt_steps in (0, 1, 2, -1):
             T = kin.solution_map(translation(st, dt_steps, dx))
             exact_worst = max(exact_worst, _commutator_defect(st, T, R))
-            defect = float(np.max(np.abs(T.T @ J @ T - J)))
             float_worst = max(
-                float_worst, defect if defect > alg.SIGMA_TOL else 0.0,
+                float_worst, float(np.max(np.abs(T.T @ J @ T - J)))
+                / max(1.0, float(np.max(np.abs(T)))) ** 2,
                 float(np.max(np.abs(ells @ T - ells), initial=0.0)))
     rec.below("naturality_translations_exact", exact_worst,
               config.tol("gauge.naturality_exact"))
@@ -385,6 +385,20 @@ def gauge_suite(config: RunConfig) -> dict:
             continue
         worst = max(worst, kin.membership_residual(maps, basis))
     rec.below("kinematic_membership", worst, config.tol("gauge.membership"))
+
+    # the moves act on the algebra: D(ab) = D(a) b + a D(b) for each
+    # rotation and shift derivation D and r(ab) = r(a) r(b) for each block
+    # reflection r, so products of invariants stay invariant; 20 pairs
+    # (a_i, b_i), drawn in turn after the diamonds, in one batch
+    drawn = [alg.random_element(rng, st, 2, 4) for _ in range(40)]
+    a, b = alg.stack(drawn[::2]), alg.stack(drawn[1::2])
+    ab, pres = a * b, gg.presentation(st)
+    rec.below("leibniz_law", max(
+        [alg.max_coeff_diff(alg.derivation(ab, D), alg.derivation(a, D) * b
+                            + a * alg.derivation(b, D))
+         for D in pres.rotations + pres.shifts]
+        + [alg.max_coeff_diff(r(ab), r(a) * r(b)) for r in pres.reflections]),
+        config.tol("gauge.homomorphism"))
 
     # multiplets: a species field's orbit spans its mass block (and the unit)
     dims = gg.multiplet_dimensions(st)
@@ -539,21 +553,19 @@ def observables_suite(config: RunConfig) -> dict:
     rng = _rng(config, 4)
     spectrum = st.spectrum
 
-    generators = []
-    worst = 0.0
+    # each element is read off its symmetric form (`observables`), so no
+    # algebra element is built; products of invariants stay invariant by
+    # the Leibniz rule, which the gauge suite checks on the kernel
+    forms = []
     for mass, _ in spectrum.entries:
         for _ in range(4):
             phi = _random_charge_zero_scalar(rng, st, mass == 0.0)
             psi = _random_charge_zero_scalar(rng, st, mass == 0.0)
-            gen = obs.bilinear_generator(st, mass, phi, psi)
-            generators.append(gen)
-            worst = max(worst, obs.invariant_projection_check(gen))
-    # closure: products of generators stay invariant
-    for _ in range(5):
-        i, j = rng.integers(0, len(generators), size=2)
-        worst = max(worst, obs.invariant_projection_check(
-            generators[i] * generators[j]))
-    rec.below("bilinear_invariance", worst, config.tol("observables.invariance"))
+            forms.append(obs.symmetric_form(
+                *obs.bilinear_pairs(st, mass, phi, psi)))
+    rec.below("bilinear_invariance",
+              max(obs.form_residual(st, C) for C in forms),
+              config.tol("observables.invariance"))
 
     if len(spectrum.entries) >= 2:
         (m1, _), (m2, _) = spectrum.entries[0], spectrum.entries[1]
@@ -563,34 +575,29 @@ def observables_suite(config: RunConfig) -> dict:
         for _ in range(5):
             phi = _random_charge_zero_scalar(rng, st, m1 == 0.0)
             psi = _random_charge_zero_scalar(rng, st, m2 == 0.0)
-            mixed = alg.fields(st, obs.in_species(st, phi, s1)) \
-                * alg.fields(st, obs.in_species(st, psi, s2))
-            worst_mix = min(worst_mix, obs.invariant_projection_check(mixed))
+            worst_mix = min(worst_mix, obs.form_residual(st, obs.symmetric_form(
+                [obs.in_species(st, phi, s1)], [obs.in_species(st, psi, s2)])))
         rec.above("mass_mixing_residual", worst_mix,
                   config.tol("observables.mixing_min"))
     else:
         rec.note("single mass sector: no mass-mixing check")
 
     if spectrum.massless_count:
-        worst = 0.0
-        moved = 0.0
-        central = obs.central_elements(st)
-        for entry in central:
-            chi_el = entry["element"]
-            for gen in generators[:10]:
-                worst = max(worst, alg.max_coeff_diff(
-                    alg.commutator(chi_el, gen), alg.zero(st)))
-            # fixed by every affine shift: <l, chi> = 0
-            for j in range(spectrum.massless_count):
-                worst = max(worst, obs.affine_derivative(chi_el, j).max_abs())
-            # moved by the orthogonal factor
-            g = gg.GaugeElement(
-                spectrum,
-                tuple(-np.eye(k) if mass == 0.0 else np.eye(k)
-                      for mass, k in spectrum.entries),
-                np.zeros(spectrum.massless_count))
-            moved = max(moved, alg.max_coeff_diff(
-                gg.QuantumAction(g, st)(chi_el), chi_el))
+        worst = moved = 0.0
+        # the orthogonal factor's -1 on the massless block
+        g = gg.GaugeElement(
+            spectrum,
+            tuple(-np.eye(k) if mass == 0.0 else np.eye(k)
+                  for mass, k in spectrum.entries),
+            np.zeros(spectrum.massless_count))
+        for entry in obs.central_elements(st):
+            chi = entry["chi"]
+            # commutes with the generators, and <l, chi> = 0 for every shift
+            worst = max([worst, *(np.max(np.abs(obs.central_commutator(
+                st, C, chi))) for C in forms[:10]),
+                np.max(np.abs(gg.shift_functionals(st) @ chi))])
+            moved = max(moved, float(np.max(np.abs(
+                gg.classical_action(g, st, chi) - chi))))
             rec.note(f"central element (species {entry['species']}): "
                      + entry["flag"])
         rec.below("central_commutators", worst, config.tol("observables.central"))

@@ -20,7 +20,9 @@ its affine functionals, null energies sampled on evolved solutions for its
 constraints, its soundness check evolved one solution at a time, a dense
 Taylor exponential, Kronecker products for the dense matrix of a gauge
 species matrix, and an all-pairs compare of the mode frequencies for mass
-collisions.
+collisions. The functorial lift of a symplectic map onto the algebra
+(`lift`) lives here too: no suite needs it, and the tests check the
+suites' linear criteria against it.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcqft._linalg import nullspace
+from lcqft.algebra import SlotMap, slot_maps, substitute_affine
 from lcqft.classify import _apply, _mode_exp
 from lcqft.dynamics import (
     Perturbation,
@@ -41,6 +44,7 @@ from lcqft.dynamics import (
     rce_data,
     symplectic_matrix,
 )
+from lcqft.errors import LcqftError, SpaceMismatch
 from lcqft.gauge import block_reflections, rotation_generators, so_basis
 from lcqft.spacetime import LatticeSpacetime, Region
 from lcqft.states import mode_frequencies
@@ -365,6 +369,66 @@ def projector_membership_residual(element, basis: np.ndarray) -> float:
     terms = dict(element.terms)
     projected = dict_substitute(terms, basis @ basis.conj().T)
     return dict_max_coeff_diff(terms, projected)
+
+
+# -- the functorial lift ----------------------------------------------------------------
+
+def slot_map(matrix: np.ndarray, consts: np.ndarray | None = None) -> SlotMap:
+    """SlotMap of e_i -> sum_j matrix[j, i] e_j + consts[i] of a dense
+    matrix; entries of magnitude at most algebra.PRUNE_TOL are dropped. Matrices
+    (n, dim, dim) with consts (n, dim) give a stack of n maps."""
+    matrix = np.asarray(matrix)
+    mats = matrix.reshape(-1, *matrix.shape[-2:])
+    t, row, col = np.nonzero(mats)
+    maps = slot_maps(len(mats), mats.shape[-1], t, row, col, mats[t, row, col],
+                     consts)
+    return maps if matrix.ndim == 3 else maps[0]
+
+
+# largest |M^T J M - J| entry that `LiftedMap` accepts as symplectic
+SIGMA_TOL = 1e-10
+
+
+class NotSymplectic(LcqftError):
+    """A map fails to preserve the symplectic form within tolerance."""
+
+
+class NotReal(LcqftError):
+    """A map fails to commute with complex conjugation."""
+
+
+class LiftedMap:
+    """Algebra endomorphism induced by a symplectic, conjugation-commuting
+    linear map of the solution space (degree-wise functorial action), on
+    the production kernel's substitution. A stack of matrices (n, dim, dim)
+    lifts each one, for a batch of n. No suite lifts a map: naturality and
+    rce intertwining are read off the linear maps, and the tests check that
+    reduction against this lift."""
+
+    def __init__(self, spacetime: LatticeSpacetime, matrix: np.ndarray):
+        matrix = np.asarray(matrix)
+        if np.iscomplexobj(matrix):
+            if np.max(np.abs(matrix.imag)) > 1e-12:
+                raise NotReal("map does not commute with conjugation")
+            matrix = matrix.real
+        J = symplectic_matrix(spacetime)
+        defect = np.max(np.abs(np.swapaxes(matrix, -1, -2) @ J @ matrix - J))
+        if defect > SIGMA_TOL:
+            raise NotSymplectic(
+                f"symplectic defect {defect:.3e} > {SIGMA_TOL:.1e}")
+        self.spacetime = spacetime
+        self.matrix = matrix
+        self._slots = slot_map(matrix)
+
+    def __call__(self, a):
+        if a.spacetime != self.spacetime:
+            raise SpaceMismatch("element lives over a different solution space")
+        return substitute_affine(a, self._slots)
+
+
+def lift(spacetime: LatticeSpacetime, matrix: np.ndarray) -> LiftedMap:
+    """Functorial lift of a linear symplectic map to the algebra."""
+    return LiftedMap(spacetime, matrix)
 
 
 # -- quasifree evaluation ---------------------------------------------------------------

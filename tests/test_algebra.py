@@ -10,12 +10,13 @@ from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import exact_algebra as exact
 from lcqft import gauge as gg
-from lcqft.errors import NotReal, NotSymplectic, SpaceMismatch
+from lcqft.errors import SpaceMismatch
 from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 from lcqft.suites import RunConfig, ccr_suite
 
 import oracles
-from oracles import random_data, sigma
+from oracles import (NotReal, NotSymplectic, lift, random_data, sigma,
+                     slot_map)
 
 
 class TestProduct:
@@ -275,7 +276,7 @@ class TestDegreeAndField:
 
 class TestLift:
     def test_identity(self, massive_spacetime, rng):
-        lifted = alg.lift(massive_spacetime, np.eye(massive_spacetime.data_dim))
+        lifted = lift(massive_spacetime, np.eye(massive_spacetime.data_dim))
         x = alg.random_element(rng, massive_spacetime, 3, 6)
         assert alg.max_coeff_diff(lifted(x), x) < 1e-14
 
@@ -283,7 +284,7 @@ class TestLift:
         v = np.zeros((mixed_spacetime.n_slices, mixed_spacetime.n_sites))
         v[5:8, 1:4] = rng.standard_normal((3, 3))
         pert = dyn.Perturbation(mixed_spacetime, v)
-        lifted = alg.lift(mixed_spacetime, dyn.rce_matrix(pert))
+        lifted = lift(mixed_spacetime, dyn.rce_matrix(pert))
         phi = random_data(rng, mixed_spacetime)
         lhs = lifted(alg.fields(mixed_spacetime, phi))
         rhs = alg.fields(mixed_spacetime, oracles.on_vectors(
@@ -296,7 +297,7 @@ class TestLift:
         st_ = LatticeSpacetime(4, 12, 0.5, MassSpectrum.parse("1:1"))
         v = np.zeros((st_.n_slices, st_.n_sites))
         v[4:7, 1:3] = rng.standard_normal((3, 2))
-        lifted = alg.lift(st_, dyn.rce_matrix(dyn.Perturbation(st_, v)))
+        lifted = lift(st_, dyn.rce_matrix(dyn.Perturbation(st_, v)))
         worst = 0.0
         for _ in range(50):
             a = alg.random_element(rng, st_, 3, 3)
@@ -310,7 +311,7 @@ class TestLift:
         # sigma-correction content of the deformed product
         v = np.zeros((massive_spacetime.n_slices, massive_spacetime.n_sites))
         v[5:8, 1:4] = rng.standard_normal((3, 3))
-        lifted = alg.lift(massive_spacetime,
+        lifted = lift(massive_spacetime,
                           dyn.rce_matrix(dyn.Perturbation(massive_spacetime, v)))
         for _ in range(5):
             a, b = alg.fields(massive_spacetime,
@@ -321,27 +322,27 @@ class TestLift:
     def test_functoriality(self, massive_spacetime, rng):
         st_ = massive_spacetime
         U = dyn.one_step_matrix(st_)
-        lift_u = alg.lift(st_, U)
-        lift_uu = alg.lift(st_, U @ U)
+        lift_u = lift(st_, U)
+        lift_uu = lift(st_, U @ U)
         x = alg.random_element(rng, st_, 2, 4)
         assert alg.max_coeff_diff(lift_u(lift_u(x)), lift_uu(x)) < 1e-11
 
     def test_star_commutes(self, massive_spacetime, rng):
         U = dyn.one_step_matrix(massive_spacetime)
-        lifted = alg.lift(massive_spacetime, U)
+        lifted = lift(massive_spacetime, U)
         x = alg.random_element(rng, massive_spacetime, 2, 5)
         assert alg.max_coeff_diff(lifted(x.star()), lifted(x).star()) < 1e-12
 
     def test_rejects_non_symplectic(self, massive_spacetime):
         with pytest.raises(NotSymplectic):
-            alg.lift(massive_spacetime,
+            lift(massive_spacetime,
                      2.0 * np.eye(massive_spacetime.data_dim))
 
     def test_rejects_complex(self, massive_spacetime):
         M = np.eye(massive_spacetime.data_dim, dtype=complex)
         M[0, 0] = 1j
         with pytest.raises((NotReal, NotSymplectic)):
-            alg.lift(massive_spacetime, M)
+            lift(massive_spacetime, M)
 
 
 class TestDerivation:
@@ -353,7 +354,7 @@ class TestDerivation:
         gen, = oracles.species_on_data(
             st_, gg.rotation_generators(st_.spectrum))
         a = alg.random_element(rng, st_, 3, 8)
-        deriv = alg.derivation(a, alg.slot_map(gen))
+        deriv = alg.derivation(a, slot_map(gen))
 
         def rotated(t):
             R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
@@ -376,7 +377,7 @@ class TestDerivation:
             st_, gg.rotation_generators(st_.spectrum))
         consts = np.array([1.5]) @ gg.shift_functionals(st_) if shift \
             else None
-        slots = alg.slot_map(gen, consts)
+        slots = slot_map(gen, consts)
         worst = 0.0
         for _ in range(10):
             a = alg.random_element(rng, st_, 2, 4)
@@ -393,7 +394,7 @@ class TestDerivation:
         consts[0], consts[3] = 2.0, -1.0
         a = alg.monomial(st_, (0, 0, 3), 1.0)
         deriv = alg.derivation(
-            a, alg.slot_map(np.zeros((st_.data_dim, st_.data_dim)), consts))
+            a, slot_map(np.zeros((st_.data_dim, st_.data_dim)), consts))
         assert deriv.terms == {(0, 3): 4.0 + 0j, (0, 0): -1.0 + 0j}
 
 
@@ -519,7 +520,7 @@ def test_substitution_matches_dict_reference(ta, seed, with_consts):
     consts = np.random.default_rng(seed + 1).standard_normal(dim) \
         * (np.arange(dim) % 3 == 0) if with_consts else None
     a = alg.AlgebraElement(SMALL, ta)
-    _close(alg.substitute_affine(a, alg.slot_map(M, consts)),
+    _close(alg.substitute_affine(a, slot_map(M, consts)),
            oracles.dict_substitute(ta, M, consts), 1e-11)
 
 
@@ -530,7 +531,7 @@ def test_derivation_matches_dict_reference(ta, seed, with_consts):
     consts = np.random.default_rng(seed + 1).standard_normal(dim) \
         if with_consts else None
     a = alg.AlgebraElement(SMALL, ta)
-    _close(alg.derivation(a, alg.slot_map(M, consts)),
+    _close(alg.derivation(a, slot_map(M, consts)),
            oracles.dict_derivation(ta, M, consts))
 
 
@@ -552,7 +553,7 @@ def test_signed_permutation_only_relabels(massive_spacetime, rng):
     perm = rng.permutation(dim)
     M = np.zeros((dim, dim))
     M[perm, np.arange(dim)] = rng.choice([-1.0, 1.0], size=dim)
-    slots = alg.slot_map(M)
+    slots = slot_map(M)
     assert slots.width == 1
     a = alg.random_element(rng, st_, 4, 8)
     image = alg.substitute_affine(a, slots)
@@ -680,17 +681,17 @@ class TestBatchedOps:
         mats[3] = perm
         consts = rng.standard_normal((len(left), dim)) * (rng.random(
             (len(left), dim)) < 0.2)
-        stack_map = alg.slot_map(np.array(mats), consts)
+        stack_map = slot_map(np.array(mats), consts)
         _equal_bitwise(alg.substitute_affine(alg.stack(left), stack_map),
-                       [alg.substitute_affine(x, alg.slot_map(m, c))
+                       [alg.substitute_affine(x, slot_map(m, c))
                         for x, m, c in zip(left, mats, consts)])
         # one map for every element, and width-1 maps only
-        one = alg.slot_map(mats[0], consts[0])
+        one = slot_map(mats[0], consts[0])
         _equal_bitwise(alg.substitute_affine(alg.stack(left), one),
                        [alg.substitute_affine(x, one) for x in left])
-        perms = alg.slot_map(np.array([perm] * len(left)))
+        perms = slot_map(np.array([perm] * len(left)))
         _equal_bitwise(alg.substitute_affine(alg.stack(left), perms),
-                       [alg.substitute_affine(x, alg.slot_map(perm))
+                       [alg.substitute_affine(x, slot_map(perm))
                         for x in left])
 
 
@@ -703,7 +704,7 @@ def test_substitution_sizes_each_element_by_its_degree(monkeypatch):
     elements = [alg.AlgebraElement(st_, {(1, 2, 3): 1.0, (4,): 2.0}),
                 alg.zero(st_), alg.AlgebraElement(st_, {(): 0.5, (5, 6): 1j}),
                 alg.one(st_), alg.zero(st_)]
-    slots = alg.slot_map(_random_map(3, st_.data_dim, 0.1))
+    slots = slot_map(_random_map(3, st_.data_dim, 0.1))
     fans, chunked = [], alg._chunked
 
     def spy(spacetime, size, tags, fan, expand):
@@ -733,7 +734,7 @@ def test_batches_reject_mismatched_sizes_and_maps(massive_spacetime, rng):
         alg.stack([a, a])
     dim = massive_spacetime.data_dim
     with pytest.raises(SpaceMismatch):
-        alg.substitute_affine(a, alg.slot_map(np.array([np.eye(dim)] * 2)))
+        alg.substitute_affine(a, slot_map(np.array([np.eye(dim)] * 2)))
     # lookups, the degree and hence state evaluation read one element
     for per_element in (lambda: a.terms[()], lambda: a.coefficient(()),
                         lambda: a.degree, lambda: alg.check_degree_cap(a, 4)):
@@ -773,7 +774,7 @@ def test_width1_weights_multiply_before_the_coefficient(massive_spacetime, rng):
     st_ = massive_spacetime
     w = 1.0 + rng.random(st_.data_dim) / 3.0
     x = alg.random_element(rng, st_, 4, 20)
-    out = alg.substitute_affine(x, alg.slot_map(np.diag(w)))
+    out = alg.substitute_affine(x, slot_map(np.diag(w)))
     assert np.array_equal(out.digits, x.digits)
     weights = np.concatenate([[1.0], w])[x.digits]
     assert np.array_equal(out.coeffs, x.coeffs * np.multiply.reduce(weights))
@@ -783,11 +784,11 @@ def test_stacked_lift_checks_every_matrix(massive_spacetime, rng):
     st_ = massive_spacetime
     U = dyn.one_step_matrix(st_)
     with pytest.raises(NotSymplectic):
-        alg.lift(st_, np.array([U, 2.0 * U, U]))
-    lifted = alg.lift(st_, np.array([U, U @ U]))
+        lift(st_, np.array([U, 2.0 * U, U]))
+    lifted = lift(st_, np.array([U, U @ U]))
     xs = [alg.random_element(rng, st_, 2, 4) for _ in range(2)]
     _equal_bitwise(lifted(alg.stack(xs)),
-                   [alg.lift(st_, M)(x) for M, x in zip((U, U @ U), xs)])
+                   [lift(st_, M)(x) for M, x in zip((U, U @ U), xs)])
 
 
 # -- key-range merges: the arrays of one merge of every term -------------------
@@ -893,9 +894,9 @@ class TestKeyRangeMerges:
                lambda: alg.derivation(a, pres.rotations[0]),
                lambda: alg.derivation(x, pres.rotations[0]),
                lambda: alg.derivation(a, pres.shifts[0]),
-               lambda: alg.substitute_affine(a, alg.slot_map(
+               lambda: alg.substitute_affine(a, slot_map(
                    _random_map(5, dim, 0.05))),
-               lambda: alg.substitute_affine(a, alg.slot_map(perm))]
+               lambda: alg.substitute_affine(a, slot_map(perm))]
         for op in ops:
             log = []
             small_ranges.setattr(alg, "_merge_runs", _counting(log))

@@ -303,15 +303,18 @@ class TestBenchmarkTraceHooks:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "ccr", "--spectrum", "1:2", "--sites", "8"],
-        ["classify", "--spectrum", "1:2", "--sites", "8"]])
+        ["classify", "--spectrum", "1:2", "--sites", "8"],
+        ["verify", "observables", "--spectrum", "0:1,1:2", "--sites", "8"],
+        ["verify", "gauge", "--spectrum", "1:2", "--sites", "8"]])
     def test_traced_child_wraps_the_kept_entry_points(self, argv, tmp_path):
-        # no suite calls the `Solution` entry points, but the child wraps
-        # them by name before the command runs: it must still exit 0 and
-        # record the command's spans
+        # no suite calls the `Solution` entry points or the algebra route of
+        # the observables, but the child wraps them by name before the
+        # command runs: it must still exit 0 and record the command's spans
         calls = self._span_calls(tmp_path, argv)
         names = json.loads((tmp_path / "stats.json").read_text())["names"]
-        assert {"dynamics.propagate", "dynamics.rce",
-                "dynamics.rce_derivative"} <= set(names)
+        assert {"dynamics.propagate", "dynamics.rce", "dynamics.rce_derivative",
+                "observables.invariance_check",
+                "observables.affine_derivative"} <= set(names)
         assert sum(calls.values()) > 0
 
     def test_traced_child_records_each_classifier_stage(self, tmp_path):
@@ -782,20 +785,30 @@ def test_linear_checks_draw_no_solution(suite, spectrum, monkeypatch):
 
 @pytest.mark.parametrize("spectrum", ["1:2", "0:1,1:2"])
 @pytest.mark.parametrize("suite, names", [
-    (suites.rce_suite, ["lift", "random_element", "derivation",
-                        "substitute_affine"]),
-    (suites.gauge_suite, ["lift"])])
+    (suites.rce_suite, ["fields", "random_element", "derivation",
+                        "substitute_affine"])])
 def test_linear_identities_never_enter_the_algebra(suite, names, spectrum,
                                                    monkeypatch):
-    # naturality and rce intertwining are read off the solution and rce
-    # maps: a *-homomorphism is fixed by its map on the fields, so no map is
-    # lifted, and the rce suite builds no algebra element at all
+    # rce intertwining is read off the rce maps: a *-homomorphism is fixed
+    # by its map on the fields, so the rce suite builds no algebra element
+    # at all (the lift of a map is a test oracle, `oracles.lift`)
     def never(*args, **kwargs):
         raise AssertionError("the algebra layer was called")
 
     for name in names:
         monkeypatch.setattr(suites.alg, name, never)
     result = suite(RunConfig(spectrum=spectrum))
+    assert result["status"] == "pass", result["findings"]
+
+
+@pytest.mark.parametrize("spectrum", ["1:2", "0:1,1:2", "1:2,2:3"])
+def test_observables_suite_builds_no_algebra_element(spectrum, monkeypatch):
+    # every observable is read off its symmetric form or its data vector
+    def never(*args, **kwargs):
+        raise AssertionError("an algebra element was built")
+
+    monkeypatch.setattr(suites.alg.AlgebraElement, "_set", never)
+    result = suites.observables_suite(RunConfig(spectrum=spectrum))
     assert result["status"] == "pass", result["findings"]
 
 

@@ -18,8 +18,8 @@ from lcqft.spacetime import (
 )
 from lcqft.suites import RunConfig, gauge_suite
 
-from oracles import (projector_membership_residual, random_data, sigma,
-                     species_on_data, step)
+from oracles import (lift, projector_membership_residual, random_data, sigma,
+                     slot_map, species_on_data, step)
 
 
 def _translate(st_, vec, dt_, dx):
@@ -230,14 +230,14 @@ class TestSpeciesForm:
                       for _ in range(3)] + [np.zeros((S, S))])
         consts = rng.standard_normal((4, st_.data_dim))
         got = gg.species_slot_maps(st_, R, consts)
-        want = alg.slot_map(species_on_data(st_, R), consts)
+        want = slot_map(species_on_data(st_, R), consts)
         for name in ("digits", "weights"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         pres = gg.presentation(st_)
         for slots, X in zip(pres.rotations,
                             species_on_data(st_, pres.generators)):
-            want = alg.slot_map(X)
+            want = slot_map(X)
             assert np.array_equal(slots.digits, want.digits)
             assert np.array_equal(slots.weights, want.weights)
 
@@ -399,7 +399,7 @@ class TestNaturality:
         act = gg.QuantumAction(g, st_)
         for dx in range(st_.n_sites):
             for dt_ in (0, 1, -1, 2):
-                lifted = alg.lift(st_, solution_map(translation(st_, dt_, dx)))
+                lifted = lift(st_, solution_map(translation(st_, dt_, dx)))
                 phi = alg.fields(st_, rng.integers(-3, 4, st_.data_dim)
                                  + 1j * rng.integers(-3, 4, st_.data_dim))
                 assert alg.max_coeff_diff(act(lifted(phi)),
@@ -411,7 +411,7 @@ class TestNaturality:
             g = gg.random_gauge(rng, mixed_spacetime.spectrum)
             act = gg.QuantumAction(g, mixed_spacetime)
             dt_, dx = int(rng.integers(-2, 3)), int(rng.integers(0, 8))
-            lifted = alg.lift(
+            lifted = lift(
                 mixed_spacetime,
                 solution_map(translation(mixed_spacetime, dt_, dx)))
             phi = alg.fields(mixed_spacetime, random_data(rng, mixed_spacetime))
@@ -442,7 +442,7 @@ class TestNaturality:
         for kind, shifted, tol in [("mass", False, 1e-9),
                                    ("gradient", True, 1e-9)]:
             pert = dyn.Perturbation(st_, v, kind=kind)
-            lifted = alg.lift(st_, dyn.rce_matrix(pert))
+            lifted = lift(st_, dyn.rce_matrix(pert))
             for _ in range(10):
                 g = gg.random_gauge(rng, st_.spectrum)
                 if not shifted:
@@ -522,6 +522,40 @@ def test_swapped_slot_maps_fail_the_homomorphism_law(monkeypatch):
     assert result["residuals"]["homomorphism_law"] > 1e-3
 
 
+def _symmetric_rotations(real):
+    """|X| for each rotation generator X: symmetric, so its derivation is
+    not one of the CCR product."""
+    return lambda spectrum: np.abs(real(spectrum))
+
+
+def _q_only_reflections(real):
+    """A block reflection applied to the q-channel alone: a substitution by
+    a non-symplectic map, so not multiplicative."""
+    def act(self, a):
+        st_, half = self.spacetime, self.spacetime.data_dim // 2
+        M = species_on_data(st_, self.g.species_matrix())
+        M[half:, half:] = np.eye(half)
+        return alg.substitute_affine(a, slot_map(M))
+    return act
+
+
+@pytest.mark.parametrize("owner, name, mutant", [
+    (gg, "rotation_generators", _symmetric_rotations),
+    (gg.QuantumAction, "__call__", _q_only_reflections)],
+    ids=["symmetric-rotation", "q-only-reflection"])
+def test_leibniz_law_catches_a_faulty_move(owner, name, mutant, monkeypatch):
+    # a move that does not act on the algebra as a derivation, resp. a
+    # homomorphism, of the CCR product must fail the law
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    gg.presentation.cache_clear()
+    try:
+        result = gauge_suite(RunConfig(spectrum="1:2", seed=62))
+    finally:
+        gg.presentation.cache_clear()
+    assert result["status"] == "fail"
+    assert result["residuals"]["leibniz_law"] > 0.1
+
+
 def _scaled(T, st_):
     """1.5 T: commutes with every species map but is not symplectic."""
     return 1.5 * T
@@ -584,7 +618,7 @@ def test_exact_naturality_holds_at_non_dyadic_dt(spec, dt, seed):
     # entries, so they commute with every translation bit for bit, whatever
     # the translation's entries; at mass 1e6 near the dt limit those
     # entries reach 1e6 and |T^T J T - J| reads 3e-12 from rounding alone,
-    # inside the lift's refusal bound, so the float check passes too
+    # about 2e-21 relative to max|T|^2, so the float check passes too
     result = gauge_suite(RunConfig(spectrum=spec, dt=dt, seed=seed))
     assert result["residuals"]["naturality_translations_exact"] == 0.0
     assert result["status"] == "pass"

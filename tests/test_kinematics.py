@@ -19,7 +19,7 @@ from lcqft.spacetime import (
     translation,
 )
 
-from oracles import (per_point_region_basis, projector_membership_residual,
+from oracles import (lift, per_point_region_basis, projector_membership_residual,
                      random_data, species_on_data)
 
 
@@ -114,9 +114,9 @@ class TestSolutionMap:
         # Q(f . g) = Q(f) . Q(g) on the algebra
         st = mixed_spacetime
         f, g = translation(st, 1, 2), translation(st, 0, 3)
-        lf = alg.lift(st, solution_map(f))
-        lg = alg.lift(st, solution_map(g))
-        lfg = alg.lift(st, solution_map(compose(f, g)))
+        lf = lift(st, solution_map(f))
+        lg = lift(st, solution_map(g))
+        lfg = lift(st, solution_map(compose(f, g)))
         x = alg.random_element(rng, st, 2, 4)
         assert alg.max_coeff_diff(lf(lg(x)), lfg(x)) < 1e-11
 

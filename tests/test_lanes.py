@@ -16,8 +16,9 @@ import pytest
 
 from lcqft import serialize, suites
 from lcqft.cli import main
-from lcqft.errors import NotSymplectic
 from lcqft.suites import GOLDEN_CONFIGS, RunConfig, run_suite
+
+from oracles import NotSymplectic
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="workers are forked")

@@ -8,10 +8,11 @@ from lcqft import algebra as alg
 from lcqft import gauge as gg
 from lcqft import observables as obs
 from lcqft.errors import MassNotInSpectrum, NoMasslessSpecies, NotChargeZero
-from lcqft.spacetime import multi_diamond
+from lcqft.spacetime import LatticeSpacetime, MassSpectrum, multi_diamond
+from lcqft.suites import RunConfig, observables_suite
 
-from oracles import (dict_derivation, dict_max_coeff_diff, sigma,
-                     species_on_data)
+from oracles import (dict_derivation, dict_max_coeff_diff, random_data, sigma,
+                     slot_map, species_on_data)
 
 
 def _charge_zero_scalar(rng, st, massless):
@@ -190,7 +191,7 @@ class TestInvariantProjectionCheck:
 
         det = f(phi, 0) * f(psi, 1) - f(phi, 1) * f(psi, 0)
         gen, = species_on_data(st, gg.rotation_generators(st.spectrum))
-        assert alg.derivation(det, alg.slot_map(gen)).terms == {}
+        assert alg.derivation(det, slot_map(gen)).terms == {}
         residual = obs.invariant_projection_check(det)
         assert residual == pytest.approx(2 * det.max_abs())
         assert residual >= 1e-10
@@ -227,7 +228,8 @@ class TestCentralElements:
                     psi = _charge_zero_scalar(rng, mixed_spacetime, mass == 0.0)
                     gen = obs.bilinear_generator(mixed_spacetime, mass, phi, psi)
                     worst = max(worst, alg.commutator(
-                        entry["element"], gen).max_abs())
+                        alg.fields(mixed_spacetime, entry["chi"]),
+                        gen).max_abs())
         assert worst < 1e-12
 
     def test_charge_zero_and_shift_fixed(self, mixed_spacetime):
@@ -237,16 +239,19 @@ class TestCentralElements:
         central = obs.central_elements(st)
         unit = obs.in_species(st, [np.ones(st.n_sites), np.zeros(st.n_sites)], 0)
         for entry in central:
-            chi = obs.in_species(st, entry["chi"], entry["species"])
+            chi = entry["chi"]
+            assert np.array_equal(chi, obs.in_species(
+                st, [np.ones(st.n_sites), np.zeros(st.n_sites)],
+                entry["species"]))
             assert sigma(chi, unit) == 0.0
             assert np.array([2.5]) @ gg.shift_functionals(st) @ chi == 0.0
             g = gg.GaugeElement(
                 mixed_spacetime.spectrum,
                 tuple(np.eye(k) for _, k in mixed_spacetime.spectrum.entries),
                 np.array([2.5]))
-            assert alg.max_coeff_diff(
-                gg.QuantumAction(g, st)(entry["element"]), entry["element"]) \
-                < 1e-14
+            element = alg.fields(st, chi)
+            assert alg.max_coeff_diff(gg.QuantumAction(g, st)(element),
+                                      element) < 1e-14
 
     def test_moved_by_orthogonal_factor(self, mixed_spacetime):
         # the obstruction: Phi(chi) is central in the charge-zero algebra but
@@ -260,14 +265,15 @@ class TestCentralElements:
                   for mass, k in spectrum.entries),
             np.zeros(spectrum.massless_count))
         for entry in central:
-            moved = gg.QuantumAction(g, mixed_spacetime)(entry["element"])
-            assert alg.max_coeff_diff(moved, (-1.0) * entry["element"]) < 1e-14
-            assert alg.max_coeff_diff(moved, entry["element"]) > 0.5
+            element = alg.fields(mixed_spacetime, entry["chi"])
+            moved = gg.QuantumAction(g, mixed_spacetime)(element)
+            assert alg.max_coeff_diff(moved, (-1.0) * element) < 1e-14
+            assert alg.max_coeff_diff(moved, element) > 0.5
             assert "central" in entry["flag"]
 
     def test_nonzero(self, mixed_spacetime):
         for entry in obs.central_elements(mixed_spacetime):
-            assert entry["element"].max_abs() > 0.5
+            assert alg.fields(mixed_spacetime, entry["chi"]).max_abs() > 0.5
 
 
 class TestMultiComponentRegions:
@@ -335,3 +341,129 @@ class TestWorkingMemory:
         moved = alg.derivation(prod, pres.rotations[0])
         assert dict_max_coeff_diff(dict(moved.terms), dict_derivation(
             dict(prod.terms), species_on_data(st_, pres.generators[0]))) < 1e-13
+
+
+def _form_element(st, C):
+    """The algebra element sum_jk C_jk e_j e_k of a symmetric form C, built
+    term by term: 2 C_jk on e_j e_k for j < k, C_jj on e_j e_j."""
+    j, k = np.triu_indices(len(C))
+    weights = np.where(j == k, 1.0, 2.0) * C[j, k]
+    return alg.AlgebraElement(st, {(int(a), int(b)): w for a, b, w
+                                   in zip(j, k, weights) if w != 0})
+
+
+class TestForms:
+    def test_form_is_the_degree_two_part(self, mixed_spacetime, rng):
+        st = mixed_spacetime
+        for mass in (0.0, 1.0):
+            phi = _charge_zero_scalar(rng, st, mass == 0.0)
+            psi = _charge_zero_scalar(rng, st, mass == 0.0)
+            gen = obs.bilinear_generator(st, mass, phi, psi)
+            C = obs.symmetric_form(*obs.bilinear_pairs(st, mass, phi, psi))
+            assert np.array_equal(C, C.T)
+            deg2 = gen.select(gen.term_degrees() == 2)
+            assert alg.max_coeff_diff(deg2, _form_element(st, C)) < 1e-14
+
+    def test_central_commutator_is_the_algebra_commutator(
+            self, mixed_spacetime, rng):
+        # [Phi(chi), Q] is the field of central_commutator(C, chi), for any
+        # chi, not only the central ones
+        st = mixed_spacetime
+        for mass in (0.0, 1.0):
+            phi = _charge_zero_scalar(rng, st, mass == 0.0)
+            psi = _charge_zero_scalar(rng, st, mass == 0.0)
+            gen = obs.bilinear_generator(st, mass, phi, psi)
+            C = obs.symmetric_form(*obs.bilinear_pairs(st, mass, phi, psi))
+            chi = random_data(rng, st)
+            got = alg.commutator(alg.fields(st, chi), gen)
+            want = alg.fields(st, obs.central_commutator(st, C, chi))
+            assert got.max_abs() > 0.1
+            assert alg.max_coeff_diff(got, want) < 1e-12
+
+
+class TestReductionLemma:
+    # the suite reads invariance off forms; on the suite's own forms, the
+    # form residual is zero iff the algebra route's is, and lies between 1/2
+    # and 1 times it
+
+    @staticmethod
+    def _suite_forms(spectrum, monkeypatch):
+        seen = []
+        real = obs.form_residual
+
+        def record(st_, C):
+            seen.append((st_, C))
+            return real(st_, C)
+
+        monkeypatch.setattr(obs, "form_residual", record)
+        result = observables_suite(RunConfig(spectrum=spectrum, seed=5))
+        monkeypatch.undo()
+        assert result["status"] == "pass", result["findings"]
+        return seen
+
+    @pytest.mark.parametrize("spectrum",
+                             ["1:2", "0:1,1:2", "1:2,2:3", "1:1,2:1", "0:2"])
+    def test_form_residual_against_the_algebra(self, spectrum, monkeypatch):
+        seen = self._suite_forms(spectrum, monkeypatch)
+        assert seen
+        moved = 0
+        for st_, C in seen:
+            form = obs.form_residual(st_, C)
+            algebra = obs.invariant_projection_check(_form_element(st_, C))
+            assert (form <= 1e-13) == (algebra <= 1e-13)
+            if form > 1e-13:
+                moved += 1
+                assert form <= algebra * (1 + 1e-12)
+                assert algebra <= 2 * form * (1 + 1e-12)
+        # the cross-mass bilinears are the moved ones
+        assert moved == (5 if "," in spectrum else 0)
+
+    @staticmethod
+    def _determinant(rng):
+        """The species determinant on "1:2": fixed by SO(2), flipped by the
+        reflection."""
+        st = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:2"))
+        phi = _charge_zero_scalar(rng, st, False)
+        psi = _charge_zero_scalar(rng, st, False)
+        us = [obs.in_species(st, phi, 0), -obs.in_species(st, phi, 1)]
+        vs = [obs.in_species(st, psi, 1), obs.in_species(st, psi, 0)]
+        el = sum((alg.fields(st, u) * alg.fields(st, v)
+                  for u, v in zip(us, vs)), alg.zero(st))
+        return st, el, obs.symmetric_form(us, vs)
+
+    @staticmethod
+    def _theta_square(rng):
+        """Phi(theta)^2 of a massless field that is not charge zero, on
+        "0:1,1:2": even under every reflection, moved only by the shift."""
+        st = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("0:1,1:2"))
+        u = obs.in_species(st, _theta(st), 0)
+        return st, alg.fields(st, u) * alg.fields(st, u), \
+            obs.symmetric_form([u], [u])
+
+    @pytest.mark.parametrize("name, planted", [
+        ("block_reflections", "_determinant"),
+        ("shift_functionals", "_theta_square")],
+        ids=["no-reflections", "no-shifts"])
+    def test_dropped_moves_fail_both_routes(self, name, planted, rng,
+                                            monkeypatch):
+        st, el, C = getattr(self, planted)(rng)
+        assert obs.form_residual(st, C) > 0.1
+        assert obs.invariant_projection_check(el) > 0.1
+        real = getattr(gg, name)
+        monkeypatch.setattr(
+            gg, name, lambda arg: [] if name == "block_reflections"
+            else np.zeros_like(real(arg)))
+        gg.presentation.cache_clear()
+        try:
+            assert obs.form_residual(st, C) <= 1e-13
+            assert obs.invariant_projection_check(el) <= 1e-13
+        finally:
+            gg.presentation.cache_clear()
+
+
+def test_cross_mass_bilinears_fail_invariance_at_64_sites():
+    result = observables_suite(RunConfig(spectrum="1:2,2:3", n_sites=64,
+                                         seed=3))
+    assert result["status"] == "pass", result["findings"]
+    assert result["residuals"]["mass_mixing_residual"] > 1e-3
+    assert result["residuals"]["bilinear_invariance"] <= 1e-10

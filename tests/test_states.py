@@ -11,7 +11,7 @@ from lcqft.errors import DegreeCapExceeded
 from lcqft.kinematics import solution_map
 from lcqft.spacetime import translation
 
-from oracles import (circulant_vacuum_mu, dict_substitute, hafnian,
+from oracles import (circulant_vacuum_mu, dict_substitute, hafnian, lift,
                      random_data, reduction_evaluate, sigma, species_on_data)
 
 
@@ -258,7 +258,7 @@ class TestPullBack:
                 np.zeros(st_.spectrum.massless_count))
             act = gg.QuantumAction(g, st_)
             for (dt_, dx) in shifts:
-                T = alg.lift(st_, solution_map(translation(st_, dt_, dx)))
+                T = lift(st_, solution_map(translation(st_, dt_, dx)))
                 for _ in range(10):
                     a = alg.random_element(rng, st_, 2, 4)
                     assert abs(vac.evaluate(act(T(a)))
