@@ -2,11 +2,14 @@
 """Working memory of the algebra kernel's large operations.
 
 Builds, in one process, two bilinear generators of `1:2` on 8 sites and
-their product, the largest elements of the observables' algebra route
-(`invariant_projection_check`, which the tests hold against the forms that
-`lcqft verify` reads). For each large operation it prints the `tracemalloc`
-peak above the memory that was live when the operation started, and the
-best of 7 wall times (measured with tracing off):
+their product, the largest elements that the observables' algebra route
+(`invariant_projection_check`) meets. That route is the one the
+reduction-lemma tests (`tests/test_observables.py`) hold against the forms;
+`lcqft verify` reads the forms and builds none of these elements. The kernel
+merges each operation's terms at once, so these peaks grow with the
+operands. For each large operation it prints the `tracemalloc` peak above
+the memory that was live when the operation started, and the best of 7 wall
+times (measured with tracing off):
 
   product      the product of the two generators
   derivation   the product's derivation by the first so(2) rotation

@@ -30,10 +30,13 @@ comparison and substitution act on a whole batch at once and give each
 element exactly the sums it would get alone.
 
 The product, the affine substitution and the derivation work on whole
-arrays of terms: Python loops run only over contraction levels, tensor
-slots, digit rows, the pieces of each element and key ranges, never over
-terms; no merge sorts more than about CHUNK_TERMS terms (`_chunked`,
-`_merge_runs`).
+arrays of terms: Python loops run only over contraction levels, tensor slots
+and digit rows, never over terms. Each expands all its terms at once and
+merges them once (`_expanded`); the product also merges at each contraction
+level. A sum, a difference or a comparison concatenates its two operands
+and merges them once. The kernel does not bound its working set: a caller
+with a large batch takes it in parts (the ccr suite sizes its batches of
+field pairs by `suites.CCR_BATCH_TERMS`).
 """
 from __future__ import annotations
 
@@ -50,11 +53,6 @@ from .spacetime import LatticeSpacetime
 from .dynamics import Solution
 
 PRUNE_TOL = 1e-15
-
-# a product, substitution or derivation expands, and a merge sorts, at most
-# about this many terms at once (about 2 MiB): it sizes an element's pieces
-# and the passes that take the pieces of a batch
-CHUNK_TERMS = 1 << 15
 
 # digits per compare-exchange above which `_sort_digits` uses its network:
 # one exchange costs about as much as np.sort spends on 80 digits
@@ -118,7 +116,7 @@ def _merge(keys: np.ndarray, coeffs: np.ndarray, *arrays: np.ndarray):
     *arrays), each array in `arrays` (one column per term) keeping the column
     of the first term of each key. Key words whose values fit one int64 side
     by side (such as a tag and one word) are sorted as that int64, in one
-    stable pass, which is quick on the sorted runs that key ranges merge."""
+    stable pass, so equal keys sum in the order of their terms."""
     if len(coeffs) > 1:
         bits = [int(top).bit_length() for top in keys.max(axis=1).tolist()]
         if sum(bits) < 63:
@@ -206,79 +204,18 @@ def _from_indices(spacetime: LatticeSpacetime, indices: list, coeffs: list):
                   np.array(coeffs, dtype=complex).reshape(-1), digits)
 
 
-def _merge_runs(size: int, dim: int, runs: list, signs=None):
-    """The merged (tags, coeffs, digits), range by key range, of k runs of
-    one height sorted by (tag, key), run i times signs[i]. A range starts at
-    every k-th of every (CHUNK_TERMS // 2k)-th key of each run, so holds about
-    CHUNK_TERMS terms at most; a key sums in run order, as in one merge."""
-    def bound(rows, needle) -> int:  # the first column not below needle
-        lo, hi = 0, len(rows[0])
-        for row, value in zip(rows, needle):
-            if lo == hi:
-                break
-            lo, hi = (lo + row[lo:hi].searchsorted(value),
-                      lo + row[lo:hi].searchsorted(value, "right"))
-        return int(lo)
-    k, cuts = len(runs), [[0, len(tags)] for tags, _, _ in runs]
-    if sum(cut[1] for cut in cuts) > CHUNK_TERMS:
-        rows, s = [(t, *d) for t, _, d in runs], max(1, CHUNK_TERMS // k // 2)
-        sample = [np.concatenate(x) for x in zip(
-            *([row[s - 1::s] for row in run] for run in rows))]
-        needles = np.array(sample)[:, np.lexsort(sample[::-1])[k::k]].T
-        cuts = [[0, *(bound(run, needle) for needle in needles.tolist()),
-                 len(run[0])] for run in rows]
-    for span in zip(*(zip(cut[:-1], cut[1:]) for cut in cuts)):
-        tags, coeffs, digits = _joined(
-            (t[lo:hi], z[lo:hi] if sign == 1 else z[lo:hi] * sign, d[:, lo:hi])
-            for (t, z, d), (lo, hi), sign in zip(runs, span, signs or [1] * k))
-        yield _merge_tagged(size, tags, _pack(digits, dim), coeffs, digits)
-
-
-def _joined(parts) -> tuple:
-    """The (tags, coeffs, digits) of parts, concatenated in order."""
-    parts = list(parts)
-    return parts[0] if len(parts) == 1 else \
-        tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
-
-
-def _chunked(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
-             fan: np.ndarray, expand) -> "AlgebraElement":
-    """Expand terms with sorted `tags`, one of tag t into at most fan[t]
-    terms, into a batch of `size`. Element t is cut into pieces at every
-    max(1, CHUNK_TERMS // fan[t])-th term from its first; a pass takes the
-    pieces in order and ends before an element's second or later piece, and
-    before a piece that would take it past CHUNK_TERMS fan-weighted terms.
-    expand(lo, hi) returns the tags, sorted digits and coeffs that a pass's
-    input terms [lo, hi) expand into. A pass holds at most one piece of an
-    element and its merge never crosses tags, so each piece merges alone,
-    cut where its element alone is cut; the passes, one sorted run each, then
-    merge by key range, each key summing its pieces in order. So each
-    element gets exactly the sums it would get alone."""
-    dim, fan = spacetime.data_dim, fan.tolist()
-    bounds = tags.searchsorted(np.arange(size + 1)).tolist()
-    starts, work, split = [], 0, False
-    for first, last, f in zip(bounds, bounds[1:], fan):
-        step = max(1, CHUNK_TERMS // max(1, f))
-        for lo in range(first, last, step):
-            cost = (min(lo + step, last) - lo) * f
-            if lo > first or not starts or work + cost > CHUNK_TERMS:
-                starts.append(lo)
-                work = 0
-            work += cost
-        split = split or last - first > step
-    parts = []
-    for lo, hi in zip(starts, starts[1:] + [len(tags)]):
-        out, digits, coeffs = expand(lo, hi)
-        # rebinding frees the unmerged terms before the next pass
-        out, coeffs, digits = _merge_tagged(size, out, _pack(digits, dim),
-                                            coeffs, digits)
-        parts.append((out, coeffs, digits))
-    if not parts:
+def _expanded(spacetime: LatticeSpacetime, size: int, tags: np.ndarray,
+              expand) -> "AlgebraElement":
+    """The batch of `size` that the terms with `tags` expand into: expand()
+    returns the tags, sorted digits and coeffs of all of them, merged here
+    once. A batch with no terms expands into none."""
+    dim = spacetime.data_dim
+    if not len(tags):
         return _element(spacetime, size, tags, np.zeros(0, complex),
                         np.zeros((0, 0), _digit_type(dim)))
-    if split:
-        parts = list(_merge_runs(size, dim, parts))
-    return _element(spacetime, size, *_joined(parts))
+    out, digits, coeffs = expand()
+    return _element(spacetime, size, *_merge_tagged(
+        size, out, _pack(digits, dim), coeffs, digits))
 
 
 def _refuse_batch(size: int):
@@ -405,25 +342,30 @@ class AlgebraElement:
             raise SpaceMismatch("elements live over different solution spaces"
                                 " or batches of different sizes")
 
-    def _ranges(self, other, sign: float):
-        """The key ranges of self + sign * other (`_merge_runs`)."""
+    def _combined(self, other, sign: float):
+        """The merged (tags, coeffs, digits) of self + sign * other: the
+        operands concatenated in that order, so each key sums self's term
+        first."""
         if isinstance(other, (int, float, complex)):
             other = scalar(self.spacetime, other)
         self._check(other)
         height = max(len(self.digits), len(other.digits))
-        return _merge_runs(self.size, self.dim, [
-            (el.tags, el.coeffs, _pad(el.digits, height))
-            for el in (self, other)], [1, sign])
+        digits = np.concatenate([_pad(self.digits, height),
+                                 _pad(other.digits, height)], axis=1)
+        return _merge_tagged(
+            self.size, np.concatenate([self.tags, other.tags]),
+            _pack(digits, self.dim), np.concatenate(
+                [self.coeffs, other.coeffs if sign == 1 else other.coeffs * sign]),
+            digits)
 
     def __add__(self, other):
-        return _element(self.spacetime, self.size,
-                        *_joined(self._ranges(other, 1)))
+        return _element(self.spacetime, self.size, *self._combined(other, 1))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         return _element(self.spacetime, self.size,
-                        *_joined(self._ranges(other, -1.0)))
+                        *self._combined(other, -1.0))
 
     def __neg__(self):
         return (-1.0) * self
@@ -455,15 +397,15 @@ class AlgebraElement:
         n_b = np.bincount(other.tags, minlength=self.size)
         b_first, height = n_b.cumsum() - n_b, len(A) + len(B)
 
-        def expand(lo: int, hi: int):
+        def expand():
             # each left term of element t meets every right term of t
-            tags = self.tags[lo:hi]
-            fan = n_b[tags]
-            ends = fan.cumsum()
-            at = np.arange(ends[-1]) + (b_first[tags] - ends + fan).repeat(fan)
-            tags, left = tags.repeat(fan), A[:, lo:hi].repeat(fan, axis=1)
+            meets = n_b[self.tags]
+            ends = meets.cumsum()
+            at = np.arange(ends[-1]) \
+                + (b_first[self.tags] - ends + meets).repeat(meets)
+            tags, left = self.tags.repeat(meets), A.repeat(meets, axis=1)
             right = B.take(at, axis=1)
-            coef = self.coeffs[lo:hi].repeat(fan) * other.coeffs.take(at)
+            coef = self.coeffs.repeat(meets) * other.coeffs.take(at)
             out_tags, out_digits, out_coeffs = [], [], []
             r = 0
             while True:
@@ -501,7 +443,7 @@ class AlgebraElement:
                     np.concatenate(out_digits, axis=1),
                     np.concatenate(out_coeffs))
 
-        return _chunked(self.spacetime, self.size, self.tags, n_b, expand)
+        return _expanded(self.spacetime, self.size, self.tags, expand)
 
     def star(self) -> "AlgebraElement":
         """Antilinear involution; on the (real) canonical basis it conjugates
@@ -631,67 +573,36 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
 
     Where every map has width 1, such as a signed permutation, the digits
     are relabelled and each slot weighted. Otherwise the slots are
-    substituted one at a time; once an element's terms outnumber its input
-    terms by more than its map's width, terms equal up to the order of the
-    substituted slots are merged, which bounds the growth for dense maps."""
+    substituted one at a time, and the terms merge once at the end."""
     dim, D = a.dim, len(a.digits)
     digit_of = slots.digits.reshape(-1, slots.width)
     weight_of = slots.weights.reshape(-1, slots.width)
-    # each map's own width, and the row of map t for digit d in the stack
-    width = slots.widths
+    # the row of map t for digit d in the stack
     if slots.digits.ndim == 2:
-        width, base = np.full(a.size, width), np.zeros(len(a.tags), np.uint8)
+        base = np.zeros(len(a.tags), np.uint8)
     elif len(slots.digits) == a.size:
         base = a.tags.astype(np.int64) * (dim + 1)
     else:
         raise SpaceMismatch(f"{len(slots.digits)} slot maps for {a.size}")
 
-    def relabel(lo: int, hi: int):
-        rows = base[lo:hi] + a.digits[:, lo:hi]
-        return (a.tags[lo:hi], _sort_digits(digit_of[rows, 0]),
-                a.coeffs[lo:hi] * np.multiply.reduce(weight_of[rows, 0]))
+    def relabel():
+        rows = base + a.digits
+        return (a.tags, _sort_digits(digit_of[rows, 0]),
+                a.coeffs * np.multiply.reduce(weight_of[rows, 0]))
 
-    if width.max(initial=1) == 1:  # each term has one image: fan = width
-        return _chunked(a.spacetime, a.size, a.tags, width, relabel)
-
-    def expand(lo: int, hi: int):
-        digits, coef, at = a.digits[:, lo:hi], a.coeffs[lo:hi], base[lo:hi]
-        tags = a.tags[lo:hi]
-        # an element's terms merge once they outnumber its map's width times
-        # its terms after its last merge (at first, its input terms); none
-        # does while all the terms together do not outnumber the least limit
-        limit = width * np.bincount(tags, minlength=a.size)
-        least = min(limit.tolist())
+    def expand():
+        tags, digits, coef, at = a.tags, a.digits, a.coeffs, base
         for j in range(D):
             w = weight_of[at + digits[j]]
             k, c = w.nonzero()
-            digits, coef, at = digits.take(k, axis=1), coef[k] * w[k, c], at[k]
-            tags = tags[k]
+            tags, digits, coef, at = (tags[k], digits.take(k, axis=1),
+                                      coef[k] * w[k, c], at[k])
             digits[j] = digit_of[at + digits[j], c]
-            if j == D - 1 or len(coef) <= least:
-                continue
-            need = np.bincount(tags, minlength=a.size) > limit
-            if need.any():
-                digits[:j + 1] = _sort_digits(digits[:j + 1])
-                tags, coef, digits, at = _merge_tagged(
-                    a.size, tags, _pack(digits, dim), coef, digits, at,
-                    need=need)
-                if j < D - 2:  # a later slot still compares
-                    limit = np.where(need, width * np.bincount(
-                        tags, minlength=a.size), limit)
-                    least = min(limit.tolist())
         return tags, _sort_digits(digits), coef
 
-    # each element's degree: a single one has as many digit rows (they are
-    # trimmed); a batch reduces the term degrees over each run of its tags
-    degree = np.zeros(a.size, dtype=int)
-    if a.size == 1:
-        degree[0] = len(a.digits)
-    elif len(a.tags):
-        head = np.flatnonzero(np.concatenate(([True], a.tags[1:] != a.tags[:-1])))
-        degree[a.tags[head]] = np.maximum.reduceat(a.term_degrees(), head)
-    fan = np.minimum(width.astype(float) ** degree, CHUNK_TERMS).astype(int)
-    return _chunked(a.spacetime, a.size, a.tags, fan, expand)
+    one_image = np.max(slots.widths, initial=1) == 1
+    return _expanded(a.spacetime, a.size, a.tags,
+                     relabel if one_image else expand)
 
 
 def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
@@ -700,8 +611,8 @@ def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
     t * consts; a derivation of the CCR product when X is in sp(sigma)."""
     D = len(a.digits)
 
-    def expand(lo: int, hi: int):
-        tags, digits, coeffs = a.tags[lo:hi], a.digits[:, lo:hi], a.coeffs[lo:hi]
+    def expand():
+        tags, digits, coeffs = a.tags, a.digits, a.coeffs
         out = [(tags[:0], digits[:, :0], coeffs[:0])]
         for j in range(D):
             w = slots.weights[digits[j]] * (digits[j] > 0)[:, None]
@@ -713,26 +624,28 @@ def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
         return (np.concatenate(tags), _sort_digits(np.concatenate(digits, 1)),
                 np.concatenate(coeffs))
 
-    return _chunked(a.spacetime, a.size, a.tags,
-                    np.full(a.size, D * slots.width), expand)
+    return _expanded(a.spacetime, a.size, a.tags, expand)
 
 
 def max_coeff_diff(a: AlgebraElement, b: AlgebraElement) -> float:
     """Max absolute coefficient difference (residual metric for all suites);
     for batches, the largest over their elements."""
-    return max((float(np.maximum.reduce(np.abs(diff))) for _, diff, _ in
-                a._ranges(b, -1.0) if len(diff)), default=0.0)
+    _, diff, _ = a._combined(b, -1.0)
+    return float(np.maximum.reduce(np.abs(diff))) if len(diff) else 0.0
 
 
 def random_element(rng: np.random.Generator, spacetime: LatticeSpacetime,
-                   degree: int, n_terms: int = 6,
-                   integer: bool = False) -> AlgebraElement:
-    """Random sparse element with terms of every degree up to `degree`."""
-    dim = spacetime.data_dim
+                   degree: int, n_terms: int = 6, integer: bool = False,
+                   support=None) -> AlgebraElement:
+    """Random sparse element with terms of every degree up to `degree`, on
+    the basis indices `support` (default: all)."""
+    pool = np.arange(spacetime.data_dim) if support is None \
+        else np.asarray(support)
     terms: dict[MultiIndex, complex] = {}
     for _ in range(n_terms):
         k = int(rng.integers(0, degree + 1))
-        idx = tuple(sorted(int(i) for i in rng.integers(0, dim, size=k)))
+        idx = tuple(sorted(int(i) for i in
+                           pool[rng.integers(0, len(pool), size=k)]))
         if integer:
             c = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
             if c == 0:

@@ -86,6 +86,15 @@ CENTRAL_MOVED_MIN = 0.5
 PERT_FIRST, PERT_ROWS, PERT_SCALE = 3, 3, 0.4
 DIAMOND_SLICE, DIAMOND_LENGTH = 3, 3
 
+# each pair of the gauge suite's Leibniz check lives on this many sites
+LEIBNIZ_SITES = 2
+
+# the ccr suite takes its field pairs in batches whose products expand about
+# this many terms (about 2 MiB); the algebra kernel merges each operation's
+# terms at once, so this bounds the suite's working set: one batch of all
+# 200 pairs peaks at hundreds of MiB by 32 sites
+CCR_BATCH_TERMS = 1 << 15
+
 # the smallest (n_sites, n_steps) on which each suite's draws fit; the gauge
 # suite also smears fields with test functions, and the classifier's
 # soundness perturbation needs a slice between the clean first and last
@@ -252,8 +261,8 @@ def ccr_suite(config: RunConfig) -> dict:
     rng = _rng(config, 0)
 
     # 200 draws, taken and checked in batches whose field products expand
-    # about alg.CHUNK_TERMS terms, one pass of the kernel
-    group = max(1, alg.CHUNK_TERMS // st.data_dim ** 2)
+    # about CCR_BATCH_TERMS terms
+    group = max(1, CCR_BATCH_TERMS // st.data_dim ** 2)
     half = st.data_dim // 2
     worst = 0.0
     for start in range(0, 200, group):
@@ -324,6 +333,29 @@ def _commutator_defect(st: LatticeSpacetime, M: np.ndarray,
                for X in R)
 
 
+def _leibniz_defect(rng, st: LatticeSpacetime) -> float:
+    """The moves act on the algebra: D(ab) = D(a) b + a D(b) for each
+    rotation and shift derivation D and r(ab) = r(a) r(b) for each block
+    reflection r, so products of invariants stay invariant. Checked on 20
+    pairs (a_i, b_i) in one batch, each pair drawn on the q and p channels
+    of every species at LEIBNIZ_SITES random sites that the two share, so
+    its products contract as often on any lattice."""
+    N, channels = st.n_sites, 2 * st.n_species
+    drawn = []
+    for _ in range(20):
+        sites = rng.choice(N, size=LEIBNIZ_SITES, replace=False)
+        support = (np.arange(channels)[:, None] * N + sites).ravel()
+        drawn += [alg.random_element(rng, st, 2, 4, support=support)
+                  for _ in range(2)]
+    a, b = alg.stack(drawn[::2]), alg.stack(drawn[1::2])
+    ab, pres = a * b, gg.presentation(st)
+    return max(
+        [alg.max_coeff_diff(alg.derivation(ab, D), alg.derivation(a, D) * b
+                            + a * alg.derivation(b, D))
+         for D in pres.rotations + pres.shifts]
+        + [alg.max_coeff_diff(r(ab), r(a) * r(b)) for r in pres.reflections])
+
+
 def gauge_suite(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     rec = Recorder()
@@ -386,19 +418,9 @@ def gauge_suite(config: RunConfig) -> dict:
         worst = max(worst, kin.membership_residual(maps, basis))
     rec.below("kinematic_membership", worst, config.tol("gauge.membership"))
 
-    # the moves act on the algebra: D(ab) = D(a) b + a D(b) for each
-    # rotation and shift derivation D and r(ab) = r(a) r(b) for each block
-    # reflection r, so products of invariants stay invariant; 20 pairs
-    # (a_i, b_i), drawn in turn after the diamonds, in one batch
-    drawn = [alg.random_element(rng, st, 2, 4) for _ in range(40)]
-    a, b = alg.stack(drawn[::2]), alg.stack(drawn[1::2])
-    ab, pres = a * b, gg.presentation(st)
-    rec.below("leibniz_law", max(
-        [alg.max_coeff_diff(alg.derivation(ab, D), alg.derivation(a, D) * b
-                            + a * alg.derivation(b, D))
-         for D in pres.rotations + pres.shifts]
-        + [alg.max_coeff_diff(r(ab), r(a) * r(b)) for r in pres.reflections]),
-        config.tol("gauge.homomorphism"))
+    # drawn after the diamonds, so no earlier draw moves
+    rec.below("leibniz_law", _leibniz_defect(rng, st),
+              config.tol("gauge.homomorphism"))
 
     # multiplets: a species field's orbit spans its mass block (and the unit)
     dims = gg.multiplet_dimensions(st)

@@ -1,5 +1,6 @@
 """CCR algebra: deformed product, star, commutators, functorial lifts."""
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -562,6 +563,20 @@ def test_signed_permutation_only_relabels(massive_spacetime, rng):
         dict(image.terms), oracles.dict_substitute(dict(a.terms), M)) == 0.0
 
 
+def test_random_element_draws_on_its_support(massive_spacetime):
+    # a support confines the indices; the whole basis as the support draws
+    # what no support draws, so callers without one keep their draws
+    st_ = massive_spacetime
+    support = [3, 5, st_.data_dim // 2 + 3]
+    x = alg.random_element(np.random.default_rng(4), st_, 3, 12,
+                           support=support)
+    assert x.degree > 0 and set(x.digits[x.digits > 0] - 1) <= set(support)
+    every = alg.random_element(np.random.default_rng(4), st_, 3, 12,
+                               support=np.arange(st_.data_dim))
+    assert every.terms == alg.random_element(np.random.default_rng(4), st_,
+                                             3, 12).terms
+
+
 def test_degree_nine_product_needs_two_key_words(rng):
     # dim = 320 and degree 9: 321^9 > 2^63, so the keys that the merges
     # form take two int64 words; an element stores only its digits
@@ -596,9 +611,12 @@ def test_degree_nine_product_needs_two_key_words(rng):
 SPECTRA = ["1:2", "0:1,1:2", "1:2,2:3"]
 
 
-def _equal_bitwise(batch, singles):
-    got = list(batch.elements())
-    assert len(got) == len(singles) == batch.size
+def _equal_bitwise(batches, singles):
+    """Each element of a batch, or of a list of batches in order, has the
+    arrays of the matching single element, bit for bit."""
+    batches = batches if isinstance(batches, list) else [batches]
+    got = [el for batch in batches for el in batch.elements()]
+    assert len(got) == len(singles) == sum(batch.size for batch in batches)
     for el, one in zip(got, singles):
         for name in ("tags", "coeffs", "digits"):
             a, b = getattr(el, name), getattr(one, name)
@@ -624,12 +642,23 @@ def _pairs(st_, rng):
     ]
 
 
-@pytest.fixture(params=[False, True], ids=["one-pass", "chunked"])
-def chunking(request, monkeypatch):
-    # small chunks split each element into pieces and a batch into passes
-    if request.param:
-        monkeypatch.setattr(alg, "CHUNK_TERMS", 64)
+@pytest.fixture(params=[None, 3], ids=["one-pass", "chunked"])
+def chunking(request):
+    # the kernel merges a batch at once; a caller that bounds its working
+    # set takes the batch in parts (the ccr suite's CCR_BATCH_TERMS), and
+    # each part must give its elements what they get alone
     return request.param
+
+
+def _parts(part, *operands):
+    """The operands in parts of `part` elements (None: all at once), each
+    list of single elements stacked into a batch; arrays and slot-map
+    stacks are cut along their first axis."""
+    n = len(operands[0])
+    step = part or n
+    for lo in range(0, n, step):
+        yield tuple(alg.stack(x[lo:lo + step]) if isinstance(x, list)
+                    else x[lo:lo + step] for x in operands)
 
 
 @pytest.mark.parametrize("spec", SPECTRA)
@@ -642,29 +671,34 @@ class TestBatchedOps:
 
     def test_product_sum_scale_and_compare(self, spec, chunking):
         st_, left, right = self._setup(spec)
-        a, b = alg.stack(left), alg.stack(right)
-        _equal_bitwise(a * b, [x * y for x, y in zip(left, right)])
-        _equal_bitwise(b * a, [y * x for x, y in zip(left, right)])
-        _equal_bitwise(a + b, [x + y for x, y in zip(left, right)])
-        _equal_bitwise(a - b, [x - y for x, y in zip(left, right)])
         values = np.arange(1, len(left) + 1) * (0.5 - 0.25j)
-        _equal_bitwise(a.scale(values), [v * x for v, x in zip(values, left)])
-        _equal_bitwise(a.star(), [x.star() for x in left])
-        assert alg.max_coeff_diff(a * b, b * a) == max(
-            alg.max_coeff_diff(x * y, y * x) for x, y in zip(left, right))
+        parts = list(_parts(chunking, left, right, values))
+        _equal_bitwise([a * b for a, b, _ in parts],
+                       [x * y for x, y in zip(left, right)])
+        _equal_bitwise([b * a for a, b, _ in parts],
+                       [y * x for x, y in zip(left, right)])
+        _equal_bitwise([a + b for a, b, _ in parts],
+                       [x + y for x, y in zip(left, right)])
+        _equal_bitwise([a - b for a, b, _ in parts],
+                       [x - y for x, y in zip(left, right)])
+        _equal_bitwise([a.scale(v) for a, _, v in parts],
+                       [v * x for v, x in zip(values, left)])
+        _equal_bitwise([a.star() for a, _, _ in parts], [x.star() for x in left])
+        assert max(alg.max_coeff_diff(a * b, b * a) for a, b, _ in parts) \
+            == max(alg.max_coeff_diff(x * y, y * x) for x, y in zip(left, right))
         assert (left[4] * right[4]).terms == {}  # pruned to zero
 
     def test_batch_of_one_and_round_trip(self, spec, chunking):
         st_, left, right = self._setup(spec)
         for x, y in zip(left, right):
             _equal_bitwise(alg.stack([x]) * alg.stack([y]), [x * y])
-        _equal_bitwise(alg.stack(left), left)
+        _equal_bitwise([a for a, in _parts(chunking, left)], left)
 
     def test_fields(self, spec, chunking):
         st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spec))
         vecs = np.concatenate([random_data(np.random.default_rng(3), st_, 4),
                                np.zeros((1, st_.data_dim))])
-        _equal_bitwise(alg.fields(st_, vecs),
+        _equal_bitwise([alg.fields(st_, v) for v, in _parts(chunking, vecs)],
                        [alg.fields(st_, v) for v in vecs])
         # the `Solution` entry point of the benchmark's CCR check
         _equal_bitwise(alg.fields(st_, vecs[:1]),
@@ -682,45 +716,24 @@ class TestBatchedOps:
         consts = rng.standard_normal((len(left), dim)) * (rng.random(
             (len(left), dim)) < 0.2)
         stack_map = slot_map(np.array(mats), consts)
-        _equal_bitwise(alg.substitute_affine(alg.stack(left), stack_map),
+        _equal_bitwise([alg.substitute_affine(a, maps) for a, maps
+                        in _parts(chunking, left, stack_map)],
                        [alg.substitute_affine(x, slot_map(m, c))
                         for x, m, c in zip(left, mats, consts)])
         # one map for every element, and width-1 maps only
         one = slot_map(mats[0], consts[0])
-        _equal_bitwise(alg.substitute_affine(alg.stack(left), one),
+        _equal_bitwise([alg.substitute_affine(a, one)
+                        for a, in _parts(chunking, left)],
                        [alg.substitute_affine(x, one) for x in left])
+        # a batch with no terms at all
+        zeros = [alg.zero(st_)] * 2
+        _equal_bitwise(alg.substitute_affine(alg.stack(zeros), one),
+                       [alg.substitute_affine(x, one) for x in zeros])
         perms = slot_map(np.array([perm] * len(left)))
-        _equal_bitwise(alg.substitute_affine(alg.stack(left), perms),
+        _equal_bitwise([alg.substitute_affine(a, maps) for a, maps
+                        in _parts(chunking, left, perms)],
                        [alg.substitute_affine(x, slot_map(perm))
                         for x in left])
-
-
-def test_substitution_sizes_each_element_by_its_degree(monkeypatch):
-    # an element's fan is its map's width to the power of its degree, the
-    # largest term degree over its run of the sorted tags: 0 for an empty
-    # element, also at the end of a batch; a batch of one has the count of
-    # its trimmed digit rows
-    st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:2"))
-    elements = [alg.AlgebraElement(st_, {(1, 2, 3): 1.0, (4,): 2.0}),
-                alg.zero(st_), alg.AlgebraElement(st_, {(): 0.5, (5, 6): 1j}),
-                alg.one(st_), alg.zero(st_)]
-    slots = slot_map(_random_map(3, st_.data_dim, 0.1))
-    fans, chunked = [], alg._chunked
-
-    def spy(spacetime, size, tags, fan, expand):
-        fans.append(fan)
-        return chunked(spacetime, size, tags, fan, expand)
-
-    monkeypatch.setattr(alg, "_chunked", spy)
-    _equal_bitwise(alg.substitute_affine(alg.stack(elements), slots),
-                   [alg.substitute_affine(x, slots) for x in elements])
-    alg.substitute_affine(alg.stack([alg.zero(st_)] * 2), slots)
-    width = float(slots.widths)
-    assert width > 1
-    want = np.minimum(width ** np.array([3, 0, 2, 0, 0]),
-                      alg.CHUNK_TERMS).astype(int)
-    assert np.array_equal(fans[0], want) and fans[0].dtype == want.dtype
-    assert [fan.tolist() for fan in fans[1:]] == [[w] for w in want] + [[1, 1]]
 
 
 def test_batches_reject_mismatched_sizes_and_maps(massive_spacetime, rng):
@@ -791,174 +804,6 @@ def test_stacked_lift_checks_every_matrix(massive_spacetime, rng):
                    [lift(st_, M)(x) for M, x in zip((U, U @ U), xs)])
 
 
-# -- key-range merges: the arrays of one merge of every term -------------------
-
-def _one_merge(size, dim, runs, signs=None):
-    """`alg._merge_runs` as one range: the runs concatenated, run i times
-    signs[i], and merged at once; every key-range merge must equal it."""
-    signs = signs or [1] * len(runs)
-    tags, coeffs, digits = (np.concatenate(x, axis=-1) for x in zip(*(
-        (t, c if s == 1 else c * s, d) for (t, c, d), s in zip(runs, signs))))
-    yield alg._merge_tagged(size, tags, alg._pack(digits, dim), coeffs, digits)
-
-
-def _counting(log: list, real=alg._merge_runs):
-    """`alg._merge_runs` that logs how many key ranges each call merged."""
-    def merge_runs(*args, **kwargs):
-        ranges = list(real(*args, **kwargs))
-        log.append(len(ranges))
-        return iter(ranges)
-    return merge_runs
-
-
-def _same_bits(got, want):
-    for name in ("tags", "coeffs", "digits"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and a.dtype == b.dtype, name
-        assert a.tobytes() == b.tobytes(), name
-
-
-def _sums(a, b):
-    return [a + b, a - b, b - a] + ([a - 0.5] if a.size == 1 else [])
-
-
-def _sums_in_one_merge(a, b):
-    # a difference formulated as the sum of (-1.0) * b
-    return [a + b, a + (-1.0) * b, b + (-1.0) * a] \
-        + ([a + (-0.5)] if a.size == 1 else [])
-
-
-def _two_word_elements(rng):
-    # dim = 320: keys of degree 9 take two int64 words
-    big = LatticeSpacetime(32, 16, 0.5, MassSpectrum.parse("1:5"))
-    terms = [{tuple(sorted(rng.integers(0, 320, size=int(rng.integers(5, 10))))):
-              complex(*rng.standard_normal(2)) for _ in range(40)}
-             for _ in range(2)]
-    shared = dict(list(terms[0].items())[::2])  # keys the two share
-    return [alg.AlgebraElement(big, terms[0]),
-            alg.AlgebraElement(big, {**terms[1], **shared})]
-
-
-@pytest.fixture
-def small_ranges(monkeypatch):
-    # pieces and key ranges of a few terms, so every merge below is split
-    monkeypatch.setattr(alg, "CHUNK_TERMS", 16)
-    return monkeypatch
-
-
-class TestKeyRangeMerges:
-    """Each merge by key range gives, array for array and bit for bit, what
-    one merge of all the terms gives."""
-
-    @staticmethod
-    def _operands(rng):
-        st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("0:1,1:2"))
-        left = [alg.random_element(rng, st_, d, 30) for d in (4, 3, 1, 4)]
-        # partly shared keys, so equal keys across the operands sum
-        right = [alg.random_element(rng, st_, d, 25) + 0.5 * x
-                 for d, x in zip((2, 4, 4, 0), left)]
-        phi = alg.fields(st_, random_data(rng, st_))
-        zero = alg.zero(st_)
-        return [
-            (alg.stack(left), alg.stack(right)),       # batches
-            (left[0], phi),                              # heights 4 and 1
-            (left[2], left[0]),                          # heights 1 and 4
-            (left[0], zero), (zero, left[1]), (zero, zero),
-            tuple(_two_word_elements(rng)),
-        ]
-
-    def test_sums_differences_and_comparisons(self, small_ranges, rng):
-        cases, log = self._operands(rng), []
-        small_ranges.setattr(alg, "_merge_runs", _counting(log))
-        got = [(_sums(a, b), alg.max_coeff_diff(a, b),
-                alg.max_coeff_diff(b, a)) for a, b in cases]
-        # the sums of the non-zero operands went by several key ranges
-        assert sorted(log)[-len(cases):][0] > 1 and max(log) > 3
-        small_ranges.setattr(alg, "_merge_runs", _one_merge)
-        for (a, b), (sums, ab, ba) in zip(cases, got):
-            for el, want in zip(sums, _sums_in_one_merge(a, b)):
-                _same_bits(el, want)
-            assert ab == alg.max_coeff_diff(a, b)
-            assert ba == alg.max_coeff_diff(b, a)
-        assert alg.max_coeff_diff(*cases[-2]) == 0.0
-
-    def test_split_products_substitutions_and_derivations(self, small_ranges,
-                                                          rng):
-        (a, b), (x, _), *_, (p, q) = self._operands(rng)
-        st_, dim = a.spacetime, a.dim
-        pres = gg.presentation(st_)
-        perm = np.zeros((dim, dim))
-        perm[rng.permutation(dim), np.arange(dim)] = rng.choice([-1.0, 1.0],
-                                                                dim)
-        ops = [lambda: a * b, lambda: x * x, lambda: p * q,
-               lambda: alg.derivation(a, pres.rotations[0]),
-               lambda: alg.derivation(x, pres.rotations[0]),
-               lambda: alg.derivation(a, pres.shifts[0]),
-               lambda: alg.substitute_affine(a, slot_map(
-                   _random_map(5, dim, 0.05))),
-               lambda: alg.substitute_affine(a, slot_map(perm))]
-        for op in ops:
-            log = []
-            small_ranges.setattr(alg, "_merge_runs", _counting(log))
-            got = op()
-            assert log and max(log) > 1  # several pieces, several ranges
-            small_ranges.setattr(alg, "_merge_runs", _one_merge)
-            _same_bits(got, op())
-
-
-def test_chunked_passes_follow_the_pass_rule(monkeypatch):
-    # `_chunked` alone cuts elements into pieces and gathers the pieces into
-    # passes; with an expand that returns its own input, the ranges it asks
-    # for must tile the batch by the pass rule and give the batch back
-    chunk = 16
-    monkeypatch.setattr(alg, "CHUNK_TERMS", chunk)
-    st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("0:1,1:2"))
-    rng = np.random.default_rng(5)
-    # (terms, fan): fan 0 with three pieces, fan above CHUNK_TERMS (one term
-    # a piece), an empty element, and elements of several pieces that start
-    # in the middle of a pass
-    shape = [(1, 1), (12, 3), (40, 0), (0, 2), (3, 20), (25, 1), (2, 5),
-             (9, 4), (1, 1), (7, 2), (30, 3)]
-    elements = [alg.zero(st_) if not n else alg.AlgebraElement(
-        st_, {(i, (7 * i + 3) % 48): complex(*rng.standard_normal(2))
-              for i in range(n)}) for n, _ in shape]
-    batch, fan = alg.stack(elements), np.array([f for _, f in shape])
-    ranges = []
-
-    def expand(lo, hi):
-        ranges.append((lo, hi))
-        return batch.tags[lo:hi], batch.digits[:, lo:hi], batch.coeffs[lo:hi]
-
-    _same_bits(alg._chunked(st_, batch.size, batch.tags, fan, expand), batch)
-    n = len(batch.coeffs)
-    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
-    assert ranges[-1][1] == n and all(lo < hi for lo, hi in ranges)
-    bounds = np.searchsorted(batch.tags, np.arange(batch.size + 1))
-    step = np.maximum(1, chunk // np.maximum(1, fan))
-    work = []
-    for lo, hi in ranges:
-        pieces = []
-        for t, (first, last) in enumerate(zip(bounds[:-1], bounds[1:])):
-            a, b = max(lo, first), min(hi, last)
-            if a >= b:
-                continue
-            # cut only at multiples of its step from the element's first term
-            assert (a - first) % step[t] == 0 or a == first
-            assert (b - first) % step[t] == 0 or b == last
-            # one piece of the element at most
-            assert (a - first) // step[t] == (b - 1 - first) // step[t]
-            pieces.append((b - a) * fan[t])
-        assert len(pieces) == 1 or sum(pieces) <= chunk
-        work.append(sum(pieces))
-    # a pass ends only before a later piece of an element or a piece that
-    # does not fit
-    for (_, hi), before in zip(ranges[:-1], work[:-1]):
-        t = int(batch.tags[hi])
-        piece = min(hi + step[t], bounds[t + 1]) - hi
-        assert hi > bounds[t] or before + piece * fan[t] > chunk
-    assert len(ranges) < n  # pieces of several terms, passes of several
-
-
 class TestCcrSuiteMutants:
     # each mutant of the batched kernel must fail the ccr suite
     def test_tag_dropping_merge(self, monkeypatch):
@@ -988,3 +833,17 @@ class TestCcrSuiteMutants:
         result = ccr_suite(RunConfig(spectrum="1:2", seed=62))
         assert result["status"] == "fail"
         assert result["residuals"]["ccr_relations"] > 1.0
+
+
+def test_ccr_suite_bounds_its_batches():
+    # the kernel merges each operation at once, so the ccr suite's batch
+    # rule (CCR_BATCH_TERMS) is what bounds its working set: at 16 sites it
+    # peaks near 3.3 MiB, where one batch of all 200 pairs takes 83 MiB
+    tracemalloc.start()
+    try:
+        result = ccr_suite(RunConfig(spectrum="1:2", n_sites=16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["status"] == "pass"
+    assert peak < 12 * 2 ** 20

@@ -236,15 +236,20 @@ class TestGoldenComparison:
             "suites[gauge].residuals.naturality_translations_exact "
             "golden=0.0 fresh=1e-300"]
 
-    def test_regeneration_keeps_roundoff_inside_the_band(self):
-        # scripts/make_golden_reports.py moves a golden's measured residual
-        # only when the fresh value leaves the band; exact checks, new keys
-        # and changed thresholds always take the fresh value
+    @staticmethod
+    def _golden_script():
         spec = importlib.util.spec_from_file_location(
             "make_golden_reports",
             GOLDEN_DIR.parent.parent / "scripts" / "make_golden_reports.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_regeneration_keeps_roundoff_inside_the_band(self):
+        # scripts/make_golden_reports.py moves a golden's measured residual
+        # only when the fresh value leaves the band; exact checks, new keys
+        # and changed thresholds always take the fresh value
+        script = self._golden_script()
         golden = self._golden()
         fresh = copy.deepcopy(golden)
         gauge, classify = fresh["suites"][1], fresh["suites"][-1]
@@ -263,6 +268,25 @@ class TestGoldenComparison:
             **res, "soundness_null_energy": g_value}
         assert res["so_representation"] != g_res["so_representation"]
         assert kept["suites"][1]["residuals"] == gauge["residuals"]
+
+    def test_regeneration_takes_every_lower_bound_value(self):
+        # a value held above its threshold is no roundoff: inside the band
+        # it still takes the fresh value, while a residual held below its
+        # threshold in the same suite keeps the golden's
+        golden = self._golden()
+        fresh = copy.deepcopy(golden)
+        obs = next(s for s in fresh["suites"] if s["name"] == "observables")
+        res, g_res = obs["residuals"], dict(obs["residuals"])
+        assert "mass_mixing_residual" in suites.LOWER_BOUNDS \
+            and "bilinear_invariance" not in suites.LOWER_BOUNDS
+        res["mass_mixing_residual"] *= 0.5
+        res["bilinear_invariance"] *= 1.5
+        for key in ("mass_mixing_residual", "bilinear_invariance"):
+            assert serialize.in_golden_band(g_res[key], res[key])
+        kept = self._golden_script().keep_golden_roundoff(golden, fresh)
+        got = next(s for s in kept["suites"] if s["name"] == "observables")
+        assert got["residuals"] == {
+            **g_res, "mass_mixing_residual": 0.5 * g_res["mass_mixing_residual"]}
 
     def test_residual_keys_and_config_compared(self):
         golden = self._golden()

@@ -8,6 +8,7 @@ import pytest
 from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
+from lcqft import suites
 from lcqft.errors import NotOrthogonal, SpectrumMismatch
 from lcqft.kinematics import region_solution_basis, solution_map
 from lcqft.spacetime import (
@@ -554,6 +555,24 @@ def test_leibniz_law_catches_a_faulty_move(owner, name, mutant, monkeypatch):
         gg.presentation.cache_clear()
     assert result["status"] == "fail"
     assert result["residuals"]["leibniz_law"] > 0.1
+
+
+def test_leibniz_law_keeps_its_power_on_large_lattices(monkeypatch):
+    # each pair is drawn on a few sites it shares, so its products contract
+    # as often at 64 sites as at 8, and the symmetric-rotation mutant reads
+    # as much on both (in the suite, draws spread over all of `dim` read
+    # medians of 3.39 at 8 sites and 0.96 at 64, seeds 0-9)
+    monkeypatch.setattr(gg, "rotation_generators", _symmetric_rotations(
+        gg.rotation_generators))
+    gg.presentation.cache_clear()
+    try:
+        medians = {n: np.median([
+            suites._leibniz_defect(np.random.default_rng(seed), RunConfig(
+                spectrum="1:2", n_sites=n).spacetime()) for seed in range(10)])
+            for n in (8, 64)}
+    finally:
+        gg.presentation.cache_clear()
+    assert medians[8] > 1.0 and medians[64] >= 0.5 * medians[8]
 
 
 def _scaled(T, st_):
