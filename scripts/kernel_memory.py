@@ -66,13 +66,14 @@ def measure(op) -> tuple[float, float]:
 def main():
     st = LatticeSpacetime(SITES, STEPS, DT, MassSpectrum.parse(SPECTRUM))
     rng = np.random.default_rng(SEED)
-    pres = gg.presentation(st)
+    derivations, reflections = gg.presentation(st).algebra_slots
     a, b = generator(rng, st), generator(rng, st)
     prod = a * b
     ops = {
         "product": lambda: a * b,
-        "derivation": lambda: alg.derivation(prod, pres.rotations[0]),
-        "reflection": lambda: pres.reflections[0](prod) - prod,
+        "derivation": lambda: alg.derivation(prod, derivations[0]),
+        "reflection": lambda: alg.substitute_affine(prod, reflections[0])
+        - prod,
         "invariance": lambda: obs.invariant_projection_check(prod),
     }
     print(f"spectrum {SPECTRUM}, N={SITES}, seed {SEED}: generators of "

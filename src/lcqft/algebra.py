@@ -137,17 +137,12 @@ def _merge(keys: np.ndarray, coeffs: np.ndarray, *arrays: np.ndarray):
 
 
 def _merge_tagged(size: int, tags: np.ndarray, keys: np.ndarray,
-                  coeffs: np.ndarray, *arrays: np.ndarray, need=None):
+                  coeffs: np.ndarray, *arrays: np.ndarray):
     """_merge with the tag as the most significant key word, left out for a
-    batch of one: (tags, coeffs, *arrays). The terms of tags t with
-    `need[t]` false keep their order unsummed (`keys` is overwritten)."""
+    batch of one: (tags, coeffs, *arrays)."""
     if size == 1:  # tags all 0
         coeffs, *arrays = _merge(keys, coeffs, *arrays)
         return (np.zeros(len(coeffs), np.uint8), coeffs, *arrays)
-    if need is not None and not need.all():
-        hold = ~need[tags]
-        keys[:, hold] = 0
-        keys[-1, hold] = np.flatnonzero(hold)
     coeffs, tags, *arrays = _merge(np.vstack([tags, keys]), coeffs, tags,
                                    *arrays)
     return (tags, coeffs, *arrays)
@@ -424,21 +419,17 @@ class AlgebraElement:
                 p, k = np.divmod(hit, len(right) * len(coef))
                 q, k = np.divmod(k, len(coef))
                 r += 1
-                before = np.bincount(tags, minlength=self.size)
                 coef = coef[k] * np.where(left[p, k] > half, -0.5j, 0.5j)
                 tags = tags[k]
                 left, right = _drop(left, k, p), _drop(right, k, q)
-                # equal remainders are merged in an element whose terms
-                # multiplied and from level 2 on, where the r! orders of
-                # each set of contractions meet: the 1/r! of the Moyal sum
-                # then divides one sum, exact on integer data
-                need = (np.bincount(tags, minlength=self.size) > before) \
-                    | (r > 1)
-                if need.any():
-                    tags, coef, left, right = _merge_tagged(
-                        self.size, tags, np.concatenate(
-                            [_pack(left, dim), _pack(right, dim)]),
-                        coef, left, right, need=need)
+                # equal remainders are merged at every level; from level 2
+                # on the r! orders of each set of contractions meet there,
+                # so the 1/r! of the Moyal sum divides one sum, exact on
+                # integer data
+                tags, coef, left, right = _merge_tagged(
+                    self.size, tags, np.concatenate(
+                        [_pack(left, dim), _pack(right, dim)]),
+                    coef, left, right)
             return (np.concatenate(out_tags),
                     np.concatenate(out_digits, axis=1),
                     np.concatenate(out_coeffs))
@@ -501,15 +492,6 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def monomial(spacetime: LatticeSpacetime, indices: Iterable[int],
              coeff: complex = 1.0) -> AlgebraElement:
     return AlgebraElement(spacetime, {tuple(sorted(indices)): complex(coeff)})
-
-
-def degree1_vector(a: AlgebraElement) -> np.ndarray:
-    """Coefficient vector of the degree-1 component."""
-    vec = np.zeros(a.dim, dtype=complex)
-    one_slot = a.term_degrees() == 1
-    if one_slot.any():
-        vec[a.digits[-1, one_slot] - 1] = a.coeffs[one_slot]
-    return vec
 
 
 # -- affine substitution and derivations --------------------------------------

@@ -10,25 +10,25 @@ is the algebra homomorphism
 
 with <l, phi> = sigma(l . phi_0, unit constant) = -sum_x l . p_0(x), the
 row l @ shift_functionals(st) against phi's data vector. `QuantumAction` is
-the one entry to zeta.
+the one entry to zeta of a group element.
 
 Whole-group properties are checked on one exact presentation
-(`presentation`): the derivations of the in-block rotation generators and of
-the shift directions, and one reflection per mass block. A *-homomorphism
-with linear map M on the fields intertwines the action iff M commutes with
-the species maps of the generators and reflections and keeps the shift
-functionals. Group elements are sampled (`random_gauge`) only where the
-group law itself is under test.
+(`presentation`), as matrices: the species matrices of the in-block rotation
+generators and of one reflection per mass block, and the shift functionals.
+A *-homomorphism with linear map M on the fields intertwines the action iff
+M commutes with those species maps and keeps the shift functionals. Group
+elements are sampled (`random_gauge`) only where the group law itself is
+under test.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import (AlgebraElement, SlotMap, degree1_vector, derivation,
-                      fields, slot_maps, substitute_affine)
+from .algebra import (AlgebraElement, SlotMap, derivation, slot_maps,
+                      substitute_affine)
 from .dynamics import delta_test_function, propagate_sources
 from .errors import NotOrthogonal, SpectrumMismatch
 from .spacetime import LatticeSpacetime, MassSpectrum
@@ -229,68 +229,96 @@ def rotation_generators(spectrum: MassSpectrum) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Presentation:
-    """A finite set that fixes the action of the whole group on the algebra:
-    the derivation of each in-block rotation generator (the identity
-    component of O(nu)), the derivation of each massless shift direction
-    e_j (the R^{nu(0)*} factor), and one reflection per mass block (the
-    other components). An element is fixed by the group iff every move
-    (`moves`) annihilates it, and a linear map intertwines the action iff it
-    commutes with every move."""
+    """A finite set of moves that fixes the action of the whole group: the
+    in-block rotation generators (the identity component of O(nu)), the
+    massless shift directions e_j (the R^{nu(0)*} factor) and one reflection
+    per mass block (the other components). An element is fixed by the group
+    iff every move annihilates it (`moves`, on the algebra)."""
 
-    generators: np.ndarray                 # (n_so, |nu|, |nu|)
-    rotations: tuple[SlotMap, ...]         # one per generator
-    shifts: tuple[SlotMap, ...]            # one per massless species
-    reflections: tuple[QuantumAction, ...]  # one per mass block
+    spacetime: LatticeSpacetime
+    generators: np.ndarray   # (n_so, |nu|, |nu|), `rotation_generators`
+    reflections: np.ndarray  # (B, |nu|, |nu|), `block_reflections`
+    shifts: np.ndarray       # (nu(0), dim), `shift_functionals`
+
+    @property
+    def species(self) -> np.ndarray:
+        """The generators, then the reflections."""
+        return np.concatenate([self.generators, self.reflections])
+
+    def defect(self, M: np.ndarray) -> float:
+        """max |M X - X M| over the species maps X of `species`, one at a
+        time, applied to M's columns and rows by `species_action`: zero iff
+        the linear map M (dim, dim) commutes with the orthogonal factor."""
+        st = self.spacetime
+        return max((float(np.max(np.abs(species_action(st, X.T, M)
+                                        - species_action(st, X, M.T).T)))
+                    for X in self.species), default=0.0)
+
+    @cached_property
+    def algebra_slots(self) -> tuple[tuple[SlotMap, ...], tuple[SlotMap, ...]]:
+        """The slot maps of the derivations (each generator, then each
+        shift d/dlambda zeta(1, lambda e_j) at 0: no linear part, <e_j, .>
+        as constants) and of the reflections. Built on first use, by the
+        checks about the algebra only."""
+        st, n_so = self.spacetime, len(self.generators)
+        n0, B = len(self.shifts), len(self.reflections)
+        slots = species_slot_maps(
+            st, np.concatenate([self.generators,
+                                np.zeros((n0, *self.generators.shape[1:])),
+                                self.reflections]),
+            np.concatenate([np.zeros((n_so, st.data_dim)), self.shifts,
+                            np.zeros((B, st.data_dim))]))
+        slots = [slots[i] for i in range(n_so + n0 + B)]
+        return tuple(slots[:n_so + n0]), tuple(slots[n_so + n0:])
 
     def moves(self, a: AlgebraElement):
         """The derivation of a by each rotation and shift direction, then
         zeta(r) a - a for each reflection r; all linear in a."""
-        for slots in self.rotations + self.shifts:
+        derivations, reflections = self.algebra_slots
+        for slots in derivations:
             yield derivation(a, slots)
-        for reflection in self.reflections:
-            yield reflection(a) - a
+        for slots in reflections:
+            yield substitute_affine(a, slots) - a
 
 
 @lru_cache(maxsize=32)
 def presentation(spacetime: LatticeSpacetime) -> Presentation:
-    """The rotations are the species matrices of `rotation_generators`; the
-    shift in direction e_j, the derivation d/dlambda zeta(1, lambda e_j) at
-    0, has no linear part and the shift functional <e_j, .> as constants.
-    Built once per spacetime; every caller shares it and writes nothing."""
-    generators = rotation_generators(spacetime.spectrum)
-    n0 = spacetime.spectrum.massless_count
-    rotations = species_slot_maps(spacetime, generators)
-    shifts = species_slot_maps(
-        spacetime, np.zeros((n0, *generators.shape[1:])),
-        shift_functionals(spacetime))
+    """The moves of `spacetime`, built once per spacetime; every caller
+    shares them and writes nothing."""
+    S = spacetime.n_species
     return Presentation(
-        generators, tuple(rotations[i] for i in range(len(generators))),
-        tuple(shifts[j] for j in range(n0)),
-        tuple(QuantumAction(g, spacetime)
-              for g in block_reflections(spacetime.spectrum)))
+        spacetime, rotation_generators(spacetime.spectrum),
+        np.reshape([g.species_matrix()
+                    for g in block_reflections(spacetime.spectrum)], (-1, S, S)),
+        shift_functionals(spacetime))
 
 
 # -- multiplets ---------------------------------------------------------------------
 
 def multiplet_dimensions(spacetime: LatticeSpacetime) -> list[int]:
     """Per mass block, the dimension of the span of one propagated field of
-    the block's first species, closed under the presentation, in
-    (degree1_vector, unit coefficient) coordinates: nu(m) for a massive
-    block, nu(0) + 1 for the massless one, whose shifts reach the unit."""
+    the block's first species, closed under the presentation on vectors
+    (v, c) of (field, unit coefficient): X moves it to (X v, 0), e_j to
+    (0, <e_j, v>), R to (R v - v, 0). That is nu(m) for a massive block,
+    nu(0) + 1 for the massless one, whose shifts reach the unit."""
     pres = presentation(spacetime)
+    dim, n_so = spacetime.data_dim, len(pres.generators)
     out = []
     for _, block in spacetime.spectrum.block_slices():
         source = delta_test_function(spacetime, block.start, 1, 0).values
-        seed = fields(spacetime, np.concatenate(
-            propagate_sources(spacetime, source)).ravel())
-        scale = np.linalg.norm(degree1_vector(seed))
-        todo, rows = [seed], np.zeros((0, spacetime.data_dim + 1), complex)
+        seed = np.concatenate(propagate_sources(spacetime, source)).ravel()
+        scale = np.linalg.norm(seed)
+        todo, rows = [np.append(seed, 0.0)], np.zeros((0, dim + 1), complex)
         while todo:
-            a = todo.pop()
-            v = np.append(degree1_vector(a), a.coefficient(()))
-            v = v - rows.T @ (rows.conj() @ v)
-            if np.linalg.norm(v) > MULTIPLET_RANK_TOL * scale:
-                rows = np.vstack([rows, v / np.linalg.norm(v)])
-                todo.extend(pres.moves(a))
+            v = todo.pop()
+            w = v - rows.T @ (rows.conj() @ v)
+            if np.linalg.norm(w) > MULTIPLET_RANK_TOL * scale:
+                rows = np.vstack([rows, w / np.linalg.norm(w)])
+                field = v[:dim]
+                moved = species_action(spacetime, pres.species, field)
+                moved[n_so:] -= field
+                todo += [np.append(x, 0.0) for x in moved]
+                todo += [np.append(np.zeros(dim), c)
+                         for c in pres.shifts @ field]
         out.append(len(rows))
     return out

@@ -10,8 +10,9 @@ quotient current algebra.
 
 The suite reads invariance off forms: sum_i Phi(u_i) Phi(v_i) is the
 degree-2 part sum_jk C_jk e_j e_k with C = sym(sum_i u_i v_i^T), plus a unit
-part that no move of `gauge.presentation` moves. `form_residual` is zero iff
-the whole gauge group O(nu) x| R^{nu(0)*} fixes the element;
+part that no move of `gauge.presentation` moves. `form_residual`, the
+presentation's commutator defect of C and the shift vectors 2 C l_j, is zero
+iff the whole gauge group O(nu) x| R^{nu(0)*} fixes the element;
 `invariant_projection_check` is the same test on the algebra kernel.
 """
 from __future__ import annotations
@@ -75,22 +76,14 @@ def symmetric_form(us, vs) -> np.ndarray:
 
 def form_residual(spacetime: LatticeSpacetime, C: np.ndarray) -> float:
     """The largest entry of the moves of an element with form C and no
-    degree-1 part: X C + C X^T for each rotation generator X, R C R^T - C for
-    each block reflection R, and the degree-1 vector 2 C l_j for each shift
-    functional l_j. A form entry off the diagonal is half its monomial's
-    coefficient, so this lies within [1/2, 1] of
-    `invariant_projection_check`."""
-    worst = 2.0 * float(np.max(
-        np.abs(C @ gg.shift_functionals(spacetime).T), initial=0.0))
-    for X in gg.rotation_generators(spacetime.spectrum):
-        CX = gg.species_action(spacetime, X, C)  # C X^T
-        worst = max(worst, float(np.max(np.abs(CX + CX.T))))
-    for g in gg.block_reflections(spacetime.spectrum):
-        R = g.species_matrix()
-        RCR = gg.species_action(spacetime, R,
-                                gg.species_action(spacetime, R, C).T)
-        worst = max(worst, float(np.max(np.abs(RCR - C))))
-    return worst
+    degree-1 part: X C - C X for each species map X of the presentation
+    (up to sign, the forms X C + C X^T and R C R^T - C), and the degree-1
+    vector 2 C l_j for each shift functional l_j. A form entry off the
+    diagonal is half its monomial's coefficient, so this lies within
+    [1/2, 1] of `invariant_projection_check`."""
+    pres = gg.presentation(spacetime)
+    return max(pres.defect(C), 2.0 * float(np.max(np.abs(C @ pres.shifts.T),
+                                                  initial=0.0)))
 
 
 def central_commutator(spacetime: LatticeSpacetime, C: np.ndarray,
@@ -105,7 +98,9 @@ def affine_derivative(a: AlgebraElement, direction: int) -> AlgebraElement:
     """d/dlambda of zeta(1, lambda e_j^*) a at lambda = 0."""
     if a.spacetime.spectrum.massless_count == 0:
         raise NoMasslessSpecies("affine directions need nu(0) > 0")
-    return derivation(a, gg.presentation(a.spacetime).shifts[direction])
+    pres = gg.presentation(a.spacetime)
+    return derivation(a, pres.algebra_slots[0][len(pres.generators)
+                                               + direction])
 
 
 def invariant_projection_check(a: AlgebraElement, degree_cap: int = 4

@@ -5,15 +5,15 @@ reports residuals; the runner assembles the versioned JSON report.
 
 Every whole-group property (naturality, vacuum invariance, rce
 intertwining, diamond membership, observables, multiplets) is checked on the
-exact presentation of `gauge.presentation`; random group elements appear
-only in the gauge suite's homomorphism check, which tests the group law
-itself. The linear identities are read off matrices, as a *-homomorphism is
-fixed by its map on the fields: naturality off each translation's solution
-map, rce intertwining off the dense maps of rce[v], vacuum invariance off
-the two-point kernel, each commuting with the species maps of the
-presentation (`_commutator_defect`); diamond membership off those species
-maps; the observables off their symmetric forms (`observables`). The rce
-and observables suites build no algebra element.
+one exact presentation of `gauge.presentation`; random group elements
+appear only in the gauge suite's homomorphism check, which tests the group
+law itself. The linear identities are read off matrices, as a
+*-homomorphism is fixed by its map on the fields: naturality off each
+translation's solution map, rce intertwining off the dense maps of rce[v],
+vacuum invariance off the two-point kernel, each commuting with the species
+maps of the presentation (`gauge.Presentation.defect`); diamond membership
+off those species maps; the observables off their symmetric forms
+(`observables`). The rce and observables suites build no algebra element.
 
 Suites draw randomness from independent counter-based streams derived from
 the master seed, so a report is byte-identical across reruns on one build and
@@ -316,23 +316,6 @@ def ccr_suite(config: RunConfig) -> dict:
     return rec.result("ccr", time.perf_counter() - t0)
 
 
-def _move_species(st: LatticeSpacetime) -> np.ndarray:
-    """The species matrices (n, |nu|, |nu|) of the presentation's rotation
-    generators, then of its block reflections."""
-    return np.concatenate([gg.rotation_generators(st.spectrum)]
-                          + [[g.species_matrix()]
-                             for g in gg.block_reflections(st.spectrum)])
-
-
-def _commutator_defect(st: LatticeSpacetime, M: np.ndarray,
-                       R: np.ndarray) -> float:
-    """max |M X - X M| over the species maps X of R (n, |nu|, |nu|), one at
-    a time, applied to M's columns and rows by `gauge.species_action`."""
-    return max(float(np.max(np.abs(gg.species_action(st, X.T, M)
-                                   - gg.species_action(st, X, M.T).T)))
-               for X in R)
-
-
 def _leibniz_defect(rng, st: LatticeSpacetime) -> float:
     """The moves act on the algebra: D(ab) = D(a) b + a D(b) for each
     rotation and shift derivation D and r(ab) = r(a) r(b) for each block
@@ -348,12 +331,13 @@ def _leibniz_defect(rng, st: LatticeSpacetime) -> float:
         drawn += [alg.random_element(rng, st, 2, 4, support=support)
                   for _ in range(2)]
     a, b = alg.stack(drawn[::2]), alg.stack(drawn[1::2])
-    ab, pres = a * b, gg.presentation(st)
+    ab, (derivations, reflections) = a * b, gg.presentation(st).algebra_slots
+    r = alg.substitute_affine
     return max(
         [alg.max_coeff_diff(alg.derivation(ab, D), alg.derivation(a, D) * b
-                            + a * alg.derivation(b, D))
-         for D in pres.rotations + pres.shifts]
-        + [alg.max_coeff_diff(r(ab), r(a) * r(b)) for r in pres.reflections])
+                            + a * alg.derivation(b, D)) for D in derivations]
+        + [alg.max_coeff_diff(r(ab, R), r(a, R) * r(b, R))
+           for R in reflections])
 
 
 def gauge_suite(config: RunConfig) -> dict:
@@ -386,13 +370,13 @@ def gauge_suite(config: RunConfig) -> dict:
     # permute and negate entries) and ells T = ells; A(psi) needs T
     # symplectic, and its defect is read relative to max(1, max|T|)^2, the
     # scale of the rounding in T^T J T, as T's entries grow with the mass
-    R = _move_species(st)
-    ells, J = gg.shift_functionals(st), dyn.symplectic_matrix(st)
+    pres = gg.presentation(st)
+    ells, J = pres.shifts, dyn.symplectic_matrix(st)
     exact_worst = float_worst = 0.0
     for dx in range(st.n_sites):
         for dt_steps in (0, 1, 2, -1):
             T = kin.solution_map(translation(st, dt_steps, dx))
-            exact_worst = max(exact_worst, _commutator_defect(st, T, R))
+            exact_worst = max(exact_worst, pres.defect(T))
             float_worst = max(
                 float_worst, float(np.max(np.abs(T.T @ J @ T - J)))
                 / max(1.0, float(np.max(np.abs(T)))) ** 2,
@@ -404,7 +388,8 @@ def gauge_suite(config: RunConfig) -> dict:
 
     # kinematic diamond subalgebras are mapped into themselves: each move's
     # linear part (shifts have none) keeps the diamond's solution space
-    maps = gg.species_action(st, R[:, None], np.eye(st.data_dim)).swapaxes(1, 2)
+    maps = gg.species_action(st, pres.species[:, None],
+                             np.eye(st.data_dim)).swapaxes(1, 2)
     worst = 0.0
     for d in range(5):
         base_slice = DIAMOND_SLICE + int(rng.integers(0, max(1, st.n_steps - 6)))
@@ -452,20 +437,19 @@ def rce_suite(config: RunConfig) -> dict:
 
     # intertwining with the orthogonal gauge factor: the lift of M commutes
     # with it iff M commutes with each move's species map
-    R = _move_species(st)
-    rec.below("intertwining",
-              max(_commutator_defect(st, M, R) for M in maps),
+    pres = gg.presentation(st)
+    rec.below("intertwining", max(map(pres.defect, maps)),
               config.tol("rce.intertwine"))
 
     # for gradient-kind perturbations the full group intertwines: M_g also
     # keeps the massless charges <e_j, .>, as rows ells M_g = ells
     if spectrum.massless_count:
-        ells = gg.shift_functionals(st)
+        ells = pres.shifts
         worst = 0.0
         worst_ell = 0.0
         for _ in range(3):
             M_g = dyn.rce_matrix(_random_perturbation(rng, st, kind="gradient"))
-            worst = max(worst, _commutator_defect(st, M_g, R))
+            worst = max(worst, pres.defect(M_g))
             worst_ell = max(worst_ell,
                             float(np.max(np.abs(ells @ M_g - ells))))
         rec.below("intertwining_full_group_gradient", max(worst, worst_ell),
@@ -535,7 +519,7 @@ def state_suite(config: RunConfig) -> dict:
     # generator and X^T mu X = mu for each block reflection; X is skew,
     # resp. orthogonal, so both say that X commutes with mu
     rec.below("vacuum_gauge_invariance",
-              _commutator_defect(st, vac.mu, _move_species(st)),
+              gg.presentation(st).defect(vac.mu),
               config.tol("state.invariance"))
 
     # the one-point function is linear: read it on the basis fields

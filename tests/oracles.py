@@ -20,7 +20,8 @@ its affine functionals, null energies sampled on evolved solutions for its
 constraints, its soundness check evolved one solution at a time, a dense
 Taylor exponential, Kronecker products for the dense matrix of a gauge
 species matrix, and an all-pairs compare of the mode frequencies for mass
-collisions. The functorial lift of a symplectic map onto the algebra
+collisions, and the closure of a multiplet on degree-1 algebra elements
+under the presentation's algebra moves. The functorial lift of a symplectic map onto the algebra
 (`lift`) lives here too: no suite needs it, and the tests check the
 suites' linear criteria against it.
 """
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from lcqft._linalg import nullspace
-from lcqft.algebra import SlotMap, slot_maps, substitute_affine
+from lcqft.algebra import SlotMap, fields, slot_maps, substitute_affine
 from lcqft.classify import _apply, _mode_exp
 from lcqft.dynamics import (
     Perturbation,
     data_from_vec,
+    delta_test_function,
     evolve_data,
     null_derivatives,
     one_step_matrix,
@@ -45,7 +47,8 @@ from lcqft.dynamics import (
     symplectic_matrix,
 )
 from lcqft.errors import LcqftError, SpaceMismatch
-from lcqft.gauge import block_reflections, rotation_generators, so_basis
+from lcqft.gauge import (MULTIPLET_RANK_TOL, block_reflections, presentation,
+                         rotation_generators, so_basis)
 from lcqft.spacetime import LatticeSpacetime, Region
 from lcqft.states import mode_frequencies
 
@@ -920,3 +923,39 @@ def looped_reflection_residual(st: LatticeSpacetime,
             res = max(res, float(np.max(np.abs(null_energy_grid(
                 st, species_on_data(st, g.species_matrix()) @ phi) - base))))
     return res
+
+
+# -- multiplets on the algebra --------------------------------------------------------
+
+def degree1_vector(a) -> np.ndarray:
+    """Coefficient vector of the degree-1 component of an algebra element."""
+    vec = np.zeros(a.dim, dtype=complex)
+    one_slot = a.term_degrees() == 1
+    if one_slot.any():
+        vec[a.digits[-1, one_slot] - 1] = a.coeffs[one_slot]
+    return vec
+
+
+def algebra_multiplet_dimensions(st: LatticeSpacetime) -> list[int]:
+    """`gauge.multiplet_dimensions` on the algebra: per mass block, the span
+    of one propagated field of the block's first species as an algebra
+    element, closed under the moves of the presentation (derivations and
+    reflections on the kernel), in (degree1_vector, unit coefficient)
+    coordinates."""
+    pres = presentation(st)
+    out = []
+    for _, block in st.spectrum.block_slices():
+        source = delta_test_function(st, block.start, 1, 0).values
+        seed = fields(st, np.concatenate(
+            propagate_sources(st, source)).ravel())
+        scale = np.linalg.norm(degree1_vector(seed))
+        todo, rows = [seed], np.zeros((0, st.data_dim + 1), complex)
+        while todo:
+            a = todo.pop()
+            v = np.append(degree1_vector(a), a.coefficient(()))
+            v = v - rows.T @ (rows.conj() @ v)
+            if np.linalg.norm(v) > MULTIPLET_RANK_TOL * scale:
+                rows = np.vstack([rows, v / np.linalg.norm(v)])
+                todo.extend(pres.moves(a))
+        out.append(len(rows))
+    return out

@@ -406,7 +406,7 @@ class TestCentreAtLowDegree:
         # sigma is nondegenerate on the represented subspace
         st_ = massive_spacetime
         x = alg.random_element(rng, st_, 1, 3)
-        if np.abs(alg.degree1_vector(x)).max() < 0.1:
+        if np.abs(oracles.degree1_vector(x)).max() < 0.1:
             x = x + alg.monomial(st_, (0,), 1.0)
         failures = 0
         for i in range(st_.data_dim):
@@ -809,10 +809,10 @@ class TestCcrSuiteMutants:
     def test_tag_dropping_merge(self, monkeypatch):
         real = alg._merge_tagged
 
-        def dropping(size, tags, *rest, need=None):
+        def dropping(size, tags, *rest):
             if size > 1:  # pairs 0 and 1 of a batch are summed together
                 tags = np.where(tags == 1, 0, tags).astype(tags.dtype)
-            return real(size, tags, *rest, need=need)
+            return real(size, tags, *rest)
 
         monkeypatch.setattr(alg, "_merge_tagged", dropping)
         result = ccr_suite(RunConfig(spectrum="1:2", seed=62))

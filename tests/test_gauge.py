@@ -1,6 +1,7 @@
 """Gauge group: semidirect law, classical and quantum actions, the shift
 functional, naturality, and multiplets."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lcqft import algebra as alg
 from lcqft import dynamics as dyn
 from lcqft import gauge as gg
 from lcqft import suites
+from lcqft.cli import main
 from lcqft.errors import NotOrthogonal, SpectrumMismatch
 from lcqft.kinematics import region_solution_basis, solution_map
 from lcqft.spacetime import (
@@ -17,9 +19,11 @@ from lcqft.spacetime import (
     domain_of_dependence,
     translation,
 )
-from lcqft.suites import RunConfig, gauge_suite
+from lcqft.suites import (RunConfig, gauge_suite, observables_suite,
+                          rce_suite, state_suite)
 
-from oracles import (lift, projector_membership_residual, random_data, sigma,
+from oracles import (algebra_multiplet_dimensions, degree1_vector, lift,
+                     projector_membership_residual, random_data, sigma,
                      slot_map, species_on_data, step)
 
 
@@ -235,10 +239,17 @@ class TestSpeciesForm:
         for name in ("digits", "weights"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+        # the presentation's algebra moves, derived from its matrices: the
+        # rotation generators and shift directions, then the reflections
         pres = gg.presentation(st_)
-        for slots, X in zip(pres.rotations,
-                            species_on_data(st_, pres.generators)):
-            want = slot_map(X)
+        derivations, reflections = pres.algebra_slots
+        zero = np.zeros((st_.data_dim, st_.data_dim))
+        wants = [slot_map(X) for X in species_on_data(st_, pres.generators)] \
+            + [slot_map(zero, ell) for ell in pres.shifts] \
+            + [slot_map(X) for X in species_on_data(st_, pres.reflections)]
+        assert len(wants) == len(derivations) + len(reflections) \
+            == len(pres.generators) + len(pres.shifts) + len(pres.reflections)
+        for slots, want in zip(derivations + reflections, wants):
             assert np.array_equal(slots.digits, want.digits)
             assert np.array_equal(slots.weights, want.weights)
 
@@ -352,7 +363,7 @@ class TestQuantumAction:
             S, N = st_.n_species, st_.n_sites
             for s in range(S):
                 image = act(alg.monomial(st_, (s * N,)))
-                vec = alg.degree1_vector(image)
+                vec = degree1_vector(image)
                 R_rec[:, s] = vec[:S * N].reshape(S, N)[:, 0].real
             assert np.max(np.abs(R_rec - g.species_matrix())) < 1e-13
             ell_rec = np.zeros(st_.spectrum.massless_count)
@@ -489,6 +500,27 @@ class TestMultiplets:
         assert self._dimensions("0:2") == [3]
         assert self._dimensions("0:1,1:2") == [2, 2]
 
+    @pytest.mark.parametrize("n_sites", [8, 16])
+    @pytest.mark.parametrize(
+        "spec", ["1:2", "0:1,1:2", "1:2,2:3", "0:2", "1:3", "1:5"])
+    def test_vectors_match_the_algebra_closure(self, spec, n_sites):
+        st_ = LatticeSpacetime(n_sites, 16, 0.5, MassSpectrum.parse(spec))
+        assert gg.multiplet_dimensions(st_) \
+            == algebra_multiplet_dimensions(st_)
+
+    def test_tiny_time_step_keeps_the_seed(self, tmp_path, capsys):
+        # at dt = 1e-100 every entry of the propagated seed lies below the
+        # kernel's PRUNE_TOL, so the algebra closure starts from zero; the
+        # vectors keep the seed
+        st_ = LatticeSpacetime(8, 16, 1e-100, MassSpectrum.parse("0:1,1:2"))
+        assert algebra_multiplet_dimensions(st_) == [0, 0]
+        assert gg.multiplet_dimensions(st_) == [2, 2]
+        out = tmp_path / "report.json"
+        assert main(["verify", "gauge", "--spectrum", "0:1,1:2", "--sites",
+                     "8", "--dt", "1e-100", "--out", str(out)]) == 0
+        dims = json.loads(out.read_text())["suites"][0]["dimensions"]
+        assert dims == {"multiplet_mass_0": 2, "multiplet_mass_1": 2}
+
     def test_unit_family_is_singlet(self, mixed_spacetime):
         unit = alg.one(mixed_spacetime)
         assert all(moved.max_abs() == 0.0 for moved in
@@ -497,9 +529,8 @@ class TestMultiplets:
     def test_dropping_shifts_fails_gauge_suite(self, mixed_spacetime,
                                                monkeypatch):
         full = gg.presentation
-        monkeypatch.setattr(gg, "presentation",
-                            lambda st_: dataclasses.replace(full(st_),
-                                                            shifts=()))
+        monkeypatch.setattr(gg, "presentation", lambda st_: dataclasses.replace(
+            full(st_), shifts=np.zeros((0, st_.data_dim))))
         assert gg.multiplet_dimensions(mixed_spacetime) == [1, 2]
         result = gauge_suite(RunConfig(spectrum="0:1,1:2", seed=11))
         assert result["status"] == "fail"
@@ -530,19 +561,23 @@ def _symmetric_rotations(real):
 
 
 def _q_only_reflections(real):
-    """A block reflection applied to the q-channel alone: a substitution by
-    a non-symplectic map, so not multiplicative."""
-    def act(self, a):
-        st_, half = self.spacetime, self.spacetime.data_dim // 2
-        M = species_on_data(st_, self.g.species_matrix())
-        M[half:, half:] = np.eye(half)
-        return alg.substitute_affine(a, slot_map(M))
-    return act
+    """Each block reflection applied to the q-channel alone: a substitution
+    by a non-symplectic map, so not multiplicative."""
+    def slots(self):
+        derivations, _ = real.func(self)
+        half = self.spacetime.data_dim // 2
+        maps = []
+        for R in self.reflections:
+            M = species_on_data(self.spacetime, R)
+            M[half:, half:] = np.eye(half)
+            maps.append(slot_map(M))
+        return derivations, tuple(maps)
+    return property(slots)
 
 
 @pytest.mark.parametrize("owner, name, mutant", [
     (gg, "rotation_generators", _symmetric_rotations),
-    (gg.QuantumAction, "__call__", _q_only_reflections)],
+    (gg.Presentation, "algebra_slots", _q_only_reflections)],
     ids=["symmetric-rotation", "q-only-reflection"])
 def test_leibniz_law_catches_a_faulty_move(owner, name, mutant, monkeypatch):
     # a move that does not act on the algebra as a derivation, resp. a
@@ -573,6 +608,39 @@ def test_leibniz_law_keeps_its_power_on_large_lattices(monkeypatch):
     finally:
         gg.presentation.cache_clear()
     assert medians[8] > 1.0 and medians[64] >= 0.5 * medians[8]
+
+
+def _with_cross_block_generator(real):
+    """The rotation generators and one more, coupling species 0 to the last
+    species, which lie in different mass blocks: the free dynamics does not
+    commute with it."""
+    def generators(spectrum):
+        S = spectrum.total_species
+        X = np.zeros((1, S, S))
+        X[0, S - 1, 0], X[0, 0, S - 1] = 1.0, -1.0
+        return np.concatenate([real(spectrum), X])
+    return generators
+
+
+@pytest.mark.parametrize("spectrum", ["1:2,2:3", "0:1,1:2"])
+def test_a_planted_generator_fails_every_linear_check(spectrum, monkeypatch):
+    # every linear check reads the one presentation, so a wrong move there
+    # reaches all of them
+    monkeypatch.setattr(gg, "rotation_generators", _with_cross_block_generator(
+        gg.rotation_generators))
+    gg.presentation.cache_clear()
+    config = RunConfig(spectrum=spectrum)
+    try:
+        results = {key: suite(config) for suite, key in [
+            (gauge_suite, "naturality_translations_exact"),
+            (rce_suite, "intertwining"),
+            (state_suite, "vacuum_gauge_invariance"),
+            (observables_suite, "bilinear_invariance")]}
+    finally:
+        gg.presentation.cache_clear()
+    for key, result in results.items():
+        assert result["residuals"][key] > 1e-3, key
+        assert any(line.startswith(f"{key}: ") for line in result["findings"])
 
 
 def _scaled(T, st_):

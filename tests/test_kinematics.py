@@ -83,8 +83,8 @@ class TestMembershipResidual:
         assert 0 < basis.shape[1] < st.data_dim
         pres = gg.presentation(st)
         moves = [species_on_data(st, X) for X in pres.generators] + [
-            species_on_data(st, r.g.species_matrix()) - np.eye(st.data_dim)
-            for r in pres.reflections]
+            species_on_data(st, R) - np.eye(st.data_dim)
+            for R in pres.reflections]
         # one site along the circle, e_(c, s, x) -> e_(c, s, x + 1)
         roll = np.roll(np.eye(st.data_dim).reshape(
             2 * st.n_species, st.n_sites, -1), 1, axis=1)

@@ -329,7 +329,7 @@ class TestWorkingMemory:
         assert len(a.coeffs) == 273 and len(prod.coeffs) == 26521
         assert obs.invariant_projection_check(prod) < 1e-10
         pres = gg.presentation(st_)
-        moved = alg.derivation(prod, pres.rotations[0])
+        moved = alg.derivation(prod, pres.algebra_slots[0][0])
         assert dict_max_coeff_diff(dict(moved.terms), dict_derivation(
             dict(prod.terms), species_on_data(st_, pres.generators[0]))) < 1e-13
 
