@@ -270,7 +270,7 @@ def generator_soundness(st: LatticeSpacetime, generators: np.ndarray,
             out["null_energy"] = max(out["null_energy"], float(
                 np.max(np.abs(g1 - g2)) / max(1.0, np.max(np.abs(g1)))))
             moved, image = np.concatenate(rce_data(*data_from_vec(st, pair),
-                                                   pert), -2).reshape(2, -1).real
+                                                   pert), -2).reshape(2, -1)
             out["rce_commute"] = max(out["rce_commute"], float(
                 np.max(np.abs(image - _apply(st, E, moved)))
                 / max(1.0, np.max(np.abs(moved)))))

@@ -1,9 +1,10 @@
 """Classical multi-species Klein-Gordon dynamics on the lattice.
 
 Cauchy data lives on the t=0 slice: per-species field values q and conjugate
-momenta p = dq/dt, both complex (..., S, N) arrays with any leading batch
-axes. Time stepping is kick-drift-kick (velocity Verlet), so every step is an
-exact linear symplectomorphism and is inverted exactly by the opposite step.
+momenta p = dq/dt, both (..., S, N) arrays with any leading batch axes, real
+unless complex data come in (`evolve_data`). Time stepping is kick-drift-kick
+(velocity Verlet), so every step is an exact linear symplectomorphism and is
+inverted exactly by the opposite step.
 
 The canonical basis of the solution space is: index s*N + x for the q-channel
 of species s at site x, and S*N + s*N + x for the p-channel. All modules
@@ -123,14 +124,6 @@ class TestFunction:
         object.__setattr__(self, "values", vals)
 
 
-def delta_test_function(spacetime: LatticeSpacetime, species: int, t: int, x: int
-                        ) -> TestFunction:
-    vals = np.zeros((spacetime.n_species, spacetime.n_slices, spacetime.n_sites),
-                    dtype=complex)
-    vals[species, t, x % spacetime.n_sites] = 1.0
-    return TestFunction(spacetime, vals)
-
-
 # -- stepping kernel -------------------------------------------------------------
 
 def _masses_sq(spacetime: LatticeSpacetime) -> np.ndarray:
@@ -175,20 +168,21 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
     The perturbation (if any) is indexed by absolute slice; slices outside its
     table count as zero. `source` is a (..., S, T1, N) inhomogeneity entering
     like the mass-kind perturbation force; its leading axes broadcast
-    against those of q and p. With trajectory=True, returns (q, p) at every
-    visited slice from t_from to t_to inclusive, as two arrays
+    against those of q and p. It computes in the number type of q, p and
+    the source, so real data stay real. With trajectory=True, returns (q, p)
+    at every visited slice from t_from to t_to inclusive, as two arrays
     (|t_to - t_from| + 1, ..., S, N) allocated once: each step writes its
     new q and p straight into the next slice.
     """
     dt = spacetime.dt
+    dtype = np.result_type(q, p, float, float if source is None else source)
     if trajectory:
         shape = (abs(t_to - t_from) + 1,) + np.shape(q)
-        q_traj, p_traj = np.empty(shape, complex), np.empty(shape, complex)
+        q_traj, p_traj = np.empty(shape, dtype), np.empty(shape, dtype)
         q_traj[0], p_traj[0] = q, p
         q, p = q_traj[0], p_traj[0]
     else:
-        q = np.array(q, dtype=complex)
-        p = np.array(p, dtype=complex)
+        q, p = np.array(q, dtype), np.array(p, dtype)
     direction = 1 if t_to >= t_from else -1
     h = dt * direction
 
@@ -220,19 +214,16 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
 
 
 def matrix_of(map_fn, spacetime: LatticeSpacetime) -> np.ndarray:
-    """Dense matrix of a linear map on the solution space, applied to the
-    canonical basis in batches of MATRIX_CHUNK vectors (map_fn acts on (q, p)
-    batch arrays), so a map that holds a trajectory holds one batch's. The
-    stepper acts on each vector alone, so the batches change no bit."""
+    """Dense float64 matrix of a real linear map on the solution space, from
+    the canonical basis in batches of MATRIX_CHUNK vectors (map_fn acts on
+    (q, p) batch arrays), so a map that holds a trajectory holds one
+    batch's. The stepper acts on each vector alone: batches change no bit."""
     dim = spacetime.data_dim
-    S, N = spacetime.n_species, spacetime.n_sites
-    out = np.empty((dim, dim), complex, order="F")  # one column per vector
+    out = np.empty((dim, dim), order="F")  # one column per vector
     for lo in range(0, dim, MATRIX_CHUNK):
-        eye = np.eye(min(MATRIX_CHUNK, dim - lo), dim, lo, dtype=complex)
-        q_out, p_out = map_fn(eye[:, :S * N].reshape(-1, S, N),
-                              eye[:, S * N:].reshape(-1, S, N))
-        out[:S * N, lo:lo + len(eye)] = q_out.reshape(-1, S * N).T
-        out[S * N:, lo:lo + len(eye)] = p_out.reshape(-1, S * N).T
+        eye = np.eye(min(MATRIX_CHUNK, dim - lo), dim, lo)
+        images = map_fn(*data_from_vec(spacetime, eye))
+        out[:, lo:lo + len(eye)] = np.concatenate(images, -2).reshape(-1, dim).T
     return out
 
 
@@ -241,7 +232,7 @@ def one_step_matrix(spacetime: LatticeSpacetime) -> np.ndarray:
     """Matrix of one forward step of the free equation; kept for the
     benchmark's step check (`perfbench/test_checks.py`)."""
     return matrix_of(
-        lambda qb, pb: evolve_data(qb, pb, spacetime, 0, 1), spacetime).real
+        lambda qb, pb: evolve_data(qb, pb, spacetime, 0, 1), spacetime)
 
 
 def mode_maps(spacetime: LatticeSpacetime) -> np.ndarray:
@@ -281,10 +272,10 @@ def propagate_sources(spacetime: LatticeSpacetime, sources: np.ndarray):
     Computed by integrating zero data forward through the sources (yielding
     the retarded solution at the final clean slice, where the advanced one
     vanishes) and transporting back with the free evolution: one forward and
-    one backward pass for the whole batch.
+    one backward pass for the whole batch; real sources give real data.
     """
     T = spacetime.n_steps
-    q0 = np.zeros(sources.shape[:-2] + (sources.shape[-1],), dtype=complex)
+    q0 = np.zeros(sources.shape[:-2] + (sources.shape[-1],))
     q, p = evolve_data(q0, q0, spacetime, 0, T, source=sources)
     return evolve_data(q, p, spacetime, T, 0)
 
@@ -347,8 +338,7 @@ def rce_data(q: np.ndarray, p: np.ndarray, pert: Perturbation):
 
 def rce_matrix(pert: Perturbation) -> np.ndarray:
     """Dense matrix of rce[v] over the canonical basis."""
-    return matrix_of(lambda qb, pb: rce_data(qb, pb, pert),
-                     pert.spacetime).real
+    return matrix_of(lambda qb, pb: rce_data(qb, pb, pert), pert.spacetime)
 
 
 def rce_tangent_data(pert: Perturbation, q: np.ndarray, p: np.ndarray):
@@ -358,21 +348,21 @@ def rce_tangent_data(pert: Perturbation, q: np.ndarray, p: np.ndarray):
     The force is linear in v, so the derivative of the perturbed stepper along
     the data's free trajectory is the free stepper driven from zero data by
     the source _accel(q(t), v_t) - _accel(q(t), None), brought back to t=0
-    freely. F is symplectically skew-adjoint: sigma(F a, b) = -sigma(a, F b).
+    freely: `propagate_sources` of that source. F is symplectically
+    skew-adjoint: sigma(F a, b) = -sigma(a, F b).
     """
     st, T = pert.spacetime, pert.spacetime.n_steps
     q_traj, _ = evolve_data(q, p, st, 0, T, trajectory=True)
     v = pert.v.reshape(pert.v.shape[:1] + (1,) * (q_traj.ndim - 2) + (-1,))
     source = np.moveaxis(_accel(q_traj, st, v, pert.kind)
                          - _accel(q_traj, st, None, pert.kind), 0, -2)
-    zero = np.zeros(q_traj.shape[1:], complex)
-    return evolve_data(*evolve_data(zero, zero, st, 0, T, source=source), st, T, 0)
+    return propagate_sources(st, source)
 
 
 def rce_derivative_matrix(pert: Perturbation) -> np.ndarray:
     """Dense matrix of the tangent F[v] over the canonical basis."""
     return matrix_of(lambda qb, pb: rce_tangent_data(pert, qb, pb),
-                     pert.spacetime).real
+                     pert.spacetime)
 
 
 def rce_derivative(pert: Perturbation, a: Solution, b: Solution) -> complex:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, SlotMap, derivation, slot_maps,
                       substitute_affine)
-from .dynamics import delta_test_function, propagate_sources
+from .dynamics import propagate_sources
 from .errors import NotOrthogonal, SpectrumMismatch
 from .spacetime import LatticeSpacetime, MassSpectrum
 
@@ -305,13 +305,15 @@ def multiplet_dimensions(spacetime: LatticeSpacetime) -> list[int]:
     dim, n_so = spacetime.data_dim, len(pres.generators)
     out = []
     for _, block in spacetime.spectrum.block_slices():
-        source = delta_test_function(spacetime, block.start, 1, 0).values
+        source = np.zeros((spacetime.n_species, spacetime.n_slices,
+                           spacetime.n_sites))
+        source[block.start, 1, 0] = 1.0  # at slice 1, site 0
         seed = np.concatenate(propagate_sources(spacetime, source)).ravel()
         scale = np.linalg.norm(seed)
-        todo, rows = [np.append(seed, 0.0)], np.zeros((0, dim + 1), complex)
+        todo, rows = [np.append(seed, 0.0)], np.zeros((0, dim + 1))
         while todo:
             v = todo.pop()
-            w = v - rows.T @ (rows.conj() @ v)
+            w = v - rows.T @ (rows @ v)
             if np.linalg.norm(w) > MULTIPLET_RANK_TOL * scale:
                 rows = np.vstack([rows, w / np.linalg.norm(w)])
                 field = v[:dim]

@@ -20,10 +20,12 @@ its affine functionals, null energies sampled on evolved solutions for its
 constraints, its soundness check evolved one solution at a time, a dense
 Taylor exponential, Kronecker products for the dense matrix of a gauge
 species matrix, and an all-pairs compare of the mode frequencies for mass
-collisions, and the closure of a multiplet on degree-1 algebra elements
-under the presentation's algebra moves. The functorial lift of a symplectic map onto the algebra
-(`lift`) lives here too: no suite needs it, and the tests check the
-suites' linear criteria against it.
+collisions, the closure of a multiplet on degree-1 algebra elements
+under the presentation's algebra moves, and naturality checked on 4N
+translation words instead of the group's two generators. The functorial
+lift of a symplectic map onto the algebra (`lift`) lives here too: no
+suite needs it, and the tests check the suites' linear criteria against
+it.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from lcqft.algebra import SlotMap, fields, slot_maps, substitute_affine
 from lcqft.classify import _apply, _mode_exp
 from lcqft.dynamics import (
     Perturbation,
+    TestFunction,
     data_from_vec,
-    delta_test_function,
     evolve_data,
     null_derivatives,
     one_step_matrix,
@@ -49,7 +51,8 @@ from lcqft.dynamics import (
 from lcqft.errors import LcqftError, SpaceMismatch
 from lcqft.gauge import (MULTIPLET_RANK_TOL, block_reflections, presentation,
                          rotation_generators, so_basis)
-from lcqft.spacetime import LatticeSpacetime, Region
+from lcqft.kinematics import solution_map
+from lcqft.spacetime import LatticeSpacetime, Region, translation
 from lcqft.states import mode_frequencies
 
 
@@ -222,10 +225,20 @@ def shift_matrix(st: LatticeSpacetime) -> np.ndarray:
     return out
 
 
+def delta_test_function(spacetime: LatticeSpacetime, species: int, t: int,
+                        x: int) -> TestFunction:
+    """The unit point source of one species at (t, x)."""
+    vals = np.zeros((spacetime.n_species, spacetime.n_slices,
+                     spacetime.n_sites), dtype=complex)
+    vals[species, t, x % spacetime.n_sites] = 1.0
+    return TestFunction(spacetime, vals)
+
+
 def per_point_region_basis(region: Region) -> np.ndarray:
-    """Orthonormal basis of span{E f : supp f inside the region}, one
-    propagated delta test function per (point, species); singular values
-    below 1e-10 of the largest are dropped."""
+    """Orthonormal basis of D span{E f : supp f inside the region}, D =
+    diag(1/dt on the q rows, 1 on the p rows), one propagated delta test
+    function per (point, species); singular values below 1e-10 of the
+    largest are dropped."""
     st = region.spacetime
     vecs = []
     for (t, x) in sorted(region.points):
@@ -235,7 +248,9 @@ def per_point_region_basis(region: Region) -> np.ndarray:
             vals = np.zeros((st.n_species, st.n_slices, st.n_sites), complex)
             vals[s, t, x] = 1.0
             vecs.append(np.concatenate(propagate_sources(st, vals)).ravel())
-    u, sing, _ = np.linalg.svd(np.array(vecs).T, full_matrices=False)
+    A = np.array(vecs).T
+    A[:st.data_dim // 2] /= st.dt
+    u, sing, _ = np.linalg.svd(A, full_matrices=False)
     return u[:, :int(np.sum(sing > 1e-10 * sing[0]))]
 
 
@@ -959,3 +974,21 @@ def algebra_multiplet_dimensions(st: LatticeSpacetime) -> list[int]:
                 todo.extend(pres.moves(a))
         out.append(len(rows))
     return out
+
+
+def translation_word_defects(st: LatticeSpacetime) -> tuple[float, float]:
+    """The gauge suite's naturality defects on 4N translation words, dt in
+    (0, 1, 2, -1) steps at every site shift, each map built alone, instead
+    of on the group's two generators: (max |M X - X M| over the species
+    maps X, max of the relative symplectic defect and |ells T - ells|)."""
+    pres, J = presentation(st), symplectic_matrix(st)
+    exact = flt = 0.0
+    for dx in range(st.n_sites):
+        for dt_steps in (0, 1, 2, -1):
+            T = solution_map(translation(st, dt_steps, dx))
+            exact = max(exact, pres.defect(T))
+            flt = max(flt, float(np.max(np.abs(T.T @ J @ T - J)))
+                      / max(1.0, float(np.max(np.abs(T)))) ** 2,
+                      float(np.max(np.abs(pres.shifts @ T - pres.shifts),
+                                   initial=0.0)))
+    return exact, flt

@@ -16,8 +16,8 @@ from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 from lcqft.suites import RunConfig, ccr_suite
 
 import oracles
-from oracles import (NotReal, NotSymplectic, lift, random_data, sigma,
-                     slot_map)
+from oracles import (NotReal, NotSymplectic, delta_test_function, lift,
+                     random_data, sigma, slot_map)
 
 
 class TestProduct:
@@ -265,7 +265,7 @@ class TestDegreeAndField:
 
     def test_spacetime_smearing_composition(self, mixed_spacetime):
         # Phi(f) := Phi(E f) is literally field of the propagated data
-        f = dyn.delta_test_function(mixed_spacetime, 1, 6, 3)
+        f = delta_test_function(mixed_spacetime, 1, 6, 3)
         smeared = alg.fields(mixed_spacetime, np.concatenate(
             dyn.propagate_sources(mixed_spacetime, f.values)).ravel())
         assert smeared.degree == 1

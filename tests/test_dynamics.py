@@ -11,8 +11,8 @@ from lcqft.kinematics import solution_map
 from lcqft.spacetime import (LatticeSpacetime, MassSpectrum, cauchy_extension,
                              translation)
 
-from oracles import (advanced_solution_at_zero, discrete_kg_operator,
-                     mode_matrix, on_vectors, random_data,
+from oracles import (advanced_solution_at_zero, delta_test_function,
+                     discrete_kg_operator, mode_matrix, on_vectors, random_data,
                      richardson_rce_derivative, rolled_null_energy_grids,
                      sigma, step, trajectory)
 
@@ -210,7 +210,7 @@ class TestPropagator:
         # independent oracle: advanced solution by backward integration;
         # retarded data at t=0 vanishes, so E f = -adv(0)
         st_ = mixed_spacetime
-        f = dyn.delta_test_function(st_, 1, 5, 2)
+        f = delta_test_function(st_, 1, 5, 2)
         q, p = dyn.propagate_sources(st_, f.values)
         qa, pa = advanced_solution_at_zero(f.values, st_)
         assert np.max(np.abs(q + qa)) < 1e-11
@@ -218,8 +218,8 @@ class TestPropagator:
 
     def test_linearity_exact(self, mixed_spacetime):
         st_ = mixed_spacetime
-        f1 = dyn.delta_test_function(st_, 0, 4, 1)
-        f2 = dyn.delta_test_function(st_, 2, 7, 6)
+        f1 = delta_test_function(st_, 0, 4, 1)
+        f2 = delta_test_function(st_, 2, 7, 6)
         lam = 2.5j - 1.0
         lhs = _propagate(dyn.TestFunction(st_, f1.values + lam * f2.values))
         rhs = _propagate(f1) + lam * _propagate(f2)
@@ -241,7 +241,7 @@ class TestPropagator:
         for s in range(st_.n_species):
             for t in (4, 5):
                 for x in range(st_.n_sites):
-                    f = dyn.delta_test_function(st_, s, t, x)
+                    f = delta_test_function(st_, s, t, x)
                     vecs.append(_propagate(f))
                     vecs.append(_propagate(dyn.TestFunction(st_, 1j * f.values)))
         rank = np.linalg.matrix_rank(np.array(vecs), tol=1e-10)
@@ -253,7 +253,7 @@ class TestPropagator:
         psi = random_data(rng, st_)
         q_traj, _ = trajectory(st_, psi)
         for (s, t, x) in [(0, 3, 1), (1, 8, 4), (2, 12, 7)]:
-            val = sigma(_propagate(dyn.delta_test_function(st_, s, t, x)), psi)
+            val = sigma(_propagate(delta_test_function(st_, s, t, x)), psi)
             assert abs(val + st_.dt * q_traj[t, s, x]) < 1e-11
 
     def test_support_violation(self, mixed_spacetime):
@@ -507,3 +507,43 @@ class TestTimesliceAndTranslations:
         one_then_two = _translate(st_, _translate(st_, x, 1, 2), 2, 3)
         combined = _translate(st_, x, 3, 5)
         assert np.max(np.abs(one_then_two - combined)) < 1e-11
+
+
+class TestRealArithmetic:
+    # real data stay real: every stepper entry computes in the number type
+    # of its inputs, and on complex-cast real input its real part is the
+    # real call bit for bit and its imaginary part exactly zero
+    @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
+    def test_real_data_give_float64(self, spec):
+        st_ = LatticeSpacetime(8, 16, 0.37, MassSpectrum.parse(spec))
+        rng = np.random.default_rng(3)
+        S, T1, N = st_.n_species, st_.n_slices, st_.n_sites
+        q, p = rng.standard_normal((2, 3, S, N))
+        source = np.zeros((3, S, T1, N))
+        source[..., 2:6, 1:4] = rng.standard_normal((3, S, 4, 3))
+        pert = _perturbation(rng, st_)
+        calls = {
+            "evolve": lambda a, b, f: dyn.evolve_data(a, b, st_, 0, 7),
+            "evolve_pert": lambda a, b, f: dyn.evolve_data(
+                a, b, st_, 0, 7, pert=pert),
+            "evolve_source": lambda a, b, f: dyn.evolve_data(
+                a, b, st_, 0, 9, source=f),
+            "trajectory": lambda a, b, f: dyn.evolve_data(
+                a, b, st_, 0, -5, trajectory=True),
+            "rce": lambda a, b, f: dyn.rce_data(a, b, pert),
+            "rce_tangent": lambda a, b, f: dyn.rce_tangent_data(pert, a, b),
+            "propagate": lambda a, b, f: dyn.propagate_sources(st_, f),
+        }
+        for name, call in calls.items():
+            real = call(q, p, source)
+            cast = call(q.astype(complex), p.astype(complex),
+                        source.astype(complex))
+            for r, c in zip(real, cast):
+                assert r.dtype == np.float64, name
+                assert c.dtype == np.complex128, name
+                assert np.array_equal(r, c.real), name
+                assert not np.any(c.imag), name
+        builders = [dyn.one_step_matrix(st_), dyn.rce_matrix(pert),
+                    dyn.rce_derivative_matrix(pert),
+                    solution_map(translation(st_, 1, 2))]
+        assert [M.dtype for M in builders] == [np.float64] * 4

@@ -22,9 +22,10 @@ from lcqft.spacetime import (
 from lcqft.suites import (RunConfig, gauge_suite, observables_suite,
                           rce_suite, state_suite)
 
-from oracles import (algebra_multiplet_dimensions, degree1_vector, lift,
-                     projector_membership_residual, random_data, sigma,
-                     slot_map, species_on_data, step)
+from oracles import (algebra_multiplet_dimensions, degree1_vector,
+                     delta_test_function, lift, projector_membership_residual,
+                     random_data, sigma, slot_map, species_on_data, step,
+                     translation_word_defects)
 
 
 def _translate(st_, vec, dt_, dx):
@@ -296,7 +297,7 @@ class TestEllFunctional:
         # the solution-intrinsic form equals the frozen spacetime-smearing
         # pairing: <l, E f> = -dt sum_{t,x} l . f_0(t, x)
         st_ = mixed_spacetime
-        f = dyn.delta_test_function(st_, 0, 6, 2)
+        f = delta_test_function(st_, 0, 6, 2)
         ef = np.concatenate(dyn.propagate_sources(st_, f.values)).ravel()
         val = np.array([1.7]) @ gg.shift_functionals(st_) @ ef
         assert abs(val - (-st_.dt * 1.7)) < 1e-12
@@ -697,15 +698,38 @@ def test_naturality_catches_a_faulty_translation(mutant, name, other, spec,
             f"{result['thresholds'][name]:.1e}"]
 
 
+@pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
+def test_translation_words_hold_as_the_generators_do(spec):
+    # the suite checks the two generators; every one of the 4N words it
+    # once checked, each map built alone, reads the same exact zero and a
+    # float defect at roundoff
+    st_ = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse(spec))
+    exact, flt = translation_word_defects(st_)
+    assert exact == 0.0
+    assert flt <= 1e-13
+
+
+def test_naturality_builds_the_two_generators(monkeypatch):
+    import lcqft.kinematics as kin
+    real, calls = kin.solution_map, []
+    monkeypatch.setattr(kin, "solution_map",
+                        lambda m: calls.append(m) or real(m))
+    assert gauge_suite(RunConfig(spectrum="1:2", seed=62))["status"] == "pass"
+    assert [(m.dt_steps, m.dx_sites) for m in calls] == [(1, 0), (0, 1)]
+
+
 @pytest.mark.parametrize("spec, dt, seed", [
     ("0:1,1:2", 0.45, 9), ("0:2", 0.9, 7), ("0:1", 0.37, 0),
-    ("0:1,1:2", 0.3, 0), ("0:2", 0.3, 3), ("1000000:1", 1.99e-6, 0)])
+    ("0:1,1:2", 0.3, 0), ("0:2", 0.3, 3), ("1000000:1", 1.99e-6, 0),
+    ("0:1,1:2", 1e-6, 0), ("0:1,1:2", 1e-10, 0)])
 def test_exact_naturality_holds_at_non_dyadic_dt(spec, dt, seed):
     # the rotation generators and reflections only permute and negate
     # entries, so they commute with every translation bit for bit, whatever
     # the translation's entries; at mass 1e6 near the dt limit those
     # entries reach 1e6 and |T^T J T - J| reads 3e-12 from rounding alone,
-    # about 2e-21 relative to max|T|^2, so the float check passes too
+    # about 2e-21 relative to max|T|^2, so the float check passes too. At
+    # dt 1e-6 and 1e-10 the diamond bases, taken in balanced coordinates,
+    # keep their rank and membership passes
     result = gauge_suite(RunConfig(spectrum=spec, dt=dt, seed=seed))
     assert result["residuals"]["naturality_translations_exact"] == 0.0
     assert result["status"] == "pass"
