@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -511,11 +510,6 @@ class SlotMap:
     def width(self) -> int:
         return self.digits.shape[-1]
 
-    @cached_property
-    def widths(self) -> np.ndarray:
-        """Each map's own width: the most terms in one basis vector's image."""
-        return (self.weights != 0).sum(axis=-1).max(axis=-1)
-
     def __getitem__(self, index) -> "SlotMap":
         """The maps `index` (an int or a slice) of a stack."""
         return SlotMap(self.digits[index], self.weights[index])
@@ -553,9 +547,8 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
     is the degree-wise action of an (affine) linear map on generators; it is
     an algebra homomorphism exactly when the linear part is symplectic.
 
-    Where every map has width 1, such as a signed permutation, the digits
-    are relabelled and each slot weighted. Otherwise the slots are
-    substituted one at a time, and the terms merge once at the end."""
+    The slots are substituted one at a time, and the terms merge once at the
+    end."""
     dim, D = a.dim, len(a.digits)
     digit_of = slots.digits.reshape(-1, slots.width)
     weight_of = slots.weights.reshape(-1, slots.width)
@@ -567,11 +560,6 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
     else:
         raise SpaceMismatch(f"{len(slots.digits)} slot maps for {a.size}")
 
-    def relabel():
-        rows = base + a.digits
-        return (a.tags, _sort_digits(digit_of[rows, 0]),
-                a.coeffs * np.multiply.reduce(weight_of[rows, 0]))
-
     def expand():
         tags, digits, coef, at = a.tags, a.digits, a.coeffs, base
         for j in range(D):
@@ -582,9 +570,7 @@ def substitute_affine(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
             digits[j] = digit_of[at + digits[j], c]
         return tags, _sort_digits(digits), coef
 
-    one_image = np.max(slots.widths, initial=1) == 1
-    return _expanded(a.spacetime, a.size, a.tags,
-                     relabel if one_image else expand)
+    return _expanded(a.spacetime, a.size, a.tags, expand)
 
 
 def derivation(a: AlgebraElement, slots: SlotMap) -> AlgebraElement:
@@ -621,6 +607,14 @@ def random_element(rng: np.random.Generator, spacetime: LatticeSpacetime,
                    support=None) -> AlgebraElement:
     """Random sparse element with terms of every degree up to `degree`, on
     the basis indices `support` (default: all)."""
+    return AlgebraElement(spacetime, random_terms(
+        rng, spacetime, degree, n_terms, integer, support))
+
+
+def random_terms(rng: np.random.Generator, spacetime: LatticeSpacetime,
+                 degree: int, n_terms: int = 6, integer: bool = False,
+                 support=None) -> dict[MultiIndex, complex]:
+    """The drawn multi-index -> coefficient dict of `random_element`."""
     pool = np.arange(spacetime.data_dim) if support is None \
         else np.asarray(support)
     terms: dict[MultiIndex, complex] = {}
@@ -635,7 +629,7 @@ def random_element(rng: np.random.Generator, spacetime: LatticeSpacetime,
         else:
             c = complex(rng.standard_normal(), rng.standard_normal())
         terms[idx] = terms.get(idx, 0.0) + c
-    return AlgebraElement(spacetime, terms)
+    return terms
 
 
 def check_degree_cap(a: AlgebraElement, cap: int):

@@ -1,11 +1,12 @@
 """Deterministic JSON writer for reports, and the golden-report comparison.
 
 `dumps` writes the bytes of the standard library's `json.dumps` with sorted
-keys, indent 2, non-ASCII kept and no NaN or infinity, joining each list of
-floats in one pass, and can stream each piece to a text stream as it is
-made. A numpy array (a classify generator) is written as the nested list its
-`tolist()` gives, one row at a time, so no Python list of the whole array is
-built; its finiteness is checked on the array. Floats take their shortest
+keys, indent 2, non-ASCII kept and no NaN or infinity, and can stream each
+piece to a text stream as it is made. A numpy array (a classify generator)
+is written as the nested list its `tolist()` gives, one row at a time, so no
+Python list of the whole array is built: each float row joins "0.0" for its
+zeros and the repr of its other entries in one pass, and its finiteness is
+checked on the array. Floats take their shortest
 round-trip form, so a parsed report holds the exact floats that were
 written. One configuration yields byte-identical reports on one build and
 BLAS thread count (timings are the only run-dependent fields;
@@ -18,7 +19,6 @@ a band (`GOLDEN_RTOL`, `GOLDEN_ATOL`).
 from __future__ import annotations
 
 import json
-import math
 from json.encoder import encode_basestring   # TypeError on a non-str key
 
 import numpy as np
@@ -51,15 +51,7 @@ def _write(obj, newline: str, write) -> None:
     if isinstance(obj, dict) and obj:
         items = [(encode_basestring(k) + ": ", obj[k]) for k in sorted(obj)]
     elif isinstance(obj, (list, tuple)) and obj:
-        try:    # a row of floats: one join and one finiteness sweep
-            row = _float_row(obj, newline)
-        except TypeError:
-            items = [("", value) for value in obj]
-        else:
-            if not all(map(math.isfinite, obj)):
-                raise ValueError("Out of range float values are not JSON compliant")
-            write(row)
-            return
+        items = [("", value) for value in obj]
     else:   # a scalar or an empty container
         write(_scalar(obj))
         return
@@ -70,17 +62,22 @@ def _write(obj, newline: str, write) -> None:
     write(newline + brackets[1])
 
 
-def _float_row(row, newline: str) -> str:
-    """A non-empty row of floats in one join; TypeError on any other item."""
+def _float_row(row: np.ndarray, newline: str) -> str:
+    """A non-empty 1-D float array in one join: "0.0" for each +0.0, the
+    repr of every other entry (-0.0 included)."""
     inner = newline + "  "
-    return f"[{inner}{(',' + inner).join(map(float.__repr__, row))}{newline}]"
+    texts = ["0.0"] * len(row)
+    at = np.flatnonzero((row != 0) | np.signbit(row))
+    for i, value in zip(at.tolist(), row[at].tolist()):
+        texts[i] = repr(value)
+    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
 
 
 def _write_rows(arr: np.ndarray, newline: str, write) -> None:
     """Pass the text of arr.tolist() to `write`, converting one 1-D row at a
     time; the caller has checked that arr is finite."""
     if arr.ndim == 1 and arr.dtype.kind == "f" and len(arr):
-        write(_float_row(arr.tolist(), newline))
+        write(_float_row(arr, newline))
         return
     if arr.ndim <= 1 or not len(arr):
         _write(arr.tolist(), newline, write)

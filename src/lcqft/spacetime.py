@@ -6,7 +6,10 @@ regions are discrete domains of dependence of Cauchy-slice intervals
 translations, region inclusions and Cauchy extensions.
 
 Causal structure uses lattice lightspeed 1 site per step regardless of dt,
-so all causal bookkeeping is integer-exact.
+so all causal bookkeeping is integer-exact and each rule is one modular
+interval test: (t, x) lies in the diamond over the sites [s, s + L) of slice
+t0 iff r = |t - t0| <= (x - s) mod N <= L - 1 - r, and two intervals on one
+slice overlap or touch iff either starts within the other padded by a site.
 """
 from __future__ import annotations
 
@@ -196,10 +199,6 @@ class LatticeSpacetime:
         return 2 * self.n_species * self.n_sites
 
 
-def _arc(start: int, length: int, n: int) -> frozenset[int]:
-    return frozenset((start + j) % n for j in range(length))
-
-
 @dataclass(frozen=True)
 class RegionComponent:
     """One diamond: the discrete domain of dependence of a base interval."""
@@ -208,8 +207,14 @@ class RegionComponent:
     base_start: int
     base_length: int
 
-    def sites(self, n_sites: int) -> frozenset[int]:
-        return _arc(self.base_start, self.base_length, n_sites)
+    def touches(self, other: "RegionComponent", n_sites: int) -> bool:
+        """Whether the two base intervals, read on one slice, overlap or are
+        adjacent: other starts within self padded by a site on each side, or
+        that padded interval starts within other."""
+        return ((other.base_start - self.base_start + 1) % n_sites
+                < self.base_length + 2
+                or (self.base_start - 1 - other.base_start) % n_sites
+                < other.base_length)
 
 
 @dataclass(frozen=True)
@@ -235,22 +240,15 @@ class Region:
 
     def _check_disjoint(self):
         n = self.spacetime.n_sites
-        comps = self.components
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                if comps[i].base_slice != comps[j].base_slice:
-                    continue
-                # non-adjacent: pad each side of interval i by one site
-                padded = set(comps[i].sites(n))
-                padded |= {(comps[i].base_start - 1) % n,
-                           (comps[i].base_start + comps[i].base_length) % n}
-                if padded & comps[j].sites(n):
+        for i, a in enumerate(self.components):
+            for b in self.components[i + 1:]:
+                if a.base_slice == b.base_slice and a.touches(b, n):
                     raise LcqftError(
                         "region components overlap or touch on the base slice"
                     )
 
     def _check_causally_disjoint(self):
-        pts = [component_points(c, self.spacetime) for c in self.components]
+        pts = self._component_points
         n = self.spacetime.n_sites
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -263,11 +261,14 @@ class Region:
                             )
 
     @cached_property
+    def _component_points(self) -> tuple[frozenset[tuple[int, int]], ...]:
+        """Each component's points, built once for every reader."""
+        return tuple(component_points(c, self.spacetime)
+                     for c in self.components)
+
+    @cached_property
     def points(self) -> frozenset[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for comp in self.components:
-            out |= component_points(comp, self.spacetime)
-        return frozenset(out)
+        return frozenset().union(*self._component_points)
 
     def __contains__(self, point: tuple[int, int]) -> bool:
         return point in self.points
@@ -291,21 +292,15 @@ def component_points(comp: RegionComponent, spacetime: LatticeSpacetime
     """All lattice points (t, x) in the domain of dependence of the base.
 
     A point belongs iff the unit-speed interval it sweeps back (or forward)
-    to the base slice lies inside the base interval.
+    to the base slice lies inside the base interval: 0 <= t <= n_steps and
+    r = |t - base_slice| <= (x - base_start) mod N <= base_length - 1 - r.
     """
-    n = spacetime.n_sites
-    base = comp.sites(n)
-    out = set()
-    max_r = (comp.base_length - 1) // 2
-    for r in range(-max_r, max_r + 1):
-        t = comp.base_slice + r
-        if not (0 <= t <= spacetime.n_steps):
-            continue
-        for x in range(n):
-            cone = _arc((x - abs(r)) % n, 2 * abs(r) + 1, n)
-            if cone <= base:
-                out.add((t, x))
-    return frozenset(out)
+    n, t0, length = spacetime.n_sites, comp.base_slice, comp.base_length
+    max_r = (length - 1) // 2
+    first, last = max(0, t0 - max_r), min(spacetime.n_steps, t0 + max_r)
+    return frozenset((t, (comp.base_start + d) % n)
+                     for t in range(first, last + 1)
+                     for d in range(abs(t - t0), length - abs(t - t0)))
 
 
 def domain_of_dependence(base_slice: int, base_start: int, base_length: int,

@@ -293,15 +293,17 @@ def ccr_suite(config: RunConfig) -> dict:
     rec.below("ccr_relations", worst, config.tol("ccr.relations"))
 
     # the float products of 50 triples in one batch; the exact oracle one
-    # triple at a time
-    triples = [[alg.random_element(rng, st, 3, 4, integer=True)
+    # triple at a time, from the drawn terms rather than the elements built
+    # from them
+    triples = [[alg.random_terms(rng, st, 3, 4, integer=True)
                 for _ in range(3)] for _ in range(50)]
-    a, b, c = (alg.stack(list(factor)) for factor in zip(*triples))
+    a, b, c = (alg.stack([alg.AlgebraElement(st, t) for t in factor])
+               for factor in zip(*triples))
     f_lefts, f_rights = (a * b) * c, a * (b * c)
     worst = alg.max_coeff_diff(f_lefts, f_rights)
     for triple, f_left, f_right in zip(triples, f_lefts.elements(),
                                        f_rights.elements()):
-        ex = [exact.exact_from_complex_terms(t.terms) for t in triple]
+        ex = [exact.exact_from_complex_terms(t) for t in triple]
         e_left = exact.exact_product(exact.exact_product(ex[0], ex[1], half),
                                      ex[2], half)
         e_right = exact.exact_product(ex[0],

@@ -89,6 +89,16 @@ def brute_force_domain_of_dependence(base_slice, base_start, base_length,
     return out
 
 
+def intervals_touch_by_sets(a, b, n_sites) -> bool:
+    """Whether the base intervals of components a and b, read on one slice,
+    overlap or are adjacent: b's sites meet a's sites padded by one site on
+    each side."""
+    padded = {(a.base_start + j) % n_sites
+              for j in range(-1, a.base_length + 1)}
+    return bool(padded & {(b.base_start + j) % n_sites
+                          for j in range(b.base_length)})
+
+
 def causal_paths_stay_inside(points, spacetime):
     """Causal convexity by path enumeration: every unit-speed causal path
     between two region points stays inside the region."""

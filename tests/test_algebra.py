@@ -781,16 +781,19 @@ def test_read_terms_leave_no_reference_cycle(massive_spacetime, rng):
             gc.enable()
 
 
-def test_width1_weights_multiply_before_the_coefficient(massive_spacetime, rng):
-    # a diagonal map keeps every term; each coefficient is c * (w_1 * ... *
-    # w_D), the slot weights multiplied first, also for non-dyadic weights
+def test_diagonal_map_weights_one_slot_at_a_time(massive_spacetime, rng):
+    # a diagonal map keeps every term; each coefficient takes its slots'
+    # weights in slot order, ((c * w_1) * ...) * w_D, bit for bit also for
+    # non-dyadic weights, as every other map does
     st_ = massive_spacetime
     w = 1.0 + rng.random(st_.data_dim) / 3.0
     x = alg.random_element(rng, st_, 4, 20)
     out = alg.substitute_affine(x, slot_map(np.diag(w)))
     assert np.array_equal(out.digits, x.digits)
-    weights = np.concatenate([[1.0], w])[x.digits]
-    assert np.array_equal(out.coeffs, x.coeffs * np.multiply.reduce(weights))
+    want = x.coeffs
+    for weights in np.concatenate([[1.0], w])[x.digits]:
+        want = want * weights
+    assert np.array_equal(out.coeffs, want)
 
 
 def test_stacked_lift_checks_every_matrix(massive_spacetime, rng):
@@ -833,6 +836,21 @@ class TestCcrSuiteMutants:
         result = ccr_suite(RunConfig(spectrum="1:2", seed=62))
         assert result["status"] == "fail"
         assert result["residuals"]["ccr_relations"] > 1.0
+
+    def test_constructor_dropping_a_term(self, monkeypatch):
+        # the exact oracle reads the drawn terms, so an element built without
+        # one of them disagrees with it
+        real = alg._from_indices
+
+        def dropping(spacetime, indices, coeffs):
+            if len(indices) > 1:
+                indices, coeffs = indices[:-1], coeffs[:-1]
+            return real(spacetime, indices, coeffs)
+
+        monkeypatch.setattr(alg, "_from_indices", dropping)
+        result = ccr_suite(RunConfig(spectrum="1:2", seed=62))
+        assert result["status"] == "fail"
+        assert result["residuals"]["associativity_vs_exact_oracle"] > 1.0
 
 
 def test_ccr_suite_bounds_its_batches():

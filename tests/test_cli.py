@@ -107,6 +107,11 @@ class TestSerializer:
         np.array([[1, 2], [3, 4]]), np.array([True, False]),
         np.empty(0), np.empty((0, 3)), np.empty((2, 0)), np.empty((2, 0, 3)),
         np.array(0.25),
+        # sparse rows, all-zero rows and signed zeros
+        np.array([[0.0, -0.0, 0.0, 5e-324], [0.0, 0.0, 0.0, 0.0],
+                  [1e16, 0.0, -0.0, -0.0], [-0.0, -0.0, -0.0, -0.0]]),
+        np.zeros((3, 5)), np.zeros(4), np.full(3, -0.0),
+        np.array([0.0, -5e-324, 0.0, 0.0, -1e16, 0.0]),
     ])
     def test_array_written_as_its_tolist(self, arr):
         # rows are converted one at a time, to the bytes of the nested list

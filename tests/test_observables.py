@@ -283,13 +283,14 @@ class TestMultiComponentRegions:
         from lcqft.spacetime import LatticeSpacetime, MassSpectrum
         st = LatticeSpacetime(11, 12, 0.5, MassSpectrum.parse("1:2"))
         region = multi_diamond(st, [(6, 0, 3), (6, 5, 3)])
-        comp1, comp2 = region.components
         N = st.n_sites
+        comp1, comp2 = ({(c.base_start + j) % N for j in range(c.base_length)}
+                        for c in region.components)
 
-        def scalar_in(comp):
+        def scalar_in(sites):
             q = np.zeros(N, dtype=complex)
             p = np.zeros(N, dtype=complex)
-            sites = sorted(comp.sites(N))
+            sites = sorted(sites)
             q[sites] = rng.standard_normal(len(sites))
             p[sites] = rng.standard_normal(len(sites))
             return np.array([q, p])
@@ -298,7 +299,7 @@ class TestMultiComponentRegions:
         gen = obs.bilinear_generator(st, 1.0, phi, psi)
         residual = obs.invariant_projection_check(gen)
         assert residual < 1e-10
-        supports = [comp1.sites(N), comp2.sites(N)]
+        supports = [comp1, comp2]
         cross = not any(
             set(np.nonzero(np.abs(phi).sum(0))[0]) <= s
             and set(np.nonzero(np.abs(psi).sum(0))[0]) <= s

@@ -14,6 +14,7 @@ from lcqft.spacetime import (
     MASS_COLLISION_TOL,
     LatticeSpacetime,
     MassSpectrum,
+    RegionComponent,
     cauchy_extension,
     compose,
     domain_of_dependence,
@@ -24,7 +25,7 @@ from lcqft.spacetime import (
 )
 
 from oracles import (brute_force_domain_of_dependence, causal_paths_stay_inside,
-                     pairwise_mass_collisions)
+                     intervals_touch_by_sets, pairwise_mass_collisions)
 
 
 def _st(spec="1:1", n=8, steps=8):
@@ -158,12 +159,19 @@ class TestDomainOfDependence:
         assert {x for t, x in pts if t == 7} == {5}
 
     def test_matches_brute_force(self):
-        spacetime = _st(n=11, steps=20)
-        for (t0, start, length) in [(5, 3, 5), (4, 0, 10), (10, 7, 6)]:
-            region = domain_of_dependence(t0, start, length, spacetime)
-            oracle = brute_force_domain_of_dependence(t0, start, length,
+        # every diamond of three lattices, clipped at both time ends and
+        # wrapping past site 0
+        for n in (5, 8, 11):
+            spacetime = _st(n=n, steps=12)
+            for t0 in range(13):
+                for start in range(n):
+                    for length in range(1, n):
+                        region = domain_of_dependence(t0, start, length,
                                                       spacetime)
-            assert region.points == oracle
+                        assert region.points \
+                            == brute_force_domain_of_dependence(
+                                t0, start, length, spacetime), \
+                            (n, t0, start, length)
 
     def test_single_site(self):
         spacetime = _st(n=8)
@@ -199,6 +207,37 @@ class TestMultiDiamond:
         spacetime = _st(n=11, steps=12)
         with pytest.raises(LcqftError):
             multi_diamond(spacetime, [(5, 0, 3), (5, 3, 3)])
+
+    @pytest.mark.parametrize("n", [5, 8, 11])
+    def test_touching_rule_matches_sets(self, n):
+        # every same-slice pair of base intervals, in both orders
+        comps = [RegionComponent(0, start, length)
+                 for start in range(n) for length in range(1, n)]
+        for a in comps:
+            for b in comps:
+                assert a.touches(b, n) == intervals_touch_by_sets(a, b, n), \
+                    (a, b)
+
+    @pytest.mark.parametrize("bases, touch", [
+        ([(5, 0, 3), (5, 4, 3)], False),
+        ([(5, 0, 3), (5, 3, 3)], True),     # adjacent
+        ([(5, 0, 3), (5, 2, 3)], True),     # overlapping
+        ([(5, 9, 3), (5, 0, 3)], True),     # wraps past 0 onto the other
+        ([(5, 9, 2), (5, 0, 3)], True),     # adjacent across site 0
+        ([(5, 9, 2), (5, 1, 3)], False),    # one site apart across site 0
+        ([(5, 2, 3), (5, 10, 3)], True),    # wraps past 0 up to site 2
+        ([(5, 2, 3), (5, 9, 3)], False),
+        ([(5, 3, 2), (5, 0, 9)], True),     # one inside the other
+    ])
+    def test_touching_components_rejected(self, bases, touch):
+        spacetime = _st(n=11, steps=12)
+        assert intervals_touch_by_sets(
+            *(RegionComponent(*b) for b in bases), 11) == touch
+        if touch:
+            with pytest.raises(LcqftError, match="overlap or touch"):
+                multi_diamond(spacetime, bases)
+        else:
+            assert len(multi_diamond(spacetime, bases).components) == 2
 
     def test_causally_related_components_rejected(self):
         spacetime = _st(n=11, steps=12)
