@@ -35,8 +35,9 @@ and digit rows, never over terms. Each expands all its terms at once and
 merges them once (`_expanded`); the product also merges at each contraction
 level. A sum, a difference or a comparison concatenates its two operands
 and merges them once. The kernel does not bound its working set: a caller
-with a large batch takes it in parts (the ccr suite sizes its batches of
-field pairs by `suites.CCR_BATCH_TERMS`).
+with a large batch takes it in parts (the ccr suite takes as many field
+pairs at once as expand about `suites.CCR_BATCH_TERMS` terms, which its
+shared supports fix at every lattice size).
 """
 from __future__ import annotations
 

@@ -10,10 +10,8 @@ that cannot be written leaves no --out file that names a regular file (a
 device node, or a symlink to one, stays). Exit codes: 0 all checks pass, 1
 suite failure or a non-finite report, 2 configuration error or a failed
 write to --out, stdout or stderr; a lattice too large for memory is a
-configuration error (`RunConfig.check`, else MemoryError). Exit codes and
-messages are the same for a suite that `verify all` ran in a forked worker
-(one lane per usable CPU), whose report is byte-identical (timings aside);
-a worker that ends without a result is one `error:` line and exit 1.
+configuration error (`RunConfig.check`, else MemoryError). `verify all`
+runs its suites in order, and the first exception ends it.
 """
 from __future__ import annotations
 

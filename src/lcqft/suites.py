@@ -16,22 +16,18 @@ each commuting with the species maps of the presentation
 the observables off their symmetric forms (`observables`). The rce and
 observables suites build no algebra element.
 
-Suites draw randomness from independent counter-based streams derived from
-the master seed, so a report is byte-identical across reruns on one build and
-BLAS thread count (timings aside), whichever process ran each suite: `verify
-all` runs its suites on one lane per usable CPU (`_run_lanes`). Across
+Suites run in order in one process. Each draws randomness from its own
+counter-based stream derived from the master seed, so a suite's result is
+the same in `verify all` as alone, and a report is byte-identical across
+reruns on one build and BLAS thread count (timings aside). Across
 machines the contract (statuses, dimensions, thresholds, findings, exact
 checks) is identical and the roundoff-floor residuals agree within the band
 of `serialize.golden_mismatches`.
 """
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
 import os
-import pickle
-import signal
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -87,13 +83,13 @@ CENTRAL_MOVED_MIN = 0.5
 PERT_FIRST, PERT_ROWS, PERT_SCALE = 3, 3, 0.4
 DIAMOND_SLICE, DIAMOND_LENGTH = 3, 3
 
-# each pair of the gauge suite's Leibniz check lives on this many sites
+# each pair of the ccr suite and of the gauge suite's Leibniz check lives on
+# this many sites that the two share (`_shared_support`)
 LEIBNIZ_SITES = 2
 
 # the ccr suite takes its field pairs in batches whose products expand about
 # this many terms (about 2 MiB); the algebra kernel merges each operation's
-# terms at once, so this bounds the suite's working set: one batch of all
-# 200 pairs peaks at hundreds of MiB by 32 sites
+# terms at once, so this bounds the suite's working set
 CCR_BATCH_TERMS = 1 << 15
 
 # the smallest (n_sites, n_steps) on which each suite's draws fit; the gauge
@@ -237,6 +233,15 @@ def _random_data(rng, st: LatticeSpacetime, n: int) -> np.ndarray:
     return np.concatenate([q_re + 1j * q_im, p_re + 1j * p_im], axis=-1)
 
 
+def _shared_support(rng, st: LatticeSpacetime) -> np.ndarray:
+    """The basis indices of the q and p channels of every species at
+    LEIBNIZ_SITES random sites: the support of one drawn pair, so its
+    products contract as often, and expand as many terms, on any lattice."""
+    N = st.n_sites
+    sites = rng.choice(N, size=LEIBNIZ_SITES, replace=False)
+    return (np.arange(2 * st.n_species)[:, None] * N + sites).ravel()
+
+
 def _random_perturbation(rng, st: LatticeSpacetime, kind: str = "mass"
                          ) -> dyn.Perturbation:
     T1, N = st.n_slices, st.n_sites
@@ -261,16 +266,22 @@ def ccr_suite(config: RunConfig) -> dict:
     st = config.spacetime()
     rng = _rng(config, 0)
 
-    # 200 draws, taken and checked in batches whose field products expand
-    # about CCR_BATCH_TERMS terms
-    group = max(1, CCR_BATCH_TERMS // st.data_dim ** 2)
+    # 200 pairs (u, v), each drawn on a shared support, so a commutator
+    # expands width^2 terms at every N; taken and checked in batches whose
+    # products expand about CCR_BATCH_TERMS terms
+    width = 2 * st.n_species * LEIBNIZ_SITES
+    group = max(1, CCR_BATCH_TERMS // width ** 2)
     half = st.data_dim // 2
     worst = 0.0
     for start in range(0, 200, group):
-        u, v, lams = (np.array(x) for x in zip(*[
-            (*_random_data(rng, st, 2),
-             complex(rng.standard_normal(), rng.standard_normal()))
-            for _ in range(min(group, 200 - start))]))
+        n = min(group, 200 - start)
+        u, v = np.zeros((2, n, st.data_dim), complex)
+        lams = np.empty(n, complex)
+        for i in range(n):
+            support = _shared_support(rng, st)
+            re, im = rng.standard_normal((2, 2, width))
+            u[i, support], v[i, support] = re + 1j * im
+            lams[i] = complex(rng.standard_normal(), rng.standard_normal())
         phi, psi = alg.fields(st, u), alg.fields(st, v)
         sigma = np.sum(u[:, :half] * v[:, half:], axis=1) \
             - np.sum(v[:, :half] * u[:, half:], axis=1)
@@ -323,14 +334,10 @@ def _leibniz_defect(rng, st: LatticeSpacetime) -> float:
     """The moves act on the algebra: D(ab) = D(a) b + a D(b) for each
     rotation and shift derivation D and r(ab) = r(a) r(b) for each block
     reflection r, so products of invariants stay invariant. Checked on 20
-    pairs (a_i, b_i) in one batch, each pair drawn on the q and p channels
-    of every species at LEIBNIZ_SITES random sites that the two share, so
-    its products contract as often on any lattice."""
-    N, channels = st.n_sites, 2 * st.n_species
+    pairs (a_i, b_i) in one batch, each pair drawn on a shared support."""
     drawn = []
     for _ in range(20):
-        sites = rng.choice(N, size=LEIBNIZ_SITES, replace=False)
-        support = (np.arange(channels)[:, None] * N + sites).ravel()
+        support = _shared_support(rng, st)
         drawn += [alg.random_element(rng, st, 2, 4, support=support)
                   for _ in range(2)]
     a, b = alg.stack(drawn[::2]), alg.stack(drawn[1::2])
@@ -670,88 +677,6 @@ GOLDEN_CONFIGS = [
 ]
 
 
-def _take(queue: int, parent: int | None = None):
-    """Indices off the queue until it is empty or `parent` is gone."""
-    while parent is None or os.getppid() == parent:
-        index = os.read(queue, 1)
-        if not index:
-            return
-        yield index[0]
-
-
-def _lane(config: RunConfig, names: list[str], indices, queue: int, send):
-    """Run the suites at `indices`, sending each (index, (ok, result or
-    exception)). After an exception the lane empties the queue: every suite
-    left there comes later in the report."""
-    for i in indices:
-        try:
-            outcome = (True, SUITE_FUNCS[names[i]](config))
-        except Exception as exc:
-            outcome = (False, exc)
-        send((i, outcome))
-        if not outcome[0]:
-            while os.read(queue, 256):
-                pass
-            return
-
-
-def _run_lanes(config: RunConfig, names: list[str]) -> list[dict]:
-    """The named suites' results, in order, from one lane per usable CPU and
-    suite. This process is lane 0 and runs the first suite; forked workers,
-    and then lane 0, take the next index off a pipe. Workers send back
-    pickled outcomes, never print, leave through os._exit and are reaped
-    here (killed first on an error). The first exception in suite order is
-    raised, as a serial run raises it."""
-    lanes = min(len(os.sched_getaffinity(0)), len(names)) \
-        if hasattr(os, "sched_getaffinity") else 1
-    queue, feed = os.pipe()
-    os.write(feed, bytes(range(1, len(names))))
-    os.close(feed)
-    parent, pids, streams, outcomes = os.getpid(), [], [], {}
-    try:
-        for _ in range(lanes - 1):
-            fd, out = os.pipe()
-            streams.append(open(fd, "rb"))
-            try:  # a spawned worker would import numpy and lcqft again
-                pid = os.fork()
-            except OSError:  # no process to spare: lane 0 does the rest
-                os.close(out)
-                break
-            if pid == 0:
-                try:
-                    with open(out, "wb") as fh:
-                        def send(outcome):
-                            fh.write(pickle.dumps(outcome))
-                            fh.flush()
-                        _lane(config, names, _take(queue, parent), queue, send)
-                finally:
-                    os._exit(0)
-            os.close(out)
-            pids.append(pid)
-        _lane(config, names, itertools.chain([0], _take(queue)), queue,
-              lambda outcome: outcomes.update([outcome]))
-        for fh in streams:
-            with contextlib.suppress(Exception):  # at EOF or a cut-off send
-                while True:
-                    outcomes.update([pickle.load(fh)])
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid in pids:
-            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored
-                os.waitpid(pid, 0)
-        for fh in streams:
-            fh.close()
-        os.close(queue)
-    for i, name in enumerate(names):
-        ok, value = outcomes.get(i, (False, None))
-        if not ok:
-            raise value or LcqftError(f"suite {name} ended without a result")
-    return [outcomes[i][1] for i in range(len(names))]
-
-
 def run_suite(config: RunConfig) -> dict:
     """Execute the selected suites and assemble the versioned report."""
     if config.suite == "all":
@@ -764,7 +689,8 @@ def run_suite(config: RunConfig) -> dict:
             f"{', '.join(SUITE_NAMES)} or all")
     config.check(names)  # before any suite runs
 
-    results = _run_lanes(config, names)
+    # looked up at call time: perfbench/child.py rebinds the entries
+    results = [SUITE_FUNCS[name](config) for name in names]
 
     status = "pass" if all(r["status"] == "pass" for r in results) else "fail"
     return {

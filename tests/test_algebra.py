@@ -808,7 +808,16 @@ def test_stacked_lift_checks_every_matrix(massive_spacetime, rng):
 
 
 class TestCcrSuiteMutants:
-    # each mutant of the batched kernel must fail the ccr suite
+    # each mutant of the batched kernel must fail the ccr suite, on a small
+    # lattice and on one where a pair's shared sites are a few of many; each
+    # test runs both sizes, so its id is the same as for one
+    SIZES = (8, 64)
+
+    @staticmethod
+    def _runs():
+        return [ccr_suite(RunConfig(spectrum="1:2", n_sites=n, seed=62))
+                for n in TestCcrSuiteMutants.SIZES]
+
     def test_tag_dropping_merge(self, monkeypatch):
         real = alg._merge_tagged
 
@@ -818,13 +827,13 @@ class TestCcrSuiteMutants:
             return real(size, tags, *rest)
 
         monkeypatch.setattr(alg, "_merge_tagged", dropping)
-        result = ccr_suite(RunConfig(spectrum="1:2", seed=62))
         # the commutators of pairs 0 and 1 are summed into element 0: its
         # unit coefficient misses its own sigma, element 1 has none; the
         # float triples disagree with the exact oracle
-        assert result["status"] == "fail"
-        assert result["residuals"]["ccr_relations"] > 1.0
-        assert result["residuals"]["associativity_vs_exact_oracle"] > 1.0
+        for result in self._runs():
+            assert result["status"] == "fail"
+            assert result["residuals"]["ccr_relations"] > 1.0
+            assert result["residuals"]["associativity_vs_exact_oracle"] > 1.0
 
     def test_flipped_contraction_sign(self, monkeypatch):
         # the product with sigma negated is the product in opposite order
@@ -833,9 +842,9 @@ class TestCcrSuiteMutants:
             alg.AlgebraElement, "__mul__",
             lambda a, b: real(b, a) if isinstance(b, alg.AlgebraElement)
             else real(a, b))
-        result = ccr_suite(RunConfig(spectrum="1:2", seed=62))
-        assert result["status"] == "fail"
-        assert result["residuals"]["ccr_relations"] > 1.0
+        for result in self._runs():
+            assert result["status"] == "fail"
+            assert result["residuals"]["ccr_relations"] > 1.0
 
     def test_constructor_dropping_a_term(self, monkeypatch):
         # the exact oracle reads the drawn terms, so an element built without
@@ -848,20 +857,24 @@ class TestCcrSuiteMutants:
             return real(spacetime, indices, coeffs)
 
         monkeypatch.setattr(alg, "_from_indices", dropping)
-        result = ccr_suite(RunConfig(spectrum="1:2", seed=62))
-        assert result["status"] == "fail"
-        assert result["residuals"]["associativity_vs_exact_oracle"] > 1.0
+        for result in self._runs():
+            assert result["status"] == "fail"
+            assert result["residuals"]["associativity_vs_exact_oracle"] > 1.0
 
 
 def test_ccr_suite_bounds_its_batches():
-    # the kernel merges each operation at once, so the ccr suite's batch
-    # rule (CCR_BATCH_TERMS) is what bounds its working set: at 16 sites it
-    # peaks near 3.3 MiB, where one batch of all 200 pairs takes 83 MiB
+    # each pair is drawn on a support of fixed width, so the commutators
+    # expand as many terms, and CCR_BATCH_TERMS takes all 200 pairs of 1:2
+    # in one batch, at every N: at 256 sites the suite peaks near 11 MiB
+    # and holds its residual to within twice that at 8 sites
+    small = ccr_suite(RunConfig(spectrum="1:2", n_sites=8))
     tracemalloc.start()
     try:
-        result = ccr_suite(RunConfig(spectrum="1:2", n_sites=16))
+        result = ccr_suite(RunConfig(spectrum="1:2", n_sites=256))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result["status"] == "pass"
-    assert peak < 12 * 2 ** 20
+    assert small["status"] == result["status"] == "pass"
+    assert peak < 32 * 2 ** 20
+    assert result["residuals"]["ccr_relations"] \
+        <= 2 * small["residuals"]["ccr_relations"]

@@ -23,7 +23,11 @@ from lcqft.spacetime import LatticeSpacetime, MassSpectrum
 from lcqft.suites import (DEFAULT_TOLERANCES, GOLDEN_CONFIGS, RunConfig,
                           run_suite)
 
+from oracles import NotSymplectic
+
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "reports" / "golden"
+MASSIVE_ALL = ["verify", "all", "--spectrum", "1:2", "--sites", "8",
+               "--seed", "7"]
 
 
 def _src_env(root: pathlib.Path) -> dict:
@@ -346,6 +350,20 @@ class TestBenchmarkTraceHooks:
                 "observables.affine_derivative"} <= set(names)
         assert sum(calls.values()) > 0
 
+    def test_the_benchmark_set_up_probe_stops_at_the_first_suite(self,
+                                                                 tmp_path):
+        # the probe raises its own exception at the first suite call, which
+        # it makes through SUITE_FUNCS, and exits 0 with nothing printed
+        root = GOLDEN_DIR.parent.parent
+        stats = tmp_path / "stats.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), "setup",
+             str(stats), *MASSIVE_ALL], cwd=root, env=_src_env(root),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
+        assert json.loads(stats.read_text())["first_call"] is not None
+
     def test_traced_child_records_each_classifier_stage(self, tmp_path):
         calls = self._span_calls(
             tmp_path, ["classify", "--spectrum", "1:2,2:3", "--sites", "8"])
@@ -388,6 +406,21 @@ class TestRunSuite:
         from lcqft.errors import ConfigParse
         with pytest.raises(ConfigParse):
             run_suite(RunConfig(spectrum="1:2", suite="nope"))
+
+    @pytest.mark.parametrize("name", ["massive-all", "massless-all"])
+    def test_each_suite_equals_its_run_alone(self, name):
+        # each suite draws from its own stream, so `verify all` gives it the
+        # result it gets alone, in suite order
+        def text(entry):
+            return serialize.dumps(serialize.strip_timings(entry))
+
+        kwargs = dict(GOLDEN_CONFIGS)[name]
+        together = run_suite(RunConfig(**kwargs))
+        assert [entry["name"] for entry in together["suites"]] \
+            == list(suites.SUITE_NAMES)
+        for entry in together["suites"]:
+            alone = run_suite(RunConfig(**{**kwargs, "suite": entry["name"]}))
+            assert [text(e) for e in alone["suites"]] == [text(entry)]
 
 
 class TestCliProcess:
@@ -692,6 +725,42 @@ class TestCliProcess:
             os.close(reader)
         assert not to_file.is_symlink() and target.exists()
         assert to_fifo.is_symlink() and fifo.exists()
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (NotSymplectic("rce moved sigma by 1e-3"), 1,
+         "error: rce moved sigma by 1e-3"),
+        (MemoryError("Unable to allocate 2.98 GiB"), 2,
+         "config error: 8 sites x 16 steps does not fit in memory: "
+         "Unable to allocate 2.98 GiB")])
+    def test_an_exception_in_a_suite_ends_the_run(self, exc, code, line,
+                                                  monkeypatch, tmp_path,
+                                                  capsys):
+        def fail(config):
+            raise exc
+
+        out = tmp_path / "report.json"
+        monkeypatch.setitem(suites.SUITE_FUNCS, "gauge", fail)
+        assert main(MASSIVE_ALL + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
+    def test_the_first_failing_suite_in_order_is_raised(self, monkeypatch,
+                                                        capsys):
+        # gauge and rce both raise: gauge comes first in the report, so its
+        # error is the one line, and no later suite runs
+        ran = []
+
+        def failing(name):
+            def suite(config):
+                ran.append(name)
+                raise NotSymplectic(name)
+            return suite
+
+        for name in ("rce", "gauge", "classify"):
+            monkeypatch.setitem(suites.SUITE_FUNCS, name, failing(name))
+        assert main(MASSIVE_ALL) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: gauge"]
+        assert ran == ["gauge"]
 
     def test_out_of_memory_is_config_error(self, monkeypatch, tmp_path,
                                            capsys):
