@@ -6,9 +6,12 @@ data that commutes with the one-site shift acts at momentum k as a matrix
 G_k on the species' (q_k, p_k) pairs, with G_{-k} the conjugate of G_k.
 
 1. Commutant: G also commutes with the one-step evolution, the 2x2 mode map
-   U_k of each block (`dynamics.mode_maps`). U_k is never a multiple of the
-   identity (its q-p entry is dt) and distinct masses share no mode
-   eigenvalue, so per mass block G_k = X_k (x) 1 + Y_k (x) U_k.
+   U_k of each block (`dynamics.mode_maps`), so with the step's generator
+   K_k = (U_k - 1) / dt. K_k is never a multiple of the identity (its q-p
+   entry is 1 at every dt) and distinct masses share no mode eigenvalue, so
+   per mass block G_k = X_k (x) 1 + Y_k (x) K_k. The span is that of
+   {1, U_k}, but the columns 1 and K_k stay apart as dt -> 0, where 1 and
+   U_k become parallel and a rank cut would drop a true direction.
 2. Constraints: preserving the pointwise null energy, linearized at the
    identity and polarized, reads <D phi, D (G phi)>(t, x) = 0 for every
    solution phi, point (t, x) and null contraction D_+-. By shift and time
@@ -16,7 +19,7 @@ G_k on the species' (q_k, p_k) pairs, with G_{-k} the conjugate of G_k.
    condition holds iff D_+- G P = A_+- D_+- P for some A_+- in so(S), with P
    removing the massless zero mode. D_+- reads r_k^+- = [+-i sin(2 pi k/N), 1]
    on each (q_k, p_k), so A_+- is block-diagonal, and each species entry of
-   a block solves one scalar system a_k r_k^+- + b_k r_k^+- U_k = A_+- r_k^+-
+   a block solves one scalar system a_k r_k^+- + b_k r_k^+- K_k = A_+- r_k^+-
    at every kept k, with (a_k, b_k) the entry of (X_k, Y_k).
 3. Solve: a 4x2 SVD per momentum eliminates (a_k, b_k); the pairs (A_+, A_-)
    admissible at every kept k are the nullspace of one small system per
@@ -26,9 +29,9 @@ G_k on the species' (q_k, p_k) pairs, with G_{-k} the conjugate of G_k.
    rotations R (x) 1 are the pair A_+ = A_- = 1, lifted to a_k = 1, b_k = 0.
 4. Affine factor: the constant part c of Phi(phi) -> Phi(G phi) + c(phi) 1
    is a real functional with c T = c and c U = c. Shift invariance puts c at
-   k = 0: on each block a left fixed vector of U_0, constant over the sites;
-   none on a massive block (det(U_0 - 1) = dt^2 w^2 > 0), sum_x p on the
-   massless one, the span of the shift functionals of R^{nu(0)*}.
+   k = 0: on each block a left null vector of K_0, constant over the sites;
+   none on a massive block (det K_0 = w^2 > 0), sum_x p on the massless one,
+   the span of the shift functionals of R^{nu(0)*}.
 
 Massless species on a compact Cauchy slice carry a genuine lattice artifact:
 the spatial zero mode is a free particle, and the maps supported entirely in
@@ -55,8 +58,8 @@ from ._linalg import nullspace
 from .dynamics import (Perturbation, data_from_vec, dense_from_modes,
                        mode_maps, null_energy_grids, rce_data)
 from .errors import BudgetExceeded
-from .gauge import (block_reflections, classical_action, rotation_generators,
-                    shift_functionals)
+from .gauge import (block_reflections, rotation_generators, shift_functionals,
+                    species_action)
 from .spacetime import LatticeSpacetime
 
 BUDGET_SITES = 32
@@ -77,19 +80,19 @@ CHECKED_RESIDUALS = ("soundness_sigma", "soundness_null_energy",
 @dataclass(frozen=True, eq=False)
 class ModeCommutant:
     """The commutant of the shift and the one-step evolution, one row per
-    (mass block, momentum): gl(nu) (x) span{1, U_k} on the block."""
+    (mass block, momentum): gl(nu) (x) span{1, K_k} on the block."""
 
     spacetime: LatticeSpacetime
-    block: np.ndarray     # (K,) mass-block index
-    k: np.ndarray         # (K,) momentum
-    U: np.ndarray         # (K, 2, 2) mode map
+    block: np.ndarray     # (n,) mass-block index
+    k: np.ndarray         # (n,) momentum
+    K: np.ndarray         # (n, 2, 2) step generator (U_k - 1) / dt
 
     @property
     def dimension(self) -> int:
-        """Real dimension, counted by momentum: nu^2 dim span{1, U_k} per
+        """Real dimension, counted by momentum: nu^2 dim span{1, K_k} per
         row (rows k and -k pair up into the real maps)."""
         nu = np.array([n for _, n in self.spacetime.spectrum.entries])
-        span = np.stack([np.broadcast_to(np.eye(2), self.U.shape), self.U], 1)
+        span = np.stack([np.broadcast_to(np.eye(2), self.K.shape), self.K], 1)
         return int(nu[self.block] ** 2 @ np.linalg.matrix_rank(
             span.reshape(-1, 2, 4)))
 
@@ -101,11 +104,12 @@ def check_budget(n_sites: int, n_species: int):
 
 
 def build_commutant_basis(spacetime: LatticeSpacetime) -> ModeCommutant:
-    """Every (mass block, momentum) row with its closed-form mode map."""
+    """Every (mass block, momentum) row with its step generator, read off
+    the closed-form mode map."""
     check_budget(spacetime.n_sites, spacetime.n_species)
-    U = mode_maps(spacetime)
-    block, k = np.divmod(np.arange(U.shape[0] * U.shape[1]), U.shape[1])
-    return ModeCommutant(spacetime, block, k, U.reshape(-1, 2, 2))
+    K = (mode_maps(spacetime) - np.eye(2)) / spacetime.dt
+    block, k = np.divmod(np.arange(K.shape[0] * K.shape[1]), K.shape[1])
+    return ModeCommutant(spacetime, block, k, K.reshape(-1, 2, 2))
 
 
 def expected_commutant_dimension(spacetime: LatticeSpacetime) -> int:
@@ -122,37 +126,37 @@ def split_zero_mode(basis: ModeCommutant):
     masses = np.array(basis.spacetime.spectrum.masses)
     zero = (masses[basis.block] == 0.0) & (basis.k == 0)
     return [ModeCommutant(basis.spacetime, basis.block[rows], basis.k[rows],
-                          basis.U[rows]) for rows in (~zero, zero)]
+                          basis.K[rows]) for rows in (~zero, zero)]
 
 
 # -- constraints and solve ----------------------------------------------------------
 
 def constraint_rows_for_solution(active: ModeCommutant, st: LatticeSpacetime
                                  ) -> np.ndarray:
-    """The scalar system at each active row, (K, 4, 4) complex: for sign +,
+    """The scalar system at each active row, (n, 4, 4) complex: for sign +,
     then -, and component q, then p, the equation
-    a_k r^+- + b_k r^+- U_k - A_+- r^+- = 0 in the unknowns
+    a_k r^+- + b_k r^+- K_k - A_+- r^+- = 0 in the unknowns
     (a_k, b_k, A_+, A_-)."""
-    r = np.ones((len(active.k), 2, 2), dtype=complex)   # (K, sign, component)
+    r = np.ones((len(active.k), 2, 2), dtype=complex)   # (n, sign, component)
     r[:, :, 0] = 1j * np.outer(np.sin(2 * np.pi * active.k / st.n_sites),
                                [1.0, -1.0])
     rows = np.zeros(r.shape + (4,), dtype=complex)
-    rows[..., 0], rows[..., 1] = r, r @ active.U
+    rows[..., 0], rows[..., 1] = r, r @ active.K
     rows[:, 0, :, 2], rows[:, 1, :, 3] = -r[:, 0], -r[:, 1]
     return rows.reshape(len(r), 4, 4)
 
 
 @dataclass(frozen=True, eq=False)
 class BlockSolution:
-    """One mass block's solved system; a direction is (k, a_k 1 + b_k U_k)."""
+    """One mass block's solved system; a direction is (k, a_k 1 + b_k K_k)."""
 
     pairs: np.ndarray     # (2, d) orthonormal admissible (A_+, A_-)
     lifted: list          # per pair, its lift at the block's kept momenta
     unseen: list          # per (a_k, b_k) that no equation sees, at k and -k
 
 
-def _modes(ab: np.ndarray, U: np.ndarray) -> np.ndarray:
-    return ab[:, :1, None] * np.eye(2) + ab[:, 1:, None] * U
+def _modes(ab: np.ndarray, K: np.ndarray) -> np.ndarray:
+    return ab[:, :1, None] * np.eye(2) + ab[:, 1:, None] * K
 
 
 def solve_blocks(active: ModeCommutant, st: LatticeSpacetime):
@@ -187,9 +191,9 @@ def solve_blocks(active: ModeCommutant, st: LatticeSpacetime):
             ns = [(n * np.conj(n[np.argmax(np.abs(n))])).real] \
                 if k == -k % N else [n, 1j * n] if k < -k % N else []
             unseen += [(np.array([k, -k % N]), _modes(np.stack(
-                [z, np.conj(z)]), active.U[sel[[row, row]]])) for z in ns]
+                [z, np.conj(z)]), active.K[sel[[row, row]]])) for z in ns]
         out.append(BlockSolution(pairs, [
-            (active.k[sel], _modes(ab, active.U[sel]))
+            (active.k[sel], _modes(ab, active.K[sel]))
             for ab in np.moveaxis(lift[sel] @ pairs, -1, 0)], unseen))
     kept_s, dropped_s = np.concatenate(kept_s), np.concatenate(dropped_s)
     return out, {"sigma_max": float(np.max(kept_s, initial=0.0)),
@@ -284,31 +288,31 @@ def reflection_residual(st: LatticeSpacetime, rng: np.random.Generator) -> float
     reflections, res = block_reflections(st.spectrum), 0.0
     for _ in range(3):
         phi = rng.standard_normal(st.data_dim)
-        grids = null_energy_grids(st, *data_from_vec(st, [phi] + [
-            classical_action(g, st, phi) for g in reflections]))
+        grids = null_energy_grids(st, *data_from_vec(st, np.concatenate(
+            [phi[None], species_action(st, reflections, phi)])))
         res = max(res, float(np.max(np.abs(grids[:, 1:] - grids[:, :1]))))
     return res
 
 
 # -- affine factor ---------------------------------------------------------------------------
 
-def affine_functionals(st: LatticeSpacetime, U0: np.ndarray) -> np.ndarray:
+def affine_functionals(st: LatticeSpacetime, K0: np.ndarray) -> np.ndarray:
     """Orthonormal rows (d, dim) spanning the constant parts c (step 4): per
-    mass block, each left fixed vector of its U_0 (`U0`, (B, 2, 2)) on each
+    mass block, each left null vector of its K_0 (`K0`, (B, 2, 2)) on each
     species of the block, constant over the sites."""
     N, eye, rows = st.n_sites, np.eye(st.n_species), []
-    for (_, b), U in zip(st.spectrum.block_slices(), U0):
-        for ab in nullspace((U - np.eye(2)).T, RANK_REL_TOL)[0].T:
+    for (_, b), K in zip(st.spectrum.block_slices(), K0):
+        for ab in nullspace(K.T, RANK_REL_TOL)[0].T:
             rows += [np.repeat(np.kron(ab, eye[s]), N) / np.sqrt(N)
                      for s in range(b.start, b.stop)]
     return np.array(rows).reshape(len(rows), st.data_dim)
 
 
-def affine_report(st: LatticeSpacetime, U0: np.ndarray) -> dict:
+def affine_report(st: LatticeSpacetime, K0: np.ndarray) -> dict:
     """The solved dimension, the expected nu(0), and the sine of the largest
     principal angle between the solved functionals and the shift functionals
     <e_j, .> of `gauge.shift_functionals` (1.0 when their counts differ)."""
-    solved, n0 = affine_functionals(st, U0), st.spectrum.massless_count
+    solved, n0 = affine_functionals(st, K0), st.spectrum.massless_count
     shifts = shift_functionals(st) / np.sqrt(st.n_sites)
     angle = np.linalg.norm(shifts - shifts @ solved.T @ solved, 2) if n0 else 0.0
     return {"dimension": len(solved), "expected": n0,
@@ -402,6 +406,6 @@ def classify(spacetime: LatticeSpacetime, seed: int = 0) -> dict:
             "reflection_null_energy": reflection_residual(st, rng),
             **{f"soundness_{k}": v for k, v in soundness.items()},
         },
-        "affine": affine_report(st, commutant.U[commutant.k == 0]),
+        "affine": affine_report(st, commutant.K[commutant.k == 0]),
         "findings": findings,
     }

@@ -1,10 +1,12 @@
 """The gauge group O(nu) x| R^{nu(0)*} and its actions.
 
-Elements carry one orthogonal block per mass and a real row vector of shifts
-for the massless species. The group law is the semidirect product
-(R, l) . (R', l') = (R R', l R'_0 + l'); the classical action rotates species
-within each mass block identically at every lattice point; the quantum action
-is the algebra homomorphism
+An element (R, l) holds one orthogonal species matrix R (|nu|, |nu|) that
+commutes with the mass matrix, so it is zero between species of different
+mass, and a real row vector l of shifts for the massless species. The group
+law is the semidirect product (R, l) . (R', l') = (R R', l R'_0 + l'), R'_0
+the massless block of R'; the classical action is R (x) 1_N on both channels,
+rotating species within each mass block identically at every lattice point;
+the quantum action is the algebra homomorphism
 
     zeta(R, l) Phi(phi) = Phi(S(R) phi) + <l, phi> 1,
 
@@ -41,86 +43,66 @@ MULTIPLET_RANK_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class GaugeElement:
-    """One orthogonal block per mass plus the massless shift row vector."""
+    """(R, l): an orthogonal species matrix R (|nu|, |nu|) that commutes with
+    the mass matrix, so zero between species of different mass, and the
+    massless shift row vector l."""
 
     spectrum: MassSpectrum
-    blocks: tuple[np.ndarray, ...]
+    R: np.ndarray
     ell: np.ndarray
 
     def __post_init__(self):
-        blocks = []
-        for (mass, mult), R in zip(self.spectrum.entries, self.blocks):
-            R = np.asarray(R, dtype=float)
-            if R.shape != (mult, mult):
-                raise SpectrumMismatch(
-                    f"block for mass {mass} must be {mult}x{mult}")
-            defect = np.max(np.abs(R.T @ R - np.eye(mult)))
-            if defect > ORTHOGONALITY_TOL:
-                raise NotOrthogonal(f"block defect {defect:.2e} for mass {mass}")
-            R = R.copy()
-            R.setflags(write=False)
-            blocks.append(R)
+        block = self.spectrum.species_block
+        R = np.array(self.R, dtype=float)
+        if R.shape != (len(block), len(block)):
+            raise SpectrumMismatch(
+                f"species matrix must be {len(block)}x{len(block)}")
+        if np.any(R[block[:, None] != block]):
+            raise SpectrumMismatch(
+                "species matrix couples species of different mass")
+        defect = np.max(np.abs(R.T @ R - np.eye(len(block))))
+        if defect > ORTHOGONALITY_TOL:
+            raise NotOrthogonal(f"orthogonality defect {defect:.2e}")
+        R.setflags(write=False)
         ell = np.asarray(self.ell, dtype=float).reshape(-1).copy()
         if ell.shape != (self.spectrum.massless_count,):
             raise SpectrumMismatch(
                 "shift length must equal the massless multiplicity")
         ell.setflags(write=False)
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "R", R)
         object.__setattr__(self, "ell", ell)
-
-    @property
-    def massless_block(self) -> np.ndarray | None:
-        for (mass, _), R in zip(self.spectrum.entries, self.blocks):
-            if mass == 0.0:
-                return R
-        return None
-
-    def species_matrix(self) -> np.ndarray:
-        """The |nu| x |nu| block-diagonal rotation over all species."""
-        S = self.spectrum.total_species
-        out = np.zeros((S, S))
-        for (_, block), R in zip(self.spectrum.block_slices(), self.blocks):
-            out[block, block] = R
-        return out
 
 
 def group_compose(g: GaugeElement, h: GaugeElement) -> GaugeElement:
-    """g . h (apply h first): blocks multiply, shift = ell_g R_h0 + ell_h."""
+    """g . h (apply h first): (R_g R_h, ell_g R_h0 + ell_h), R_h0 the
+    massless block of R_h, which comes first."""
     if g.spectrum != h.spectrum:
         raise SpectrumMismatch("gauge elements over different spectra")
-    blocks = tuple(Rg @ Rh for Rg, Rh in zip(g.blocks, h.blocks))
-    ell = g.ell @ h.massless_block + h.ell if g.spectrum.massless_count \
-        else g.ell
-    return GaugeElement(g.spectrum, blocks, ell)
+    n0 = g.spectrum.massless_count
+    return GaugeElement(g.spectrum, g.R @ h.R, g.ell @ h.R[:n0, :n0] + h.ell)
 
 
-def block_reflections(spectrum: MassSpectrum) -> list[GaugeElement]:
-    """One reflection per mass block: diag(-1, 1, ..., 1) in that block, the
-    identity in the others, no shift. With the in-block rotations they
-    generate O(nu); a single reflection in all blocks at once reaches only
-    one of the 2^B - 1 non-identity components for B blocks."""
-    out = []
-    for b in range(len(spectrum.entries)):
-        blocks = [np.eye(k) for _, k in spectrum.entries]
-        blocks[b][0, 0] = -1.0
-        out.append(GaugeElement(spectrum, tuple(blocks),
-                                np.zeros(spectrum.massless_count)))
+def block_reflections(spectrum: MassSpectrum) -> np.ndarray:
+    """One reflection per mass block, as species matrices (B, |nu|, |nu|):
+    -1 on the block's first species and 1 on every other. With the in-block
+    rotations they generate O(nu); a single reflection in all blocks at once
+    reaches only one of the 2^B - 1 non-identity components for B blocks."""
+    first = [block.start for _, block in spectrum.block_slices()]
+    out = np.tile(np.eye(spectrum.total_species), (len(first), 1, 1))
+    out[np.arange(len(first)), first, first] = -1.0
     return out
 
 
 def random_gauge(rng: np.random.Generator, spectrum: MassSpectrum
                  ) -> GaugeElement:
     """Orthogonalized Gaussian blocks with balanced determinant signs."""
-    blocks = []
-    for _, k in spectrum.entries:
-        A = rng.standard_normal((k, k))
-        Q, R = np.linalg.qr(A)
-        Q = Q * np.sign(np.diag(R))  # remove QR sign ambiguity
-        if rng.integers(0, 2):       # cover both components of O(k)
-            Q = Q.copy()
-            Q[0] = -Q[0]
-        blocks.append(Q)
-    return GaugeElement(spectrum, tuple(blocks),
+    R = np.zeros((spectrum.total_species,) * 2)
+    for _, b in spectrum.block_slices():
+        Q, T = np.linalg.qr(rng.standard_normal((b.stop - b.start,) * 2))
+        R[b, b] = Q * np.sign(np.diag(T))  # remove QR sign ambiguity
+        if rng.integers(0, 2):             # cover both components of O(k)
+            R[b.start, b] *= -1.0
+    return GaugeElement(spectrum, R,
                         rng.standard_normal(spectrum.massless_count))
 
 
@@ -143,7 +125,7 @@ def classical_action(g: GaugeElement, spacetime: LatticeSpacetime,
     """S(R) on data vectors (..., dim) of the spacetime (`species_action`)."""
     if g.spectrum != spacetime.spectrum:
         raise SpectrumMismatch("gauge element over a different spectrum")
-    return species_action(spacetime, g.species_matrix(), vecs)
+    return species_action(spacetime, g.R, vecs)
 
 
 # -- the shift functional ------------------------------------------------------------
@@ -202,7 +184,7 @@ def action_slot_maps(spacetime: LatticeSpacetime,
     if any(g.spectrum != spacetime.spectrum for g in gauges):
         raise SpectrumMismatch("gauge element over a different spectrum")
     return species_slot_maps(
-        spacetime, np.array([g.species_matrix() for g in gauges]),
+        spacetime, np.array([g.R for g in gauges]),
         np.array([g.ell for g in gauges]) @ shift_functionals(spacetime))
 
 
@@ -220,8 +202,7 @@ def rotation_generators(spectrum: MassSpectrum) -> np.ndarray:
     |nu|): the elements of `so_basis(|nu|)` whose two species share a mass
     block, so block by block and in `so_basis` order within each."""
     k, l = np.triu_indices(spectrum.total_species, 1)
-    block = np.repeat(np.arange(len(spectrum.entries)),
-                      [mult for _, mult in spectrum.entries])
+    block = spectrum.species_block
     return so_basis(spectrum.total_species)[block[k] == block[l]]
 
 
@@ -285,12 +266,9 @@ class Presentation:
 def presentation(spacetime: LatticeSpacetime) -> Presentation:
     """The moves of `spacetime`, built once per spacetime; every caller
     shares them and writes nothing."""
-    S = spacetime.n_species
     return Presentation(
         spacetime, rotation_generators(spacetime.spectrum),
-        np.reshape([g.species_matrix()
-                    for g in block_reflections(spacetime.spectrum)], (-1, S, S)),
-        shift_functionals(spacetime))
+        block_reflections(spacetime.spectrum), shift_functionals(spacetime))
 
 
 # -- multiplets ---------------------------------------------------------------------

@@ -98,6 +98,14 @@ class MassSpectrum:
             out.extend([m] * k)
         return tuple(out)
 
+    @cached_property
+    def species_block(self) -> np.ndarray:
+        """Mass-block index of each species (read-only), in block order."""
+        out = np.repeat(np.arange(len(self.entries)),
+                        [k for _, k in self.entries])
+        out.setflags(write=False)
+        return out
+
     def block_slice(self, mass: float) -> slice:
         """Species-index slice of the given mass block."""
         start = 0

@@ -22,6 +22,7 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,7 +72,6 @@ class QuasifreeState:
         wick[1:, 0, 0] = 1.0
         wick.setflags(write=False)
         object.__setattr__(self, "_wick", wick)
-        object.__setattr__(self, "_pairing_tables", {})
 
     @property
     def two_point(self) -> np.ndarray:
@@ -91,20 +91,19 @@ class QuasifreeState:
         that is 1 iff the first slot is empty: else the term has the odd
         degree D and hafnian 0."""
         check_degree_cap(a, DEFAULT_DEGREE_CAP)
-        D = len(a.digits)
-        if D not in self._pairing_tables:
-            self._pairing_tables[D] = _pairing_table(D)
-        pairs, table = self._pairing_tables[D]
+        pairs, table = _pairing_table(len(a.digits))
         at = a.digits[pairs]
         weight = self._wick[table, at[:, :, 0], at[:, :, 1]]
         haf = np.add.reduce(np.multiply.reduce(weight, 1), 0)
         return complex(a.coeffs @ haf)
 
 
+@lru_cache(maxsize=None)
 def _pairing_table(D: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairings of D slots for `QuasifreeState.evaluate`: slot pairs
-    (n, ceil(D / 2), 2) and the `_wick` table of each pair (n, ceil(D / 2), 1).
-    For odd D, the first slot is paired with itself under table 2."""
+    """The pairings of D slots for `QuasifreeState.evaluate`, built once per
+    D and read-only: slot pairs (n, ceil(D / 2), 2) and the `_wick` table of
+    each pair (n, ceil(D / 2), 1). For odd D, the first slot is paired with
+    itself under table 2."""
     odd = D % 2
     pairs = list(_pairings(tuple(range(odd, D))))
     pairs = np.array(pairs, dtype=np.int64).reshape(len(pairs), D // 2, 2)
@@ -114,7 +113,10 @@ def _pairing_table(D: int) -> tuple[np.ndarray, np.ndarray]:
         pairs = np.concatenate(
             [np.zeros((len(pairs), 1, 2), dtype=np.int64), pairs], axis=1)
         table = np.concatenate([np.full((len(table), 1), 2), table], axis=1)
-    return pairs, table[..., None]
+    table = table[..., None]
+    pairs.setflags(write=False)
+    table.setflags(write=False)
+    return pairs, table
 
 
 def _pairings(positions: tuple[int, ...]):
@@ -133,8 +135,7 @@ def vacuum_state(spacetime: LatticeSpacetime) -> QuasifreeState:
     the covariance with mode blocks diag(w_eff / 2, 1 / (2 w_eff)) on each
     species' (q_k, p_k)."""
     spectrum = spacetime.spectrum
-    w = np.repeat(mode_frequencies(spacetime),
-                  [k for _, k in spectrum.entries], axis=0).T
+    w = mode_frequencies(spacetime)[spectrum.species_block].T
     diag = np.concatenate([0.5 * w, 0.5 / w], axis=1)    # (N, 2S)
     mu = dense_from_modes(spacetime, diag[..., None] * np.eye(diag.shape[1]))
     flags = ("massless-reference", "not-invariant-under-affine-shifts") \

@@ -92,14 +92,13 @@ LEIBNIZ_SITES = 2
 # terms at once, so this bounds the suite's working set
 CCR_BATCH_TERMS = 1 << 15
 
-# the smallest (n_sites, n_steps) on which each suite's draws fit; the gauge
-# suite also smears fields with test functions, and the classifier's
+# the smallest (n_sites, n_steps) on which each suite's draws fit; each gauge
+# suite diamond keeps a slice inside [1, n_steps - 2], and the classifier's
 # soundness perturbation needs a slice between the clean first and last
 MIN_LATTICE = {
     "rce": (0, PERT_FIRST + PERT_ROWS - 1),
     "classify": (0, 2),
-    "gauge": (DIAMOND_LENGTH + 2,
-              max(DIAMOND_SLICE, dyn.TEST_FUNCTION_MIN_STEPS)),
+    "gauge": (DIAMOND_LENGTH + 2, DIAMOND_SLICE + 1),
 }
 
 
@@ -539,8 +538,7 @@ def state_suite(config: RunConfig) -> dict:
         worst = 0.0
         for ell, expected in zip(np.eye(spectrum.massless_count),
                                  gg.shift_functionals(st)):
-            g = gg.GaugeElement(
-                spectrum, tuple(np.eye(k) for _, k in spectrum.entries), ell)
+            g = gg.GaugeElement(spectrum, np.eye(st.n_species), ell)
             moved = gg.QuantumAction(g, st)(basis).elements()
             worst = max(worst, *(abs(vac.evaluate(x) - value)
                                  for x, value in zip(moved, expected)))
@@ -601,10 +599,8 @@ def observables_suite(config: RunConfig) -> dict:
     if spectrum.massless_count:
         worst = moved = 0.0
         # the orthogonal factor's -1 on the massless block
-        g = gg.GaugeElement(
-            spectrum,
-            tuple(-np.eye(k) if mass == 0.0 else np.eye(k)
-                  for mass, k in spectrum.entries),
+        g = gg.GaugeElement(spectrum, np.diag(np.where(
+            np.array(spectrum.species_masses) == 0.0, -1.0, 1.0)),
             np.zeros(spectrum.massless_count))
         for entry in obs.central_elements(st):
             chi = entry["chi"]

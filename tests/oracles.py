@@ -944,9 +944,9 @@ def looped_reflection_residual(st: LatticeSpacetime,
     for _ in range(3):
         phi = rng.standard_normal(st.data_dim)
         base = null_energy_grid(st, phi)
-        for g in block_reflections(st.spectrum):
+        for R in block_reflections(st.spectrum):
             res = max(res, float(np.max(np.abs(null_energy_grid(
-                st, species_on_data(st, g.species_matrix()) @ phi) - base))))
+                st, species_on_data(st, R) @ phi) - base))))
     return res
 
 

@@ -359,7 +359,7 @@ class TestDerivation:
 
         def rotated(t):
             R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-            g = gg.GaugeElement(st_.spectrum, (R,), np.zeros(0))
+            g = gg.GaugeElement(st_.spectrum, R, np.zeros(0))
             return gg.QuantumAction(g, st_)(a)
 
         t = 1e-4

@@ -342,13 +342,16 @@ class TestClassify:
         # every block reflection is applied to each of the three solutions
         st = _st("1:2,2:3")
         seen = []
-        real_action = clf.classical_action
+        real_action = clf.species_action
 
-        def counting(g, spacetime, phi):
-            seen.append(tuple(round(float(np.linalg.det(R))) for R in g.blocks))
-            return real_action(g, spacetime, phi)
+        def counting(spacetime, R, phi):
+            assert np.shape(phi) == (st.data_dim,)
+            seen.extend(tuple(round(float(np.linalg.det(X[b, b])))
+                              for _, b in st.spectrum.block_slices())
+                        for X in R)
+            return real_action(spacetime, R, phi)
 
-        monkeypatch.setattr(clf, "classical_action", counting)
+        monkeypatch.setattr(clf, "species_action", counting)
         assert clf.reflection_residual(st, np.random.default_rng(0)) < 1e-12
         assert sorted(seen) == sorted([(-1, 1), (1, -1)] * 3)
 
@@ -390,7 +393,8 @@ class TestClassify:
             assert report["affine"]["dimension"] \
                 == report["affine"]["expected"] == n0, spec
             assert report["affine"]["residual"] < 1e-12, spec
-            solved = clf.affine_functionals(st, dyn.mode_maps(st)[:, 0])
+            K0 = (dyn.mode_maps(st)[:, 0] - np.eye(2)) / st.dt
+            solved = clf.affine_functionals(st, K0)
             dense = oracles.dense_affine_functionals(st)
             assert solved.shape == dense.shape == (n0, st.data_dim), spec
             assert _max_sine(solved, dense) <= 1e-12, spec
@@ -460,8 +464,9 @@ class TestModeSolve:
 
     @pytest.mark.parametrize("spec", ["1:2", "0:1,1:2", "1:2,2:3"])
     def test_mode_elements_commute_with_the_stepper(self, spec, rng):
-        # E (x) (a_k 1 + b_k U_k), with U_k from the closed form, commutes
-        # with the one-step matrix read off the stepper and with the shift
+        # E (x) (a_k 1 + b_k K_k), with K_k = (U_k - 1) / dt from the closed
+        # form, commutes with the one-step matrix read off the stepper and
+        # with the shift
         st = _st(spec)
         basis = clf.build_commutant_basis(st)
         U, P = dyn.one_step_matrix(st), shift_matrix(st)
@@ -471,7 +476,7 @@ class TestModeSolve:
             E[block, block] = rng.standard_normal((block.stop - block.start,) * 2)
             a, c = np.cos(2 * np.pi * k / N), np.cos(4 * np.pi * k / N)
             m = a[:, None, None] * np.eye(2) \
-                + c[:, None, None] * basis.U[basis.block == b]
+                + c[:, None, None] * basis.K[basis.block == b]
             G = dyn.dense_from_modes(st, clf.mode_generator(st, E, k, m))
             assert np.max(np.abs(G @ U - U @ G)) < 1e-13
             assert np.max(np.abs(G @ P - P @ G)) < 1e-13
@@ -517,6 +522,25 @@ class TestModeSolve:
             < clf.RANK_REL_TOL * res["constraint_sigma_max"]
         assert res["constraint_sigma_min_kept"] \
             > 1e6 * res["constraint_sigma_max_dropped"]
+
+    @pytest.mark.parametrize("dt", [1e-10, 1e-14])
+    @pytest.mark.parametrize("spec", ["0:1,1:2", "1:2", "1:2,2:3", "0:2"])
+    def test_tiny_time_step_keeps_every_direction(self, spec, dt):
+        # the columns 1 and K_k = (U_k - 1) / dt stay apart as dt -> 0, where
+        # 1 and U_k become parallel and a rank cut on U_k dropped a true
+        # direction (dimension 40 against 1 on 0:1,1:2 at dt = 1e-10)
+        st = LatticeSpacetime(8, 16, dt, MassSpectrum.parse(spec))
+        report = clf.classify(st, seed=0)
+        assert report["match"] is True
+        assert report["dimension"] == report["expected"]
+        assert report["commutant_dimension"] == report["commutant_expected"]
+        assert report["affine"]["dimension"] == st.spectrum.massless_count
+
+    def test_tiny_time_step_from_the_command_line(self, tmp_path, capsys):
+        from lcqft.cli import main
+        assert main(["classify", "--spectrum", "0:1,1:2", "--sites", "8",
+                     "--dt", "1e-10", "--out", str(tmp_path / "c.json")]) == 0
+        assert "dimension=1 expected=1 match=True" in capsys.readouterr().err
 
     def test_builds_no_dense_map_of_the_data(self, monkeypatch):
         # only the report's generators are dense: no rce_matrix, no

@@ -35,19 +35,18 @@ def _translate(st_, vec, dt_, dx):
 
 
 def _identity(spec):
-    return gg.GaugeElement(spec, tuple(np.eye(k) for _, k in spec.entries),
+    return gg.GaugeElement(spec, np.eye(spec.total_species),
                            np.zeros(spec.massless_count))
 
 
 def _signed_permutation_gauge(rng, spectrum):
     """A random signed permutation in each block and no shift."""
-    blocks = []
-    for _, k in spectrum.entries:
-        R = np.zeros((k, k))
-        R[rng.permutation(k), np.arange(k)] = rng.integers(0, 2, size=k) * 2 - 1
-        blocks.append(R)
-    return gg.GaugeElement(spectrum, tuple(blocks),
-                           np.zeros(spectrum.massless_count))
+    R = np.zeros((spectrum.total_species,) * 2)
+    for _, b in spectrum.block_slices():
+        k = b.stop - b.start
+        R[b.start + rng.permutation(k), np.arange(b.start, b.stop)] = \
+            rng.integers(0, 2, size=k) * 2 - 1
+    return gg.GaugeElement(spectrum, R, np.zeros(spectrum.massless_count))
 
 
 class TestGroupLaw:
@@ -56,7 +55,7 @@ class TestGroupLaw:
         g = gg.random_gauge(rng, spec)
         e = _identity(spec)
         ge = gg.group_compose(g, e)
-        assert all(np.array_equal(a, b) for a, b in zip(ge.blocks, g.blocks))
+        assert np.array_equal(ge.R, g.R)
         assert np.array_equal(ge.ell, g.ell)
 
     def test_worked_semidirect_example(self):
@@ -64,23 +63,23 @@ class TestGroupLaw:
         # composite block rotates by pi, composite shift (1,0)R'_0+(0,1)=(0,0)
         spec = MassSpectrum.parse("0:2")
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        g = gg.GaugeElement(spec, (rot,), np.array([1.0, 0.0]))
-        h = gg.GaugeElement(spec, (rot,), np.array([0.0, 1.0]))
+        g = gg.GaugeElement(spec, rot, np.array([1.0, 0.0]))
+        h = gg.GaugeElement(spec, rot, np.array([0.0, 1.0]))
         gh = gg.group_compose(g, h)
-        assert np.max(np.abs(gh.blocks[0] + np.eye(2))) < 1e-15
+        assert np.max(np.abs(gh.R + np.eye(2))) < 1e-15
         assert np.max(np.abs(gh.ell)) < 1e-15
 
     def test_inverse(self, mixed_spacetime, rng):
         # (R, l)^-1 = (R^T, -l R_0^T) on both sides
         spec = mixed_spacetime.spectrum
+        n0 = spec.massless_count
         for _ in range(20):
             g = gg.random_gauge(rng, spec)
-            inverse = gg.GaugeElement(spec, tuple(R.T for R in g.blocks),
-                                      -(g.ell @ g.massless_block.T))
+            inverse = gg.GaugeElement(spec, g.R.T,
+                                      -(g.ell @ g.R[:n0, :n0].T))
             for e in (gg.group_compose(g, inverse),
                       gg.group_compose(inverse, g)):
-                assert max(np.max(np.abs(R - np.eye(R.shape[0])))
-                           for R in e.blocks) < 1e-13
+                assert np.max(np.abs(e.R - np.eye(len(e.R)))) < 1e-13
                 assert np.max(np.abs(e.ell), initial=0.0) < 1e-13
 
     def test_associativity(self, mixed_spacetime, rng):
@@ -88,20 +87,41 @@ class TestGroupLaw:
         g, h, k = (gg.random_gauge(rng, spec) for _ in range(3))
         lhs = gg.group_compose(gg.group_compose(g, h), k)
         rhs = gg.group_compose(g, gg.group_compose(h, k))
-        assert max(np.max(np.abs(a - b))
-                   for a, b in zip(lhs.blocks, rhs.blocks)) < 1e-13
+        assert np.max(np.abs(lhs.R - rhs.R)) < 1e-13
         assert np.max(np.abs(lhs.ell - rhs.ell), initial=0.0) < 1e-13
 
     def test_orthogonality_enforced(self):
         spec = MassSpectrum.parse("1:2")
         with pytest.raises(NotOrthogonal):
-            gg.GaugeElement(spec, (np.array([[1.0, 0.1], [0.0, 1.0]]),),
+            gg.GaugeElement(spec, np.array([[1.0, 0.1], [0.0, 1.0]]),
                             np.zeros(0))
 
     def test_shift_shape_enforced(self):
         spec = MassSpectrum.parse("1:2")
         with pytest.raises(SpectrumMismatch):
-            gg.GaugeElement(spec, (np.eye(2),), np.array([1.0]))
+            gg.GaugeElement(spec, np.eye(2), np.array([1.0]))
+
+    def test_species_matrix_shape_enforced(self):
+        spec = MassSpectrum.parse("1:1,2:2")
+        for R in (np.eye(2), np.eye(4), np.eye(3)[:, :2]):
+            with pytest.raises(SpectrumMismatch):
+                gg.GaugeElement(spec, R, np.zeros(0))
+
+    @pytest.mark.parametrize("spec", ["1:1,2:1", "0:1,1:2", "1:2,2:3"])
+    def test_mass_mixing_refused(self, spec):
+        # an orthogonal matrix whose one nonzero entry between species of
+        # different mass breaks commuting with the mass matrix, however small
+        spectrum = MassSpectrum.parse(spec)
+        i, j = spectrum.block_slices()[0][1].stop - 1, \
+            spectrum.block_slices()[1][1].start
+        for angle in (np.pi / 2, 0.3, 1e-9):
+            R = np.eye(spectrum.total_species)
+            R[[i, i, j, j], [i, j, i, j]] = [np.cos(angle), -np.sin(angle),
+                                             np.sin(angle), np.cos(angle)]
+            with pytest.raises(SpectrumMismatch):
+                gg.GaugeElement(spectrum, R, np.zeros(spectrum.massless_count))
+        gg.GaugeElement(spectrum, np.eye(spectrum.total_species),
+                        np.zeros(spectrum.massless_count))
 
     def test_spectrum_mismatch(self, rng):
         g = gg.random_gauge(rng, MassSpectrum.parse("1:2"))
@@ -114,19 +134,21 @@ class TestGroupLaw:
         # one element per mass block, det = -1 in exactly that block and the
         # identity in the others, with no shift
         spectrum = MassSpectrum.parse(spec)
+        S, slices = spectrum.total_species, spectrum.block_slices()
         reflections = gg.block_reflections(spectrum)
-        assert len(reflections) == len(spectrum.entries)
-        for b, g in enumerate(reflections):
-            dets = [round(float(np.linalg.det(R))) for R in g.blocks]
+        assert reflections.shape == (len(spectrum.entries), S, S)
+        for b, R in enumerate(reflections):
+            dets = [round(float(np.linalg.det(R[s, s]))) for _, s in slices]
             assert dets == [-1 if i == b else 1 for i in range(len(dets))]
-            for i, (R, (_, k)) in enumerate(zip(g.blocks, spectrum.entries)):
+            for i, (_, s) in enumerate(slices):
                 if i != b:
-                    assert np.array_equal(R, np.eye(k))
-            assert not np.any(g.ell)
+                    assert np.array_equal(R[s, s], np.eye(s.stop - s.start))
+            # a group element with no shift: in-block and orthogonal
+            gg.GaugeElement(spectrum, R, np.zeros(spectrum.massless_count))
 
     def test_determinant_components_sampled(self, rng):
         spec = MassSpectrum.parse("1:3")
-        dets = {round(float(np.linalg.det(gg.random_gauge(rng, spec).blocks[0])))
+        dets = {round(float(np.linalg.det(gg.random_gauge(rng, spec).R)))
                 for _ in range(40)}
         assert dets == {-1, 1}
 
@@ -153,7 +175,7 @@ class TestClassicalAction:
         st_ = two_block_spacetime
         g = gg.random_gauge(rng, st_.spectrum)
         x = random_data(rng, st_, 4, 3)
-        want = x @ species_on_data(st_, g.species_matrix()).T
+        want = x @ species_on_data(st_, g.R).T
         assert np.max(np.abs(gg.classical_action(g, st_, x) - want)) < 1e-15
         assert np.array_equal(gg.classical_action(g, st_, x[0, 0]),
                               gg.classical_action(g, st_, x)[0, 0])
@@ -161,7 +183,8 @@ class TestClassicalAction:
     def test_spectrum_mismatch_is_refused(self, mixed_spacetime):
         # a 1:2 reflection on a 48-entry 0:1,1:2 data vector, over either
         # spacetime
-        g = gg.block_reflections(MassSpectrum.parse("1:2"))[0]
+        spec = MassSpectrum.parse("1:2")
+        g = gg.GaugeElement(spec, gg.block_reflections(spec)[0], np.zeros(0))
         massive = LatticeSpacetime(8, 16, 0.5, MassSpectrum.parse("1:2"))
         x = np.ones(mixed_spacetime.data_dim)
         assert x.shape == (48,)
@@ -173,7 +196,7 @@ class TestClassicalAction:
         st_ = two_block_spacetime
         g = gg.random_gauge(rng, st_.spectrum)
         h = gg.random_gauge(rng, st_.spectrum)
-        Mg, Mh, Mgh = (species_on_data(st_, x.species_matrix())
+        Mg, Mh, Mgh = (species_on_data(st_, x.R)
                        for x in (g, h, gg.group_compose(g, h)))
         assert np.array_equal(Mg @ Mh, Mgh)
 
@@ -221,10 +244,8 @@ class TestSpeciesForm:
         # exp(tX) = 1 + sin(t) X + (1 - cos(t)) X^2 is a rotation of the group
         for X in gens:
             R = np.eye(len(X)) + np.sin(0.3) * X + (1 - np.cos(0.3)) * X @ X
-            g = gg.GaugeElement(spectrum, tuple(
-                R[b, b] for _, b in spectrum.block_slices()),
-                np.zeros(spectrum.massless_count))
-            assert np.array_equal(g.species_matrix(), R)
+            g = gg.GaugeElement(spectrum, R, np.zeros(spectrum.massless_count))
+            assert np.array_equal(g.R, R)
             assert np.linalg.det(R) == pytest.approx(1.0)
 
     def test_slot_maps_equal_the_dense_maps(self, two_block_spacetime, rng):
@@ -232,7 +253,7 @@ class TestSpeciesForm:
         # 1_N) of the oracle gives the same digits and weights, bit for bit
         st_ = two_block_spacetime
         S = st_.n_species
-        R = np.array([gg.random_gauge(rng, st_.spectrum).species_matrix()
+        R = np.array([gg.random_gauge(rng, st_.spectrum).R
                       for _ in range(3)] + [np.zeros((S, S))])
         consts = rng.standard_normal((4, st_.data_dim))
         got = gg.species_slot_maps(st_, R, consts)
@@ -366,7 +387,7 @@ class TestQuantumAction:
                 image = act(alg.monomial(st_, (s * N,)))
                 vec = degree1_vector(image)
                 R_rec[:, s] = vec[:S * N].reshape(S, N)[:, 0].real
-            assert np.max(np.abs(R_rec - g.species_matrix())) < 1e-13
+            assert np.max(np.abs(R_rec - g.R)) < 1e-13
             ell_rec = np.zeros(st_.spectrum.massless_count)
             block = st_.spectrum.block_slice(0.0)
             for j, s in enumerate(range(block.start, block.stop)):
@@ -382,12 +403,13 @@ class TestQuantumAction:
         spec = st_.spectrum
         rng = np.random.default_rng(11)
         c, s = np.cos(0.3), np.sin(0.3)
+        rotation = np.eye(3)
+        rotation[1:, 1:] = [[c, -s], [s, c]]
         generating_set = [
             _identity(spec),
-            gg.GaugeElement(spec, (np.eye(1), np.array([[c, -s], [s, c]])),
-                            np.zeros(1)),
-            gg.GaugeElement(spec, (-np.eye(1), np.eye(2)), np.zeros(1)),
-            gg.GaugeElement(spec, (np.eye(1), np.eye(2)), np.array([1.0])),
+            gg.GaugeElement(spec, rotation, np.zeros(1)),
+            gg.GaugeElement(spec, np.diag([-1.0, 1.0, 1.0]), np.zeros(1)),
+            gg.GaugeElement(spec, np.eye(3), np.array([1.0])),
         ] + [_signed_permutation_gauge(rng, spec) for _ in range(6)]
         candidates = generating_set + [gg.random_gauge(rng, spec)
                                        for _ in range(30)]
@@ -397,8 +419,7 @@ class TestQuantumAction:
                 alg.max_coeff_diff(act(alg.monomial(st_, (i,))),
                                    alg.monomial(st_, (i,))) < 1e-12
                 for i in range(0, st_.data_dim, st_.n_sites))
-            is_identity = (max(np.max(np.abs(R - np.eye(R.shape[0])))
-                               for R in g.blocks) < 1e-12
+            is_identity = (np.max(np.abs(g.R - np.eye(len(g.R)))) < 1e-12
                            and np.max(np.abs(g.ell), initial=0) < 1e-12)
             assert fixes_all == is_identity
 
@@ -459,7 +480,7 @@ class TestNaturality:
             for _ in range(10):
                 g = gg.random_gauge(rng, st_.spectrum)
                 if not shifted:
-                    g = gg.GaugeElement(st_.spectrum, g.blocks,
+                    g = gg.GaugeElement(st_.spectrum, g.R,
                                         np.zeros_like(g.ell))
                 act = gg.QuantumAction(g, st_)
                 x = alg.random_element(rng, st_, 2, 3)

@@ -211,7 +211,7 @@ class TestEvaluate:
                 assert abs(vac.evaluate(a) - expect) \
                     <= 1e-12 * max(1.0, abs(expect))
                 moved = dict_substitute(
-                    terms, species_on_data(st_, g.species_matrix()),
+                    terms, species_on_data(st_, g.R),
                     g.ell @ gg.shift_functionals(st_))
                 expect = sum((c * hafnian(vac.mu, idx)
                               for idx, c in moved.items()), 0j)
@@ -223,6 +223,20 @@ class TestEvaluate:
         big = alg.monomial(massive_spacetime, tuple([0] * 9))
         with pytest.raises(DegreeCapExceeded):
             vac.evaluate(big)
+
+    def test_pairing_tables_are_shared_and_read_only(self, mixed_spacetime,
+                                                     massive_spacetime, rng):
+        # one table per slot count for every state, and no caller can
+        # write into it
+        for D in range(9):
+            pairs, table = stt._pairing_table(D)
+            assert stt._pairing_table(D)[0] is pairs
+            assert not pairs.flags.writeable and not table.flags.writeable
+        for st_ in (mixed_spacetime, massive_spacetime):
+            vac = stt.vacuum_state(st_)
+            assert not hasattr(vac, "_pairing_tables")
+            a = alg.random_element(rng, st_, 4, 3)
+            assert vac.evaluate(a) == vac.evaluate(a)
 
     def test_positivity(self, mixed_spacetime, rng):
         vac = stt.vacuum_state(mixed_spacetime)
@@ -237,8 +251,8 @@ class TestPullBack:
     def test_identity(self, mixed_spacetime, rng):
         vac = stt.vacuum_state(mixed_spacetime)
         spectrum = mixed_spacetime.spectrum
-        g = gg.GaugeElement(spectrum, tuple(np.eye(k) for _, k in
-                                            spectrum.entries), np.zeros(1))
+        g = gg.GaugeElement(spectrum, np.eye(spectrum.total_species),
+                            np.zeros(1))
         act = gg.QuantumAction(g, mixed_spacetime)
         for _ in range(20):
             a = alg.random_element(rng, mixed_spacetime, 3, 5)
@@ -255,7 +269,7 @@ class TestPullBack:
         for st_, shifts in cases:
             vac = stt.vacuum_state(st_)
             g = gg.GaugeElement(
-                st_.spectrum, gg.random_gauge(rng, st_.spectrum).blocks,
+                st_.spectrum, gg.random_gauge(rng, st_.spectrum).R,
                 np.zeros(st_.spectrum.massless_count))
             act = gg.QuantumAction(g, st_)
             for (dt_, dx) in shifts:
@@ -271,7 +285,7 @@ class TestPullBack:
         worst = 0.0
         for _ in range(200):
             g = gg.GaugeElement(
-                spectrum, gg.random_gauge(rng, spectrum).blocks,
+                spectrum, gg.random_gauge(rng, spectrum).R,
                 np.zeros(spectrum.massless_count))
             act = gg.QuantumAction(g, mixed_spacetime)
             a = alg.random_element(rng, mixed_spacetime, 3, 3)
@@ -284,9 +298,7 @@ class TestPullBack:
         spectrum = mixed_spacetime.spectrum
         for _ in range(50):
             ell = rng.standard_normal(spectrum.massless_count)
-            g = gg.GaugeElement(spectrum,
-                                tuple(np.eye(k) for _, k in spectrum.entries),
-                                ell)
+            g = gg.GaugeElement(spectrum, np.eye(spectrum.total_species), ell)
             act = gg.QuantumAction(g, mixed_spacetime)
             phi = random_data(rng, mixed_spacetime)
             assert abs(vac.evaluate(act(alg.fields(mixed_spacetime, phi)))
