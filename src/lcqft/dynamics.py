@@ -4,7 +4,9 @@ Cauchy data lives on the t=0 slice: per-species field values q and conjugate
 momenta p = dq/dt, both (..., S, N) arrays with any leading batch axes, real
 unless complex data come in (`evolve_data`). Time stepping is kick-drift-kick
 (velocity Verlet), so every step is an exact linear symplectomorphism and is
-inverted exactly by the opposite step.
+inverted exactly by the opposite step. The stepper takes no source: the
+causal propagator applies a source as momentum kicks between free steps
+(`propagate_sources`).
 
 The canonical basis of the solution space is: index s*N + x for the q-channel
 of species s at site x, and S*N + s*N + x for the p-channel. All modules
@@ -160,22 +162,19 @@ def _accel(q: np.ndarray, spacetime: LatticeSpacetime,
 
 def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
                 t_from: int, t_to: int, pert: Perturbation | None = None,
-                source: np.ndarray | None = None,
                 trajectory: bool = False):
     """Evolve Cauchy data from slice t_from to slice t_to.
 
     q, p may carry arbitrary leading batch axes before the trailing (S, N).
     The perturbation (if any) is indexed by absolute slice; slices outside its
-    table count as zero. `source` is a (..., S, T1, N) inhomogeneity entering
-    like the mass-kind perturbation force; its leading axes broadcast
-    against those of q and p. It computes in the number type of q, p and
-    the source, so real data stay real. With trajectory=True, returns (q, p)
-    at every visited slice from t_from to t_to inclusive, as two arrays
+    table count as zero. It computes in the number type of q and p, so real
+    data stay real. With trajectory=True, returns (q, p) at every visited
+    slice from t_from to t_to inclusive, as two arrays
     (|t_to - t_from| + 1, ..., S, N) allocated once: each step writes its
     new q and p straight into the next slice.
     """
     dt = spacetime.dt
-    dtype = np.result_type(q, p, float, float if source is None else source)
+    dtype = np.result_type(q, p, float)
     if trajectory:
         shape = (abs(t_to - t_from) + 1,) + np.shape(q)
         q_traj, p_traj = np.empty(shape, dtype), np.empty(shape, dtype)
@@ -185,28 +184,19 @@ def evolve_data(q: np.ndarray, p: np.ndarray, spacetime: LatticeSpacetime,
         q, p = np.array(q, dtype), np.array(p, dtype)
     direction = 1 if t_to >= t_from else -1
     h = dt * direction
+    kind = pert.kind if pert else "mass"
 
     def v_at(t):
-        if pert is None:
-            return None
-        if 0 <= t < pert.v.shape[0]:
-            return pert.v[t]
-        return None
-
-    def force(qq, t):
-        a = _accel(qq, spacetime, v_at(t), pert.kind if pert else "mass")
-        if source is not None and 0 <= t < source.shape[-2]:
-            a = a + source[..., t, :]
-        return a
+        return pert.v[t] if pert and 0 <= t < len(pert.v) else None
 
     t = t_from
-    a = force(q, t)
+    a = _accel(q, spacetime, v_at(t), kind)
     while t != t_to:
         p_half = p + 0.5 * h * a
         t += direction
         slot = abs(t - t_from)
         q = np.add(q, h * p_half, out=q_traj[slot] if trajectory else None)
-        a = force(q, t)
+        a = _accel(q, spacetime, v_at(t), kind)
         p = np.add(p_half, 0.5 * h * a, out=p_traj[slot] if trajectory else None)
     if trajectory:
         return q_traj, p_traj
@@ -269,15 +259,18 @@ def propagate_sources(spacetime: LatticeSpacetime, sources: np.ndarray):
     Cauchy data (q, p) of shape (..., S, N), the difference of the retarded
     and advanced solutions read at t=0.
 
-    Computed by integrating zero data forward through the sources (yielding
-    the retarded solution at the final clean slice, where the advanced one
-    vanishes) and transporting back with the free evolution: one forward and
-    one backward pass for the whole batch; real sources give real data.
+    Kick-drift-kick gives a source half a kick on each side of its slice, so
+    E f = sum_t c_t h U(0<-t) (0, f_t), c_0 = c_T = 1/2 and c_t = 1 else: one
+    backward sweep from slice T adds c_t h f_t to p, then takes one free step
+    back. Real sources give real data.
     """
-    T = spacetime.n_steps
-    q0 = np.zeros(sources.shape[:-2] + (sources.shape[-1],))
-    q, p = evolve_data(q0, q0, spacetime, 0, T, source=sources)
-    return evolve_data(q, p, spacetime, T, 0)
+    h, T = spacetime.dt, spacetime.n_steps
+    f = np.moveaxis(sources, -2, 0)  # (T1, ..., S, N)
+    q, p = np.zeros(f.shape[1:], np.result_type(f, float)), 0.5 * h * f[T]
+    for t in range(T, 0, -1):
+        q, p = evolve_data(q, p, spacetime, t, t - 1)
+        p += (h if t > 1 else 0.5 * h) * f[t - 1]
+    return q, p
 
 
 def propagate_test_function(f: TestFunction) -> Solution:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, SlotMap, derivation, slot_maps,
                       substitute_affine)
-from .dynamics import propagate_sources
+from .dynamics import evolve_data
 from .errors import NotOrthogonal, SpectrumMismatch
 from .spacetime import LatticeSpacetime, MassSpectrum
 
@@ -275,18 +275,19 @@ def presentation(spacetime: LatticeSpacetime) -> Presentation:
 
 def multiplet_dimensions(spacetime: LatticeSpacetime) -> list[int]:
     """Per mass block, the dimension of the span of one propagated field of
-    the block's first species, closed under the presentation on vectors
-    (v, c) of (field, unit coefficient): X moves it to (X v, 0), e_j to
-    (0, <e_j, v>), R to (R v - v, 0). That is nu(m) for a massive block,
-    nu(0) + 1 for the massless one, whose shifts reach the unit."""
+    the block's first species (a unit kick evolved back to t = 0), closed
+    under the presentation on vectors (v, c) of (field, unit coefficient):
+    X moves it to (X v, 0), e_j to (0, <e_j, v>), R to (R v - v, 0). That
+    is nu(m) for a massive block, nu(0) + 1 for the massless one, whose
+    shifts reach the unit."""
     pres = presentation(spacetime)
     dim, n_so = spacetime.data_dim, len(pres.generators)
     out = []
     for _, block in spacetime.spectrum.block_slices():
-        source = np.zeros((spacetime.n_species, spacetime.n_slices,
-                           spacetime.n_sites))
-        source[block.start, 1, 0] = 1.0  # at slice 1, site 0
-        seed = np.concatenate(propagate_sources(spacetime, source)).ravel()
+        kick = np.zeros((spacetime.n_species, spacetime.n_sites))
+        kick[block.start, 0] = 1.0  # at slice 1, site 0
+        seed = np.concatenate(
+            evolve_data(np.zeros_like(kick), kick, spacetime, 1, 0)).ravel()
         scale = np.linalg.norm(seed)
         todo, rows = [np.append(seed, 0.0)], np.zeros((0, dim + 1))
         while todo:

@@ -199,12 +199,26 @@ def mode_matrix(mass: float, k: int, n_sites: int, dt: float) -> np.ndarray:
 
 
 def advanced_solution_at_zero(f_values: np.ndarray, st: LatticeSpacetime):
-    """Advanced solution data at t=0 by backward integration from clean
-    late-time data through the source (independent of the production
-    forward-then-back route)."""
-    S, N = st.n_species, st.n_sites
-    zero = np.zeros((S, N), dtype=complex)
-    q, p = evolve_data(zero, zero, st, st.n_steps, 0, source=f_values)
+    """Advanced solution data at t=0 of sources (..., S, T1, N): its own
+    kick-drift-kick loop, np.roll neighbours and the source added to the
+    force on every slice, integrating zero late-time data backward from
+    slice T (independent of the production sweep of free steps)."""
+    f = np.asarray(f_values, dtype=complex)
+    m2 = np.asarray(st.spectrum.species_masses)[:, None] ** 2
+    h = -st.dt
+
+    def force(q, t):
+        lap = np.roll(q, -1, axis=-1) - 2 * q + np.roll(q, 1, axis=-1)
+        return lap - m2 * q + f[..., t, :]
+
+    q = np.zeros_like(f[..., 0, :])
+    p = np.zeros_like(q)
+    a = force(q, st.n_steps)
+    for t in range(st.n_steps - 1, -1, -1):
+        p_half = p + 0.5 * h * a
+        q = q + h * p_half
+        a = force(q, t)
+        p = p_half + 0.5 * h * a
     return q, p
 
 

@@ -850,6 +850,17 @@ def test_rce_suite_checks_the_mass_kind_deviation(monkeypatch):
         "ell_deviation_mass_kind: value 0.000e+00 not above 1.0e-09"]
 
 
+def test_mass_kind_deviation_at_a_tiny_time_step(tmp_path, capsys):
+    # the moved charge grows like dt (about 1.73 dt on this spectrum), so it
+    # is read per unit time; read raw, it fell under 1e-9 below dt = 6e-10
+    out = tmp_path / "rce.json"
+    assert main(["verify", "rce", "--spectrum", "0:1,1:2", "--sites", "8",
+                 "--dt", "1e-10", "--out", str(out)]) == 0
+    residuals = json.loads(out.read_text())["suites"][0]["residuals"]
+    assert 1.7 < residuals["ell_deviation_mass_kind"] < 1.8
+    assert "overall: pass" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("spectrum, maps", [("1:2", 3), ("0:1,1:2", 6)])
 def test_rce_suite_builds_one_map_per_perturbation(spectrum, maps,
                                                    monkeypatch):

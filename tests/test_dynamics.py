@@ -216,6 +216,18 @@ class TestPropagator:
         assert np.max(np.abs(q + qa)) < 1e-11
         assert np.max(np.abs(p + pa)) < 1e-11
 
+    @pytest.mark.parametrize("dt", [0.5, 1e-6])
+    def test_sweep_matches_sourced_oracle_on_every_slice(self, dt):
+        # sources on every slice from 0 to T pin the half kicks at the two
+        # ends of the sweep; E f = -adv(0) there as well
+        st_ = LatticeSpacetime(8, 16, dt, MassSpectrum.parse("0:1,1:2"))
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((2, st_.n_species, st_.n_slices, st_.n_sites))
+        q, p = dyn.propagate_sources(st_, f)
+        qa, pa = advanced_solution_at_zero(f, st_)
+        for got, adv in ((q, qa), (p, pa)):
+            assert np.max(np.abs(got + adv)) < 1e-13 * np.max(np.abs(adv))
+
     def test_linearity_exact(self, mixed_spacetime):
         st_ = mixed_spacetime
         f1 = delta_test_function(st_, 0, 4, 1)
@@ -526,8 +538,6 @@ class TestRealArithmetic:
             "evolve": lambda a, b, f: dyn.evolve_data(a, b, st_, 0, 7),
             "evolve_pert": lambda a, b, f: dyn.evolve_data(
                 a, b, st_, 0, 7, pert=pert),
-            "evolve_source": lambda a, b, f: dyn.evolve_data(
-                a, b, st_, 0, 9, source=f),
             "trajectory": lambda a, b, f: dyn.evolve_data(
                 a, b, st_, 0, -5, trajectory=True),
             "rce": lambda a, b, f: dyn.rce_data(a, b, pert),

@@ -1,4 +1,6 @@
 """Kinematic subalgebras and the functorial action of morphisms."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,23 @@ class TestBatchedBasis:
                              - oracle @ oracle.conj().T)) < 1e-12
 
 
+def test_basis_peak_stays_near_its_data_array():
+    # each slice's kicks are evolved as their own batch, so the basis never
+    # holds the whole region's point sources: its peak stays within a few
+    # copies of the (dim, points * S) data at t = 0 that the SVD reads
+    st = LatticeSpacetime(128, 16, 0.5, MassSpectrum.parse("1:2"))
+    region = domain_of_dependence(5, 0, 100, st)
+    assert len(region.points) == 1538
+    used = sum(1 <= t <= st.n_steps - 2 for t, _ in region.points)
+    tracemalloc.start()
+    try:
+        region_solution_basis(region)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * st.data_dim * used * st.n_species * 8
+
+
 class TestMembershipResidual:
     # the linear criterion against the projector substitution (oracle) on
     # the fields of the images X b_i of the basis columns
@@ -90,7 +109,7 @@ class TestMembershipResidual:
             2 * st.n_species, st.n_sites, -1), 1, axis=1)
         for X, small in [(X, True) for X in moves] + [
                 (roll.reshape(st.data_dim, st.data_dim), False)]:
-            got = membership_residual([X], basis)
+            got = membership_residual((X @ basis)[None], basis)
             oracle = max(projector_membership_residual(
                 alg.fields(st, X @ b), basis) for b in basis.T)
             assert abs(got - oracle) < 1e-12
